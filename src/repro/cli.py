@@ -75,11 +75,6 @@ Socket-fleet hardening (``--backend socket[://HOST:PORT]`` only; see
   after that are printed (and recorded in the ``--resume`` store) for
   a targeted re-run.  A run that quarantined anything exits with
   status 3 so scripts cannot mistake the partial exhibit for success.
-* ``--wire {v1,pickle}`` selects the frame codec on the work port:
-  ``v1`` (the default) speaks authenticated ``repro-wire-v1`` frames
-  (no pickle on the wire, per-frame HMAC-SHA256); ``pickle`` is the
-  legacy unauthenticated codec for old trusted fleets.  Server and
-  workers must agree.
 * ``--max-buffered-chunks N`` pauses dispatch while N completed chunks
   sit unconsumed (backpressure for a slow consumer, e.g. a stalled
   ``--resume`` disk).
@@ -235,7 +230,6 @@ def _execution_backend(args: argparse.Namespace):
             ("--heartbeat-timeout", args.heartbeat_timeout is not None),
             ("--status-port", args.status_port is not None),
             ("--continue-past-quarantine", args.continue_past_quarantine),
-            ("--wire", args.wire is not None),
             ("--max-buffered-chunks", args.max_buffered_chunks is not None),
         )
         if given
@@ -274,8 +268,6 @@ def _execution_backend(args: argparse.Namespace):
         options["status_port"] = args.status_port
     if args.continue_past_quarantine:
         options["continue_past_quarantine"] = True
-    if args.wire is not None:
-        options["wire"] = args.wire
     if args.max_buffered_chunks is not None:
         options["max_buffered_chunks"] = args.max_buffered_chunks
     if not options:
@@ -597,14 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         "in the --resume store) for a targeted re-run",
     )
     parser.add_argument(
-        "--wire",
-        choices=["v1", "pickle"],
-        default=None,
-        help="socket fleet frame codec: v1 (authenticated repro-wire-v1 "
-        "frames, the default) or pickle (legacy unauthenticated codec "
-        "for old trusted fleets); the server and its workers must agree",
-    )
-    parser.add_argument(
         "--max-buffered-chunks",
         type=int,
         default=None,
@@ -638,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         "only; 0 exits after one session)",
     )
     parser.add_argument(
-        # Set by SocketBackend on the workers it spawns itself: an idle
+        # Set by WorkServer on the workers it spawns itself: an idle
         # spawned worker (siblings drained the queue first) is normal
         # and must not alarm-exit like an operator-started one.
         "--spawned",
@@ -708,7 +692,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.connect,
                 linger=args.linger,
                 auth_token=args.auth_token or os.environ.get(AUTH_TOKEN_ENV) or None,
-                wire=args.wire or "v1",
                 max_chunks=args.max_chunks,
             )
         except WorkerRejectedError as error:

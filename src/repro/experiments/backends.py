@@ -16,35 +16,44 @@ Backends
 * :class:`ProcessPoolBackend` — a local
   ``concurrent.futures.ProcessPoolExecutor`` (``--backend process``,
   the default whenever ``jobs > 1``).
-* :class:`SocketBackend` — a TCP work server.  Shards travel to worker
-  processes as authenticated ``repro-wire-v1`` frames (see
-  :mod:`repro.experiments.wire`); workers are either spawned locally by
-  the backend (``spawn_workers=N``) or started on any machine with the
-  repo installed via::
+* :class:`SocketBackend` — a TCP worker fleet (``--backend socket``).
+  Shards travel to worker processes as authenticated ``repro-wire-v1``
+  frames (see :mod:`repro.experiments.wire`); workers are either
+  spawned locally (``spawn_workers=N``) or started on any machine with
+  the repo installed via::
 
       python -m repro worker --connect HOST:PORT
 
   Workers pull chunks of shards, execute them with their own warm
   process-local caches, and stream results back; a worker that
   disconnects mid-chunk has its chunk requeued for the survivors.
+* :class:`SharedFleetBackend` — one campaign's view of the ``repro
+  serve`` daemon's shared fleet.
+
+Both socket backends are thin facades over the one work-port server,
+:class:`WorkServer`: ``SocketBackend`` starts a private server per map
+(fresh campaign id, spawned workers that exit with the map), while the
+daemon keeps one server for its lifetime and hands each job a
+``SharedFleetBackend``.  The protocol, hardening, and per-map policy
+below therefore hold for both.
 
 Every backend yields results **in shard order** through
 :meth:`ExecutionBackend.imap`, so callers can stream completed cells to
 a :class:`~repro.experiments.store.ShardStore` while later shards are
 still in flight.
 
-Campaign hardening (socket backend)
-===================================
+Campaign hardening
+==================
 
-Paper-scale campaigns run for hours across many machines, so the socket
-backend carries four operational safeguards on top of the base
-protocol (see ``docs/distributed.md`` for the runbook):
+Paper-scale campaigns run for hours across many machines, so the work
+server carries operational safeguards on top of the base protocol (see
+``docs/distributed.md`` for the runbook):
 
 * **Auth token** — when the server is constructed with ``auth_token``
   (CLI ``--auth-token``, or the ``REPRO_AUTH_TOKEN`` environment
   variable), the worker must present the same secret in its ``hello``
   frame; mismatches receive a ``reject`` frame and are dropped before
-  any pickle from the connection is trusted with work.
+  the connection is trusted with any work.
 * **Heartbeats** — a worker streams ``heartbeat`` frames while it
   executes a chunk (the server tells it the cadence in the ``welcome``
   frame).  A server that hears nothing for ``heartbeat_timeout``
@@ -53,23 +62,27 @@ protocol (see ``docs/distributed.md`` for the runbook):
   blocking forever on a TCP peer that will never answer.
 * **Retry budget** — every requeue of a chunk spends one unit of its
   ``max_chunk_retries`` budget.  A chunk that keeps killing workers
-  (a poison shard) is quarantined once the budget is exhausted: the
-  map aborts with the chunk's identity instead of feeding every worker
-  that joins into the same crash loop.  (With ``--resume``, every cell
-  completed before the abort is already durable.)
+  (a poison shard) is quarantined once the budget is exhausted: its map
+  fails with the chunk's identity (other maps on the fleet keep
+  running) instead of feeding every worker that joins into the same
+  crash loop.  (With ``--resume``, every cell completed before the
+  abort is already durable.)
 * **Start barrier** — ``workers_expected=N`` (CLI
   ``--workers-expected N``) holds all task dispatch until ``N`` workers
   have joined, so a paper-scale campaign cannot silently start grinding
   on a single straggler while the rest of the fleet is still booting.
 * **Continue past quarantine** — ``continue_past_quarantine=True``
   (CLI ``--continue-past-quarantine``) changes what budget exhaustion
-  means: instead of aborting the map, the poison chunk is set aside,
-  the rest of the grid completes, and the skipped shard indices are
-  published as :attr:`SocketBackend.quarantined_shards` for the
-  drivers to report (and record in a ``--resume`` store) so a
-  targeted re-run can retry exactly those cells.
+  means for that map: instead of failing it, the poison chunk is set
+  aside and the rest of the grid completes.  At the end of the map an
+  auto-retry pass re-runs each set-aside multi-shard chunk one shard at
+  a time, healing the shards that were merely collateral
+  (:attr:`ExecutionBackend.healed_shards`) and narrowing the skipped
+  set to exactly the poison shards
+  (:attr:`ExecutionBackend.quarantined_shards`), which the drivers
+  report (and record in a ``--resume`` store) for a targeted re-run.
 * **Status port** — ``status_port=PORT`` (CLI ``--status-port``)
-  serves a live one-line JSON snapshot of the map — fleet size,
+  serves a live one-line JSON snapshot of the server — fleet size,
   per-worker heartbeat age and in-flight chunk, queue depth,
   completed/total chunks, retry and quarantine counts — through
   :class:`~repro.experiments.monitor.StatusServer`; read it with
@@ -80,9 +93,9 @@ Wire format (``repro-wire-v1``)
 
 Every message on the **work port** is one :mod:`repro.experiments.wire`
 frame: a ``RPW1`` preamble with explicit header/blob lengths, a JSON
-header carrying the frame kind, the map's campaign id, a per-direction
-sequence number and the tagged-node payload, binary blob sections for
-bulk data, and a trailing HMAC-SHA256 verified with
+header carrying the frame kind, the server's campaign id, a
+per-direction sequence number and the tagged-node payload, binary blob
+sections for bulk data, and a trailing HMAC-SHA256 verified with
 :func:`hmac.compare_digest` (keyed from the shared secret when the
 fleet has one, from a fixed integrity label otherwise).  The payload is
 always a tuple whose first element names the frame kind:
@@ -95,10 +108,11 @@ welcome     s → w      ``("welcome", heartbeat_interval, campaign_id,
                        mac_mode)`` — the worker adopts the campaign id
                        and MAC mode (``"token"``/``"default"``) from it
 reject      s → w      ``("reject", reason)`` — handshake refused
-task        s → w      ``("task", chunk_index, worker_fn, [shards...])``
+task        s → w      ``("task", ticket, worker_fn, [shards...])`` —
+                       the ticket is ``(map_id, chunk_index)``
 heartbeat   w → s      ``("heartbeat",)`` — streamed while a task runs
-result      w → s      ``("result", chunk_index, [results...])``
-error       w → s      ``("error", chunk_index, traceback_text)``
+result      w → s      ``("result", ticket, [results...])``
+error       w → s      ``("error", ticket, traceback_text)``
 badframe    w → s      ``("badframe", reason)`` — the worker received a
                        frame it could not use; the server resends the
                        in-flight task (transport retry, no budget spent)
@@ -114,24 +128,21 @@ A frame that fails its MAC or decode is rejected *per frame* (the
 duplicated or replayed frames are dropped by their stale sequence
 numbers; only structural stream damage (bad magic, absurd lengths)
 drops the connection — and then the in-flight chunk requeues and the
-worker's linger loop reconnects.  The legacy length-prefixed *pickle*
-codec survives behind the explicit ``--wire pickle`` flag (both sides
-must agree); it has no MAC and trusts its peer with code execution, so
-it is for old trusted clusters only.
+worker's linger loop reconnects.
 
 The **status port** is a different protocol entirely — line-delimited
-JSON, one ``repro-status-v1`` snapshot per connection, schema in
+JSON, one ``repro-status-v2`` snapshot per connection, schema in
 :mod:`repro.experiments.monitor` — so operators can poll it with
 ``curl``/``nc`` without speaking the work protocol.
 
-Security note: under ``--wire v1`` the only code reference a frame can
-carry is a module-level *name* (resolved by import, never pickle
-construction), and every frame is authenticated — with a shared secret
-this blocks work injection by peers that do not know it.  The MAC does
-not encrypt: the hello's join token and the shard payloads are readable
-on the wire, so confidentiality still needs network isolation or a TLS
-tunnel.  The status port is read-only and carries no secrets, but binds
-the same host as the work port: routable bind, routable status.
+Security note: the only code reference a frame can carry is a
+module-level *name* (resolved by import, never pickle construction),
+and every frame is authenticated — with a shared secret this blocks
+work injection by peers that do not know it.  The MAC does not encrypt:
+the hello's join token and the shard payloads are readable on the wire,
+so confidentiality still needs network isolation or a TLS tunnel.  The
+status port is read-only and carries no secrets, but binds the same
+host as the work port: routable bind, routable status.
 
 Elastic fleets and graceful degradation
 =======================================
@@ -141,26 +152,20 @@ Workers may join *after* dispatch has started (the
 mid-campaign: a worker that reaches its ``--max-chunks`` budget or
 receives SIGTERM sends a ``leave`` frame, drains cleanly, and is never
 charged against any retry budget; the status snapshot counts the churn
-(``fleet.left_total``).  At the end of a ``--continue-past-quarantine``
-map, the auto-retry pass (``auto_retry=True``) re-runs every
-quarantined multi-shard chunk at one-shard granularity, healing the
-shards that were merely collateral and shrinking the reported poison
-set to exactly the bad shards.  ``max_buffered_chunks`` bounds how many
-completed chunks the server holds for a slow consumer before pausing
-dispatch (backpressure).
+(``fleet.left_total``).  ``max_buffered_chunks`` bounds how many
+completed chunks a map holds for a slow consumer before its dispatch
+pauses (backpressure).
 """
 
 from __future__ import annotations
 
 import hmac
 import os
-import pickle
 import random
 import secrets
 import select
 import signal
 import socket
-import struct
 import subprocess
 import sys
 import threading
@@ -169,16 +174,11 @@ import traceback
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 from repro.experiments.monitor import STATUS_FORMAT, ThroughputHistory
-from repro.experiments.wire import (
-    MAX_FRAME,
-    WIRE_CHOICES,
-    FrameRejected,
-    StreamDesync,
-    make_session,
-)
+from repro.experiments.wire import FrameRejected, make_session
 
 __all__ = [
     "ExecutionBackend",
@@ -193,6 +193,7 @@ __all__ = [
     "resolve_jobs",
     "run_worker",
 ]
+
 
 #: Environment variable both server and worker read for the shared secret.
 AUTH_TOKEN_ENV = "REPRO_AUTH_TOKEN"
@@ -380,49 +381,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# Socket backend.  The framing lives in :mod:`repro.experiments.wire`;
-# the legacy helpers below are the raw pickle codec kept for the
-# ``--wire pickle`` escape hatch and its tests.
+# Socket transport.  The framing lives in :mod:`repro.experiments.wire`;
+# the worker side is :func:`run_worker`, the server side
+# :class:`WorkServer`.
 # ----------------------------------------------------------------------
-
-_LENGTH = struct.Struct(">Q")
-
-
-def _send_msg(sock: socket.socket, message: tuple) -> None:
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LENGTH.pack(len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    """Read exactly ``count`` bytes, or ``None`` on a clean EOF at byte 0."""
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            if remaining == count:
-                return None
-            raise ConnectionError("socket closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_msg(sock: socket.socket) -> tuple | None:
-    """Read one length-prefixed frame, or ``None`` on clean EOF."""
-    header = _recv_exact(sock, _LENGTH.size)
-    if header is None:
-        return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME:
-        raise StreamDesync(
-            f"pickle frame announces {length} bytes (> {MAX_FRAME}); "
-            "stream is desynchronized or hostile"
-        )
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ConnectionError("socket closed between header and payload")
-    return pickle.loads(payload)
 
 
 def _tokens_match(presented, expected: str) -> bool:
@@ -456,7 +418,6 @@ def _worker_session(
     host: str,
     port: int,
     auth_token: str | None = None,
-    wire: str = "v1",
     budget: list | None = None,
     drain: threading.Event | None = None,
 ) -> tuple[int, bool]:
@@ -474,7 +435,7 @@ def _worker_session(
     the server can tell "still computing" from "hard-killed" and
     requeue only the latter.
 
-    Per-frame recovery (``--wire v1``): a frame this worker cannot use
+    Per-frame recovery: a frame this worker cannot use
     answers with ``badframe`` (the server resends the task); a ``nack``
     from the server resends this worker's cached last reply.  ``budget``
     is a mutable ``[chunks remaining]`` cell shared with the caller —
@@ -484,7 +445,7 @@ def _worker_session(
     worker send ``leave`` and wait for the server's ``shutdown``.
     """
     executed = 0
-    session = make_session(wire, auth_token)
+    session = make_session(auth_token)
     try:
         with socket.create_connection((host, port)) as sock:
             # Heartbeats interleave with result frames on one socket;
@@ -643,24 +604,20 @@ def run_worker(
     address: str,
     linger: float = 0.0,
     auth_token: str | None = None,
-    wire: str = "v1",
     max_chunks: int | None = None,
 ) -> tuple[int, bool]:
     """Socket-backend worker loop: ``python -m repro worker --connect ...``.
 
-    Connects to a :class:`SocketBackend` server, then pulls ``task``
-    frames (a chunk of shards plus the module-level worker function,
-    shipped by reference), executes them, and streams ``result`` frames
+    Connects to a :class:`WorkServer` (a ``--backend socket`` map or the
+    ``repro serve`` daemon), then pulls ``task`` frames (a chunk of shards
+    plus the module-level worker function, shipped by reference),
+    executes them, and streams ``result`` frames
     back until the server sends ``shutdown``.  Exceptions inside a task
     are reported as ``error`` frames with the formatted traceback and do
     not kill the worker.  Returns ``(chunks executed, reached)`` where
     ``reached`` records whether any session drained cleanly — the CLI
     uses it to tell "server unreachable" (alarm) from "queue was
     legitimately empty" (healthy) when the count is zero.
-
-    ``wire`` selects the frame codec (``v1`` — authenticated
-    ``repro-wire-v1`` frames, the default — or the legacy ``pickle``
-    codec); it must match the server's ``--wire``.
 
     ``auth_token`` is presented in the join handshake; a server that
     requires a different secret answers with a ``reject`` frame, which
@@ -706,8 +663,7 @@ def run_worker(
         backoff = _reconnect_backoff()
         while True:
             chunks, clean = _worker_session(
-                host, port, auth_token=auth_token, wire=wire,
-                budget=budget, drain=drain,
+                host, port, auth_token=auth_token, budget=budget, drain=drain,
             )
             executed += chunks
             reached = reached or clean
@@ -738,96 +694,142 @@ class _RemoteTaskError(RuntimeError):
     """A task raised on a worker; carries the remote traceback."""
 
 
-#: Placeholder a quarantined chunk leaves in the completion map (continue
-#: mode): the consume loop recognizes it, records the chunk's shard
-#: indices, and moves on without yielding results for them.
+#: Placeholder a quarantined chunk leaves in its map's completion buffer
+#: (continue mode): the consumer records the chunk's shard indices and
+#: moves on without yielding results for them.
 _QUARANTINED = object()
 
-#: Placeholder a *split* chunk leaves in the completion map (continue
-#: mode with ``auto_retry``): the chunk's shards were re-queued as
-#: single-shard chunks for the end-of-map auto-retry pass, so the
-#: consume loop skips the placeholder — the results (or one-shard
-#: quarantines) arrive under the new chunk indices.
+#: Placeholder a *split* chunk leaves in its map's completion buffer
+#: (continue mode): the chunk's shards were re-queued as single-shard
+#: chunks for the end-of-map auto-retry pass, so the consumer skips the
+#: placeholder — the results (or one-shard quarantines) arrive under the
+#: new chunk indices.
 _SPLIT = object()
 
 
-class SocketBackend(ExecutionBackend):
-    """Ship shards to worker processes over TCP.
+class MapCancelled(RuntimeError):
+    """Raised to a map's consumer when the map was cancelled mid-flight.
 
-    Args:
-        bind: ``HOST:PORT`` to listen on.  Port ``0`` picks an ephemeral
-            port (the resolved address is available as ``self.address``
-            while a map is running).  Bind a routable host to accept
-            workers from other machines.
-        spawn_workers: local worker processes to launch per map call
-            (each runs ``python -m repro worker --connect``); ``0``
-            relies entirely on externally-started workers.
-        timeout: overall seconds to wait for results before failing
-            (``None`` waits forever — the distributed default, matching
-            the artifact's "come back when the machines are done").
-        auth_token: shared secret a worker must present in its ``hello``
-            frame; ``None`` accepts every worker.  Spawned local workers
-            inherit the secret through the ``REPRO_AUTH_TOKEN``
-            environment variable (never the command line, which ``ps``
-            would show); remote workers pass ``--auth-token`` or set the
-            same variable.
-        workers_expected: hold every task until this many workers have
-            joined (the start barrier for paper-scale fleets); ``0``
-            dispatches to the first worker that shows up.
-        heartbeat_timeout: seconds of silence from a worker that owns a
-            chunk before it is presumed dead and its chunk requeued.
-            Workers are told to heartbeat at a quarter of this, so a
-            healthy-but-slow chunk never trips it.  ``None`` disables
-            the deadline (the pre-hardening behaviour: wait forever).
-        max_chunk_retries: worker deaths one chunk may survive before it
-            is quarantined as a poison shard and the map aborts, instead
-            of crash-looping every worker that joins.
-        continue_past_quarantine: opt-in quarantine semantics — a chunk
-            that exhausts its retry budget is *set aside* instead of
-            aborting the map, the rest of the grid completes, and the
-            skipped shard indices are published on
-            :attr:`quarantined_shards` after the map for a targeted
-            re-run.  Bit-identical for every shard that does execute.
-        status_port: serve a live ``repro-status-v1`` JSON snapshot of
-            the running map on this TCP port (bound on the same host as
-            the work port; ``0`` picks an ephemeral port, resolved as
-            :attr:`status_address` while a map runs); ``None`` disables
-            the status server entirely.
-        wire: frame codec on the work port — ``"v1"`` (authenticated
-            ``repro-wire-v1`` frames, the default) or ``"pickle"`` (the
-            legacy unauthenticated codec, for old trusted fleets only).
-            Workers must be started with the matching ``--wire``.
-        auto_retry: in continue-past-quarantine mode, re-run each
-            quarantined multi-shard chunk at one-shard granularity at
-            the end of the map, so :attr:`quarantined_shards` shrinks to
-            exactly the poison shards and the collateral shards land on
-            :attr:`healed_shards` (with their results yielded normally).
-            On by default; only meaningful with
-            ``continue_past_quarantine``.
-        max_buffered_chunks: backpressure bound — pause dispatching new
-            chunks while this many completed chunks sit unconsumed by a
-            slow consumer (a stalled store disk, a saturated pipe).
-            In-flight chunks are always received, so the bound can be
-            briefly exceeded and no deadlock is possible.  ``None`` (the
-            default) buffers without bound.
+    Only :meth:`MapHandle.cancel` (the daemon's job cancel) triggers
+    this; a CLI consumer just closes the iterator.  The service layer
+    turns it into the ``cancelled`` job state instead of ``failed``.
     """
 
-    name = "socket"
+
+class _Map:
+    """One map's dispatch and completion state on a :class:`WorkServer`.
+
+    Every field is guarded by the server's condition variable.
+    """
+
+    def __init__(
+        self,
+        worker: Callable,
+        shards: Sequence,
+        chunksize: int,
+        continue_past_quarantine: bool,
+        max_buffered_chunks: int | None,
+        timeout: float | None,
+        info: dict | None,
+    ) -> None:
+        self.worker = worker
+        self.shards = shards
+        #: Shard indices per chunk.  Chunk identity is *this list*, not
+        #: ``base + offset``: the auto-retry pass appends single-shard
+        #: chunks past the original tail when it splits a poison chunk.
+        self.chunk_shards = [
+            list(range(i, min(i + chunksize, len(shards))))
+            for i in range(0, len(shards), chunksize)
+        ]
+        self.original = len(self.chunk_shards)
+        self.pending: deque[int] = deque(range(self.original))
+        #: Split singles parked until the main grid drains (end-of-map
+        #: auto-retry): re-running them early would just feed the same
+        #: healthy fleet into the poison shard over and over.
+        self.deferred: deque[int] = deque()
+        self.completed: dict[int, object] = {}
+        #: Worker deaths charged against each chunk's retry budget.
+        self.attempts: dict[int, int] = {}
+        self.done = 0
+        self.served = 0
+        self.in_flight = 0
+        #: Chunks that must complete for the map to finish; grows when a
+        #: poison chunk is split into auto-retry singles.
+        self.expected = self.original
+        self.error: BaseException | None = None
+        self.cancelled = False
+        self.continue_past_quarantine = continue_past_quarantine
+        self.max_buffered_chunks = max_buffered_chunks
+        self.deadline = None if timeout is None else time.monotonic() + timeout
+        #: Driver-supplied workload fields echoed into status snapshots.
+        self.info = info
+
+    def dispatchable(self) -> bool:
+        """Is a chunk ready to hand out?
+
+        Pauses while the completion buffer is full (backpressure), and
+        promotes the deferred auto-retry singles once the main grid has
+        fully drained (nothing pending, nothing in flight) — the "end of
+        map" in end-of-map auto-retry.
+        """
+        if self.cancelled or self.error is not None:
+            return False
+        if (
+            self.max_buffered_chunks is not None
+            and len(self.completed) >= self.max_buffered_chunks
+        ):
+            return False
+        if (
+            not self.pending
+            and self.deferred
+            and self.in_flight == 0
+            and self.done >= self.expected - len(self.deferred)
+        ):
+            self.pending.extend(self.deferred)
+            self.deferred.clear()
+        return bool(self.pending)
+
+
+class WorkServer:
+    """The work-port server: one worker fleet, any number of maps.
+
+    This is the only implementation of the work protocol.  It binds
+    once, keeps worker sessions alive across maps, and hands out chunks
+    **round-robin across all open maps**: with two campaigns sharing two
+    workers, each advances at half speed instead of the second starving
+    behind the first.  Two shapes use it:
+
+    * :class:`SocketBackend` starts a private server per map (fresh
+      campaign id, spawned workers at ``--linger 0`` that exit with the
+      map) and closes it when the map drains.
+    * The ``repro serve`` daemon keeps one server for its lifetime and
+      wraps it in a :class:`SharedFleetBackend` per job.
+
+    The campaign id in the ``welcome`` frame scopes the server lifetime,
+    so a frame replayed from another server (or a previous incarnation
+    of this one) is rejected per-frame.  Task frames carry a
+    ``(map_id, chunk_index)`` ticket that workers echo back, so
+    interleaved chunks from concurrent maps never collide, and a chunk
+    requeued after a worker death is re-sent under the same ticket.
+
+    Per-map policy is set at :meth:`submit`: heartbeat deadlines requeue
+    a dead worker's chunk, each requeue spends the chunk's retry budget,
+    and budget exhaustion fails *that map only* — or, with
+    ``continue_past_quarantine``, sets the chunk aside for the end-of-map
+    auto-retry pass.
+    """
 
     def __init__(
         self,
         bind: str = "127.0.0.1:0",
-        spawn_workers: int = 1,
-        timeout: float | None = None,
+        *,
+        spawn_workers: int = 0,
         auth_token: str | None = None,
         workers_expected: int = 0,
         heartbeat_timeout: float | None = DEFAULT_HEARTBEAT_TIMEOUT,
         max_chunk_retries: int = DEFAULT_CHUNK_RETRIES,
-        continue_past_quarantine: bool = False,
         status_port: int | None = None,
-        wire: str = "v1",
-        auto_retry: bool = True,
-        max_buffered_chunks: int | None = None,
+        worker_linger: float = 5.0,
     ) -> None:
         self.bind_host, self.bind_port = parse_address(bind)
         if spawn_workers < 0:
@@ -840,32 +842,46 @@ class SocketBackend(ExecutionBackend):
             raise ValueError("max_chunk_retries must be >= 0")
         if status_port is not None and not 0 <= status_port <= 65535:
             raise ValueError("status_port must be a TCP port (or None)")
-        if wire not in WIRE_CHOICES:
-            raise ValueError(f"wire must be one of {WIRE_CHOICES}, got {wire!r}")
-        if max_buffered_chunks is not None and max_buffered_chunks < 1:
-            raise ValueError("max_buffered_chunks must be >= 1 (or None)")
         self.spawn_workers = spawn_workers
-        self.timeout = timeout
         self.auth_token = auth_token
         self.workers_expected = workers_expected
         self.heartbeat_timeout = heartbeat_timeout
         self.max_chunk_retries = max_chunk_retries
-        self.continue_past_quarantine = continue_past_quarantine
         self.status_port = status_port
-        self.wire = wire
-        self.auto_retry = auto_retry
-        self.max_buffered_chunks = max_buffered_chunks
-        #: Resolved ``(host, port)`` of the live listener (set per map).
+        self.worker_linger = worker_linger
+        #: Resolved ``(host, port)`` of the live work listener.
         self.address: tuple[str, int] | None = None
-        #: Resolved ``(host, port)`` of the live status server (per map).
+        #: Resolved ``(host, port)`` of the live status server (if any).
         self.status_address: tuple[str, int] | None = None
-        #: Shard indices the last map quarantined (continue mode only).
-        self.quarantined_shards: tuple[int, ...] = ()
-        #: Shard indices the auto-retry pass healed (continue mode only).
-        self.healed_shards: tuple[int, ...] = ()
-        #: Optional driver-supplied workload fields (e.g. the fleet
-        #: runner's chip/shard counts) echoed into status snapshots.
-        self.campaign_info: dict | None = None
+        #: One fleet epoch: every worker session and every frame of
+        #: every map submitted to this server is scoped to this id.
+        self._campaign = secrets.token_hex(8)
+        self._condition = threading.Condition()
+        self._closed = threading.Event()
+        self._maps: dict[int, _Map] = {}
+        self._rotation: deque[int] = deque()
+        self._next_map = 0
+        #: Live per-worker registry for the status snapshot: handler id
+        #: -> {pid, last_seen, chunk}; mutated under ``_condition``.
+        self._fleet: dict[int, dict] = {}
+        self._state = {
+            "handlers": 0,
+            "joined": 0,
+            "left": 0,
+            "retries": 0,
+            "done": 0,
+            "expected_total": 0,
+            "opened": 0,
+            "healed": 0,
+        }
+        #: Chunk indices set aside past their budget (continue mode).
+        self._quarantined: list[int] = []
+        self._history = ThroughputHistory()
+        self._started = time.monotonic()
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
+        self._status_server = None
+        self._procs: list[subprocess.Popen] = []
 
     def _heartbeat_interval(self) -> float:
         """Cadence workers are told to beat at (quarter of the deadline)."""
@@ -890,738 +906,14 @@ class SocketBackend(ExecutionBackend):
             return self.spawn_workers
         return max(self.spawn_workers, 16)
 
-    # -- worker process management ------------------------------------
-
-    def _spawn_local_workers(self, port: int) -> list[subprocess.Popen]:
-        """Launch local workers pointed at the live listener.
-
-        A worker must unpickle whatever module-level function the parent
-        maps — :mod:`repro` itself however it was found (installed,
-        ``PYTHONPATH=src``, a pytest path hack), but also caller-defined
-        workers — so the child inherits the parent's full ``sys.path``
-        via ``PYTHONPATH``, matching the visibility a forked pool worker
-        would have.  (Remote workers are started by hand and only need
-        :mod:`repro` importable.)
-        """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(entry for entry in sys.path if entry)
-        if self.auth_token is not None:
-            # The environment, not the command line: `ps` shows argv to
-            # every user on the box, while the child's environment stays
-            # private to it.
-            env[AUTH_TOKEN_ENV] = self.auth_token
-        command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "worker",
-            "--connect",
-            f"127.0.0.1:{port}",
-            # Spawned workers are per-map: exit with the session instead
-            # of lingering for a next server like hand-started ones, and
-            # don't alarm when siblings drained the queue first.
-            "--linger",
-            "0",
-            "--spawned",
-            # Both sides of the wire must speak the same codec.
-            "--wire",
-            self.wire,
-        ]
-        return [
-            subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
-            for _ in range(self.spawn_workers)
-        ]
-
-    # -- server ---------------------------------------------------------
-
-    def imap(self, worker: Callable, shards: Sequence, chunksize: int = 1) -> Iterator:
-        for _, result in self._execute(worker, shards, chunksize, ordered=True):
-            yield result
-
-    def imap_unordered(
-        self, worker: Callable, shards: Sequence, chunksize: int = 1
-    ) -> Iterator[tuple[int, object]]:
-        yield from self._execute(worker, shards, chunksize, ordered=False)
-
-    def _execute(
-        self, worker: Callable, shards: Sequence, chunksize: int, ordered: bool
-    ) -> Iterator[tuple[int, object]]:
-        """Serve the map; yield ``(shard_index, result)`` pairs.
-
-        ``ordered`` yields the shard-order prefix as it completes;
-        unordered yields whole chunks in completion order, which lets
-        streaming consumers persist every finished shard immediately.
-        (``continue_past_quarantine`` requires the unordered path: a
-        quarantined chunk is never yielded — its shard indices land on
-        :attr:`quarantined_shards` instead — which only
-        :meth:`imap_unordered`'s explicit indices can represent.  An
-        ordered consumer that hits a quarantine raises rather than
-        silently misaligning every later result.)
-        """
-        self.quarantined_shards = ()
-        self.healed_shards = ()
-        if not len(shards):
-            return
-        chunksize = max(1, int(chunksize))
-        #: One id per map so a frame from a stale server/worker pairing
-        #: (a worker that lingered across maps, a chaos replay) is
-        #: rejected per-frame instead of corrupting this campaign.
-        campaign = secrets.token_hex(8)
-        #: Shard indices per chunk.  Chunk identity is *this list*, not
-        #: ``base + offset``: the auto-retry pass appends single-shard
-        #: chunks past the original tail when it splits a poison chunk.
-        chunk_shards: list[list[int]] = [
-            list(range(i, min(i + chunksize, len(shards))))
-            for i in range(0, len(shards), chunksize)
-        ]
-        original_total = len(chunk_shards)
-        pending: deque[int] = deque(range(original_total))
-        #: Split singles parked until the main grid drains (end-of-map
-        #: auto-retry): re-running them early would just feed the same
-        #: healthy fleet into the poison shard over and over.
-        deferred: deque[int] = deque()
-        completed: dict[int, list] = {}
-        #: Worker deaths charged against each chunk's retry budget.
-        attempts: dict[int, int] = {}
-        #: Chunk indices set aside in continue-past-quarantine mode.
-        quarantined: list[int] = []
-        #: Shard indices healed by the auto-retry pass (consumer-owned).
-        healed: list[int] = []
-        #: Live per-worker registry for the status snapshot: handler id
-        #: -> {pid, last_seen, chunk, leaving}; mutated under ``condition``.
-        fleet: dict[int, dict] = {}
-        state = {
-            "error": None,
-            "handlers": 0,
-            "done": 0,
-            "joined": 0,
-            "left": 0,
-            "retries": 0,
-            "in_flight": 0,
-            # Chunks that must complete for the map to finish; grows
-            # when a poison chunk is split into auto-retry singles.
-            "expected": original_total,
-        }
-        condition = threading.Condition()
-        done = threading.Event()
-        #: Throughput ring buffer for status-v2 trend rendering; sampled
-        #: on every chunk completion under ``condition``.
-        history = ThroughputHistory()
-
-        def dispatchable() -> bool:
-            """Under ``condition``: is there a chunk ready to hand out?
-
-            Promotes the deferred auto-retry singles once the main grid
-            has fully drained (nothing pending, nothing in flight) —
-            the "end of map" in end-of-map auto-retry.
-            """
-            if pending:
-                return True
-            if (
-                deferred
-                and state["in_flight"] == 0
-                and state["done"] >= state["expected"] - len(deferred)
-            ):
-                pending.extend(deferred)
-                deferred.clear()
-                return True
-            return False
-
-        def backpressured() -> bool:
-            """Under ``condition``: is the completed-chunk buffer full?"""
-            return (
-                self.max_buffered_chunks is not None
-                and len(completed) >= self.max_buffered_chunks
-            )
-
-        def handle(conn: socket.socket) -> None:
-            """Serve one worker connection until the whole map completes.
-
-            An idle handler (queue momentarily empty) must *wait*, not
-            dismiss its worker: another worker may still fail mid-chunk
-            and requeue work that only this one can pick up.  While it
-            waits it polls the socket, because an idle worker may still
-            speak — a ``leave`` goodbye (SIGTERM drain) that must turn
-            into a prompt ``shutdown``, not a task.
-            """
-            current: int | None = None
-            me: dict | None = None
-            session = make_session(self.wire, self.auth_token)
-
-            def poll_goodbye() -> str | None:
-                """Drain frames an *idle* worker sent; ``"leave"``/``"eof"``
-                end the session, anything else (a straggler heartbeat)
-                is ignorable."""
-                while select.select([conn], [], [], 0)[0]:
-                    conn.settimeout(5)
-                    try:
-                        early = session.recv(conn)
-                    except FrameRejected:
-                        continue
-                    finally:
-                        conn.settimeout(self.heartbeat_timeout)
-                    if early is None:
-                        return "eof"
-                    if early[0] == "leave":
-                        return "leave"
-                return None
-
-            try:
-                with conn:
-                    # A connection that never speaks (port scan, health
-                    # probe) must not park this handler forever: while
-                    # it counts in state["handlers"], the all-workers-
-                    # died fail-fast is suppressed.  Bound the hello.
-                    conn.settimeout(5)
-                    hello = session.recv(conn)
-                    if not hello or hello[0] != "hello":
-                        return
-                    token = hello[2] if len(hello) > 2 else None
-                    if self.auth_token is not None and not _tokens_match(
-                        token, self.auth_token
-                    ):
-                        # Reject *before* the connection is trusted with
-                        # any task frame; the worker surfaces the reason
-                        # and exits instead of linger-retrying.
-                        try:
-                            session.send(conn, ("reject", "bad or missing auth token"))
-                        except OSError:
-                            pass
-                        return
-                    # The welcome is the last handshake frame (fixed MAC
-                    # key); it hands the worker the campaign id and the
-                    # MAC mode both sides use from here on.
-                    session.send(
-                        conn,
-                        (
-                            "welcome",
-                            self._heartbeat_interval(),
-                            campaign,
-                            session.mac_mode,
-                        ),
-                    )
-                    session.campaign = campaign
-                    session.secure()
-                    # While a chunk is in flight every frame — heartbeat
-                    # or reply — must arrive within the deadline, or the
-                    # worker is presumed dead and the chunk requeued.
-                    conn.settimeout(self.heartbeat_timeout)
-                    me = {
-                        "pid": hello[1],
-                        "last_seen": time.monotonic(),
-                        "chunk": None,
-                        "leaving": False,
-                    }
-                    with condition:
-                        state["joined"] += 1
-                        fleet[id(me)] = me
-                        condition.notify_all()
-                    goodbye: str | None = None
-                    while True:
-                        # -- wait for a dispatchable chunk ---------------
-                        current = None
-                        while current is None:
-                            goodbye = poll_goodbye()
-                            if goodbye:
-                                break
-                            with condition:
-                                if (
-                                    done.is_set()  # consumer abandoned the map
-                                    or state["error"] is not None
-                                    or state["done"] >= state["expected"]
-                                ):
-                                    break
-                                if (
-                                    state["joined"] >= self.workers_expected
-                                    and not backpressured()
-                                    and dispatchable()
-                                ):
-                                    current = pending.popleft()
-                                    state["in_flight"] += 1
-                                    me["chunk"] = current
-                                    me["last_seen"] = time.monotonic()
-                                    continue
-                                condition.wait(0.1)
-                        if current is None:
-                            break  # map over, or the worker said goodbye
-                        # -- dispatch, then pump frames until the reply --
-                        task = (
-                            "task",
-                            current,
-                            worker,
-                            [shards[i] for i in chunk_shards[current]],
-                        )
-                        session.send(conn, task)
-                        resends = nacks = 0
-                        while True:
-                            try:
-                                reply = session.recv(conn)
-                            except FrameRejected:
-                                # Corrupt-but-aligned frame from the
-                                # worker: ask it to resend its reply
-                                # instead of declaring it dead.
-                                nacks += 1
-                                if nacks > _TRANSPORT_RETRIES:
-                                    raise ConnectionError(
-                                        "worker kept sending unusable frames; "
-                                        "dropping the connection"
-                                    )
-                                session.send(conn, ("nack",))
-                                continue
-                            if reply is None:
-                                raise ConnectionError("worker hung up mid-task")
-                            with condition:
-                                me["last_seen"] = time.monotonic()
-                            if reply[0] == "heartbeat":
-                                continue
-                            if reply[0] == "leave":
-                                # Drain goodbye ahead of the final result
-                                # (--max-chunks): take the result, then
-                                # stop dispatching to this worker.
-                                goodbye = "leave"
-                                continue
-                            if reply[0] == "badframe":
-                                # The worker could not use our task frame;
-                                # resend it in place (transport retry, no
-                                # retry-budget charge).
-                                resends += 1
-                                if resends > _TRANSPORT_RETRIES:
-                                    detail = reply[1] if len(reply) > 1 else "unknown"
-                                    raise ConnectionError(
-                                        "worker could not use the task frame "
-                                        f"after {resends} sends: {detail}"
-                                    )
-                                session.send(conn, task)
-                                continue
-                            if reply[0] in ("result", "error") and reply[1] != current:
-                                # Stale resend (nack crossfire duplicate);
-                                # the reply for *this* chunk still follows.
-                                continue
-                            break
-                        kind, index, payload = reply
-                        with condition:
-                            if kind == "error":
-                                state["error"] = _RemoteTaskError(
-                                    f"shard chunk {index} failed on a socket worker:\n{payload}"
-                                )
-                            else:
-                                completed[index] = payload
-                                state["done"] += 1
-                                history.record(
-                                    time.monotonic() - started_at, state["done"]
-                                )
-                            state["in_flight"] -= 1
-                            current = None
-                            me["chunk"] = None
-                            condition.notify_all()
-                        if goodbye:
-                            break
-                    if goodbye == "leave":
-                        with condition:
-                            me["leaving"] = True
-                            state["left"] += 1
-                            condition.notify_all()
-                    try:
-                        session.send(conn, ("shutdown",))
-                    except OSError:
-                        pass
-            except Exception:
-                # Any handler failure — a dropped connection, a missed
-                # heartbeat deadline, but also a malformed or unpicklable
-                # reply frame — must give the in-flight chunk back to
-                # surviving workers, or the map would wait forever on a
-                # chunk nobody owns.  Each requeue spends retry budget:
-                # a chunk that keeps killing workers is quarantined
-                # instead of crash-looping the whole fleet — aborting the
-                # map with its identity by default, or (opt-in) setting
-                # just that chunk aside and finishing the grid.
-                with condition:
-                    if current is not None:
-                        state["in_flight"] -= 1
-                        attempts[current] = attempts.get(current, 0) + 1
-                        state["retries"] += 1
-                        if attempts[current] > self.max_chunk_retries:
-                            if self.continue_past_quarantine:
-                                if self.auto_retry and len(chunk_shards[current]) > 1:
-                                    # Auto-retry: don't quarantine the
-                                    # whole chunk — park each of its
-                                    # shards as a single-shard chunk for
-                                    # the end-of-map pass, so only the
-                                    # truly poison shard(s) stay
-                                    # quarantined and the rest heal.
-                                    for shard_index in chunk_shards[current]:
-                                        chunk_shards.append([shard_index])
-                                        deferred.append(len(chunk_shards) - 1)
-                                    state["expected"] += len(chunk_shards[current])
-                                    completed[current] = _SPLIT
-                                    state["done"] += 1
-                                else:
-                                    quarantined.append(current)
-                                    completed[current] = _QUARANTINED
-                                    state["done"] += 1
-                            else:
-                                state["error"] = RuntimeError(
-                                    f"shard chunk {current} was lost by "
-                                    f"{attempts[current]} worker(s) in a row; retry "
-                                    f"budget ({self.max_chunk_retries}) exhausted — "
-                                    "quarantining it as a poison chunk.  Investigate "
-                                    "the shard (or raise max_chunk_retries, or run "
-                                    "with --continue-past-quarantine); cells "
-                                    "already streamed to a --resume store are safe."
-                                )
-                        else:
-                            pending.appendleft(current)
-                    condition.notify_all()
-            finally:
-                with condition:
-                    state["handlers"] -= 1
-                    if me is not None:
-                        fleet.pop(id(me), None)
-                    condition.notify_all()
-
-        def accept_loop(listener: socket.socket) -> None:
-            listener.settimeout(0.1)
-            while not done.is_set():
-                try:
-                    conn, _ = listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                with condition:
-                    state["handlers"] += 1
-                threading.Thread(target=handle, args=(conn,), daemon=True).start()
-
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        acceptor = threading.Thread(target=accept_loop, args=(listener,), daemon=True)
-        workers: list[subprocess.Popen] = []
-        status_server = None
-        started_at = time.monotonic()
-
-        def snapshot() -> dict:
-            """Assemble the repro-status-v2 JSON snapshot (status port)."""
-            with condition:
-                now = time.monotonic()
-                extra = (
-                    {"campaign": dict(self.campaign_info)}
-                    if self.campaign_info
-                    else {}
-                )
-                return {
-                    **extra,
-                    "format": STATUS_FORMAT,
-                    "elapsed": round(now - started_at, 3),
-                    "wire": self.wire,
-                    "fleet": {
-                        "size": len(fleet),
-                        "joined_total": state["joined"],
-                        "left_total": state["left"],
-                        "expected": self.workers_expected,
-                    },
-                    "workers": [
-                        {
-                            "pid": info["pid"],
-                            "heartbeat_age": round(now - info["last_seen"], 3),
-                            "chunk": info["chunk"],
-                        }
-                        for info in fleet.values()
-                    ],
-                    "chunks": {
-                        "total": state["expected"],
-                        "done": state["done"],
-                        "pending": len(pending),
-                        "deferred": len(deferred),
-                        "in_flight": state["in_flight"],
-                    },
-                    "retries": state["retries"],
-                    "quarantined": sorted(quarantined),
-                    "healed": len(healed),
-                    "history": history.sample(),
-                }
-
-        deadline = None if self.timeout is None else time.monotonic() + self.timeout
-        served = 0
-        next_chunk = 0
-        quarantined_shards: list[int] = []
-        # Everything after the socket exists runs under the finally: a
-        # failure while binding, starting the acceptor, or spawning
-        # workers must still release the port, stop the acceptor, and
-        # reap whatever processes already launched — a leaked listener
-        # would EADDRINUSE every later map on a fixed socket:// port.
-        try:
-            listener.bind((self.bind_host, self.bind_port))
-            listener.listen()
-            self.address = listener.getsockname()[:2]
-            if self.status_port is not None:
-                from repro.experiments.monitor import StatusServer
-
-                status_server = StatusServer(
-                    (self.bind_host, self.status_port), snapshot
-                ).start()
-                self.status_address = status_server.address
-            acceptor.start()
-            workers = self._spawn_local_workers(self.address[1])
-            while True:
-                with condition:
-                    # ``expected`` can grow while we wait (auto-retry
-                    # splits), so the exit check re-reads it under the
-                    # lock every iteration.
-                    if served >= state["expected"]:
-                        break
-                    while state["error"] is None and not (
-                        next_chunk in completed if ordered else completed
-                    ):
-                        self._check_liveness(workers, state)
-                        if deadline is not None and time.monotonic() > deadline:
-                            barrier = (
-                                f" (start barrier: {state['joined']} of "
-                                f"{self.workers_expected} expected workers joined)"
-                                if state["joined"] < self.workers_expected
-                                else ""
-                            )
-                            raise TimeoutError(
-                                "socket backend timed out with "
-                                f"{state['expected'] - state['done']}"
-                                f" chunk(s) outstanding{barrier}"
-                            )
-                        condition.wait(timeout=0.1)
-                    if state["error"] is not None:
-                        raise state["error"]
-                    # Pop so the backend holds only the unconsumed
-                    # chunks, not every chunk of the map.
-                    if ordered:
-                        index = next_chunk
-                        results = completed.pop(index)
-                        next_chunk += 1
-                    else:
-                        index, results = completed.popitem()
-                    # The freed buffer slot lifts the backpressure gate.
-                    condition.notify_all()
-                served += 1
-                shard_indices = chunk_shards[index]
-                if (results is _QUARANTINED or results is _SPLIT) and ordered:
-                    # imap()/map() callers pair results with shards
-                    # positionally; silently skipping a chunk (or moving
-                    # its shards to late out-of-order singles) would
-                    # shift every later result onto the wrong shard.
-                    # Only the index-carrying imap_unordered path can
-                    # represent either.
-                    raise RuntimeError(
-                        f"shard chunk {index} was quarantined, but this map "
-                        "was consumed in shard order (imap/map), which "
-                        "cannot represent a hole; use imap_unordered with "
-                        "continue_past_quarantine"
-                    )
-                if results is _SPLIT:
-                    print(
-                        f"repro: chunk {index} exhausted its retry budget "
-                        f"({self.max_chunk_retries}); re-running its "
-                        f"{len(shard_indices)} shard(s) one at a time at end "
-                        "of map (auto-retry)",
-                        file=sys.stderr,
-                    )
-                    continue
-                if results is _QUARANTINED:
-                    quarantined_shards.extend(shard_indices)
-                    self.quarantined_shards = tuple(sorted(quarantined_shards))
-                    print(
-                        f"repro: chunk {index} quarantined after exhausting its "
-                        f"retry budget ({self.max_chunk_retries}); continuing "
-                        "with the rest of the grid (--continue-past-quarantine)",
-                        file=sys.stderr,
-                    )
-                    continue
-                if index >= original_total:
-                    # A split single that completed: its shard was
-                    # collateral damage of a poison chunk-mate, healed
-                    # by the one-shard re-run.
-                    healed.extend(shard_indices)
-                    self.healed_shards = tuple(sorted(healed))
-                for shard_index, result in zip(shard_indices, results):
-                    yield shard_index, result
-            if healed:
-                print(
-                    f"repro: auto-retry healed {len(healed)} of "
-                    f"{len(healed) + len(quarantined_shards)} shard(s) from "
-                    "quarantined chunks; poison set narrowed to "
-                    f"{len(quarantined_shards)} shard(s)",
-                    file=sys.stderr,
-                )
-        finally:
-            # Reached on normal completion AND when the consumer closes
-            # the generator early (e.g. the shard store hit a disk
-            # error): handlers see the event, stop dispatching pending
-            # chunks, and shut their workers down instead of burning
-            # cluster CPU on an abandoned map.
-            done.set()
-            with condition:
-                condition.notify_all()
-            listener.close()
-            if status_server is not None:
-                status_server.close()
-            if acceptor.ident is not None:  # never started if bind failed
-                acceptor.join(timeout=5)
-            for process in workers:
-                try:
-                    process.wait(timeout=10)
-                except subprocess.TimeoutExpired:  # pragma: no cover - cleanup
-                    process.kill()
-            self.address = None
-            self.status_address = None
-
-    def _check_liveness(self, workers, state) -> None:
-        """Fail fast when every possible worker is gone but work remains.
-
-        Only applies when the backend spawned its own workers: a server
-        awaiting external ``--connect`` workers legitimately idles.
-        """
-        if not workers or state["handlers"] > 0:
-            return
-        if state["done"] >= state["expected"]:
-            return
-        if all(process.poll() is not None for process in workers):
-            state["error"] = RuntimeError(
-                "all spawned socket workers exited with "
-                f"{state['expected'] - state['done']} chunk(s) outstanding "
-                f"(exit codes: {[process.returncode for process in workers]})"
-            )
-
-
-class MapCancelled(RuntimeError):
-    """Raised to a map's consumer when the map was cancelled mid-flight.
-
-    Only the multi-map :class:`WorkServer` raises this: single-map
-    backends have no cancel surface (the consumer just closes the
-    iterator).  The service layer turns it into the ``cancelled`` job
-    state instead of ``failed``.
-    """
-
-
-class WorkServer:
-    """Persistent multi-campaign work server over one shared worker fleet.
-
-    :class:`SocketBackend` serves exactly one map per listener: the
-    listener binds when the map starts and closes when it drains, and a
-    worker session lives inside that one map.  The campaign service
-    needs the opposite shape — a fleet that outlives any single
-    campaign, with *several* maps in flight at once — so this server
-    binds once, keeps worker sessions alive across maps, and hands out
-    chunks **round-robin across all open maps**: with two campaigns
-    sharing two workers, each campaign advances at half speed instead of
-    the second starving behind the first (the cross-campaign fairness
-    headroom noted when one server hosts several maps).
-
-    The wire protocol is unchanged ``repro-wire-v1``: the same
-    ``python -m repro worker --connect`` processes serve either server
-    kind.  Two mappings make multiplexing invisible to workers:
-
-    * The campaign id in the ``welcome`` frame scopes the whole server
-      lifetime (one fleet epoch), so every job submitted to one daemon
-      rides the same HMAC-authenticated session scope — a frame replayed
-      from another daemon (or a previous incarnation of this one) is
-      rejected per-frame exactly as a cross-map replay is on
-      :class:`SocketBackend`.
-    * Task frames carry a server-global *ticket* where the single-map
-      server put the chunk index.  Workers echo it back untouched, and
-      the server routes the reply to the owning ``(map, chunk)`` — so
-      interleaved chunks from concurrent campaigns never collide even
-      when their chunk indices do.
-
-    Per-map semantics match the single-map server where they apply:
-    heartbeat deadlines requeue a dead worker's chunk, each requeue
-    spends the chunk's retry budget, and budget exhaustion fails *that
-    map only* (the service reports the job ``failed``; other jobs keep
-    running).  The quarantine/auto-retry machinery stays single-map —
-    a service job heals by resubmission over its resume store instead.
-
-    Use :meth:`submit` to open a map and iterate the returned
-    :class:`MapHandle`; or wrap the server in a
-    :class:`SharedFleetBackend` facade per job so the ordinary drivers
-    (``run_sweep``, ``fig10.run``, ``fleet.run``) consume it like any
-    other backend.
-    """
-
-    def __init__(
-        self,
-        bind: str = "127.0.0.1:0",
-        *,
-        spawn_workers: int = 0,
-        auth_token: str | None = None,
-        workers_expected: int = 0,
-        heartbeat_timeout: float | None = DEFAULT_HEARTBEAT_TIMEOUT,
-        max_chunk_retries: int = DEFAULT_CHUNK_RETRIES,
-        wire: str = "v1",
-        status_port: int | None = None,
-        worker_linger: float = 5.0,
-    ) -> None:
-        self.bind_host, self.bind_port = parse_address(bind)
-        if spawn_workers < 0:
-            raise ValueError("spawn_workers must be >= 0")
-        if workers_expected < 0:
-            raise ValueError("workers_expected must be >= 0")
-        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-            raise ValueError("heartbeat_timeout must be positive (or None)")
-        if max_chunk_retries < 0:
-            raise ValueError("max_chunk_retries must be >= 0")
-        if wire not in WIRE_CHOICES:
-            raise ValueError(f"wire must be one of {WIRE_CHOICES}, got {wire!r}")
-        if status_port is not None and not 0 <= status_port <= 65535:
-            raise ValueError("status_port must be a TCP port (or None)")
-        self.spawn_workers = spawn_workers
-        self.auth_token = auth_token
-        self.workers_expected = workers_expected
-        self.heartbeat_timeout = heartbeat_timeout
-        self.max_chunk_retries = max_chunk_retries
-        self.wire = wire
-        self.status_port = status_port
-        self.worker_linger = worker_linger
-        #: Resolved ``(host, port)`` of the live work listener.
-        self.address: tuple[str, int] | None = None
-        #: Resolved ``(host, port)`` of the live status server (if any).
-        self.status_address: tuple[str, int] | None = None
-        #: One fleet epoch: every worker session and every frame of
-        #: every job submitted to this server is scoped to this id.
-        self._campaign = secrets.token_hex(8)
-        self._condition = threading.Condition()
-        self._closed = threading.Event()
-        self._maps: dict[int, dict] = {}
-        self._rotation: deque[int] = deque()
-        self._tasks: dict[int, tuple[int, int]] = {}
-        self._next_map = 0
-        self._next_ticket = 0
-        self._fleet: dict[int, dict] = {}
-        self._state = {
-            "handlers": 0,
-            "joined": 0,
-            "left": 0,
-            "retries": 0,
-            "done": 0,
-            "expected_total": 0,
-            "opened": 0,
-        }
-        self._history = ThroughputHistory()
-        self._started = time.monotonic()
-        self._listener: socket.socket | None = None
-        self._acceptor: threading.Thread | None = None
-        self._status_server = None
-        self._procs: list[subprocess.Popen] = []
-
-    def _heartbeat_interval(self) -> float:
-        if self.heartbeat_timeout is None:
-            return DEFAULT_HEARTBEAT_TIMEOUT / 4
-        return max(0.05, self.heartbeat_timeout / 4)
-
-    def worker_hint(self) -> int:
-        """Fleet-size estimate for chunk sizing (see SocketBackend)."""
-        if self.spawn_workers and self.bind_host in ("127.0.0.1", "localhost", "::1"):
-            return self.spawn_workers
-        return max(self.spawn_workers, 16)
-
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "WorkServer":
-        """Bind the work port, start accepting, spawn the local fleet."""
+        """Bind the work port, start accepting, spawn the local fleet.
+
+        On failure the caller must still :meth:`close` the server, which
+        releases whatever was already bound or spawned.
+        """
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -1647,17 +939,28 @@ class WorkServer:
         return self
 
     def _spawn_local_workers(self, port: int) -> list[subprocess.Popen]:
-        """Launch the server's own workers (same contract as SocketBackend).
+        """Launch the server's own workers pointed at the live listener.
 
-        Unlike per-map spawns these get a nonzero ``--linger``: the
-        fleet is meant to outlive individual maps, so a worker that
-        loses its connection (handler died, transient network wobble)
-        retries the work port for a few seconds instead of exiting and
-        shrinking the fleet permanently.
+        A worker must import whatever module-level function the parent
+        maps — :mod:`repro` itself however it was found (installed,
+        ``PYTHONPATH=src``, a pytest path hack), but also caller-defined
+        workers — so the child inherits the parent's full ``sys.path``
+        via ``PYTHONPATH``, matching the visibility a forked pool worker
+        would have.  (Remote workers are started by hand and only need
+        :mod:`repro` importable.)
+
+        ``worker_linger`` is the workers' ``--linger``: the daemon's
+        fleet outlives individual maps, so a worker that loses its
+        connection retries the port for a few seconds instead of
+        shrinking the fleet for good; a per-map server passes ``0`` so
+        its workers exit with the map.
         """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(entry for entry in sys.path if entry)
         if self.auth_token is not None:
+            # The environment, not the command line: `ps` shows argv to
+            # every user on the box, while the child's environment stays
+            # private to it.
             env[AUTH_TOKEN_ENV] = self.auth_token
         command = [
             sys.executable,
@@ -1668,9 +971,8 @@ class WorkServer:
             f"127.0.0.1:{port}",
             "--linger",
             str(self.worker_linger),
+            # Don't alarm when siblings drained the queue first.
             "--spawned",
-            "--wire",
-            self.wire,
         ]
         return [
             subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
@@ -1678,7 +980,13 @@ class WorkServer:
         ]
 
     def close(self) -> None:
-        """Stop accepting, end worker sessions, reap spawned workers."""
+        """Stop accepting, end worker sessions, reap spawned workers.
+
+        Handlers see the closed flag, stop dispatching, and shut their
+        workers down — including when a consumer abandoned its map early
+        (e.g. the shard store hit a disk error), so no cluster CPU burns
+        on a map nobody reads.
+        """
         self._closed.set()
         with self._condition:
             self._condition.notify_all()
@@ -1687,14 +995,14 @@ class WorkServer:
         if self._status_server is not None:
             self._status_server.close()
             self._status_server = None
-        if self._acceptor is not None and self._acceptor.ident is not None:
+        if self._acceptor is not None:
             self._acceptor.join(timeout=5)
         for process in self._procs:
             # A lingering worker retries the (now closed) port for up to
             # worker_linger seconds before exiting cleanly; escalate
             # only past that.
             try:
-                process.wait(timeout=self.worker_linger + 5)
+                process.wait(timeout=self.worker_linger + 10)
             except subprocess.TimeoutExpired:  # pragma: no cover - cleanup
                 process.kill()
         self._procs = []
@@ -1704,52 +1012,51 @@ class WorkServer:
     # -- map registry ---------------------------------------------------
 
     def submit(
-        self, worker: Callable, shards: Sequence, chunksize: int = 1
+        self,
+        worker: Callable,
+        shards: Sequence,
+        chunksize: int = 1,
+        *,
+        continue_past_quarantine: bool = False,
+        max_buffered_chunks: int | None = None,
+        timeout: float | None = None,
+        info: dict | None = None,
     ) -> "MapHandle":
-        """Open a map over the shared fleet; iterate the handle's results."""
+        """Open a map over the fleet; iterate the handle's results.
+
+        The keywords are the per-map policy :class:`SocketBackend`
+        documents; the daemon's maps keep the defaults, so a spent retry
+        budget fails that map only.  ``timeout`` bounds the whole map
+        (``None`` waits forever); ``info`` is echoed into snapshots as
+        ``campaign``.
+        """
         if self._closed.is_set():
             raise RuntimeError("work server is closed")
-        chunksize = max(1, int(chunksize))
-        chunk_shards = [
-            list(range(i, min(i + chunksize, len(shards))))
-            for i in range(0, len(shards), chunksize)
-        ]
+        entry = _Map(
+            worker,
+            shards,
+            max(1, int(chunksize)),
+            continue_past_quarantine,
+            max_buffered_chunks,
+            timeout,
+            info,
+        )
         with self._condition:
             map_id = self._next_map
             self._next_map += 1
-            self._maps[map_id] = {
-                "worker": worker,
-                "shards": shards,
-                "chunk_shards": chunk_shards,
-                "pending": deque(range(len(chunk_shards))),
-                "completed": {},
-                "attempts": {},
-                "done": 0,
-                "served": 0,
-                "expected": len(chunk_shards),
-                "in_flight": 0,
-                "error": None,
-                "cancelled": False,
-            }
+            self._maps[map_id] = entry
             self._rotation.append(map_id)
             self._state["opened"] += 1
-            self._state["expected_total"] += len(chunk_shards)
+            self._state["expected_total"] += entry.expected
             self._condition.notify_all()
-        return MapHandle(self, map_id)
+        return MapHandle(self, map_id, entry)
 
     def _close_map(self, map_id: int) -> None:
         """Deregister a consumed/abandoned map; drop its late replies."""
         with self._condition:
-            if self._maps.pop(map_id, None) is None:
-                return
-            try:
+            if self._maps.pop(map_id, None) is not None:
                 self._rotation.remove(map_id)
-            except ValueError:  # pragma: no cover - already rotated out
-                pass
-            for ticket, (owner, _) in list(self._tasks.items()):
-                if owner == map_id:
-                    del self._tasks[ticket]
-            self._condition.notify_all()
+                self._condition.notify_all()
 
     def _pick_locked(self) -> tuple[int, int] | None:
         """Under the condition: next ``(map_id, chunk_index)`` to dispatch.
@@ -1763,42 +1070,85 @@ class WorkServer:
         for _ in range(len(self._rotation)):
             map_id = self._rotation[0]
             self._rotation.rotate(-1)
-            entry = self._maps.get(map_id)
-            if (
-                entry is None
-                or entry["cancelled"]
-                or entry["error"] is not None
-                or not entry["pending"]
-            ):
-                continue
-            return map_id, entry["pending"].popleft()
+            entry = self._maps[map_id]
+            if entry.dispatchable():
+                return map_id, entry.pending.popleft()
         return None
 
-    def _check_liveness_locked(self, entry: dict) -> None:
-        """Fail open maps fast when the whole spawned fleet is dead."""
+    def _complete_locked(self, entry: _Map, chunk: int, payload) -> None:
+        """Under the condition: file one chunk's results (or marker)."""
+        entry.completed[chunk] = payload
+        entry.done += 1
+        self._state["done"] += 1
+        self._history.record(time.monotonic() - self._started, self._state["done"])
+
+    def _requeue_locked(self, entry: _Map, chunk: int) -> None:
+        """Under the condition: give a lost chunk back to its map.
+
+        Each requeue spends retry budget: a chunk that keeps killing
+        workers is quarantined instead of crash-looping the whole fleet
+        — failing its map with the chunk's identity by default, or (in
+        continue mode) setting it aside and finishing the grid.  A
+        multi-shard chunk is set aside as single-shard chunks for the
+        end-of-map auto-retry pass, so only the truly poison shard(s)
+        stay quarantined and the rest heal.
+        """
+        entry.attempts[chunk] = entry.attempts.get(chunk, 0) + 1
+        self._state["retries"] += 1
+        if entry.attempts[chunk] <= self.max_chunk_retries:
+            entry.pending.appendleft(chunk)
+        elif not entry.continue_past_quarantine:
+            entry.error = RuntimeError(
+                f"shard chunk {chunk} was lost by {entry.attempts[chunk]} "
+                f"worker(s) in a row; retry budget ({self.max_chunk_retries}) "
+                "exhausted — quarantining it as a poison chunk and failing "
+                "this map (other maps on the fleet are unaffected).  "
+                "Investigate the shard (or raise max_chunk_retries, or run "
+                "with --continue-past-quarantine); cells already streamed "
+                "to a --resume store are safe."
+            )
+        elif len(entry.chunk_shards[chunk]) > 1:
+            for shard_index in entry.chunk_shards[chunk]:
+                entry.chunk_shards.append([shard_index])
+                entry.deferred.append(len(entry.chunk_shards) - 1)
+            entry.expected += len(entry.chunk_shards[chunk])
+            self._state["expected_total"] += len(entry.chunk_shards[chunk])
+            self._complete_locked(entry, chunk, _SPLIT)
+        else:
+            self._quarantined.append(chunk)
+            self._complete_locked(entry, chunk, _QUARANTINED)
+
+    def _check_liveness_locked(self) -> None:
+        """Fail open maps fast when every spawned worker is gone.
+
+        Only applies when the server spawned its own workers: a server
+        awaiting external ``--connect`` workers legitimately idles.
+        """
         if not self._procs or self._state["handlers"] > 0:
-            return
-        if entry["served"] >= entry["expected"]:
             return
         if all(process.poll() is not None for process in self._procs):
             codes = [process.returncode for process in self._procs]
-            for open_map in self._maps.values():
-                if open_map["error"] is None:
-                    open_map["error"] = RuntimeError(
-                        "all spawned fleet workers exited with maps "
-                        f"outstanding (exit codes: {codes})"
+            for entry in self._maps.values():
+                if entry.error is None and entry.done < entry.expected:
+                    entry.error = RuntimeError(
+                        "all spawned socket workers exited with "
+                        f"{entry.expected - entry.done} chunk(s) outstanding "
+                        f"(exit codes: {codes})"
                     )
 
     # -- status ---------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Assemble the repro-status-v2 fleet snapshot (status/HTTP)."""
+        """Assemble the repro-status-v2 snapshot (status port / HTTP)."""
         with self._condition:
             now = time.monotonic()
+            maps = list(self._maps.values())
+            info = next((entry.info for entry in maps if entry.info), None)
             return {
+                **({"campaign": dict(info)} if info else {}),
                 "format": STATUS_FORMAT,
                 "elapsed": round(now - self._started, 3),
-                "wire": self.wire,
+                "wire": "v1",
                 "fleet": {
                     "size": len(self._fleet),
                     "joined_total": self._state["joined"],
@@ -1807,30 +1157,23 @@ class WorkServer:
                 },
                 "workers": [
                     {
-                        "pid": info["pid"],
-                        "heartbeat_age": round(now - info["last_seen"], 3),
-                        "chunk": info["chunk"],
+                        "pid": worker["pid"],
+                        "heartbeat_age": round(now - worker["last_seen"], 3),
+                        "chunk": worker["chunk"],
                     }
-                    for info in self._fleet.values()
+                    for worker in self._fleet.values()
                 ],
                 "chunks": {
                     "total": self._state["expected_total"],
                     "done": self._state["done"],
-                    "pending": sum(
-                        len(entry["pending"]) for entry in self._maps.values()
-                    ),
-                    "deferred": 0,
-                    "in_flight": sum(
-                        entry["in_flight"] for entry in self._maps.values()
-                    ),
+                    "pending": sum(len(entry.pending) for entry in maps),
+                    "deferred": sum(len(entry.deferred) for entry in maps),
+                    "in_flight": sum(entry.in_flight for entry in maps),
                 },
                 "retries": self._state["retries"],
-                "quarantined": [],
-                "healed": 0,
-                "maps": {
-                    "active": len(self._maps),
-                    "opened": self._state["opened"],
-                },
+                "quarantined": sorted(self._quarantined),
+                "healed": self._state["healed"],
+                "maps": {"active": len(maps), "opened": self._state["opened"]},
                 "history": self._history.sample(),
             }
 
@@ -1853,18 +1196,22 @@ class WorkServer:
     def _handle(self, conn: socket.socket) -> None:
         """Serve one worker session across every map this server hosts.
 
-        The body mirrors :meth:`SocketBackend._execute`'s handler — the
-        same handshake, heartbeat deadline, badframe/nack recovery, and
-        requeue-on-death bookkeeping — with two differences: an idle
-        session *waits for the next map* instead of ending when one map
-        drains, and dispatched tickets are resolved through
-        ``self._tasks`` back to their owning map.
+        An idle session (no dispatchable chunk right now) must *wait*,
+        not dismiss its worker: another worker may still fail mid-chunk
+        and requeue work that only this one can pick up, and the next
+        map may arrive at any time.  While it waits it polls the socket,
+        because an idle worker may still speak — a ``leave`` goodbye
+        (SIGTERM drain) that must turn into a prompt ``shutdown``, not a
+        task.
         """
         me: dict | None = None
-        ticket: int | None = None
-        session = make_session(self.wire, self.auth_token)
+        ticket: tuple[int, int] | None = None
+        session = make_session(self.auth_token)
 
         def poll_goodbye() -> str | None:
+            """Drain frames an *idle* worker sent; ``"leave"``/``"eof"``
+            end the session, anything else (a straggler heartbeat) is
+            ignorable."""
             while select.select([conn], [], [], 0)[0]:
                 conn.settimeout(5)
                 try:
@@ -1881,6 +1228,10 @@ class WorkServer:
 
         try:
             with conn:
+                # A connection that never speaks (port scan, health
+                # probe) must not park this handler forever: while it
+                # counts as a handler, the all-workers-died fail-fast is
+                # suppressed.  Bound the hello.
                 conn.settimeout(5)
                 hello = session.recv(conn)
                 if not hello or hello[0] != "hello":
@@ -1889,11 +1240,17 @@ class WorkServer:
                 if self.auth_token is not None and not _tokens_match(
                     token, self.auth_token
                 ):
+                    # Reject *before* the connection is trusted with any
+                    # task frame; the worker surfaces the reason and
+                    # exits instead of linger-retrying.
                     try:
                         session.send(conn, ("reject", "bad or missing auth token"))
                     except OSError:
                         pass
                     return
+                # The welcome is the last handshake frame (fixed MAC
+                # key); it hands the worker the campaign id and the MAC
+                # mode both sides use from here on.
                 session.send(
                     conn,
                     (
@@ -1905,21 +1262,18 @@ class WorkServer:
                 )
                 session.campaign = self._campaign
                 session.secure()
+                # While a chunk is in flight every frame — heartbeat or
+                # reply — must arrive within the deadline, or the worker
+                # is presumed dead and the chunk requeued.
                 conn.settimeout(self.heartbeat_timeout)
-                me = {
-                    "pid": hello[1],
-                    "last_seen": time.monotonic(),
-                    "chunk": None,
-                    "leaving": False,
-                }
+                me = {"pid": hello[1], "last_seen": time.monotonic(), "chunk": None}
                 with self._condition:
                     self._state["joined"] += 1
                     self._fleet[id(me)] = me
                     self._condition.notify_all()
                 goodbye: str | None = None
-                while True:
+                while not goodbye:
                     # -- wait for a chunk from any open map --------------
-                    ticket = None
                     task = None
                     while task is None:
                         goodbye = poll_goodbye()
@@ -1929,27 +1283,20 @@ class WorkServer:
                             if self._closed.is_set():
                                 break
                             if self._state["joined"] >= self.workers_expected:
-                                picked = self._pick_locked()
-                                if picked is not None:
-                                    map_id, chunk_index = picked
-                                    entry = self._maps[map_id]
-                                    ticket = self._next_ticket
-                                    self._next_ticket += 1
-                                    self._tasks[ticket] = (map_id, chunk_index)
-                                    entry["in_flight"] += 1
-                                    me["chunk"] = ticket
-                                    me["last_seen"] = time.monotonic()
-                                    task = (
-                                        "task",
-                                        ticket,
-                                        entry["worker"],
-                                        [
-                                            entry["shards"][i]
-                                            for i in entry["chunk_shards"][chunk_index]
-                                        ],
-                                    )
-                                    continue
-                            self._condition.wait(0.1)
+                                ticket = self._pick_locked()
+                            if ticket is None:
+                                self._condition.wait(0.1)
+                                continue
+                            entry = self._maps[ticket[0]]
+                            entry.in_flight += 1
+                            me["chunk"] = ticket[1]
+                            me["last_seen"] = time.monotonic()
+                            task = (
+                                "task",
+                                ticket,
+                                entry.worker,
+                                [entry.shards[i] for i in entry.chunk_shards[ticket[1]]],
+                            )
                     if task is None:
                         break  # server closing, or the worker said goodbye
                     # -- dispatch, then pump frames until the reply ------
@@ -1959,6 +1306,9 @@ class WorkServer:
                         try:
                             reply = session.recv(conn)
                         except FrameRejected:
+                            # Corrupt-but-aligned frame from the worker:
+                            # ask it to resend its reply instead of
+                            # declaring it dead.
                             nacks += 1
                             if nacks > _TRANSPORT_RETRIES:
                                 raise ConnectionError(
@@ -1974,9 +1324,15 @@ class WorkServer:
                         if reply[0] == "heartbeat":
                             continue
                         if reply[0] == "leave":
+                            # Drain goodbye ahead of the final result
+                            # (--max-chunks): take the result, then stop
+                            # dispatching to this worker.
                             goodbye = "leave"
                             continue
                         if reply[0] == "badframe":
+                            # The worker could not use our task frame;
+                            # resend it in place (transport retry, no
+                            # retry-budget charge).
                             resends += 1
                             if resends > _TRANSPORT_RETRIES:
                                 detail = reply[1] if len(reply) > 1 else "unknown"
@@ -1991,31 +1347,23 @@ class WorkServer:
                         break
                     kind, _, payload = reply
                     with self._condition:
-                        owner = self._tasks.pop(ticket, None)
-                        entry = self._maps.get(owner[0]) if owner else None
+                        # A closed map (consumed or abandoned) drops its
+                        # late replies.
+                        entry = self._maps.get(ticket[0])
                         if entry is not None:
-                            entry["in_flight"] -= 1
+                            entry.in_flight -= 1
                             if kind == "error":
-                                entry["error"] = _RemoteTaskError(
-                                    f"shard chunk {owner[1]} failed on a fleet "
-                                    f"worker:\n{payload}"
+                                entry.error = _RemoteTaskError(
+                                    f"shard chunk {ticket[1]} failed on a "
+                                    f"socket worker:\n{payload}"
                                 )
-                            elif not entry["cancelled"]:
-                                entry["completed"][owner[1]] = payload
-                                entry["done"] += 1
-                                self._state["done"] += 1
-                                self._history.record(
-                                    time.monotonic() - self._started,
-                                    self._state["done"],
-                                )
+                            elif not entry.cancelled:
+                                self._complete_locked(entry, ticket[1], payload)
                         ticket = None
                         me["chunk"] = None
                         self._condition.notify_all()
-                    if goodbye:
-                        break
                 if goodbye == "leave":
                     with self._condition:
-                        me["leaving"] = True
                         self._state["left"] += 1
                         self._condition.notify_all()
                 try:
@@ -2023,31 +1371,15 @@ class WorkServer:
                 except OSError:
                     pass
         except Exception:
-            # Session died with a chunk in flight: hand the chunk back
-            # to its owning map (spending its retry budget) so the
-            # surviving fleet can finish the campaign — exactly the
-            # single-map server's contract, routed through the ticket.
+            # Any session failure — a dropped connection, a missed
+            # heartbeat deadline, but also a malformed reply frame —
+            # must give the in-flight chunk back to its map, or the map
+            # would wait forever on a chunk nobody owns.
             with self._condition:
-                owner = self._tasks.pop(ticket, None) if ticket is not None else None
-                entry = self._maps.get(owner[0]) if owner else None
+                entry = self._maps.get(ticket[0]) if ticket is not None else None
                 if entry is not None:
-                    chunk_index = owner[1]
-                    entry["in_flight"] -= 1
-                    entry["attempts"][chunk_index] = (
-                        entry["attempts"].get(chunk_index, 0) + 1
-                    )
-                    self._state["retries"] += 1
-                    if entry["attempts"][chunk_index] > self.max_chunk_retries:
-                        entry["error"] = RuntimeError(
-                            f"shard chunk {chunk_index} was lost by "
-                            f"{entry['attempts'][chunk_index]} worker(s) in a "
-                            f"row; retry budget ({self.max_chunk_retries}) "
-                            "exhausted — failing this campaign (cells already "
-                            "streamed to its resume store are safe; other "
-                            "campaigns on this fleet are unaffected)"
-                        )
-                    else:
-                        entry["pending"].appendleft(chunk_index)
+                    entry.in_flight -= 1
+                    self._requeue_locked(entry, ticket[1])
                 self._condition.notify_all()
         finally:
             with self._condition:
@@ -2060,9 +1392,16 @@ class WorkServer:
 class MapHandle:
     """Consumer handle for one map opened on a :class:`WorkServer`."""
 
-    def __init__(self, server: WorkServer, map_id: int) -> None:
+    def __init__(self, server: WorkServer, map_id: int, entry: _Map) -> None:
         self._server = server
+        self._map = entry
         self.map_id = map_id
+        #: Shard indices set aside past their retry budget (continue
+        #: mode), filled in as the consumer reaches their markers.
+        self.quarantined: list[int] = []
+        #: Shard indices the end-of-map auto-retry pass healed (their
+        #: results *were* yielded).
+        self.healed: list[int] = []
 
     def cancel(self) -> None:
         """Stop dispatching this map; discard in-flight results.
@@ -2070,57 +1409,281 @@ class MapHandle:
         Idempotent and safe from any thread; the consumer iterating
         :meth:`results` wakes promptly with :class:`MapCancelled`.
         """
-        server = self._server
-        with server._condition:
-            entry = server._maps.get(self.map_id)
-            if entry is not None:
-                entry["cancelled"] = True
-                entry["pending"].clear()
-                server._condition.notify_all()
+        with self._server._condition:
+            self._map.cancelled = True
+            self._map.pending.clear()
+            self._server._condition.notify_all()
 
     def results(self) -> Iterator[tuple[int, object]]:
         """Yield ``(shard_index, result)`` in completion order.
 
-        Raises :class:`MapCancelled` after :meth:`cancel`, or the map's
-        failure (poison chunk, remote error, dead fleet).  Closing the
+        Raises :class:`MapCancelled` after :meth:`cancel`, the map's
+        failure (poison chunk, remote error, dead fleet), or
+        :class:`TimeoutError` past the map's ``timeout``.  Closing the
         generator early deregisters the map and stops its dispatch.
         """
-        server = self._server
+        server, entry = self._server, self._map
         condition = server._condition
+        retries = server.max_chunk_retries
         try:
             while True:
                 with condition:
-                    entry = server._maps.get(self.map_id)
-                    if entry is None:
-                        return
                     while True:
-                        if entry["cancelled"]:
-                            raise MapCancelled(
-                                f"map {self.map_id} was cancelled"
-                            )
-                        if entry["error"] is not None:
-                            raise entry["error"]
-                        if entry["completed"]:
+                        if entry.cancelled:
+                            raise MapCancelled(f"map {self.map_id} was cancelled")
+                        if entry.error is not None:
+                            raise entry.error
+                        if entry.completed or entry.served >= entry.expected:
                             break
-                        if entry["served"] >= entry["expected"]:
-                            return
                         if server._closed.is_set():
                             raise RuntimeError(
                                 "work server closed with the map incomplete"
                             )
-                        server._check_liveness_locked(entry)
+                        if entry.deadline is not None and time.monotonic() > entry.deadline:
+                            joined = server._state["joined"]
+                            barrier = (
+                                f" (start barrier: {joined} of "
+                                f"{server.workers_expected} expected workers joined)"
+                                if joined < server.workers_expected
+                                else ""
+                            )
+                            raise TimeoutError(
+                                f"socket map timed out with {entry.expected - entry.done}"
+                                f" chunk(s) outstanding{barrier}"
+                            )
+                        server._check_liveness_locked()
                         condition.wait(0.1)
-                    index, payload = entry["completed"].popitem()
-                    entry["served"] += 1
-                    shard_indices = entry["chunk_shards"][index]
+                    if not entry.completed:
+                        break
+                    # Pop so the map holds only the unconsumed chunks;
+                    # the freed buffer slot lifts the backpressure gate.
+                    index, payload = entry.completed.popitem()
+                    entry.served += 1
+                    shard_indices = entry.chunk_shards[index]
+                    healed = index >= entry.original and payload is not _QUARANTINED
+                    if healed:
+                        server._state["healed"] += len(shard_indices)
                     condition.notify_all()
-                for pair in zip(shard_indices, payload):
-                    yield pair
+                if payload is _SPLIT:
+                    print(
+                        f"repro: chunk {index} exhausted its retry budget "
+                        f"({retries}); re-running its {len(shard_indices)} "
+                        "shard(s) one at a time at end of map (auto-retry)",
+                        file=sys.stderr,
+                    )
+                elif payload is _QUARANTINED:
+                    self.quarantined.extend(shard_indices)
+                    print(
+                        f"repro: chunk {index} quarantined after exhausting its "
+                        f"retry budget ({retries}); continuing with the rest of "
+                        "the grid (--continue-past-quarantine)",
+                        file=sys.stderr,
+                    )
+                else:
+                    if healed:
+                        # A split single that completed: its shard was
+                        # collateral damage of a poison chunk-mate.
+                        self.healed.extend(shard_indices)
+                    yield from zip(shard_indices, payload)
+            if self.healed:
+                print(
+                    f"repro: auto-retry healed {len(self.healed)} of "
+                    f"{len(self.healed) + len(self.quarantined)} shard(s) from "
+                    "quarantined chunks; poison set narrowed to "
+                    f"{len(self.quarantined)} shard(s)",
+                    file=sys.stderr,
+                )
         finally:
             server._close_map(self.map_id)
 
 
-class SharedFleetBackend(ExecutionBackend):
+class _FleetFacade(ExecutionBackend):
+    """An :class:`ExecutionBackend` over :class:`WorkServer` maps.
+
+    The consumer side both socket backends share: subclasses supply
+    :meth:`_map`, a context manager that submits one map and yields its
+    :class:`MapHandle`.
+    """
+
+    def __init__(self, fleet: WorkServer) -> None:
+        self._fleet = fleet
+        #: Shards submitted by this facade (resumed cells never were).
+        self.shards_total = 0
+        #: Shards whose results have been yielded back to the driver.
+        self.shards_done = 0
+
+    def worker_hint(self) -> int:
+        return self._fleet.worker_hint()
+
+    def imap_unordered(
+        self, worker: Callable, shards: Sequence, chunksize: int = 1
+    ) -> Iterator[tuple[int, object]]:
+        self.quarantined_shards = ()
+        self.healed_shards = ()
+        with self._map(worker, shards, chunksize) as handle:
+            self.shards_total += len(shards)
+            results = handle.results()
+            try:
+                for pair in results:
+                    self.shards_done += 1
+                    yield pair
+            finally:
+                results.close()
+                self.quarantined_shards = tuple(sorted(handle.quarantined))
+                self.healed_shards = tuple(sorted(handle.healed))
+
+    def imap(self, worker: Callable, shards: Sequence, chunksize: int = 1) -> Iterator:
+        buffered: dict[int, object] = {}
+        next_index = 0
+        for index, result in self.imap_unordered(worker, shards, chunksize):
+            buffered[index] = result
+            while next_index in buffered:
+                yield buffered.pop(next_index)
+                next_index += 1
+        if next_index < len(shards):
+            # imap()/map() callers pair results with shards positionally;
+            # silently skipping a quarantined shard would shift every
+            # later result onto the wrong shard.
+            raise RuntimeError(
+                f"shard {next_index} was quarantined, but this map was "
+                "consumed in shard order (imap/map), which cannot represent "
+                "a hole; use imap_unordered with continue_past_quarantine"
+            )
+
+
+class SocketBackend(_FleetFacade):
+    """Ship shards to worker processes over TCP, one server per map.
+
+    Each map call starts a private :class:`WorkServer` — a fresh
+    campaign id, so a lingering worker's frames from the previous map
+    are rejected per-frame, and freshly spawned workers that exit with
+    the map — submits the one map, and closes the server when the map
+    drains or its consumer stops early.
+
+    Args:
+        bind: ``HOST:PORT`` to listen on.  Port ``0`` picks an ephemeral
+            port (the resolved address is available as ``self.address``
+            while a map is running).  Bind a routable host to accept
+            workers from other machines.
+        spawn_workers: local worker processes to launch per map call
+            (each runs ``python -m repro worker --connect``); ``0``
+            relies entirely on externally-started workers.
+        timeout: overall seconds to wait for results before failing
+            (``None`` waits forever — the distributed default, matching
+            the artifact's "come back when the machines are done").
+        auth_token: shared secret a worker must present in its ``hello``
+            frame; ``None`` accepts every worker.  Spawned local workers
+            inherit the secret through the ``REPRO_AUTH_TOKEN``
+            environment variable (never the command line, which ``ps``
+            would show); remote workers pass ``--auth-token`` or set the
+            same variable.
+        workers_expected: hold every task until this many workers have
+            joined (the start barrier for paper-scale fleets); ``0``
+            dispatches to the first worker that shows up.
+        heartbeat_timeout: seconds of silence from a worker that owns a
+            chunk before it is presumed dead and its chunk requeued.
+            Workers are told to heartbeat at a quarter of this, so a
+            healthy-but-slow chunk never trips it.  ``None`` disables
+            the deadline (wait forever).
+        max_chunk_retries: worker deaths one chunk may survive before it
+            is quarantined as a poison shard and the map aborts, instead
+            of crash-looping every worker that joins.
+        continue_past_quarantine: opt-in quarantine semantics — a chunk
+            that exhausts its retry budget is *set aside* instead of
+            aborting the map, the rest of the grid completes, and an
+            end-of-map auto-retry pass re-runs each set-aside multi-shard
+            chunk one shard at a time.  The shards still failing are
+            published on :attr:`quarantined_shards` after the map for a
+            targeted re-run; the ones that succeeded alone land on
+            :attr:`healed_shards` (their results are yielded normally).
+            Bit-identical for every shard that does execute.
+        status_port: serve a live ``repro-status-v2`` JSON snapshot of
+            the running map on this TCP port (bound on the same host as
+            the work port; ``0`` picks an ephemeral port, resolved as
+            :attr:`status_address` while a map runs); ``None`` disables
+            the status server entirely.
+        max_buffered_chunks: backpressure bound — pause dispatching new
+            chunks while this many completed chunks sit unconsumed by a
+            slow consumer (a stalled store disk, a saturated pipe).
+            In-flight chunks are always received, so the bound can be
+            briefly exceeded and no deadlock is possible.  ``None`` (the
+            default) buffers without bound.
+    """
+
+    name = "socket"
+
+    def __init__(
+        self,
+        bind: str = "127.0.0.1:0",
+        spawn_workers: int = 1,
+        timeout: float | None = None,
+        auth_token: str | None = None,
+        workers_expected: int = 0,
+        heartbeat_timeout: float | None = DEFAULT_HEARTBEAT_TIMEOUT,
+        max_chunk_retries: int = DEFAULT_CHUNK_RETRIES,
+        continue_past_quarantine: bool = False,
+        status_port: int | None = None,
+        max_buffered_chunks: int | None = None,
+    ) -> None:
+        if max_buffered_chunks is not None and max_buffered_chunks < 1:
+            raise ValueError("max_buffered_chunks must be >= 1 (or None)")
+        self.bind_host, self.bind_port = parse_address(bind)
+        self.spawn_workers = spawn_workers
+        self.auth_token = auth_token
+        self.workers_expected = workers_expected
+        self.heartbeat_timeout = heartbeat_timeout
+        self.max_chunk_retries = max_chunk_retries
+        self.status_port = status_port
+        self.timeout = timeout
+        self.continue_past_quarantine = continue_past_quarantine
+        self.max_buffered_chunks = max_buffered_chunks
+        #: Optional driver-supplied workload fields (e.g. the fleet
+        #: runner's chip/shard counts) echoed into status snapshots.
+        self.campaign_info: dict | None = None
+        #: Resolved ``(host, port)`` of the live listener / status
+        #: server while a map runs.
+        self.address: tuple[str, int] | None = None
+        self.status_address: tuple[str, int] | None = None
+        # Never started: it validates the fleet knobs up front and sizes
+        # chunks (worker_hint).
+        super().__init__(self._new_server())
+
+    def _new_server(self) -> WorkServer:
+        """A server for one map: a fresh campaign id, and spawned
+        workers that exit with the map."""
+        return WorkServer(
+            f"{self.bind_host}:{self.bind_port}",
+            spawn_workers=self.spawn_workers,
+            auth_token=self.auth_token,
+            workers_expected=self.workers_expected,
+            heartbeat_timeout=self.heartbeat_timeout,
+            max_chunk_retries=self.max_chunk_retries,
+            status_port=self.status_port,
+            worker_linger=0.0,
+        )
+
+    @contextmanager
+    def _map(self, worker: Callable, shards: Sequence, chunksize: int):
+        server = self._new_server()
+        try:
+            if len(shards):  # an empty map needs no fleet
+                server.start()
+                self.address, self.status_address = server.address, server.status_address
+            yield server.submit(
+                worker,
+                shards,
+                chunksize,
+                continue_past_quarantine=self.continue_past_quarantine,
+                max_buffered_chunks=self.max_buffered_chunks,
+                timeout=self.timeout,
+                info=self.campaign_info,
+            )
+        finally:
+            server.close()
+            self.address = self.status_address = None
+
+
+class SharedFleetBackend(_FleetFacade):
     """Per-campaign :class:`ExecutionBackend` facade over a shared fleet.
 
     Each service job gets its own facade over the daemon's one
@@ -2137,14 +1700,9 @@ class SharedFleetBackend(ExecutionBackend):
     name = "shared-fleet"
 
     def __init__(self, server: WorkServer) -> None:
-        self._server = server
+        super().__init__(server)
         self._handle: MapHandle | None = None
         self._cancelled = threading.Event()
-        #: Shards submitted to the fleet by this facade (resumed cells
-        #: were never submitted, so this is the remaining work).
-        self.shards_total = 0
-        #: Shards whose results have been yielded back to the driver.
-        self.shards_done = 0
 
     def cancel(self) -> None:
         self._cancelled.set()
@@ -2152,35 +1710,18 @@ class SharedFleetBackend(ExecutionBackend):
         if handle is not None:
             handle.cancel()
 
-    def worker_hint(self) -> int:
-        return self._server.worker_hint()
-
-    def imap_unordered(
-        self, worker: Callable, shards: Sequence, chunksize: int = 1
-    ) -> Iterator[tuple[int, object]]:
+    @contextmanager
+    def _map(self, worker: Callable, shards: Sequence, chunksize: int):
         if self._cancelled.is_set():
             raise MapCancelled("campaign cancelled before dispatch")
-        handle = self._server.submit(worker, shards, chunksize)
-        self._handle = handle
-        self.shards_total += len(shards)
+        self._handle = handle = self._fleet.submit(worker, shards, chunksize)
         if self._cancelled.is_set():
             # cancel() raced the submit: make sure the map dies too.
             handle.cancel()
         try:
-            for pair in handle.results():
-                self.shards_done += 1
-                yield pair
+            yield handle
         finally:
             self._handle = None
-
-    def imap(self, worker: Callable, shards: Sequence, chunksize: int = 1) -> Iterator:
-        buffered: dict[int, object] = {}
-        next_index = 0
-        for index, result in self.imap_unordered(worker, shards, chunksize):
-            buffered[index] = result
-            while next_index in buffered:
-                yield buffered.pop(next_index)
-                next_index += 1
 
 
 def resolve_backend(
@@ -2206,10 +1747,10 @@ def resolve_backend(
     ``socket_options`` forwards the campaign-hardening knobs
     (``auth_token``, ``workers_expected``, ``heartbeat_timeout``,
     ``max_chunk_retries``, ``continue_past_quarantine``,
-    ``status_port``, ``wire``, ``auto_retry``, ``max_buffered_chunks``)
-    to a socket spec's :class:`SocketBackend`; supplying them with a
-    non-socket spec or a pre-built instance is an error, because they
-    would be silently dropped.
+    ``status_port``, ``max_buffered_chunks``) to a socket spec's
+    :class:`SocketBackend`; supplying them with a non-socket spec or a
+    pre-built instance is an error, because they would be silently
+    dropped.
     """
     if isinstance(backend, ExecutionBackend):
         if socket_options:

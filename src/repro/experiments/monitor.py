@@ -9,10 +9,10 @@ campaign is being watched.
 Three instruments, one per operational question:
 
 * "Is the fleet alive?" — :class:`StatusServer` serves the live
-  snapshot a :class:`~repro.experiments.backends.SocketBackend`
-  assembles when constructed with ``status_port=`` (CLI
-  ``--status-port``); :func:`read_status` / ``python -m repro status
-  HOST:PORT`` fetch and :func:`render_status` renders it.
+  snapshot a :class:`~repro.experiments.backends.WorkServer` assembles
+  when constructed with ``status_port=`` (CLI ``--status-port``, or
+  ``repro serve --status-port``); :func:`read_status` / ``python -m
+  repro status HOST:PORT`` fetch and :func:`render_status` renders it.
 * "How far along is the grid?" — :class:`ProgressReporter` prints
   periodic stderr progress/ETA lines from inside
   :func:`~repro.experiments.runner.run_sweep` and
@@ -26,7 +26,7 @@ Three instruments, one per operational question:
 Status wire format (``repro-status-v2``)
 ========================================
 
-The status port speaks line-delimited JSON, not the pickle protocol of
+The status port speaks line-delimited JSON, not the frame protocol of
 the work port: one connection, one snapshot line, close.  Any client
 works (``python -m repro status``, ``curl``, ``nc``).  The snapshot is
 a single JSON object:
@@ -51,8 +51,8 @@ Field semantics:
 ========================  ==============================================
 field                     meaning
 ========================  ==============================================
-``elapsed``               seconds since the map started serving
-``wire``                  frame codec on the work port (``v1``/``pickle``)
+``elapsed``               seconds since the work server started
+``wire``                  frame codec on the work port (always ``v1``)
 ``fleet.size``            workers connected *right now*
 ``fleet.joined_total``    workers that ever joined (deaths included) —
                           elastic fleets grow this past ``size``
@@ -84,9 +84,8 @@ field                     meaning
                           *trends*, not just the instantaneous state
                           (new in ``repro-status-v2``)
 ``maps``                  ``{"active", "opened"}`` concurrent-map
-                          counters from multi-campaign servers (new in
-                          ``repro-status-v2``; absent from single-map
-                          backends)
+                          counters (new in ``repro-status-v2``; a
+                          ``--backend socket`` server hosts one map)
 ========================  ==============================================
 
 Fields added by later protocol revisions are additive: clients must
@@ -149,9 +148,8 @@ HISTORY_SAMPLES = 60
 class ThroughputHistory:
     """Ring buffer of ``(t, done)`` throughput samples for status v2.
 
-    Snapshot producers (:class:`~repro.experiments.backends.SocketBackend`,
-    the service's shared :class:`~repro.experiments.backends.WorkServer`)
-    call :meth:`record` on every chunk completion; the buffer keeps at
+    The snapshot producer (:class:`~repro.experiments.backends.WorkServer`)
+    calls :meth:`record` on every chunk completion; the buffer keeps at
     most one sample per ``min_interval`` seconds (coalescing bursts into
     the newest sample) and evicts past ``maxlen``, so a week-long
     campaign costs the same memory as a minute-long one.  :meth:`sample`
@@ -441,8 +439,8 @@ class StatusServer:
 
     ``snapshot`` is called per connection and must return a JSON-safe
     dict (the :data:`STATUS_FORMAT` schema in the module docstring);
-    :class:`~repro.experiments.backends.SocketBackend` passes a closure
-    that assembles the snapshot under its own lock.  The server accepts
+    :class:`~repro.experiments.backends.WorkServer` passes its
+    ``snapshot`` method, which assembles the snapshot under its lock.  The server accepts
     on a daemon thread, binds eagerly in ``__init__`` (so a taken port
     fails fast, before any campaign work starts), and resolves port
     ``0`` to an ephemeral port exposed as :attr:`address`.

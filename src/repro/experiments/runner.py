@@ -14,9 +14,9 @@ The grid decomposes into self-contained, picklable work units — one
 (``SerialBackend``), across a local
 ``concurrent.futures.ProcessPoolExecutor`` (``ProcessPoolBackend``,
 what ``jobs>1`` selects, with ``jobs=0`` meaning one worker per CPU),
-or shipped to worker processes on any machine over the
-``SocketBackend``'s length-prefixed pickle protocol
-(``python -m repro worker --connect HOST:PORT``).  Every quantity a
+or shipped to worker processes on any machine as authenticated
+``repro-wire-v1`` frames (``SocketBackend``;
+``python -m repro worker --connect HOST:PORT``).  Every quantity a
 shard needs is re-derived from the experiment seed through the
 :func:`~repro.utils.rng.derive_seed` key-path scheme, so results are
 bit-identical regardless of backend, worker count, scheduling order, or

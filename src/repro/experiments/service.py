@@ -51,7 +51,7 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.experiments.backends import AUTH_TOKEN_ENV, WIRE_CHOICES, WorkServer
+from repro.experiments.backends import AUTH_TOKEN_ENV, WorkServer
 from repro.experiments.scheduler import JobScheduler, JobSpecError
 
 __all__ = [
@@ -68,6 +68,18 @@ DEFAULT_HTTP_PORT = 7180
 #: Header carrying the shared secret on mutating requests.
 AUTH_HEADER = "X-Auth-Token"
 
+#: Largest request body the API reads; a job spec is a few hundred bytes.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may stall mid-request (or idle between requests)
+#: before the daemon closes it, so a client that under-delivers its
+#: ``Content-Length`` cannot park a handler thread.
+REQUEST_TIMEOUT = 5.0
+
+
+class _BodyTooLarge(JobSpecError):
+    """The declared body exceeds :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
 
 class CampaignService:
     """One daemon: shared fleet + job scheduler + HTTP API."""
@@ -82,7 +94,6 @@ class CampaignService:
         auth_token: str | None = None,
         workers_expected: int = 0,
         heartbeat_timeout: float | None = None,
-        wire: str = "v1",
         status_port: int | None = None,
         max_concurrent: int = 4,
         worker_linger: float = 5.0,
@@ -101,7 +112,6 @@ class CampaignService:
                 if heartbeat_timeout is None
                 else heartbeat_timeout
             ),
-            wire=wire,
             status_port=status_port,
             worker_linger=worker_linger,
         )
@@ -166,6 +176,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: Service identity in responses; fixed so tests can pin the API.
     server_version = "repro-serve/1"
+    #: Socket timeout of every request (see :data:`REQUEST_TIMEOUT`).
+    timeout = REQUEST_TIMEOUT
 
     # -- plumbing -------------------------------------------------------
 
@@ -190,7 +202,22 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         return hmac.compare_digest(presented.encode(), token.encode())
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        # A rejected body is never read, so the connection cannot be reused.
+        if length < 0:
+            self.close_connection = True
+            raise JobSpecError(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise JobSpecError("request body must be a JSON object")
@@ -258,7 +285,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                     spec = self._read_json()
                     job = self.service.scheduler.submit(spec)
                 except JobSpecError as error:
-                    self._reply(400, {"error": str(error)})
+                    code = 413 if isinstance(error, _BodyTooLarge) else 400
+                    self._reply(code, {"error": str(error)})
                     return
                 self._reply(201, job.describe())
                 return
@@ -279,6 +307,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self._reply(200, job.describe())
                 return
             self._reply(404, {"error": f"unknown endpoint {self.path!r}"})
+        except TimeoutError:
+            # A body that stalls past REQUEST_TIMEOUT: no reply can be
+            # framed, so let the server drop the connection.
+            raise
         except Exception as error:  # noqa: BLE001 - HTTP boundary
             self._reply(500, {"error": f"{type(error).__name__}: {error}"})
 
@@ -351,12 +383,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="silence deadline before a worker's chunk is requeued",
     )
     parser.add_argument(
-        "--wire",
-        choices=sorted(WIRE_CHOICES),
-        default="v1",
-        help="fleet frame codec (default: v1)",
-    )
-    parser.add_argument(
         "--status-port",
         type=int,
         default=None,
@@ -396,7 +422,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         auth_token=token,
         workers_expected=args.workers_expected,
         heartbeat_timeout=args.heartbeat_timeout,
-        wire=args.wire,
         status_port=args.status_port,
         max_concurrent=args.max_concurrent,
     )
@@ -412,6 +437,14 @@ def serve_main(argv: list[str] | None = None) -> int:
 
     signal.signal(signal.SIGTERM, _stop)
     signal.signal(signal.SIGINT, _stop)
+    if service.healed_jobs:
+        # Before the readiness line, so whoever waits for readiness has
+        # already seen which jobs were healed.
+        print(
+            f"repro serve: healed {len(service.healed_jobs)} interrupted "
+            f"job(s): {', '.join(service.healed_jobs)}",
+            flush=True,
+        )
     host, port = service.http_address
     work_host, work_port = service.fleet.address
     # The readiness line is machine-parsed (tests, tmux drills): keep
@@ -423,12 +456,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     if service.fleet.status_address is not None:
         line += f" · status {service.fleet.status_address[0]}:{service.fleet.status_address[1]}"
     print(line, flush=True)
-    if service.healed_jobs:
-        print(
-            f"repro serve: healed {len(service.healed_jobs)} interrupted "
-            f"job(s): {', '.join(service.healed_jobs)}",
-            flush=True,
-        )
     try:
         while not stop.is_set():
             stop.wait(0.2)

@@ -12,8 +12,7 @@ replaces it with a production-grade wire format:
   is a ``module:qualname`` *name* (the worker function, dataclass
   types), resolved by import on the receiving side — exactly the
   visibility contract pickle-by-reference already required, without
-  pickle's arbitrary-constructor execution.  The legacy pickle codec
-  survives behind an explicit ``--wire pickle`` flag for old fleets.
+  pickle's arbitrary-constructor execution.
 * **Per-frame HMAC.**  Every frame ends in an HMAC-SHA256 over the
   entire frame, verified with :func:`hmac.compare_digest`.  With a
   shared secret (``--auth-token``) the MAC is keyed from it, so frames
@@ -78,7 +77,6 @@ import hashlib
 import hmac
 import importlib
 import json
-import pickle
 import socket
 import struct
 from typing import Sequence
@@ -87,7 +85,6 @@ import numpy as np
 
 __all__ = [
     "WIRE_FORMAT",
-    "WIRE_CHOICES",
     "MAGIC",
     "MAX_FRAME",
     "FrameRejected",
@@ -98,15 +95,11 @@ __all__ = [
     "read_frame",
     "recv_exact",
     "WireV1Session",
-    "PickleSession",
     "make_session",
 ]
 
 #: Format tag of the v1 frame codec (docs, status, CLI).
 WIRE_FORMAT = "repro-wire-v1"
-
-#: Accepted values of the ``--wire`` knob.
-WIRE_CHOICES = ("v1", "pickle")
 
 #: First four bytes of every v1 frame.
 MAGIC = b"RPW1"
@@ -340,8 +333,8 @@ def read_frame(sock: socket.socket, key: bytes) -> tuple[dict, list[bytes]] | No
     magic, header_len, heap_len = _PREAMBLE.unpack(preamble)
     if magic != MAGIC:
         raise StreamDesync(
-            f"bad frame magic {magic!r} (peer speaking a different wire "
-            "format? both sides must use the same --wire)"
+            f"bad frame magic {magic!r} (peer speaking another protocol, "
+            "or a pre-v1 worker or server?)"
         )
     if header_len + heap_len > MAX_FRAME:
         raise StreamDesync(
@@ -451,58 +444,6 @@ class WireV1Session:
             return (header["kind"], *body)
 
 
-class PickleSession:
-    """The legacy length-prefixed pickle codec (``--wire pickle``).
-
-    One 8-byte big-endian length, then that many bytes of pickle.  No
-    MAC, no sequence numbers, no campaign id — kept only so an old
-    trusted-cluster fleet can finish its campaign; everything new
-    should speak v1.  Unpicklable payloads raise :class:`FrameRejected`
-    (the frame was fully read, the stream stays aligned), and the same
-    :data:`MAX_FRAME` bound turns an absurd length prefix into
-    :class:`StreamDesync` instead of a multi-GiB allocation.
-    """
-
-    name = "pickle"
-    _LENGTH = struct.Struct(">Q")
-
-    def __init__(self, secret: str | None = None) -> None:
-        self.campaign = ""
-        self.mac_mode = "none"
-
-    def secure(self, mode: str | None = None) -> str:
-        return self.mac_mode
-
-    def send(self, sock: socket.socket, message: tuple) -> None:
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        sock.sendall(self._LENGTH.pack(len(payload)) + payload)
-
-    def recv(self, sock: socket.socket) -> tuple | None:
-        header = recv_exact(sock, self._LENGTH.size)
-        if header is None:
-            return None
-        (length,) = self._LENGTH.unpack(header)
-        if length > MAX_FRAME:
-            raise StreamDesync(
-                f"pickle frame announces {length} bytes (> {MAX_FRAME}); "
-                "stream is desynchronized or hostile"
-            )
-        payload = recv_exact(sock, length)
-        if payload is None:
-            raise StreamDesync("socket closed between header and payload")
-        try:
-            return pickle.loads(payload)
-        except Exception as error:
-            raise FrameRejected(
-                f"frame failed to unpickle (code skew between server and "
-                f"worker?): {error}"
-            ) from None
-
-
-def make_session(wire: str, secret: str | None = None):
-    """Session factory for the ``--wire`` knob (``v1`` | ``pickle``)."""
-    if wire == "v1":
-        return WireV1Session(secret)
-    if wire == "pickle":
-        return PickleSession(secret)
-    raise ValueError(f"unknown wire format {wire!r} (expected one of {WIRE_CHOICES})")
+def make_session(secret: str | None = None) -> WireV1Session:
+    """A fresh per-connection session, MAC-keyed from ``secret`` if any."""
+    return WireV1Session(secret)

@@ -19,7 +19,7 @@ frame boundaries, which also makes it the wire-format auditor: any
 connection whose bytes do not start with the ``RPW1`` magic is recorded
 in :attr:`ChaosProxy.violations` (and pumped through blind) — the chaos
 suite asserts ``violations == 0`` to prove no pickle frame ever touches
-the wire under ``--wire v1``.
+the wire.
 
 The first ``handshake_grace`` frames of each direction of a connection
 are exempt from faults: dropping a ``hello`` or ``welcome`` leaves both
@@ -33,8 +33,8 @@ late-join support, so chaos tests cover process death, not just wire
 noise.
 
 The proxy speaks plain frames, so it fronts any ``repro-wire-v1``
-listener — the per-map :class:`SocketBackend` *or* the campaign
-daemon's persistent ``WorkServer``.  For daemon crash drills,
+listener — a :class:`SocketBackend` map's server *or* the campaign
+daemon's persistent one.  For daemon crash drills,
 :meth:`ChaosProxy.retarget` repoints new connections at a restarted
 daemon's fresh ephemeral work port while the proxy's own front address
 stays fixed, so lingering workers reconnect straight through the
@@ -241,6 +241,8 @@ class ChaosProxy:
                     self.stats.frames += 1
                 if not self._deliver(sink, frame, seen):
                     break
+        except OSError:
+            pass  # the opposite pump closed the pair first (EBADF/EPIPE)
         finally:
             for sock in (source, sink):
                 try:
@@ -326,7 +328,6 @@ class WorkerFleet:
         linger: seconds each worker retries the address after a torn
             session — chaos workers must reconnect through faults.
         auth_token: shared secret forwarded via the environment.
-        wire: frame codec the workers speak (must match the server).
     """
 
     def __init__(
@@ -334,12 +335,10 @@ class WorkerFleet:
         address: str,
         linger: float = 30.0,
         auth_token: str | None = None,
-        wire: str = "v1",
     ):
         self.address = address
         self.linger = linger
         self.auth_token = auth_token
-        self.wire = wire
         self.procs: list[subprocess.Popen] = []
 
     def spawn(self, count: int = 1) -> list[subprocess.Popen]:
@@ -347,7 +346,6 @@ class WorkerFleet:
             serviceharness.spawn_worker(
                 self.address,
                 linger=self.linger,
-                wire=self.wire,
                 auth_token=self.auth_token,
             )
             for _ in range(count)

@@ -95,7 +95,6 @@ def spawn_worker(
     address: str,
     *,
     linger: float = 30.0,
-    wire: str = "v1",
     auth_token: str | None = None,
     quiet: bool = True,
 ) -> subprocess.Popen:
@@ -112,8 +111,6 @@ def spawn_worker(
             "--linger",
             str(linger),
             "--spawned",
-            "--wire",
-            wire,
         ],
         env=repro_env(auth_token),
         stdout=sink,

@@ -1,15 +1,14 @@
 """Tests of the pluggable execution backends.
 
 Covers the backend contract (results in shard order, bit-identical
-across serial / process-pool / socket execution), the socket protocol's
-length-prefixed framing, the worker loop, remote-error propagation, the
-backend spec strings the CLI forwards, and the campaign-hardening
-failure paths (auth rejection, heartbeat-timeout requeue, poison-chunk
-retry budgets, the workers-expected start barrier).
+across serial / process-pool / socket execution), the worker loop,
+remote-error propagation, the backend spec strings the CLI forwards,
+the campaign-hardening failure paths (auth rejection, heartbeat-timeout
+requeue, poison-chunk retry budgets, the workers-expected start
+barrier), and the multi-map work server behind both socket facades.
 """
 
 import socket
-import struct
 import threading
 import time
 
@@ -18,22 +17,24 @@ import pytest
 from repro.experiments import fig10
 from repro.experiments.backends import (
     AUTH_TOKEN_ENV,
+    MapCancelled,
     ProcessPoolBackend,
     SerialBackend,
+    SharedFleetBackend,
     SocketBackend,
     WorkerRejectedError,
+    WorkServer,
     _reconnect_backoff,
-    _recv_msg,
-    _send_msg,
     _tokens_match,
     parse_address,
     resolve_backend,
     resolve_jobs,
     run_worker,
 )
-from repro.experiments.wire import MAX_FRAME, StreamDesync, make_session
+from repro.experiments.wire import make_session
 from repro.experiments.config import CaseStudyConfig, SweepConfig
 from repro.experiments.runner import run_sweep
+from serviceharness import BackgroundCampaign, wait_until
 from serviceharness import wait_for_address as _wait_for_address
 
 CONFIG = SweepConfig(
@@ -74,33 +75,23 @@ def _die_once_then_succeed(item):
     return ("ok", payload)
 
 
+def _record_frames(monkeypatch, kind: str) -> list:
+    """Record the body of every ``kind`` frame this process sends."""
+    from repro.experiments import wire
+
+    bodies = []
+    pack_frame = wire.pack_frame
+
+    def recording(frame_kind, body, **kwargs):
+        if frame_kind == kind:
+            bodies.append(body)
+        return pack_frame(frame_kind, body, **kwargs)
+
+    monkeypatch.setattr(wire, "pack_frame", recording)
+    return bodies
+
+
 class TestFraming:
-    def test_roundtrip(self):
-        left, right = socket.socketpair()
-        with left, right:
-            message = ("task", 3, _identity, [1, 2, 3])
-            _send_msg(left, message)
-            received = _recv_msg(right)
-        assert received[0] == "task"
-        assert received[1] == 3
-        assert received[2] is _identity
-        assert received[3] == [1, 2, 3]
-
-    def test_clean_eof_returns_none(self):
-        left, right = socket.socketpair()
-        right.close()
-        with left:
-            assert _recv_msg(left) is None
-
-    def test_mid_frame_eof_raises(self):
-        left, right = socket.socketpair()
-        with left:
-            left.sendall(b"\x00\x00\x00")  # partial length header
-            left.shutdown(socket.SHUT_WR)
-            with pytest.raises(ConnectionError):
-                _recv_msg(right)
-        right.close()
-
     def test_parse_address(self):
         assert parse_address("10.0.0.1:7071") == ("10.0.0.1", 7071)
         assert parse_address(":9") == ("127.0.0.1", 9)
@@ -207,17 +198,23 @@ class TestBackendContract:
         with pytest.raises(RuntimeError, match="cannot process"):
             backend.map(_boom, [1, 2])
 
-    def test_worker_death_mid_chunk_requeues_to_survivor(self, tmp_path):
+    def test_worker_death_mid_chunk_requeues_to_survivor(self, tmp_path, monkeypatch):
         """The module docstring's promise: a worker that dies mid-chunk
-        has that chunk requeued for the surviving workers."""
+        has that chunk requeued for the surviving workers — re-sent
+        under the same task id, which is how a wire trace counts a
+        requeue."""
         import os
 
+        sent = _record_frames(monkeypatch, "task")
         marker = str(tmp_path / "killed-once")
         items = [("plain", 1), ("kill-once", marker), ("plain", 2)]
         backend = SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT)
         results = backend.map(_die_once_then_succeed, items, chunksize=1)
         assert results == [("ok", 1), ("survived", marker), ("ok", 2)]
         assert os.path.exists(marker)  # the first attempt really died
+        killed = [ticket for ticket, _, chunk in sent if chunk[0][0] == "kill-once"]
+        assert len(killed) == 2 and killed[0] == killed[1], sent
+        assert len({ticket for ticket, _, _ in sent}) == len(items)
 
 
 def _sleepy(value):
@@ -304,7 +301,7 @@ class TestHeartbeats:
 
         def silent_worker():
             host, port = _wait_for_address(backend)
-            session = make_session("v1", None)
+            session = make_session()
             with socket.create_connection((host, port)) as sock:
                 session.send(sock, ("hello", 0, None))
                 while True:
@@ -577,22 +574,6 @@ class TestReconnectBackoff:
 class TestMalformedFrames:
     """Satellite: torn/oversized/undecodable frames must not kill fleets."""
 
-    def test_oversized_length_prefix_is_desync_not_allocation(self):
-        left, right = socket.socketpair()
-        with left, right:
-            left.sendall(struct.pack(">Q", MAX_FRAME + 1))
-            with pytest.raises(StreamDesync):
-                _recv_msg(right)
-
-    def test_torn_header_mid_recv_raises_connection_error(self):
-        left, right = socket.socketpair()
-        with left:
-            left.sendall(b"\x00\x00\x00\x00\x00")  # 5 of 8 length bytes
-            left.shutdown(socket.SHUT_WR)
-            with pytest.raises(ConnectionError):
-                _recv_msg(right)
-        right.close()
-
     def test_undecodable_task_frame_worker_survives_and_chunk_resends(self):
         """A task frame the worker cannot decode (here: a function
         reference that does not resolve) must draw a ``badframe`` reply,
@@ -611,7 +592,7 @@ class TestMalformedFrames:
 
         def fake_server():
             conn, _ = server.accept()
-            session = make_session("v1", None)
+            session = make_session()
             with conn:
                 conn.settimeout(SOCKET_TIMEOUT)
                 hello = session.recv(conn)
@@ -731,22 +712,12 @@ class TestElasticFleet:
         ]
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="wire"):
-            SocketBackend(wire="v2")
+        with pytest.raises(ValueError, match="heartbeat_timeout"):
+            SocketBackend(heartbeat_timeout=0)
         with pytest.raises(ValueError, match="max_buffered_chunks"):
             SocketBackend(max_buffered_chunks=0)
         with pytest.raises(ValueError, match="max_chunks"):
             run_worker("127.0.0.1:9", max_chunks=0)
-
-
-class TestLegacyPickleWire:
-    """``--wire pickle`` stays available as an explicit escape hatch."""
-
-    def test_pickle_wire_end_to_end(self):
-        backend = SocketBackend(
-            spawn_workers=1, wire="pickle", timeout=SOCKET_TIMEOUT
-        )
-        assert backend.map(_identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
 
 
 class TestAutoRetry:
@@ -772,19 +743,246 @@ class TestAutoRetry:
         stderr = capsys.readouterr().err
         assert "auto-retry" in stderr
 
-    def test_auto_retry_off_quarantines_the_whole_chunk(self):
-        backend = SocketBackend(
-            spawn_workers=4,
-            max_chunk_retries=1,
-            continue_past_quarantine=True,
-            auto_retry=False,
-            timeout=SOCKET_TIMEOUT,
-        )
-        got = sorted(
-            backend.imap_unordered(
-                _exit_on_poison, ["a", "poison", "b", "c"], chunksize=2
+
+def _thread_worker(address: tuple[str, int]) -> None:
+    """Serve ``address`` from an in-process worker until it is shut down."""
+    host, port = address
+    threading.Thread(target=run_worker, args=(f"{host}:{port}",), daemon=True).start()
+
+
+def _take_a_task_and_hang_up(address: tuple[str, int]) -> tuple:
+    """Join like a worker, take one task frame, then drop the connection
+    without replying — a worker lost mid-chunk.  Returns the task."""
+    session = make_session()
+    with socket.create_connection(address, timeout=SOCKET_TIMEOUT) as sock:
+        session.send(sock, ("hello", 0, None))
+        _, _, campaign, mac_mode = session.recv(sock)
+        session.campaign = campaign
+        session.secure(mac_mode)
+        return session.recv(sock)
+
+
+class TestWorkServer:
+    """The work server both socket facades share, driven directly.
+
+    Apart from the poison-chunk case, the fleet is in-process:
+    ``run_worker`` threads, plus raw sessions that take a task and hang
+    up to play a worker lost mid-chunk.
+    """
+
+    def test_constructor_validation(self):
+        for knobs in (
+            {"spawn_workers": -1},
+            {"workers_expected": -1},
+            {"heartbeat_timeout": 0},
+            {"max_chunk_retries": -1},
+            {"status_port": 70000},
+        ):
+            (name,) = knobs
+            with pytest.raises(ValueError, match=name):
+                WorkServer(**knobs)
+
+    def test_round_robin_interleaves_concurrent_maps(self, monkeypatch):
+        """Two maps opened before the only worker joins share it chunk by
+        chunk, each task under a ``(map_id, chunk_index)`` ticket."""
+        tasks = _record_frames(monkeypatch, "task")
+        server = WorkServer().start()
+        try:
+            first = server.submit(_identity, [1, 2, 3])
+            second = server.submit(_identity, [10, 20, 30])
+            _thread_worker(server.address)
+            assert sorted(first.results()) == [(0, 2), (1, 4), (2, 6)]
+            assert sorted(second.results()) == [(0, 20), (1, 40), (2, 60)]
+        finally:
+            server.close()
+        assert [ticket for ticket, _, _ in tasks] == [
+            (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)
+        ]
+
+    def test_remote_error_fails_only_its_map(self):
+        server = WorkServer().start()
+        try:
+            failing = server.submit(_boom, [1, 2])
+            healthy = server.submit(_identity, [1, 2, 3])
+            _thread_worker(server.address)
+            with pytest.raises(RuntimeError, match="cannot process 1"):
+                list(failing.results())
+            assert sorted(healthy.results()) == [(0, 2), (1, 4), (2, 6)]
+        finally:
+            server.close()
+
+    def test_backpressure_pauses_dispatch_until_the_consumer_reads(self):
+        server = WorkServer().start()
+        try:
+            handle = server.submit(_identity, [1, 2, 3, 4], max_buffered_chunks=1)
+            _thread_worker(server.address)
+            wait_until(lambda: server.snapshot()["chunks"]["done"] == 1)
+            time.sleep(0.3)  # an ungated idle worker would have taken more
+            chunks = server.snapshot()["chunks"]
+            assert (chunks["done"], chunks["pending"], chunks["in_flight"]) == (1, 3, 0)
+            assert sorted(handle.results()) == [(0, 2), (1, 4), (2, 6), (3, 8)]
+        finally:
+            server.close()
+
+    def test_map_timeout_without_a_barrier_counts_outstanding_chunks(self):
+        """The start-barrier clause (TestStartBarrier) appears only while
+        the barrier is unmet."""
+        server = WorkServer().start()
+        try:
+            handle = server.submit(_identity, [1, 2, 3], chunksize=2, timeout=0.3)
+            with pytest.raises(TimeoutError) as raised:
+                list(handle.results())
+        finally:
+            server.close()
+        assert str(raised.value) == "socket map timed out with 2 chunk(s) outstanding"
+
+    def test_cancel_wakes_a_blocked_consumer(self):
+        server = WorkServer().start()
+        try:
+            handle = server.submit(_identity, [1, 2])
+            consumer = BackgroundCampaign(
+                lambda: list(handle.results()), name="cancelled map"
+            ).start()
+            time.sleep(0.2)
+            assert consumer.is_alive()  # parked: no worker has joined
+            handle.cancel()
+            with pytest.raises(MapCancelled):
+                consumer.finish(timeout=10)
+            assert server.snapshot()["maps"] == {"active": 0, "opened": 1}
+        finally:
+            server.close()
+
+    def test_close_fails_an_open_map_and_refuses_new_ones(self):
+        server = WorkServer().start()
+        handle = server.submit(_identity, [1, 2])
+        consumer = BackgroundCampaign(
+            lambda: list(handle.results()), name="orphaned map"
+        ).start()
+        server.close()
+        with pytest.raises(RuntimeError, match="closed with the map incomplete"):
+            consumer.finish(timeout=10)
+        with pytest.raises(RuntimeError, match="work server is closed"):
+            server.submit(_identity, [3])
+
+    def test_snapshot_echoes_campaign_info_while_its_map_is_open(self):
+        server = WorkServer()  # never started: snapshots need no fleet
+        handle = server.submit(_identity, [1, 2, 3], info={"chips": 4})
+        snapshot = server.snapshot()
+        assert snapshot["campaign"] == {"chips": 4}
+        assert snapshot["wire"] == "v1"
+        assert snapshot["chunks"]["total"] == snapshot["chunks"]["pending"] == 3
+        assert snapshot["maps"] == {"active": 1, "opened": 1}
+        handle.cancel()
+        with pytest.raises(MapCancelled):
+            list(handle.results())
+        snapshot = server.snapshot()
+        assert "campaign" not in snapshot
+        assert snapshot["maps"] == {"active": 0, "opened": 1}
+        server.close()
+
+    def test_lost_multi_shard_chunk_is_deferred_then_healed(self, capsys):
+        """Continue mode: a chunk past its budget is split into single
+        shards that wait for the main grid to drain, then heal."""
+        server = WorkServer(max_chunk_retries=0).start()
+        try:
+            handle = server.submit(
+                _identity, [1, 2, 3, 4], chunksize=2, continue_past_quarantine=True
             )
+            task = _take_a_task_and_hang_up(server.address)
+            assert task[1] == (0, 0) and task[3] == [1, 2]
+            wait_until(lambda: server.snapshot()["chunks"]["deferred"] == 2)
+            chunks = server.snapshot()["chunks"]
+            assert (chunks["total"], chunks["pending"]) == (4, 1)
+            _thread_worker(server.address)
+            got = sorted(handle.results())
+            snapshot = server.snapshot()
+        finally:
+            server.close()
+        assert got == [(0, 2), (1, 4), (2, 6), (3, 8)]
+        assert (handle.quarantined, sorted(handle.healed)) == ([], [0, 1])
+        assert (snapshot["healed"], snapshot["quarantined"]) == (2, [])
+        assert "auto-retry healed 2 of 2 shard(s)" in capsys.readouterr().err
+
+    def test_lost_single_shard_chunk_is_quarantined_and_the_grid_completes(self):
+        server = WorkServer(max_chunk_retries=0).start()
+        try:
+            handle = server.submit(
+                _identity, [1, 2, 3], continue_past_quarantine=True
+            )
+            _take_a_task_and_hang_up(server.address)
+            wait_until(lambda: server.snapshot()["quarantined"] == [0])
+            _thread_worker(server.address)
+            got = sorted(handle.results())
+        finally:
+            server.close()
+        assert got == [(1, 4), (2, 6)]
+        assert (handle.quarantined, handle.healed) == ([0], [])
+
+    def test_poison_map_fails_alone_while_its_neighbour_completes(self):
+        """A map whose poison chunk spends its retry budget raises; a
+        concurrent map on the same fleet finishes bit-identically."""
+        reference = run_sweep(CONFIG)
+        server = WorkServer(spawn_workers=3, max_chunk_retries=1, worker_linger=0.5)
+        try:
+            server.start()
+            poisoned = BackgroundCampaign(
+                lambda: SharedFleetBackend(server).map(
+                    _exit_on_poison, ["ok", "poison", "fine"], chunksize=1
+                ),
+                name="poisoned map",
+            ).start()
+            healthy = BackgroundCampaign(
+                lambda: run_sweep(CONFIG, backend=SharedFleetBackend(server)),
+                name="healthy sweep",
+            ).start()
+            with pytest.raises(RuntimeError, match="retry budget"):
+                poisoned.finish(timeout=SOCKET_TIMEOUT)
+            sweep = healthy.finish(timeout=SOCKET_TIMEOUT)
+            snapshot = server.snapshot()
+        finally:
+            server.close()
+        assert sweep.cells.keys() == reference.cells.keys()
+        for key in reference.cells:
+            assert sweep.cells[key].words == reference.cells[key].words, key
+        assert snapshot["maps"] == {"active": 0, "opened": 2}
+        assert snapshot["retries"] == 2  # two workers lost to the poison chunk
+
+
+class TestSocketFacade:
+    """``SocketBackend`` runs each map on a private, short-lived server."""
+
+    def test_each_map_gets_a_fresh_campaign_id(self, monkeypatch):
+        welcomes = _record_frames(monkeypatch, "welcome")
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        threading.Thread(
+            target=run_worker,
+            args=(f"127.0.0.1:{port}",),
+            kwargs={"linger": SOCKET_TIMEOUT / 2},
+            daemon=True,
+        ).start()
+        backend = SocketBackend(
+            bind=f"127.0.0.1:{port}", spawn_workers=0, timeout=SOCKET_TIMEOUT
         )
-        assert got == [(2, "b"), (3, "c")]
-        assert backend.quarantined_shards == (0, 1)
-        assert backend.healed_shards == ()
+        assert backend.map(_identity, [1, 2], chunksize=1) == [2, 4]
+        assert backend.address is None  # no listener between maps
+        assert backend.map(_identity, [3], chunksize=1) == [6]
+        # welcome = (heartbeat interval, campaign id, MAC mode)
+        assert len({campaign for _, campaign, _ in welcomes}) == 2
+
+    def test_spawned_workers_exit_cleanly_with_their_map(self, monkeypatch):
+        spawned = []
+        spawn = WorkServer._spawn_local_workers
+
+        def recording(server, port):
+            procs = spawn(server, port)
+            spawned.extend(procs)
+            return procs
+
+        monkeypatch.setattr(WorkServer, "_spawn_local_workers", recording)
+        backend = SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT)
+        assert backend.map(_identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
+        # close() reaps them; a worker still lingering would be killed.
+        assert [proc.returncode for proc in spawned] == [0, 0]

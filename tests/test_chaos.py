@@ -8,16 +8,20 @@ connection tears) from a seeded RNG.  The acceptance test combines
 frame corruption, a SIGKILLed worker, and a late-joining worker over a
 full sweep and diffs the result bit-for-bit against a serial run — with
 the proxy simultaneously auditing that no pickle frame ever appears on
-the wire under ``--wire v1``.
+the wire.
 """
 
+import pickle
+import socket
+import struct
 import time
 
 from chaos import ChaosProxy, FaultPlan, WorkerFleet
 from repro.experiments.backends import SocketBackend
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import run_sweep
-from serviceharness import BackgroundCampaign, wait_for_address
+from repro.experiments.wire import make_session
+from serviceharness import BackgroundCampaign, wait_for_address, wait_until
 
 SOCKET_TIMEOUT = 180.0
 
@@ -48,7 +52,6 @@ def _run_map_through_proxy(
     workers=2,
     chunksize=1,
     heartbeat=1.0,
-    wire="v1",
     kill_after=None,
     join_late=None,
 ):
@@ -57,7 +60,6 @@ def _run_map_through_proxy(
         spawn_workers=0,
         heartbeat_timeout=heartbeat,
         timeout=SOCKET_TIMEOUT,
-        wire=wire,
     )
     runner = BackgroundCampaign(
         lambda: backend.map(worker, items, chunksize=chunksize),
@@ -65,9 +67,7 @@ def _run_map_through_proxy(
     ).start()
     with ChaosProxy(wait_for_address(backend), plan) as proxy:
         host, port = proxy.address
-        fleet = WorkerFleet(
-            f"{host}:{port}", linger=SOCKET_TIMEOUT / 2, wire=wire
-        )
+        fleet = WorkerFleet(f"{host}:{port}", linger=SOCKET_TIMEOUT / 2)
         with fleet:
             fleet.spawn(workers)
             if kill_after is not None:
@@ -124,6 +124,21 @@ class TestFaultClasses:
         assert proxy.violations == []
 
 
+class TestProxyTeardown:
+    def test_pump_ends_quietly_when_its_sink_closed_first(self):
+        """A frame that arrives after the opposite pump closed the pair
+        ends this pump instead of escaping from its thread."""
+        proxy = ChaosProxy(("127.0.0.1", 9))  # never started
+        source, feeder = socket.socketpair()
+        sink, sink_peer = socket.socketpair()
+        with feeder, sink_peer:
+            sink.close()
+            make_session().send(feeder, ("hello", 0, None))
+            proxy._pump(source, sink, "worker->server")
+        assert proxy.stats.frames == 1
+        assert proxy.violations == []
+
+
 class TestProcessChaos:
     """Wire noise plus process death plus elastic membership."""
 
@@ -152,14 +167,20 @@ class TestWireAudit:
         assert proxy.violations == []
 
     def test_pickle_wire_is_detected(self):
-        """Negative control: a legacy ``--wire pickle`` fleet through the
-        same proxy trips the audit immediately."""
-        items = list(range(4))
-        results, proxy = _run_map_through_proxy(
-            FaultPlan(seed=88), items, wire="pickle"
-        )
-        assert results == [v * 2 for v in items]
-        assert proxy.violations  # pickle frames are not RPW1 frames
+        """Negative control: bytes that are not ``RPW1`` frames — here a
+        length-prefixed pickle, what pre-v1 fleets spoke — trip the
+        audit as soon as they cross the proxy."""
+        payload = pickle.dumps(("hello", 0, None))
+        with socket.create_server(("127.0.0.1", 0)) as upstream:
+            with ChaosProxy(upstream.getsockname()[:2], FaultPlan(seed=88)) as proxy:
+                with socket.create_connection(proxy.address, timeout=10) as raw:
+                    raw.sendall(struct.pack(">Q", len(payload)) + payload)
+                    wait_until(
+                        lambda: proxy.violations,
+                        deadline=10.0,
+                        message="the proxy never flagged the non-v1 bytes",
+                    )
+        assert "non-v1 bytes" in proxy.violations[0]
 
 
 class TestChaosSweepBitIdentity:

@@ -7,7 +7,8 @@ HTTP/JSON API — the same surface curl sees.  Coverage:
 * the job lifecycle for all three kinds (sweep, fig10, fleet) through
   to persisted results;
 * spec validation: bad submissions get a 400 with a reason, never a
-  traceback; auth scoping on mutating calls;
+  traceback; hostile ``Content-Length`` headers get a 4xx or a closed
+  connection; auth scoping on mutating calls;
 * cancellation of queued vs running jobs;
 * bit-identity: a service-submitted sweep equals the serial run and
   the CLI's own stdout rendition;
@@ -20,11 +21,14 @@ HTTP/JSON API — the same surface curl sees.  Coverage:
 """
 
 import json
+import socket
+import time
 
 from chaos import ChaosProxy
 from repro.cli import main
 from repro.experiments.runner import run_sweep
 from repro.experiments.scheduler import job_config, parse_job_spec
+from repro.experiments.service import MAX_BODY_BYTES, REQUEST_TIMEOUT
 from repro.experiments.store import sweep_to_json
 from serviceharness import (
     ServiceDaemon,
@@ -140,6 +144,42 @@ class TestValidationAndAuth:
             code, body = daemon.get(f"/jobs/{job_id}/result")
             assert code == 409
             assert body["state"] in ("queued", "running")
+
+    def test_hostile_content_length_is_bounded(self, tmp_path):
+        """A lying or absurd ``Content-Length`` gets a 4xx, or at worst a
+        closed connection after the request timeout — never a 500 and
+        never a handler thread parked forever."""
+        with ServiceDaemon(
+            tmp_path / "state", workers=0, auth_token="hunter2"
+        ) as daemon:
+
+            def raw_post(length: str, body: bytes = b"") -> tuple[bytes, float]:
+                request = (
+                    "POST /jobs HTTP/1.1\r\nHost: repro\r\n"
+                    f"X-Auth-Token: hunter2\r\nContent-Length: {length}\r\n\r\n"
+                ).encode("ascii") + body
+                started = time.monotonic()
+                with socket.create_connection(daemon.http, timeout=30) as sock:
+                    sock.sendall(request)
+                    received = b""
+                    while chunk := sock.recv(65536):
+                        received += chunk
+                return received, time.monotonic() - started
+
+            for length, status in (
+                ("abc", b" 400 "),
+                ("-5", b" 400 "),
+                ("-1", b" 400 "),
+                (str(MAX_BODY_BYTES + 1), b" 413 "),
+            ):
+                response, _ = raw_post(length)
+                assert status in response.split(b"\r\n", 1)[0], (length, response)
+            # A body shorter than its header says: the daemon closes the
+            # connection once the request timeout passes.
+            response, elapsed = raw_post("100", b'{"kind": ')
+            assert response == b""
+            assert REQUEST_TIMEOUT <= elapsed < REQUEST_TIMEOUT + 20
+            daemon.get("/status", expect=200)  # still serving
 
     def test_mutating_calls_need_the_token_reads_stay_open(self, tmp_path):
         with ServiceDaemon(

@@ -5,7 +5,7 @@ numpy arrays and scalars, dataclasses, callables by reference), the
 authenticated frame format (HMAC rejection, bad magic, oversized and
 torn frames), the per-connection session semantics (sequence-number
 replay suppression, campaign scoping, MAC re-keying after the
-handshake), and the legacy pickle session kept behind ``--wire pickle``.
+handshake).
 """
 
 import dataclasses
@@ -21,10 +21,8 @@ from repro.experiments import wire
 from repro.experiments.wire import (
     MAGIC,
     MAX_FRAME,
-    WIRE_CHOICES,
     WIRE_FORMAT,
     FrameRejected,
-    PickleSession,
     StreamDesync,
     WireV1Session,
     decode_node,
@@ -198,10 +196,10 @@ class TestFrameFormat:
     def test_bad_magic_is_desync(self):
         left, right = self._pipe()
         with left, right:
-            # A pickle frame's length prefix is not RPW1: cross-wire
-            # connections must die with a pointed message.
+            # A length-prefixed pickle frame is not RPW1: a pre-v1 peer's
+            # connection must die with a pointed message.
             left.sendall(b"\x00\x00\x00\x00\x00\x00\x00\x2a" + b"x" * 64)
-            with pytest.raises(StreamDesync, match="--wire"):
+            with pytest.raises(StreamDesync, match="bad frame magic"):
                 read_frame(right, KEY)
 
     def test_oversized_lengths_are_desync_before_allocation(self):
@@ -314,45 +312,13 @@ class TestWireV1Session:
                 rx.recv(right)
 
 
-class TestPickleSession:
-    def test_roundtrip(self):
-        left, right = socket.socketpair()
-        session = PickleSession()
-        with left, right:
-            session.send(left, ("task", 0, _module_fn, [1]))
-            assert session.recv(right) == ("task", 0, _module_fn, [1])
-
-    def test_unpicklable_frame_is_per_frame_rejection(self):
-        left, right = socket.socketpair()
-        session = PickleSession()
-        with left, right:
-            payload = b"\x80\x05not really pickle"
-            left.sendall(struct.pack(">Q", len(payload)) + payload)
-            session.send(left, ("heartbeat",))
-            with pytest.raises(FrameRejected, match="unpickle"):
-                session.recv(right)
-            # Stream stays aligned: the next frame still reads.
-            assert session.recv(right) == ("heartbeat",)
-
-    def test_oversized_prefix_is_desync(self):
-        left, right = socket.socketpair()
-        session = PickleSession()
-        with left, right:
-            left.sendall(struct.pack(">Q", MAX_FRAME + 1))
-            with pytest.raises(StreamDesync):
-                session.recv(right)
-
-
 class TestMakeSession:
     def test_factory(self):
-        assert make_session("v1").name == "v1"
-        assert make_session("pickle").name == "pickle"
-        assert make_session("v1", "tok").mac_mode == "token"
-        assert make_session("v1", None).mac_mode == "default"
-        with pytest.raises(ValueError, match="unknown wire"):
-            make_session("v2")
+        assert isinstance(make_session(), WireV1Session)
+        assert make_session().name == "v1"
+        assert make_session("tok").mac_mode == "token"
+        assert make_session(None).mac_mode == "default"
 
     def test_constants(self):
         assert WIRE_FORMAT == "repro-wire-v1"
-        assert WIRE_CHOICES == ("v1", "pickle")
         assert len(MAGIC) == 4
