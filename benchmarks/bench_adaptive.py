@@ -208,7 +208,9 @@ def _pr1_run_sweep(config) -> SweepResult:
                 profile,
                 config.num_rounds,
                 ctx.word_seed,
-                artifacts=_artifacts_for(ctx, config),
+                artifacts=_artifacts_for(
+                    config, ctx.code, ctx.word_seed, len(ctx.positions)
+                ),
             )
             metrics.append(metrics_for_run(run, ctx.ground_truth, config.num_rounds))
         cells[shard.key] = SweepCell(

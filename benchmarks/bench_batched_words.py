@@ -65,7 +65,9 @@ def _scalar_grid(config: SweepConfig):
                     profile,
                     config.num_rounds,
                     ctx.word_seed,
-                    artifacts=engine._artifacts_for(ctx, config),
+                    artifacts=engine._artifacts_for(
+                        config, ctx.code, ctx.word_seed, len(ctx.positions)
+                    ),
                 )
             )
     return runs

@@ -285,7 +285,6 @@ def sweep_entries(config) -> dict[Hashable, tuple[str, Any]]:
     # import graph (memo consults the overlay on every miss).
     from repro.analysis.memo import _code_key, cached_aliasing_pairs
     from repro.experiments import runner
-    from repro.memory.patterns import pattern_is_seeded
 
     entries: dict[Hashable, tuple[str, Any]] = {}
     codes = {}
@@ -299,25 +298,8 @@ def sweep_entries(config) -> dict[Hashable, tuple[str, Any]]:
             entries[("bstack", config, error_count, "positions")] = ("array", stacks.positions)
         for ctx in words:
             codes[_code_key(ctx.code)] = ctx.code
-            schedule_seed = ctx.word_seed if pattern_is_seeded(config.pattern) else 0
-            entries[("sched", config.pattern, schedule_seed, ctx.code.k, config.num_rounds)] = (
-                "array",
-                runner._schedule_for(
-                    config.pattern, schedule_seed, ctx.code.k, config.num_rounds
-                ),
-            )
-            entries[
-                ("enc", _code_key(ctx.code), config.pattern, schedule_seed, config.num_rounds)
-            ] = (
-                "array",
-                runner._encoded_schedule_for(
-                    ctx.code, config.pattern, schedule_seed, config.num_rounds
-                ),
-            )
-            draws_key = ("draws", ctx.word_seed, config.num_rounds, len(ctx.positions))
-            entries[draws_key] = (
-                "array",
-                runner._draws_for(ctx.word_seed, config.num_rounds, len(ctx.positions)),
+            entries.update(
+                runner._artifact_entries(config, ctx.code, ctx.word_seed, len(ctx.positions))
             )
     for code_key, code in codes.items():
         for target in range(code.n):

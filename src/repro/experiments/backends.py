@@ -583,7 +583,7 @@ def _worker_session(
 def _reconnect_backoff(
     base: float = _BACKOFF_BASE,
     cap: float = _BACKOFF_CAP,
-    rng: Callable[[], float] = random.random,
+    rng: Callable[[], float] | None = None,
 ) -> Iterator[float]:
     """Jittered exponential backoff delays for the linger reconnect loop.
 
@@ -592,8 +592,11 @@ def _reconnect_backoff(
     is jittered by ±50% so the fleet's retries spread out instead of
     arriving as synchronized thundering herds.  The caller restarts the
     generator after any successful session (the next map of the same
-    exhibit usually binds within moments).
+    exhibit usually binds within moments).  The default jitter source is
+    private, so a lingering worker thread never moves the global ``random``.
     """
+    if rng is None:
+        rng = random.Random().random
     delay = base
     while True:
         yield delay * (0.5 + rng())

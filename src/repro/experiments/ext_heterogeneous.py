@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 from repro.analysis.atrisk import compute_ground_truth
 from repro.ecc.hamming import random_sec_code
-from repro.experiments.runner import metrics_for_run
+from repro.experiments.runner import metrics_for_words
 from repro.memory.error_model import normal_probability_profile
-from repro.profiling import PROFILER_REGISTRY
-from repro.profiling.runner import simulate_word
+from repro.profiling.runner import simulate_cell
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.tables import format_table
 
@@ -49,7 +48,7 @@ def run(
     seed: int = 2021,
 ) -> HeterogeneousResult:
     """Run the comparison with clipped-normal per-bit probabilities."""
-    words = []
+    codes, profiles, truths, seeds = [], [], [], []
     for code_index in range(num_codes):
         code = random_sec_code(64, derive_rng(seed, "het-code", code_index))
         for word_index in range(words_per_code):
@@ -57,21 +56,17 @@ def run(
             profile = normal_probability_profile(
                 code, at_risk_per_word, mean, std, word_rng
             )
-            truth = compute_ground_truth(code, profile)
-            word_seed = derive_seed(seed, "het-draws", code_index, word_index)
-            words.append((code, profile, truth, word_seed))
+            codes.append(code)
+            profiles.append(profile)
+            truths.append(compute_ground_truth(code, profile))
+            seeds.append(derive_seed(seed, "het-draws", code_index, word_index))
+    runs = simulate_cell(profilers, codes, profiles, seeds, num_rounds)
     rows: dict[str, tuple[float, float]] = {}
     for name in profilers:
-        identified = 0
-        total = 0
-        first_rounds = []
-        for code, profile, truth, word_seed in words:
-            profiler = PROFILER_REGISTRY[name](code, seed=word_seed)
-            result = simulate_word(profiler, profile, num_rounds, word_seed)
-            metrics = metrics_for_run(result, truth, num_rounds)
-            identified += metrics.direct_identified[-1]
-            total += metrics.direct_total
-            first_rounds.append(metrics.first_direct_round)
+        metrics = metrics_for_words(runs[name], truths, num_rounds)
+        identified = sum(word.direct_identified[-1] for word in metrics)
+        total = sum(word.direct_total for word in metrics)
+        first_rounds = [word.first_direct_round for word in metrics]
         rows[name] = (
             identified / total if total else 1.0,
             sum(first_rounds) / len(first_rounds),
@@ -80,7 +75,7 @@ def run(
         mean=mean,
         std=std,
         num_rounds=num_rounds,
-        num_words=len(words),
+        num_words=len(codes),
         rows=rows,
     )
 

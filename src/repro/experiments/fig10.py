@@ -22,7 +22,10 @@ seed alone, so ``run(config, jobs=N)`` is bit-identical to the serial
 loop for every worker count and
 :class:`~repro.experiments.backends.ExecutionBackend`.  Contiguous
 shards share a code, so chunked scheduling keeps a code's
-crafted-pattern and ground-truth caches on one worker.
+crafted-pattern and ground-truth caches on one worker.  A shard
+simulates its words in one :func:`~repro.profiling.runner.simulate_cell`
+call: a word's profilers share one schedule, encoding and draw matrix,
+built for that call alone (no word is simulated twice).
 
 Like the sweep path, the case study streams and resumes:
 ``run(config, resume=PATH)`` appends each completed shard to a
@@ -47,8 +50,7 @@ from repro.experiments.backends import resolve_backend
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.reporting import log_round_ticks, percent, profiler_order
 from repro.memory.error_model import sample_word_profile
-from repro.profiling import PROFILER_REGISTRY
-from repro.profiling.runner import simulate_word
+from repro.profiling.runner import simulate_cell
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.tables import format_series
 
@@ -144,19 +146,22 @@ def run_case_shard(
     before: dict[str, list[list[float]]] = {name: [] for name in config.profilers}
     after: dict[str, list[list[float]]] = {name: [] for name in config.profilers}
     to_zero: dict[str, list[int | None]] = {name: [] for name in config.profilers}
-    for word_index in range(config.words_per_stratum):
-        word_rng = derive_rng(
-            config.seed, "fig10-word", shard.probability, shard.code_index, shard.count, word_index
+    cell = (shard.probability, shard.code_index, shard.count)
+    words = range(config.words_per_stratum)
+    profiles = [
+        sample_word_profile(
+            code, shard.count, shard.probability, derive_rng(config.seed, "fig10-word", *cell, word)
         )
-        profile = sample_word_profile(code, shard.count, shard.probability, word_rng)
+        for word in words
+    ]
+    seeds = [derive_seed(config.seed, "fig10-draws", *cell, word) for word in words]
+    runs = simulate_cell(
+        config.profilers, [code] * len(seeds), profiles, seeds, config.num_rounds, config.pattern
+    )
+    for word_index, profile in enumerate(profiles):
         analyzer = WordBerAnalyzer(code, profile, charged)
-        word_seed = derive_seed(
-            config.seed, "fig10-draws", shard.probability, shard.code_index, shard.count, word_index
-        )
         for name in config.profilers:
-            profiler = PROFILER_REGISTRY[name](code, seed=word_seed, pattern=config.pattern)
-            run_result = simulate_word(profiler, profile, config.num_rounds, word_seed)
-            trace = run_result.identified_per_round
+            trace = runs[name][word_index].identified_per_round
             before[name].append([analyzer.unrepaired_ber(trace[tick - 1]) for tick in ticks])
             after[name].append(
                 [analyzer.residual_ber_after_secondary(trace[tick - 1]) for tick in ticks]

@@ -19,9 +19,12 @@ Pipeline per chip:
    with a single at-risk bit are SEC-correctable and tallied
    analytically; words with ≥ 2 at-risk bits are *profiled*.
 3. **Profile** each such word for ``num_rounds`` rounds with the
-   configured profiler (the cell-batched kernel when eligible, exactly
-   like the sweep engine; ``REPRO_SIM_KERNEL=scalar`` forces the
-   reference path — both are bit-identical).
+   configured profiler through
+   :func:`~repro.profiling.runner.simulate_cell`, the entry point every
+   driver shares: it picks the cell-batched kernel when eligible
+   (``REPRO_SIM_KERNEL=scalar`` forces the reference path — both are
+   bit-identical), and fleet words reuse the sweep engine's cached
+   schedules, encodings and draws.
 4. **Repair**: greedy row sparing plus bit spares over what profiling
    identified (:func:`repro.repair.policy.plan_row_sparing`), under the
    per-chip ``spare_rows`` / ``spare_bits`` budget.
@@ -73,14 +76,7 @@ from repro.memory.faults import (
     FaultMixModel,
     sample_chip_faults,
 )
-from repro.memory.patterns import pattern_is_seeded
-from repro.profiling import PROFILER_REGISTRY
-from repro.profiling.runner import (
-    WordArtifacts,
-    batched_kernel_enabled,
-    simulate_word,
-    simulate_words_batched,
-)
+from repro.profiling.runner import simulate_cell
 from repro.repair.policy import plan_row_sparing
 from repro.utils.rng import derive_rng, derive_seed
 
@@ -238,28 +234,6 @@ def shard_fleet(config: FleetConfig) -> list[FleetShard]:
     return shards
 
 
-def _word_artifacts(
-    config: FleetConfig, code, word_seed: int, count: int
-) -> WordArtifacts:
-    """Per-word precomputed inputs, via the sweep engine's shared caches.
-
-    Routing through :func:`~repro.experiments.runner._schedule_for` /
-    ``_encoded_schedule_for`` / ``_draws_for`` gives fleet words the
-    same process-local memoization and shared-memory overlay
-    (``--shared-cache``) the sweep engine has.
-    """
-    schedule_seed = word_seed if pattern_is_seeded(config.pattern) else 0
-    return WordArtifacts(
-        schedule=sweep_runner._schedule_for(
-            config.pattern, schedule_seed, code.k, config.num_rounds
-        ),
-        codewords=sweep_runner._encoded_schedule_for(
-            code, config.pattern, schedule_seed, config.num_rounds
-        ),
-        draws=sweep_runner._draws_for(word_seed, config.num_rounds, count),
-    )
-
-
 def run_fleet_shard(shard: FleetShard) -> dict:
     """Execute one shard: per-word identified sets for its chips/slice.
 
@@ -280,40 +254,21 @@ def run_fleet_shard(shard: FleetShard) -> dict:
             for index, (word, positions) in enumerate(words)
             if index % shard.num_slices == shard.slice_index
         ]
-        profiler_cls = PROFILER_REGISTRY[config.profiler]
-        use_batched = (
-            not profiler_cls.adaptive and profiler_cls.batched and batched_kernel_enabled()
-        )
-        profiles = [
-            WordErrorProfile(positions, tuple(config.probability for _ in positions))
-            for _, positions in mine
-        ]
         seeds = [derive_seed(config.seed, "fleet-draws", chip, word) for word, _ in mine]
-        if use_batched and mine:
-            runs = simulate_words_batched(
-                [
-                    profiler_cls(code, seed=seed, pattern=config.pattern)
-                    for seed in seeds
-                ],
-                profiles,
-                config.num_rounds,
-                seeds,
-                artifacts=[
-                    _word_artifacts(config, code, seed, len(positions))
-                    for seed, (_, positions) in zip(seeds, mine)
-                ],
-            )
-        else:
-            runs = [
-                simulate_word(
-                    profiler_cls(code, seed=seed, pattern=config.pattern),
-                    profile,
-                    config.num_rounds,
-                    seed,
-                    artifacts=_word_artifacts(config, code, seed, len(profile.positions)),
-                )
-                for seed, profile in zip(seeds, profiles)
-            ]
+        runs = simulate_cell(
+            [config.profiler],
+            [code] * len(mine),
+            [
+                WordErrorProfile(positions, tuple(config.probability for _ in positions))
+                for _, positions in mine
+            ],
+            seeds,
+            config.num_rounds,
+            config.pattern,
+            word_artifacts=lambda index: sweep_runner._artifacts_for(
+                config, code, seeds[index], len(mine[index][1])
+            ),
+        )[config.profiler]
         chips.append(
             {
                 "chip": chip,
@@ -598,8 +553,9 @@ def fleet_entries(config: FleetConfig) -> dict:
 
     The fleet analogue of :func:`repro.analysis.shared_memo.sweep_entries`:
     per-word schedules / encodings / failure draws (exactly the keys
-    :func:`_word_artifacts` resolves) plus each fleet code's BEEP
-    aliasing tables.  Published by ``run(..., shared_cache=True)``.
+    :func:`~repro.experiments.runner._artifacts_for` resolves) plus each
+    fleet code's BEEP aliasing tables.  Published by ``run(...,
+    shared_cache=True)``.
     """
     from repro.analysis.memo import _code_key, cached_aliasing_pairs
 
@@ -610,24 +566,8 @@ def fleet_entries(config: FleetConfig) -> dict:
         codes[_code_key(code)] = code
         for word, positions in profiled_words(chip_faults(config, chip)):
             word_seed = derive_seed(config.seed, "fleet-draws", chip, word)
-            schedule_seed = word_seed if pattern_is_seeded(config.pattern) else 0
-            entries[("sched", config.pattern, schedule_seed, code.k, config.num_rounds)] = (
-                "array",
-                sweep_runner._schedule_for(
-                    config.pattern, schedule_seed, code.k, config.num_rounds
-                ),
-            )
-            entries[
-                ("enc", _code_key(code), config.pattern, schedule_seed, config.num_rounds)
-            ] = (
-                "array",
-                sweep_runner._encoded_schedule_for(
-                    code, config.pattern, schedule_seed, config.num_rounds
-                ),
-            )
-            entries[("draws", word_seed, config.num_rounds, len(positions))] = (
-                "array",
-                sweep_runner._draws_for(word_seed, config.num_rounds, len(positions)),
+            entries.update(
+                sweep_runner._artifact_entries(config, code, word_seed, len(positions))
             )
     for code_key, code in codes.items():
         for target in range(code.n):

@@ -46,9 +46,9 @@ Redundant work is eliminated by two layers of process-local caches:
 * **Engine layer** (this module): word sampling is hoisted out of the
   probability loop (``_words_for``), and the per-word simulation inputs
   that repeat across cells — the standard pattern schedule, its encoding,
-  and the Bernoulli failure draws — are computed once per word and passed
-  to :func:`~repro.profiling.runner.simulate_word` as
-  :class:`~repro.profiling.runner.WordArtifacts`.
+  and the Bernoulli failure draws — are cached per word (``_artifacts_for``)
+  and stacked per error count (``_batch_stacks_for``) for
+  :func:`~repro.profiling.runner.simulate_cell`, which picks the kernel.
 
 Each worker process owns independent caches (no locks, no shared state);
 a ``fork`` start inherits the parent's warm caches, a ``spawn`` start
@@ -90,15 +90,12 @@ from repro.ecc.hamming import random_sec_code
 from repro.ecc.linear_code import SystematicCode
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
 from repro.memory.patterns import make_pattern, pattern_is_seeded
-from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.runner import (
     BatchedWordArtifacts,
     WordArtifacts,
     WordRunResult,
-    batched_kernel_enabled,
     clear_charge_mask_cache,
-    simulate_word,
-    simulate_words_batched,
+    simulate_cell,
 )
 from repro.utils.rng import derive_rng, derive_seed
 
@@ -467,51 +464,24 @@ def _draws_for(word_seed: int, num_rounds: int, count: int) -> Any:
 def _build_batch_stacks(config, error_count: int) -> BatchedWordArtifacts | None:
     """Stack one error count's batched-kernel inputs (uncached core).
 
-    Encodes every code's schedules in one ``(words x rounds, k)`` GF(2)
-    product and lays the results out as dense ``(words, rounds, ...)``
+    Lays the words' cached artifacts (:func:`_artifacts_for`, which the
+    per-word path reads too) out as dense ``(words, rounds, ...)``
     arrays, so each (probability, profiler) cell of the error count
     slices zero-copy views instead of restacking per-word artifacts.
     Returns ``None`` for a non-uniform word population (mixed codeword
     length or at-risk count) — the batched kernel then stacks per group
-    from the per-word artifacts, and the scalar path is unaffected.
+    from the per-word artifacts.
     """
     words = _words_for(config, error_count)
-    if not words:
+    if len({(ctx.code.n, len(ctx.positions)) for ctx in words}) != 1 or not words[0].positions:
         return None
-    n = words[0].code.n
-    at_risk = len(words[0].positions)
-    if not at_risk or any(
-        ctx.code.n != n or len(ctx.positions) != at_risk for ctx in words
-    ):
-        return None
-    num_rounds = config.num_rounds
-    codewords = np.empty((len(words), num_rounds, n), dtype=np.uint8)
-    draws = np.empty((len(words), num_rounds, at_risk), dtype=np.float64)
-    positions = np.empty((len(words), at_risk), dtype=np.intp)
-    by_code: dict[int, tuple[SystematicCode, list[int]]] = {}
-    for index, ctx in enumerate(words):
-        draws[index] = _draws_for(ctx.word_seed, num_rounds, at_risk)
-        positions[index] = ctx.positions
-        entry = by_code.get(id(ctx.code))
-        if entry is None:
-            entry = by_code[id(ctx.code)] = (ctx.code, [])
-        entry[1].append(index)
-    for code, indices in by_code.values():
-        schedules = [
-            _schedule_for(
-                config.pattern,
-                words[i].word_seed if pattern_is_seeded(config.pattern) else 0,
-                code.k,
-                num_rounds,
-            )
-            for i in indices
-        ]
-        encoded = code.encode(np.concatenate(schedules, axis=0))
-        codewords[indices] = encoded.reshape(len(indices), num_rounds, n)
+    artifacts = [
+        _artifacts_for(config, ctx.code, ctx.word_seed, len(ctx.positions)) for ctx in words
+    ]
     return BatchedWordArtifacts(
-        codewords=_readonly(codewords),
-        draws=_readonly(draws),
-        positions=_readonly(positions),
+        codewords=_readonly(np.stack([word.codewords for word in artifacts])),
+        draws=_readonly(np.stack([word.draws for word in artifacts])),
+        positions=_readonly(np.array([ctx.positions for ctx in words], dtype=np.intp)),
     )
 
 
@@ -538,20 +508,41 @@ def _batch_stacks_for(config, error_count: int) -> BatchedWordArtifacts | None:
     return _build_batch_stacks(config, error_count)
 
 
-def _artifacts_for(ctx: _WordContext, config) -> WordArtifacts:
-    """Assemble the per-word precomputed inputs for ``simulate_word``.
+def _artifacts_for(config, code: SystematicCode, word_seed: int, count: int) -> WordArtifacts:
+    """A reused (sweep or fleet) word's cached inputs for ``simulate_cell``.
 
-    Static patterns (charged/zero/checkered) produce the same schedule
-    for every seed, so their cache key collapses to one entry per
-    (pattern, k, rounds) instead of one per word.
+    ``config`` supplies ``pattern`` and ``num_rounds``.  Static patterns
+    (charged/zero/checkered) produce the same schedule for every seed, so
+    their cache key collapses to one entry per (pattern, k, rounds).
     """
-    schedule_seed = ctx.word_seed if pattern_is_seeded(config.pattern) else 0
+    schedule_seed = word_seed if pattern_is_seeded(config.pattern) else 0
     return WordArtifacts(
-        schedule=_schedule_for(config.pattern, schedule_seed, ctx.code.k, config.num_rounds),
-        codewords=_encoded_schedule_for(
-            ctx.code, config.pattern, schedule_seed, config.num_rounds
-        ),
-        draws=_draws_for(ctx.word_seed, config.num_rounds, len(ctx.positions)),
+        schedule=_schedule_for(config.pattern, schedule_seed, code.k, config.num_rounds),
+        codewords=_encoded_schedule_for(code, config.pattern, schedule_seed, config.num_rounds),
+        draws=_draws_for(word_seed, config.num_rounds, count),
+    )
+
+
+def _artifact_entries(config, code: SystematicCode, word_seed: int, count: int) -> dict:
+    """The ``--shared-cache`` overlay entries that serve :func:`_artifacts_for`."""
+    pattern, rounds = config.pattern, config.num_rounds
+    schedule_seed = word_seed if pattern_is_seeded(pattern) else 0
+    artifacts = _artifacts_for(config, code, word_seed, count)
+    return {
+        ("sched", pattern, schedule_seed, code.k, rounds): ("array", artifacts.schedule),
+        ("enc", _code_key(code), pattern, schedule_seed, rounds): ("array", artifacts.codewords),
+        ("draws", word_seed, rounds, count): ("array", artifacts.draws),
+    }
+
+
+def _stack_slice(stacks, start: int, stop: int) -> BatchedWordArtifacts | None:
+    """Zero-copy views of words ``[start, stop)`` of an error count's stacks."""
+    if stacks is None:
+        return None
+    return BatchedWordArtifacts(
+        codewords=stacks.codewords[start:stop],
+        draws=stacks.draws[start:stop],
+        positions=stacks.positions[start:stop],
     )
 
 
@@ -621,66 +612,34 @@ def run_shard(shard: SweepShard) -> tuple[SweepCell, float]:
 
     Words simulate and reduce in :data:`_METRICS_BATCH`-sized groups so a
     worker's peak memory holds one group's traces, not the whole cell's.
-    Non-adaptive cells whose profiler declares the ``observe_many``
-    contract dispatch each group to the cell-batched kernel
-    (:func:`~repro.profiling.runner.simulate_words_batched`) over
-    zero-copy slices of the error count's pre-stacked inputs; adaptive
-    cells — and runs forced scalar via ``REPRO_SIM_KERNEL=scalar`` —
-    take the per-word reference path.  Both are bit-identical.
+    Each group goes through :func:`~repro.profiling.runner.simulate_cell`
+    with the error count's cached inputs: zero-copy slices of the
+    pre-stacked arrays if it picks the cell-batched kernel, the per-word
+    artifacts otherwise.
     """
     started = time.perf_counter()
     config = shard.config
     words = _words_for(config, shard.error_count)
-    profiler_cls = PROFILER_REGISTRY[shard.profiler]
-    use_batched = (
-        not profiler_cls.adaptive and profiler_cls.batched and batched_kernel_enabled()
-    )
-    stacks = _batch_stacks_for(config, shard.error_count) if use_batched else None
     metrics: list[WordMetrics] = []
     for start in range(0, len(words), _METRICS_BATCH):
         group = words[start : start + _METRICS_BATCH]
-        profiles = [
-            WordErrorProfile(ctx.positions, tuple(shard.probability for _ in ctx.positions))
-            for ctx in group
-        ]
-        if use_batched:
-            profilers = [
-                profiler_cls(ctx.code, seed=ctx.word_seed, pattern=config.pattern)
+        runs = simulate_cell(
+            [shard.profiler],
+            [ctx.code for ctx in group],
+            [
+                WordErrorProfile(ctx.positions, tuple(shard.probability for _ in ctx.positions))
                 for ctx in group
-            ]
-            group_stacks = None
-            if stacks is not None:
-                stop = start + len(group)
-                group_stacks = BatchedWordArtifacts(
-                    codewords=stacks.codewords[start:stop],
-                    draws=stacks.draws[start:stop],
-                    positions=stacks.positions[start:stop],
-                )
-            runs = simulate_words_batched(
-                profilers,
-                profiles,
-                config.num_rounds,
-                [ctx.word_seed for ctx in group],
-                artifacts=(
-                    None
-                    if group_stacks is not None
-                    else [_artifacts_for(ctx, config) for ctx in group]
-                ),
-                batch_artifacts=group_stacks,
-            )
-        else:
-            runs = []
-            for ctx, profile in zip(group, profiles):
-                profiler = profiler_cls(ctx.code, seed=ctx.word_seed, pattern=config.pattern)
-                runs.append(
-                    simulate_word(
-                        profiler,
-                        profile,
-                        config.num_rounds,
-                        ctx.word_seed,
-                        artifacts=_artifacts_for(ctx, config),
-                    )
-                )
+            ],
+            [ctx.word_seed for ctx in group],
+            config.num_rounds,
+            config.pattern,
+            word_artifacts=lambda index: _artifacts_for(
+                config, group[index].code, group[index].word_seed, len(group[index].positions)
+            ),
+            batch_artifacts=lambda: _stack_slice(
+                _batch_stacks_for(config, shard.error_count), start, start + len(group)
+            ),
+        )[shard.profiler]
         metrics.extend(
             metrics_for_words(runs, [ctx.ground_truth for ctx in group], config.num_rounds)
         )

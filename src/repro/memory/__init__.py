@@ -2,7 +2,6 @@
 
 from repro.memory.address import AddressMap, LogicalAddress, PhysicalAddress
 from repro.memory.array import MemoryArray
-from repro.memory.batch_engine import BatchInjectionEngine, BatchObservation
 from repro.memory.cells import CellOrientation, all_true_cells, alternating_cells
 from repro.memory.chip import OnDieEccChip, ReadOutcome
 from repro.memory.faults import (
@@ -37,8 +36,6 @@ __all__ = [
     "LogicalAddress",
     "PhysicalAddress",
     "MemoryArray",
-    "BatchInjectionEngine",
-    "BatchObservation",
     "CellOrientation",
     "all_true_cells",
     "alternating_cells",

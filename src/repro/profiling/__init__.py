@@ -31,7 +31,8 @@ registry name   paper section         approach
 
 Experiment configs name profilers by their :data:`PROFILER_REGISTRY`
 key.  The per-word simulation loop lives in
-:mod:`repro.profiling.runner` (`simulate_word`), and
+:mod:`repro.profiling.runner` (`simulate_cell`, the drivers' one entry
+point, over `simulate_word` and `simulate_words_batched`), and
 :mod:`repro.profiling.coverage` aggregates traces into the coverage
 metrics of Figs 6-8.
 """

@@ -17,18 +17,18 @@ positions ``T`` has syndrome ``xor of H-columns over T``; the correction
 lookup then yields the post-correction error set in O(|T|) — no dense
 matrix decode in the hot loop.
 
-The sweep engine simulates the same word once per (probability, profiler)
-cell; :class:`WordArtifacts` lets it hand in the inputs those runs share
-(standard pattern schedule, its encoding, failure draws) so they are
-derived once per word instead of once per run — adaptive profilers also
-serve their bootstrap/fallback rounds from the precomputed schedule via
-``Profiler.attach_standard_schedule``.  Within a run, repeated failure
-patterns memoize their decode consequences; crafted patterns memoize
-their charge masks as integer bitmasks in a process-wide per-word scope
-(shared across the cells that re-simulate the word), so the adaptive
-per-round failure check is a single int AND; and the cumulative trace
-sets are rebuilt only on rounds where the profiler's state actually
-moved (tracked through ``Profiler.observation_count``).  All of it is
+Every driver enters through :func:`simulate_cell`, which builds a
+cell's profilers, picks each one's kernel (:func:`simulate_words_batched`
+or :func:`simulate_word`) and hands all profilers of a word one
+:class:`WordArtifacts` (standard schedule, its encoding, failure draws)
+derived once per word — adaptive profilers serve bootstrap/fallback
+rounds from it via ``Profiler.attach_standard_schedule``.  Within a run,
+repeated failure patterns memoize their decode consequences; crafted
+patterns memoize their charge masks as integer bitmasks in a
+process-wide per-word scope, so the adaptive per-round failure check is
+a single int AND; and the cumulative trace sets are rebuilt only on
+rounds where the profiler's state actually moved (tracked through
+``Profiler.observation_count``).  All of it is
 bit-identical to the straight-line loop — ``tests/test_sweep_engine.py``
 and ``tests/test_adaptive_caches.py`` pin that.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.analysis.memo import code_caches
 from repro.ecc.linear_code import SystematicCode
 from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile, check_profile_positions
+from repro.memory.patterns import make_pattern
 from repro.profiling.base import Profiler, ReadMode
 from repro.utils.rng import derive_rng
 
@@ -52,6 +53,7 @@ __all__ = [
     "BatchedWordArtifacts",
     "WordArtifacts",
     "WordRunResult",
+    "simulate_cell",
     "simulate_word",
     "simulate_words_batched",
     "post_correction_data_errors",
@@ -61,23 +63,23 @@ __all__ = [
 ]
 
 
-#: Environment knob selecting the engine's simulation kernel: ``auto``
-#: (default) dispatches non-adaptive cells to the cell-batched
-#: :func:`simulate_words_batched`, ``scalar`` forces the per-word
-#: reference path everywhere.  Both produce bit-identical results; the
-#: knob exists for benchmarking and as an escape hatch.
 #: Interned (word positions, failure bitmask) -> failed-positions tuple.
 #: Value-only cache (no invalidation hazard); the cap bounds pathological
 #: sweeps, normal grids hold a few thousand entries.
 _PATTERN_TUPLES: dict[tuple, tuple[int, ...]] = {}
 _PATTERN_TUPLES_MAX = 1 << 20
 
+#: Environment knob selecting the simulation kernel: ``auto`` (default)
+#: lets :func:`simulate_cell` dispatch non-adaptive profilers to the
+#: cell-batched :func:`simulate_words_batched`, ``scalar`` forces the
+#: per-word reference path everywhere.  Both produce bit-identical
+#: results; the knob exists for benchmarking and as an escape hatch.
 _KERNEL_ENV = "REPRO_SIM_KERNEL"
 _KERNEL_MODES = ("auto", "scalar")
 
 
 def batched_kernel_enabled() -> bool:
-    """Whether the sweep engine may dispatch cells to the batched kernel.
+    """Whether :func:`simulate_cell` may dispatch to the batched kernel.
 
     Reads ``REPRO_SIM_KERNEL`` on every call (mirroring the
     ``REPRO_GF2_TIER`` dispatch) so tests and operators can flip the
@@ -221,14 +223,13 @@ def _failure_tuples(
 
 @dataclass(frozen=True)
 class WordArtifacts:
-    """Precomputed simulation inputs shared across repeated word runs.
+    """Precomputed simulation inputs shared by every run of one word.
 
-    The sweep engine simulates the same ECC word many times — once per
-    (probability, profiler) cell — and everything here is identical across
-    those runs: the standard pattern schedule and its encoding depend only
-    on (pattern, word seed, code), and the failure draws depend only on
-    the word seed.  Passing them in avoids re-deriving per-round RNGs and
-    re-encoding the schedule in every cell.
+    All profilers of a word — within a :func:`simulate_cell` call, and
+    across the sweep's (probability, profiler) cells — see the same
+    standard pattern schedule and encoding (pure in pattern, word seed and
+    code) and failure draws (pure in the word seed).  Passing them in
+    avoids re-deriving per-round RNGs and re-encoding the schedule per run.
 
     Every field is optional; whatever is present must match the run's
     (profiler pattern, code, profile, ``num_rounds``, ``word_seed``)
@@ -822,4 +823,95 @@ def simulate_words_batched(
                 failures_per_round=failed_by_word[index],
             )
         )
+    return results
+
+
+def _cell_artifacts(codes, profiles, word_seeds, num_rounds, pattern) -> list[WordArtifacts]:
+    """One-shot inputs: each word's schedule and draws once, one encode per code.
+
+    Nothing is kept past the call; the arrays are read-only because
+    every profiler of a word reads the same ones.
+    """
+    artifacts: list[WordArtifacts] = [WordArtifacts()] * len(codes)
+    for code in {id(code): code for code in codes}.values():
+        indices = [index for index, other in enumerate(codes) if other is code]
+        schedules = np.concatenate(
+            [make_pattern(pattern, word_seeds[i]).rounds(num_rounds, code.k) for i in indices]
+        )
+        encoded = code.encode(schedules)
+        schedules.setflags(write=False)
+        encoded.setflags(write=False)
+        for offset, index in enumerate(indices):
+            rows = slice(offset * num_rounds, (offset + 1) * num_rounds)
+            draws = _failure_draws(profiles[index], num_rounds, word_seeds[index])
+            artifacts[index] = WordArtifacts(schedules[rows], encoded[rows], draws)
+    return artifacts
+
+
+def simulate_cell(
+    profiler_names: Sequence[str],
+    codes: Sequence[SystematicCode],
+    profiles: Sequence[WordErrorProfile],
+    word_seeds: Sequence[int],
+    num_rounds: int,
+    pattern: str = "random",
+    word_artifacts: Callable[[int], WordArtifacts] | None = None,
+    batch_artifacts: Callable[[], BatchedWordArtifacts | None] | None = None,
+) -> dict[str, list[WordRunResult]]:
+    """Run every named profiler over the same words: the one entry point.
+
+    The only code that builds profilers, picks a kernel and materializes
+    schedules.  Word ``i`` is ``(codes[i], profiles[i], word_seeds[i])``;
+    its seed drives the failure draws and every profiler's ``pattern``, so
+    all profilers of a word share one schedule, encoding and draw matrix
+    (paper §7.1.2).  Non-adaptive ``batched`` profilers take
+    :func:`simulate_words_batched` unless ``REPRO_SIM_KERNEL=scalar``, the
+    rest :func:`simulate_word`; both are bit-identical.  Callers reusing
+    words across calls pass cached inputs: ``word_artifacts(i)`` (read at
+    most once per word) and ``batch_artifacts()`` (stacks or ``None``,
+    read only by the batched kernel); otherwise the inputs are built for
+    this call alone.  Returns ``{name: [run of each word]}``.
+    """
+    from repro.profiling import PROFILER_REGISTRY  # the package imports this module
+
+    count = len(codes)
+    if not len(profiles) == len(word_seeds) == count:
+        raise ValueError(
+            f"cell length mismatch: {count} codes, {len(profiles)} profiles, {len(word_seeds)} seeds"
+        )
+    classes = {name: PROFILER_REGISTRY[name] for name in profiler_names}
+    if not count:
+        return {name: [] for name in classes}
+    batched_enabled = batched_kernel_enabled()
+    shared: list[WordArtifacts] = []
+
+    def per_word() -> list[WordArtifacts]:
+        if not shared:
+            shared[:] = (
+                [word_artifacts(index) for index in range(count)]
+                if word_artifacts is not None
+                else _cell_artifacts(codes, profiles, word_seeds, num_rounds, pattern)
+            )
+        return shared
+
+    results: dict[str, list[WordRunResult]] = {}
+    for name, cls in classes.items():
+        if batched_enabled and cls.batched and not cls.adaptive:
+            stacks = batch_artifacts() if batch_artifacts is not None else None
+            results[name] = simulate_words_batched(
+                [cls(code, seed=seed, pattern=pattern) for code, seed in zip(codes, word_seeds)],
+                profiles,
+                num_rounds,
+                word_seeds,
+                artifacts=None if stacks is not None else per_word(),
+                batch_artifacts=stacks,
+            )
+        else:
+            # Built one at a time: a finished run keeps only its trace.
+            results[name] = [
+                simulate_word(
+                    cls(code, seed=seed, pattern=pattern), profile, num_rounds, seed, artifacts=art
+                )
+                for code, profile, seed, art in zip(codes, profiles, word_seeds, per_word())
+            ]
     return results

@@ -1,4 +1,4 @@
-"""EINSim-style batch error-injection engine.
+"""EINSim-style batch error-injection engine (a test oracle).
 
 The paper's artifact builds on EINSim [2], a standalone simulator that
 injects errors into batches of ECC words and decodes them in bulk.  This
@@ -8,8 +8,9 @@ post-correction error observations.
 
 It is intentionally an *independent implementation* of the physics in
 :mod:`repro.profiling.runner` (dense matrix decode instead of integer
-syndromes, batch sampling instead of per-word draws): the test suite
-cross-validates the two engines statistically, which guards the hot-path
+syndromes, batch sampling instead of per-word draws).  Only the test
+suite uses it: ``test_batch_engine.py`` and ``test_sweep_engine.py``
+cross-validate the two engines statistically, which guards the hot-path
 shortcuts against silent drift.
 """
 

@@ -8,6 +8,7 @@ requeue, poison-chunk retry budgets, the workers-expected start
 barrier), and the multi-map work server behind both socket facades.
 """
 
+import random
 import socket
 import threading
 import time
@@ -510,10 +511,12 @@ class TestExternalWorker:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
+        # The worker leaves after the fourth chunk instead of lingering on
+        # a closed port after the test.
         worker = threading.Thread(
             target=run_worker,
             args=(f"127.0.0.1:{port}",),
-            kwargs={"linger": SOCKET_TIMEOUT / 2},
+            kwargs={"linger": SOCKET_TIMEOUT / 2, "max_chunks": 4},
             daemon=True,
         )
         worker.start()
@@ -525,6 +528,8 @@ class TestExternalWorker:
         ).map(_identity, [3, 4], chunksize=1)
         assert first == [2, 4]
         assert second == [6, 8]
+        worker.join(timeout=SOCKET_TIMEOUT)
+        assert not worker.is_alive()
 
 
 class TestTimingSafeTokens:
@@ -569,6 +574,18 @@ class TestReconnectBackoff:
         high = next(_reconnect_backoff(base=1.0, cap=9.0, rng=lambda: 1.0))
         assert low == pytest.approx(0.5)
         assert high == pytest.approx(1.5)
+
+    def test_lingering_worker_leaves_global_random_alone(self):
+        """Regression: the jitter drew from the process-wide ``random``
+        state, so a worker lingering on a background thread advanced it
+        under whatever code was seeding it (Hypothesis warned)."""
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        state = random.getstate()
+        assert run_worker(f"127.0.0.1:{port}", linger=1.0) == (0, False)
+        assert random.getstate() == state
 
 
 class TestMalformedFrames:
@@ -957,12 +974,13 @@ class TestSocketFacade:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        threading.Thread(
+        worker = threading.Thread(
             target=run_worker,
             args=(f"127.0.0.1:{port}",),
-            kwargs={"linger": SOCKET_TIMEOUT / 2},
+            kwargs={"linger": SOCKET_TIMEOUT / 2, "max_chunks": 3},
             daemon=True,
-        ).start()
+        )
+        worker.start()
         backend = SocketBackend(
             bind=f"127.0.0.1:{port}", spawn_workers=0, timeout=SOCKET_TIMEOUT
         )
@@ -971,6 +989,8 @@ class TestSocketFacade:
         assert backend.map(_identity, [3], chunksize=1) == [6]
         # welcome = (heartbeat interval, campaign id, MAC mode)
         assert len({campaign for _, campaign, _ in welcomes}) == 2
+        worker.join(timeout=SOCKET_TIMEOUT)
+        assert not worker.is_alive()
 
     def test_spawned_workers_exit_cleanly_with_their_map(self, monkeypatch):
         spawned = []

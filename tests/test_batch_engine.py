@@ -9,10 +9,10 @@ the suite.
 
 import numpy as np
 import pytest
+from batch_engine import BatchInjectionEngine
 
 from repro.analysis.probabilities import per_bit_post_error_probabilities
 from repro.ecc.hamming import random_sec_code
-from repro.memory.batch_engine import BatchInjectionEngine
 from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
 

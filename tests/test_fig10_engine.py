@@ -18,12 +18,19 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.analysis.probabilities import WordBerAnalyzer
 from repro.experiments import fig10
 from repro.experiments.config import CaseStudyConfig
+from repro.experiments.reporting import log_round_ticks
 from repro.experiments.runner import execute_shards
 from repro.experiments.store import Fig10Store
+from repro.memory.error_model import sample_word_profile
+from repro.profiling import PROFILER_REGISTRY
+from repro.profiling.runner import simulate_word
+from repro.utils.rng import derive_rng, derive_seed
 
 CONFIG = CaseStudyConfig(
     num_codes=2,
@@ -88,6 +95,55 @@ class TestParallelBitIdentity:
         # must average the same trajectories the isolated run produced.
         assert set(before) == set(CONFIG.profilers)
         assert all(len(v) == CONFIG.words_per_stratum for v in before.values())
+
+
+def _reference_case_shard(shard):
+    """The straight-line per-profiler loop ``run_case_shard`` replaced.
+
+    Kept verbatim (module-private names qualified): every profiler of a
+    word re-derives its own pattern schedule and failure draws through
+    a fresh scalar ``simulate_word`` run.
+    """
+    config = shard.config
+    ticks = log_round_ticks(config.num_rounds)
+    code = fig10._fig10_code(config.seed, config.k, shard.code_index)
+    charged = np.ones(code.k, dtype=np.uint8)
+    before: dict[str, list[list[float]]] = {name: [] for name in config.profilers}
+    after: dict[str, list[list[float]]] = {name: [] for name in config.profilers}
+    to_zero: dict[str, list[int | None]] = {name: [] for name in config.profilers}
+    for word_index in range(config.words_per_stratum):
+        word_rng = derive_rng(
+            config.seed, "fig10-word", shard.probability, shard.code_index, shard.count, word_index
+        )
+        profile = sample_word_profile(code, shard.count, shard.probability, word_rng)
+        analyzer = WordBerAnalyzer(code, profile, charged)
+        word_seed = derive_seed(
+            config.seed, "fig10-draws", shard.probability, shard.code_index, shard.count, word_index
+        )
+        for name in config.profilers:
+            profiler = PROFILER_REGISTRY[name](code, seed=word_seed, pattern=config.pattern)
+            run_result = simulate_word(profiler, profile, config.num_rounds, word_seed)
+            trace = run_result.identified_per_round
+            before[name].append([analyzer.unrepaired_ber(trace[tick - 1]) for tick in ticks])
+            after[name].append(
+                [analyzer.residual_ber_after_secondary(trace[tick - 1]) for tick in ticks]
+            )
+            to_zero[name].append(fig10._first_zero_round(analyzer, trace))
+    return before, after, to_zero
+
+
+class TestSharedWordSimulation:
+    """One simulation call per word must equal one run per (word, profiler)."""
+
+    @pytest.mark.parametrize("kernel", ["auto", "scalar"])
+    @pytest.mark.parametrize("pattern", ["random", "charged"])
+    def test_matches_per_profiler_reference_loop(self, pattern, kernel, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        config = replace(
+            CONFIG, pattern=pattern, num_codes=1, profilers=tuple(PROFILER_REGISTRY)
+        )
+        for shard in fig10.shard_case_study(config):
+            assert fig10.run_case_shard(shard) == _reference_case_shard(shard), shard
 
 
 class TestResume:

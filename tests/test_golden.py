@@ -1,0 +1,114 @@
+"""Golden digests: every word-simulation driver pinned bit for bit.
+
+Pairwise checks (serial vs socket, batched vs scalar, hot vs cold) cannot
+see a change that shifts every path the same way.  These digests can:
+each is the SHA-256 of a timing-free canonical JSON of one unit-scale run
+at seed 2021, through each driver that owns a per-word loop — the Fig 6-9
+sweep, the Fig 10 case study, the fleet and the heterogeneous-probability
+extension.  Floats go through ``repr`` inside ``json.dumps``, so a digest
+pins them to the last bit.
+
+Each digest must hold under both simulation kernels (``REPRO_SIM_KERNEL``
+``auto`` and ``scalar``); the CI matrix runs the whole file under both
+GF(2) tiers.  Regenerate ``golden/digests.json`` only on purpose::
+
+    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
+
+and put the diff of the file in the change that moves a result.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro.cli import CASE_SCALES, FLEET_SCALES, SCALES
+from repro.experiments import ext_heterogeneous, fig10, fleet
+from repro.experiments.runner import clear_engine_caches, run_sweep
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+UPDATE = os.environ.get("REPRO_UPDATE_GOLDEN") == "1"
+SEED = 2021
+
+
+def _fields(record) -> list:
+    return [getattr(record, field.name) for field in dataclasses.fields(record)]
+
+
+def _sweep():
+    result = run_sweep(replace(SCALES["unit"], seed=SEED))
+    return [
+        [key[0], key[1], key[2], [_fields(word) for word in cell.words]]
+        for key, cell in result.cells.items()
+    ]
+
+
+def _fig10():
+    result = fig10.run(replace(CASE_SCALES["unit"], seed=SEED))
+    return {
+        "ticks": list(result.ticks),
+        "before": sorted([list(key), list(value)] for key, value in result.before.items()),
+        "after": sorted([list(key), list(value)] for key, value in result.after.items()),
+        "rounds_to_zero": sorted(
+            [list(key), value] for key, value in result.rounds_to_zero.items()
+        ),
+    }
+
+
+def _fleet():
+    result = fleet.run(replace(FLEET_SCALES["unit"], seed=SEED))
+    return [_fields(chip) for chip in result.chips]
+
+
+def _heterogeneous():
+    result = ext_heterogeneous.run(seed=SEED)
+    return {
+        "mean": result.mean,
+        "std": result.std,
+        "num_rounds": result.num_rounds,
+        "num_words": result.num_words,
+        "rows": [[name, list(row)] for name, row in result.rows.items()],
+    }
+
+
+RUNS = {
+    "sweep": _sweep,
+    "fig10": _fig10,
+    "fleet": _fleet,
+    "ext-heterogeneous": _heterogeneous,
+}
+
+
+def _digest(document) -> str:
+    text = json.dumps(document, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    if UPDATE:
+        digests = {name: _digest(run()) for name, run in RUNS.items()}
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    return json.loads(GOLDEN.read_text())
+
+
+def test_every_driver_is_pinned(pinned):
+    assert sorted(pinned) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("kernel", ["auto", "scalar"])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_golden_digest(name, kernel, pinned, monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+    # Cold engine caches: a warm cache from the other kernel's run must
+    # not stand in for this kernel's own computation.
+    clear_engine_caches()
+    fleet.clear_fleet_caches()
+    assert _digest(RUNS[name]()) == pinned[name]

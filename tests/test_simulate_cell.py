@@ -1,0 +1,128 @@
+"""Differential tests of ``simulate_cell``, the one word-simulation entry point.
+
+One call mixing every registry profiler over a randomized cell must
+return, per profiler and word, exactly the traces of a fresh profiler run
+alone through the scalar reference (``simulate_word`` without
+precomputed artifacts) — under both simulation kernels.  The remaining
+tests pin the call contract: cross-call inputs are read at most once per
+word and only by the kernel that needs them, and a one-shot call leaves
+the engine's per-word caches empty.
+"""
+
+import pytest
+from randcases import random_cell
+
+from repro.analysis.memo import clear_analysis_caches
+from repro.ecc.hamming import canonical_sec_code
+from repro.experiments import ext_heterogeneous, fig10, runner
+from repro.experiments.config import CaseStudyConfig
+from repro.memory.error_model import WordErrorProfile
+from repro.memory.patterns import make_pattern
+from repro.profiling import PROFILER_REGISTRY
+from repro.profiling.runner import WordArtifacts, simulate_cell, simulate_word
+
+NAMES = tuple(PROFILER_REGISTRY)
+ROUNDS = 24
+
+
+@pytest.fixture(autouse=True)
+def _fresh_caches():
+    clear_analysis_caches()
+    runner.clear_engine_caches()
+    yield
+    clear_analysis_caches()
+
+
+@pytest.mark.parametrize("kernel", ["auto", "scalar"])
+@pytest.mark.parametrize("seed", [0, 7, 2021])
+def test_matches_fresh_scalar_runs(seed, kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+    case = random_cell(seed, num_words=9)
+    codes, profiles, seeds = case
+    runs = simulate_cell(NAMES, codes, profiles, seeds, ROUNDS)
+    assert list(runs) == list(NAMES)
+    for name in NAMES:
+        assert len(runs[name]) == len(codes)
+        for code, profile, word_seed, run in zip(codes, profiles, seeds, runs[name]):
+            reference = simulate_word(
+                PROFILER_REGISTRY[name](code, seed=word_seed), profile, ROUNDS, word_seed
+            )
+            assert run.identified_per_round == reference.identified_per_round, (name, case)
+            assert run.observed_per_round == reference.observed_per_round, (name, case)
+            assert run.failures_per_round == reference.failures_per_round, (name, case)
+
+
+@pytest.mark.parametrize("pattern", ["random", "charged", "checkered"])
+def test_patterns_match_fresh_scalar_runs(pattern):
+    codes, profiles, seeds = random_cell(3, num_words=4)
+    runs = simulate_cell(NAMES, codes, profiles, seeds, ROUNDS, pattern)
+    for name in NAMES:
+        for code, profile, word_seed, run in zip(codes, profiles, seeds, runs[name]):
+            reference = simulate_word(
+                PROFILER_REGISTRY[name](code, seed=word_seed, pattern=pattern),
+                profile,
+                ROUNDS,
+                word_seed,
+            )
+            assert run.identified_per_round == reference.identified_per_round, name
+
+
+def test_empty_cell():
+    assert simulate_cell(NAMES, [], [], [], ROUNDS) == {name: [] for name in NAMES}
+
+
+def test_rejects_misaligned_words():
+    code = canonical_sec_code(16)
+    with pytest.raises(ValueError, match="length mismatch"):
+        simulate_cell(("Naive",), [code, code], [WordErrorProfile((1,), (0.5,))], [1, 2], 4)
+
+
+@pytest.mark.parametrize("kernel", ["auto", "scalar"])
+def test_cross_call_inputs_are_read_once_and_only_when_needed(kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+    codes, profiles, seeds = random_cell(5, num_words=6)
+    fresh = simulate_cell(NAMES, codes, profiles, seeds, ROUNDS)
+    requested: list[int] = []
+    stacked: list[bool] = []
+
+    def word_artifacts(index):
+        requested.append(index)
+        schedule = make_pattern("random", seeds[index]).rounds(ROUNDS, codes[index].k)
+        return WordArtifacts(schedule=schedule, codewords=codes[index].encode(schedule))
+
+    def batch_artifacts():
+        stacked.append(True)
+        return None  # a non-uniform cell has no stacks: per-word inputs serve
+
+    runs = simulate_cell(
+        NAMES,
+        codes,
+        profiles,
+        seeds,
+        ROUNDS,
+        word_artifacts=word_artifacts,
+        batch_artifacts=batch_artifacts,
+    )
+    assert runs == fresh
+    assert requested == list(range(len(codes)))
+    batched = sum(
+        1 for cls in PROFILER_REGISTRY.values() if cls.batched and not cls.adaptive
+    )
+    assert len(stacked) == (batched if kernel == "auto" else 0)
+
+
+def test_one_shot_drivers_leave_engine_caches_empty():
+    config = CaseStudyConfig(
+        num_codes=1, words_per_stratum=2, num_rounds=16, probabilities=(0.5,), max_at_risk=3
+    )
+    for shard in fig10.shard_case_study(config):
+        fig10.run_case_shard(shard)
+    ext_heterogeneous.run(num_codes=1, words_per_code=2, num_rounds=8)
+    for cache in (
+        runner._words_for,
+        runner._schedule_for,
+        runner._encoded_schedule_for,
+        runner._draws_for,
+        runner._batch_stacks_for,
+    ):
+        assert cache.cache_info().currsize == 0, cache.__name__

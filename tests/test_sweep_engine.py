@@ -16,6 +16,7 @@ simulation engines and the vectorized batch probability matrix.
 
 import numpy as np
 import pytest
+from batch_engine import BatchInjectionEngine
 
 from repro.analysis.atrisk import compute_ground_truth, predict_indirect_from_direct
 from repro.analysis.memo import (
@@ -36,7 +37,6 @@ from repro.experiments.runner import (
     run_sweep,
     shard_grid,
 )
-from repro.memory.batch_engine import BatchInjectionEngine
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
 from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.runner import WordArtifacts, simulate_word
@@ -297,7 +297,7 @@ class TestWordArtifacts:
                 profile,
                 16,
                 ctx.word_seed,
-                artifacts=_artifacts_for(ctx, CONFIG),
+                artifacts=_artifacts_for(CONFIG, ctx.code, ctx.word_seed, len(ctx.positions)),
             )
             assert plain.identified_per_round == cached.identified_per_round
             assert plain.observed_per_round == cached.observed_per_round
