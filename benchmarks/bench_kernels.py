@@ -1,17 +1,13 @@
 """Bench: the bit-packed GF(2) kernel tier against the unpacked reference.
 
 Times ``repro.ecc.gf2`` elimination and solving under both kernel tiers
-(forced via ``REPRO_GF2_TIER``), the ChargeSystem basis representations,
-and a shared-cache worker-pool sweep against the serial engine —
-recorded to ``results/kernel_scaling.txt`` through the
-``kernel_scaling`` fixture.
+(forced via ``REPRO_GF2_TIER``) and a shared-cache worker-pool sweep
+against the serial engine — recorded to ``results/kernel_scaling.txt``
+through the ``kernel_scaling`` fixture.
 
 Every timed pair also asserts bit-identity between the tiers, and the
 eliminate/solve pairs assert the >=2x kernel speedup the packed tier
-exists for.  The ChargeSystem pair is recorded *without* a packed-wins
-assertion: at on-die-ECC scale (k <= 64, one machine word per row) the
-integer basis is already word-packed — which is exactly why the auto
-tier keeps it and the packed basis only engages when forced.
+exists for.
 """
 
 import os
@@ -20,10 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.atrisk import _solve_charge_ints
 from repro.analysis.memo import clear_analysis_caches
 from repro.ecc import gf2
-from repro.ecc.hamming import random_sec_code
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import clear_engine_caches, run_sweep
 
@@ -90,30 +84,6 @@ def test_solve_packed_speedup(kernel_scaling):
     kernel_scaling["solve-packed-cpu"] = packed_s
     speedup = unpacked_s / packed_s
     assert speedup >= 2.0, f"packed solve {speedup:.2f}x < 2x over unpacked"
-
-
-def test_charge_system_tier_identity_and_timing(kernel_scaling):
-    """Both basis representations, timed on paper-scale charge systems.
-
-    No packed-wins assertion (module docstring) — the record tracks the
-    cost of the forced-packed CI leg instead, and identity is the hard
-    requirement.
-    """
-    rng = np.random.default_rng(2023)
-    cases = []
-    for _ in range(60):
-        code = random_sec_code(64, rng)
-        charged = frozenset(int(v) for v in rng.choice(code.n, size=8, replace=False))
-        cases.append((code, charged))
-
-    def run_all():
-        return [_solve_charge_ints(code, charged, frozenset()) for code, charged in cases]
-
-    int_s, ref = _tier_timed("unpacked", run_all, reps=5)
-    packed_s, out = _tier_timed("packed", run_all, reps=5)
-    assert ref == out
-    kernel_scaling["charge-int-cpu"] = int_s
-    kernel_scaling["charge-packed-cpu"] = packed_s
 
 
 def test_sweep_shared_cache_pool(kernel_scaling):

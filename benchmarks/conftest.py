@@ -163,8 +163,7 @@ def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
 
     ``bench_kernels.py`` inserts ``label -> seconds`` entries
     (``eliminate-unpacked-cpu``/``eliminate-packed-cpu``,
-    ``solve-unpacked-cpu``/``solve-packed-cpu``,
-    ``charge-int-cpu``/``charge-packed-cpu``, ``sweep-serial`` and
+    ``solve-unpacked-cpu``/``solve-packed-cpu``, ``sweep-serial`` and
     ``sweep-shared-pool``); the derived tier speedups are appended so
     ``results/kernel_scaling.txt`` is self-describing.
     """
@@ -177,7 +176,6 @@ def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
     for title, num, den in (
         ("packed eliminate speedup vs unpacked (CPU)", "eliminate-unpacked-cpu", "eliminate-packed-cpu"),
         ("packed solve speedup vs unpacked (CPU)", "solve-unpacked-cpu", "solve-packed-cpu"),
-        ("ChargeSystem packed basis vs integer basis (CPU)", "charge-int-cpu", "charge-packed-cpu"),
         ("shared-cache pool speedup vs serial sweep (wall-clock)", "sweep-serial", "sweep-shared-pool"),
     ):
         if num in record and den in record:

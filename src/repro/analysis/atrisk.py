@@ -41,24 +41,16 @@ every split of the constraints, and cached eliminated states may be
 shared freely (``tests/test_charge_system.py`` pins this property over
 random SEC codes).
 
-Kernel tiers
-============
+Basis representation
+====================
 
-The basis rows live in one of two representations, following the
-process-wide ``REPRO_GF2_TIER`` dispatch of :mod:`repro.ecc.gf2`:
-
-* default / ``unpacked`` — rows as Python integers (bit ``i`` = data bit
-  ``i``).  A CPython integer is already a word-packed bit vector, so for
-  the paper's ``k = 64`` this is a single machine word per row with zero
-  numpy overhead: the fastest representation for the Monte-Carlo hot
-  loop.
-* forced ``packed`` — rows as ``uint64`` word arrays in a
-  :class:`repro.ecc.gf2w.PackedBasis`, the same elimination expressed in
-  the packed kernel tier.  CI runs the full suite in this mode to pin
-  that both bases produce bit-identical canonical solutions.
-
-:func:`_solve_charge_ints` follows the same dispatch, so ground truth,
-crafted-pattern solving, and realizability all ride the selected tier.
+The basis rows are Python integers (bit ``i`` = data bit ``i``) under
+every ``REPRO_GF2_TIER`` setting.  A CPython integer is already a
+word-packed bit vector, so for the paper's ``k = 64`` each row is a
+single machine word with zero numpy overhead: the fastest
+representation for the Monte-Carlo hot loop.  (A ``uint64``-word basis
+in the packed kernel tier gave bit-identical solutions at 0.04x the
+speed, so it was removed.)
 """
 
 from __future__ import annotations
@@ -69,7 +61,6 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.ecc import gf2, gf2w
 from repro.ecc.linear_code import SystematicCode
 from repro.ecc.syndrome import PatternOutcome, analyze_error_pattern
 from repro.memory.cells import CellOrientation
@@ -91,16 +82,6 @@ __all__ = [
 _MAX_AT_RISK_FOR_ENUMERATION = 16
 
 
-def _packed_basis_selected() -> bool:
-    """Whether the charge solvers should use the packed word basis.
-
-    Auto dispatch keeps the integer basis — the constraint rows span at
-    most ``k`` columns and a Python int *is* a packed bit vector there —
-    so only an explicit ``REPRO_GF2_TIER=packed`` switches over.
-    """
-    return gf2.active_tier(0) == "packed"
-
-
 def _solve_charge_ints(
     code: SystematicCode,
     charged_ones: frozenset[int] | set[int],
@@ -116,14 +97,8 @@ def _solve_charge_ints(
 
     Returns the dataword as a bitmask (free bits 0), or ``None`` if the
     system is inconsistent.  All arithmetic stays in Python integers —
-    this runs inside the Monte-Carlo hot loop.  Under a forced
-    ``REPRO_GF2_TIER=packed`` the solve routes through the packed
-    :class:`ChargeSystem` basis instead; both return the canonical
-    minimally-charged solution (module docstring), so the dispatch is
-    invisible to callers.
+    this runs inside the Monte-Carlo hot loop.
     """
-    if _packed_basis_selected():
-        return ChargeSystem(code, tuple(charged_ones), tuple(forced_zeros)).solution_int()
     k = code.k
     forced_mask = 0  # data bits with a pinned value
     forced_values = 0  # the pinned values
@@ -182,11 +157,6 @@ class ChargeSystem:
     basis rows) and safe to cache: extending a fork never mutates its
     base, and the solution is canonical regardless of the order the
     constraints arrived in (see the module docstring).
-
-    The basis representation follows the kernel-tier dispatch (module
-    docstring): integer rows by default, a
-    :class:`repro.ecc.gf2w.PackedBasis` under a forced packed tier.  The
-    representation is fixed at construction; forks inherit it.
     """
 
     __slots__ = ("code", "_basis", "_infeasible")
@@ -198,15 +168,9 @@ class ChargeSystem:
         forced_zeros: frozenset[int] | set[int] | tuple[int, ...] = (),
     ) -> None:
         self.code = code
-        #: Integer tier: (pivot bit, row, rhs) triples — rows never
-        #: contain an earlier pivot's bit, so reverse-order
-        #: back-substitution is valid.  Packed tier: the same invariants
-        #: inside a PackedBasis.
-        self._basis: list[tuple[int, int, int]] | gf2w.PackedBasis
-        if _packed_basis_selected():
-            self._basis = gf2w.PackedBasis(code.k)
-        else:
-            self._basis = []
+        #: (pivot bit, row, rhs) triples — rows never contain an earlier
+        #: pivot's bit, so reverse-order back-substitution is valid.
+        self._basis: list[tuple[int, int, int]] = []
         self._infeasible = False
         self.constrain(charged_ones, 1)
         self.constrain(forced_zeros, 0)
@@ -220,28 +184,14 @@ class ChargeSystem:
     def _pivots(self) -> list[tuple[int, int, int]]:
         """The eliminated basis as (pivot bit, row, rhs) integer triples.
 
-        For the integer tier this is the live list; for the packed tier a
-        freshly-decoded snapshot.  Exposed for tests and debugging.
+        Exposed for tests and debugging.
         """
-        if isinstance(self._basis, gf2w.PackedBasis):
-            return self._basis.pivot_triples()
         return self._basis
 
     def constrain(self, positions, target: int) -> None:
         """Pin the charge of codeword ``positions`` to ``target`` (0 or 1)."""
         code = self.code
         k = code.k
-        basis = self._basis
-        if isinstance(basis, gf2w.PackedBasis):
-            for position in positions:
-                if not 0 <= position < code.n:
-                    raise IndexError(f"position {position} out of range [0, {code.n})")
-                if position < k:
-                    basis.insert_bit(position, target)
-                else:
-                    basis.insert(code.parity_row_words[position - k], target)
-            self._infeasible = basis.infeasible
-            return
         for position in positions:
             if not 0 <= position < code.n:
                 raise IndexError(f"position {position} out of range [0, {code.n})")
@@ -272,10 +222,7 @@ class ChargeSystem:
         """
         fork = ChargeSystem.__new__(ChargeSystem)
         fork.code = self.code
-        if isinstance(self._basis, gf2w.PackedBasis):
-            fork._basis = self._basis.copy()
-        else:
-            fork._basis = list(self._basis)
+        fork._basis = list(self._basis)
         fork._infeasible = self._infeasible
         fork.constrain(positions, 1)
         return fork
@@ -289,8 +236,6 @@ class ChargeSystem:
         """
         if self._infeasible:
             return None
-        if isinstance(self._basis, gf2w.PackedBasis):
-            return self._basis.solution_int()
         solution = 0
         for pivot_bit, row, rhs in reversed(self._basis):
             if rhs ^ ((row & solution & ~pivot_bit).bit_count() & 1):

@@ -10,16 +10,17 @@ workers outlive many chunks still pays one warm-up per worker.
 
 This module promotes those caches to a **shared tier**:
 
-1. :func:`publish_sweep_artifacts` precomputes every per-code artifact of
-   a sweep once in the parent — word contexts (with their exponential
+1. :func:`sweep_entries` precomputes every per-code artifact of a sweep
+   once in the parent — word contexts (with their exponential
    ground-truth enumerations), pattern schedules and their encodings,
    Bernoulli failure draws, and the full aliasing-pair tables of every
-   code — and serializes them into one
-   :class:`multiprocessing.shared_memory.SharedMemory` block.
+   code — and :func:`publish_entries` serializes them into one
+   :class:`multiprocessing.shared_memory.SharedMemory` block (the fleet
+   publishes :func:`repro.experiments.fleet.fleet_entries` the same way).
 2. Pool workers attach with :func:`attach_worker` (wired up as the
    :class:`~repro.experiments.backends.ProcessPoolBackend` initializer by
-   ``run_sweep(..., shared_cache=True)``).  Numpy payloads are mapped as
-   **read-only zero-copy views** over the shared block — no unpickling,
+   the campaign loop under ``shared_cache=True``).  Numpy payloads are
+   mapped as **read-only zero-copy views** over the shared block — no unpickling,
    no per-worker copy of the big draw matrices; object payloads (ground
    truths, pair tables) unpickle lazily on first use, at most once per
    worker.
@@ -38,9 +39,9 @@ its keep under ``spawn`` (cold workers) and as an explicit lifetime: the
 parent unlinks it after the map, bounding the sweep's residency.
 
 Lifecycle contract: the block lives strictly within one
-``run_sweep(shared_cache=True)`` call — publish before the pool exists,
-attach at worker start, destroy (close + unlink) in the parent after the
-map drains.  Attached workers keep their mapping alive until process
+``run_sweep(shared_cache=True)`` (or ``fleet.run``) call — publish
+before the pool exists, attach at worker start, destroy (close +
+unlink) in the parent after the map drains.  Attached workers keep their mapping alive until process
 exit; POSIX keeps the segment valid for them after the unlink.
 
 Results are bit-identical with the shared tier on or off — the overlay
@@ -67,7 +68,6 @@ __all__ = [
     "overlay_install",
     "overlay_size",
     "clear_shared_overlay",
-    "publish_sweep_artifacts",
     "publish_entries",
     "attach_worker",
 ]
@@ -308,13 +308,3 @@ def sweep_entries(config) -> dict[Hashable, tuple[str, Any]]:
                 cached_aliasing_pairs(code, target),
             )
     return entries
-
-
-def publish_sweep_artifacts(config) -> SharedCacheBlock:
-    """Precompute a sweep's shared artifacts and publish them in one block.
-
-    The parent's caches come out warm (fork children inherit them), the
-    returned block serves ``spawn``/late-joining workers, and the caller
-    owns its lifetime: destroy it once the map has drained.
-    """
-    return publish_entries(sweep_entries(config))

@@ -30,12 +30,9 @@ their :mod:`repro.ecc.gf2` counterparts for every input — the facade in
 ``tests/test_gf2w.py`` property-tests the equivalence over rectangular,
 rank-deficient, and multi-word (>64-column) matrices.
 
-:class:`PackedBasis` is the incremental lowest-bit row basis behind the
-packed tier of :class:`repro.analysis.atrisk.ChargeSystem`: rows are kept
-as packed words, each insertion reduces against the existing pivots with
-whole-row XOR, and back-substitution resolves the canonical
-free-variables-zero solution — the same algorithm (and therefore the same
-canonical solution) as the integer-row basis it mirrors.
+The charge solvers of :mod:`repro.analysis.atrisk` do not use this tier:
+their constraint rows span at most ``k`` columns, where a Python integer
+already is a packed bit vector.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ __all__ = [
     "matmul",
     "matmul_packed",
     "matvec",
-    "PackedBasis",
 ]
 
 #: Columns per packed word.
@@ -304,133 +300,3 @@ def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch for matvec: {a.shape} @ {v.shape}")
     counts = np.bitwise_count(pack_rows(a) & pack_vector(v)[None, :])
     return (counts.sum(axis=1, dtype=np.uint64) & _ONE).astype(np.uint8)
-
-
-# ----------------------------------------------------------------------
-# Incremental packed row basis (the ChargeSystem packed tier)
-# ----------------------------------------------------------------------
-
-
-class PackedBasis:
-    """Lowest-bit GF(2) row basis over packed ``uint64`` rows.
-
-    The packed-tier twin of the integer-row basis inside
-    :class:`repro.analysis.atrisk.ChargeSystem`: each inserted row is
-    reduced against the existing pivots (whole-row XOR over the packed
-    words), a surviving row joins the basis with its lowest set bit as
-    pivot, and :meth:`solution_words` back-substitutes the canonical
-    free-variables-zero solution.  The algorithm is identical to the
-    integer basis, so the resulting pivots, feasibility, and canonical
-    solution are bit-identical for every insertion sequence.
-
-    Rows live in one capacity-doubling ``(capacity, words)`` array so a
-    fork (:meth:`copy`) is two array copies, mirroring the cheap-fork
-    contract the crafted-pattern epochs rely on.
-    """
-
-    __slots__ = ("words", "_rows", "_rhs", "_pivot_word", "_pivot_bit", "count", "infeasible")
-
-    def __init__(self, cols: int) -> None:
-        self.words = words_for(cols)
-        capacity = 8
-        self._rows = np.zeros((capacity, self.words), dtype=np.uint64)
-        self._rhs = np.zeros(capacity, dtype=np.uint8)
-        self._pivot_word = np.zeros(capacity, dtype=np.intp)
-        self._pivot_bit = np.zeros(capacity, dtype=np.uint64)
-        self.count = 0
-        self.infeasible = False
-
-    def copy(self) -> PackedBasis:
-        fork = PackedBasis.__new__(PackedBasis)
-        fork.words = self.words
-        fork._rows = self._rows.copy()
-        fork._rhs = self._rhs.copy()
-        fork._pivot_word = self._pivot_word.copy()
-        fork._pivot_bit = self._pivot_bit.copy()
-        fork.count = self.count
-        fork.infeasible = self.infeasible
-        return fork
-
-    def _grow(self) -> None:
-        def doubled(array):
-            grown = np.zeros((array.shape[0] * 2,) + array.shape[1:], dtype=array.dtype)
-            grown[: array.shape[0]] = array
-            return grown
-
-        self._rows = doubled(self._rows)
-        self._rhs = doubled(self._rhs)
-        self._pivot_word = doubled(self._pivot_word)
-        self._pivot_bit = doubled(self._pivot_bit)
-
-    def insert(self, row: np.ndarray, rhs: int) -> None:
-        """Reduce one packed constraint row against the basis; extend or refute."""
-        if self.infeasible:
-            return
-        row = np.array(row, dtype=np.uint64, copy=True).reshape(self.words)
-        rhs = int(rhs) & 1
-        for index in range(self.count):
-            if row[self._pivot_word[index]] & self._pivot_bit[index]:
-                row ^= self._rows[index]
-                rhs ^= int(self._rhs[index])
-        nonzero = np.nonzero(row)[0]
-        if not nonzero.size:
-            if rhs:
-                self.infeasible = True
-            return
-        if self.count >= self._rows.shape[0]:
-            self._grow()
-        word = int(nonzero[0])
-        value = row[word]
-        index = self.count
-        self._rows[index] = row
-        self._rhs[index] = rhs
-        self._pivot_word[index] = word
-        self._pivot_bit[index] = value & (~value + _ONE)  # lowest set bit
-        self.count += 1
-
-    def insert_bit(self, col: int, rhs: int) -> None:
-        """Insert a singleton row (one column set)."""
-        row = np.zeros(self.words, dtype=np.uint64)
-        word, bit = _column_word_bit(col)
-        row[word] = bit
-        self.insert(row, rhs)
-
-    def solution_words(self) -> np.ndarray | None:
-        """Canonical solution as packed words (free variables zero), or None."""
-        if self.infeasible:
-            return None
-        solution = np.zeros(self.words, dtype=np.uint64)
-        # Reverse order: later pivots are resolved before rows that may
-        # reference them; a row's own pivot bit is still zero in
-        # ``solution`` when its parity is taken, exactly as in the
-        # integer basis.
-        for index in range(self.count - 1, -1, -1):
-            parity = int(np.bitwise_count(self._rows[index] & solution).sum()) & 1
-            if int(self._rhs[index]) ^ parity:
-                solution[self._pivot_word[index]] |= self._pivot_bit[index]
-        return solution
-
-    def solution_int(self) -> int | None:
-        """Canonical solution as an integer bitmask, or None."""
-        solution = self.solution_words()
-        if solution is None:
-            return None
-        return int.from_bytes(
-            np.ascontiguousarray(solution, dtype=np.dtype("<u8")).tobytes(), "little"
-        )
-
-    def pivot_triples(self) -> list[tuple[int, int, int]]:
-        """The basis as integer ``(pivot bit, row, rhs)`` triples.
-
-        Matches the integer basis' internal representation bit for bit —
-        used by tests and debugging, not the hot path.
-        """
-        triples = []
-        for index in range(self.count):
-            row = int.from_bytes(
-                np.ascontiguousarray(self._rows[index], dtype=np.dtype("<u8")).tobytes(),
-                "little",
-            )
-            pivot = int(self._pivot_bit[index]) << (WORD_BITS * int(self._pivot_word[index]))
-            triples.append((pivot, row, int(self._rhs[index])))
-        return triples

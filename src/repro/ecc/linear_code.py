@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.ecc import gf2, gf2w
+from repro.ecc import gf2
 from repro.utils.bits import bits_to_int
 
 __all__ = ["SystematicCode", "DecodeResult"]
@@ -140,16 +140,6 @@ class SystematicCode:
         """Rows of the parity submatrix ``P`` packed into integers
         (bit i = data bit i).  Used by the charge-constraint solvers."""
         return tuple(gf2._pack_rows(self._parity))
-
-    @cached_property
-    def parity_row_words(self) -> np.ndarray:
-        """Rows of ``P`` bit-packed as ``(p, ceil(k/64))`` uint64 words.
-
-        The packed-tier twin of :attr:`parity_row_ints`, consumed by the
-        packed :class:`repro.analysis.atrisk.ChargeSystem` basis.  Do not
-        mutate.
-        """
-        return gf2w.pack_rows(self._parity)
 
     def _build_syndrome_table(self) -> dict[int, tuple[int, ...]]:
         """Map syndrome integers to the correctable pattern producing them."""

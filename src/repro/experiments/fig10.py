@@ -27,12 +27,14 @@ simulates its words in one :func:`~repro.profiling.runner.simulate_cell`
 call: a word's profilers share one schedule, encoding and draw matrix,
 built for that call alone (no word is simulated twice).
 
-Like the sweep path, the case study streams and resumes:
-``run(config, resume=PATH)`` appends each completed shard to a
-:class:`~repro.experiments.store.Fig10Store` JSONL file the moment a
-backend delivers it, and a rerun with the same path skips every
-persisted shard — a ``--scale paper`` case study killed mid-campaign
-continues where it stopped, bit-identically to an uninterrupted run.
+Like the sweep path, the case study runs through the drivers' one
+campaign loop (:func:`~repro.experiments.campaign.run_campaign`), so it
+streams and resumes: ``run(config, resume=PATH)`` appends each completed
+shard to a ``repro-fig10-v1`` :class:`~repro.experiments.store.ShardStore`
+the moment a backend delivers it, and a rerun with the same path skips
+every persisted shard — a ``--scale paper`` case study killed
+mid-campaign continues where it stopped, bit-identically to an
+uninterrupted run.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ import numpy as np
 
 from repro.analysis.probabilities import WordBerAnalyzer
 from repro.ecc.hamming import random_sec_code
-from repro.experiments.backends import resolve_backend
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.reporting import log_round_ticks, percent, profiler_order
+from repro.experiments.store import FIG10_STORE
 from repro.memory.error_model import sample_word_profile
 from repro.profiling.runner import simulate_cell
 from repro.utils.rng import derive_rng, derive_seed
@@ -107,6 +110,11 @@ class Fig10Shard:
     code_index: int
     #: At-risk-bit count of the simulated stratum (2..max_at_risk).
     count: int
+
+    @property
+    def key(self) -> tuple[float, int, int]:
+        """The shard's store key: its (probability, code, stratum) coordinates."""
+        return (self.probability, self.code_index, self.count)
 
 
 @lru_cache(maxsize=512)
@@ -187,22 +195,13 @@ def _first_zero_round(analyzer: WordBerAnalyzer, trace: list[frozenset[int]]) ->
     return None
 
 
-def _shard_key(shard: Fig10Shard) -> tuple[float, int, int]:
-    """A shard's store key: its (probability, code, stratum) coordinates."""
-    return (shard.probability, shard.code_index, shard.count)
-
-
-def _timed_case_shard(
-    shard: Fig10Shard,
-) -> tuple[
-    tuple[dict[str, list[list[float]]], dict[str, list[list[float]]], dict[str, list[int | None]]],
-    float,
-]:
+def _timed_case_shard(shard: Fig10Shard) -> tuple[tuple[dict, dict, dict], float]:
     """Pool worker: :func:`run_case_shard` plus its wall-clock seconds.
 
-    The timing never enters the aggregation — it only rides into the
-    resume store's records so ``repro store PATH summary`` can estimate
-    an ETA — so results stay bit-identical to the untimed worker.
+    The timing never enters the aggregation — it only feeds progress
+    lines and rides into the resume store's records so ``repro store
+    PATH summary`` can estimate an ETA — so results stay bit-identical
+    to the untimed worker.
     """
     started = time.perf_counter()
     result = run_case_shard(shard)
@@ -226,11 +225,11 @@ def run(
             ``process``, ``socket``, ``socket://HOST:PORT``) — the
             :class:`Fig10Shard` units ship over the socket protocol just
             like sweep shards; ``None`` infers from ``jobs``.
-        resume: path to a :class:`~repro.experiments.store.Fig10Store`
-            JSONL file.  Completed shards stream to it as backends
-            deliver them, already-persisted shards are skipped on
-            restart, and the aggregated result is bit-identical to an
-            uninterrupted run.
+        resume: path to a ``repro-fig10-v1``
+            :class:`~repro.experiments.store.ShardStore` JSONL file.
+            Completed shards stream to it as backends deliver them,
+            already-persisted shards are skipped on restart, and the
+            aggregated result is bit-identical to an uninterrupted run.
         progress: print periodic grid-coverage/ETA lines to stderr via
             :class:`~repro.experiments.monitor.ProgressReporter`
             (``True`` = default cadence, a float = seconds between
@@ -241,64 +240,19 @@ def run(
     ``quarantine`` records in the ``resume`` store) and the affected
     strata average over the words that did complete.
     """
-    from repro.experiments.store import Fig10Store, case_config_to_dict
-
-    ticks = tuple(log_round_ticks(config.num_rounds))
-    shards = shard_case_study(config)
-    # Resolve (and validate) the backend before any store side effects:
-    # a bad spec must not leave a header-only store file behind.
-    executor = resolve_backend(backend, jobs)
-    store: Fig10Store | None = None
-    persisted: dict[tuple[float, int, int], tuple] = {}
-    if resume is not None:
-        if case_config_to_dict(config) is None:
-            raise ValueError(
-                "resume requires the library CaseStudyConfig: an opaque "
-                "config cannot be verified against the store, so stale "
-                "shards from a different experiment could silently leak "
-                "into the result"
-            )
-        store = Fig10Store(resume)
-        stored_config, persisted = store.load()
-        if persisted and stored_config is None:
-            raise ValueError(
-                f"{resume} holds shards but does not record the case-study "
-                "config that produced them; refusing to reuse shards that "
-                "cannot be verified (use a fresh --resume path)"
-            )
-        if stored_config is not None and stored_config != config:
-            raise ValueError(
-                f"{resume} was written by a different case-study config; "
-                "refusing to mix results (use a fresh --resume path)"
-            )
-        store.open(config)
-    from repro.experiments.monitor import progress_reporter, quarantined_keys
-
-    pending = [shard for shard in shards if _shard_key(shard) not in persisted]
-    reporter = progress_reporter(progress, len(shards), "shards")
-    if reporter is not None:
-        reporter.start(done=len(persisted))
-    results_by_key: dict[tuple[float, int, int], tuple] = dict(persisted)
-    quarantined: tuple[tuple[float, int, int], ...] = ()
-    try:
-        # One chunk = one code's strata, keeping its caches on one
-        # worker; completion order, so every finished shard becomes
-        # durable immediately (mirrors run_sweep).
-        for index, (result, elapsed) in executor.imap_unordered(
-            _timed_case_shard, pending, chunksize=max(1, config.max_at_risk - 1)
-        ):
-            key = _shard_key(pending[index])
-            results_by_key[key] = result
-            if store is not None:
-                store.append(key, result, seconds=elapsed)
-            if reporter is not None:
-                reporter.completed(elapsed)
-        quarantined = quarantined_keys(executor, pending, _shard_key, store=store)
-        if reporter is not None:
-            reporter.finish(quarantined=len(quarantined))
-    finally:
-        if store is not None:
-            store.close()
+    campaign = run_campaign(
+        FIG10_STORE,
+        config,
+        shard_case_study,
+        _timed_case_shard,
+        # One chunk = one code's strata, keeping its caches on one worker
+        # (read lazily: the loop refuses an opaque config first).
+        chunksize=lambda workers: max(1, config.max_at_risk - 1),
+        jobs=jobs,
+        backend=backend,
+        resume=resume,
+        progress=progress,
+    )
 
     #: (probability, count, profiler) -> per-word trajectories, in the
     #: serial loop's (code, word) order.
@@ -307,8 +261,8 @@ def run(
     to_zero: dict[tuple[float, str], list[int | None]] = {}
     # Aggregate in grid order regardless of completion or resume order,
     # so the result is indistinguishable from a serial run.
-    for shard in shards:
-        result = results_by_key.get(_shard_key(shard))
+    for shard in campaign.shards:
+        result = campaign.results.get(shard.key)
         if result is None:
             continue  # quarantined under continue-past-quarantine
         shard_before, shard_after, shard_zero = result
@@ -321,6 +275,7 @@ def run(
             )
             to_zero.setdefault((shard.probability, name), []).extend(shard_zero[name])
 
+    ticks = tuple(log_round_ticks(config.num_rounds))
     n_codeword = _fig10_code(config.seed, config.k, 0).n
     before: dict[tuple[float, float, str], tuple[float, ...]] = {}
     after: dict[tuple[float, float, str], tuple[float, ...]] = {}
@@ -355,7 +310,7 @@ def run(
         before=before,
         after=after,
         rounds_to_zero=rounds_to_zero,
-        quarantined=quarantined,
+        quarantined=campaign.quarantined,
     )
 
 

@@ -50,12 +50,13 @@ only after a chip's slices are all in (row sparing needs the whole
 chip).  ``slice_words=0`` disables splitting (whole-cell mode, the
 benchmark baseline).
 
-Resume, quarantine, and monitoring mirror the sweep engine:
-``run(config, resume=PATH)`` streams slices to a
-:class:`~repro.experiments.store.FleetStore`, a backend in
-continue-past-quarantine mode reports poisoned slices (the affected
-chips are excluded from fleet aggregates until healed), and a socket
-backend's ``--status-port`` snapshot carries the fleet campaign fields.
+Resume, quarantine, and monitoring are the sweep engine's, through the
+same campaign loop: ``run(config, resume=PATH)`` streams slices to a
+``repro-fleet-v1`` :class:`~repro.experiments.store.ShardStore`, a
+backend in continue-past-quarantine mode reports poisoned slices (the
+affected chips are excluded from fleet aggregates until healed), and a
+socket backend's ``--status-port`` snapshot carries the fleet campaign
+fields.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ from functools import lru_cache
 
 from repro.ecc.hamming import random_sec_code
 from repro.experiments import runner as sweep_runner
-from repro.experiments.backends import resolve_backend
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import FleetConfig
+from repro.experiments.store import FLEET_STORE
 from repro.memory.error_model import WordErrorProfile
 from repro.memory.faults import (
     FAULT_MODES,
@@ -288,9 +290,9 @@ def run_fleet_shard(shard: FleetShard) -> dict:
 def _timed_fleet_shard(shard: FleetShard) -> tuple[dict, float]:
     """Pool worker: :func:`run_fleet_shard` plus its wall-clock seconds.
 
-    As in the other drivers, the timing rides only into the resume
-    store's ETA accounting — results stay bit-identical to the untimed
-    worker.
+    As in the other drivers, the timing feeds only progress lines and
+    the resume store's ETA accounting — results stay bit-identical to
+    the untimed worker.
     """
     started = time.perf_counter()
     payload = run_fleet_shard(shard)
@@ -444,96 +446,40 @@ def run(
 ) -> FleetResult:
     """Simulate the fleet over any backend, with resume and sub-cell shards.
 
-    Mirrors :func:`~repro.experiments.runner.run_sweep`'s contract:
-    every ``jobs`` / ``backend`` / ``resume`` / slicing choice is
+    Runs through the drivers' one campaign loop
+    (:func:`~repro.experiments.campaign.run_campaign`), with
+    :func:`~repro.experiments.runner.run_sweep`'s contract: every
+    ``jobs`` / ``backend`` / ``resume`` / slicing choice is
     bit-identical.  ``resume=PATH`` streams completed shards to a
-    :class:`~repro.experiments.store.FleetStore`; ``shared_cache=True``
-    publishes the fleet's shareable artifacts (codes' schedules,
-    failure draws, aliasing tables) for local pool workers.  A backend
-    in continue-past-quarantine mode reports poisoned shard keys on
-    ``FleetResult.quarantined``; the affected chips are excluded from
-    ``chips`` (listed on ``incomplete_chips``) until a targeted re-run
-    completes them.
+    ``repro-fleet-v1`` :class:`~repro.experiments.store.ShardStore`;
+    ``shared_cache=True`` publishes the fleet's shareable artifacts
+    (codes' schedules, failure draws, aliasing tables) for local pool
+    workers.  A backend in continue-past-quarantine mode reports
+    poisoned shard keys on ``FleetResult.quarantined``; the affected
+    chips are excluded from ``chips`` (listed on ``incomplete_chips``)
+    until a targeted re-run completes them.
     """
-    from repro.analysis import shared_memo
-    from repro.experiments.backends import ProcessPoolBackend
-    from repro.experiments.store import FleetStore
-
-    shards = shard_fleet(config)
-    # Resolve (and validate) the backend before any store side effects:
-    # a bad spec must not leave a header-only store file behind.
-    executor = resolve_backend(backend, jobs)
-    if hasattr(executor, "campaign_info"):
-        executor.campaign_info = {
-            "workload": "fleet",
+    campaign = run_campaign(
+        FLEET_STORE,
+        config,
+        shard_fleet,
+        _timed_fleet_shard,
+        jobs=jobs,
+        backend=backend,
+        resume=resume,
+        progress=progress,
+        shared_entries=fleet_entries if shared_cache else None,
+        describe=lambda shards: {
             "chips": config.num_chips,
-            "shards": len(shards),
             "cell_slices": sum(1 for shard in shards if shard.num_slices > 1),
-        }
-    shared_block = None
-    if shared_cache:
-        shared_block = shared_memo.publish_entries(fleet_entries(config))
-        if isinstance(executor, ProcessPoolBackend) and executor.jobs > 1:
-            executor = ProcessPoolBackend(
-                executor.jobs,
-                initializer=shared_memo.attach_worker,
-                initargs=(shared_block.name,),
-            )
-    store: FleetStore | None = None
-    persisted: dict[tuple[int, int, int, int], dict] = {}
-    if resume is not None:
-        store = FleetStore(resume)
-        stored_config, persisted = store.load()
-        if persisted and stored_config is None:
-            raise ValueError(
-                f"{resume} holds shards but does not record the fleet config "
-                "that produced them; refusing to reuse shards that cannot be "
-                "verified (use a fresh --resume path)"
-            )
-        if stored_config is not None and stored_config != config:
-            raise ValueError(
-                f"{resume} was written by a different fleet config; "
-                "refusing to mix results (use a fresh --resume path)"
-            )
-        store.open(config)
-    from repro.experiments.monitor import progress_reporter, quarantined_keys
-
-    pending = [shard for shard in shards if shard.key not in persisted]
-    reporter = progress_reporter(progress, len(shards), "shards")
-    if reporter is not None:
-        reporter.start(done=len(persisted))
-    payloads: dict[tuple[int, int, int, int], dict] = dict(persisted)
-    quarantined: tuple[tuple[int, int, int, int], ...] = ()
-    try:
-        for index, (payload, elapsed) in executor.imap_unordered(
-            _timed_fleet_shard, pending, chunksize=1
-        ):
-            key = pending[index].key
-            payloads[key] = payload
-            if store is not None:
-                store.append(key, payload, seconds=elapsed)
-            if reporter is not None:
-                reporter.completed(elapsed)
-        quarantined = quarantined_keys(
-            executor, pending, lambda shard: shard.key, store=store
-        )
-        if reporter is not None:
-            reporter.finish(quarantined=len(quarantined))
-    finally:
-        if store is not None:
-            store.close()
-        if shared_block is not None:
-            shared_block.destroy()
-
+        },
+    )
     # A chip is complete only when every slice of its shard group landed;
     # a quarantined slice poisons exactly its own chips.
-    incomplete = {
-        chip
-        for key in quarantined
-        for chip in range(key[0], key[1])
-    }
+    incomplete = {chip for start, stop, *_ in campaign.quarantined for chip in range(start, stop)}
+    results = campaign.results
     merged = merge_slice_payloads(
-        [payloads[shard.key] for shard in shards if shard.key in payloads]
+        [results[shard.key] for shard in campaign.shards if shard.key in results]
     )
     summaries = tuple(
         finalize_chip(config, chip_faults(config, chip), merged.get(chip, {}))
@@ -543,7 +489,7 @@ def run(
     return FleetResult(
         config=config,
         chips=summaries,
-        quarantined=quarantined,
+        quarantined=campaign.quarantined,
         incomplete_chips=tuple(sorted(incomplete)),
     )
 

@@ -14,11 +14,11 @@ Three instruments, one per operational question:
   ``repro serve --status-port``); :func:`read_status` / ``python -m
   repro status HOST:PORT`` fetch and :func:`render_status` renders it.
 * "How far along is the grid?" — :class:`ProgressReporter` prints
-  periodic stderr progress/ETA lines from inside
-  :func:`~repro.experiments.runner.run_sweep` and
-  :func:`~repro.experiments.fig10.run` (CLI ``--progress``), and
-  :func:`grid_shape` / :func:`estimate_eta` are the same coverage math
-  the ``repro store PATH summary`` toolbox uses on a store at rest.
+  periodic stderr progress/ETA lines from inside every driver's
+  campaign loop (:func:`~repro.experiments.campaign.run_campaign`, CLI
+  ``--progress``), and :func:`grid_shape` / :func:`estimate_eta` are
+  the same coverage math the ``repro store PATH summary`` toolbox uses
+  on a store at rest.
 * "What did the campaign skip?" — :func:`quarantine_report` renders
   the shard keys a ``--continue-past-quarantine`` run set aside, with
   the targeted re-run recipe.
@@ -73,9 +73,11 @@ field                     meaning
 ``retries``               requeues charged against retry budgets so far
 ``quarantined``           chunk indices set aside past their budget
 ``healed``                shards recovered by the auto-retry pass
-``campaign``              optional driver-supplied workload fields
-                          (e.g. the fleet runner's ``workload`` /
-                          ``chips`` / ``shards`` / ``cell_slices``)
+``campaign``              the driver's workload fields: ``workload``
+                          (``sweep`` / ``fig10`` / ``fleet``) and
+                          ``shards``, plus the fleet's ``chips`` /
+                          ``cell_slices``; absent on the daemon's
+                          shared fleet
 ``history``               ring buffer of ``{"t", "done"}`` throughput
                           samples (``t`` seconds since serving started,
                           ``done`` chunks completed by then) — at most
@@ -121,8 +123,6 @@ __all__ = [
     "build_status_parser",
     "status_main",
     "ProgressReporter",
-    "progress_reporter",
-    "quarantined_keys",
     "grid_shape",
     "format_grid",
     "estimate_eta",
@@ -278,9 +278,9 @@ def format_eta(seconds: float | None) -> str:
 class ProgressReporter:
     """Periodic stderr progress/ETA lines for a running campaign grid.
 
-    The drivers (:func:`~repro.experiments.runner.run_sweep`,
-    :func:`~repro.experiments.fig10.run`) call :meth:`start` with the
-    resumed-cell head start and :meth:`completed` per finished cell; the
+    The campaign loop (:func:`~repro.experiments.campaign.run_campaign`)
+    calls :meth:`start` with the resumed head start (cells and their
+    recorded seconds) and :meth:`completed` per finished cell; the
     reporter prints at most one line per ``interval`` seconds (plus the
     first and last).  The ETA extrapolates this run's *wall-clock*
     completion rate, so a parallel fleet's speedup is priced in — while
@@ -370,41 +370,6 @@ class ProgressReporter:
                 line += f" · eta ~{format_eta(eta)}"
         print(line + suffix, file=stream, flush=True)
         self._last_report = self._clock()
-
-
-def progress_reporter(
-    progress: bool | float, total: int, unit: str
-) -> ProgressReporter | None:
-    """Resolve a driver's ``progress`` option into a reporter.
-
-    The one construction shared by :func:`~repro.experiments.runner.run_sweep`
-    and :func:`~repro.experiments.fig10.run`: ``False``/``None`` mean
-    off, ``True`` means the default cadence, and a number is the
-    cadence in seconds — where ``0.0`` is a zero-second cadence (report
-    every cell), not "off".
-    """
-    if progress is False or progress is None:
-        return None
-    interval = 10.0 if progress is True else float(progress)
-    return ProgressReporter(total, unit=unit, interval=interval)
-
-
-def quarantined_keys(executor, shards: Sequence, key_of: Callable, store=None) -> tuple:
-    """Map a backend's quarantined shard indices back to shard keys.
-
-    ``executor.quarantined_shards`` indexes into the ``shards`` sequence
-    the map was given; ``key_of`` extracts a shard's store key.  When a
-    ``store`` is supplied, each key is durably recorded as a quarantine
-    marker too — the drivers' one-call quarantine epilogue.
-    """
-    keys = tuple(
-        key_of(shards[index])
-        for index in getattr(executor, "quarantined_shards", ())
-    )
-    if store is not None:
-        for key in keys:
-            store.append_quarantine(key)
-    return keys
 
 
 def quarantine_report(keys: Iterable, unit: str = "shard") -> str:

@@ -24,14 +24,15 @@ start method; ``run_sweep(config, jobs=N)`` and
 ``run_sweep(config, backend=...)`` equal ``run_sweep(config)`` cell for
 cell.
 
-Completed cells stream: backends yield results as the ordered prefix
-finishes, and ``run_sweep(config, resume=PATH)`` appends each cell to a
-:class:`~repro.experiments.store.ShardStore` JSONL file the moment it
-arrives — an interrupted sweep rerun with the same ``resume`` path
-skips every persisted cell and merges the store's cells with the newly
-computed ones via :func:`~repro.experiments.store.merge_sweeps`,
-reproducing the paper artifact's "parallelize across machines,
-aggregate the raw files afterwards" workflow (§A.7).
+Completed cells stream: ``run_sweep`` maps its shards through the
+drivers' one campaign loop (:func:`~repro.experiments.campaign.run_campaign`),
+and ``run_sweep(config, resume=PATH)`` appends each cell to a
+:class:`~repro.experiments.store.ShardStore` JSONL file the moment a
+backend delivers it — an interrupted sweep rerun with the same
+``resume`` path skips every persisted cell and returns the store's cells
+with the newly computed ones, reproducing the paper artifact's
+"parallelize across machines, aggregate the raw files afterwards"
+workflow (§A.7).
 
 Redundant work is eliminated by two layers of process-local caches:
 
@@ -62,11 +63,6 @@ error patterns, and data patterns.
 Per-cell wall-clock timings are collected in ``SweepResult.timings`` and
 rendered by :func:`repro.experiments.reporting.timing_table`; the CLI
 exposes both knobs as ``python -m repro fig6 --jobs 4 --timings``.
-
-The execution core is exposed as :func:`execute_shards` so other
-exhibits can ride the same pool: the Fig 10 case study decomposes into
-:class:`repro.experiments.fig10.Fig10Shard` units and maps them through
-it with identical determinism guarantees.
 """
 
 from __future__ import annotations
@@ -81,11 +77,7 @@ import numpy as np
 from repro.analysis import shared_memo
 from repro.analysis.atrisk import GroundTruth, max_simultaneous_post_errors
 from repro.analysis.memo import _code_key, cached_ground_truth
-from repro.experiments.backends import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    resolve_backend,
-)
+from repro.experiments.backends import ExecutionBackend
 from repro.ecc.hamming import random_sec_code
 from repro.ecc.linear_code import SystematicCode
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
@@ -107,7 +99,6 @@ __all__ = [
     "shard_grid",
     "run_shard",
     "run_sweep",
-    "execute_shards",
     "metrics_for_run",
     "metrics_for_words",
     "clear_engine_caches",
@@ -652,32 +643,7 @@ def run_shard(shard: SweepShard) -> tuple[SweepCell, float]:
     return cell, time.perf_counter() - started
 
 
-def execute_shards(
-    worker,
-    shards,
-    jobs: int | None = None,
-    chunksize: int = 1,
-    backend: ExecutionBackend | str | None = None,
-) -> list:
-    """Map ``worker`` over picklable shards on a pluggable backend.
-
-    The generic execution core shared by :func:`run_sweep` and the Fig 10
-    case-study runner: ``worker`` must be a module-level (picklable) pure
-    function of one shard.  Results come back in shard order, and because
-    every shard re-derives its state from seeds alone, the output is
-    bit-identical for every backend and ``jobs`` setting.  ``chunksize``
-    groups contiguous shards onto one worker so shards sharing
-    per-process cache state (same code, same words) stay together.
-
-    ``backend`` accepts an :class:`~repro.experiments.backends.ExecutionBackend`
-    instance or a spec string (``serial``, ``process``, ``socket``,
-    ``socket://HOST:PORT``); when omitted, ``jobs`` picks between the
-    serial and process-pool backends exactly as before.
-    """
-    return resolve_backend(backend, jobs).map(worker, shards, chunksize=chunksize)
-
-
-def _sweep_chunksize(config, num_shards: int, worker_count: int) -> int:
+def _sweep_chunksize(config, worker_count: int) -> int:
     """Chunk size aligning pool chunks to whole error-count blocks.
 
     Grid order is error-count-major, so a block's word sampling and
@@ -686,7 +652,7 @@ def _sweep_chunksize(config, num_shards: int, worker_count: int) -> int:
     possible instead of starving the pool.
     """
     blocks = max(1, len(config.error_counts))
-    block_size = max(1, num_shards // blocks)
+    block_size = max(1, len(config.probabilities) * len(config.profilers))
     if blocks >= worker_count:
         return block_size
     splits_per_block = -(-worker_count // blocks)  # ceil division
@@ -742,101 +708,35 @@ def run_sweep(
     ``resume`` store) so a targeted re-run of the same command can
     compute exactly the missing cells.
     """
-    from repro.experiments.store import ShardStore, config_to_dict, merge_sweeps
+    from repro.experiments.campaign import run_campaign
+    from repro.experiments.store import SWEEP_STORE
 
-    if resume is not None and config_to_dict(config) is None:
-        raise ValueError(
-            "resume requires the library SweepConfig: an opaque config "
-            "cannot be verified against the store, so stale cells from a "
-            "different experiment could silently leak into the result"
-        )
-    shards = shard_grid(config)
-    # Resolve (and validate) the backend before any store side effects:
-    # a bad spec must not leave a header-only store file behind.
-    executor = resolve_backend(backend, jobs)
-    shared_block = None
-    if shared_cache:
-        # Publish BEFORE the pool exists: ProcessPoolBackend creates its
-        # executor inside the map call, so fork children inherit the
-        # warm overlay and spawn children attach via the initializer.
-        shared_block = shared_memo.publish_sweep_artifacts(config)
-        if isinstance(executor, ProcessPoolBackend) and executor.jobs > 1:
-            executor = ProcessPoolBackend(
-                executor.jobs,
-                initializer=shared_memo.attach_worker,
-                initargs=(shared_block.name,),
-            )
-    store: ShardStore | None = None
-    persisted = SweepResult(config=None, cells={}, timings={})
-    if resume is not None:
-        store = ShardStore(resume)
-        persisted = store.load()
-        if persisted.cells and persisted.config is None:
-            raise ValueError(
-                f"{resume} holds cells but does not record the sweep config "
-                "that produced them; refusing to reuse cells that cannot be "
-                "verified (use a fresh --resume path)"
-            )
-        if persisted.config is not None and persisted.config != config:
-            raise ValueError(
-                f"{resume} was written by a different sweep config; "
-                "refusing to mix results (use a fresh --resume path)"
-            )
-        store.open(config)
-    from repro.experiments.monitor import progress_reporter, quarantined_keys
-
-    pending = [shard for shard in shards if shard.key not in persisted.cells]
-    reporter = progress_reporter(progress, len(shards), "cells")
-    if reporter is not None:
-        reporter.start(
-            done=len(persisted.cells),
-            cell_seconds=sum(persisted.timings.values()),
-        )
-
-    # Chunk size derives from the *full* grid even when resuming.  On a
-    # fresh run the chunks then align to whole error-count blocks,
-    # keeping a block's word sampling and ground-truth enumeration on
-    # one worker; on a resume the holes left by persisted cells can
-    # shift boundaries so a chunk straddles two blocks — a bounded,
-    # accepted cost, since long-lived workers memoize each block they
-    # touch via the process-local ``_words_for`` cache anyway.
-    chunksize = _sweep_chunksize(config, len(shards), executor.worker_hint())
-    cells: dict[tuple[int, float, str], SweepCell] = {}
-    timings: dict[tuple[int, float, str], float] = {}
-    quarantined: tuple = ()
-    try:
-        # Completion order, not shard order: every finished cell becomes
-        # durable the moment any worker delivers it, so a crash loses at
-        # most the chunks still in flight — never completed stragglers
-        # held back behind a slow ordered prefix.
-        for index, (cell, elapsed) in executor.imap_unordered(
-            run_shard, pending, chunksize=chunksize
-        ):
-            key = pending[index].key
-            cells[key] = cell
-            timings[key] = elapsed
-            if store is not None:
-                store.append(cell, elapsed)
-            if reporter is not None:
-                reporter.completed(elapsed)
-        quarantined = quarantined_keys(
-            executor, pending, lambda shard: shard.key, store=store
-        )
-        if reporter is not None:
-            reporter.finish(quarantined=len(quarantined))
-    finally:
-        if store is not None:
-            store.close()
-        if shared_block is not None:
-            # The pool has drained (or died) by the time the map loop
-            # exits; attached workers keep their mapping, new attaches
-            # must fail — the block's lifetime is exactly this map.
-            shared_block.destroy()
-    fresh = SweepResult(config=config, cells=cells, timings=timings)
-    merged = merge_sweeps([persisted, fresh]) if persisted.cells else fresh
+    campaign = run_campaign(
+        SWEEP_STORE,
+        config,
+        shard_grid,
+        run_shard,
+        # Chunk size derives from the *full* grid even when resuming.  On
+        # a fresh run the chunks then align to whole error-count blocks,
+        # keeping a block's word sampling and ground-truth enumeration on
+        # one worker; on a resume the holes left by persisted cells can
+        # shift boundaries so a chunk straddles two blocks — a bounded,
+        # accepted cost, since long-lived workers memoize each block they
+        # touch via the process-local ``_words_for`` cache anyway.
+        chunksize=lambda workers: _sweep_chunksize(config, workers),
+        jobs=jobs,
+        backend=backend,
+        resume=resume,
+        progress=progress,
+        shared_entries=shared_memo.sweep_entries if shared_cache else None,
+    )
     # Restore grid order (cells arrive in completion order, resumed ones
     # first) so the result is indistinguishable from a serial run.
-    ordered = {shard.key: merged.cells[shard.key] for shard in shards if shard.key in merged.cells}
+    cells = {
+        shard.key: campaign.results[shard.key]
+        for shard in campaign.shards
+        if shard.key in campaign.results
+    }
     return SweepResult(
-        config=config, cells=ordered, timings=merged.timings, quarantined=quarantined
+        config=config, cells=cells, timings=campaign.seconds, quarantined=campaign.quarantined
     )

@@ -34,11 +34,9 @@ Every job owns three files under ``STATE_DIR/jobs/``:
 
 * ``ID.json`` — the job record (spec, state, timestamps), rewritten
   atomically on every transition;
-* ``ID.store.jsonl`` — the job's own resume store
-  (:class:`~repro.experiments.store.ShardStore` /
-  :class:`~repro.experiments.store.Fig10Store` /
-  :class:`~repro.experiments.store.FleetStore`), streamed while the job
-  runs;
+* ``ID.store.jsonl`` — the job's own resume store (a
+  :class:`~repro.experiments.store.ShardStore` in the job kind's
+  sweep, Fig 10 or fleet format), streamed while the job runs;
 * ``ID.result.json`` — the result payload, written once on completion.
 
 On daemon start :meth:`JobScheduler.recover` re-reads the directory:

@@ -9,21 +9,21 @@ equivalent for the Python reproduction, in two layers:
   so a shard file is self-describing; ``v1`` files without a config
   still load), and results from independently-run shards merge into one
   result via :func:`merge_sweeps`.
-* **Streams** — the :class:`JsonlStore` family appends each completed
-  work unit to a JSONL file the moment it finishes, so a killed
-  campaign loses nothing.  :class:`ShardStore` holds sweep cells
-  (``run_sweep(..., resume=PATH)``), and :class:`Fig10Store` holds the
-  case study's per-(probability, code, stratum) shard results
-  (``fig10.run(..., resume=PATH)``); both skip already-persisted keys
-  on restart, so an interrupted run resumes bit-identically.
-  Downstream consumers can read the records line by line without
-  loading a full result — that is what the ``python -m repro store``
-  toolbox (:mod:`repro.experiments.storetools`) does to summarize,
-  compact, and merge stores.  (The drivers still assemble the complete
-  in-memory result they return — the store bounds *loss*, not driver
-  memory.)  A record is one line; a crash mid-append leaves at most one
-  damaged final line, which loading tolerates and appending repairs or
-  trims.
+* **Streams** — :class:`ShardStore` appends each completed work unit to
+  a JSONL file the moment it finishes, so a killed campaign loses
+  nothing.  One store class serves ``run_sweep``, ``fig10.run`` and
+  ``fleet.run`` (``resume=PATH``); what its records hold is one row of
+  :data:`STORE_FORMATS`.  The drivers' one campaign loop
+  (:func:`~repro.experiments.campaign.run_campaign`) skips
+  already-persisted keys on restart, so an interrupted run resumes
+  bit-identically.  Downstream consumers can read the records line by
+  line without loading a full result — that is what the
+  ``python -m repro store`` toolbox (:mod:`repro.experiments.storetools`)
+  does to summarize, compact, and merge stores.  (The drivers still
+  assemble the complete in-memory result they return — the store bounds
+  *loss*, not driver memory.)  A record is one line; a crash mid-append
+  leaves at most one damaged final line, which loading tolerates and
+  appending repairs or trims.
 
 On-disk record kinds (one JSON object per line):
 
@@ -31,10 +31,10 @@ On-disk record kinds (one JSON object per line):
 kind        contents
 ==========  =======================================================
 header      file format tag + the config that produced the records
-cell        one completed sweep cell (``ShardStore``)
-fig10       one completed case-study shard (``Fig10Store``)
+cell        one completed sweep cell
+fig10       one completed case-study shard
 fleet       one completed fleet shard — a chip range or a heavy
-            chip's cell slice (``FleetStore``)
+            chip's cell slice
 quarantine  key of a shard a ``--continue-past-quarantine`` run set
             aside (all stores); loading ignores it, so a rerun
             recomputes exactly those shards, and ``store summary``
@@ -43,14 +43,16 @@ quarantine  key of a shard a ``--continue-past-quarantine`` run set
 
 Record field reference (beyond ``kind``):
 
-* ``header`` — ``{"format": "repro-sweep-v2" | "repro-fig10-v1",
-  "config": {...} | null}``; the config dict round-trips the frozen
-  :class:`~repro.experiments.config.SweepConfig` /
-  :class:`~repro.experiments.config.CaseStudyConfig` field for field.
+* ``header`` — ``{"format": "repro-sweep-v2" | "repro-fig10-v1" |
+  "repro-fleet-v1", "config": {...} | null}``; the config dict
+  round-trips the frozen :class:`~repro.experiments.config.SweepConfig`
+  / :class:`~repro.experiments.config.CaseStudyConfig` /
+  :class:`~repro.experiments.config.FleetConfig` field for field.
 * ``cell`` — the cell key (``error_count`` int, ``probability`` float,
   ``profiler`` str), ``words`` (list of per-word metric dicts, one per
   Monte-Carlo word), and optional ``seconds`` (the cell's recorded
-  compute wall-clock, used for the summary's ETA).
+  compute wall-clock, used for progress lines and the summary's ETA).
+  ``kind`` is the last field, after ``seconds``.
 * ``fig10`` — the shard key (``probability`` float, ``code_index``
   int, ``count`` int = at-risk stratum), the per-profiler ``before`` /
   ``after`` / ``to_zero`` trajectory dicts, and optional ``seconds``.
@@ -59,20 +61,25 @@ Record field reference (beyond ``kind``):
   ``chips`` payload (word coordinates, at-risk positions, identified
   positions), and optional ``seconds``.
 * ``quarantine`` — exactly the key fields of the ``cell`` / ``fig10`` /
-  ``fleet`` record it stands in for, nothing else.
+  ``fleet`` record it stands in for, nothing else; the store's header
+  says which.
 
 Duplicate keys always resolve **last-wins** on load; the
 ``python -m repro store`` toolbox compacts superseded records away and
-prunes quarantine markers that a later completed record resolved.
+prunes quarantine markers that a later completed record resolved.  A
+record that is not an object, lacks a field, or has a field of the
+wrong JSON type fails as ``ValueError("PATH: corrupt shard record on
+line N")``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
 from repro.experiments.runner import SweepCell, SweepResult, WordMetrics
@@ -83,152 +90,201 @@ __all__ = [
     "merge_sweeps",
     "config_to_dict",
     "config_from_dict",
-    "case_config_to_dict",
-    "case_config_from_dict",
-    "fleet_config_to_dict",
-    "fleet_config_from_dict",
-    "JsonlStore",
+    "StoreFormat",
+    "SWEEP_STORE",
+    "FIG10_STORE",
+    "FLEET_STORE",
+    "STORE_FORMATS",
+    "StoreContents",
     "ShardStore",
-    "Fig10Store",
-    "FleetStore",
 ]
 
-#: Current on-disk format tag (header of both documents and JSONL stores).
+#: Current sweep format tag (sweep documents and sweep stores).
 FORMAT_V2 = "repro-sweep-v2"
 #: PR 1 format: cells and timings only, no config.
 FORMAT_V1 = "repro-sweep-v1"
-#: Fig 10 case-study store format tag.
-FORMAT_FIG10 = "repro-fig10-v1"
-#: Fleet field-simulation store format tag.
-FORMAT_FLEET = "repro-fleet-v1"
+
+#: The key :meth:`ShardStore.iter_records` gives a header record.
+HEADER = ("header",)
+
+#: What :meth:`ShardStore._lines` yields for a torn final line.
+_TORN = object()
+
+
+def _typed(value, kind: type):
+    """``value`` if JSON decoded it as a ``kind`` (an int passes as a float)."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+
+
+_METRIC_FIELDS = tuple(spec.name for spec in fields(WordMetrics))
 
 
 def _metrics_to_dict(metrics: WordMetrics) -> dict:
-    return {
-        "direct_total": metrics.direct_total,
-        "direct_identified": list(metrics.direct_identified),
-        "indirect_total": metrics.indirect_total,
-        "indirect_missed": list(metrics.indirect_missed),
-        "post_total": metrics.post_total,
-        "post_identified": list(metrics.post_identified),
-        "capability": list(metrics.capability),
-        "first_direct_round": metrics.first_direct_round,
-    }
+    """JSON-ready fields of one word's metrics (tuples dump as lists)."""
+    return {name: getattr(metrics, name) for name in _METRIC_FIELDS}
 
 
 def _metrics_from_dict(payload: dict) -> WordMetrics:
-    return WordMetrics(
-        direct_total=int(payload["direct_total"]),
-        direct_identified=tuple(payload["direct_identified"]),
-        indirect_total=int(payload["indirect_total"]),
-        indirect_missed=tuple(payload["indirect_missed"]),
-        post_total=int(payload["post_total"]),
-        post_identified=tuple(payload["post_identified"]),
-        capability=tuple(payload["capability"]),
-        first_direct_round=int(payload["first_direct_round"]),
-    )
+    values = {name: tuple(v) if isinstance(v, list) else v for name, v in payload.items()}
+    return WordMetrics(**values)
 
 
-def config_to_dict(config) -> dict | None:
-    """JSON-safe dict of a :class:`SweepConfig` (``None`` if not one).
+def config_to_dict(config, config_class: type = SweepConfig) -> dict | None:
+    """JSON-safe dict of a ``config_class`` config (``None`` if not one).
 
-    Sweeps may run with any hashable config-like object; only the
-    library's own frozen dataclass is given a guaranteed round-trip.
+    Drivers may run with any hashable config-like object; only the
+    library's own frozen dataclasses get a guaranteed round-trip.
     """
-    if not isinstance(config, SweepConfig):
+    if not isinstance(config, config_class):
         return None
-    payload = asdict(config)
-    for key, value in payload.items():
-        if isinstance(value, tuple):
-            payload[key] = list(value)
-    return payload
-
-
-def config_from_dict(payload: dict | None) -> SweepConfig | None:
-    """Inverse of :func:`config_to_dict` (``None`` passes through)."""
-    if payload is None:
-        return None
-    kwargs = dict(payload)
-    for key, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
-    return SweepConfig(**kwargs)
-
-
-def case_config_to_dict(config) -> dict | None:
-    """JSON-safe dict of a :class:`CaseStudyConfig` (``None`` if not one).
-
-    The case-study twin of :func:`config_to_dict`: only the library's
-    own frozen dataclass gets a guaranteed round-trip.
-    """
-    if not isinstance(config, CaseStudyConfig):
-        return None
-    payload = asdict(config)
-    for key, value in payload.items():
-        if isinstance(value, tuple):
-            payload[key] = list(value)
-    return payload
-
-
-def case_config_from_dict(payload: dict | None) -> CaseStudyConfig | None:
-    """Inverse of :func:`case_config_to_dict` (``None`` passes through)."""
-    if payload is None:
-        return None
-    kwargs = dict(payload)
-    for key, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
-    return CaseStudyConfig(**kwargs)
-
-
-def fleet_config_to_dict(config) -> dict | None:
-    """JSON-safe dict of a :class:`FleetConfig` (``None`` if not one).
-
-    The fleet twin of :func:`config_to_dict`: only the library's own
-    frozen dataclass gets a guaranteed round-trip.
-    """
-    if not isinstance(config, FleetConfig):
-        return None
-    payload = asdict(config)
-    for key, value in payload.items():
-        if isinstance(value, tuple):
-            payload[key] = list(value)
-    return payload
-
-
-def fleet_config_from_dict(payload: dict | None) -> FleetConfig | None:
-    """Inverse of :func:`fleet_config_to_dict` (``None`` passes through)."""
-    if payload is None:
-        return None
-    kwargs = dict(payload)
-    for key, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
-    return FleetConfig(**kwargs)
-
-
-def _cell_to_dict(cell: SweepCell, seconds: float | None = None) -> dict:
-    entry = {
-        "error_count": cell.error_count,
-        "probability": cell.probability,
-        "profiler": cell.profiler,
-        "words": [_metrics_to_dict(m) for m in cell.words],
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in asdict(config).items()
     }
-    if seconds is not None:
-        entry["seconds"] = seconds
-    return entry
 
 
-def _cell_from_dict(entry: dict) -> tuple[tuple[int, float, str], SweepCell, float | None]:
-    key = (int(entry["error_count"]), float(entry["probability"]), str(entry["profiler"]))
-    cell = SweepCell(
-        error_count=key[0],
-        probability=key[1],
-        profiler=key[2],
-        words=[_metrics_from_dict(m) for m in entry["words"]],
-    )
-    seconds = float(entry["seconds"]) if "seconds" in entry else None
-    return key, cell, seconds
+def config_from_dict(payload, config_class: type = SweepConfig):
+    """Inverse of :func:`config_to_dict` (``None`` passes through).
+
+    Each field must have the JSON type of its default and the class must
+    accept the values, or this raises ``ValueError``: a store header is
+    external input.
+    """
+    if payload is None:
+        return None
+    if not isinstance(payload, dict):
+        raise ValueError("config is not a JSON object")
+    defaults = {spec.name: spec.default for spec in fields(config_class)}
+    kwargs = {}
+    for name, value in payload.items():
+        if name not in defaults:
+            raise ValueError(f"{config_class.__name__} has no field {name!r}")
+        try:
+            if isinstance(defaults[name], tuple):
+                kwargs[name] = tuple(_typed(value, list))
+            else:
+                kwargs[name] = _typed(value, type(defaults[name]))
+        except TypeError as error:
+            raise ValueError(f"config field {name!r}: {error}") from None
+    try:
+        return config_class(**kwargs)
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"invalid {config_class.__name__}: {error}") from None
+
+
+@dataclass(frozen=True)
+class StoreFormat:
+    """One store format: its header tag and the one record kind it holds.
+
+    :data:`STORE_FORMATS` has one entry per driver; the store, the
+    campaign loop and the ``repro store`` toolbox all read it, so a
+    record is encoded, keyed and checked in one place.
+    """
+
+    #: Header ``format`` tag.
+    tag: str
+    #: ``kind`` of a completed-shard record.
+    kind: str
+    #: Workload name (status snapshots, ``store summary``).
+    name: str
+    #: What the records complete, plural (progress lines, ``store summary``).
+    unit: str
+    #: The workload as refusal messages name it.
+    label: str
+    #: Key fields in record order, with their JSON types.
+    keys: tuple[tuple[str, type], ...]
+    #: Payload fields in record order, with their JSON types.
+    payload: tuple[tuple[str, type], ...]
+    #: The library config class the header round-trips.
+    config: type
+    #: Shard result -> payload fields.
+    encode: Callable[[Any], dict]
+    #: ``(key, record)`` -> shard result.
+    decode: Callable[[tuple, dict], Any]
+    #: Sweep cells predate the other kinds and write ``kind`` last.
+    kind_last: bool = False
+
+    def key_fields(self, key: tuple) -> dict:
+        """A shard key as the typed fields its records (and markers) carry."""
+        return {name: kind(value) for (name, kind), value in zip(self.keys, key)}
+
+    def record(self, key: tuple, result, seconds: float | None = None) -> dict:
+        """The record of one completed shard, fields in on-disk order."""
+        record = {} if self.kind_last else {"kind": self.kind}
+        record.update(self.key_fields(key))
+        record.update(self.encode(result))
+        if seconds is not None:
+            record["seconds"] = seconds
+        if self.kind_last:
+            record["kind"] = self.kind
+        return record
+
+    def key_of(self, record: dict, marker: bool = False) -> tuple:
+        """A record's typed key; ``KeyError``/``TypeError`` if malformed.
+
+        A completed-shard record's payload and ``seconds`` types are
+        checked too; a quarantine ``marker`` holds key fields only.
+        """
+        if not marker:
+            for name, kind in self.payload:
+                _typed(record[name], kind)
+            if "seconds" in record and not 0 <= _typed(record["seconds"], float) < math.inf:
+                raise TypeError("seconds is not a finite duration")
+        return tuple(_typed(record[name], kind) for name, kind in self.keys)
+
+
+SWEEP_STORE = StoreFormat(
+    tag=FORMAT_V2,
+    kind="cell",
+    name="sweep",
+    unit="cells",
+    label="sweep",
+    keys=(("error_count", int), ("probability", float), ("profiler", str)),
+    payload=(("words", list),),
+    config=SweepConfig,
+    encode=lambda cell: {"words": [_metrics_to_dict(m) for m in cell.words]},
+    decode=lambda key, record: SweepCell(
+        *key, words=[_metrics_from_dict(m) for m in record["words"]]
+    ),
+    kind_last=True,
+)
+
+#: A case-study shard result is ``(before, after, to_zero)``, as
+#: :func:`repro.experiments.fig10.run_case_shard` returns it.
+FIG10_STORE = StoreFormat(
+    tag="repro-fig10-v1",
+    kind="fig10",
+    name="fig10",
+    unit="shards",
+    label="Fig 10 case-study",
+    keys=(("probability", float), ("code_index", int), ("count", int)),
+    payload=(("before", dict), ("after", dict), ("to_zero", dict)),
+    config=CaseStudyConfig,
+    encode=lambda result: dict(zip(("before", "after", "to_zero"), result)),
+    decode=lambda key, record: (record["before"], record["after"], record["to_zero"]),
+)
+
+#: A fleet shard result is :func:`repro.experiments.fleet.run_fleet_shard`'s
+#: ``{"chips": [...]}`` payload.
+FLEET_STORE = StoreFormat(
+    tag="repro-fleet-v1",
+    kind="fleet",
+    name="fleet",
+    unit="shards",
+    label="fleet",
+    keys=(("start", int), ("stop", int), ("slice_index", int), ("num_slices", int)),
+    payload=(("chips", list),),
+    config=FleetConfig,
+    encode=lambda payload: {"chips": payload["chips"]},
+    decode=lambda key, record: {"chips": record["chips"]},
+)
+
+#: Every store format, by header tag.
+STORE_FORMATS = {fmt.tag: fmt for fmt in (SWEEP_STORE, FIG10_STORE, FLEET_STORE)}
+_BY_KIND = {fmt.kind: fmt for fmt in STORE_FORMATS.values()}
 
 
 def sweep_to_json(sweep: SweepResult) -> str:
@@ -240,11 +296,14 @@ def sweep_to_json(sweep: SweepResult) -> str:
     shard file forgot what experiment produced it.  A cell's wall-clock
     seconds ride along as its ``seconds`` field when the engine recorded
     them, so aggregated shard files keep the cost accounting the
-    streaming/distributed backends need.
+    streaming/distributed backends need.  A document cell is a store
+    ``cell`` record without its ``kind``.
     """
     cells = []
     for key, cell in sorted(sweep.cells.items()):
-        cells.append(_cell_to_dict(cell, sweep.timings.get(key)))
+        entry = SWEEP_STORE.record(key, cell, sweep.timings.get(key))
+        del entry["kind"]
+        cells.append(entry)
     return json.dumps(
         {"format": FORMAT_V2, "config": config_to_dict(sweep.config), "cells": cells}
     )
@@ -264,10 +323,10 @@ def sweep_from_json(document: str) -> SweepResult:
     cells: dict[tuple[int, float, str], SweepCell] = {}
     timings: dict[tuple[int, float, str], float] = {}
     for entry in payload["cells"]:
-        key, cell, seconds = _cell_from_dict(entry)
-        cells[key] = cell
-        if seconds is not None:
-            timings[key] = seconds
+        key = SWEEP_STORE.key_of(entry)
+        cells[key] = SWEEP_STORE.decode(key, entry)
+        if "seconds" in entry:
+            timings[key] = float(entry["seconds"])
     return SweepResult(config=config, cells=cells, timings=timings)
 
 
@@ -289,22 +348,11 @@ def merge_sweeps(shards: Iterable[SweepResult]) -> SweepResult:
     timings: dict[tuple[int, float, str], float] = {}
     for shard in shards:
         for key, cell in shard.cells.items():
+            words = list(cell.words)
             if key in merged:
-                existing = merged[key]
-                _check_compatible(existing, cell)
-                merged[key] = SweepCell(
-                    error_count=cell.error_count,
-                    probability=cell.probability,
-                    profiler=cell.profiler,
-                    words=existing.words + cell.words,
-                )
-            else:
-                merged[key] = SweepCell(
-                    error_count=cell.error_count,
-                    probability=cell.probability,
-                    profiler=cell.profiler,
-                    words=list(cell.words),
-                )
+                _check_compatible(merged[key], cell)
+                words = merged[key].words + words
+            merged[key] = SweepCell(cell.error_count, cell.probability, cell.profiler, words)
         for key, seconds in shard.timings.items():
             timings[key] = timings.get(key, 0.0) + seconds
     config = shards[0].config
@@ -322,26 +370,37 @@ def _check_compatible(a: SweepCell, b: SweepCell) -> None:
             )
 
 
-class JsonlStore:
-    """Append-only, torn-tail-tolerant JSONL record file (base machinery).
+class StoreContents(NamedTuple):
+    """What :meth:`ShardStore.load` reads: the winning record per key."""
 
-    One JSON object per line; appends flush and fsync per record, so
-    after a crash the file holds every fully-reported record plus at
-    most one truncated tail line, which reading skips and appending
-    repairs or trims.  Subclasses define what the records *mean* —
-    :class:`ShardStore` for sweep cells, :class:`Fig10Store` for
-    case-study shards — by setting :attr:`format` and implementing
-    :meth:`_header_record` / ``load``.  The
-    :mod:`~repro.experiments.storetools` toolbox operates on the raw
-    records of either kind.
+    config: Any
+    #: Shard key -> shard result, as the store format decodes it.
+    results: dict
+    #: Shard key -> recorded compute seconds (records that carry them).
+    seconds: dict
+
+
+class ShardStore:
+    """Append-only, torn-tail-tolerant JSONL stream of completed shards.
+
+    Layout: the first line is a header record carrying the format tag
+    and the config; every following line is one completed shard (or a
+    quarantine marker).  Appends flush and fsync per record, so after a
+    crash the file holds every fully-reported record plus at most one
+    truncated tail line, which reading skips and appending repairs or
+    trims.
+
+    ``store_format`` is the :data:`STORE_FORMATS` entry this store must
+    hold: a driver passes its own, and a header of another format is
+    refused.  Without one (the ``repro store`` toolbox) the header
+    decides; appending needs a format.
     """
 
-    #: Format tag written into (and required of) the header record;
-    #: set by subclasses.
-    format: str
-
-    def __init__(self, path: str | os.PathLike) -> None:
+    def __init__(
+        self, path: str | os.PathLike, store_format: StoreFormat | None = None
+    ) -> None:
         self.path = Path(path)
+        self.format = store_format
         self._handle: IO[str] | None = None
 
     # -- reading --------------------------------------------------------
@@ -349,52 +408,155 @@ class JsonlStore:
     def exists(self) -> bool:
         return self.path.exists()
 
-    def iter_records(self, include_torn: bool = False) -> Iterator[tuple[int, dict | None]]:
-        """Stream ``(line_number, record)`` pairs without loading the file.
+    def _lines(self, include_torn: bool) -> Iterator[tuple[int, Any]]:
+        """Stream ``(line_number, parsed JSON)`` without loading the file.
 
         A torn write only ever affects the last line (appends are
         sequential), so a JSON error on the final line is silently
         dropped — an interrupted append, recomputed on resume — while
         an error anywhere earlier means real corruption and raises.
         With ``include_torn``, the torn final line is yielded as
-        ``(line_number, None)`` instead of dropped, so a streaming
+        ``(line_number, _TORN)`` instead of dropped, so a streaming
         consumer (the ``repro store`` toolbox) can report it from the
         same single pass.
         """
         if not self.path.exists():
             return
-        held: tuple[int, str] | None = None
-        with open(self.path, "r", encoding="utf-8") as handle:
+        held: tuple[int, bytes] | None = None
+        # Bytes, not text: a damaged line that is not UTF-8 must fail as
+        # that line (json.loads raises a ValueError for it), not abort
+        # the read.
+        with open(self.path, "rb") as handle:
             for number, raw in enumerate(handle):
                 if not raw.strip():
                     continue
                 if held is not None:
-                    yield held[0], self._parse_line(*held)
+                    try:
+                        record = json.loads(held[1])
+                    except ValueError:
+                        raise self._corrupt(held[0]) from None
+                    yield held[0], record
                 held = (number, raw)
             if held is not None:
                 try:
                     record = json.loads(held[1])
-                except json.JSONDecodeError:
+                except ValueError:
                     if include_torn:
-                        yield held[0], None
+                        yield held[0], _TORN
                     return  # torn tail from an interrupted append
                 yield held[0], record
 
-    def _parse_line(self, number: int, raw: str) -> dict:
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError:
+    def _corrupt(self, number: int) -> ValueError:
+        return ValueError(f"{self.path}: corrupt shard record on line {number + 1}")
+
+    def iter_records(
+        self, include_torn: bool = False
+    ) -> Iterator[tuple[int, tuple | None, dict | None]]:
+        """Stream ``(line_number, key, record)``, checking every record.
+
+        The key is :data:`HEADER` for a header, ``(kind, *key fields)``
+        for a completed shard, and ``("quarantine", kind, *key fields)``
+        for a quarantine marker — so dropping a marker key's first
+        element gives the key of the record that resolves it.  A torn
+        tail comes as ``(line_number, None, None)`` with
+        ``include_torn`` and is skipped otherwise; a record the store
+        cannot hold raises ``ValueError``.
+        """
+        store_format = self.format
+        for number, record in self._lines(include_torn):
+            if record is _TORN:
+                yield number, None, None
+                continue
+            key, store_format = self._check(number, record, store_format)
+            yield number, key, record
+
+    def _check(self, number: int, record, store_format: StoreFormat | None):
+        """One record's key, and the store format it implies."""
+        if not isinstance(record, dict):
+            raise self._corrupt(number)
+        kind = record.get("kind")
+        if kind == "header":
+            tag = record.get("format")
+            found = STORE_FORMATS.get(tag) if isinstance(tag, str) else None
+            if found is None:
+                raise ValueError(
+                    f"{self.path}: unknown store format {tag!r} "
+                    f"(expected one of {', '.join(STORE_FORMATS)})"
+                )
+            if store_format not in (None, found):
+                raise ValueError(
+                    f"{self.path} is a {found.label} store, not a "
+                    f"{store_format.label} store; give each exhibit its own "
+                    "--resume path"
+                )
+            try:
+                config_from_dict(record.get("config"), found.config)
+            except ValueError:
+                raise self._corrupt(number) from None
+            return HEADER, found
+        if record.get("format") in (FORMAT_V1, FORMAT_V2) and "cells" in record:
+            # A whole sweep_to_json document, not a store: resuming onto
+            # it would ignore its cells and append records that corrupt
+            # it — refuse loudly instead.
             raise ValueError(
-                f"{self.path}: corrupt shard record on line {number + 1}"
-            ) from None
+                f"{self.path} is a sweep_to_json document, not a JSONL "
+                "shard store; load it with sweep_from_json (and give "
+                "--resume its own path)"
+            )
+        if not isinstance(kind, str):
+            raise self._corrupt(number)
+        if kind == "quarantine":
+            # The marker's fields are the key of the store's own kind.
+            if store_format is None:
+                raise self._corrupt(number)
+            try:
+                key = store_format.key_of(record, marker=True)
+            except (KeyError, TypeError):
+                raise self._corrupt(number) from None
+            return ("quarantine", store_format.kind, *key), store_format
+        found = _BY_KIND.get(kind)
+        if found is None or store_format not in (None, found):
+            raise ValueError(f"{self.path}: unknown shard record on line {number + 1}")
+        try:
+            key = found.key_of(record)
+        except (KeyError, TypeError):
+            raise self._corrupt(number) from None
+        return (found.kind, *key), found
+
+    def load(self) -> StoreContents:
+        """Read the winning record per key; tolerate a torn final line.
+
+        Quarantine markers are skipped: a continue-past-quarantine run
+        set those shards aside, never computed them, so a resume must
+        recompute them.  ``store summary`` is what reports unresolved
+        markers to operators.
+        """
+        config = None
+        results: dict = {}
+        seconds: dict = {}
+        for number, key, record in self.iter_records():
+            if key == HEADER:
+                config = config_from_dict(
+                    record.get("config"), STORE_FORMATS[record["format"]].config
+                )
+            elif key[0] != "quarantine":
+                shard = key[1:]
+                try:
+                    # Duplicate keys: last append wins.
+                    results[shard] = _BY_KIND[key[0]].decode(shard, record)
+                except (KeyError, TypeError, ValueError, AttributeError):
+                    raise self._corrupt(number) from None
+                if "seconds" in record:
+                    seconds[shard] = float(record["seconds"])
+        return StoreContents(config, results, seconds)
+
+    def keys(self) -> set:
+        """Keys of every intact persisted shard."""
+        return set(self.load().results)
 
     # -- writing --------------------------------------------------------
 
-    def _header_record(self, config) -> dict:
-        """Header written on a fresh file (subclasses serialize config)."""
-        raise NotImplementedError
-
-    def open(self, config=None) -> "JsonlStore":
+    def open(self, config=None) -> "ShardStore":
         """Open for appending, writing the header record on a new file.
 
         An existing file first has any torn tail line removed (records
@@ -405,13 +567,21 @@ class JsonlStore:
         """
         if self._handle is not None:
             return self
+        if self.format is None:
+            raise ValueError(f"{self.path}: appending needs the store format")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
             self._trim_torn_tail()
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._handle = open(self.path, "a", encoding="utf-8")
         if fresh:
-            self._write_record(self._header_record(config))
+            self._write_record(
+                {
+                    "format": self.format.tag,
+                    "kind": "header",
+                    "config": config_to_dict(config, self.format.config),
+                }
+            )
         return self
 
     def _trim_torn_tail(self) -> None:
@@ -447,7 +617,7 @@ class JsonlStore:
                 tail_start = data.rfind(b"\n") + 1  # 0 on a header-only tear
                 try:
                     json.loads(data[tail_start:])
-                except json.JSONDecodeError:
+                except ValueError:
                     data = data[:tail_start]
                     handle.truncate(start + tail_start)
                 else:
@@ -461,8 +631,30 @@ class JsonlStore:
                 return  # one intact giant record fills the window: valid
             try:
                 json.loads(data[last_start:])
-            except json.JSONDecodeError:
+            except ValueError:
                 handle.truncate(start + last_start)
+
+    def append(self, key: tuple, result, seconds: float | None = None) -> None:
+        """Durably append one completed shard (opens the store if needed).
+
+        ``seconds`` (the shard's recorded compute wall-clock) feeds a
+        resumed run's progress lines and the summary's ETA; results
+        never depend on it.
+        """
+        if self._handle is None:
+            self.open()
+        self._write_record(self.format.record(key, result, seconds))
+
+    def append_quarantine(self, key: tuple) -> None:
+        """Durably record that a run set this shard aside.
+
+        The marker never shadows data: :meth:`load` ignores it (so a
+        resume recomputes the shard) and the toolbox prunes it once a
+        completed record with the same key lands.
+        """
+        if self._handle is None:
+            self.open()
+        self._write_record({"kind": "quarantine", **self.format.key_fields(key)})
 
     def _write_record(self, record: dict) -> None:
         assert self._handle is not None
@@ -475,296 +667,8 @@ class JsonlStore:
             self._handle.close()
             self._handle = None
 
-    def __enter__(self) -> "JsonlStore":
+    def __enter__(self) -> "ShardStore":
         return self.open()
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class ShardStore(JsonlStore):
-    """Append-only JSONL stream of completed sweep cells.
-
-    Layout: the first line is a ``repro-sweep-v2`` header record
-    carrying the sweep config; every following line is one completed
-    cell.  Appends flush and fsync per record, so after a crash the file
-    holds every fully-reported cell plus at most one truncated tail
-    line, which :meth:`load` skips (and a resume simply recomputes).
-
-    The store is the disk half of ``run_sweep(..., resume=PATH)``: the
-    engine appends cells as backends complete them and, on restart,
-    skips every shard whose key is already present.
-    """
-
-    format = FORMAT_V2
-
-    def _header_record(self, config) -> dict:
-        return {"format": self.format, "kind": "header", "config": config_to_dict(config)}
-
-    def load(self) -> SweepResult:
-        """Read every intact record; tolerate a truncated final line."""
-        config = None
-        cells: dict[tuple[int, float, str], SweepCell] = {}
-        timings: dict[tuple[int, float, str], float] = {}
-        for number, record in self.iter_records():
-            if record.get("format") in (FORMAT_V1, FORMAT_V2) and "cells" in record:
-                # A whole sweep_to_json document, not a store: resuming
-                # onto it would ignore its cells and append records that
-                # corrupt it — refuse loudly instead.
-                raise ValueError(
-                    f"{self.path} is a sweep_to_json document, not a JSONL "
-                    "shard store; load it with sweep_from_json (and give "
-                    "--resume its own path)"
-                )
-            if record.get("kind") == "header":
-                if record.get("format") == FORMAT_FIG10:
-                    raise ValueError(
-                        f"{self.path} is a Fig 10 case-study store, not a "
-                        "sweep shard store; load it with Fig10Store (and "
-                        "give each exhibit its own --resume path)"
-                    )
-                if record.get("format") == FORMAT_FLEET:
-                    raise ValueError(
-                        f"{self.path} is a fleet store, not a sweep shard "
-                        "store; load it with FleetStore (and give each "
-                        "exhibit its own --resume path)"
-                    )
-                if record.get("format") == FORMAT_V2:
-                    config = config_from_dict(record.get("config"))
-            elif record.get("kind") == "cell":
-                key, cell, seconds = _cell_from_dict(record)
-                cells[key] = cell  # duplicate keys: last append wins
-                if seconds is not None:
-                    timings[key] = seconds
-            elif record.get("kind") == "quarantine":
-                # A continue-past-quarantine run set this cell aside; it
-                # was never computed, so a resume must recompute it —
-                # which ignoring the marker achieves.  `store summary`
-                # is what reports unresolved markers to operators.
-                continue
-            else:
-                raise ValueError(f"{self.path}: unknown shard record on line {number + 1}")
-        return SweepResult(config=config, cells=cells, timings=timings)
-
-    def keys(self) -> set[tuple[int, float, str]]:
-        """Keys of every intact persisted cell."""
-        return set(self.load().cells)
-
-    def append(self, cell: SweepCell, seconds: float | None = None) -> None:
-        """Durably append one completed cell (opens the store if needed)."""
-        if self._handle is None:
-            self.open()
-        record = _cell_to_dict(cell, seconds)
-        record["kind"] = "cell"
-        self._write_record(record)
-
-    def append_quarantine(self, key: tuple[int, float, str]) -> None:
-        """Durably record that a run set this cell's shard aside.
-
-        The marker never shadows data: :meth:`load` ignores it (so a
-        resume recomputes the cell) and the toolbox prunes it once a
-        completed ``cell`` record with the same key lands.
-        """
-        if self._handle is None:
-            self.open()
-        error_count, probability, profiler = key
-        self._write_record(
-            {
-                "kind": "quarantine",
-                "error_count": int(error_count),
-                "probability": float(probability),
-                "profiler": str(profiler),
-            }
-        )
-
-
-#: Key of one case-study shard: (probability, code_index, at-risk count).
-Fig10Key = tuple[float, int, int]
-
-#: One persisted case-study shard result, exactly as
-#: :func:`repro.experiments.fig10.run_case_shard` returns it:
-#: ``(before, after, to_zero)`` keyed by profiler name.
-Fig10ShardResult = tuple[dict, dict, dict]
-
-
-class Fig10Store(JsonlStore):
-    """Append-only JSONL stream of completed Fig 10 case-study shards.
-
-    The case-study twin of :class:`ShardStore`: the first line is a
-    ``repro-fig10-v1`` header carrying the
-    :class:`~repro.experiments.config.CaseStudyConfig`, and every
-    following line is one completed :class:`~repro.experiments.fig10.Fig10Shard`
-    result — the per-profiler BER trajectories of one (probability,
-    code, at-risk stratum) cell, self-describing via the shard's
-    coordinates.  ``fig10.run(..., resume=PATH)`` streams each shard
-    here as backends deliver it and skips persisted keys on restart, so
-    a killed ``--scale paper`` case study resumes bit-identically
-    (floats survive JSON exactly: Python serializes them via repr,
-    which round-trips).
-    """
-
-    format = FORMAT_FIG10
-
-    def _header_record(self, config) -> dict:
-        return {
-            "format": self.format,
-            "kind": "header",
-            "config": case_config_to_dict(config),
-        }
-
-    def load(self) -> tuple[CaseStudyConfig | None, dict[Fig10Key, Fig10ShardResult]]:
-        """Read ``(config, {shard key: shard result})``; tolerate a torn tail."""
-        config = None
-        shards: dict[Fig10Key, Fig10ShardResult] = {}
-        for number, record in self.iter_records():
-            if record.get("kind") == "header":
-                if record.get("format") != self.format:
-                    raise ValueError(
-                        f"{self.path} is not a Fig 10 case-study store "
-                        f"(header format {record.get('format')!r}); give each "
-                        "exhibit its own --resume path"
-                    )
-                config = case_config_from_dict(record.get("config"))
-            elif record.get("kind") == "fig10":
-                key = (
-                    float(record["probability"]),
-                    int(record["code_index"]),
-                    int(record["count"]),
-                )
-                # Duplicate keys: last append wins, same as ShardStore.
-                shards[key] = (record["before"], record["after"], record["to_zero"])
-            elif record.get("kind") == "quarantine":
-                continue  # set-aside marker; the shard recomputes on resume
-            else:
-                raise ValueError(f"{self.path}: unknown shard record on line {number + 1}")
-        return config, shards
-
-    def append(
-        self, key: Fig10Key, result: Fig10ShardResult, seconds: float | None = None
-    ) -> None:
-        """Durably append one completed shard (opens the store if needed).
-
-        ``seconds`` (the shard's recorded compute wall-clock) rides
-        along for the summary's coverage/ETA math; :meth:`load` ignores
-        it, so stores with and without timings resume identically.
-        """
-        if self._handle is None:
-            self.open()
-        probability, code_index, count = key
-        before, after, to_zero = result
-        record = {
-            "kind": "fig10",
-            "probability": probability,
-            "code_index": code_index,
-            "count": count,
-            "before": before,
-            "after": after,
-            "to_zero": to_zero,
-        }
-        if seconds is not None:
-            record["seconds"] = seconds
-        self._write_record(record)
-
-    def append_quarantine(self, key: Fig10Key) -> None:
-        """Durably record that a run set this case-study shard aside."""
-        if self._handle is None:
-            self.open()
-        probability, code_index, count = key
-        self._write_record(
-            {
-                "kind": "quarantine",
-                "probability": float(probability),
-                "code_index": int(code_index),
-                "count": int(count),
-            }
-        )
-
-
-#: Key of one fleet shard: (start chip, stop chip, slice index, slices).
-FleetKey = tuple[int, int, int, int]
-
-
-class FleetStore(JsonlStore):
-    """Append-only JSONL stream of completed fleet shards.
-
-    The fleet twin of :class:`Fig10Store`: the first line is a
-    ``repro-fleet-v1`` header carrying the
-    :class:`~repro.experiments.config.FleetConfig`, and every following
-    line is one completed :class:`~repro.experiments.fleet.FleetShard`
-    payload — the per-word identified sets of a chip range or of one
-    heavy chip's cell slice, self-describing via the shard's ``(start,
-    stop, slice_index, num_slices)`` coordinates.  ``fleet.run(...,
-    resume=PATH)`` streams each shard here as backends deliver it and
-    skips persisted keys on restart; slice payloads merge associatively
-    regardless of arrival order, so a killed campaign resumes
-    bit-identically.
-    """
-
-    format = FORMAT_FLEET
-
-    def _header_record(self, config) -> dict:
-        return {
-            "format": self.format,
-            "kind": "header",
-            "config": fleet_config_to_dict(config),
-        }
-
-    def load(self) -> tuple[FleetConfig | None, dict[FleetKey, dict]]:
-        """Read ``(config, {shard key: payload})``; tolerate a torn tail."""
-        config = None
-        shards: dict[FleetKey, dict] = {}
-        for number, record in self.iter_records():
-            if record.get("kind") == "header":
-                if record.get("format") != self.format:
-                    raise ValueError(
-                        f"{self.path} is not a fleet store (header format "
-                        f"{record.get('format')!r}); give each exhibit its "
-                        "own --resume path"
-                    )
-                config = fleet_config_from_dict(record.get("config"))
-            elif record.get("kind") == "fleet":
-                key = (
-                    int(record["start"]),
-                    int(record["stop"]),
-                    int(record["slice_index"]),
-                    int(record["num_slices"]),
-                )
-                # Duplicate keys: last append wins, same as ShardStore.
-                shards[key] = {"chips": record["chips"]}
-            elif record.get("kind") == "quarantine":
-                continue  # set-aside marker; the shard recomputes on resume
-            else:
-                raise ValueError(f"{self.path}: unknown shard record on line {number + 1}")
-        return config, shards
-
-    def append(self, key: FleetKey, payload: dict, seconds: float | None = None) -> None:
-        """Durably append one completed fleet shard (opens if needed)."""
-        if self._handle is None:
-            self.open()
-        start, stop, slice_index, num_slices = key
-        record = {
-            "kind": "fleet",
-            "start": int(start),
-            "stop": int(stop),
-            "slice_index": int(slice_index),
-            "num_slices": int(num_slices),
-            "chips": payload["chips"],
-        }
-        if seconds is not None:
-            record["seconds"] = seconds
-        self._write_record(record)
-
-    def append_quarantine(self, key: FleetKey) -> None:
-        """Durably record that a run set this fleet shard aside."""
-        if self._handle is None:
-            self.open()
-        start, stop, slice_index, num_slices = key
-        self._write_record(
-            {
-                "kind": "quarantine",
-                "start": int(start),
-                "stop": int(stop),
-                "slice_index": int(slice_index),
-                "num_slices": int(num_slices),
-            }
-        )

@@ -1,8 +1,9 @@
 """Streaming maintenance toolbox for JSONL shard stores: ``repro store``.
 
 Long campaigns leave JSONL stores behind — sweep-cell stores from
-``run_sweep(..., resume=PATH)`` and case-study stores from
-``fig10.run(..., resume=PATH)`` — and paper-scale ones grow large:
+``run_sweep(..., resume=PATH)``, case-study stores from
+``fig10.run(..., resume=PATH)`` and fleet stores from
+``fleet.run(..., resume=PATH)`` — and paper-scale ones grow large:
 superseded records accumulate when a cell is recomputed (duplicate keys
 are resolved last-wins on load), kills leave torn tail lines, and
 multi-machine campaigns produce one store per server.  This module is
@@ -13,8 +14,9 @@ the operator's toolbox for those files, exposed as
   superseded duplicates, torn tail, config, total cell seconds — plus
   the campaign's *grid coverage*: the header config determines the full
   grid (sweep stores: error counts × probabilities × profilers;
-  case-study stores: probabilities × codes × strata), so the summary
-  reports cells done / cells total, an ETA extrapolated from the
+  case-study stores: probabilities × codes × strata; fleet stores:
+  chips, each done once every slice of its shard group is in), so the
+  summary reports cells done / cells total, an ETA extrapolated from the
   recorded per-cell seconds (single-worker compute; divide by the fleet
   size for wall-clock), the derived grid dimensions (so two stores that
   should merge but don't are diagnosed at a glance), and the quarantine
@@ -35,11 +37,13 @@ the operator's toolbox for those files, exposed as
   (§A.7) without loading any of them whole.
 
 Every operation streams records line by line through
-:meth:`~repro.experiments.store.JsonlStore.iter_records`: peak memory
+:meth:`~repro.experiments.store.ShardStore.iter_records`: peak memory
 holds one record plus the per-key line index, never a full sweep.
-Loading semantics are shared with the stores themselves — what
-``compact`` keeps is exactly what ``ShardStore.load`` /
-``Fig10Store.load`` would return.
+Records are keyed and checked by the store's own decoder, driven by
+:data:`~repro.experiments.store.STORE_FORMATS` — what ``compact`` keeps
+is exactly what ``ShardStore.load`` would return, and a malformed
+record fails as ``ValueError`` (``repro store`` exits 1) the way a
+resume against it would.
 """
 
 from __future__ import annotations
@@ -52,13 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.experiments.monitor import estimate_eta, format_eta, format_grid, grid_shape
-from repro.experiments.store import (
-    FORMAT_FIG10,
-    FORMAT_FLEET,
-    FORMAT_V1,
-    FORMAT_V2,
-    JsonlStore,
-)
+from repro.experiments.store import HEADER, STORE_FORMATS, ShardStore
 
 __all__ = [
     "StoreSummary",
@@ -70,84 +68,6 @@ __all__ = [
     "store_main",
 ]
 
-#: Record key kinds understood by the toolbox.
-_STORE_FORMATS = (FORMAT_V2, FORMAT_FIG10, FORMAT_FLEET)
-
-
-def _record_key(path: Path, number: int, record: dict) -> tuple:
-    """Identity of a record for last-wins dedup (headers collapse to one)."""
-    kind = record.get("kind")
-    if kind == "header":
-        return ("header",)
-    if kind == "cell":
-        return (
-            "cell",
-            int(record["error_count"]),
-            float(record["probability"]),
-            str(record["profiler"]),
-        )
-    if kind == "fig10":
-        return (
-            "fig10",
-            float(record["probability"]),
-            int(record["code_index"]),
-            int(record["count"]),
-        )
-    if kind == "fleet":
-        return (
-            "fleet",
-            int(record["start"]),
-            int(record["stop"]),
-            int(record["slice_index"]),
-            int(record["num_slices"]),
-        )
-    if kind == "quarantine":
-        # The marker carries exactly the key fields of the record it
-        # stands in for; prefixing the resolved key keeps it distinct
-        # from (and mappable onto) the completed record's key.
-        if "error_count" in record:
-            return (
-                "quarantine",
-                "cell",
-                int(record["error_count"]),
-                float(record["probability"]),
-                str(record["profiler"]),
-            )
-        if "start" in record:
-            return (
-                "quarantine",
-                "fleet",
-                int(record["start"]),
-                int(record["stop"]),
-                int(record["slice_index"]),
-                int(record["num_slices"]),
-            )
-        return (
-            "quarantine",
-            "fig10",
-            float(record["probability"]),
-            int(record["code_index"]),
-            int(record["count"]),
-        )
-    if record.get("format") in (FORMAT_V1, FORMAT_V2) and "cells" in record:
-        raise ValueError(
-            f"{path} is a sweep_to_json document, not a JSONL shard store; "
-            "load it with sweep_from_json instead"
-        )
-    raise ValueError(f"{path}: unknown shard record on line {number + 1}")
-
-
-def _check_header(path: Path, record: dict) -> tuple[str, dict | None]:
-    """Validate a header record; return ``(format, config dict or None)``."""
-    store_format = record.get("format")
-    if store_format not in _STORE_FORMATS:
-        raise ValueError(
-            f"{path}: unknown store format {store_format!r} "
-            f"(expected one of {', '.join(_STORE_FORMATS)})"
-        )
-    return store_format, record.get("config")
-
-
 @dataclass
 class StoreSummary:
     """One streaming pass over a store, without loading full results."""
@@ -157,7 +77,7 @@ class StoreSummary:
     format: str | None
     config: dict | None
     records: int
-    #: Distinct keys per record kind (``cell`` / ``fig10``).
+    #: Distinct keys per record kind (``cell`` / ``fig10`` / ``fleet``).
     distinct: dict = field(default_factory=dict)
     #: Records superseded by a later append of the same key.
     superseded: int = 0
@@ -191,7 +111,7 @@ class StoreSummary:
         """Distinct completed work units, regardless of record kind."""
         if self.units_done is not None:
             return self.units_done
-        return sum(self.distinct.get(kind, 0) for kind in ("cell", "fig10", "fleet"))
+        return sum(self.distinct.values())
 
 
 def summarize(path: str | os.PathLike) -> StoreSummary:
@@ -215,14 +135,13 @@ def summarize(path: str | os.PathLike) -> StoreSummary:
     # loading would count; one streaming pass, O(distinct keys) memory.
     winning: dict[tuple, tuple[float, int]] = {}
     markers: set[tuple] = set()
-    for number, record in JsonlStore(path).iter_records(include_torn=True):
+    for _, key, record in ShardStore(path).iter_records(include_torn=True):
         if record is None:
             summary.torn_tail = True
             continue
-        key = _record_key(path, number, record)
         summary.records += 1
-        if key == ("header",):
-            summary.format, summary.config = _check_header(path, record)
+        if key == HEADER:
+            summary.format, summary.config = record["format"], record.get("config")
             continue
         if key[0] == "quarantine":
             if key in markers:
@@ -278,10 +197,9 @@ def render_summary(summary: StoreSummary) -> str:
         lines.append(f"config   {knobs}")
     else:
         lines.append("config   (none recorded)")
-    labels = {"cell": "sweep cells", "fig10": "fig10 shards", "fleet": "fleet shards"}
-    for kind in ("cell", "fig10", "fleet"):
-        if kind in summary.distinct:
-            lines.append(f"records  {summary.distinct[kind]} {labels[kind]}")
+    for fmt in STORE_FORMATS.values():
+        if fmt.kind in summary.distinct:
+            lines.append(f"records  {summary.distinct[fmt.kind]} {fmt.name} {fmt.unit}")
     if not summary.distinct:
         lines.append("records  0 (header only)")
     if summary.grid:
@@ -320,6 +238,31 @@ def render_summary(summary: StoreSummary) -> str:
     return "\n".join(lines)
 
 
+def _retire_resolved_markers(winners: dict) -> int:
+    """Drop (and count) the quarantine markers a completed record resolved.
+
+    The targeted re-run happened; markers still awaiting theirs survive.
+    """
+    resolved = [key for key in winners if key[0] == "quarantine" and key[1:] in winners]
+    for key in resolved:
+        del winners[key]
+    return len(resolved)
+
+
+def _write_atomically(destination: Path, suffix: str, records) -> int:
+    """Write (and count) JSON lines: fsync a temporary file, rename it over."""
+    temporary = destination.with_name(destination.name + suffix)
+    count = 0
+    with open(temporary, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+            count += 1
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temporary, destination)
+    return count
+
+
 @dataclass
 class CompactStats:
     """What :func:`compact` kept and dropped."""
@@ -348,13 +291,11 @@ def compact(path: str | os.PathLike, output: str | os.PathLike | None = None) ->
     winners: dict[tuple, int] = {}
     dropped = 0
     torn = False
-    for number, record in JsonlStore(path).iter_records(include_torn=True):
+    for number, key, record in ShardStore(path).iter_records(include_torn=True):
         if record is None:
             torn = True
             continue
-        key = _record_key(path, number, record)
-        if key == ("header",):
-            _check_header(path, record)
+        if key == HEADER:
             # The header is identity, not data: keep the first.
             if key in winners:
                 dropped += 1
@@ -364,24 +305,16 @@ def compact(path: str | os.PathLike, output: str | os.PathLike | None = None) ->
         if key in winners:
             dropped += 1
         winners[key] = number
-    # A quarantine marker whose shard later completed is resolved —
-    # the targeted re-run happened — so compaction retires it; markers
-    # still awaiting their re-run survive the rewrite.
-    for key in [k for k in winners if k[0] == "quarantine" and k[1:] in winners]:
-        del winners[key]
-        dropped += 1
-    temporary = destination.with_name(destination.name + ".compact-tmp")
-    kept = 0
-    with open(temporary, "w", encoding="utf-8") as handle:
-        for number, record in JsonlStore(path).iter_records():
-            key = _record_key(path, number, record)
-            if winners.get(key) != number:
-                continue
-            handle.write(json.dumps(record) + "\n")
-            kept += 1
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, destination)
+    dropped += _retire_resolved_markers(winners)
+    kept = _write_atomically(
+        destination,
+        ".compact-tmp",
+        (
+            record
+            for number, key, record in ShardStore(path).iter_records()
+            if winners.get(key) == number
+        ),
+    )
     return CompactStats(
         path=str(path),
         output=str(destination),
@@ -427,13 +360,12 @@ def merge(
     dropped = 0
     torn_tails = 0
     for file_index, path in enumerate(paths):
-        for number, record in JsonlStore(path).iter_records(include_torn=True):
+        for number, key, record in ShardStore(path).iter_records(include_torn=True):
             if record is None:
                 torn_tails += 1
                 continue
-            key = _record_key(path, number, record)
-            if key == ("header",):
-                store_format, config = _check_header(path, record)
+            if key == HEADER:
+                store_format, config = record["format"], record.get("config")
                 if merged_format is not None and store_format != merged_format:
                     raise ValueError(
                         f"cannot merge {path} ({store_format}) into a "
@@ -453,33 +385,18 @@ def merge(
             winners[key] = (file_index, number)
     if merged_format is None:
         raise ValueError("none of the inputs carries a store header")
-    # Same marker semantics as compact: a quarantine marker resolved by
-    # a completed record in *any* input (the targeted-re-run-on-another-
-    # machine workflow) does not survive the merge.
-    for key in [k for k in winners if k[0] == "quarantine" and k[1:] in winners]:
-        del winners[key]
-        dropped += 1
-    temporary = output.with_name(output.name + ".merge-tmp")
-    kept = 0
-    with open(temporary, "w", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps(
-                {"format": merged_format, "kind": "header", "config": merged_config}
-            )
-            + "\n"
-        )
+    # A marker resolved in *any* input (the targeted re-run on another
+    # machine) does not survive the merge.
+    dropped += _retire_resolved_markers(winners)
+
+    def merged_records():
+        yield {"format": merged_format, "kind": "header", "config": merged_config}
         for file_index, path in enumerate(paths):
-            for number, record in JsonlStore(path).iter_records():
-                key = _record_key(path, number, record)
-                if key == ("header",):
-                    continue
-                if winners.get(key) != (file_index, number):
-                    continue
-                handle.write(json.dumps(record) + "\n")
-                kept += 1
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, output)
+            for number, key, record in ShardStore(path).iter_records():
+                if key != HEADER and winners.get(key) == (file_index, number):
+                    yield record
+
+    kept = _write_atomically(output, ".merge-tmp", merged_records()) - 1  # the header
     return MergeStats(
         inputs=[str(p) for p in paths],
         output=str(output),

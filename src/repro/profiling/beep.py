@@ -12,10 +12,8 @@ before the first post-correction error is confirmed").
 
 The crafted-pattern search is the incremental GF(2) solver of
 :class:`repro.analysis.atrisk.ChargeSystem` (the paper uses Z3 for the
-same purpose — see DESIGN.md §3); under ``REPRO_GF2_TIER=packed`` the
-system's basis holds bit-packed uint64 words from the
-:mod:`repro.ecc.gf2w` kernel tier, bit-identically to the integer-row
-representation.  All per-round heavy lifting lives in
+same purpose — see DESIGN.md §3), whose basis rows are Python integers
+under every ``REPRO_GF2_TIER`` setting.  All per-round heavy lifting lives in
 code-level caches (:mod:`repro.analysis.memo`) shared by every word that
 uses the same parity-check matrix:
 

@@ -3,7 +3,8 @@
 The batched-kernel and charge-system suites both grew ad-hoc
 ``_random_cell`` / ``_random_case`` helpers: draw a randomized fixture
 from a ``numpy`` generator, unpack it, assert a property.  This module
-is their shared home.  Every generator takes an explicit integer seed
+is their shared home, and the store fuzz suite's: :func:`store_damage`
+damages one record of a JSONL shard store.  Every generator takes an explicit integer seed
 (or an already-seeded ``Generator``) and returns a small frozen case
 object whose ``label`` names the generating parameters — so a failing
 parametrized test identifies its exact case from the pytest id alone,
@@ -15,6 +16,7 @@ where the case generator left off.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -26,9 +28,12 @@ from repro.memory.error_model import WordErrorProfile
 __all__ = [
     "CellCase",
     "ChargeCase",
+    "STORE_DAMAGE",
+    "StoreDamage",
     "charge_case",
     "charge_cases",
     "random_cell",
+    "store_damage",
 ]
 
 
@@ -130,3 +135,71 @@ def charge_case(seed) -> ChargeCase:
 def charge_cases(seeds) -> list[ChargeCase]:
     """One labeled :func:`charge_case` per seed, for ``parametrize``."""
     return [charge_case(seed) for seed in seeds]
+
+
+#: The ways :func:`store_damage` damages a record.
+STORE_DAMAGE = ("truncate", "garble", "strip", "retype", "retype-nested", "non-object")
+
+#: One value of every JSON type, so any field meets one it does not hold.
+_JSON_VALUES = (None, True, 0, -3, 1.5, "x", [], [1, 2], {}, {"kind": "cell"})
+
+
+@dataclass(frozen=True)
+class StoreDamage:
+    """The lines of a JSONL store, one of them damaged."""
+
+    label: str
+    lines: tuple[bytes, ...]
+    rng: np.random.Generator = field(repr=False, compare=False)
+
+    def __str__(self) -> str:  # pytest id for parametrized streams
+        return self.label
+
+
+def _nested(record: dict) -> dict:
+    """A record's first nested object (a config, a word's metrics, a chip)."""
+    for value in record.values():
+        if isinstance(value, dict) and value:
+            return value
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            return value[0]
+    return record
+
+
+def store_damage(seed, lines: list[bytes], how: str) -> StoreDamage:
+    """``lines`` (newline-terminated) with one line damaged ``how``.
+
+    * ``truncate`` cuts the line short — a torn write if it is the last;
+    * ``garble`` overwrites 1-3 bytes with random ones (not always UTF-8);
+    * ``strip`` deletes one field;
+    * ``retype`` gives one field a value of another JSON type;
+    * ``retype-nested`` does that one level down;
+    * ``non-object`` replaces the line with valid JSON that is no object.
+    """
+    rng, source = _as_rng(seed)
+    index = int(rng.integers(len(lines)))
+    line = lines[index].rstrip(b"\n")
+    if how == "truncate":
+        line = line[: int(rng.integers(1, len(line)))]
+    elif how == "garble":
+        start = int(rng.integers(len(line)))
+        noise = bytes(int(b) for b in rng.integers(0, 256, size=int(rng.integers(1, 4))))
+        line = line[:start] + noise + line[start + len(noise) :]
+    elif how == "non-object":
+        scalars = [value for value in _JSON_VALUES if not isinstance(value, dict)]
+        line = json.dumps(scalars[int(rng.integers(len(scalars)))]).encode()
+    else:
+        record = json.loads(line)
+        target = _nested(record) if how == "retype-nested" else record
+        name = sorted(target)[int(rng.integers(len(target)))]
+        if how == "strip":
+            del target[name]
+        else:
+            others = [v for v in _JSON_VALUES if type(v) is not type(target[name])]
+            target[name] = others[int(rng.integers(len(others)))]
+        line = json.dumps(record).encode()
+    damaged = list(lines)
+    damaged[index] = line + b"\n"
+    return StoreDamage(
+        label=f"{how}-seed{source}-line{index}", lines=tuple(damaged), rng=rng
+    )

@@ -10,7 +10,7 @@ is what makes the memo layer's shared eliminated bases safe.
 
 import numpy as np
 import pytest
-from randcases import charge_case, charge_cases
+from randcases import charge_cases
 
 from repro.analysis.atrisk import (
     ChargeSystem,
@@ -19,7 +19,6 @@ from repro.analysis.atrisk import (
     solve_charge_assignment,
     unpack_dataword,
 )
-from repro.ecc import gf2w
 from repro.ecc.hamming import random_sec_code
 
 
@@ -115,46 +114,6 @@ class TestChargeSystemSemantics:
             assert ChargeSystem(code, tuple(charged)).feasible == is_charge_realizable(
                 code, charged
             )
-
-
-class TestPackedTierIdentity:
-    """REPRO_GF2_TIER=packed swaps the basis representation, not the answer.
-
-    The packed word basis must reproduce the integer-row basis bit for
-    bit — same pivots, same feasibility, same canonical solution — for
-    every anchor/pair/forced-zero split, or the CI packed leg could not
-    promise tier-independent exhibits.
-    """
-
-    @pytest.mark.parametrize("case", charge_cases(range(5000, 5025)), ids=str)
-    def test_packed_matches_integer_basis(self, case, monkeypatch):
-        code, anchors, pair = case
-        zeros = (
-            frozenset(int(x) for x in case.rng.choice(code.n, size=2, replace=False))
-            - anchors
-            - set(pair)
-        )
-        monkeypatch.setenv("REPRO_GF2_TIER", "unpacked")
-        reference = ChargeSystem(
-            code, tuple(sorted(anchors)), tuple(sorted(zeros))
-        ).with_charged(pair)
-        assert isinstance(reference._basis, list)
-        monkeypatch.setenv("REPRO_GF2_TIER", "packed")
-        packed = ChargeSystem(
-            code, tuple(sorted(anchors)), tuple(sorted(zeros))
-        ).with_charged(pair)
-        assert isinstance(packed._basis, gf2w.PackedBasis)
-        assert packed.feasible == reference.feasible
-        assert packed.solution_int() == reference.solution_int()
-        assert packed._pivots == reference._pivots
-
-    def test_solver_dispatch_under_packed_tier(self, monkeypatch):
-        code, anchors, pair = charge_case(99)
-        charged = anchors | set(pair)
-        monkeypatch.setenv("REPRO_GF2_TIER", "unpacked")
-        reference = _solve_charge_ints(code, charged, frozenset())
-        monkeypatch.setenv("REPRO_GF2_TIER", "packed")
-        assert _solve_charge_ints(code, charged, frozenset()) == reference
 
 
 class TestUnpackDataword:

@@ -4,8 +4,8 @@ The case study rides the sweep shard engine: picklable
 per-(probability, code, stratum) work units whose execution is a pure
 function of the shard, so parallel runs are bit-identical to the serial
 loop — and, like the sweep, it streams completed shards to a
-:class:`~repro.experiments.store.Fig10Store` and resumes from them
-bit-identically after a kill.
+``repro-fig10-v1`` :class:`~repro.experiments.store.ShardStore` and
+resumes from them bit-identically after a kill.
 """
 
 import json
@@ -25,8 +25,7 @@ from repro.analysis.probabilities import WordBerAnalyzer
 from repro.experiments import fig10
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.reporting import log_round_ticks
-from repro.experiments.runner import execute_shards
-from repro.experiments.store import Fig10Store
+from repro.experiments.store import ShardStore
 from repro.memory.error_model import sample_word_profile
 from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.runner import simulate_word
@@ -157,7 +156,7 @@ class TestResume:
         store_path = tmp_path / "fig10.jsonl"
         resumed = fig10.run(CONFIG, resume=str(store_path))
         assert resumed == serial
-        config, shards = Fig10Store(store_path).load()
+        config, shards, _ = ShardStore(store_path).load()
         assert config == CONFIG
         assert len(shards) == len(fig10.shard_case_study(CONFIG))
 
@@ -194,7 +193,7 @@ class TestResume:
     def test_resume_refuses_foreign_config(self, tmp_path):
         store_path = tmp_path / "fig10.jsonl"
         fig10.run(CONFIG, resume=str(store_path))
-        with pytest.raises(ValueError, match="different case-study config"):
+        with pytest.raises(ValueError, match="different Fig 10 case-study config"):
             fig10.run(replace(CONFIG, seed=7), resume=str(store_path))
 
     def test_resume_refuses_sweep_store(self, tmp_path):
@@ -256,18 +255,3 @@ class TestKillAndResume:
         )
         assert resumed.returncode == 0, resumed.stderr
         assert resumed.stdout == reference.stdout
-
-
-class TestExecuteShards:
-    def test_serial_and_pool_agree(self):
-        shards = list(range(7))
-        serial = execute_shards(_square, shards, jobs=None)
-        pooled = execute_shards(_square, shards, jobs=2)
-        assert serial == pooled == [n * n for n in shards]
-
-    def test_single_shard_short_circuits_pool(self):
-        assert execute_shards(_square, [3], jobs=4) == [9]
-
-
-def _square(n: int) -> int:
-    return n * n

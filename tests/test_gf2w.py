@@ -209,40 +209,3 @@ class TestValidationFastPaths:
         arr = np.zeros((3, 4), dtype=np.int64)
         out = gf2._validated(arr, 2)
         assert out.dtype == np.uint8
-
-
-class TestPackedBasis:
-    def test_matches_reference_gaussian_solution(self):
-        rng = np.random.default_rng(77)
-        for trial in range(25):
-            cols = int(rng.integers(1, 150))
-            rows = int(rng.integers(1, 40))
-            basis = gf2w.PackedBasis(cols)
-            a = (rng.random((rows, cols)) < 0.3).astype(np.uint8)
-            x_true = rng.integers(0, 2, size=cols, dtype=np.uint8)
-            b = gf2w.matvec(a, x_true)
-            packed_rows = gf2w.pack_rows(a)
-            for i in range(rows):
-                basis.insert(packed_rows[i], int(b[i]))
-            solution = basis.solution_words()
-            assert solution is not None
-            solved = gf2w.unpack_vector(solution, cols)
-            assert np.array_equal(gf2w.matvec(a, solved), b)
-
-    def test_infeasible_system_detected(self):
-        basis = gf2w.PackedBasis(70)
-        basis.insert_bit(65, 1)
-        basis.insert_bit(65, 0)
-        assert basis.infeasible
-        assert basis.solution_words() is None
-        assert basis.solution_int() is None
-
-    def test_copy_is_independent(self):
-        basis = gf2w.PackedBasis(130)
-        basis.insert_bit(100, 1)
-        fork = basis.copy()
-        fork.insert_bit(3, 1)
-        assert basis.count == 1
-        assert fork.count == 2
-        assert basis.solution_int() == 1 << 100
-        assert fork.solution_int() == (1 << 100) | (1 << 3)

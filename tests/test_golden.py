@@ -8,6 +8,14 @@ sweep, the Fig 10 case study, the fleet and the heterogeneous-probability
 extension.  Floats go through ``repr`` inside ``json.dumps``, so a digest
 pins them to the last bit.
 
+The ``store-*`` digests pin the on-disk records of each driver's
+``--resume`` store from the same runs: every line is parsed, its
+``seconds`` (wall-clock) field dropped, and the record re-dumped with
+``json.dumps`` in file order.  Re-dumping keeps each record's key order,
+which is part of the format: a sweep ``cell`` record writes ``kind``
+last, after ``seconds``, while ``fig10`` and ``fleet`` records write it
+first.
+
 Each digest must hold under both simulation kernels (``REPRO_SIM_KERNEL``
 ``auto`` and ``scalar``); the CI matrix runs the whole file under both
 GF(2) tiers.  Regenerate ``golden/digests.json`` only on purpose::
@@ -41,16 +49,16 @@ def _fields(record) -> list:
     return [getattr(record, field.name) for field in dataclasses.fields(record)]
 
 
-def _sweep():
-    result = run_sweep(replace(SCALES["unit"], seed=SEED))
+def _sweep(resume=None):
+    result = run_sweep(replace(SCALES["unit"], seed=SEED), resume=resume)
     return [
         [key[0], key[1], key[2], [_fields(word) for word in cell.words]]
         for key, cell in result.cells.items()
     ]
 
 
-def _fig10():
-    result = fig10.run(replace(CASE_SCALES["unit"], seed=SEED))
+def _fig10(resume=None):
+    result = fig10.run(replace(CASE_SCALES["unit"], seed=SEED), resume=resume)
     return {
         "ticks": list(result.ticks),
         "before": sorted([list(key), list(value)] for key, value in result.before.items()),
@@ -61,8 +69,8 @@ def _fig10():
     }
 
 
-def _fleet():
-    result = fleet.run(replace(FLEET_SCALES["unit"], seed=SEED))
+def _fleet(resume=None):
+    result = fleet.run(replace(FLEET_SCALES["unit"], seed=SEED), resume=resume)
     return [_fields(chip) for chip in result.chips]
 
 
@@ -77,11 +85,32 @@ def _heterogeneous():
     }
 
 
+def _store_records(run):
+    """The timing-free records of ``run``'s ``--resume`` store, in file order."""
+
+    def records(tmp_path: Path) -> list:
+        path = tmp_path / "store.jsonl"
+        run(resume=str(path))
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for record in lines:
+            record.pop("seconds", None)
+        return lines
+
+    return records
+
+
 RUNS = {
     "sweep": _sweep,
     "fig10": _fig10,
     "fleet": _fleet,
     "ext-heterogeneous": _heterogeneous,
+}
+
+#: Runs that write a store: called with a fresh directory.
+STORE_RUNS = {
+    "store-sweep": _store_records(_sweep),
+    "store-fig10": _store_records(_fig10),
+    "store-fleet": _store_records(_fleet),
 }
 
 
@@ -91,16 +120,20 @@ def _digest(document) -> str:
 
 
 @pytest.fixture(scope="module")
-def pinned():
+def pinned(tmp_path_factory):
     if UPDATE:
         digests = {name: _digest(run()) for name, run in RUNS.items()}
+        digests.update(
+            (name, _digest(run(tmp_path_factory.mktemp(name))))
+            for name, run in STORE_RUNS.items()
+        )
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     return json.loads(GOLDEN.read_text())
 
 
 def test_every_driver_is_pinned(pinned):
-    assert sorted(pinned) == sorted(RUNS)
+    assert sorted(pinned) == sorted({**RUNS, **STORE_RUNS})
 
 
 @pytest.mark.parametrize("kernel", ["auto", "scalar"])
@@ -112,3 +145,12 @@ def test_run_matches_golden_digest(name, kernel, pinned, monkeypatch):
     clear_engine_caches()
     fleet.clear_fleet_caches()
     assert _digest(RUNS[name]()) == pinned[name]
+
+
+@pytest.mark.parametrize("kernel", ["auto", "scalar"])
+@pytest.mark.parametrize("name", sorted(STORE_RUNS))
+def test_store_records_match_golden_digest(name, kernel, pinned, monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+    clear_engine_caches()
+    fleet.clear_fleet_caches()
+    assert _digest(STORE_RUNS[name](tmp_path)) == pinned[name]

@@ -41,7 +41,7 @@ from repro.experiments.monitor import (
     status_main,
 )
 from repro.experiments.runner import run_sweep, shard_grid
-from repro.experiments.store import Fig10Store, ShardStore
+from repro.experiments.store import ShardStore
 from repro.experiments.storetools import compact, summarize
 from serviceharness import wait_for_address
 

@@ -179,7 +179,7 @@ class TestSweepBitIdentity:
         run_sweep(self.CONFIG, shared_cache=True)
         # The overlay may stay warm in-process, but the block itself is
         # unlinked: publishing again must mint a fresh block.
-        block = shared_memo.publish_sweep_artifacts(self.CONFIG)
+        block = shared_memo.publish_entries(shared_memo.sweep_entries(self.CONFIG))
         assert block.entries > 0
         block.destroy()
 

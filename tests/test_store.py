@@ -9,6 +9,8 @@ from repro.experiments.config import SweepConfig
 from repro.experiments.fig6 import coverage_curve
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import (
+    FIG10_STORE,
+    SWEEP_STORE,
     ShardStore,
     config_from_dict,
     config_to_dict,
@@ -152,39 +154,49 @@ class TestConfigRoundtrip:
             assert restored.cells[key].words == sweep.cells[key].words
 
 
+def _append_cells(store, sweep) -> None:
+    with store.open(CONFIG):
+        for key, cell in sweep.cells.items():
+            store.append(key, cell, sweep.timings.get(key))
+
+
+def _key(cell):
+    return (cell.error_count, cell.probability, cell.profiler)
+
+
 class TestShardStore:
     def test_append_load_roundtrip(self, sweep, tmp_path):
-        store = ShardStore(tmp_path / "cells.jsonl")
-        with store.open(CONFIG):
-            for key, cell in sweep.cells.items():
-                store.append(cell, sweep.timings.get(key))
+        store = ShardStore(tmp_path / "cells.jsonl", SWEEP_STORE)
+        _append_cells(store, sweep)
         loaded = store.load()
         assert loaded.config == CONFIG
-        assert loaded.cells.keys() == sweep.cells.keys()
+        assert loaded.results.keys() == sweep.cells.keys()
         for key in sweep.cells:
-            assert loaded.cells[key].words == sweep.cells[key].words
-        assert loaded.timings == pytest.approx(sweep.timings)
+            assert loaded.results[key].words == sweep.cells[key].words
+        assert loaded.seconds == pytest.approx(sweep.timings)
 
     def test_missing_file_loads_empty(self, tmp_path):
         store = ShardStore(tmp_path / "absent.jsonl")
         assert not store.exists()
         loaded = store.load()
-        assert loaded.cells == {} and loaded.config is None
+        assert loaded.results == {} and loaded.config is None
+
+    def test_appending_needs_a_format(self, tmp_path):
+        with pytest.raises(ValueError, match="needs the store format"):
+            ShardStore(tmp_path / "cells.jsonl").open(CONFIG)
 
     def test_truncated_final_line_tolerated(self, sweep, tmp_path):
         path = tmp_path / "cells.jsonl"
-        store = ShardStore(path)
-        with store.open(CONFIG):
-            for key, cell in sweep.cells.items():
-                store.append(cell, sweep.timings.get(key))
+        store = ShardStore(path, SWEEP_STORE)
+        _append_cells(store, sweep)
         intact = store.load()
         # Crash mid-append: the final record is cut somewhere inside.
         text = path.read_text()
         path.write_text(text[: len(text) - 40])
         survivors = ShardStore(path).load()
-        assert len(survivors.cells) == len(intact.cells) - 1
-        for key, cell in survivors.cells.items():
-            assert cell.words == intact.cells[key].words
+        assert len(survivors.results) == len(intact.results) - 1
+        for key, cell in survivors.results.items():
+            assert cell.words == intact.results[key].words
 
     def test_valid_tail_missing_newline_repaired_not_dropped(self, sweep, tmp_path):
         """A tear that ate only the final newline must not lose the record:
@@ -192,21 +204,19 @@ class TestShardStore:
         repair the terminator rather than truncate."""
         path = tmp_path / "cells.jsonl"
         cells = list(sweep.cells.values())
-        store = ShardStore(path)
+        store = ShardStore(path, SWEEP_STORE)
         with store.open(CONFIG):
-            store.append(cells[0])
-            store.append(cells[1])
+            store.append(_key(cells[0]), cells[0])
+            store.append(_key(cells[1]), cells[1])
         text = path.read_text()
         assert text.endswith("\n")
         path.write_text(text[:-1])  # tear exactly the terminator
         assert len(ShardStore(path).keys()) == 2  # load still counts it
-        with ShardStore(path) as reopened:
+        with ShardStore(path, SWEEP_STORE) as reopened:
             pass  # open() must repair, not trim
         loaded = ShardStore(path).load()
-        assert len(loaded.cells) == 2
-        assert loaded.cells[
-            (cells[1].error_count, cells[1].probability, cells[1].profiler)
-        ].words == cells[1].words
+        assert len(loaded.results) == 2
+        assert loaded.results[_key(cells[1])].words == cells[1].words
 
     def test_newline_terminated_corrupt_tail_trimmed_on_append(self, sweep, tmp_path):
         """A crash can persist the tail's newline while losing earlier
@@ -214,27 +224,22 @@ class TestShardStore:
         skips it, or the next append buries corruption mid-file."""
         path = tmp_path / "cells.jsonl"
         cells = list(sweep.cells.values())
-        store = ShardStore(path)
+        store = ShardStore(path, SWEEP_STORE)
         with store.open(CONFIG):
-            store.append(cells[0])
-            store.append(cells[1])
+            store.append(_key(cells[0]), cells[0])
+            store.append(_key(cells[1]), cells[1])
         lines = path.read_text().splitlines()
         lines[-1] = lines[-1][:30]  # corrupt record, newline kept
         path.write_text("\n".join(lines) + "\n")
-        with ShardStore(path) as reopened:
-            reopened.append(cells[1])
+        with ShardStore(path, SWEEP_STORE) as reopened:
+            reopened.append(_key(cells[1]), cells[1])
         loaded = ShardStore(path).load()  # must not raise mid-file corruption
-        assert len(loaded.cells) == 2
-        assert loaded.cells[
-            (cells[1].error_count, cells[1].probability, cells[1].profiler)
-        ].words == cells[1].words
+        assert len(loaded.results) == 2
+        assert loaded.results[_key(cells[1])].words == cells[1].words
 
     def test_corrupt_middle_line_raises(self, sweep, tmp_path):
         path = tmp_path / "cells.jsonl"
-        store = ShardStore(path)
-        with store.open(CONFIG):
-            for key, cell in sweep.cells.items():
-                store.append(cell, sweep.timings.get(key))
+        _append_cells(ShardStore(path, SWEEP_STORE), sweep)
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:-20]  # torn record *before* the tail
         path.write_text("\n".join(lines) + "\n")
@@ -244,12 +249,12 @@ class TestShardStore:
     def test_duplicate_keys_last_append_wins(self, sweep, tmp_path):
         key = next(iter(sweep.cells))
         other = run_sweep(replace(CONFIG, seed=CONFIG.seed + 1))
-        store = ShardStore(tmp_path / "cells.jsonl")
+        store = ShardStore(tmp_path / "cells.jsonl", SWEEP_STORE)
         with store.open(CONFIG):
-            store.append(sweep.cells[key])
-            store.append(other.cells[key])
+            store.append(key, sweep.cells[key])
+            store.append(key, other.cells[key])
         loaded = store.load()
-        assert loaded.cells[key].words == other.cells[key].words
+        assert loaded.results[key].words == other.cells[key].words
 
 
 class TestResume:
@@ -260,7 +265,7 @@ class TestResume:
         result = run_sweep(CONFIG, resume=str(path))
         stored = ShardStore(path).load()
         assert stored.config == CONFIG
-        assert stored.cells.keys() == result.cells.keys()
+        assert stored.results.keys() == result.cells.keys()
 
     def test_interrupted_sweep_resumes_bit_identical(self, sweep, tmp_path):
         path = tmp_path / "resume.jsonl"
@@ -302,9 +307,10 @@ class TestResume:
         """A store that holds cells but no config (hand-built or written
         without one) cannot be verified — resume must refuse, not merge."""
         path = tmp_path / "foreign.jsonl"
-        store = ShardStore(path)
+        store = ShardStore(path, SWEEP_STORE)
+        key, cell = next(iter(sweep.cells.items()))
         with store.open():  # header with null config
-            store.append(next(iter(sweep.cells.values())))
+            store.append(key, cell)
         with pytest.raises(ValueError, match="does not record the sweep config"):
             run_sweep(CONFIG, resume=str(path))
 
@@ -351,7 +357,7 @@ class TestResume:
 
 
 class TestFig10Store:
-    """The case-study twin of ShardStore: record round-trip and guards."""
+    """A ``repro-fig10-v1`` store: record round-trip and guards."""
 
     RESULT = (
         {"Naive": [[0.5, 0.25], [0.125, 0.0]]},
@@ -361,53 +367,57 @@ class TestFig10Store:
 
     def test_roundtrip(self, tmp_path):
         from repro.experiments.config import CaseStudyConfig
-        from repro.experiments.store import Fig10Store
 
         config = CaseStudyConfig(num_codes=2, words_per_stratum=2)
         path = tmp_path / "fig10.jsonl"
-        store = Fig10Store(path)
+        store = ShardStore(path, FIG10_STORE)
         with store.open(config):
             store.append((0.75, 1, 2), self.RESULT)
-        loaded_config, shards = Fig10Store(path).load()
+        loaded_config, shards, _ = ShardStore(path, FIG10_STORE).load()
         assert loaded_config == config
         assert shards == {(0.75, 1, 2): self.RESULT}
 
     def test_duplicate_key_last_append_wins(self, tmp_path):
-        from repro.experiments.store import Fig10Store
-
         path = tmp_path / "fig10.jsonl"
-        store = Fig10Store(path)
+        store = ShardStore(path, FIG10_STORE)
         newer = ({"Naive": [[0.0, 0.0]]}, {"Naive": [[0.0, 0.0]]}, {"Naive": [1]})
         with store.open(None):
             store.append((0.5, 0, 2), self.RESULT)
             store.append((0.5, 0, 2), newer)
-        _, shards = Fig10Store(path).load()
-        assert shards == {(0.5, 0, 2): newer}
+        assert ShardStore(path).load().results == {(0.5, 0, 2): newer}
 
     def test_torn_tail_tolerated(self, tmp_path):
-        from repro.experiments.store import Fig10Store
-
         path = tmp_path / "fig10.jsonl"
-        store = Fig10Store(path)
+        store = ShardStore(path, FIG10_STORE)
         with store.open(None):
             store.append((0.5, 0, 2), self.RESULT)
         with open(path, "a") as handle:
             handle.write('{"kind": "fig10", "probab')
-        _, shards = Fig10Store(path).load()
-        assert set(shards) == {(0.5, 0, 2)}
+        assert set(ShardStore(path).load().results) == {(0.5, 0, 2)}
+
+    def test_recorded_seconds_load(self, tmp_path):
+        path = tmp_path / "fig10.jsonl"
+        with ShardStore(path, FIG10_STORE) as store:
+            store.append((0.5, 0, 2), self.RESULT, seconds=1.5)
+        assert ShardStore(path).load().seconds == {(0.5, 0, 2): 1.5}
 
     def test_sweep_store_loading_fig10_file_rejected(self, tmp_path):
-        from repro.experiments.store import Fig10Store
-
         path = tmp_path / "fig10.jsonl"
-        Fig10Store(path).open(None).close()
+        ShardStore(path, FIG10_STORE).open(None).close()
         with pytest.raises(ValueError, match="Fig 10 case-study store"):
-            ShardStore(path).load()
+            ShardStore(path, SWEEP_STORE).load()
 
     def test_fig10_store_loading_sweep_file_rejected(self, tmp_path):
-        from repro.experiments.store import Fig10Store
-
         path = tmp_path / "sweep.jsonl"
-        ShardStore(path).open(None).close()
+        ShardStore(path, SWEEP_STORE).open(None).close()
         with pytest.raises(ValueError, match="not a Fig 10 case-study store"):
-            Fig10Store(path).load()
+            ShardStore(path, FIG10_STORE).load()
+
+    def test_record_of_another_kind_rejected(self, tmp_path):
+        path = tmp_path / "fig10.jsonl"
+        with ShardStore(path, FIG10_STORE) as store:
+            store.append((0.5, 0, 2), self.RESULT)
+        with open(path, "a") as handle:
+            handle.write(json.dumps({"kind": "fleet", "start": 0}) + "\n")
+        with pytest.raises(ValueError, match="unknown shard record on line 3"):
+            ShardStore(path).load()

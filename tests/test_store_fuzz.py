@@ -1,0 +1,134 @@
+"""Seeded fuzz suite: a damaged JSONL store fails as ``ValueError``, never a traceback.
+
+A shard store is external input: it outlives the process that wrote it,
+travels between machines, and sits on disks that tear writes.  Each case
+takes a real store of one driver (sweep, Fig 10 or fleet, quarantine
+marker included) and damages one record the way
+:func:`randcases.store_damage` draws it — truncated, garbled, a field
+stripped, a field (or a nested one) retyped, or replaced by a non-object.
+Loading, ``summarize``, ``compact`` and ``merge`` must then either accept
+the store or raise ``ValueError`` (``FileNotFoundError`` for a missing
+one); ``repro store PATH summary`` exits 1 with a one-line ``repro
+store:`` message exactly when ``summarize`` refuses; and a sweep resumed
+onto the damaged store refuses with ``ValueError`` or completes.
+"""
+
+import shutil
+
+import pytest
+
+from randcases import STORE_DAMAGE, store_damage
+from repro.experiments import fig10, fleet
+from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
+from repro.experiments.runner import run_sweep
+from repro.experiments.store import FIG10_STORE, FLEET_STORE, SWEEP_STORE, ShardStore
+from repro.experiments.storetools import compact, merge, store_main, summarize
+
+SWEEP = SweepConfig(
+    num_codes=1,
+    words_per_code=2,
+    num_rounds=8,
+    error_counts=(2,),
+    probabilities=(0.5,),
+    profilers=("Naive", "HARP-U"),
+)
+CASE = CaseStudyConfig(
+    num_codes=1,
+    words_per_stratum=2,
+    num_rounds=8,
+    probabilities=(0.5,),
+    rbers=(1e-4,),
+    max_at_risk=3,
+    profilers=("Naive",),
+)
+FLEET = FleetConfig(
+    num_chips=6, k=16, num_codes=2, num_rounds=8, rows=8, words_per_row=2, chips_per_shard=2
+)
+
+#: Store kind -> (format, run writing a store to ``resume``).
+DRIVERS = {
+    "sweep": (SWEEP_STORE, lambda resume: run_sweep(SWEEP, resume=resume)),
+    "fig10": (FIG10_STORE, lambda resume: fig10.run(CASE, resume=resume)),
+    "fleet": (FLEET_STORE, lambda resume: fleet.run(FLEET, resume=resume)),
+}
+
+SEEDS = range(4)
+
+
+@pytest.fixture(scope="module")
+def clean_stores(tmp_path_factory):
+    """One intact store per driver, ending in a quarantine marker."""
+    stores = {}
+    for kind, (store_format, run) in DRIVERS.items():
+        path = tmp_path_factory.mktemp(kind) / "store.jsonl"
+        run(str(path))
+        key = next(iter(ShardStore(path).load().results))
+        with ShardStore(path, store_format) as store:
+            store.append_quarantine(key)
+        stores[kind] = path
+    return stores
+
+
+def _refused(call) -> bool:
+    """Whether ``call`` refused the store; any other exception fails the test."""
+    try:
+        call()
+    except (ValueError, FileNotFoundError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("how", STORE_DAMAGE)
+@pytest.mark.parametrize("kind", sorted(DRIVERS))
+def test_damaged_store_refuses_cleanly(kind, how, seed, clean_stores, tmp_path, capsys):
+    store_format, run = DRIVERS[kind]
+    clean = clean_stores[kind]
+    case = store_damage(seed, clean.read_bytes().splitlines(keepends=True), how)
+    path = tmp_path / "damaged.jsonl"
+    path.write_bytes(b"".join(case.lines))
+
+    _refused(lambda: ShardStore(path).load())
+    _refused(lambda: ShardStore(path, store_format).load())
+    summary_refused = _refused(lambda: summarize(path))
+    _refused(lambda: compact(path, output=tmp_path / "compacted.jsonl"))
+    _refused(lambda: merge([path, clean], tmp_path / "merged.jsonl"))
+    _refused(lambda: merge([clean, path], tmp_path / "merged.jsonl"))
+
+    capsys.readouterr()
+    code = store_main([str(path), "summary"])
+    err = capsys.readouterr().err
+    assert code == (1 if summary_refused else 0), case
+    if code:
+        assert err.startswith("repro store: ") and err.count("\n") == 1, err
+    if kind == "sweep":
+        resumed = tmp_path / "resumed.jsonl"
+        shutil.copy(path, resumed)
+        _refused(lambda: run(str(resumed)))
+
+
+def test_missing_store_is_file_not_found(tmp_path):
+    for call in (summarize, compact):
+        with pytest.raises(FileNotFoundError):
+            call(tmp_path / "absent.jsonl")
+    assert store_main([str(tmp_path / "absent.jsonl"), "summary"]) == 1
+
+
+class TestReportedCrashes:
+    """Malformed records that used to escape as tracebacks."""
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '{"kind": "cell"}', "{}"])
+    def test_summary_exits_1_on_a_malformed_record(self, line, clean_stores, tmp_path, capsys):
+        path = tmp_path / "store.jsonl"
+        path.write_text(clean_stores["sweep"].read_text() + line + "\n")
+        assert store_main([str(path), "summary"]) == 1
+        lines = len(path.read_text().splitlines())
+        assert capsys.readouterr().err == (
+            f"repro store: {path}: corrupt shard record on line {lines}\n"
+        )
+
+    def test_resume_refuses_a_record_missing_its_key(self, clean_stores, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(clean_stores["sweep"].read_text() + '{"kind": "cell"}\n')
+        with pytest.raises(ValueError, match="corrupt shard record on line"):
+            run_sweep(SWEEP, resume=str(path))

@@ -14,7 +14,7 @@ from repro.cli import main
 from repro.experiments import fig10
 from repro.experiments.config import CaseStudyConfig, SweepConfig
 from repro.experiments.runner import run_sweep
-from repro.experiments.store import Fig10Store, ShardStore
+from repro.experiments.store import SWEEP_STORE, ShardStore
 from repro.experiments.storetools import (
     compact,
     merge,
@@ -176,7 +176,7 @@ class TestGridCoverage:
         pass, or a targeted re-run) is reported as healed — not listed
         as quarantined, and never double-counted against coverage."""
         key = (2, 0.5, "Naive")
-        with ShardStore(sweep_store) as store:
+        with ShardStore(sweep_store, SWEEP_STORE) as store:
             store.append_quarantine(key)
         summary = summarize(sweep_store)
         assert summary.quarantined == []  # the completed cell resolves it
@@ -193,7 +193,7 @@ class TestGridCoverage:
         lines = sweep_store.read_text().splitlines()
         sweep_store.write_text("\n".join(lines[:3]) + "\n")  # drop 2 cells
         missing = (2, 1.0, "HARP-U")
-        with ShardStore(sweep_store) as store:
+        with ShardStore(sweep_store, SWEEP_STORE) as store:
             store.append_quarantine(missing)
         summary = summarize(sweep_store)
         assert summary.quarantined == [missing]
@@ -221,9 +221,9 @@ class TestCompact:
         assert stats.superseded == 1
         assert stats.torn_tail is True
         after = ShardStore(sweep_store).load()
-        assert after.cells.keys() == before.cells.keys()
-        for key in before.cells:
-            assert after.cells[key].words == before.cells[key].words
+        assert after.results.keys() == before.results.keys()
+        for key in before.results:
+            assert after.results[key].words == before.results[key].words
         assert summarize(sweep_store).superseded == 0
         assert summarize(sweep_store).torn_tail is False
 
