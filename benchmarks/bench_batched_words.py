@@ -49,12 +49,12 @@ def _cells(config: SweepConfig):
         words = engine._words_for(config, error_count)
         for probability in config.probabilities:
             for name in config.profilers:
-                yield PROFILER_REGISTRY[name], words, probability, error_count
+                yield PROFILER_REGISTRY[name], words, probability
 
 
 def _scalar_grid(config: SweepConfig):
     runs = []
-    for cls, words, probability, _error_count in _cells(config):
+    for cls, words, probability in _cells(config):
         for ctx in words:
             profile = WordErrorProfile(
                 ctx.positions, tuple(probability for _ in ctx.positions)
@@ -75,7 +75,7 @@ def _scalar_grid(config: SweepConfig):
 
 def _batched_grid(config: SweepConfig):
     runs = []
-    for cls, words, probability, error_count in _cells(config):
+    for cls, words, probability in _cells(config):
         profiles = [
             WordErrorProfile(ctx.positions, tuple(probability for _ in ctx.positions))
             for ctx in words
@@ -87,7 +87,10 @@ def _batched_grid(config: SweepConfig):
                 profiles,
                 config.num_rounds,
                 [ctx.word_seed for ctx in words],
-                batch_artifacts=engine._batch_stacks_for(config, error_count),
+                artifacts=[
+                    engine._artifacts_for(config, ctx.code, ctx.word_seed, len(ctx.positions))
+                    for ctx in words
+                ],
             )
         )
     return runs

@@ -363,15 +363,14 @@ def test_simulate_words_batched_speedup(sweep_scaling):
     words = [
         (sample_word_profile(code, 4, 0.5, rng), trial) for trial in range(48)
     ]
-    # Precompute the schedule encodings once, like the sweep engine does:
-    # the kernels should be compared on simulation, not RNG re-derivation.
+    # Precompute each word's inputs once, like the sweep engine does: the
+    # kernels should be compared on simulation, not RNG re-derivation.
     artifacts = []
     for profile, seed in words:
         probe = PROFILER_REGISTRY["Naive"](code, seed=seed)
         schedule = np.stack([probe.pattern_for_round(r) for r in range(128)])
-        artifacts.append(
-            WordArtifacts(schedule=schedule, codewords=code.encode(schedule))
-        )
+        draws = derive_rng(seed, "failure-draws").random((128, profile.count))
+        artifacts.append(WordArtifacts(schedule, code.encode(schedule), draws))
 
     def scalar_pass():
         return [

@@ -1,7 +1,7 @@
 """Bench: the bit-packed GF(2) kernel tier against the unpacked reference.
 
 Times ``repro.ecc.gf2`` elimination and solving under both kernel tiers
-(forced via ``REPRO_GF2_TIER``) and a shared-cache worker-pool sweep
+(forced by moving the facade's size thresholds) and a shared-cache worker-pool sweep
 against the serial engine — recorded to ``results/kernel_scaling.txt``
 through the ``kernel_scaling`` fixture.
 
@@ -10,7 +10,7 @@ eliminate/solve pairs assert the >=2x kernel speedup the packed tier
 exists for.
 """
 
-import os
+import math
 import time
 
 import numpy as np
@@ -37,10 +37,16 @@ SWEEP_GRID = SweepConfig(
 
 
 def _tier_timed(tier: str, fn, reps: int = 3):
-    """Best-of-``reps`` CPU seconds of ``fn()`` under a forced tier."""
-    previous = os.environ.get(gf2._TIER_ENV)
-    os.environ[gf2._TIER_ENV] = tier
-    try:
+    """Best-of-``reps`` CPU seconds of ``fn()`` under a forced tier.
+
+    ``gf2`` picks a tier by operand size alone, so the tier is forced by
+    moving both size thresholds to 0 (packed) or past any operand
+    (unpacked).
+    """
+    threshold = 0 if tier == "packed" else math.inf
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(gf2, "_AUTO_PACKED_SIZE", threshold)
+        monkeypatch.setattr(gf2, "_AUTO_PACKED_WORK", threshold)
         best = float("inf")
         result = None
         for _ in range(reps):
@@ -48,11 +54,6 @@ def _tier_timed(tier: str, fn, reps: int = 3):
             result = fn()
             best = min(best, time.process_time() - started)
         return best, result
-    finally:
-        if previous is None:
-            os.environ.pop(gf2._TIER_ENV, None)
-        else:
-            os.environ[gf2._TIER_ENV] = previous
 
 
 def test_eliminate_packed_speedup(kernel_scaling):

@@ -35,6 +35,5 @@ __all__ = [
     "repair",
     "controller",
     "experiments",
-    "sat",
     "utils",
 ]

@@ -10,8 +10,8 @@ with Gaussian elimination instead:
 * *Realizability* — can some data pattern charge a given set of cells
   simultaneously?  Data-bit cells are free variables; a parity-bit cell's
   charge is an affine function of the data.  Feasibility of the resulting
-  linear system decides the question (`repro.sat` cross-checks this with a
-  CNF encoding in the test suite).
+  linear system decides the question (the test suite cross-checks this
+  with a CNF encoding and a DPLL solver, ``tests/gf2_encoding.py``).
 * *Ground truth* — enumerate every nonempty subset of the word's at-risk
   bits (at most ``2^|S|`` with ``|S| <= 8`` in all paper configurations),
   keep the realizable ones, and apply the exact decode semantics of
@@ -44,8 +44,8 @@ random SEC codes).
 Basis representation
 ====================
 
-The basis rows are Python integers (bit ``i`` = data bit ``i``) under
-every ``REPRO_GF2_TIER`` setting.  A CPython integer is already a
+The basis rows are Python integers (bit ``i`` = data bit ``i``) on
+every GF(2) tier.  A CPython integer is already a
 word-packed bit vector, so for the paper's ``k = 64`` each row is a
 single machine word with zero numpy overhead: the fastest
 representation for the Monte-Carlo hot loop.  (A ``uint64``-word basis

@@ -271,12 +271,8 @@ def sweep_entries(config) -> dict[Hashable, tuple[str, Any]]:
     * ``("sched", pattern, seed, k, rounds)`` /
       ``("enc", code_key, pattern, seed, rounds)`` /
       ``("draws", word_seed, rounds, count)`` — the per-word simulation
-      arrays (zero-copy views in attached workers);
-    * ``("bstack", config, error_count, part)`` — the error count's
-      pre-stacked batched-kernel inputs (``part`` in ``codewords`` /
-      ``draws`` / ``positions``), published once per sweep so every
-      (probability, profiler) cell of every worker slices the same
-      zero-copy arrays (consumed by ``runner._batch_stacks_for``);
+      arrays (zero-copy views in attached workers), which both kernels
+      read through ``runner._artifacts_for``;
     * ``("pairs", code_key, target)`` for every codeword position of
       every sweep code — the BEEP aliasing tables, keyed as
       :mod:`repro.analysis.memo` keys them.
@@ -291,11 +287,6 @@ def sweep_entries(config) -> dict[Hashable, tuple[str, Any]]:
     for error_count in config.error_counts:
         words = runner._words_for(config, error_count)
         entries[("swords", config, error_count)] = ("pickle", words)
-        stacks = runner._batch_stacks_for(config, error_count)
-        if stacks is not None:
-            entries[("bstack", config, error_count, "codewords")] = ("array", stacks.codewords)
-            entries[("bstack", config, error_count, "draws")] = ("array", stacks.draws)
-            entries[("bstack", config, error_count, "positions")] = ("array", stacks.positions)
         for ctx in words:
             codes[_code_key(ctx.code)] = ctx.code
             entries.update(

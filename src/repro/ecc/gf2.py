@@ -11,8 +11,9 @@ all reduce to GF(2) matrix operations exposed here.
 Kernel tiers
 ============
 
-Two interchangeable kernel tiers implement the elimination ops
-(``row_reduce`` / ``rank`` / ``solve`` / ``is_consistent`` / ``nullspace``):
+Two interchangeable kernel tiers implement elimination (``row_reduce``,
+which ``rank`` / ``solve`` / ``is_consistent`` / ``nullspace`` build on)
+and the products (``matmul`` / ``matvec``):
 
 ``unpacked``
     The reference tier kept in this module: rows packed into Python
@@ -31,29 +32,22 @@ a one in the leftmost eligible column, eliminated from every row), so
 their outputs are bit-identical for every input — dispatch is purely a
 performance decision and every downstream exhibit is tier-independent.
 
-Dispatch picks ``packed`` for elimination when the operand has at least
-``_AUTO_PACKED_SIZE`` entries (a measured crossover — Python-int rows
-are themselves word-packed, so the packed kernel's per-column numpy
-overhead only amortizes on large systems) and ``unpacked`` below.  The
-``REPRO_GF2_TIER`` environment variable overrides the choice for the
-whole process: ``packed`` / ``unpacked`` force one tier everywhere
-(CI runs the tier-1 suite under both), ``auto`` (or unset) restores
-size-based dispatch.
-
-Matrix products (``matmul`` / ``matvec``) dispatch on the product's
-multiply-accumulate count instead: the packed XOR+popcount kernel
-(``np.packbits`` packing plus ``np.bitwise_count``) pays a per-call
-packing cost that only amortizes once the product does at least
-``_AUTO_PACKED_WORK`` bit-operations, so ``auto`` keeps single-pattern
-encodes on the historical widen-to-int64-then-mod path and routes batch
-encodes to the popcount kernel.  A forced tier overrides this too.
-Inputs must be 0/1 arrays; use :func:`is_bit_matrix` to validate
-untrusted data.
+Dispatch reads the operand size alone.  Elimination takes ``packed``
+when the operand has at least ``_AUTO_PACKED_SIZE`` entries (a measured
+crossover — Python-int rows are themselves word-packed, so the packed
+kernel's per-column numpy overhead only amortizes on large systems) and
+``unpacked`` below.  Matrix products (``matmul`` / ``matvec``) dispatch
+on the product's multiply-accumulate count instead: the packed
+XOR+popcount kernel (``np.packbits`` packing plus ``np.bitwise_count``)
+pays a per-call packing cost that only amortizes once the product does
+at least ``_AUTO_PACKED_WORK`` bit-operations, so single-pattern encodes
+stay on the historical widen-to-int64-then-mod path and batch encodes
+take the popcount kernel.  Tests pin either tier by moving these two
+thresholds.  Inputs must be 0/1 arrays; use :func:`is_bit_matrix` to
+validate untrusted data.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -71,49 +65,19 @@ __all__ = [
     "is_consistent",
     "nullspace",
     "is_bit_matrix",
-    "active_tier",
 ]
 
-#: Operand size (entries) at which auto dispatch switches to the packed tier.
-#: Below this the Python-int reference tier has lower constant overhead.
-#: Minimum matrix entry count before packed elimination beats the
-#: integer-row reference — the per-column numpy dispatch overhead of the
-#: packed kernel needs whole-matrix XOR width to amortize (measured
-#: crossover is near 256x256; the win grows with row count from there).
+#: Operand size (entries) at which elimination switches to the packed
+#: tier.  Below it the integer-row reference has lower constant overhead:
+#: the packed kernel's per-column numpy dispatch needs whole-matrix XOR
+#: width to amortize (measured crossover is near 256x256; the win grows
+#: with row count from there).
 _AUTO_PACKED_SIZE = 65536
 
 #: Minimum multiply-accumulate count (rows * inner * cols) before the
 #: popcount product kernel beats the int64 path — below it, per-call
 #: packing overhead dominates (measured crossover is near 2**14.5).
 _AUTO_PACKED_WORK = 32768
-
-_TIER_ENV = "REPRO_GF2_TIER"
-_TIERS = ("auto", "packed", "unpacked")
-
-
-def _tier() -> str:
-    value = os.environ.get(_TIER_ENV, "auto").strip().lower() or "auto"
-    if value not in _TIERS:
-        raise ValueError(
-            f"{_TIER_ENV} must be one of {_TIERS}, got {value!r}"
-        )
-    return value
-
-
-def active_tier(size: int = 0) -> str:
-    """The kernel tier an elimination op on ``size`` entries would use."""
-    tier = _tier()
-    if tier != "auto":
-        return tier
-    return "packed" if size >= _AUTO_PACKED_SIZE else "unpacked"
-
-
-def _product_tier(work: int) -> str:
-    """The kernel tier a product doing ``work`` multiply-accumulates uses."""
-    tier = _tier()
-    if tier != "auto":
-        return tier
-    return "packed" if work >= _AUTO_PACKED_WORK else "unpacked"
 
 
 def is_bit_matrix(matrix: np.ndarray) -> bool:
@@ -157,7 +121,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _validated(b, 2)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch for matmul: {a.shape} @ {b.shape}")
-    if _product_tier(a.shape[0] * a.shape[1] * b.shape[1]) == "unpacked":
+    if a.shape[0] * a.shape[1] * b.shape[1] < _AUTO_PACKED_WORK:
         # Historical reference path: accumulate in a wide dtype to avoid
         # uint8 overflow, then reduce mod 2.
         return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
@@ -170,7 +134,7 @@ def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.uint8).reshape(-1)
     if v.shape[0] != a.shape[1]:
         raise ValueError(f"shape mismatch for matvec: {a.shape} @ {v.shape}")
-    if _product_tier(a.shape[0] * a.shape[1]) == "unpacked":
+    if a.shape[0] * a.shape[1] < _AUTO_PACKED_WORK:
         return (a.astype(np.int64) @ v.astype(np.int64) % 2).astype(np.uint8)
     return gf2w.matvec(a, v)
 
@@ -234,7 +198,7 @@ def row_reduce(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     bit-identical output.
     """
     arr = _validated(matrix, 2)
-    if active_tier(arr.size) == "packed":
+    if arr.size >= _AUTO_PACKED_SIZE:
         return gf2w.row_reduce(arr)
     return _row_reduce_unpacked(arr)
 

@@ -1,7 +1,8 @@
 """Word-parallel (bit-packed) GF(2) linear algebra — the packed kernel tier.
 
-Every operation in :mod:`repro.ecc.gf2` has a drop-in semantic twin here
-that works on matrices packed 64 columns to a ``uint64`` word: bit ``i``
+The kernels here back :mod:`repro.ecc.gf2`'s elimination and products on
+large operands, plus the multi-RHS :func:`solve_many`.  They work on
+matrices packed 64 columns to a ``uint64`` word: bit ``i``
 of word ``j`` holds column ``64*j + i`` (little-endian within the word,
 words ascending).  A ``(rows, cols)`` byte-per-bit matrix becomes a
 ``(rows, ceil(cols/64))`` word matrix, so the XOR inner loop of Gaussian
@@ -22,11 +23,11 @@ Determinism contract
 
 The packed kernels follow the exact pivot-selection order of the
 unpacked reference (scan columns left to right, take the first unreduced
-row with a one in the pivot column), so ``row_reduce``/``rank``/
-``solve``/``is_consistent``/``nullspace`` here are *bit-identical* to
-their :mod:`repro.ecc.gf2` counterparts for every input — the facade in
-:mod:`repro.ecc.gf2` dispatches between the tiers freely on that basis
-(``REPRO_GF2_TIER`` forces either one; see that module's docstring).
+row with a one in the pivot column), so :func:`row_reduce`,
+:func:`matmul` and :func:`matvec` are *bit-identical* to the reference
+tier for every input, and :func:`solve_many` to a per-plane
+:func:`repro.ecc.gf2.solve` loop — the facade in :mod:`repro.ecc.gf2`
+dispatches between the tiers on operand size alone on that basis.
 ``tests/test_gf2w.py`` property-tests the equivalence over rectangular,
 rank-deficient, and multi-word (>64-column) matrices.
 
@@ -45,14 +46,9 @@ __all__ = [
     "pack_rows",
     "unpack_rows",
     "pack_vector",
-    "unpack_vector",
     "row_reduce_packed",
     "row_reduce",
-    "rank",
-    "solve",
     "solve_many",
-    "is_consistent",
-    "nullspace",
     "matmul",
     "matmul_packed",
     "matvec",
@@ -102,11 +98,6 @@ def pack_vector(vector: np.ndarray) -> np.ndarray:
     return pack_rows(np.asarray(vector, dtype=np.uint8).reshape(1, -1))[0]
 
 
-def unpack_vector(packed: np.ndarray, cols: int) -> np.ndarray:
-    """Inverse of :func:`pack_vector`."""
-    return unpack_rows(np.asarray(packed, dtype=np.uint64).reshape(1, -1), cols)[0]
-
-
 def _column_word_bit(col: int) -> tuple[int, np.uint64]:
     """(word index, single-bit mask) addressing one column."""
     return col // WORD_BITS, _ONE << np.uint64(col % WORD_BITS)
@@ -150,7 +141,7 @@ def row_reduce_packed(
 
 
 def row_reduce(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Packed-tier twin of :func:`repro.ecc.gf2.row_reduce`."""
+    """Packed tier of :func:`repro.ecc.gf2.row_reduce`."""
     arr = np.asarray(matrix, dtype=np.uint8)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-dimensional array, got shape {arr.shape}")
@@ -159,53 +150,14 @@ def row_reduce(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return unpack_rows(reduced, cols), pivots
 
 
-def rank(matrix: np.ndarray) -> int:
-    """Packed-tier twin of :func:`repro.ecc.gf2.rank`."""
-    arr = np.asarray(matrix, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-dimensional array, got shape {arr.shape}")
-    _, pivots = row_reduce_packed(pack_rows(arr), arr.shape[1])
-    return len(pivots)
-
-
-def _reduced_augmented(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int], int]:
-    a = np.asarray(a, dtype=np.uint8)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-dimensional array, got shape {a.shape}")
-    b = np.asarray(b, dtype=np.uint8).reshape(-1)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"shape mismatch: A has {a.shape[0]} rows, b has {b.shape[0]} entries")
-    augmented = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    cols = augmented.shape[1]
-    reduced, pivots = row_reduce_packed(pack_rows(augmented), cols)
-    return unpack_rows(reduced, cols), pivots, a.shape[1]
-
-
-def is_consistent(a: np.ndarray, b: np.ndarray) -> bool:
-    """Packed-tier twin of :func:`repro.ecc.gf2.is_consistent`."""
-    _, pivots, num_cols = _reduced_augmented(a, b)
-    return num_cols not in pivots
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Packed-tier twin of :func:`repro.ecc.gf2.solve`."""
-    reduced, pivots, num_cols = _reduced_augmented(a, b)
-    if num_cols in pivots:
-        return None
-    solution = np.zeros(num_cols, dtype=np.uint8)
-    for row_index, col in enumerate(pivots):
-        solution[col] = reduced[row_index, num_cols]
-    return solution
-
-
 def solve_many(
     a: np.ndarray, rhs: np.ndarray, *, with_pivots: bool = False
 ) -> np.ndarray | None | tuple[np.ndarray | None, list[int]]:
     """Solve ``A x = b`` for every column ``b`` of ``rhs`` in one elimination.
 
     ``rhs`` has shape ``(rows, planes)``; returns ``(planes, cols)``
-    solutions (each bit-identical to :func:`solve` on that column), or
-    ``None`` if *any* plane is inconsistent.  One RREF of the augmented
+    solutions (each bit-identical to :func:`repro.ecc.gf2.solve` on that
+    column), or ``None`` if *any* plane is inconsistent.  One RREF of the augmented
     system replaces ``planes`` separate eliminations — the multi-plane
     fast path :class:`repro.ecc.reverse_engineering.EccReverseEngineer`
     solves all parity planes with.  With ``with_pivots=True`` the return
@@ -233,24 +185,6 @@ def solve_many(
         for row_index, col in enumerate(pivots):
             solutions[:, col] = reduced[row_index, cols:]
     return (solutions, pivots) if with_pivots else solutions
-
-
-def nullspace(matrix: np.ndarray) -> np.ndarray:
-    """Packed-tier twin of :func:`repro.ecc.gf2.nullspace`."""
-    a = np.asarray(matrix, dtype=np.uint8)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-dimensional array, got shape {a.shape}")
-    cols = a.shape[1]
-    reduced_packed, pivots = row_reduce_packed(pack_rows(a), cols)
-    reduced = unpack_rows(reduced_packed, cols)
-    free_columns = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free_columns), cols), dtype=np.uint8)
-    for basis_index, free_col in enumerate(free_columns):
-        basis[basis_index, free_col] = 1
-        for row_index, pivot_col in enumerate(pivots):
-            if reduced[row_index, free_col]:
-                basis[basis_index, pivot_col] = 1
-    return basis
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +216,7 @@ def matmul_packed(a_packed: np.ndarray, bt_packed: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Packed-tier twin of :func:`repro.ecc.gf2.matmul` (0/1 inputs)."""
+    """Packed tier of :func:`repro.ecc.gf2.matmul` (0/1 inputs)."""
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -291,7 +225,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Packed-tier twin of :func:`repro.ecc.gf2.matvec`."""
+    """Packed tier of :func:`repro.ecc.gf2.matvec`."""
     a = np.asarray(a, dtype=np.uint8)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-dimensional array, got shape {a.shape}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ecc import gf2, gf2w
+from repro.ecc import gf2w
 from repro.ecc.linear_code import SystematicCode
 from repro.ecc.syndrome import analyze_error_pattern
 
@@ -154,36 +154,21 @@ class EccReverseEngineer:
     def solve(self) -> SystematicCode | None:
         """Solve for the code; ``None`` until the system pins it uniquely.
 
-        The constraint planes share one coefficient matrix, so the packed
-        tier solves all ``p`` right-hand sides in a single elimination
-        (:func:`repro.ecc.gf2w.solve_many`) instead of ``p`` separate
-        ones — bit-identical per plane to the reference loop, which a
-        forced ``REPRO_GF2_TIER=unpacked`` still exercises.
+        The constraint planes share one coefficient matrix, so one packed
+        elimination (:func:`repro.ecc.gf2w.solve_many`) solves all ``p``
+        right-hand sides and yields ``rank`` from its pivots, replacing a
+        rank check plus ``p`` separate :func:`repro.ecc.gf2.solve` calls
+        with bit-identical planes.
         """
         if not self._rows:
             return None
         matrix = np.stack(self._rows)
-        if gf2.active_tier(matrix.size) == "packed":
-            rhs_planes = (
-                (np.asarray(self._rhs, dtype=np.int64)[:, None] >> np.arange(self.p))
-                & 1
-            ).astype(np.uint8)
-            solutions, pivots = gf2w.solve_many(matrix, rhs_planes, with_pivots=True)
-            if len(pivots) < self.k:
-                return None
-            if solutions is None:
-                return None  # inconsistent observations (noisy injector)
-            parity = solutions
-        else:
-            if gf2.rank(matrix) < self.k:
-                return None
-            parity = np.zeros((self.p, self.k), dtype=np.uint8)
-            for plane in range(self.p):
-                rhs = np.array([(mask >> plane) & 1 for mask in self._rhs], dtype=np.uint8)
-                solution = gf2.solve(matrix, rhs)
-                if solution is None:
-                    return None  # inconsistent observations (noisy injector)
-                parity[plane] = solution
+        rhs_planes = (
+            (np.asarray(self._rhs, dtype=np.int64)[:, None] >> np.arange(self.p)) & 1
+        ).astype(np.uint8)
+        parity, pivots = gf2w.solve_many(matrix, rhs_planes, with_pivots=True)
+        if len(pivots) < self.k or parity is None:
+            return None  # underdetermined, or inconsistent (noisy injector)
         try:
             return SystematicCode(parity, correction_capability=1, name="reverse-engineered")
         except ValueError:

@@ -21,10 +21,9 @@ Pipeline per chip:
 3. **Profile** each such word for ``num_rounds`` rounds with the
    configured profiler through
    :func:`~repro.profiling.runner.simulate_cell`, the entry point every
-   driver shares: it picks the cell-batched kernel when eligible
-   (``REPRO_SIM_KERNEL=scalar`` forces the reference path — both are
-   bit-identical), and fleet words reuse the sweep engine's cached
-   schedules, encodings and draws.
+   driver shares: it picks the cell-batched kernel when the profiler
+   class is eligible (both kernels are bit-identical), and fleet words
+   reuse the sweep engine's cached schedules, encodings and draws.
 4. **Repair**: greedy row sparing plus bit spares over what profiling
    identified (:func:`repro.repair.policy.plan_row_sparing`), under the
    per-chip ``spare_rows`` / ``spare_bits`` budget.

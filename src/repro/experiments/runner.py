@@ -48,8 +48,8 @@ Redundant work is eliminated by two layers of process-local caches:
   probability loop (``_words_for``), and the per-word simulation inputs
   that repeat across cells — the standard pattern schedule, its encoding,
   and the Bernoulli failure draws — are cached per word (``_artifacts_for``)
-  and stacked per error count (``_batch_stacks_for``) for
-  :func:`~repro.profiling.runner.simulate_cell`, which picks the kernel.
+  and handed to :func:`~repro.profiling.runner.simulate_cell`, which
+  picks the kernel.
 
 Each worker process owns independent caches (no locks, no shared state);
 a ``fork`` start inherits the parent's warm caches, a ``spawn`` start
@@ -83,7 +83,6 @@ from repro.ecc.linear_code import SystematicCode
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
 from repro.memory.patterns import make_pattern, pattern_is_seeded
 from repro.profiling.runner import (
-    BatchedWordArtifacts,
     WordArtifacts,
     WordRunResult,
     clear_charge_mask_cache,
@@ -452,53 +451,6 @@ def _draws_for(word_seed: int, num_rounds: int, count: int) -> Any:
     return _readonly(rng.random((num_rounds, count)))
 
 
-def _build_batch_stacks(config, error_count: int) -> BatchedWordArtifacts | None:
-    """Stack one error count's batched-kernel inputs (uncached core).
-
-    Lays the words' cached artifacts (:func:`_artifacts_for`, which the
-    per-word path reads too) out as dense ``(words, rounds, ...)``
-    arrays, so each (probability, profiler) cell of the error count
-    slices zero-copy views instead of restacking per-word artifacts.
-    Returns ``None`` for a non-uniform word population (mixed codeword
-    length or at-risk count) — the batched kernel then stacks per group
-    from the per-word artifacts.
-    """
-    words = _words_for(config, error_count)
-    if len({(ctx.code.n, len(ctx.positions)) for ctx in words}) != 1 or not words[0].positions:
-        return None
-    artifacts = [
-        _artifacts_for(config, ctx.code, ctx.word_seed, len(ctx.positions)) for ctx in words
-    ]
-    return BatchedWordArtifacts(
-        codewords=_readonly(np.stack([word.codewords for word in artifacts])),
-        draws=_readonly(np.stack([word.draws for word in artifacts])),
-        positions=_readonly(np.array([ctx.positions for ctx in words], dtype=np.intp)),
-    )
-
-
-@lru_cache(maxsize=64)
-def _batch_stacks_for(config, error_count: int) -> BatchedWordArtifacts | None:
-    """Pre-stacked batched-kernel inputs of one error count.
-
-    Cached per process and shared by every (probability, profiler) cell
-    of the error count; a shared-cache worker assembles the container
-    from the parent's published zero-copy array views instead of
-    restacking (the largest arrays of the overlay, published once per
-    sweep under ``("bstack", ...)`` keys).
-    """
-    stacked_codewords = shared_memo.overlay_lookup(("bstack", config, error_count, "codewords"))
-    if stacked_codewords is not shared_memo.MISS:
-        stacked_draws = shared_memo.overlay_lookup(("bstack", config, error_count, "draws"))
-        stacked_positions = shared_memo.overlay_lookup(("bstack", config, error_count, "positions"))
-        if stacked_draws is not shared_memo.MISS and stacked_positions is not shared_memo.MISS:
-            return BatchedWordArtifacts(
-                codewords=stacked_codewords,
-                draws=stacked_draws,
-                positions=stacked_positions,
-            )
-    return _build_batch_stacks(config, error_count)
-
-
 def _artifacts_for(config, code: SystematicCode, word_seed: int, count: int) -> WordArtifacts:
     """A reused (sweep or fleet) word's cached inputs for ``simulate_cell``.
 
@@ -526,17 +478,6 @@ def _artifact_entries(config, code: SystematicCode, word_seed: int, count: int) 
     }
 
 
-def _stack_slice(stacks, start: int, stop: int) -> BatchedWordArtifacts | None:
-    """Zero-copy views of words ``[start, stop)`` of an error count's stacks."""
-    if stacks is None:
-        return None
-    return BatchedWordArtifacts(
-        codewords=stacks.codewords[start:stop],
-        draws=stacks.draws[start:stop],
-        positions=stacks.positions[start:stop],
-    )
-
-
 def clear_engine_caches() -> None:
     """Empty the engine-layer caches (tests and benchmarks only).
 
@@ -548,7 +489,6 @@ def clear_engine_caches() -> None:
     _schedule_for.cache_clear()
     _encoded_schedule_for.cache_clear()
     _draws_for.cache_clear()
-    _batch_stacks_for.cache_clear()
     clear_charge_mask_cache()
 
 
@@ -604,9 +544,7 @@ def run_shard(shard: SweepShard) -> tuple[SweepCell, float]:
     Words simulate and reduce in :data:`_METRICS_BATCH`-sized groups so a
     worker's peak memory holds one group's traces, not the whole cell's.
     Each group goes through :func:`~repro.profiling.runner.simulate_cell`
-    with the error count's cached inputs: zero-copy slices of the
-    pre-stacked arrays if it picks the cell-batched kernel, the per-word
-    artifacts otherwise.
+    with its words' cached inputs (:func:`_artifacts_for`).
     """
     started = time.perf_counter()
     config = shard.config
@@ -626,9 +564,6 @@ def run_shard(shard: SweepShard) -> tuple[SweepCell, float]:
             config.pattern,
             word_artifacts=lambda index: _artifacts_for(
                 config, group[index].code, group[index].word_seed, len(group[index].positions)
-            ),
-            batch_artifacts=lambda: _stack_slice(
-                _batch_stacks_for(config, shard.error_count), start, start + len(group)
             ),
         )[shard.profiler]
         metrics.extend(

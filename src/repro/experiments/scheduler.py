@@ -55,7 +55,7 @@ import os
 import secrets
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.experiments import fig10, fig6, fig7, fig8, fig9, fleet
@@ -71,7 +71,9 @@ from repro.experiments.monitor import (
     grid_shape,
 )
 from repro.experiments.runner import run_sweep
-from repro.experiments.store import sweep_to_json
+from repro.experiments.store import config_from_dict, config_to_dict, sweep_to_json
+from repro.memory.patterns import PATTERN_NAMES
+from repro.profiling import PROFILER_REGISTRY
 
 __all__ = [
     "JOB_STATES",
@@ -125,8 +127,9 @@ def parse_job_spec(spec) -> dict:
     ``config`` overrides individual fields of the scale preset's
     :class:`~repro.experiments.config.SweepConfig` /
     :class:`~repro.experiments.config.CaseStudyConfig` /
-    :class:`~repro.experiments.config.FleetConfig`; unknown fields and
-    invalid values are rejected with the dataclass's own message.
+    :class:`~repro.experiments.config.FleetConfig`; unknown fields,
+    mistyped or invalid values and unknown profiler or pattern names are
+    rejected (:func:`job_config`).
     Raises :class:`JobSpecError` on any problem — the service maps it
     to a 400 with the reason, never a traceback.
     """
@@ -164,24 +167,36 @@ def parse_job_spec(spec) -> dict:
 
 
 def job_config(spec: dict):
-    """Materialize a normalized spec's config dataclass (or raise)."""
+    """Materialize a normalized spec's config dataclass (or raise).
+
+    The overrides go through the store's JSON-to-config decoder
+    (:func:`~repro.experiments.store.config_from_dict`) on top of the
+    preset's own encoding, so a job spec is type-checked exactly like a
+    store header; every profiler and the data pattern must also be a
+    known name.
+    """
     preset = _kind_scales()[spec["kind"]][spec.get("scale", "unit")]
-    overrides = {
-        # JSON has no tuples; the frozen configs use them for every
-        # sequence field, so lists arrive converted.
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in spec.get("config", {}).items()
-    }
+    config_class = type(preset)
     try:
-        return replace(preset, **overrides)
-    except TypeError as error:
-        known = sorted(f.name for f in fields(preset))
-        raise JobSpecError(
-            f"bad config override for a {spec['kind']} job: {error} "
-            f"(known fields: {', '.join(known)})"
-        ) from None
+        config = config_from_dict(
+            {**config_to_dict(preset, config_class), **spec.get("config", {})}, config_class
+        )
     except ValueError as error:
-        raise JobSpecError(f"invalid {spec['kind']} config: {error}") from None
+        known = ", ".join(f.name for f in fields(config_class))
+        raise JobSpecError(
+            f"invalid {spec['kind']} config: {error} (known fields: {known})"
+        ) from None
+    profilers = config.profilers if hasattr(config, "profilers") else (config.profiler,)
+    unknown = [name for name in profilers if name not in PROFILER_REGISTRY]
+    if unknown:
+        raise JobSpecError(
+            f"unknown profiler(s) {unknown}; expected names from {sorted(PROFILER_REGISTRY)}"
+        )
+    if config.pattern not in PATTERN_NAMES:
+        raise JobSpecError(
+            f"unknown data pattern {config.pattern!r}; expected one of {list(PATTERN_NAMES)}"
+        )
+    return config
 
 
 @dataclass

@@ -149,8 +149,9 @@ def config_to_dict(config, config_class: type = SweepConfig) -> dict | None:
 def config_from_dict(payload, config_class: type = SweepConfig):
     """Inverse of :func:`config_to_dict` (``None`` passes through).
 
-    Each field must have the JSON type of its default and the class must
-    accept the values, or this raises ``ValueError``: a store header is
+    Each field (and each item of a sequence field) must have the JSON
+    type of its default and the class must accept the values, or this
+    raises ``ValueError``: a store header, like a daemon job spec, is
     external input.
     """
     if payload is None:
@@ -164,7 +165,10 @@ def config_from_dict(payload, config_class: type = SweepConfig):
             raise ValueError(f"{config_class.__name__} has no field {name!r}")
         try:
             if isinstance(defaults[name], tuple):
-                kwargs[name] = tuple(_typed(value, list))
+                items = _typed(value, list)
+                for item in items:
+                    _typed(item, type(defaults[name][0]))
+                kwargs[name] = tuple(items)
             else:
                 kwargs[name] = _typed(value, type(defaults[name]))
         except TypeError as error:

@@ -325,7 +325,10 @@ def read_frame(sock: socket.socket, key: bytes) -> tuple[dict, list[bytes]] | No
     Raises :class:`StreamDesync` when the stream cannot possibly be at a
     frame boundary (bad magic, absurd lengths, mid-frame EOF) and
     :class:`FrameRejected` when the frame parsed but failed its MAC or
-    its header — the stream is aligned, only this frame is lost.
+    its header — the stream is aligned, only this frame is lost.  A MAC
+    proves who sent a header, not its shape: anything but an object with
+    ``v == 1``, a string ``kind`` and ``blobs`` as non-negative integers
+    summing to the heap size is rejected too.
     """
     preamble = recv_exact(sock, _PREAMBLE.size)
     if preamble is None:
@@ -350,12 +353,20 @@ def read_frame(sock: socket.socket, key: bytes) -> tuple[dict, list[bytes]] | No
         raise FrameRejected("frame failed HMAC verification")
     try:
         header = json.loads(data[:header_len].decode("utf-8"))
-        if header.get("v") != 1 or not isinstance(header.get("kind"), str):
+        if (
+            not isinstance(header, dict)
+            or header.get("v") != 1
+            or not isinstance(header.get("kind"), str)
+        ):
             raise ValueError("not a v1 header")
-        lengths = header.get("blobs", [])
+        lengths = header.get("blobs")
+        if not isinstance(lengths, list) or not all(
+            type(length) is int and length >= 0 for length in lengths
+        ):
+            raise ValueError("blob lengths are not a list of non-negative integers")
         if sum(lengths) != heap_len:
             raise ValueError("blob lengths disagree with the heap size")
-    except (ValueError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:
         # MAC passed but the header is garbage: a peer bug, not line
         # noise.  The frame is consumed either way.
         raise FrameRejected(f"unreadable frame header: {error}") from None

@@ -13,7 +13,7 @@ before the first post-correction error is confirmed").
 The crafted-pattern search is the incremental GF(2) solver of
 :class:`repro.analysis.atrisk.ChargeSystem` (the paper uses Z3 for the
 same purpose — see DESIGN.md §3), whose basis rows are Python integers
-under every ``REPRO_GF2_TIER`` setting.  All per-round heavy lifting lives in
+on every GF(2) tier.  All per-round heavy lifting lives in
 code-level caches (:mod:`repro.analysis.memo`) shared by every word that
 uses the same parity-check matrix:
 

@@ -18,11 +18,13 @@ lookup then yields the post-correction error set in O(|T|) — no dense
 matrix decode in the hot loop.
 
 Every driver enters through :func:`simulate_cell`, which builds a
-cell's profilers, picks each one's kernel (:func:`simulate_words_batched`
-or :func:`simulate_word`) and hands all profilers of a word one
-:class:`WordArtifacts` (standard schedule, its encoding, failure draws)
-derived once per word — adaptive profilers serve bootstrap/fallback
-rounds from it via ``Profiler.attach_standard_schedule``.  Within a run,
+cell's profilers, picks each one's kernel from the profiler class alone
+(``batched`` and not ``adaptive``: :func:`simulate_words_batched`;
+otherwise :func:`simulate_word`) and hands all profilers of a word one
+complete :class:`WordArtifacts` (standard schedule, its encoding,
+failure draws) derived once per word — the only way inputs reach either
+kernel.  Adaptive profilers serve bootstrap/fallback rounds from it via
+``Profiler.attach_standard_schedule``.  Within a run,
 repeated failure patterns memoize their decode consequences; crafted
 patterns memoize their charge masks as integer bitmasks in a
 process-wide per-word scope, so the adaptive per-round failure check is
@@ -35,7 +37,6 @@ and ``tests/test_adaptive_caches.py`` pin that.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,7 +51,6 @@ from repro.profiling.base import Profiler, ReadMode
 from repro.utils.rng import derive_rng
 
 __all__ = [
-    "BatchedWordArtifacts",
     "WordArtifacts",
     "WordRunResult",
     "simulate_cell",
@@ -58,7 +58,6 @@ __all__ = [
     "simulate_words_batched",
     "post_correction_data_errors",
     "post_correction_data_errors_batch",
-    "batched_kernel_enabled",
     "clear_charge_mask_cache",
 ]
 
@@ -68,28 +67,6 @@ __all__ = [
 #: sweeps, normal grids hold a few thousand entries.
 _PATTERN_TUPLES: dict[tuple, tuple[int, ...]] = {}
 _PATTERN_TUPLES_MAX = 1 << 20
-
-#: Environment knob selecting the simulation kernel: ``auto`` (default)
-#: lets :func:`simulate_cell` dispatch non-adaptive profilers to the
-#: cell-batched :func:`simulate_words_batched`, ``scalar`` forces the
-#: per-word reference path everywhere.  Both produce bit-identical
-#: results; the knob exists for benchmarking and as an escape hatch.
-_KERNEL_ENV = "REPRO_SIM_KERNEL"
-_KERNEL_MODES = ("auto", "scalar")
-
-
-def batched_kernel_enabled() -> bool:
-    """Whether :func:`simulate_cell` may dispatch to the batched kernel.
-
-    Reads ``REPRO_SIM_KERNEL`` on every call (mirroring the
-    ``REPRO_GF2_TIER`` dispatch) so tests and operators can flip the
-    kernel without reloading modules.
-    """
-    value = os.environ.get(_KERNEL_ENV, "auto").strip().lower() or "auto"
-    if value not in _KERNEL_MODES:
-        raise ValueError(f"{_KERNEL_ENV} must be one of {_KERNEL_MODES}, got {value!r}")
-    return value == "auto"
-
 
 #: Cross-run charge-mask cache for adaptive (crafted) patterns: the mask
 #: is pure in (code, at-risk positions, orientation, written dataword),
@@ -221,33 +198,37 @@ def _failure_tuples(
     return failed_by_round
 
 
+def _follows_standard_schedule(profiler: Profiler) -> bool:
+    """Whether ``profiler`` writes its standard pattern schedule verbatim."""
+    return type(profiler).pattern_for_round is Profiler.pattern_for_round
+
+
 @dataclass(frozen=True)
 class WordArtifacts:
-    """Precomputed simulation inputs shared by every run of one word.
+    """The simulation inputs every run of one word shares.
 
     All profilers of a word — within a :func:`simulate_cell` call, and
     across the sweep's (probability, profiler) cells — see the same
     standard pattern schedule and encoding (pure in pattern, word seed and
-    code) and failure draws (pure in the word seed).  Passing them in
-    avoids re-deriving per-round RNGs and re-encoding the schedule per run.
-
-    Every field is optional; whatever is present must match the run's
-    (profiler pattern, code, profile, ``num_rounds``, ``word_seed``)
-    exactly — :func:`simulate_word` validates shapes but trusts contents.
+    code) and failure draws (pure in the word seed).  One complete
+    instance per word is the only way inputs reach the kernels; the
+    contents must match the run's (pattern, code, profile, ``num_rounds``,
+    ``word_seed``) exactly and are trusted.
 
     Attributes:
         schedule: ``(num_rounds, k)`` datawords of the *standard* pattern
-            schedule.  Only used for profilers that follow the base
-            schedule verbatim (adaptive profilers and subclasses that
-            override ``pattern_for_round`` ignore it).
+            schedule.  Adaptive profilers serve their bootstrap/fallback
+            rounds from it; a non-adaptive profiler that overrides
+            ``pattern_for_round`` ignores it on the scalar path, and the
+            batched kernel refuses one.
         codewords: ``(num_rounds, n)`` encoding of ``schedule``.
         draws: ``(num_rounds, profile.count)`` uniform failure variates,
             as produced by the ``word_seed``-derived stream.
     """
 
-    schedule: np.ndarray | None = None
-    codewords: np.ndarray | None = None
-    draws: np.ndarray | None = None
+    schedule: np.ndarray
+    codewords: np.ndarray
+    draws: np.ndarray
 
 
 def simulate_word(
@@ -271,21 +252,22 @@ def simulate_word(
         orientation: cell orientation; ``None`` (the paper's model) means
             all true cells, where a stored 1 is the charged/vulnerable
             state.  With anti cells a stored 0 is vulnerable instead.
-        artifacts: optional precomputed inputs (see :class:`WordArtifacts`)
-            supplied by the sweep engine; the result is bit-identical with
-            or without them.
+        artifacts: the word's precomputed inputs (see
+            :class:`WordArtifacts`); ``None`` derives everything from the
+            profiler and ``word_seed`` — the reference the tests compare
+            against.  The result is bit-identical either way.
     """
     code = profiler.code
     check_profile_positions(profile, code.n)
-    if artifacts is not None and artifacts.draws is not None:
-        if artifacts.draws.shape != (num_rounds, profile.count):
-            raise ValueError(
-                f"precomputed draws shape {artifacts.draws.shape} != "
-                f"({num_rounds}, {profile.count})"
-            )
-        draws = artifacts.draws
-    else:
+    if artifacts is None:
         draws = _failure_draws(profile, num_rounds, word_seed)
+    elif artifacts.draws.shape != (num_rounds, profile.count):
+        raise ValueError(
+            f"precomputed draws shape {artifacts.draws.shape} != "
+            f"({num_rounds}, {profile.count})"
+        )
+    else:
+        draws = artifacts.draws
     probabilities = np.asarray(profile.probabilities, dtype=float)
     positions = np.asarray(profile.positions, dtype=np.intp)
 
@@ -301,11 +283,7 @@ def simulate_word(
 
     if profiler.adaptive:
         written_rounds = None
-        if (
-            artifacts is not None
-            and artifacts.schedule is not None
-            and artifacts.schedule.shape == (num_rounds, code.k)
-        ):
+        if artifacts is not None:
             # Adaptive profilers fall back to the base schedule on
             # bootstrap rounds; serving those rows from the precomputed
             # artifact skips the per-round RNG re-derivation.
@@ -314,17 +292,9 @@ def simulate_word(
         # The precomputed schedule is only valid for profilers that follow
         # the base schedule verbatim; a subclass overriding
         # pattern_for_round falls back to materializing its own rounds.
-        standard_schedule = type(profiler).pattern_for_round is Profiler.pattern_for_round
-        if (
-            artifacts is not None
-            and artifacts.schedule is not None
-            and standard_schedule
-            and artifacts.schedule.shape == (num_rounds, code.k)
-        ):
+        if artifacts is not None and _follows_standard_schedule(profiler):
             written_rounds = artifacts.schedule
             codewords = artifacts.codewords
-            if codewords is None or codewords.shape != (num_rounds, code.n):
-                codewords = code.encode(written_rounds) if profile.count else None
         else:
             written_rounds = np.stack(
                 [profiler.pattern_for_round(r) for r in range(num_rounds)]
@@ -434,109 +404,22 @@ def simulate_word(
     )
 
 
-@dataclass(frozen=True)
-class BatchedWordArtifacts:
-    """Pre-stacked batch inputs shared by a whole sweep cell.
-
-    The engine derives these once per (config, error count) — see
-    ``repro.experiments.runner._batch_stacks_for`` — and hands the
-    batched kernel zero-copy slices per word group, so no per-cell
-    restacking happens.  Requires a uniform word population (same
-    codeword length, same at-risk count); like :class:`WordArtifacts`,
-    shapes are validated but contents trusted.
-
-    Attributes:
-        codewords: ``(words, rounds, n)`` standard-schedule encodings.
-        draws: ``(words, rounds, count)`` uniform failure variates.
-        positions: ``(words, count)`` sorted at-risk codeword positions.
-    """
-
-    codewords: np.ndarray | None = None
-    draws: np.ndarray | None = None
-    positions: np.ndarray | None = None
-
-
-def _batched_codewords(
-    profilers: Sequence[Profiler],
-    profiles: Sequence[WordErrorProfile],
-    num_rounds: int,
-    standard: list[bool],
-    artifacts: Sequence[WordArtifacts | None] | None,
-    batch_artifacts: BatchedWordArtifacts | None,
-) -> tuple[list[np.ndarray | None], list[bool]]:
-    """Per-word ``(rounds, n)`` codeword arrays, encoding misses in batch.
-
-    Returns the arrays plus a per-word flag marking rows served straight
-    from ``batch_artifacts`` (a group covering only such rows can use
-    the stacked array itself instead of re-stacking views).  Words with
-    no at-risk bits are skipped — their codewords are never consulted.
-    """
-    count = len(profilers)
-    codewords_list: list[np.ndarray | None] = [None] * count
-    from_stack = [False] * count
-    stacked = batch_artifacts.codewords if batch_artifacts is not None else None
-    to_encode: dict[int, tuple[SystematicCode, list[int], list[np.ndarray]]] = {}
-    for index, (profiler, profile) in enumerate(zip(profilers, profiles)):
-        if not profile.count:
-            continue
-        code = profiler.code
-        if (
-            stacked is not None
-            and standard[index]
-            and stacked.shape == (count, num_rounds, code.n)
-        ):
-            codewords_list[index] = stacked[index]
-            from_stack[index] = True
-            continue
-        word_artifacts = artifacts[index] if artifacts is not None else None
-        schedule = None
-        if (
-            word_artifacts is not None
-            and word_artifacts.schedule is not None
-            and standard[index]
-            and word_artifacts.schedule.shape == (num_rounds, code.k)
-        ):
-            codewords = word_artifacts.codewords
-            if codewords is not None and codewords.shape == (num_rounds, code.n):
-                codewords_list[index] = codewords
-                continue
-            schedule = word_artifacts.schedule
-        if schedule is None:
-            schedule = np.stack(
-                [profiler.pattern_for_round(r) for r in range(num_rounds)]
-            )
-        entry = to_encode.get(id(code))
-        if entry is None:
-            entry = to_encode[id(code)] = (code, [], [])
-        entry[1].append(index)
-        entry[2].append(schedule)
-    # One encode per code over (words x rounds, k): the multi-RHS parity
-    # product rides the packed GF(2) kernel once the batch is large.
-    for code, indices, schedules in to_encode.values():
-        encoded = code.encode(np.concatenate(schedules, axis=0))
-        for position, index in enumerate(indices):
-            codewords_list[index] = encoded[
-                position * num_rounds : (position + 1) * num_rounds
-            ]
-    return codewords_list, from_stack
-
-
 def simulate_words_batched(
     profilers: Sequence[Profiler],
     profiles: Sequence[WordErrorProfile],
     num_rounds: int,
     word_seeds: Sequence[int],
     orientation: CellOrientation | None = None,
-    artifacts: Sequence[WordArtifacts | None] | None = None,
-    batch_artifacts: BatchedWordArtifacts | None = None,
+    artifacts: Sequence[WordArtifacts] | None = None,
 ) -> list[WordRunResult]:
     """Simulate a whole cell of words through one vectorized pass.
 
     The cell-batched twin of :func:`simulate_word` for non-adaptive
     profilers that declare :attr:`~repro.profiling.base.Profiler.batched`:
-    schedules encode in one GF(2) product per code, failure draws resolve
-    through a single 3-D charged-mask comparison, the distinct failure
-    patterns of the whole batch decode through one multi-RHS syndrome
+    each word's encoded schedule and draws come from its
+    :class:`WordArtifacts`, failure draws resolve through a single 3-D
+    charged-mask comparison over the words' at-risk columns, the distinct
+    failure patterns of the whole batch decode through one multi-RHS syndrome
     product per (code, read mode) — shared with every other run through
     the promoted decode-consequence memo — and each profiler consumes its
     run as compressed mismatch events
@@ -554,13 +437,13 @@ def simulate_words_batched(
         word_seeds: per-word failure-draw seeds.
         orientation: cell orientation shared by the batch (``None`` =
             all true cells).
-        artifacts: optional per-word precomputed inputs.
-        batch_artifacts: optional pre-stacked cell inputs; takes
-            precedence over ``artifacts`` where present.
+        artifacts: one complete :class:`WordArtifacts` per word; ``None``
+            builds them for this call from each profiler's own pattern.
 
     Raises:
-        ValueError: for an adaptive or non-``batched`` profiler, length
-            mismatches, or precomputed arrays of the wrong shape.
+        ValueError: for an adaptive or non-``batched`` profiler, one that
+            overrides ``pattern_for_round`` (the kernel only writes the
+            standard schedule), or length mismatches.
     """
     count = len(profilers)
     if len(profiles) != count or len(word_seeds) != count:
@@ -576,6 +459,11 @@ def simulate_words_batched(
                 f"profiler {profiler.name!r} does not support the batched "
                 "kernel (adaptive or batched=False); use simulate_word"
             )
+        if not _follows_standard_schedule(profiler):
+            raise ValueError(
+                f"batched profiler {profiler.name!r} overrides pattern_for_round; "
+                "the batched kernel only writes the standard schedule"
+            )
     if not count:
         return []
     for profiler, profile in zip(profilers, profiles):
@@ -583,75 +471,42 @@ def simulate_words_batched(
     if not num_rounds:
         return [WordRunResult([], [], []) for _ in range(count)]
 
-    batch_draws = batch_artifacts.draws if batch_artifacts is not None else None
-    if batch_draws is not None:
-        for profile in profiles:
-            if batch_draws.shape != (count, num_rounds, profile.count):
-                raise ValueError(
-                    f"precomputed batch draws shape {batch_draws.shape} != "
-                    f"({count}, {num_rounds}, {profile.count})"
-                )
-    batch_positions = batch_artifacts.positions if batch_artifacts is not None else None
-
-    def draws_for(index: int) -> np.ndarray:
-        if batch_draws is not None:
-            return batch_draws[index]
-        word_artifacts = artifacts[index] if artifacts is not None else None
-        if word_artifacts is not None and word_artifacts.draws is not None:
-            if word_artifacts.draws.shape != (num_rounds, profiles[index].count):
-                raise ValueError(
-                    f"precomputed draws shape {word_artifacts.draws.shape} != "
-                    f"({num_rounds}, {profiles[index].count})"
-                )
-            return word_artifacts.draws
-        return _failure_draws(profiles[index], num_rounds, word_seeds[index])
-
-    standard = [
-        type(profiler).pattern_for_round is Profiler.pattern_for_round
-        for profiler in profilers
-    ]
-    codewords_list, from_stack = _batched_codewords(
-        profilers, profiles, num_rounds, standard, artifacts, batch_artifacts
-    )
+    if artifacts is None:
+        artifacts = _cell_artifacts(
+            [profiler.code for profiler in profilers],
+            [profiler._pattern for profiler in profilers],
+            profiles,
+            word_seeds,
+            num_rounds,
+        )
 
     # ------------------------------------------------------------------
     # Batched failure resolution: one 3-D mask comparison per uniform
-    # (at-risk count, codeword length) group, then one nonzero/split
-    # pass turning the whole group's failures into per-round tuples.
+    # at-risk-count group, then one nonzero/split pass turning the whole
+    # group's failures into per-round tuples.
     # ------------------------------------------------------------------
     failed_by_word: list[list[tuple[int, ...]]] = [[()] * num_rounds for _ in range(count)]
     first_rounds_per_word: list[dict[tuple[int, ...], int]] = [{} for _ in range(count)]
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for index, profile in enumerate(profiles):
-        if profile.count and num_rounds:
-            groups.setdefault((profile.count, profilers[index].code.n), []).append(index)
-    for (at_risk, _n), indices in groups.items():
-        whole_batch = len(indices) == count
-        if whole_batch and all(from_stack):
-            codewords3 = batch_artifacts.codewords
-        else:
-            codewords3 = np.stack([codewords_list[i] for i in indices])
-        if whole_batch and batch_draws is not None:
-            draws3 = batch_draws
-        else:
-            draws3 = np.stack([draws_for(i) for i in indices])
-        if (
-            whole_batch
-            and batch_positions is not None
-            and batch_positions.shape == (count, at_risk)
-        ):
-            positions2 = batch_positions
-        else:
-            positions2 = np.stack(
-                [np.asarray(profiles[i].positions, dtype=np.intp) for i in indices]
-            )
-        probabilities2 = np.stack(
-            [np.asarray(profiles[i].probabilities, dtype=float) for i in indices]
-        )
-        bits = codewords3 if orientation is None else orientation.charged_mask(codewords3)
-        charged = np.take_along_axis(
-            bits, positions2[:, None, :].astype(np.intp), axis=2
+        if profile.count:
+            groups.setdefault(profile.count, []).append(index)
+
+    def charged_bits(codewords: np.ndarray) -> np.ndarray:
+        return codewords if orientation is None else orientation.charged_mask(codewords)
+
+    for at_risk, indices in groups.items():
+        positions2 = np.array([profiles[i].positions for i in indices], dtype=np.intp)
+        # Gather each word's at-risk columns before stacking: the
+        # (words, rounds, at-risk) block is a fraction of the codewords.
+        charged = np.stack(
+            [
+                charged_bits(artifacts[i].codewords)[:, positions]
+                for i, positions in zip(indices, positions2)
+            ]
         ).astype(bool)
+        draws3 = np.stack([artifacts[i].draws for i in indices])
+        probabilities2 = np.array([profiles[i].probabilities for i in indices], dtype=float)
         failed = charged & (draws3 < probabilities2[:, None, :])
         group_size = len(indices)
         if at_risk + max(group_size - 1, 1).bit_length() <= 62:
@@ -826,18 +681,18 @@ def simulate_words_batched(
     return results
 
 
-def _cell_artifacts(codes, profiles, word_seeds, num_rounds, pattern) -> list[WordArtifacts]:
+def _cell_artifacts(codes, patterns, profiles, word_seeds, num_rounds) -> list[WordArtifacts]:
     """One-shot inputs: each word's schedule and draws once, one encode per code.
 
-    Nothing is kept past the call; the arrays are read-only because
-    every profiler of a word reads the same ones.
+    Word ``i``'s schedule is ``patterns[i]`` (a
+    :class:`~repro.memory.patterns.DataPattern`) materialized over
+    ``num_rounds`` rounds.  Nothing is kept past the call; the arrays are
+    read-only because every profiler of a word reads the same ones.
     """
-    artifacts: list[WordArtifacts] = [WordArtifacts()] * len(codes)
+    artifacts: list[WordArtifacts] = [None] * len(codes)  # type: ignore[list-item]
     for code in {id(code): code for code in codes}.values():
         indices = [index for index, other in enumerate(codes) if other is code]
-        schedules = np.concatenate(
-            [make_pattern(pattern, word_seeds[i]).rounds(num_rounds, code.k) for i in indices]
-        )
+        schedules = np.concatenate([patterns[i].rounds(num_rounds, code.k) for i in indices])
         encoded = code.encode(schedules)
         schedules.setflags(write=False)
         encoded.setflags(write=False)
@@ -856,7 +711,6 @@ def simulate_cell(
     num_rounds: int,
     pattern: str = "random",
     word_artifacts: Callable[[int], WordArtifacts] | None = None,
-    batch_artifacts: Callable[[], BatchedWordArtifacts | None] | None = None,
 ) -> dict[str, list[WordRunResult]]:
     """Run every named profiler over the same words: the one entry point.
 
@@ -864,13 +718,12 @@ def simulate_cell(
     schedules.  Word ``i`` is ``(codes[i], profiles[i], word_seeds[i])``;
     its seed drives the failure draws and every profiler's ``pattern``, so
     all profilers of a word share one schedule, encoding and draw matrix
-    (paper §7.1.2).  Non-adaptive ``batched`` profilers take
-    :func:`simulate_words_batched` unless ``REPRO_SIM_KERNEL=scalar``, the
-    rest :func:`simulate_word`; both are bit-identical.  Callers reusing
-    words across calls pass cached inputs: ``word_artifacts(i)`` (read at
-    most once per word) and ``batch_artifacts()`` (stacks or ``None``,
-    read only by the batched kernel); otherwise the inputs are built for
-    this call alone.  Returns ``{name: [run of each word]}``.
+    (paper §7.1.2).  The profiler class alone picks the kernel:
+    non-adaptive ``batched`` classes take :func:`simulate_words_batched`,
+    the rest :func:`simulate_word`; both are bit-identical.  Callers
+    reusing words across calls pass ``word_artifacts(i)``, read once per
+    word; otherwise the inputs are built for this call alone.  Returns
+    ``{name: [run of each word]}``.
     """
     from repro.profiling import PROFILER_REGISTRY  # the package imports this module
 
@@ -880,31 +733,23 @@ def simulate_cell(
             f"cell length mismatch: {count} codes, {len(profiles)} profiles, {len(word_seeds)} seeds"
         )
     classes = {name: PROFILER_REGISTRY[name] for name in profiler_names}
-    if not count:
+    if not count or not classes:
         return {name: [] for name in classes}
-    batched_enabled = batched_kernel_enabled()
-    shared: list[WordArtifacts] = []
-
-    def per_word() -> list[WordArtifacts]:
-        if not shared:
-            shared[:] = (
-                [word_artifacts(index) for index in range(count)]
-                if word_artifacts is not None
-                else _cell_artifacts(codes, profiles, word_seeds, num_rounds, pattern)
-            )
-        return shared
+    if word_artifacts is not None:
+        artifacts = [word_artifacts(index) for index in range(count)]
+    else:
+        patterns = [make_pattern(pattern, seed) for seed in word_seeds]
+        artifacts = _cell_artifacts(codes, patterns, profiles, word_seeds, num_rounds)
 
     results: dict[str, list[WordRunResult]] = {}
     for name, cls in classes.items():
-        if batched_enabled and cls.batched and not cls.adaptive:
-            stacks = batch_artifacts() if batch_artifacts is not None else None
+        if cls.batched and not cls.adaptive:
             results[name] = simulate_words_batched(
                 [cls(code, seed=seed, pattern=pattern) for code, seed in zip(codes, word_seeds)],
                 profiles,
                 num_rounds,
                 word_seeds,
-                artifacts=None if stacks is not None else per_word(),
-                batch_artifacts=stacks,
+                artifacts=artifacts,
             )
         else:
             # Built one at a time: a finished run keeps only its trace.
@@ -912,6 +757,6 @@ def simulate_cell(
                 simulate_word(
                     cls(code, seed=seed, pattern=pattern), profile, num_rounds, seed, artifacts=art
                 )
-                for code, profile, seed, art in zip(codes, profiles, word_seeds, per_word())
+                for code, profile, seed, art in zip(codes, profiles, word_seeds, artifacts)
             ]
     return results

@@ -1,4 +1,4 @@
-"""CNF formula representation for the mini SAT solver.
+"""CNF formula representation for the mini SAT solver (a test oracle).
 
 Variables are positive integers; a literal is a nonzero integer whose sign
 is the polarity (DIMACS convention).  A clause is a tuple of literals; a

@@ -1,4 +1,4 @@
-"""A small, correct DPLL SAT solver.
+"""A small, correct DPLL SAT solver (a test oracle).
 
 Implements the classic Davis-Putnam-Logemann-Loveland procedure with unit
 propagation and a most-frequent-literal branching heuristic.  It is the
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.sat.cnf import Cnf
+from cnf import Cnf
 
 __all__ = ["solve", "is_satisfiable"]
 

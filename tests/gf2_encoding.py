@@ -1,4 +1,4 @@
-"""CNF encodings of the GF(2) decision problems the paper poses to Z3.
+"""CNF encodings of the GF(2) decision problems the paper poses to Z3 (a test oracle).
 
 The realizability question — "does a data pattern exist charging this set
 of cells?" — is encoded with one boolean variable per data bit and one XOR
@@ -11,10 +11,10 @@ substitution.
 from __future__ import annotations
 
 import numpy as np
+from cnf import Cnf
+from dpll import solve
 
 from repro.ecc.linear_code import SystematicCode
-from repro.sat.cnf import Cnf
-from repro.sat.dpll import solve
 
 __all__ = ["encode_charge_constraints", "sat_charge_assignment", "sat_is_charge_realizable"]
 

@@ -3,8 +3,9 @@
 The batched-kernel and charge-system suites both grew ad-hoc
 ``_random_cell`` / ``_random_case`` helpers: draw a randomized fixture
 from a ``numpy`` generator, unpack it, assert a property.  This module
-is their shared home, and the store fuzz suite's: :func:`store_damage`
-damages one record of a JSONL shard store.  Every generator takes an explicit integer seed
+is their shared home, and the fuzz suites': :func:`store_damage` damages
+one record of a JSONL shard store, :func:`frame_damage` one
+``repro-wire-v1`` frame.  Every generator takes an explicit integer seed
 (or an already-seeded ``Generator``) and returns a small frozen case
 object whose ``label`` names the generating parameters — so a failing
 parametrized test identifies its exact case from the pytest id alone,
@@ -16,6 +17,8 @@ where the case generator left off.
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import json
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -23,16 +26,21 @@ from typing import Iterator
 import numpy as np
 
 from repro.ecc.hamming import canonical_sec_code, random_sec_code
+from repro.experiments.wire import _PREAMBLE, MAGIC, MAX_FRAME
 from repro.memory.error_model import WordErrorProfile
 
 __all__ = [
     "CellCase",
     "ChargeCase",
+    "FRAME_DAMAGE",
+    "FrameDamage",
     "STORE_DAMAGE",
     "StoreDamage",
     "charge_case",
     "charge_cases",
+    "frame_damage",
     "random_cell",
+    "sealed_frame",
     "store_damage",
 ]
 
@@ -203,3 +211,85 @@ def store_damage(seed, lines: list[bytes], how: str) -> StoreDamage:
     return StoreDamage(
         label=f"{how}-seed{source}-line{index}", lines=tuple(damaged), rng=rng
     )
+
+
+#: The ways :func:`frame_damage` damages a frame.
+FRAME_DAMAGE = ("truncate", "flip", "non-object", "retype", "nest", "negative", "oversized")
+
+#: Nesting depth past the interpreter's default recursion limit.
+_DEEP = 1100
+
+
+@dataclass(frozen=True)
+class FrameDamage:
+    """The bytes of one damaged ``repro-wire-v1`` frame."""
+
+    label: str
+    data: bytes
+    rng: np.random.Generator = field(repr=False, compare=False)
+
+    def __str__(self) -> str:  # pytest id for parametrized streams
+        return self.label
+
+
+def sealed_frame(header: bytes, heap: bytes, key: bytes) -> bytes:
+    """A frame around raw ``header`` and ``heap`` bytes, MAC'd with ``key``."""
+    data = _PREAMBLE.pack(MAGIC, len(header), len(heap)) + header + heap
+    return data + hmac.new(key, data, hashlib.sha256).digest()
+
+
+def frame_damage(seed, frame: bytes, key: bytes, how: str) -> FrameDamage:
+    """``frame`` (one packed frame, MAC'd with ``key``) damaged ``how``.
+
+    * ``truncate`` cuts it short, anywhere from the preamble to the MAC;
+    * ``flip`` flips 1-3 bits anywhere;
+    * ``non-object`` re-MACs it with a JSON header that is no object;
+    * ``retype`` re-MACs it with another JSON value (of another type,
+      or a list of strings) in one header field;
+    * ``nest`` re-MACs it with the header, or its body, nested deeper
+      than the recursion limit;
+    * ``negative`` re-MACs it with blob lengths that include a negative
+      one yet sum to the heap size;
+    * ``oversized`` announces more than ``MAX_FRAME`` bytes, or more
+      header bytes than the stream holds.
+    """
+    rng, source = _as_rng(seed)
+    _, header_len, heap_len = _PREAMBLE.unpack(frame[: _PREAMBLE.size])
+    header = json.loads(frame[_PREAMBLE.size : _PREAMBLE.size + header_len])
+    heap = frame[_PREAMBLE.size + header_len : _PREAMBLE.size + header_len + heap_len]
+    if how == "truncate":
+        data = frame[: int(rng.integers(1, len(frame)))]
+    elif how == "flip":
+        damaged = bytearray(frame)
+        for bit in rng.choice(len(frame) * 8, size=int(rng.integers(1, 4)), replace=False):
+            damaged[bit // 8] ^= 1 << (bit % 8)
+        data = bytes(damaged)
+    elif how == "non-object":
+        scalars = [value for value in _JSON_VALUES if not isinstance(value, dict)]
+        scalar = scalars[int(rng.integers(len(scalars)))]
+        data = sealed_frame(json.dumps(scalar).encode(), heap, key)
+    elif how == "retype":
+        name = sorted(header)[int(rng.integers(len(header)))]
+        others = [v for v in (*_JSON_VALUES, ["a"]) if json.dumps(v) != json.dumps(header[name])]
+        header[name] = others[int(rng.integers(len(others)))]
+        data = sealed_frame(json.dumps(header).encode(), heap, key)
+    elif how == "nest":
+        if rng.random() < 0.5:
+            text = "[" * _DEEP + "]" * _DEEP
+        else:
+            text = json.dumps({**header, "body": "@"}).replace('"@"', "[" * _DEEP + "]" * _DEEP)
+        data = sealed_frame(text.encode(), heap, key)
+    elif how == "negative":
+        excess = int(rng.integers(1, 1 << 20))
+        header["blobs"] = [heap_len + excess, -excess]
+        data = sealed_frame(json.dumps(header).encode(), heap, key)
+    elif how == "oversized":
+        announced = (
+            (int(rng.integers(1, 1 << 32)), MAX_FRAME)
+            if rng.random() < 0.5
+            else (header_len + int(rng.integers(1, 1 << 16)), heap_len)
+        )
+        data = _PREAMBLE.pack(MAGIC, *announced) + frame[_PREAMBLE.size :]
+    else:
+        raise ValueError(f"unknown frame damage {how!r}; expected one of {FRAME_DAMAGE}")
+    return FrameDamage(label=f"{how}-seed{source}", data=data, rng=rng)

@@ -6,7 +6,7 @@ identified/observed traces, same per-round failure patterns, on both
 GF(2) tiers, under any cell orientation, including degenerate words with
 no at-risk bits.  These tests pin that equivalence property-style over
 randomized rectangular cells, plus the dispatch rules (the `batched`
-profiler flag, the `REPRO_SIM_KERNEL` knob, adaptive rejection) and the
+profiler flag, adaptive and custom-schedule rejection) and the
 probe-then-insert memo protocol the kernel batches through.
 """
 
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_modes import force_gf2_tier, force_scalar_kernel
 from randcases import random_cell
 
 from repro.analysis.atrisk import compute_ground_truth
@@ -29,11 +30,7 @@ from repro.profiling.beep import BeepProfiler
 from repro.profiling.harp import HarpAProfiler, HarpUProfiler
 from repro.profiling.naive import NaiveProfiler
 from repro.profiling.oracle import OracleProfiler
-from repro.profiling.runner import (
-    batched_kernel_enabled,
-    simulate_word,
-    simulate_words_batched,
-)
+from repro.profiling.runner import simulate_word, simulate_words_batched
 
 BATCHED_CLASSES = (NaiveProfiler, HarpUProfiler, HarpAProfiler)
 
@@ -80,7 +77,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("tier", ["packed", "unpacked"])
     def test_matches_scalar_on_both_gf2_tiers(self, tier, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_TIER", tier)
+        force_gf2_tier(monkeypatch, tier)
         rng = np.random.default_rng(11)
         codes, profiles, seeds = random_cell(rng, 10)
         for cls in BATCHED_CLASSES:
@@ -209,16 +206,20 @@ class TestDispatchRules:
                 [1],
             )
 
-    def test_kernel_knob_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
-        assert batched_kernel_enabled()
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
-        assert not batched_kernel_enabled()
-        monkeypatch.delenv("REPRO_SIM_KERNEL")
-        assert batched_kernel_enabled()
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "turbo")
-        with pytest.raises(ValueError, match="REPRO_SIM_KERNEL"):
-            batched_kernel_enabled()
+    def test_batched_profiler_with_its_own_schedule_is_refused(self):
+        class CustomScheduleProfiler(NaiveProfiler):
+            def pattern_for_round(self, round_index):
+                return np.ones(self.code.k, dtype=np.uint8)
+
+        assert CustomScheduleProfiler.batched and not CustomScheduleProfiler.adaptive
+        code = canonical_sec_code(16)
+        with pytest.raises(ValueError, match="pattern_for_round"):
+            simulate_words_batched(
+                [CustomScheduleProfiler(code, seed=1)],
+                [WordErrorProfile((2,), (1.0,))],
+                4,
+                [1],
+            )
 
     def test_engine_results_identical_across_kernels(self, monkeypatch):
         config = SweepConfig(
@@ -229,20 +230,19 @@ class TestDispatchRules:
             probabilities=(0.5, 1.0),
             profilers=("Naive", "HARP-U", "HARP-A"),
         )
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
-        clear_engine_caches()
-        clear_analysis_caches()
-        scalar = run_sweep(config)
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
+        with monkeypatch.context() as patched:
+            force_scalar_kernel(patched)
+            clear_engine_caches()
+            clear_analysis_caches()
+            scalar = run_sweep(config)
         clear_engine_caches()
         clear_analysis_caches()
         batched = run_sweep(config)
         assert scalar.cells == batched.cells
         assert scalar.quarantined == batched.quarantined
 
-    def test_adaptive_cells_keep_working_with_kernel_enabled(self, monkeypatch):
+    def test_adaptive_cells_keep_working_with_kernel_enabled(self):
         # BEEP cells must silently fall back to the scalar path.
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
         config = SweepConfig(
             num_codes=1,
             words_per_code=2,

@@ -6,13 +6,13 @@ must execute and produce the documented output.
 
 import doctest
 
+import cnf
 import pytest
 
 import repro.ecc.bch
 import repro.ecc.hamming
 import repro.ecc.gf2m
 import repro.repair.wasted_storage
-import repro.sat.cnf
 import repro.utils.bits
 import repro.utils.rng
 import repro.utils.tables
@@ -25,7 +25,7 @@ MODULES = [
     repro.ecc.hamming,
     repro.ecc.gf2m,
     repro.ecc.bch,
-    repro.sat.cnf,
+    cnf,
 ]
 
 

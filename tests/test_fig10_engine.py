@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from kernel_modes import kernel_mode
 
 from repro.analysis.probabilities import WordBerAnalyzer
 from repro.experiments import fig10
@@ -137,7 +138,7 @@ class TestSharedWordSimulation:
     @pytest.mark.parametrize("kernel", ["auto", "scalar"])
     @pytest.mark.parametrize("pattern", ["random", "charged"])
     def test_matches_per_profiler_reference_loop(self, pattern, kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        kernel_mode(monkeypatch, kernel)
         config = replace(
             CONFIG, pattern=pattern, num_codes=1, profilers=tuple(PROFILER_REGISTRY)
         )

@@ -24,6 +24,7 @@ import sys
 from dataclasses import replace
 
 import pytest
+from kernel_modes import force_gf2_tier, kernel_mode
 
 from repro.experiments import fleet
 from repro.experiments.backends import ExecutionBackend
@@ -289,8 +290,8 @@ class TestSubCellSharding:
     @pytest.mark.parametrize("tier", ["packed", "unpacked"])
     @pytest.mark.parametrize("kernel", ["auto", "scalar"])
     def test_slice_merge_equals_whole_cell(self, tier, kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_TIER", tier)
-        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        force_gf2_tier(monkeypatch, tier)
+        kernel_mode(monkeypatch, kernel)
         fleet.clear_fleet_caches()
         clear_engine_caches()
         sliced = fleet.run(TINY)

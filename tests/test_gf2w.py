@@ -1,17 +1,19 @@
 """Property tests: the packed tier is bit-identical to the unpacked tier.
 
-Every ``gf2w`` op must agree with its ``gf2`` reference on arbitrary
-matrices — rectangular, rank-deficient, and wider than one 64-bit word —
-because the facade dispatches between the tiers freely and the repo's
-exhibits must not depend on which tier ran.  The strategies here bias
-toward low-rank inputs (sparse entries, duplicated rows) and straddle
-the 64-column word boundary on purpose.
+Every ``gf2`` op must give the reference answer on arbitrary matrices —
+rectangular, rank-deficient, and wider than one 64-bit word — when the
+facade is forced onto the packed ``gf2w`` kernels, because it picks a
+tier by operand size alone and the repo's exhibits must not depend on
+which tier ran.  The strategies here bias toward low-rank inputs (sparse
+entries, duplicated rows) and straddle the 64-column word boundary on
+purpose.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_modes import force_gf2_tier
 
 from repro.ecc import gf2, gf2w
 
@@ -19,6 +21,13 @@ from repro.ecc import gf2, gf2w
 def _reference_row_reduce(matrix):
     """The unpacked reference, independent of facade dispatch."""
     return gf2._row_reduce_unpacked(gf2._validated(matrix, 2))
+
+
+def _on_tier(tier, op, *args):
+    """``op(*args)`` with the facade forced onto ``tier``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_gf2_tier(monkeypatch, tier)
+        return op(*args)
 
 
 def random_matrix(rows, cols, seed, density):
@@ -53,9 +62,8 @@ class TestPackRoundTrip:
         rng = np.random.default_rng(5)
         for cols in (1, 63, 64, 65, 128, 130):
             vector = rng.integers(0, 2, size=cols, dtype=np.uint8)
-            assert np.array_equal(
-                gf2w.unpack_vector(gf2w.pack_vector(vector), cols), vector
-            )
+            packed = gf2w.pack_vector(vector)
+            assert np.array_equal(gf2w.unpack_rows(packed[None, :], cols)[0], vector)
 
     def test_pack_matches_int_packing(self):
         matrix = random_matrix(6, 130, seed=9, density=0.5)
@@ -80,7 +88,7 @@ class TestEliminationEquivalence:
     @settings(max_examples=60)
     @given(matrix_strategy)
     def test_rank_identical(self, matrix):
-        assert gf2w.rank(matrix) == len(_reference_row_reduce(matrix)[1])
+        assert _on_tier("packed", gf2.rank, matrix) == len(_reference_row_reduce(matrix)[1])
 
     @settings(max_examples=60)
     @given(matrix_strategy, st.integers(min_value=0, max_value=2**32 - 1))
@@ -93,27 +101,28 @@ class TestEliminationEquivalence:
         else:
             # Arbitrary right-hand side; often inconsistent.
             b = rng.integers(0, 2, size=matrix.shape[0], dtype=np.uint8)
-        reduced, pivots, num_cols = gf2._reduced_augmented(matrix, b)
+        num_cols = matrix.shape[1]
+        reduced, pivots = _reference_row_reduce(np.concatenate([matrix, b[:, None]], axis=1))
         if num_cols in pivots:
             reference = None
         else:
             reference = np.zeros(num_cols, dtype=np.uint8)
             for row_index, col in enumerate(pivots):
                 reference[col] = reduced[row_index, num_cols]
-        packed = gf2w.solve(matrix, b)
+        packed = _on_tier("packed", gf2.solve, matrix, b)
         if reference is None:
             assert packed is None
-            assert not gf2w.is_consistent(matrix, b)
+            assert not _on_tier("packed", gf2.is_consistent, matrix, b)
         else:
             assert packed is not None
             assert np.array_equal(packed, reference)
-            assert gf2w.is_consistent(matrix, b)
+            assert _on_tier("packed", gf2.is_consistent, matrix, b)
 
     @settings(max_examples=50)
     @given(matrix_strategy)
     def test_nullspace_identical(self, matrix):
-        reference = gf2.nullspace(matrix)
-        packed = gf2w.nullspace(matrix)
+        reference = _on_tier("unpacked", gf2.nullspace, matrix)
+        packed = _on_tier("packed", gf2.nullspace, matrix)
         assert np.array_equal(packed, reference)
 
     def test_solve_many_matches_per_plane_solve(self):
@@ -124,7 +133,7 @@ class TestEliminationEquivalence:
             planes = int(rng.integers(1, 9))
             a = (rng.random((rows, cols)) < 0.4).astype(np.uint8)
             rhs = rng.integers(0, 2, size=(rows, planes), dtype=np.uint8)
-            per_plane = [gf2w.solve(a, rhs[:, p]) for p in range(planes)]
+            per_plane = [gf2.solve(a, rhs[:, p]) for p in range(planes)]
             batched = gf2w.solve_many(a, rhs)
             if any(x is None for x in per_plane):
                 assert batched is None
@@ -158,37 +167,28 @@ class TestPackedProducts:
 
 
 class TestFacadeDispatch:
-    def test_env_forces_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_TIER", "packed")
-        assert gf2.active_tier(1) == "packed"
-        monkeypatch.setenv("REPRO_GF2_TIER", "unpacked")
-        assert gf2.active_tier(10**9) == "unpacked"
-        monkeypatch.setenv("REPRO_GF2_TIER", "auto")
-        assert gf2.active_tier(1) == "unpacked"
-        assert gf2.active_tier(10**9) == "packed"
-
-    def test_invalid_tier_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_TIER", "bogus")
-        with pytest.raises(ValueError):
-            gf2.active_tier(1)
-
     @pytest.mark.parametrize("tier", ["packed", "unpacked"])
-    def test_facade_output_identical_under_both_tiers(self, monkeypatch, tier):
+    def test_facade_output_identical_under_both_tiers(self, tier):
         matrix = random_matrix(24, 100, seed=33, density=0.3)
         rng = np.random.default_rng(34)
         b = rng.integers(0, 2, size=24, dtype=np.uint8)
         baseline_rref, baseline_pivots = gf2._row_reduce_unpacked(matrix)
-        monkeypatch.setenv("REPRO_GF2_TIER", tier)
-        rref, pivots = gf2.row_reduce(matrix)
+        rref, pivots = _on_tier(tier, gf2.row_reduce, matrix)
         assert pivots == baseline_pivots
         assert np.array_equal(rref, baseline_rref)
-        solved = gf2.solve(matrix, b)
-        monkeypatch.setenv("REPRO_GF2_TIER", "unpacked")
-        reference = gf2.solve(matrix, b)
+        solved = _on_tier(tier, gf2.solve, matrix, b)
+        reference = _on_tier("unpacked", gf2.solve, matrix, b)
         if reference is None:
             assert solved is None
         else:
             assert np.array_equal(solved, reference)
+
+    def test_dispatch_follows_operand_size(self, monkeypatch):
+        packed_sizes = []
+        monkeypatch.setattr(gf2w, "row_reduce", lambda arr: packed_sizes.append(arr.size))
+        gf2.row_reduce(np.zeros((2, 3), dtype=np.uint8))
+        gf2.row_reduce(np.zeros((1, gf2._AUTO_PACKED_SIZE), dtype=np.uint8))
+        assert packed_sizes == [gf2._AUTO_PACKED_SIZE]
 
 
 class TestValidationFastPaths:

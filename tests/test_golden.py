@@ -16,9 +16,10 @@ which is part of the format: a sweep ``cell`` record writes ``kind``
 last, after ``seconds``, while ``fig10`` and ``fleet`` records write it
 first.
 
-Each digest must hold under both simulation kernels (``REPRO_SIM_KERNEL``
-``auto`` and ``scalar``); the CI matrix runs the whole file under both
-GF(2) tiers.  Regenerate ``golden/digests.json`` only on purpose::
+Each digest must hold in three modes (``kernel_modes.MODES``): the
+code's own dispatch, every registry profiler on the scalar
+``simulate_word``, and the packed GF(2) tier forced for every operand.  Regenerate
+``golden/digests.json`` only on purpose::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 
@@ -35,6 +36,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from kernel_modes import MODES, kernel_mode
 
 from repro.cli import CASE_SCALES, FLEET_SCALES, SCALES
 from repro.experiments import ext_heterogeneous, fig10, fleet
@@ -136,21 +138,21 @@ def test_every_driver_is_pinned(pinned):
     assert sorted(pinned) == sorted({**RUNS, **STORE_RUNS})
 
 
-@pytest.mark.parametrize("kernel", ["auto", "scalar"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_run_matches_golden_digest(name, kernel, pinned, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
-    # Cold engine caches: a warm cache from the other kernel's run must
-    # not stand in for this kernel's own computation.
+def test_run_matches_golden_digest(name, mode, pinned, monkeypatch):
+    kernel_mode(monkeypatch, mode)
+    # Cold engine caches: a warm cache from another mode's run must not
+    # stand in for this mode's own computation.
     clear_engine_caches()
     fleet.clear_fleet_caches()
     assert _digest(RUNS[name]()) == pinned[name]
 
 
-@pytest.mark.parametrize("kernel", ["auto", "scalar"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(STORE_RUNS))
-def test_store_records_match_golden_digest(name, kernel, pinned, monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+def test_store_records_match_golden_digest(name, mode, pinned, monkeypatch, tmp_path):
+    kernel_mode(monkeypatch, mode)
     clear_engine_caches()
     fleet.clear_fleet_caches()
     assert _digest(STORE_RUNS[name](tmp_path)) == pinned[name]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.ecc import gf2
 from repro.ecc.hamming import paper_example_code, random_sec_code
+from repro.ecc.linear_code import SystematicCode
 from repro.ecc.reverse_engineering import (
     EccReverseEngineer,
     Observation,
@@ -93,3 +95,47 @@ class TestEndToEndRecovery:
             simulate_injection(code), code.k, code.p, np.random.default_rng(4), max_injections=5
         )
         assert result is None  # 5 injections cannot pin 64 columns
+
+
+def _per_plane_solve(engineer):
+    """Reference: ``rank`` then one :func:`gf2.solve` per parity plane."""
+    matrix = np.stack(engineer._rows)
+    if gf2.rank(matrix) < engineer.k:
+        return None
+    parity = np.zeros((engineer.p, engineer.k), dtype=np.uint8)
+    for plane in range(engineer.p):
+        rhs = np.array([(mask >> plane) & 1 for mask in engineer._rhs], dtype=np.uint8)
+        solution = gf2.solve(matrix, rhs)
+        if solution is None:
+            return None
+        parity[plane] = solution
+    try:
+        return SystematicCode(parity, correction_capability=1, name="reverse-engineered")
+    except ValueError:
+        return None
+
+
+class TestSolvePath:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_plane_reference_loop(self, seed):
+        """One multi-plane elimination equals the per-plane loop at every
+        stage: underdetermined, pinned, and made inconsistent by noise."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.choice([8, 16, 32, 64]))
+        code = random_sec_code(k, rng)
+        engineer = EccReverseEngineer(code.k, code.p)
+        columns = (code.parity_submatrix.T.astype(np.int64) << np.arange(code.p)).sum(axis=1)
+        outcomes = set()
+        steps = k + 12
+        for step in range(steps):
+            terms = [int(t) for t in np.flatnonzero(rng.random(k) < 0.5)]
+            rhs = 0
+            for term in terms:
+                rhs ^= int(columns[term])
+            if step == steps - 3:
+                rhs ^= 1  # one noisy constraint: the system turns inconsistent
+            engineer._add_constraint(terms, rhs)
+            solved = engineer.solve()
+            assert solved == _per_plane_solve(engineer), (seed, step)
+            outcomes.add(None if solved is None else solved == code)
+        assert outcomes == {None, True}

@@ -3,11 +3,10 @@
 from itertools import product
 
 import pytest
+from cnf import Cnf
+from dpll import is_satisfiable, solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.sat.cnf import Cnf
-from repro.sat.dpll import is_satisfiable, solve
 
 
 def brute_force_satisfiable(cnf: Cnf) -> bool:

@@ -8,12 +8,12 @@ instances, which is the correctness argument for the substitution
 """
 
 import numpy as np
+from gf2_encoding import sat_charge_assignment, sat_is_charge_realizable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.atrisk import is_charge_realizable, solve_charge_assignment
 from repro.ecc.hamming import random_sec_code
-from repro.sat.gf2_encoding import sat_charge_assignment, sat_is_charge_realizable
 
 
 def make_instance(seed, k, num_ones, num_zeros):

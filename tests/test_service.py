@@ -127,6 +127,15 @@ class TestValidationAndAuth:
                 ({"kind": "sweep", "exhibit": "fig10"}, "exhibit must be one of"),
                 ({"kind": "fig10", "exhibit": "fig6"}, "exhibit only applies"),
                 ([1, 2, 3], "JSON object"),
+                # Mistyped or unknown config values, caught before a job
+                # thread ever runs them.
+                ({"kind": "sweep", "config": {"seed": "abc"}}, "'seed'"),
+                ({"kind": "sweep", "config": {"k": "64"}}, "'k'"),
+                ({"kind": "fig10", "config": {"num_rounds": 2.5}}, "'num_rounds'"),
+                ({"kind": "fleet", "config": {"profiler": 7}}, "'profiler'"),
+                ({"kind": "sweep", "config": {"profilers": ["Nope"]}}, "unknown profiler"),
+                ({"kind": "sweep", "config": {"error_counts": [2.5]}}, "'error_counts'"),
+                ({"kind": "fleet", "config": {"pattern": "plaid"}}, "unknown data pattern"),
             ]
             for spec, needle in cases:
                 code, body = daemon.post("/jobs", spec)

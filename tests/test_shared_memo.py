@@ -22,7 +22,7 @@ import pytest
 from repro.analysis import shared_memo
 from repro.analysis.memo import Memo, clear_analysis_caches
 from repro.experiments.config import SweepConfig
-from repro.experiments.runner import run_sweep
+from repro.experiments.runner import clear_engine_caches, run_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -186,13 +186,20 @@ class TestSweepBitIdentity:
     def test_sweep_entries_match_engine_computations(self):
         entries = shared_memo.sweep_entries(self.CONFIG)
         kinds = {key[0] for key in entries}
-        assert kinds == {"swords", "sched", "enc", "draws", "pairs", "bstack"}
-        # The published batch stacks are exactly what the engine builds.
-        from repro.experiments.runner import _build_batch_stacks
+        assert kinds == {"swords", "sched", "enc", "draws", "pairs"}
+        # The published per-word arrays are exactly what the engine
+        # builds cold, for both kernels to read.
+        from repro.experiments.runner import _artifact_entries, _words_for
 
-        for error_count in self.CONFIG.error_counts:
-            stacks = _build_batch_stacks(self.CONFIG, error_count)
-            for part in ("codewords", "draws", "positions"):
-                kind, value = entries[("bstack", self.CONFIG, error_count, part)]
-                assert kind == "array"
-                np.testing.assert_array_equal(value, getattr(stacks, part))
+        words = [
+            ctx
+            for error_count in self.CONFIG.error_counts
+            for ctx in _words_for(self.CONFIG, error_count)
+        ]
+        clear_engine_caches()
+        shared_memo.clear_shared_overlay()
+        for ctx in words:
+            rebuilt = _artifact_entries(self.CONFIG, ctx.code, ctx.word_seed, len(ctx.positions))
+            for key, (kind, value) in rebuilt.items():
+                assert kind == entries[key][0] == "array"
+                np.testing.assert_array_equal(entries[key][1], value)

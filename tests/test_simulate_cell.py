@@ -4,12 +4,13 @@ One call mixing every registry profiler over a randomized cell must
 return, per profiler and word, exactly the traces of a fresh profiler run
 alone through the scalar reference (``simulate_word`` without
 precomputed artifacts) — under both simulation kernels.  The remaining
-tests pin the call contract: cross-call inputs are read at most once per
-word and only by the kernel that needs them, and a one-shot call leaves
-the engine's per-word caches empty.
+tests pin the call contract: cross-call inputs are read once per word,
+and not at all when no profiler runs, and a one-shot call leaves the
+engine's per-word caches empty.
 """
 
 import pytest
+from kernel_modes import kernel_mode
 from randcases import random_cell
 
 from repro.analysis.memo import clear_analysis_caches
@@ -20,6 +21,7 @@ from repro.memory.error_model import WordErrorProfile
 from repro.memory.patterns import make_pattern
 from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.runner import WordArtifacts, simulate_cell, simulate_word
+from repro.utils.rng import derive_rng
 
 NAMES = tuple(PROFILER_REGISTRY)
 ROUNDS = 24
@@ -36,7 +38,7 @@ def _fresh_caches():
 @pytest.mark.parametrize("kernel", ["auto", "scalar"])
 @pytest.mark.parametrize("seed", [0, 7, 2021])
 def test_matches_fresh_scalar_runs(seed, kernel, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+    kernel_mode(monkeypatch, kernel)
     case = random_cell(seed, num_words=9)
     codes, profiles, seeds = case
     runs = simulate_cell(NAMES, codes, profiles, seeds, ROUNDS)
@@ -79,36 +81,24 @@ def test_rejects_misaligned_words():
 
 @pytest.mark.parametrize("kernel", ["auto", "scalar"])
 def test_cross_call_inputs_are_read_once_and_only_when_needed(kernel, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+    kernel_mode(monkeypatch, kernel)
     codes, profiles, seeds = random_cell(5, num_words=6)
     fresh = simulate_cell(NAMES, codes, profiles, seeds, ROUNDS)
     requested: list[int] = []
-    stacked: list[bool] = []
 
     def word_artifacts(index):
         requested.append(index)
         schedule = make_pattern("random", seeds[index]).rounds(ROUNDS, codes[index].k)
-        return WordArtifacts(schedule=schedule, codewords=codes[index].encode(schedule))
+        draws = derive_rng(seeds[index], "failure-draws").random((ROUNDS, profiles[index].count))
+        return WordArtifacts(schedule, codes[index].encode(schedule), draws)
 
-    def batch_artifacts():
-        stacked.append(True)
-        return None  # a non-uniform cell has no stacks: per-word inputs serve
-
-    runs = simulate_cell(
-        NAMES,
-        codes,
-        profiles,
-        seeds,
-        ROUNDS,
-        word_artifacts=word_artifacts,
-        batch_artifacts=batch_artifacts,
-    )
+    runs = simulate_cell(NAMES, codes, profiles, seeds, ROUNDS, word_artifacts=word_artifacts)
     assert runs == fresh
     assert requested == list(range(len(codes)))
-    batched = sum(
-        1 for cls in PROFILER_REGISTRY.values() if cls.batched and not cls.adaptive
-    )
-    assert len(stacked) == (batched if kernel == "auto" else 0)
+    requested.clear()
+    assert simulate_cell((), codes, profiles, seeds, ROUNDS, word_artifacts=word_artifacts) == {}
+    assert requested == []
+
 
 
 def test_one_shot_drivers_leave_engine_caches_empty():
@@ -123,6 +113,5 @@ def test_one_shot_drivers_leave_engine_caches_empty():
         runner._schedule_for,
         runner._encoded_schedule_for,
         runner._draws_for,
-        runner._batch_stacks_for,
     ):
         assert cache.cache_info().currsize == 0, cache.__name__

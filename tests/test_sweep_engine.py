@@ -306,7 +306,8 @@ class TestWordArtifacts:
     def test_mismatched_draw_shape_rejected(self):
         code = random_sec_code(16, np.random.default_rng(3))
         profile = WordErrorProfile((2, 5), (0.5, 0.5))
-        bad = WordArtifacts(draws=np.zeros((4, 1)))
+        schedule = np.zeros((4, code.k), dtype=np.uint8)
+        bad = WordArtifacts(schedule, code.encode(schedule), draws=np.zeros((4, 1)))
         with pytest.raises(ValueError):
             simulate_word(
                 PROFILER_REGISTRY["Naive"](code, seed=1), profile, 4, 1, artifacts=bad
