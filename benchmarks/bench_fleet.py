@@ -79,8 +79,9 @@ def test_sub_cell_sharding_cuts_max_shard_time():
         shard.num_slices > 1 for shard in fleet.shard_fleet(sliced_config)
     ), "pinned grid holds no heavy chip; the comparison would be vacuous"
 
-    # Warm every cache layer (fault topologies, schedules, draws, decode
-    # memos) so both modes time pure simulation work.
+    # Warm the caches fleet shards keep (codes, fault topologies, decode
+    # memos) so both modes time pure simulation work.  Schedules and
+    # failure draws are not cached: every shard run builds its own.
     fleet.clear_fleet_caches()
     clear_analysis_caches()
     _shard_times(sliced_config)

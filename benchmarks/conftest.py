@@ -159,13 +159,14 @@ def sweep_scaling(results_dir: pathlib.Path) -> dict[str, float]:
 
 @pytest.fixture(scope="session")
 def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
-    """Session-wide record of GF(2) kernel-tier timings, persisted at teardown.
+    """Session-wide record of kernel-layer timings, persisted at teardown.
 
     ``bench_kernels.py`` inserts ``label -> seconds`` entries
     (``eliminate-unpacked-cpu``/``eliminate-packed-cpu``,
-    ``solve-unpacked-cpu``/``solve-packed-cpu``, ``sweep-serial`` and
-    ``sweep-shared-pool``); the derived tier speedups are appended so
-    ``results/kernel_scaling.txt`` is self-describing.
+    ``solve-unpacked-cpu``/``solve-packed-cpu``,
+    ``pattern-per-block-cpu``/``pattern-vectorized-cpu``,
+    ``sweep-serial`` and ``sweep-shared-pool``); the derived speedups
+    are appended so ``results/kernel_scaling.txt`` is self-describing.
     """
     record: dict[str, float] = {}
     yield record
@@ -176,6 +177,7 @@ def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
     for title, num, den in (
         ("packed eliminate speedup vs unpacked (CPU)", "eliminate-unpacked-cpu", "eliminate-packed-cpu"),
         ("packed solve speedup vs unpacked (CPU)", "solve-unpacked-cpu", "solve-packed-cpu"),
+        ("vectorized pattern stream speedup vs per-block Generator (CPU)", "pattern-per-block-cpu", "pattern-vectorized-cpu"),
         ("shared-cache pool speedup vs serial sweep (wall-clock)", "sweep-serial", "sweep-shared-pool"),
     ):
         if num in record and den in record:

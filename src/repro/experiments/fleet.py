@@ -19,11 +19,14 @@ Pipeline per chip:
    with a single at-risk bit are SEC-correctable and tallied
    analytically; words with ≥ 2 at-risk bits are *profiled*.
 3. **Profile** each such word for ``num_rounds`` rounds with the
-   configured profiler through
-   :func:`~repro.profiling.runner.simulate_cell`, the entry point every
-   driver shares: it picks the cell-batched kernel when the profiler
-   class is eligible (both kernels are bit-identical), and fleet words
-   reuse the sweep engine's cached schedules, encodings and draws.
+   configured profiler.  A shard gathers the profiled words it owns
+   across all its chips, each with its chip's code, into one
+   :func:`~repro.profiling.runner.simulate_cell` call — the entry point
+   every driver shares — so pattern drawing, encoding and the
+   cell-batched kernel (when the profiler class is eligible; both
+   kernels are bit-identical) run once per shard, not once per chip or
+   word.  Each fleet word is simulated exactly once, so nothing about it
+   is cached.
 4. **Repair**: greedy row sparing plus bit spares over what profiling
    identified (:func:`repro.repair.policy.plan_row_sparing`), under the
    per-chip ``spare_rows`` / ``spare_bits`` budget.
@@ -65,7 +68,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.ecc.hamming import random_sec_code
-from repro.experiments import runner as sweep_runner
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import FleetConfig
 from repro.experiments.store import FLEET_STORE
@@ -247,42 +249,26 @@ def run_fleet_shard(shard: FleetShard) -> dict:
     """
     config = shard.config
     chips = []
+    owned: list[tuple[list, int, tuple[int, ...]]] = []
+    codes, profiles, seeds = [], [], []
     for chip in range(shard.start, shard.stop):
         code = chip_code(config, chip)
-        words = profiled_words(chip_faults(config, chip))
-        mine = [
-            (word, positions)
-            for index, (word, positions) in enumerate(words)
-            if index % shard.num_slices == shard.slice_index
-        ]
-        seeds = [derive_seed(config.seed, "fleet-draws", chip, word) for word, _ in mine]
-        runs = simulate_cell(
-            [config.profiler],
-            [code] * len(mine),
-            [
+        words: list = []
+        chips.append({"chip": chip, "words": words})
+        for index, (word, positions) in enumerate(profiled_words(chip_faults(config, chip))):
+            if index % shard.num_slices != shard.slice_index:
+                continue
+            owned.append((words, word, positions))
+            codes.append(code)
+            profiles.append(
                 WordErrorProfile(positions, tuple(config.probability for _ in positions))
-                for _, positions in mine
-            ],
-            seeds,
-            config.num_rounds,
-            config.pattern,
-            word_artifacts=lambda index: sweep_runner._artifacts_for(
-                config, code, seeds[index], len(mine[index][1])
-            ),
-        )[config.profiler]
-        chips.append(
-            {
-                "chip": chip,
-                "words": [
-                    [
-                        word,
-                        list(positions),
-                        sorted(run.final_identified() & set(positions)),
-                    ]
-                    for (word, positions), run in zip(mine, runs)
-                ],
-            }
-        )
+            )
+            seeds.append(derive_seed(config.seed, "fleet-draws", chip, word))
+    runs = simulate_cell(
+        [config.profiler], codes, profiles, seeds, config.num_rounds, config.pattern
+    )[config.profiler]
+    for (words, word, positions), run in zip(owned, runs):
+        words.append([word, list(positions), sorted(run.final_identified() & set(positions))])
     return {"chips": chips}
 
 
@@ -451,9 +437,8 @@ def run(
     ``jobs`` / ``backend`` / ``resume`` / slicing choice is
     bit-identical.  ``resume=PATH`` streams completed shards to a
     ``repro-fleet-v1`` :class:`~repro.experiments.store.ShardStore`;
-    ``shared_cache=True`` publishes the fleet's shareable artifacts
-    (codes' schedules, failure draws, aliasing tables) for local pool
-    workers.  A backend in continue-past-quarantine mode reports
+    ``shared_cache=True`` publishes the fleet codes' aliasing tables for
+    local pool workers.  A backend in continue-past-quarantine mode reports
     poisoned shard keys on ``FleetResult.quarantined``; the affected
     chips are excluded from ``chips`` (listed on ``incomplete_chips``)
     until a targeted re-run completes them.
@@ -494,29 +479,21 @@ def run(
 
 
 def fleet_entries(config: FleetConfig) -> dict:
-    """Shareable artifacts of a fleet run, keyed for the engine caches.
+    """Shareable artifacts of a fleet run, keyed for the analysis caches.
 
-    The fleet analogue of :func:`repro.analysis.shared_memo.sweep_entries`:
-    per-word schedules / encodings / failure draws (exactly the keys
-    :func:`~repro.experiments.runner._artifacts_for` resolves) plus each
-    fleet code's BEEP aliasing tables.  Published by ``run(...,
-    shared_cache=True)``.
+    Each fleet code's BEEP aliasing tables, keyed as
+    :mod:`repro.analysis.memo` keys them; published by ``run(...,
+    shared_cache=True)``.  A fleet word is simulated once, so its
+    schedule, encoding and draws are built in its shard and never
+    shared.
     """
     from repro.analysis.memo import _code_key, cached_aliasing_pairs
 
     entries: dict = {}
-    codes = {}
-    for chip in range(config.num_chips):
-        code = chip_code(config, chip)
-        codes[_code_key(code)] = code
-        for word, positions in profiled_words(chip_faults(config, chip)):
-            word_seed = derive_seed(config.seed, "fleet-draws", chip, word)
-            entries.update(
-                sweep_runner._artifact_entries(config, code, word_seed, len(positions))
-            )
-    for code_key, code in codes.items():
+    for code_index in range(min(config.num_codes, config.num_chips)):
+        code = _fleet_code(config.seed, config.k, code_index)
         for target in range(code.n):
-            entries[("pairs", code_key, target)] = (
+            entries[("pairs", _code_key(code), target)] = (
                 "pickle",
                 cached_aliasing_pairs(code, target),
             )

@@ -85,6 +85,7 @@ from repro.memory.patterns import make_pattern, pattern_is_seeded
 from repro.profiling.runner import (
     WordArtifacts,
     WordRunResult,
+    _failure_draws,
     clear_charge_mask_cache,
     simulate_cell,
 )
@@ -447,12 +448,11 @@ def _draws_for(word_seed: int, num_rounds: int, count: int) -> Any:
     shared = shared_memo.overlay_lookup(("draws", word_seed, num_rounds, count))
     if shared is not shared_memo.MISS:
         return shared
-    rng = derive_rng(word_seed, "failure-draws")
-    return _readonly(rng.random((num_rounds, count)))
+    return _readonly(_failure_draws(word_seed, num_rounds, count))
 
 
 def _artifacts_for(config, code: SystematicCode, word_seed: int, count: int) -> WordArtifacts:
-    """A reused (sweep or fleet) word's cached inputs for ``simulate_cell``.
+    """A sweep word's cached inputs for ``simulate_cell``, reused across its cells.
 
     ``config`` supplies ``pattern`` and ``num_rounds``.  Static patterns
     (charged/zero/checkered) produce the same schedule for every seed, so

@@ -67,9 +67,16 @@ Record field reference (beyond ``kind``):
 Duplicate keys always resolve **last-wins** on load; the
 ``python -m repro store`` toolbox compacts superseded records away and
 prunes quarantine markers that a later completed record resolved.  A
-record that is not an object, lacks a field, or has a field of the
-wrong JSON type fails as ``ValueError("PATH: corrupt shard record on
-line N")``.
+record that is not an object, lacks a field, has a field of the wrong
+JSON type, or holds a payload of the wrong shape fails as
+``ValueError("PATH: corrupt shard record on line N")``: every reader
+(load, resume, ``summary``, ``compact``, ``merge``) runs the same
+checks.  Payload shapes are checked per format — a fleet chip must lie
+in its record's ``[start, stop)`` range, once, with well-formed word
+triples; a Fig 10 record's ``before`` / ``after`` / ``to_zero`` must
+share one profiler set with equal word counts — and :meth:`ShardStore.load`
+also checks each record against the header's config (a Fig 10 record's
+profilers and trajectory length must be the config's).
 """
 
 from __future__ import annotations
@@ -82,6 +89,7 @@ from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
+from repro.experiments.reporting import log_round_ticks
 from repro.experiments.runner import SweepCell, SweepResult, WordMetrics
 
 __all__ = [
@@ -210,6 +218,12 @@ class StoreFormat:
     decode: Callable[[tuple, dict], Any]
     #: Sweep cells predate the other kinds and write ``kind`` last.
     kind_last: bool = False
+    #: ``(key, record)`` -> ``None``: raises ``TypeError``/``ValueError``
+    #: on a payload whose inner shape is wrong (no config needed).
+    check: Callable[[tuple, dict], None] | None = None
+    #: ``(config, record)`` -> ``None``: raises ``ValueError`` on a
+    #: record that does not fit the header's config (load only).
+    check_config: Callable[[Any, dict], None] | None = None
 
     def key_fields(self, key: tuple) -> dict:
         """A shard key as the typed fields its records (and markers) carry."""
@@ -227,17 +241,21 @@ class StoreFormat:
         return record
 
     def key_of(self, record: dict, marker: bool = False) -> tuple:
-        """A record's typed key; ``KeyError``/``TypeError`` if malformed.
+        """A record's typed key; ``KeyError``/``TypeError``/``ValueError`` if malformed.
 
-        A completed-shard record's payload and ``seconds`` types are
-        checked too; a quarantine ``marker`` holds key fields only.
+        A completed-shard record's payload and ``seconds`` types, and the
+        format's payload :attr:`check`, are checked too; a quarantine
+        ``marker`` holds key fields only.
         """
+        key = tuple(_typed(record[name], kind) for name, kind in self.keys)
         if not marker:
             for name, kind in self.payload:
                 _typed(record[name], kind)
             if "seconds" in record and not 0 <= _typed(record["seconds"], float) < math.inf:
                 raise TypeError("seconds is not a finite duration")
-        return tuple(_typed(record[name], kind) for name, kind in self.keys)
+            if self.check is not None:
+                self.check(key, record)
+        return key
 
 
 SWEEP_STORE = StoreFormat(
@@ -256,6 +274,44 @@ SWEEP_STORE = StoreFormat(
     kind_last=True,
 )
 
+
+def _check_fig10(key: tuple, record: dict) -> None:
+    """``before``/``after``/``to_zero`` share one profiler set and word count.
+
+    Each profiler's ``before`` and ``after`` entries are per-word
+    trajectories (lists of numbers, all of one length) and its
+    ``to_zero`` entry is per-word rounds (an int or null).
+    """
+    before, after, to_zero = record["before"], record["after"], record["to_zero"]
+    if not before.keys() == after.keys() == to_zero.keys():
+        raise ValueError("before, after and to_zero name different profilers")
+    ticks = set()
+    for name in before:
+        words = {len(_typed(table[name], list)) for table in (before, after, to_zero)}
+        if len(words) != 1:
+            raise ValueError(f"profiler {name!r} has unequal word counts")
+        for table in (before, after):
+            for trajectory in table[name]:
+                ticks.add(len(_typed(trajectory, list)))
+                for value in trajectory:
+                    _typed(value, float)
+        for rounds in to_zero[name]:
+            if rounds is not None:
+                _typed(rounds, int)
+    if len(ticks) > 1:
+        raise ValueError("trajectories of unequal length")
+
+
+def _check_fig10_config(config: CaseStudyConfig, record: dict) -> None:
+    """The record's profilers and trajectory length are the config's."""
+    if set(record["before"]) != set(config.profilers):
+        raise ValueError("profilers differ from the header config's")
+    ticks = len(log_round_ticks(config.num_rounds))
+    for table in (record["before"], record["after"]):
+        if any(len(trajectory) != ticks for words in table.values() for trajectory in words):
+            raise ValueError(f"trajectories are not {ticks} ticks long")
+
+
 #: A case-study shard result is ``(before, after, to_zero)``, as
 #: :func:`repro.experiments.fig10.run_case_shard` returns it.
 FIG10_STORE = StoreFormat(
@@ -269,7 +325,30 @@ FIG10_STORE = StoreFormat(
     config=CaseStudyConfig,
     encode=lambda result: dict(zip(("before", "after", "to_zero"), result)),
     decode=lambda key, record: (record["before"], record["after"], record["to_zero"]),
+    check=_check_fig10,
+    check_config=_check_fig10_config,
 )
+
+
+def _check_fleet(key: tuple, record: dict) -> None:
+    """Each entry is ``{"chip": int, "words": [[int, [int...], [int...]], ...]}``.
+
+    Chips lie in the record's ``[start, stop)`` range, each at most once.
+    """
+    start, stop = key[0], key[1]
+    seen: set[int] = set()
+    for entry in record["chips"]:
+        chip = _typed(_typed(entry, dict)["chip"], int)
+        if not start <= chip < stop or chip in seen:
+            raise ValueError(f"chip {chip} is outside [{start}, {stop}) or repeated")
+        seen.add(chip)
+        for word in _typed(entry["words"], list):
+            if len(_typed(word, list)) != 3:
+                raise ValueError("a word is not [word, positions, identified]")
+            _typed(word[0], int)
+            for bit in _typed(word[1], list) + _typed(word[2], list):
+                _typed(bit, int)
+
 
 #: A fleet shard result is :func:`repro.experiments.fleet.run_fleet_shard`'s
 #: ``{"chips": [...]}`` payload.
@@ -284,6 +363,7 @@ FLEET_STORE = StoreFormat(
     config=FleetConfig,
     encode=lambda payload: {"chips": payload["chips"]},
     decode=lambda key, record: {"chips": record["chips"]},
+    check=_check_fleet,
 )
 
 #: Every store format, by header tag.
@@ -515,7 +595,7 @@ class ShardStore:
                 raise self._corrupt(number)
             try:
                 key = store_format.key_of(record, marker=True)
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ValueError):
                 raise self._corrupt(number) from None
             return ("quarantine", store_format.kind, *key), store_format
         found = _BY_KIND.get(kind)
@@ -523,7 +603,7 @@ class ShardStore:
             raise ValueError(f"{self.path}: unknown shard record on line {number + 1}")
         try:
             key = found.key_of(record)
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             raise self._corrupt(number) from None
         return (found.kind, *key), found
 
@@ -533,7 +613,8 @@ class ShardStore:
         Quarantine markers are skipped: a continue-past-quarantine run
         set those shards aside, never computed them, so a resume must
         recompute them.  ``store summary`` is what reports unresolved
-        markers to operators.
+        markers to operators.  Each record is also checked against the
+        header's config, when the format has such a check.
         """
         config = None
         results: dict = {}
@@ -545,9 +626,12 @@ class ShardStore:
                 )
             elif key[0] != "quarantine":
                 shard = key[1:]
+                store_format = _BY_KIND[key[0]]
                 try:
+                    if config is not None and store_format.check_config is not None:
+                        store_format.check_config(config, record)
                     # Duplicate keys: last append wins.
-                    results[shard] = _BY_KIND[key[0]].decode(shard, record)
+                    results[shard] = store_format.decode(shard, record)
                 except (KeyError, TypeError, ValueError, AttributeError):
                     raise self._corrupt(number) from None
                 if "seconds" in record:

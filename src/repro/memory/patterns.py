@@ -11,16 +11,27 @@ The paper evaluates three patterns written by the profiler each round:
 A pattern is a pure function of ``(round_index, k)`` plus a seed, so any
 round's pattern can be queried out of order (the vectorized Monte-Carlo
 runner materializes all rounds at once).
+
+The random pattern's base for block ``b`` (rounds ``2b`` and ``2b + 1``)
+is ``derive_rng(seed, "random-pattern", b).integers(0, 2, k, uint8)``.
+:meth:`RandomPattern.data_for_round` draws it that way, one Generator
+per call — the per-round reference.  :func:`random_rounds` builds whole
+schedules for many seeds at once: one
+:func:`~repro.utils.rng.random_bits` pass over every (seed, block) pair
+reproduces those draws bit for bit without building a Generator, and
+the simulation entry point draws every random-pattern word of a call
+through it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 import numpy as np
 
 from repro.utils.bits import invert_bits
-from repro.utils.rng import derive_rng
+from repro.utils.rng import derive_rng, derive_seed, random_bits
 
 __all__ = [
     "DataPattern",
@@ -29,6 +40,7 @@ __all__ = [
     "CheckeredPattern",
     "RandomPattern",
     "FixedPattern",
+    "random_rounds",
     "make_pattern",
     "pattern_is_seeded",
     "PATTERN_NAMES",
@@ -47,7 +59,8 @@ class DataPattern(ABC):
 
     def rounds(self, num_rounds: int, k: int) -> np.ndarray:
         """Materialize all rounds at once as a ``(num_rounds, k)`` array."""
-        return np.stack([self.data_for_round(r, k) for r in range(num_rounds)])
+        rows = [self.data_for_round(r, k) for r in range(num_rounds)]
+        return np.stack(rows) if rows else np.zeros((0, k), dtype=np.uint8)
 
 
 class ChargedPattern(DataPattern):
@@ -88,27 +101,17 @@ class RandomPattern(DataPattern):
     name = "random"
 
     def __init__(self, seed: int) -> None:
-        self._seed = int(seed)
+        self.seed = int(seed)
 
     def data_for_round(self, round_index: int, k: int) -> np.ndarray:
         block = round_index // 2
-        rng = derive_rng(self._seed, "random-pattern", block)
+        rng = derive_rng(self.seed, "random-pattern", block)
         base = rng.integers(0, 2, size=k, dtype=np.uint8)
         return invert_bits(base) if round_index % 2 else base
 
     def rounds(self, num_rounds: int, k: int) -> np.ndarray:
-        """Materialize all rounds block-wise, bit-identical to the per-round
-        path: each base pattern is drawn once and its inverse filled in,
-        halving the RNG derivations of the generic implementation."""
-        out = np.empty((num_rounds, k), dtype=np.uint8)
-        for block in range((num_rounds + 1) // 2):
-            rng = derive_rng(self._seed, "random-pattern", block)
-            base = rng.integers(0, 2, size=k, dtype=np.uint8)
-            even = 2 * block
-            out[even] = base
-            if even + 1 < num_rounds:
-                out[even + 1] = invert_bits(base)
-        return out
+        """All rounds at once: :func:`random_rounds` for this one seed."""
+        return random_rounds([self.seed], num_rounds, k)[0]
 
 
 class FixedPattern(DataPattern):
@@ -123,6 +126,26 @@ class FixedPattern(DataPattern):
         if self._data.shape[0] != k:
             raise ValueError(f"fixed pattern length {self._data.shape[0]} != k={k}")
         return self._data.copy()
+
+
+def random_rounds(seeds: Sequence[int], num_rounds: int, k: int) -> np.ndarray:
+    """Every seed's random-pattern schedule, shape ``(len(seeds), num_rounds, k)``.
+
+    Row ``i`` equals ``RandomPattern(seeds[i])``'s per-round draws: base
+    ``b`` comes from block seed ``derive_seed(seed, "random-pattern", b)``
+    and fills round ``2b``, its inverse round ``2b + 1``.  All the bases
+    are drawn in one :func:`~repro.utils.rng.random_bits` pass, so a
+    caller gains most by passing every seed it needs in one call.
+    """
+    blocks = (num_rounds + 1) // 2
+    block_seeds = [
+        derive_seed(seed, "random-pattern", block) for seed in seeds for block in range(blocks)
+    ]
+    bases = random_bits(block_seeds, k).reshape(len(seeds), blocks, k)
+    out = np.empty((len(seeds), num_rounds, k), dtype=np.uint8)
+    out[:, 0::2] = bases
+    out[:, 1::2] = bases[:, : num_rounds // 2] ^ np.uint8(1)
+    return out
 
 
 PATTERN_NAMES = ("random", "charged", "checkered", "zero")

@@ -23,7 +23,11 @@ cell's profilers, picks each one's kernel from the profiler class alone
 otherwise :func:`simulate_word`) and hands all profilers of a word one
 complete :class:`WordArtifacts` (standard schedule, its encoding,
 failure draws) derived once per word — the only way inputs reach either
-kernel.  Adaptive profilers serve bootstrap/fallback rounds from it via
+kernel.  A caller that reuses words across calls (the sweep) supplies
+them per word; otherwise ``_cell_artifacts`` builds them for the call:
+every random-pattern schedule in one vectorized
+:func:`~repro.memory.patterns.random_rounds` pass, and one encode per
+code.  Adaptive profilers serve bootstrap/fallback rounds from it via
 ``Profiler.attach_standard_schedule``.  Within a run,
 repeated failure patterns memoize their decode consequences; crafted
 patterns memoize their charge masks as integer bitmasks in a
@@ -46,7 +50,7 @@ from repro.analysis.memo import code_caches
 from repro.ecc.linear_code import SystematicCode
 from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile, check_profile_positions
-from repro.memory.patterns import make_pattern
+from repro.memory.patterns import RandomPattern, make_pattern, random_rounds
 from repro.profiling.base import Profiler, ReadMode
 from repro.utils.rng import derive_rng
 
@@ -165,12 +169,9 @@ class WordRunResult:
         return self.identified_per_round[-1] if self.identified_per_round else frozenset()
 
 
-def _failure_draws(
-    profile: WordErrorProfile, num_rounds: int, word_seed: int
-) -> np.ndarray:
+def _failure_draws(word_seed: int, num_rounds: int, count: int) -> np.ndarray:
     """Pre-drawn uniform variates, shape (num_rounds, at-risk count)."""
-    rng = derive_rng(word_seed, "failure-draws")
-    return rng.random((num_rounds, profile.count))
+    return derive_rng(word_seed, "failure-draws").random((num_rounds, count))
 
 
 def _failure_tuples(
@@ -260,7 +261,7 @@ def simulate_word(
     code = profiler.code
     check_profile_positions(profile, code.n)
     if artifacts is None:
-        draws = _failure_draws(profile, num_rounds, word_seed)
+        draws = _failure_draws(word_seed, num_rounds, profile.count)
     elif artifacts.draws.shape != (num_rounds, profile.count):
         raise ValueError(
             f"precomputed draws shape {artifacts.draws.shape} != "
@@ -682,24 +683,39 @@ def simulate_words_batched(
 
 
 def _cell_artifacts(codes, patterns, profiles, word_seeds, num_rounds) -> list[WordArtifacts]:
-    """One-shot inputs: each word's schedule and draws once, one encode per code.
+    """One-shot inputs: every schedule drawn up front, one encode per code.
 
     Word ``i``'s schedule is ``patterns[i]`` (a
     :class:`~repro.memory.patterns.DataPattern`) materialized over
-    ``num_rounds`` rounds.  Nothing is kept past the call; the arrays are
-    read-only because every profiler of a word reads the same ones.
+    ``num_rounds`` rounds.  The random-pattern words of each ``k`` draw
+    in one :func:`~repro.memory.patterns.random_rounds` call, which only
+    pays off over many words at once; each code then encodes all its
+    words' schedules in one product.  Nothing is kept past the call; the
+    arrays are read-only because every profiler of a word reads the same
+    ones.
     """
+    schedules: list[np.ndarray] = [None] * len(codes)  # type: ignore[list-item]
+    random_words: dict[int, list[int]] = {}
+    for index, (code, pattern) in enumerate(zip(codes, patterns)):
+        if type(pattern) is RandomPattern:
+            random_words.setdefault(code.k, []).append(index)
+        else:
+            schedules[index] = pattern.rounds(num_rounds, code.k)
+    for k, indices in random_words.items():
+        drawn = random_rounds([patterns[i].seed for i in indices], num_rounds, k)
+        for index, schedule in zip(indices, drawn):
+            schedules[index] = schedule
     artifacts: list[WordArtifacts] = [None] * len(codes)  # type: ignore[list-item]
     for code in {id(code): code for code in codes}.values():
         indices = [index for index, other in enumerate(codes) if other is code]
-        schedules = np.concatenate([patterns[i].rounds(num_rounds, code.k) for i in indices])
-        encoded = code.encode(schedules)
-        schedules.setflags(write=False)
+        stacked = np.concatenate([schedules[i] for i in indices])
+        encoded = code.encode(stacked)
+        stacked.setflags(write=False)
         encoded.setflags(write=False)
         for offset, index in enumerate(indices):
             rows = slice(offset * num_rounds, (offset + 1) * num_rounds)
-            draws = _failure_draws(profiles[index], num_rounds, word_seeds[index])
-            artifacts[index] = WordArtifacts(schedules[rows], encoded[rows], draws)
+            draws = _failure_draws(word_seeds[index], num_rounds, profiles[index].count)
+            artifacts[index] = WordArtifacts(stacked[rows], encoded[rows], draws)
     return artifacts
 
 
@@ -722,7 +738,8 @@ def simulate_cell(
     non-adaptive ``batched`` classes take :func:`simulate_words_batched`,
     the rest :func:`simulate_word`; both are bit-identical.  Callers
     reusing words across calls pass ``word_artifacts(i)``, read once per
-    word; otherwise the inputs are built for this call alone.  Returns
+    word; otherwise the inputs are built for this call alone, so a caller
+    gains most by passing all its words in one call.  Returns
     ``{name: [run of each word]}``.
     """
     from repro.profiling import PROFILER_REGISTRY  # the package imports this module

@@ -20,8 +20,14 @@ from repro.analysis.memo import (
     code_caches,
     crafted_pattern_cache,
 )
+from repro.ecc.bch import bch_dec_code
 from repro.ecc.code_analysis import aliasing_pairs_for_target
-from repro.ecc.hamming import random_sec_code
+from repro.ecc.hamming import (
+    canonical_sec_code,
+    minimal_aliasing_code,
+    paper_example_code,
+    random_sec_code,
+)
 from repro.experiments.runner import clear_engine_caches
 from repro.memory.error_model import sample_word_profile
 from repro.profiling import PROFILER_REGISTRY
@@ -133,7 +139,54 @@ class TestCraftedPatternMemo:
         assert epoch._base is base
 
 
+def _dutta_touba_pairs(code) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Oracle: XOR every pair of H's columns, keep the pairs equal to column t.
+
+    The double loop Dutta and Touba use to find the 2-bit errors a
+    SEC-DAEC code miscorrects, read off the dense parity-check matrix
+    rather than the integer column table the code under test uses.
+    """
+    h = code.parity_check_matrix
+    n = h.shape[1]
+    columns = [h[:, t].tobytes() for t in range(n)]
+    pairs: dict[int, list[tuple[int, int]]] = {t: [] for t in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            syndrome = (h[:, i] ^ h[:, j]).tobytes()
+            for target, column in enumerate(columns):
+                if syndrome == column:
+                    pairs[target].append((i, j))
+    return {target: tuple(found) for target, found in pairs.items()}
+
+
+#: Every Hamming and BCH construction the repo builds, n from 7 to 38.
+ORACLE_CODES = {
+    **{f"canonical-k{k}": lambda k=k: canonical_sec_code(k) for k in (4, 8, 11, 16, 26, 32)},
+    **{
+        f"random-k{k}": lambda k=k: random_sec_code(k, np.random.default_rng(k))
+        for k in (4, 8, 11, 16, 26, 32)
+    },
+    **{
+        f"minimal-aliasing-k{k}": lambda k=k: minimal_aliasing_code(
+            k, np.random.default_rng(100 + k)
+        )
+        for k in (4, 8, 16)
+    },
+    "paper-example": paper_example_code,
+    **{f"bch-k{k}": lambda k=k: bch_dec_code(k) for k in (4, 8, 16, 21)},
+}
+
+
 class TestAliasingPairMemo:
+    @pytest.mark.parametrize("name", list(ORACLE_CODES))
+    def test_complete_against_the_column_pair_oracle(self, name):
+        code = ORACLE_CODES[name]()
+        assert 7 <= code.n <= 38
+        expected = _dutta_touba_pairs(code)
+        for target in range(code.n):
+            assert aliasing_pairs_for_target(code, target) == expected[target], target
+            assert cached_aliasing_pairs(code, target) == expected[target], target
+
     def test_matches_pure_function(self):
         code = random_sec_code(16, np.random.default_rng(14))
         for target in range(code.n):

@@ -26,6 +26,8 @@ from dataclasses import replace
 import pytest
 from kernel_modes import force_gf2_tier, kernel_mode
 
+from repro.analysis import shared_memo
+from repro.cli import FLEET_SCALES
 from repro.experiments import fleet
 from repro.experiments.backends import ExecutionBackend
 from repro.experiments.config import FleetConfig
@@ -194,6 +196,22 @@ class TestBackendIdentity:
         assert serial.chips == process.chips
         assert serial.chips == sock.chips
         assert serial.quarantined == () and sock.quarantined == ()
+
+    def test_shared_cache_pool_matches_serial(self):
+        """``--shared-cache`` publishes only the codes' aliasing tables.
+
+        A fleet word is simulated once, in its shard, so nothing per
+        word is worth sharing; the pooled fleet equals the serial one.
+        """
+        config = FLEET_SCALES["unit"]
+        assert {key[0] for key in fleet.fleet_entries(config)} == {"pairs"}
+        serial = fleet.run(config)
+        try:
+            shared = fleet.run(config, backend="process", jobs=2, shared_cache=True)
+        finally:
+            shared_memo.clear_shared_overlay()
+        assert shared.chips == serial.chips
+        assert shared.quarantined == ()
 
     def test_fresh_interpreter_matches(self):
         """A separate process reproduces the fleet digest bit for bit."""

@@ -6,11 +6,14 @@ import pytest
 from repro.memory.patterns import (
     ChargedPattern,
     CheckeredPattern,
+    DataPattern,
     FixedPattern,
     RandomPattern,
     ZeroPattern,
     make_pattern,
+    random_rounds,
 )
+from repro.utils.rng import random_bits
 
 
 class TestStaticPatterns:
@@ -84,9 +87,53 @@ class TestFixedAndFactory:
         with pytest.raises(ValueError):
             make_pattern("worst-case-magic")
 
-    def test_rounds_materialization(self):
+
+
+#: Multiples of 8 and not, from one bit to a 256-bit dataword.
+WIDTHS = (1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 57, 64, 100, 128, 129, 255, 256)
+#: No rounds, one, and longer odd and even schedules.
+ROUND_COUNTS = (0, 1, 2, 3, 7, 16, 33, 64)
+
+
+class TestVectorizedStream:
+    """``random_rounds`` reproduces numpy's Generator stream, bit for bit.
+
+    If a numpy upgrade breaks these, ``random_rounds`` must fall back to the
+    Generator path; the golden digests must never be re-pinned for it.
+    """
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rounds_materialization(self, seed):
+        rng = np.random.default_rng(seed)
+        seeds = [int(s) for s in rng.integers(0, 2**64, size=3, dtype=np.uint64)]
+        for k in WIDTHS:
+            num_rounds = int(rng.choice(ROUND_COUNTS))
+            built = random_rounds(seeds, num_rounds, k)
+            assert built.shape == (len(seeds), num_rounds, k)
+            assert built.dtype == np.uint8
+            for row, pattern_seed in zip(built, seeds):
+                pattern = RandomPattern(pattern_seed)
+                reference = DataPattern.rounds(pattern, num_rounds, k)
+                assert np.array_equal(row, reference), (pattern_seed, num_rounds, k)
+                assert np.array_equal(pattern.rounds(num_rounds, k), reference)
+
+    @pytest.mark.parametrize("num_rounds", ROUND_COUNTS)
+    def test_every_round_count(self, num_rounds):
         pattern = RandomPattern(3)
-        rounds = pattern.rounds(6, 16)
-        assert rounds.shape == (6, 16)
-        for index in range(6):
-            assert (rounds[index] == pattern.data_for_round(index, 16)).all()
+        reference = DataPattern.rounds(pattern, num_rounds, 16)
+        assert reference.shape == (num_rounds, 16)
+        assert np.array_equal(pattern.rounds(num_rounds, 16), reference)
+
+    def test_random_bits_match_the_generator(self):
+        edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        drawn = np.random.default_rng(2021).integers(0, 2**64, size=64, dtype=np.uint64)
+        seeds = edges + [int(s) for s in drawn]
+        for k in WIDTHS:
+            reference = np.stack(
+                [np.random.default_rng(s).integers(0, 2, size=k, dtype=np.uint8) for s in seeds]
+            )
+            assert np.array_equal(random_bits(seeds, k), reference), k
+
+    def test_random_bits_of_no_seeds_or_bits(self):
+        assert random_bits([], 8).shape == (0, 8)
+        assert random_bits([1, 2], 0).shape == (2, 0)

@@ -5,8 +5,9 @@ return, per profiler and word, exactly the traces of a fresh profiler run
 alone through the scalar reference (``simulate_word`` without
 precomputed artifacts) — under both simulation kernels.  The remaining
 tests pin the call contract: cross-call inputs are read once per word,
-and not at all when no profiler runs, and a one-shot call leaves the
-engine's per-word caches empty.
+and not at all when no profiler runs, and a one-shot call — a Fig 10,
+ext-heterogeneous or fleet shard — leaves the engine's per-word caches
+empty.
 """
 
 import pytest
@@ -15,8 +16,8 @@ from randcases import random_cell
 
 from repro.analysis.memo import clear_analysis_caches
 from repro.ecc.hamming import canonical_sec_code
-from repro.experiments import ext_heterogeneous, fig10, runner
-from repro.experiments.config import CaseStudyConfig
+from repro.experiments import ext_heterogeneous, fig10, fleet, runner
+from repro.experiments.config import CaseStudyConfig, FleetConfig
 from repro.memory.error_model import WordErrorProfile
 from repro.memory.patterns import make_pattern
 from repro.profiling import PROFILER_REGISTRY
@@ -108,6 +109,11 @@ def test_one_shot_drivers_leave_engine_caches_empty():
     for shard in fig10.shard_case_study(config):
         fig10.run_case_shard(shard)
     ext_heterogeneous.run(num_codes=1, words_per_code=2, num_rounds=8)
+    population = FleetConfig(
+        num_chips=6, k=16, num_codes=2, num_rounds=8, rows=8, words_per_row=2, chips_per_shard=2
+    )
+    for shard in fleet.shard_fleet(population):
+        fleet.run_fleet_shard(shard)
     for cache in (
         runner._words_for,
         runner._schedule_for,

@@ -368,7 +368,11 @@ class TestFig10Store:
     def test_roundtrip(self, tmp_path):
         from repro.experiments.config import CaseStudyConfig
 
-        config = CaseStudyConfig(num_codes=2, words_per_stratum=2)
+        # A record must fit its header's config: the profilers, and
+        # trajectories one entry per log-round tick (2 rounds: 2 ticks).
+        config = CaseStudyConfig(
+            num_codes=2, words_per_stratum=2, num_rounds=2, profilers=("Naive",)
+        )
         path = tmp_path / "fig10.jsonl"
         store = ShardStore(path, FIG10_STORE)
         with store.open(config):

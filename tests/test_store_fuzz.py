@@ -9,10 +9,13 @@ stripped, a field (or a nested one) retyped, or replaced by a non-object.
 Loading, ``summarize``, ``compact`` and ``merge`` must then either accept
 the store or raise ``ValueError`` (``FileNotFoundError`` for a missing
 one); ``repro store PATH summary`` exits 1 with a one-line ``repro
-store:`` message exactly when ``summarize`` refuses; and a sweep resumed
-onto the damaged store refuses with ``ValueError`` or completes.
+store:`` message exactly when ``summarize`` refuses; and each driver
+resumed onto the damaged store either completes or refuses with the
+store's ``ValueError`` (one naming the store), which it must do whenever
+``summarize`` refuses.
 """
 
+import json
 import shutil
 
 import pytest
@@ -101,10 +104,14 @@ def test_damaged_store_refuses_cleanly(kind, how, seed, clean_stores, tmp_path, 
     assert code == (1 if summary_refused else 0), case
     if code:
         assert err.startswith("repro store: ") and err.count("\n") == 1, err
-    if kind == "sweep":
-        resumed = tmp_path / "resumed.jsonl"
-        shutil.copy(path, resumed)
-        _refused(lambda: run(str(resumed)))
+    resumed = tmp_path / "resumed.jsonl"
+    shutil.copy(path, resumed)
+    try:
+        run(str(resumed))
+    except ValueError as error:
+        assert str(resumed) in str(error), error
+    else:
+        assert not summary_refused, case
 
 
 def test_missing_store_is_file_not_found(tmp_path):
@@ -114,8 +121,63 @@ def test_missing_store_is_file_not_found(tmp_path):
     assert store_main([str(tmp_path / "absent.jsonl"), "summary"]) == 1
 
 
+def _damage_first(clean, kind: str, damage) -> tuple[list[str], int]:
+    """The clean store's lines with ``damage(record)`` applied, and its line number.
+
+    The damaged record is the first ``kind`` record, preferring a fleet
+    record with a chip that holds words.
+    """
+    lines = clean.read_text().splitlines(keepends=True)
+    candidates = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind]
+    if kind == "fleet":
+        candidates = [
+            i
+            for i in candidates
+            if any(entry["words"] for entry in json.loads(lines[i])["chips"])
+        ] or candidates
+    index = candidates[0]
+    record = json.loads(lines[index])
+    damage(record)
+    lines[index] = json.dumps(record) + "\n"
+    return lines, index + 1
+
+
+def _set_chips(chips):
+    def damage(record):
+        record["chips"] = chips
+
+    return damage
+
+
+def _first_words_entry(record):
+    entry = next(entry for entry in record["chips"] if entry["words"])
+    entry["words"][0] = [1, 2]
+
+
+def _chip_out_of_range(record):
+    record["chips"][0]["chip"] = record["stop"]
+
+
+def _before_lacks_naive(record):
+    del record["before"]["Naive"]
+
+
+#: Well-typed records whose payload used to reach aggregation: each made
+#: a resumed run fail with a TypeError/ValueError/KeyError traceback or,
+#: for the out-of-range chip, silently change the fleet report.
+PAYLOAD_CASES = {
+    "fleet-chip-not-object": ("fleet", _set_chips([7])),
+    "fleet-chip-not-int": ("fleet", _set_chips([{"chip": "x", "words": []}])),
+    "fleet-chip-without-words": ("fleet", _set_chips([{"chip": 0}])),
+    "fleet-word-not-triple": ("fleet", _first_words_entry),
+    "fleet-chip-out-of-range": ("fleet", _chip_out_of_range),
+    "fig10-before-lacks-profiler": ("fig10", _before_lacks_naive),
+}
+
+
 class TestReportedCrashes:
-    """Malformed records that used to escape as tracebacks."""
+    """Malformed records that used to escape as tracebacks (or, for a
+    fleet chip outside its range, silently change a resumed report)."""
 
     @pytest.mark.parametrize("line", ["[1, 2]", '{"kind": "cell"}', "{}"])
     def test_summary_exits_1_on_a_malformed_record(self, line, clean_stores, tmp_path, capsys):
@@ -132,3 +194,33 @@ class TestReportedCrashes:
         path.write_text(clean_stores["sweep"].read_text() + '{"kind": "cell"}\n')
         with pytest.raises(ValueError, match="corrupt shard record on line"):
             run_sweep(SWEEP, resume=str(path))
+
+    @pytest.mark.parametrize("name", sorted(PAYLOAD_CASES))
+    def test_malformed_payload_is_a_corrupt_record(self, name, clean_stores, tmp_path, capsys):
+        kind, damage = PAYLOAD_CASES[name]
+        lines, line_number = _damage_first(clean_stores[kind], kind, damage)
+        path = tmp_path / "store.jsonl"
+        path.write_text("".join(lines))
+        message = f"{path}: corrupt shard record on line {line_number}"
+
+        capsys.readouterr()
+        assert store_main([str(path), "summary"]) == 1
+        assert capsys.readouterr().err == f"repro store: {message}\n"
+        with pytest.raises(ValueError, match=f"corrupt shard record on line {line_number}"):
+            DRIVERS[kind][1](str(path))
+
+    def test_fig10_record_must_match_the_header_profilers(self, clean_stores, tmp_path):
+        """A consistent record for other profilers needs the config to refuse it."""
+
+        def rename(record):
+            for table in ("before", "after", "to_zero"):
+                record[table]["HARP-U"] = record[table].pop("Naive")
+
+        lines, line_number = _damage_first(clean_stores["fig10"], "fig10", rename)
+        path = tmp_path / "store.jsonl"
+        path.write_text("".join(lines))
+        assert store_main([str(path), "summary"]) == 0
+        with pytest.raises(ValueError, match=f"corrupt shard record on line {line_number}"):
+            ShardStore(path, FIG10_STORE).load()
+        with pytest.raises(ValueError, match=f"corrupt shard record on line {line_number}"):
+            fig10.run(CASE, resume=str(path))
