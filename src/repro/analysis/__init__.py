@@ -10,7 +10,6 @@ from repro.analysis.atrisk import (
     solve_charge_assignment,
     unpack_dataword,
 )
-from repro.analysis.bootstrap import censored_rounds, rounds_to_first_identification
 from repro.analysis.memo import (
     CacheStats,
     beep_expansion_cache,
@@ -35,11 +34,6 @@ from repro.analysis.probabilities import (
     expected_unrepaired_ber,
     per_bit_post_error_probabilities,
 )
-from repro.analysis.secondary_ecc import (
-    capability_trajectory,
-    required_capability,
-    rounds_to_bound_capability,
-)
 
 __all__ = [
     "ChargeSystem",
@@ -60,8 +54,6 @@ __all__ = [
     "crafted_pattern_cache",
     "ground_truth_cache",
     "indirect_prediction_cache",
-    "censored_rounds",
-    "rounds_to_first_identification",
     "AmplificationRow",
     "amplification_row",
     "empirical_amplification",
@@ -70,7 +62,4 @@ __all__ = [
     "per_bit_post_error_probabilities",
     "expected_unrepaired_ber",
     "expected_residual_ber_after_secondary",
-    "capability_trajectory",
-    "required_capability",
-    "rounds_to_bound_capability",
 ]

@@ -20,7 +20,6 @@ from repro.ecc.reverse_engineering import (
     reverse_engineer,
     simulate_injection,
 )
-from repro.ecc.simple import NoEccCode, repetition_extension_code, single_parity_code
 from repro.ecc.syndrome import (
     DecodeOutcomeKind,
     PatternOutcome,
@@ -37,9 +36,6 @@ __all__ = [
     "minimal_aliasing_code",
     "parity_bits_for",
     "bch_dec_code",
-    "NoEccCode",
-    "single_parity_code",
-    "repetition_extension_code",
     "DecodeOutcomeKind",
     "PatternOutcome",
     "analyze_error_pattern",

@@ -84,17 +84,14 @@ field                     meaning
                           one sample per second, oldest evicted past
                           :data:`HISTORY_SAMPLES`; lets clients compute
                           *trends*, not just the instantaneous state
-                          (new in ``repro-status-v2``)
 ``maps``                  ``{"active", "opened"}`` concurrent-map
-                          counters (new in ``repro-status-v2``; a
-                          ``--backend socket`` server hosts one map)
+                          counters (a ``--backend socket`` server hosts
+                          one map)
 ========================  ==============================================
 
-Fields added by later protocol revisions are additive: clients must
-tolerate their absence (``repro status`` renders pre-elastic snapshots
-without churn/healed lines rather than failing).  ``repro-status-v1``
-is the same schema without ``history``/``maps``; :func:`read_status`
-still accepts it so one operator CLI can watch old and new servers.
+Optional fields are additive: clients must tolerate their absence
+(``repro status`` renders a snapshot without churn/healed lines rather
+than failing).  :func:`read_status` accepts only ``repro-status-v2``.
 
 See ``docs/operations.md`` for the monitoring runbook.
 """
@@ -113,8 +110,6 @@ from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "STATUS_FORMAT",
-    "STATUS_FORMAT_V1",
-    "STATUS_FORMATS",
     "HISTORY_SAMPLES",
     "ThroughputHistory",
     "StatusServer",
@@ -132,13 +127,6 @@ __all__ = [
 
 #: Format tag of the one-line JSON status snapshot.
 STATUS_FORMAT = "repro-status-v2"
-
-#: The pre-history schema; still accepted by :func:`read_status` so the
-#: operator CLI keeps working against servers from before the bump.
-STATUS_FORMAT_V1 = "repro-status-v1"
-
-#: Every snapshot format this client renders.
-STATUS_FORMATS = (STATUS_FORMAT_V1, STATUS_FORMAT)
 
 #: Ring-buffer depth of the throughput history (one sample per second
 #: at most, so this is roughly the last minute of the campaign).
@@ -496,16 +484,16 @@ def read_status(address: str | tuple[str, int], timeout: float = 5.0) -> dict:
         )
     try:
         snapshot = json.loads(raw.decode("utf-8", errors="replace"))
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         raise ValueError(
             f"{host}:{port} did not answer with a JSON status line (is that "
             "really a --status-port, not the work port?)"
         ) from None
-    if not isinstance(snapshot, dict) or snapshot.get("format") not in STATUS_FORMATS:
+    if not isinstance(snapshot, dict) or snapshot.get("format") != STATUS_FORMAT:
         raise ValueError(
             f"{host}:{port} answered with an unknown status format "
             f"{snapshot.get('format') if isinstance(snapshot, dict) else snapshot!r} "
-            f"(expected one of {', '.join(STATUS_FORMATS)})"
+            f"(expected {STATUS_FORMAT})"
         )
     return snapshot
 

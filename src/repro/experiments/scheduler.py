@@ -139,12 +139,12 @@ def parse_job_spec(spec) -> dict:
     if unknown:
         raise JobSpecError(f"unknown job spec field(s): {sorted(unknown)}")
     kind = spec.get("kind")
-    if kind not in _kind_scales():
+    if not isinstance(kind, str) or kind not in _kind_scales():
         raise JobSpecError(
             f"kind must be one of {sorted(_kind_scales())}, got {kind!r}"
         )
     scale = spec.get("scale", "unit")
-    if scale not in _kind_scales()[kind]:
+    if not isinstance(scale, str) or scale not in _kind_scales()[kind]:
         raise JobSpecError(
             f"scale must be one of {sorted(_kind_scales()[kind])}, got {scale!r}"
         )
@@ -155,7 +155,7 @@ def parse_job_spec(spec) -> dict:
     if exhibit is not None:
         if kind != "sweep":
             raise JobSpecError(f"exhibit only applies to sweep jobs, not {kind!r}")
-        if exhibit not in _SWEEP_EXHIBITS:
+        if not isinstance(exhibit, str) or exhibit not in _SWEEP_EXHIBITS:
             raise JobSpecError(
                 f"exhibit must be one of {sorted(_SWEEP_EXHIBITS)}, got {exhibit!r}"
             )
@@ -323,7 +323,7 @@ class JobScheduler:
                     healed=bool(record.get("healed")),
                     error=record.get("error"),
                 )
-            except (OSError, ValueError, KeyError, TypeError):
+            except (OSError, ValueError, KeyError, TypeError, RecursionError):
                 continue  # a torn record is not worth refusing to start over
             with self._lock:
                 self._jobs[job.id] = job

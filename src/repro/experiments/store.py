@@ -4,11 +4,11 @@ The paper's artifact parallelizes Monte-Carlo jobs across machines and
 aggregates raw output files afterwards (§A.7).  This module provides the
 equivalent for the Python reproduction, in two layers:
 
-* **Documents** — :class:`SweepResult` objects round-trip through JSON
-  (``repro-sweep-v2``: cells, per-cell timings, *and* the sweep config,
-  so a shard file is self-describing; ``v1`` files without a config
-  still load), and results from independently-run shards merge into one
-  result via :func:`merge_sweeps`.
+* **Documents** — :func:`sweep_to_json` writes a whole
+  :class:`SweepResult` as one ``repro-sweep-v2`` JSON object (cells,
+  per-cell timings and the sweep config); the daemon's sweep job result
+  carries it.  Each document cell is a ``cell`` record without its
+  ``kind``, so :data:`SWEEP_STORE` decodes it.
 * **Streams** — :class:`ShardStore` appends each completed work unit to
   a JSONL file the moment it finishes, so a killed campaign loses
   nothing.  One store class serves ``run_sweep``, ``fig10.run`` and
@@ -86,7 +86,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Any, Callable, Iterator, NamedTuple
 
 from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
 from repro.experiments.reporting import log_round_ticks
@@ -94,8 +94,6 @@ from repro.experiments.runner import SweepCell, SweepResult, WordMetrics
 
 __all__ = [
     "sweep_to_json",
-    "sweep_from_json",
-    "merge_sweeps",
     "config_to_dict",
     "config_from_dict",
     "StoreFormat",
@@ -107,10 +105,8 @@ __all__ = [
     "ShardStore",
 ]
 
-#: Current sweep format tag (sweep documents and sweep stores).
+#: Sweep format tag (sweep documents and sweep stores).
 FORMAT_V2 = "repro-sweep-v2"
-#: PR 1 format: cells and timings only, no config.
-FORMAT_V1 = "repro-sweep-v1"
 
 #: The key :meth:`ShardStore.iter_records` gives a header record.
 HEADER = ("header",)
@@ -376,12 +372,9 @@ def sweep_to_json(sweep: SweepResult) -> str:
 
     Emits the self-describing ``repro-sweep-v2`` document: when the
     sweep's config is the library's :class:`SweepConfig` it rides along
-    and :func:`sweep_from_json` restores it, fixing the v1 wart where a
-    shard file forgot what experiment produced it.  A cell's wall-clock
-    seconds ride along as its ``seconds`` field when the engine recorded
-    them, so aggregated shard files keep the cost accounting the
-    streaming/distributed backends need.  A document cell is a store
-    ``cell`` record without its ``kind``.
+    (:func:`config_from_dict` restores it).  A cell's wall-clock seconds
+    ride along as its ``seconds`` field when the engine recorded them.
+    A document cell is a store ``cell`` record without its ``kind``.
     """
     cells = []
     for key, cell in sorted(sweep.cells.items()):
@@ -391,67 +384,6 @@ def sweep_to_json(sweep: SweepResult) -> str:
     return json.dumps(
         {"format": FORMAT_V2, "config": config_to_dict(sweep.config), "cells": cells}
     )
-
-
-def sweep_from_json(document: str) -> SweepResult:
-    """Inverse of :func:`sweep_to_json`.
-
-    Accepts both ``repro-sweep-v2`` (config round-trips) and the legacy
-    ``repro-sweep-v1`` (config is ``None``) documents.
-    """
-    payload = json.loads(document)
-    version = payload.get("format")
-    if version not in (FORMAT_V1, FORMAT_V2):
-        raise ValueError("not a repro sweep document")
-    config = config_from_dict(payload.get("config")) if version == FORMAT_V2 else None
-    cells: dict[tuple[int, float, str], SweepCell] = {}
-    timings: dict[tuple[int, float, str], float] = {}
-    for entry in payload["cells"]:
-        key = SWEEP_STORE.key_of(entry)
-        cells[key] = SWEEP_STORE.decode(key, entry)
-        if "seconds" in entry:
-            timings[key] = float(entry["seconds"])
-    return SweepResult(config=config, cells=cells, timings=timings)
-
-
-def merge_sweeps(shards: Iterable[SweepResult]) -> SweepResult:
-    """Merge independently-run shards into one result.
-
-    Cells present in several shards concatenate their word lists (the
-    paper's "aggregate the raw data, regardless of how the ECC codes are
-    partitioned") and *sum* their timings — the merged cell's cost is the
-    total CPU spent on it across shards.  The merged result keeps the
-    first shard's config, falling back to the first non-``None`` config
-    so a resumed store (config on disk) merged with a fresh run keeps a
-    usable config either way.
-    """
-    shards = list(shards)
-    if not shards:
-        raise ValueError("need at least one shard")
-    merged: dict[tuple[int, float, str], SweepCell] = {}
-    timings: dict[tuple[int, float, str], float] = {}
-    for shard in shards:
-        for key, cell in shard.cells.items():
-            words = list(cell.words)
-            if key in merged:
-                _check_compatible(merged[key], cell)
-                words = merged[key].words + words
-            merged[key] = SweepCell(cell.error_count, cell.probability, cell.profiler, words)
-        for key, seconds in shard.timings.items():
-            timings[key] = timings.get(key, 0.0) + seconds
-    config = shards[0].config
-    if config is None:
-        config = next((s.config for s in shards if s.config is not None), None)
-    return SweepResult(config=config, cells=merged, timings=timings)
-
-
-def _check_compatible(a: SweepCell, b: SweepCell) -> None:
-    if a.words and b.words:
-        if len(a.words[0].capability) != len(b.words[0].capability):
-            raise ValueError(
-                "cannot merge shards with different round counts "
-                f"({len(a.words[0].capability)} vs {len(b.words[0].capability)})"
-            )
 
 
 class StoreContents(NamedTuple):
@@ -502,7 +434,9 @@ class ShardStore:
         With ``include_torn``, the torn final line is yielded as
         ``(line_number, _TORN)`` instead of dropped, so a streaming
         consumer (the ``repro store`` toolbox) can report it from the
-        same single pass.
+        same single pass.  A line nested past the recursion limit is
+        corrupt wherever it sits: no prefix of a record this module
+        writes nests that deep, so it cannot be a torn append.
         """
         if not self.path.exists():
             return
@@ -517,13 +451,15 @@ class ShardStore:
                 if held is not None:
                     try:
                         record = json.loads(held[1])
-                    except ValueError:
+                    except (ValueError, RecursionError):
                         raise self._corrupt(held[0]) from None
                     yield held[0], record
                 held = (number, raw)
             if held is not None:
                 try:
                     record = json.loads(held[1])
+                except RecursionError:
+                    raise self._corrupt(held[0]) from None
                 except ValueError:
                     if include_torn:
                         yield held[0], _TORN
@@ -578,14 +514,13 @@ class ShardStore:
             except ValueError:
                 raise self._corrupt(number) from None
             return HEADER, found
-        if record.get("format") in (FORMAT_V1, FORMAT_V2) and "cells" in record:
+        if record.get("format") == FORMAT_V2 and "cells" in record:
             # A whole sweep_to_json document, not a store: resuming onto
             # it would ignore its cells and append records that corrupt
             # it — refuse loudly instead.
             raise ValueError(
                 f"{self.path} is a sweep_to_json document, not a JSONL "
-                "shard store; load it with sweep_from_json (and give "
-                "--resume its own path)"
+                "shard store; give --resume its own path"
             )
         if not isinstance(kind, str):
             raise self._corrupt(number)

@@ -11,13 +11,11 @@ from repro.memory.faults import (
     ChipGeometry,
     FaultMixModel,
     sample_chip_faults,
-    word_profiles,
 )
 from repro.memory.error_model import (
     RetentionErrorModel,
     WordErrorProfile,
     normal_probability_profile,
-    sample_profile_by_rate,
     sample_word_profile,
 )
 from repro.memory.patterns import (
@@ -47,11 +45,9 @@ __all__ = [
     "ChipGeometry",
     "FaultMixModel",
     "sample_chip_faults",
-    "word_profiles",
     "RetentionErrorModel",
     "WordErrorProfile",
     "normal_probability_profile",
-    "sample_profile_by_rate",
     "sample_word_profile",
     "DataPattern",
     "ChargedPattern",

@@ -28,7 +28,6 @@ __all__ = [
     "WordErrorProfile",
     "check_profile_positions",
     "sample_word_profile",
-    "sample_profile_by_rate",
     "normal_probability_profile",
     "RetentionErrorModel",
 ]
@@ -109,24 +108,6 @@ def sample_word_profile(
         raise ValueError(f"cannot place {count} at-risk bits in a {code.n}-bit codeword")
     positions = sorted(int(p) for p in rng.choice(code.n, size=count, replace=False))
     return WordErrorProfile(tuple(positions), tuple(probability for _ in positions))
-
-
-def sample_profile_by_rate(
-    code: SystematicCode,
-    at_risk_rate: float,
-    probability: float,
-    rng: np.random.Generator,
-) -> WordErrorProfile:
-    """Sample at-risk positions i.i.d. with the given per-bit rate.
-
-    Used by the Fig 10 case study where the number of at-risk bits per word
-    follows a binomial distribution determined by the raw bit error rate.
-    """
-    if not 0.0 <= at_risk_rate <= 1.0:
-        raise ValueError(f"at-risk rate {at_risk_rate} outside [0, 1]")
-    mask = rng.random(code.n) < at_risk_rate
-    positions = tuple(int(p) for p in np.flatnonzero(mask))
-    return WordErrorProfile(positions, tuple(probability for _ in positions))
 
 
 def normal_probability_profile(

@@ -22,9 +22,6 @@ This module is the population model behind
   chip_index, ...)``: sampling is **chip-indexed**, never draw-order
   dependent, so chip ``i``'s topology is identical no matter how many
   other chips the population holds or in what order they are sampled.
-* :func:`word_profiles` — lower a topology onto the library's per-cell
-  error model (:class:`~repro.memory.error_model.WordErrorProfile`),
-  the same substrate every profiler simulation consumes.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from math import exp
 
 import numpy as np
 
-from repro.memory.error_model import WordErrorProfile
 from repro.utils.rng import derive_rng
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "FIELD_DDR4",
     "ChipFaults",
     "sample_chip_faults",
-    "word_profiles",
 ]
 
 #: Fault modes of the field-study taxonomy, in sampling order.
@@ -142,7 +137,9 @@ class ChipFaults:
 
     ``word_positions`` is the lowered at-risk map: ``(word_index,
     (positions...))`` pairs sorted by word, positions sorted and unique
-    within a word — ready for :func:`word_profiles`.
+    within a word.  :func:`repro.experiments.fleet.run_fleet_shard`
+    lowers each profiled word onto a
+    :class:`~repro.memory.error_model.WordErrorProfile`.
     """
 
     chip_index: int
@@ -244,19 +241,3 @@ def sample_chip_faults(
         mode_counts=tuple(mode_counts),
         word_positions=tuple(lowered),
     )
-
-
-def word_profiles(
-    faults: ChipFaults, probability: float
-) -> list[tuple[int, WordErrorProfile]]:
-    """Lower a topology onto the per-cell error model, word by word.
-
-    Every at-risk bit errs with the same per-bit ``probability`` while
-    charged — the paper's uniform model; heterogeneous probabilities
-    layer on the same :class:`~repro.memory.error_model.WordErrorProfile`
-    substrate.
-    """
-    return [
-        (word, WordErrorProfile(positions, tuple(probability for _ in positions)))
-        for word, positions in faults.word_positions
-    ]

@@ -32,20 +32,16 @@ registry name   paper section         approach
 Experiment configs name profilers by their :data:`PROFILER_REGISTRY`
 key.  The per-word simulation loop lives in
 :mod:`repro.profiling.runner` (`simulate_cell`, the drivers' one entry
-point, over `simulate_word` and `simulate_words_batched`), and
-:mod:`repro.profiling.coverage` aggregates traces into the coverage
-metrics of Figs 6-8.
+point, over `simulate_word` and `simulate_words_batched`).  The traces
+become per-word metrics in
+:func:`repro.experiments.runner.metrics_for_words`, and each exhibit
+module (:mod:`repro.experiments.fig6` to :mod:`repro.experiments.fig9`)
+reduces those to its figure.
 """
 
 from repro.profiling.base import Profiler, ReadMode
 from repro.profiling.beep import BeepProfiler
 from repro.profiling.combined import HarpABeepProfiler
-from repro.profiling.coverage import (
-    aggregate_coverage,
-    aggregate_mean,
-    coverage_trajectory,
-    missed_indirect_trajectory,
-)
 from repro.profiling.harp import HarpAProfiler, HarpUProfiler
 from repro.profiling.naive import NaiveProfiler
 from repro.profiling.oracle import OracleProfiler
@@ -63,10 +59,6 @@ __all__ = [
     "WordRunResult",
     "simulate_word",
     "post_correction_data_errors",
-    "coverage_trajectory",
-    "missed_indirect_trajectory",
-    "aggregate_coverage",
-    "aggregate_mean",
     "PROFILER_REGISTRY",
 ]
 

@@ -146,7 +146,10 @@ def charge_cases(seeds) -> list[ChargeCase]:
 
 
 #: The ways :func:`store_damage` damages a record.
-STORE_DAMAGE = ("truncate", "garble", "strip", "retype", "retype-nested", "non-object")
+STORE_DAMAGE = ("truncate", "garble", "strip", "retype", "retype-nested", "non-object", "deep")
+
+#: Nesting depth past the interpreter's default recursion limit.
+_DEEP = 1100
 
 #: One value of every JSON type, so any field meets one it does not hold.
 _JSON_VALUES = (None, True, 0, -3, 1.5, "x", [], [1, 2], {}, {"kind": "cell"})
@@ -182,11 +185,14 @@ def store_damage(seed, lines: list[bytes], how: str) -> StoreDamage:
     * ``strip`` deletes one field;
     * ``retype`` gives one field a value of another JSON type;
     * ``retype-nested`` does that one level down;
-    * ``non-object`` replaces the line with valid JSON that is no object.
+    * ``non-object`` replaces the line with valid JSON that is no object;
+    * ``deep`` nests the line, or one of its fields, deeper than the
+      recursion limit.
     """
     rng, source = _as_rng(seed)
     index = int(rng.integers(len(lines)))
     line = lines[index].rstrip(b"\n")
+    deep = b"[" * _DEEP + b"]" * _DEEP
     if how == "truncate":
         line = line[: int(rng.integers(1, len(line)))]
     elif how == "garble":
@@ -196,6 +202,12 @@ def store_damage(seed, lines: list[bytes], how: str) -> StoreDamage:
     elif how == "non-object":
         scalars = [value for value in _JSON_VALUES if not isinstance(value, dict)]
         line = json.dumps(scalars[int(rng.integers(len(scalars)))]).encode()
+    elif how == "deep" and rng.integers(2):
+        line = deep
+    elif how == "deep":
+        record = json.loads(line)
+        record[sorted(record)[int(rng.integers(len(record)))]] = "@"
+        line = json.dumps(record).encode().replace(b'"@"', deep)
     else:
         record = json.loads(line)
         target = _nested(record) if how == "retype-nested" else record
@@ -215,9 +227,6 @@ def store_damage(seed, lines: list[bytes], how: str) -> StoreDamage:
 
 #: The ways :func:`frame_damage` damages a frame.
 FRAME_DAMAGE = ("truncate", "flip", "non-object", "retype", "nest", "negative", "oversized")
-
-#: Nesting depth past the interpreter's default recursion limit.
-_DEEP = 1100
 
 
 @dataclass(frozen=True)

@@ -316,17 +316,20 @@ class ServiceDaemon:
         self,
         method: str,
         path: str,
-        payload: dict | None = None,
+        payload: dict | bytes | None = None,
         *,
         expect: int | None = None,
         timeout: float = 30.0,
     ) -> tuple[int, dict]:
         """One JSON request against the daemon; returns (status, body).
 
-        4xx/5xx responses are returned, not raised, so tests can assert
-        on error payloads; ``expect`` asserts the status code in-line.
+        A ``bytes`` payload is sent as the raw body.  4xx/5xx responses
+        are returned, not raised, so tests can assert on error payloads;
+        ``expect`` asserts the status code in-line.
         """
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        body = payload
+        if payload is not None and not isinstance(payload, bytes):
+            body = json.dumps(payload).encode("utf-8")
         request = urllib.request.Request(
             self.base_url + path, data=body, method=method
         )
@@ -346,7 +349,7 @@ class ServiceDaemon:
     def get(self, path: str, **kwargs) -> tuple[int, dict]:
         return self.request("GET", path, **kwargs)
 
-    def post(self, path: str, payload: dict | None = None, **kwargs):
+    def post(self, path: str, payload: dict | bytes | None = None, **kwargs):
         return self.request("POST", path, payload, **kwargs)
 
     def submit(self, spec: dict) -> str:

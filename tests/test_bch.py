@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ecc import gf2
-from repro.ecc.bch import bch_dec_code, bch_field_degree_for
+from repro.ecc.bch import _raw_parity_check_matrix, bch_dec_code, bch_field_degree_for
 from repro.ecc.code_analysis import minimum_distance
+from repro.ecc.gf2m import field
 
 
 class TestFieldDegree:
@@ -90,3 +91,35 @@ class TestDoubleErrorCorrection:
             assert set(result.corrected_positions) != {1, 7, 13} or not (
                 result.data == message
             ).all()
+
+
+class TestBchStructure:
+    """The construction is the narrow-sense BCH code of length ``2^m - 1``.
+
+    Full-length codes keep all ``2m`` parity bits, and every codeword,
+    placed back on the unshortened code's coordinates ``j`` (the ``alpha^j``
+    columns), has ``alpha^1 .. alpha^4`` as roots: the designed distance 5.
+    """
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_full_length_code_has_2m_parity_bits(self, m):
+        code = bch_dec_code((1 << m) - 1 - 2 * m, m=m)
+        assert code.n == (1 << m) - 1
+        assert code.p == 2 * m
+
+    @pytest.mark.parametrize("k, m", [(7, 4), (16, 5), (64, 7)])
+    def test_codewords_have_designed_roots(self, k, m):
+        fld = field(m)
+        _, pivots = gf2.row_reduce(_raw_parity_check_matrix(fld))
+        non_pivots = [c for c in range(fld.order) if c not in pivots]
+        # Data positions are the first k non-pivot coordinates; parity
+        # position k + i is row i's pivot coordinate.
+        coordinate = non_pivots[:k] + list(pivots)
+        code = bch_dec_code(k, m=m)
+        data = np.random.default_rng(k).integers(0, 2, size=(20, k), dtype=np.uint8)
+        for codeword in code.encode(data):
+            for root in range(1, 5):
+                value = 0
+                for position in np.flatnonzero(codeword):
+                    value ^= fld.alpha_power(root * coordinate[position])
+                assert value == 0, (root, codeword)

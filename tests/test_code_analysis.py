@@ -11,7 +11,7 @@ from repro.ecc.code_analysis import (
     weight_distribution,
 )
 from repro.ecc.hamming import paper_example_code, random_sec_code
-from repro.ecc.simple import single_parity_code
+from repro.ecc.linear_code import SystematicCode
 
 
 class TestMinimumDistance:
@@ -19,7 +19,8 @@ class TestMinimumDistance:
         assert minimum_distance(paper_example_code()) == 3
 
     def test_parity_code(self):
-        assert minimum_distance(single_parity_code(4)) == 2
+        single_parity = SystematicCode(np.ones((1, 4), dtype=np.uint8), correction_capability=0)
+        assert minimum_distance(single_parity) == 2
 
     def test_bch_15_7(self):
         assert minimum_distance(bch_dec_code(7, m=4)) == 5

@@ -133,7 +133,6 @@ def test_operations_covers_the_control_plane_surfaces():
         "--continue-past-quarantine",
         "store summary",
         "merge",
-        "repro-status-v1",
     ):
         assert surface in operations, f"operations.md must document {surface}"
 

@@ -9,7 +9,6 @@ from repro.memory.error_model import (
     RetentionErrorModel,
     WordErrorProfile,
     normal_probability_profile,
-    sample_profile_by_rate,
     sample_word_profile,
 )
 
@@ -56,16 +55,6 @@ class TestSampling:
     def test_sample_word_profile_too_many(self, code):
         with pytest.raises(ValueError):
             sample_word_profile(code, code.n + 1, 0.5, np.random.default_rng(0))
-
-    def test_sample_by_rate_statistics(self, code):
-        rng = np.random.default_rng(1)
-        counts = [sample_profile_by_rate(code, 0.1, 0.5, rng).count for _ in range(300)]
-        mean = np.mean(counts)
-        assert 0.7 * code.n * 0.1 < mean < 1.3 * code.n * 0.1
-
-    def test_sample_by_rate_bounds(self, code):
-        with pytest.raises(ValueError):
-            sample_profile_by_rate(code, 1.5, 0.5, np.random.default_rng(0))
 
     def test_normal_profile_clipped(self, code):
         profile = normal_probability_profile(code, 10, 0.5, 1.0, np.random.default_rng(2))

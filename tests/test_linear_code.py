@@ -159,3 +159,53 @@ class TestDecode:
         matched = {code71.column_int(i) for i in range(code71.n)}
         unmatched = next(s for s in range(1, 1 << code71.p) if s not in matched)
         assert code71.correction_for_syndrome(unmatched) is None
+
+
+class TestNonHammingCodes:
+    """Parity-only and repetition codes expressed as ``SystematicCode``."""
+
+    @pytest.fixture(scope="class")
+    def single_parity(self):
+        return SystematicCode(np.ones((1, 4), dtype=np.uint8), correction_capability=0)
+
+    @pytest.fixture(scope="class")
+    def repetition(self):
+        """The 3-bit repetition code: both parity bits copy the data bit."""
+        return SystematicCode(np.ones((2, 1), dtype=np.uint8))
+
+    def test_single_parity_codewords_have_even_weight(self, single_parity):
+        data = np.array([[(v >> i) & 1 for i in range(4)] for v in range(16)], dtype=np.uint8)
+        codewords = single_parity.encode(data)
+        assert (codewords[:, :4] == data).all()
+        assert not (codewords.sum(axis=1) % 2).any()
+
+    def test_single_parity_detects_without_correcting(self, single_parity):
+        codeword = single_parity.encode(np.array([1, 0, 1, 1], dtype=np.uint8))
+        for position in range(single_parity.n):
+            corrupted = codeword.copy()
+            corrupted[position] ^= 1
+            result = single_parity.decode(corrupted)
+            assert result.detected_uncorrectable
+            assert result.corrected_positions == ()
+            assert (result.data == corrupted[:4]).all()
+
+    def test_repetition_corrects_one_error(self, repetition):
+        for bit in (0, 1):
+            codeword = repetition.encode(np.array([bit], dtype=np.uint8))
+            assert codeword.tolist() == [bit] * 3
+            for position in range(3):
+                corrupted = codeword.copy()
+                corrupted[position] ^= 1
+                result = repetition.decode(corrupted)
+                assert result.corrected_positions == (position,)
+                assert result.data.tolist() == [bit]
+
+    def test_repetition_double_error_miscorrects(self, repetition):
+        """Two flips look like one flip of the third bit: the decoder
+        'corrects' it and returns the wrong data bit, undetected."""
+        corrupted = np.array([1, 1, 0], dtype=np.uint8)  # 0 with bits 0 and 1 flipped
+        result = repetition.decode(corrupted)
+        assert result.corrected_positions == (2,)
+        assert not result.detected_uncorrectable
+        assert result.data.tolist() == [1]
+        assert repetition.decode_batch(corrupted[None, :]).tolist() == [[1]]

@@ -1,7 +1,7 @@
 """Tests of the campaign control plane (``repro.experiments.monitor``).
 
 Covers the coverage/ETA math shared by ``--progress`` and ``store
-summary``, the ``repro-status-v1`` snapshot protocol (server, client,
+summary``, the ``repro-status-v2`` snapshot protocol (server, client,
 renderer, CLI), live status served from a running socket map, and the
 continue-past-quarantine mode end-to-end: the poison chunk is set
 aside, the rest of the grid completes bit-identically, and the
@@ -27,7 +27,6 @@ from repro.experiments.backends import (
 from repro.experiments.config import CaseStudyConfig, SweepConfig
 from repro.experiments.monitor import (
     STATUS_FORMAT,
-    STATUS_FORMAT_V1,
     ThroughputHistory,
     ProgressReporter,
     StatusServer,
@@ -245,6 +244,20 @@ class TestStatusProtocol:
         finally:
             server.close()
 
+    def test_v1_snapshot_rejected(self, capsys):
+        """Only ``repro-status-v2`` reads; a v1 peer gets one
+        ``repro status:`` line and exit 1."""
+        server = _serve_snapshot({**self.SNAPSHOT, "format": "repro-status-v1"})
+        try:
+            with pytest.raises(ValueError, match="unknown status format"):
+                read_status(server.address)
+            host, port = server.address
+            assert status_main([f"{host}:{port}"]) == 1
+        finally:
+            server.close()
+        err = capsys.readouterr().err
+        assert err.startswith("repro status: ") and err.count("\n") == 1, err
+
     def test_nothing_listening_raises_oserror(self):
         with pytest.raises(OSError):
             read_status("127.0.0.1:9", timeout=1.0)
@@ -297,24 +310,30 @@ class TestStatusProtocol:
         assert status_main(["127.0.0.1:9", "--timeout", "1"]) == 1
         assert "repro status:" in capsys.readouterr().err
 
+    def test_status_cli_fails_cleanly_on_a_deeply_nested_line(self, capsys):
+        """A peer that answers with JSON nested past the recursion limit
+        gets one ``repro status:`` line, not a RecursionError traceback."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(b"[" * 100_000 + b"\n")
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        try:
+            host, port = listener.getsockname()
+            assert status_main([f"{host}:{port}", "--timeout", "5"]) == 1
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        err = capsys.readouterr().err
+        assert err.startswith("repro status: ") and err.count("\n") == 1, err
+
 
 class TestStatusV2:
-    """The repro-status-v2 bump: additive fields, v1 stays readable."""
-
-    def test_v1_snapshot_still_reads_and_renders(self, capsys):
-        """Compat promise of the format bump: ``python -m repro status``
-        pointed at a pre-history server keeps working unchanged."""
-        v1 = {**TestStatusProtocol.SNAPSHOT, "format": STATUS_FORMAT_V1}
-        server = _serve_snapshot(v1)
-        try:
-            assert read_status(server.address) == v1
-            host, port = server.address
-            assert status_main([f"{host}:{port}"]) == 0
-            out = capsys.readouterr().out
-            assert "fleet    2 worker(s)" in out
-            assert "5/9 done" in out
-        finally:
-            server.close()
+    """The repro-status-v2 fields: ``maps`` and the throughput ``history``."""
 
     def test_v2_maps_and_history_render(self):
         snapshot = {
@@ -327,7 +346,7 @@ class TestStatusV2:
         assert "history  +6 chunk(s)" in text
         assert "(~12.0/min)" in text
         assert "2 sample(s)" in text
-        # v1 snapshots simply lack the new lines — nothing breaks.
+        # A snapshot without the optional fields lacks their lines.
         legacy = render_status(TestStatusProtocol.SNAPSHOT)
         assert "maps" not in legacy
         assert "history" not in legacy

@@ -136,11 +136,18 @@ class TestValidationAndAuth:
                 ({"kind": "sweep", "config": {"profilers": ["Nope"]}}, "unknown profiler"),
                 ({"kind": "sweep", "config": {"error_counts": [2.5]}}, "'error_counts'"),
                 ({"kind": "fleet", "config": {"pattern": "plaid"}}, "unknown data pattern"),
+                # Unhashable field values and bodies nested past the
+                # recursion limit, which used to escape as a 500.
+                ({"kind": ["sweep"]}, "kind must be one of"),
+                ({"kind": {"a": 1}}, "kind must be one of"),
+                ({"kind": "sweep", "scale": ["unit"]}, "scale must be one of"),
+                ({"kind": "sweep", "exhibit": ["fig6"]}, "exhibit must be one of"),
+                (b"[" * 50_000, "not valid JSON"),
             ]
             for spec, needle in cases:
                 code, body = daemon.post("/jobs", spec)
-                assert code == 400, (spec, code, body)
-                assert needle in body["error"], (spec, body)
+                assert code == 400, (repr(spec)[:80], code, body)
+                assert needle in body["error"], (repr(spec)[:80], body)
                 assert "Traceback" not in body["error"]
             code, body = daemon.post("/jobs")  # empty body
             assert code == 400 and "JSON" in body["error"]
@@ -277,6 +284,18 @@ class TestConcurrentCampaigns:
 
 class TestDaemonRestart:
     """The crash drill: SIGKILL mid-job, restart, heal, complete."""
+
+    def test_unreadable_job_records_are_skipped_at_startup(self, tmp_path):
+        """A torn job record, or one nested past the recursion limit,
+        must not stop the daemon from starting; it lists neither."""
+        jobs = tmp_path / "state" / "jobs"
+        jobs.mkdir(parents=True)
+        (jobs / "job-torn.json").write_text('{"id": "job-torn", "sp')
+        (jobs / "job-deep.json").write_text("[" * 100_000 + "\n")
+        with ServiceDaemon(tmp_path / "state", workers=0) as daemon:
+            _, listing = daemon.get("/jobs", expect=200)
+        assert listing["jobs"] == []
+        assert not any("Traceback" in line for line in daemon.lines)
 
     def test_sigkill_and_restart_heals_and_completes(self, tmp_path):
         spec = {"kind": "sweep", "config": SLOWER_SWEEP}

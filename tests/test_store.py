@@ -1,4 +1,4 @@
-"""Tests for sweep-result serialization, shard merging, and the JSONL store."""
+"""Tests for the sweep document, config round-trips, and the JSONL store."""
 
 import json
 from dataclasses import replace
@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.config import SweepConfig
-from repro.experiments.fig6 import coverage_curve
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import (
     FIG10_STORE,
@@ -14,8 +13,6 @@ from repro.experiments.store import (
     ShardStore,
     config_from_dict,
     config_to_dict,
-    merge_sweeps,
-    sweep_from_json,
     sweep_to_json,
 )
 
@@ -34,124 +31,33 @@ def sweep():
     return run_sweep(CONFIG)
 
 
-class TestJsonRoundtrip:
-    def test_cells_survive(self, sweep):
-        restored = sweep_from_json(sweep_to_json(sweep))
-        assert set(restored.cells) == set(sweep.cells)
+class TestSweepDocument:
+    """``sweep_to_json`` is the daemon's sweep result payload."""
+
+    def test_document_decodes_to_the_sweep(self, sweep):
+        """Each document cell decodes through ``SWEEP_STORE`` back to the
+        sweep's cell and timing, and the config through ``config_from_dict``."""
+        document = json.loads(sweep_to_json(sweep))
+        assert document["format"] == SWEEP_STORE.tag
+        assert config_from_dict(document["config"]) == CONFIG
+        cells, timings = {}, {}
+        for entry in document["cells"]:
+            key = SWEEP_STORE.key_of(entry)
+            cells[key] = SWEEP_STORE.decode(key, entry)
+            timings[key] = entry["seconds"]
+        assert list(cells) == sorted(sweep.cells)
         for key in sweep.cells:
-            assert restored.cells[key].words == sweep.cells[key].words
-
-    def test_reductions_agree_after_roundtrip(self, sweep):
-        restored = sweep_from_json(sweep_to_json(sweep))
-        assert coverage_curve(restored, 3, 0.5, "HARP-U") == coverage_curve(
-            sweep, 3, 0.5, "HARP-U"
-        )
-
-    def test_bad_document_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_from_json('{"format": "something-else", "cells": []}')
-
-
-class TestMerge:
-    def test_merging_disjoint_seeds_concatenates_words(self, sweep):
-        other = run_sweep(replace(CONFIG, seed=CONFIG.seed + 1))
-        merged = merge_sweeps([sweep, other])
-        for key in sweep.cells:
-            assert len(merged.cells[key].words) == len(sweep.cells[key].words) + len(
-                other.cells[key].words
-            )
-
-    def test_merge_single_shard_is_identity(self, sweep):
-        merged = merge_sweeps([sweep])
-        assert merged.cells.keys() == sweep.cells.keys()
-        for key in sweep.cells:
-            assert merged.cells[key].words == sweep.cells[key].words
-
-    def test_merge_incompatible_rounds_rejected(self, sweep):
-        other = run_sweep(replace(CONFIG, num_rounds=8))
-        with pytest.raises(ValueError):
-            merge_sweeps([sweep, other])
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(ValueError):
-            merge_sweeps([])
-
-    def test_merged_coverage_pools_both_shards(self, sweep):
-        """The merged curve is the word-pooled aggregate, reproducing the
-        paper's shard-independent aggregation property."""
-        other = run_sweep(replace(CONFIG, seed=CONFIG.seed + 7))
-        merged = merge_sweeps([sweep, other])
-        merged_final = coverage_curve(merged, 3, 0.5, "Naive")[-1]
-        a = coverage_curve(sweep, 3, 0.5, "Naive")[-1]
-        b = coverage_curve(other, 3, 0.5, "Naive")[-1]
-        assert min(a, b) - 1e-9 <= merged_final <= max(a, b) + 1e-9
-
-
-class TestTimings:
-    """Per-cell timings must round-trip through JSON and merge additively."""
-
-    def test_timings_survive_roundtrip(self, sweep):
-        assert sweep.timings  # the engine records them
-        restored = sweep_from_json(sweep_to_json(sweep))
-        assert restored.timings == sweep.timings
-
-    def test_missing_timings_roundtrip_as_empty(self, sweep):
-        import json
-
-        document = sweep_to_json(sweep)
-        payload = json.loads(document)
-        for cell in payload["cells"]:
-            cell.pop("seconds", None)
-        restored = sweep_from_json(json.dumps(payload))
-        assert restored.timings == {}
-        assert restored.cells.keys() == sweep.cells.keys()
-
-    def test_merge_sums_shared_cells(self, sweep):
-        other = run_sweep(replace(CONFIG, seed=CONFIG.seed + 1))
-        merged = merge_sweeps([sweep, other])
-        for key in sweep.timings:
-            expected = sweep.timings[key] + other.timings.get(key, 0.0)
-            assert merged.timings[key] == pytest.approx(expected)
-
-    def test_merge_keeps_one_sided_timings(self, sweep):
-        bare = sweep_from_json(sweep_to_json(sweep))
-        bare.timings = {}
-        merged = merge_sweeps([sweep, bare])
-        assert merged.timings == sweep.timings
-        # Word lists still concatenated even though one side lacks timings.
-        for key in sweep.cells:
-            assert len(merged.cells[key].words) == 2 * len(sweep.cells[key].words)
-
-    def test_merged_timings_roundtrip(self, sweep):
-        other = run_sweep(replace(CONFIG, seed=CONFIG.seed + 2))
-        merged = merge_sweeps([sweep, other])
-        restored = sweep_from_json(sweep_to_json(merged))
-        assert restored.timings == pytest.approx(merged.timings)
+            assert cells[key].words == sweep.cells[key].words
+        assert sweep.timings and timings == sweep.timings
 
 
 class TestConfigRoundtrip:
-    """repro-sweep-v2 documents are self-describing."""
-
     def test_config_dict_roundtrip(self):
         assert config_from_dict(config_to_dict(CONFIG)) == CONFIG
 
     def test_non_sweep_config_serializes_as_none(self):
         assert config_to_dict(("opaque", "config")) is None
         assert config_from_dict(None) is None
-
-    def test_document_restores_config(self, sweep):
-        restored = sweep_from_json(sweep_to_json(sweep))
-        assert restored.config == CONFIG
-
-    def test_v1_documents_still_load(self, sweep):
-        payload = json.loads(sweep_to_json(sweep))
-        payload["format"] = "repro-sweep-v1"
-        del payload["config"]
-        restored = sweep_from_json(json.dumps(payload))
-        assert restored.config is None
-        assert restored.cells.keys() == sweep.cells.keys()
-        for key in sweep.cells:
-            assert restored.cells[key].words == sweep.cells[key].words
 
 
 def _append_cells(store, sweep) -> None:
@@ -296,12 +202,24 @@ class TestResume:
         """--resume pointed at a sweep_to_json artifact must refuse, not
         silently ignore its cells and append records that corrupt it."""
         path = tmp_path / "sweep.json"
-        path.write_text(sweep_to_json(sweep) + "\n")
+        document = sweep_to_json(sweep) + "\n"
+        path.write_text(document)
         with pytest.raises(ValueError, match="sweep_to_json document"):
             run_sweep(CONFIG, resume=str(path))
-        # The artifact is untouched and still loads as a document.
-        restored = sweep_from_json(path.read_text())
-        assert restored.cells.keys() == sweep.cells.keys()
+        assert path.read_text() == document  # the artifact is untouched
+
+    def test_resume_onto_v1_document_rejected(self, sweep, tmp_path):
+        """A configless ``repro-sweep-v1`` document is no store record
+        either: resume refuses it as corrupt and leaves it untouched."""
+        payload = json.loads(sweep_to_json(sweep))
+        payload["format"] = "repro-sweep-v1"
+        del payload["config"]
+        path = tmp_path / "sweep-v1.json"
+        document = json.dumps(payload) + "\n"
+        path.write_text(document)
+        with pytest.raises(ValueError, match="corrupt shard record on line 1"):
+            run_sweep(CONFIG, resume=str(path))
+        assert path.read_text() == document
 
     def test_configless_store_with_cells_rejected(self, sweep, tmp_path):
         """A store that holds cells but no config (hand-built or written

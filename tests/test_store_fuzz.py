@@ -5,7 +5,8 @@ travels between machines, and sits on disks that tear writes.  Each case
 takes a real store of one driver (sweep, Fig 10 or fleet, quarantine
 marker included) and damages one record the way
 :func:`randcases.store_damage` draws it — truncated, garbled, a field
-stripped, a field (or a nested one) retyped, or replaced by a non-object.
+stripped, a field (or a nested one) retyped, replaced by a non-object, or
+nested (whole or one field) past the recursion limit.
 Loading, ``summarize``, ``compact`` and ``merge`` must then either accept
 the store or raise ``ValueError`` (``FileNotFoundError`` for a missing
 one); ``repro store PATH summary`` exits 1 with a one-line ``repro
@@ -179,7 +180,9 @@ class TestReportedCrashes:
     """Malformed records that used to escape as tracebacks (or, for a
     fleet chip outside its range, silently change a resumed report)."""
 
-    @pytest.mark.parametrize("line", ["[1, 2]", '{"kind": "cell"}', "{}"])
+    @pytest.mark.parametrize(
+        "line", ["[1, 2]", '{"kind": "cell"}', "{}", pytest.param("[" * 100_000, id="deep")]
+    )
     def test_summary_exits_1_on_a_malformed_record(self, line, clean_stores, tmp_path, capsys):
         path = tmp_path / "store.jsonl"
         path.write_text(clean_stores["sweep"].read_text() + line + "\n")
@@ -193,6 +196,15 @@ class TestReportedCrashes:
         path = tmp_path / "store.jsonl"
         path.write_text(clean_stores["sweep"].read_text() + '{"kind": "cell"}\n')
         with pytest.raises(ValueError, match="corrupt shard record on line"):
+            run_sweep(SWEEP, resume=str(path))
+
+    def test_resume_refuses_a_deeply_nested_final_line(self, clean_stores, tmp_path):
+        """A final line nested past the recursion limit is no torn append
+        (no prefix of a record nests that deep), so resume refuses it."""
+        path = tmp_path / "store.jsonl"
+        path.write_text(clean_stores["sweep"].read_text() + "[" * 100_000 + "\n")
+        lines = len(path.read_text().splitlines())
+        with pytest.raises(ValueError, match=f"corrupt shard record on line {lines}$"):
             run_sweep(SWEEP, resume=str(path))
 
     @pytest.mark.parametrize("name", sorted(PAYLOAD_CASES))

@@ -475,8 +475,18 @@ class TestVectorizedMetricsReduction:
         empty = WordRunResult(
             identified_per_round=[], observed_per_round=[], failures_per_round=[]
         )
+        silent = WordRunResult(
+            identified_per_round=[frozenset()] * 8,
+            observed_per_round=[frozenset()] * 8,
+            failures_per_round=[()] * 8,
+        )
         real = simulate_word(PROFILER_REGISTRY["Naive"](code, seed=1), profile, 8, word_seed=1)
-        batched = metrics_for_words([empty, real], [truth, truth], 8)
+        batched = metrics_for_words([empty, real, silent], [truth] * 3, 8)
         assert batched[0].direct_identified == ()
         assert batched[0].first_direct_round == 8
         assert batched[1] == self._reference(real, truth, 8)
+        # Fig 7's censoring: a word that never identifies one of its
+        # direct-risk bits counts as needing every simulated round.
+        assert truth.direct_at_risk
+        assert batched[2].direct_identified == (0,) * 8
+        assert batched[2].first_direct_round == 8
