@@ -56,7 +56,9 @@ Socket-fleet hardening (``--backend socket[://HOST:PORT]`` only; see
 * ``--auth-token SECRET`` requires every worker to present the same
   shared secret when joining (workers pass ``--auth-token`` too, or set
   ``REPRO_AUTH_TOKEN``; the server reads the variable as its default as
-  well, and hands the secret to self-spawned workers through it).
+  well, and hands the secret to self-spawned workers through it).  An
+  empty secret, from the flag or the variable, is refused here and by
+  ``worker``, ``serve`` and ``jobs`` alike.
 * ``--workers-expected N`` holds all task dispatch until ``N`` workers
   have joined, so a paper-scale campaign cannot start against a
   half-booted fleet.
@@ -100,12 +102,17 @@ ETA, grid dimensions) and any quarantined shards awaiting a re-run.
 The ``status`` subcommand (:mod:`repro.experiments.monitor`) reads one
 live snapshot from a campaign server started with ``--status-port``:
 ``python -m repro status HOST:PORT`` (``--json`` for the raw snapshot).
+
+A refused input (a corrupt or mismatched ``--resume`` store, an unknown
+``--backend``, a malformed ``--connect`` address) ends in one
+``repro <command>: <reason>`` line on stderr and exit status 1, never a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import importlib
 import sys
 from dataclasses import replace
 from typing import Callable
@@ -132,6 +139,7 @@ from repro.experiments import (
 from repro.experiments.backends import (
     AUTH_TOKEN_ENV,
     WorkerRejectedError,
+    resolve_auth_token,
     resolve_backend,
     run_worker,
 )
@@ -211,54 +219,29 @@ def _case_config(args: argparse.Namespace) -> CaseStudyConfig:
 def _execution_backend(args: argparse.Namespace):
     """The ``backend=`` value runners forward: a spec string or an instance.
 
-    The campaign-hardening flags only exist on the socket backend, so
-    when any of them is set the spec resolves to a configured
+    The campaign-hardening flags that are set become socket options, and
+    a spec with options resolves to a configured
     :class:`~repro.experiments.backends.SocketBackend` here; otherwise
     the raw spec (or ``None``) passes through and the engine resolves it
-    as before.  An *explicit* hardening flag with a non-socket backend
-    is an error — silently ignoring ``--auth-token`` would run an open
-    fleet.  The ambient ``REPRO_AUTH_TOKEN`` variable, by contrast, only
-    takes effect when a socket backend is actually in play: exporting it
-    for a campaign must not break ordinary serial runs in the same
-    shell.
+    as before.  :func:`~repro.experiments.backends.resolve_backend`
+    refuses the options for any other backend — silently ignoring
+    ``--auth-token`` would run an open fleet — and that refusal exits
+    naming the flags.  The ambient ``REPRO_AUTH_TOKEN`` variable only
+    applies to a socket spec: exporting it for a campaign must not break
+    ordinary serial runs in the same shell.
     """
-    explicit = [
-        flag
-        for flag, given in (
-            ("--auth-token", args.auth_token is not None),
-            ("--workers-expected", bool(args.workers_expected)),
-            ("--heartbeat-timeout", args.heartbeat_timeout is not None),
-            ("--status-port", args.status_port is not None),
-            ("--continue-past-quarantine", args.continue_past_quarantine),
-            ("--max-buffered-chunks", args.max_buffered_chunks is not None),
-        )
-        if given
-    ]
     spec = args.backend
     # Match resolve_backend's normalization, or a capitalized spec would
-    # be classified non-socket here yet still resolve to a socket server
-    # downstream — with the env token silently unapplied.
-    if spec is None or not str(spec).strip().lower().startswith("socket"):
-        if explicit:
-            raise SystemExit(
-                f"{'/'.join(explicit)} harden the socket fleet and require "
-                "--backend socket or socket://HOST:PORT"
-            )
-        return spec
+    # miss the ambient token here yet still resolve to a socket server.
+    socket_spec = spec is not None and str(spec).strip().lower().startswith("socket")
     options: dict = {}
-    token = args.auth_token
-    if token is None:
-        token = os.environ.get(AUTH_TOKEN_ENV)
-    if token is not None:
-        if not token:
-            # An empty secret is a failed shell substitution, not a
-            # request for an open fleet.
-            raise SystemExit(
-                "the fleet auth token is empty (--auth-token \"\" or a blank "
-                f"{AUTH_TOKEN_ENV}); refusing to run an unauthenticated fleet "
-                "by accident — unset it or provide a real secret"
-            )
-        options["auth_token"] = token
+    if socket_spec or args.auth_token is not None:
+        try:
+            token = resolve_auth_token(args.auth_token)
+        except ValueError as error:
+            raise SystemExit(str(error)) from None
+        if token is not None:
+            options["auth_token"] = token
     if args.workers_expected:
         options["workers_expected"] = args.workers_expected
     if args.heartbeat_timeout is not None:
@@ -272,7 +255,16 @@ def _execution_backend(args: argparse.Namespace):
         options["max_buffered_chunks"] = args.max_buffered_chunks
     if not options:
         return spec
-    return resolve_backend(spec, args.jobs, **options)
+    try:
+        return resolve_backend(spec, args.jobs, **options)
+    except ValueError:
+        if socket_spec:
+            raise  # a bad option value, reported by main()
+        flags = "/".join("--" + option.replace("_", "-") for option in options)
+        raise SystemExit(
+            f"{flags} harden the socket fleet and require "
+            "--backend socket or socket://HOST:PORT"
+        ) from None
 
 
 def _run_fig2(args: argparse.Namespace) -> str:
@@ -464,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "command",
-        choices=list(COMMANDS) + ["all", "worker", "store", "status", "serve", "jobs"],
+        choices=[*COMMANDS, "all", "worker", *TOOLS],
         help="exhibit to regenerate ('all' runs every one; 'worker' joins "
         "a socket-backend server instead of rendering an exhibit; 'store' "
         "is the shard-store toolbox — see python -m repro store --help; "
@@ -550,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared secret for the socket fleet: servers require it from "
         "every joining worker, workers present it when connecting "
         f"(falls back to the {AUTH_TOKEN_ENV} environment variable "
-        "whenever a socket backend is used)",
+        "whenever a socket backend is used; an empty secret is refused)",
     )
     parser.add_argument(
         "--workers-expected",
@@ -632,58 +624,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Subcommands with a grammar of their own (``store PATH ACTION``,
+#: ``status HOST:PORT``, the daemon's flag set, ``jobs URL ACTION``):
+#: :func:`main` hands them the rest of argv before the exhibit parser
+#: sees it, importing each only when it runs.
+TOOLS: dict[str, tuple[str, str]] = {
+    "store": ("repro.experiments.storetools", "store_main"),
+    "status": ("repro.experiments.monitor", "status_main"),
+    "serve": ("repro.experiments.service", "serve_main"),
+    "jobs": ("repro.experiments.service", "jobs_main"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "store":
-        # The store toolbox has its own positional grammar (PATH ACTION
-        # [MORE...]); dispatch before the exhibit parser sees it.
-        from repro.experiments.storetools import store_main
-
-        return store_main(argv[1:])
-    if argv and argv[0] == "status":
-        # Same reason: the status reader's grammar is HOST:PORT, not an
-        # exhibit's option set.
-        from repro.experiments.monitor import status_main
-
-        return status_main(argv[1:])
-    if argv and argv[0] == "serve":
-        # The campaign daemon has its own flag set (ports, state dir,
-        # fleet knobs); dispatch before the exhibit parser sees it.
-        from repro.experiments.service import serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "jobs":
-        # The daemon's HTTP client: URL ACTION [TARGET] grammar.
-        from repro.experiments.service import jobs_main
-
-        return jobs_main(argv[1:])
+    if argv and argv[0] in TOOLS:
+        module, entry_point = TOOLS[argv[0]]
+        return getattr(importlib.import_module(module), entry_point)(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.command == "status":
-        # Reachable only when options precede the subcommand, mirroring
-        # the store guard below.
+    if args.command in TOOLS:
+        # Reachable only when options precede the subcommand.
         raise SystemExit(
-            "the status reader takes no exhibit options; invoke it as "
-            "`python -m repro status HOST:PORT` with 'status' first"
+            f"{args.command} takes no exhibit options; invoke it as "
+            f"`python -m repro {args.command} ...` with '{args.command}' first "
+            f"(see python -m repro {args.command} --help)"
         )
-    if args.command == "store":
-        # Reachable only when options precede the subcommand (the plain
-        # `repro store ...` spelling is dispatched above, before this
-        # parser runs, because the toolbox has its own positional
-        # grammar).
-        raise SystemExit(
-            "the store toolbox takes no exhibit options; invoke it as "
-            "`python -m repro store PATH {summary,compact,merge}` with "
-            "'store' first"
-        )
-    if args.command in ("serve", "jobs"):
-        # Reachable only when options precede the subcommand, mirroring
-        # the store/status guards above.
-        raise SystemExit(
-            f"the campaign daemon takes no exhibit options; invoke it as "
-            f"`python -m repro {args.command} ...` with {args.command!r} first "
-            "(see python -m repro serve --help)"
-        )
+    try:
+        return _run_command(args)
+    except ValueError as error:
+        # A refused input (a corrupt --resume store, an unknown backend)
+        # is one line, as in `repro store`, never a traceback.
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 1
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Run the worker, one exhibit, or ``all``; return the exit status."""
     if args.command == "worker":
         if not args.connect:
             raise SystemExit("worker requires --connect HOST:PORT")
@@ -691,7 +668,7 @@ def main(argv: list[str] | None = None) -> int:
             executed, reached = run_worker(
                 args.connect,
                 linger=args.linger,
-                auth_token=args.auth_token or os.environ.get(AUTH_TOKEN_ENV) or None,
+                auth_token=resolve_auth_token(args.auth_token),
                 max_chunks=args.max_chunks,
             )
         except WorkerRejectedError as error:
@@ -715,33 +692,22 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
         return 0
-    if args.command == "all":
-        incomplete = False
-        for name in COMMANDS:
-            description, runner = COMMANDS[name]
-            print(f"== {description} ==")
-            try:
-                print(runner(_args_for_all(name, args)))
-            except IncompleteGridError as error:
-                # Report and keep going: later exhibits may be whole,
-                # but the overall run must still exit incomplete.
-                print(error)
-                incomplete = True
-            print()
-        return EXIT_INCOMPLETE_GRID if incomplete else 0
-    description, runner = COMMANDS[args.command]
-    print(f"== {description} ==")
-    try:
-        print(runner(args))
-    except IncompleteGridError as error:
-        print(error)
+    incomplete = False
+    for name in COMMANDS if args.command == "all" else [args.command]:
+        description, runner = COMMANDS[name]
+        print(f"== {description} ==")
+        try:
+            print(runner(_args_for(name, args)))
+        except IncompleteGridError as error:
+            # Report and keep going: later exhibits of `all` may be
+            # whole, but the run must still exit incomplete.
+            print(error)
+            incomplete = True
         print()
-        return EXIT_INCOMPLETE_GRID
-    print()
-    return 0
+    return EXIT_INCOMPLETE_GRID if incomplete else 0
 
 
-def _args_for_all(name: str, args: argparse.Namespace) -> argparse.Namespace:
+def _args_for(name: str, args: argparse.Namespace) -> argparse.Namespace:
     """Per-exhibit argument view for an ``all`` run sharing one ``--resume``.
 
     The sweep exhibits all run the same config, so sharing one sweep
@@ -751,7 +717,7 @@ def _args_for_all(name: str, args: argparse.Namespace) -> argparse.Namespace:
     (``PATH.fig10`` matches what headline already writes, so the two
     share the case-study shards, which also run the same config).
     """
-    if name not in ("fig10", "fleet") or not args.resume:
+    if args.command != "all" or name not in ("fig10", "fleet") or not args.resume:
         return args
     return argparse.Namespace(**{**vars(args), "resume": f"{args.resume}.{name}"})
 

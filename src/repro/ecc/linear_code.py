@@ -189,10 +189,6 @@ class SystematicCode:
         syndromes = gf2.matmul(arr, self.parity_check_matrix.T)
         return syndromes[0] if squeeze else syndromes
 
-    def syndrome_int(self, codeword: np.ndarray) -> int:
-        """Syndrome of a single codeword packed into an integer."""
-        return bits_to_int(self.syndrome(codeword))
-
     def correction_for_syndrome(self, syndrome_value: int) -> tuple[int, ...] | None:
         """Correctable pattern for a syndrome integer, or None.
 
@@ -230,9 +226,9 @@ class SystematicCode:
 
         The multi-RHS product goes through the :mod:`repro.ecc.gf2`
         facade, so a large enough batch rides the packed ``gf2w.matmul``
-        popcount kernel; the bit-rows then pack into the same integers
-        :meth:`syndrome_int` produces (LSB = syndrome row 0), ready for
-        :meth:`correction_for_syndrome` lookups.
+        popcount kernel; each bit-row then packs into one integer with
+        syndrome row 0 as its least significant bit, the key
+        :meth:`correction_for_syndrome` looks up.
         """
         arr = np.asarray(codewords, dtype=np.uint8)
         if arr.ndim != 2 or arr.shape[1] != self.n:

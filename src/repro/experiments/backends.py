@@ -37,10 +37,11 @@ daemon keeps one server for its lifetime and hands each job a
 ``SharedFleetBackend``.  The protocol, hardening, and per-map policy
 below therefore hold for both.
 
-Every backend yields results **in shard order** through
-:meth:`ExecutionBackend.imap`, so callers can stream completed cells to
-a :class:`~repro.experiments.store.ShardStore` while later shards are
-still in flight.
+Every backend maps through one method,
+:meth:`ExecutionBackend.imap_unordered`, which yields ``(shard_index,
+result)`` pairs as shards complete, so the campaign loop streams each
+finished cell to a :class:`~repro.experiments.store.ShardStore` while
+later shards are still in flight.
 
 Campaign hardening
 ==================
@@ -51,9 +52,10 @@ server carries operational safeguards on top of the base protocol (see
 
 * **Auth token** — when the server is constructed with ``auth_token``
   (CLI ``--auth-token``, or the ``REPRO_AUTH_TOKEN`` environment
-  variable), the worker must present the same secret in its ``hello``
-  frame; mismatches receive a ``reject`` frame and are dropped before
-  the connection is trusted with any work.
+  variable, both read by :func:`resolve_auth_token`), the worker must
+  present the same secret in its ``hello`` frame; mismatches receive a
+  ``reject`` frame and are dropped before the connection is trusted
+  with any work.
 * **Heartbeats** — a worker streams ``heartbeat`` frames while it
   executes a chunk (the server tells it the cadence in the ``welcome``
   frame).  A server that hears nothing for ``heartbeat_timeout``
@@ -189,6 +191,7 @@ __all__ = [
     "SharedFleetBackend",
     "MapCancelled",
     "WorkerRejectedError",
+    "resolve_auth_token",
     "resolve_backend",
     "resolve_jobs",
     "run_worker",
@@ -229,18 +232,31 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _chunked(shards: Sequence, chunksize: int) -> list[list]:
-    chunksize = max(1, int(chunksize))
-    return [list(shards[i : i + chunksize]) for i in range(0, len(shards), chunksize)]
+def resolve_auth_token(flag: str | None = None) -> str | None:
+    """The fleet secret: ``flag``, else ``REPRO_AUTH_TOKEN``, else ``None``.
+
+    Every CLI entry point reads the secret here.  An empty one is a
+    failed shell substitution, not a request for an open fleet, so it
+    raises ``ValueError`` wherever it came from.
+    """
+    token = os.environ.get(AUTH_TOKEN_ENV) if flag is None else flag
+    if token == "":
+        raise ValueError(
+            "the fleet auth token is empty (--auth-token \"\" or a blank "
+            f"{AUTH_TOKEN_ENV}); refusing to run an unauthenticated fleet "
+            "by accident — unset it or provide a real secret"
+        )
+    return token
 
 
 class ExecutionBackend(ABC):
     """Strategy for mapping a picklable worker function over shards.
 
     ``worker`` must be a module-level pure function of one shard so it
-    pickles by reference; results come back in shard order for every
-    backend, making the backends interchangeable behind
-    :func:`~repro.experiments.runner.run_sweep`.
+    pickles by reference.  :meth:`imap_unordered` is the only mapping
+    method; it pairs each result with its shard index, so the campaign
+    loop (:func:`~repro.experiments.campaign.run_campaign`) files results
+    the same way on every backend, whatever order they complete in.
     """
 
     #: Short name used by CLI ``--backend`` and reprs.
@@ -258,32 +274,16 @@ class ExecutionBackend(ABC):
     healed_shards: tuple[int, ...] = ()
 
     @abstractmethod
-    def imap(self, worker: Callable, shards: Sequence, chunksize: int = 1) -> Iterator:
-        """Yield ``worker(shard)`` for each shard, in shard order.
-
-        Results are yielded as soon as the ordered prefix completes, so
-        callers can persist them incrementally; ``chunksize`` groups
-        contiguous shards onto one worker to keep their shared
-        process-local caches together.
-        """
-
-    def map(self, worker: Callable, shards: Sequence, chunksize: int = 1) -> list:
-        """Like :meth:`imap` but materialized."""
-        return list(self.imap(worker, shards, chunksize=chunksize))
-
     def imap_unordered(
         self, worker: Callable, shards: Sequence, chunksize: int = 1
     ) -> Iterator[tuple[int, object]]:
-        """Yield ``(shard_index, result)`` pairs as completions arrive.
+        """Yield ``(shard_index, worker(shard))`` as each shard completes.
 
-        Parallel backends override this to surface results in completion
-        order, so a streaming consumer (the shard store) can make every
-        finished shard durable immediately instead of waiting for the
-        ordered prefix; the base implementation simply numbers
-        :meth:`imap`.
+        Results surface in completion order, so a streaming consumer
+        (the shard store) can make every finished shard durable at once;
+        ``chunksize`` groups contiguous shards onto one worker to keep
+        their shared process-local caches together.
         """
-        for index, result in enumerate(self.imap(worker, shards, chunksize=chunksize)):
-            yield index, result
 
     def worker_hint(self) -> int:
         """Expected concurrent workers (callers size chunks from this)."""
@@ -298,9 +298,11 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def imap(self, worker: Callable, shards: Sequence, chunksize: int = 1) -> Iterator:
-        for shard in shards:
-            yield worker(shard)
+    def imap_unordered(
+        self, worker: Callable, shards: Sequence, chunksize: int = 1
+    ) -> Iterator[tuple[int, object]]:
+        for index, shard in enumerate(shards):
+            yield index, worker(shard)
 
 
 def _run_chunk(worker: Callable, chunk: list) -> list:
@@ -311,11 +313,10 @@ def _run_chunk(worker: Callable, chunk: list) -> list:
 class ProcessPoolBackend(ExecutionBackend):
     """Fan shards out over a local ``ProcessPoolExecutor``.
 
-    This is the pre-refactor ``jobs > 1`` behaviour, now one strategy
-    among several.  ``pool.map`` already yields lazily in submission
-    order, so streaming consumers see completed cells as the ordered
-    prefix finishes; :meth:`imap_unordered` surfaces them in completion
-    order instead.
+    Each chunk of ``chunksize`` contiguous shards is one pool task, and
+    its results surface as soon as the task completes.  With at most one
+    worker or one shard there is nothing to fan out, so the map runs in
+    the calling process exactly as :class:`SerialBackend` would.
     """
 
     name = "process"
@@ -345,38 +346,26 @@ class ProcessPoolBackend(ExecutionBackend):
     def worker_hint(self) -> int:
         return self.jobs
 
-    def imap(self, worker: Callable, shards: Sequence, chunksize: int = 1) -> Iterator:
-        if len(shards) <= 1 or self.jobs <= 1:
-            yield from SerialBackend().imap(worker, shards, chunksize)
-            return
-        pool = self._pool()
-        try:
-            yield from pool.map(worker, shards, chunksize=max(1, chunksize))
-        finally:
-            # A consumer that stops early (e.g. the shard store hit a
-            # disk error) must not wait for the rest of the grid:
-            # cancel everything not yet running before joining.
-            pool.shutdown(wait=True, cancel_futures=True)
-
     def imap_unordered(
         self, worker: Callable, shards: Sequence, chunksize: int = 1
     ) -> Iterator[tuple[int, object]]:
         if len(shards) <= 1 or self.jobs <= 1:
-            yield from ExecutionBackend.imap_unordered(self, worker, shards, chunksize)
+            yield from SerialBackend().imap_unordered(worker, shards, chunksize)
             return
         chunksize = max(1, int(chunksize))
-        chunks = _chunked(shards, chunksize)
         pool = self._pool()
         try:
-            futures = {
-                pool.submit(_run_chunk, worker, chunk): index
-                for index, chunk in enumerate(chunks)
-            }
+            futures = {}
+            for base in range(0, len(shards), chunksize):
+                chunk = list(shards[base : base + chunksize])
+                futures[pool.submit(_run_chunk, worker, chunk)] = base
             for future in as_completed(futures):
-                base = futures[future] * chunksize
                 for offset, result in enumerate(future.result()):
-                    yield base + offset, result
+                    yield futures[future] + offset, result
         finally:
+            # A consumer that stops early (e.g. the shard store hit a
+            # disk error) must not wait for the rest of the grid:
+            # cancel everything not yet running before joining.
             pool.shutdown(wait=True, cancel_futures=True)
 
 
@@ -626,9 +615,9 @@ def run_worker(
     requires a different secret answers with a ``reject`` frame, which
     raises :class:`WorkerRejectedError` immediately (no linger retries —
     a wrong secret will be wrong next time too).  The CLI reads the
-    token from ``--auth-token`` or the ``REPRO_AUTH_TOKEN`` environment
-    variable, which is also how a server passes the secret to the
-    workers it spawns itself.
+    token with :func:`resolve_auth_token` (``--auth-token``, else the
+    ``REPRO_AUTH_TOKEN`` environment variable, which is also how a
+    server passes the secret to the workers it spawns itself).
 
     ``linger`` keeps the worker alive across *servers*: multi-sweep
     exhibits (ext-patterns, headline, ``all``) run one socket map per
@@ -960,6 +949,9 @@ class WorkServer:
         """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(entry for entry in sys.path if entry)
+        # A tokenless server's workers must not pick up an ambient
+        # secret (a blank one would make them refuse to start).
+        env.pop(AUTH_TOKEN_ENV, None)
         if self.auth_token is not None:
             # The environment, not the command line: `ps` shows argv to
             # every user on the box, while the child's environment stays
@@ -1535,24 +1527,6 @@ class _FleetFacade(ExecutionBackend):
                 self.quarantined_shards = tuple(sorted(handle.quarantined))
                 self.healed_shards = tuple(sorted(handle.healed))
 
-    def imap(self, worker: Callable, shards: Sequence, chunksize: int = 1) -> Iterator:
-        buffered: dict[int, object] = {}
-        next_index = 0
-        for index, result in self.imap_unordered(worker, shards, chunksize):
-            buffered[index] = result
-            while next_index in buffered:
-                yield buffered.pop(next_index)
-                next_index += 1
-        if next_index < len(shards):
-            # imap()/map() callers pair results with shards positionally;
-            # silently skipping a quarantined shard would shift every
-            # later result onto the wrong shard.
-            raise RuntimeError(
-                f"shard {next_index} was quarantined, but this map was "
-                "consumed in shard order (imap/map), which cannot represent "
-                "a hole; use imap_unordered with continue_past_quarantine"
-            )
-
 
 class SocketBackend(_FleetFacade):
     """Ship shards to worker processes over TCP, one server per map.
@@ -1630,13 +1604,18 @@ class SocketBackend(_FleetFacade):
     ) -> None:
         if max_buffered_chunks is not None and max_buffered_chunks < 1:
             raise ValueError("max_buffered_chunks must be >= 1 (or None)")
-        self.bind_host, self.bind_port = parse_address(bind)
-        self.spawn_workers = spawn_workers
-        self.auth_token = auth_token
-        self.workers_expected = workers_expected
-        self.heartbeat_timeout = heartbeat_timeout
-        self.max_chunk_retries = max_chunk_retries
-        self.status_port = status_port
+        #: Keywords of each map's private server: a fresh campaign id,
+        #: and spawned workers that exit with the map.
+        self._server_options = dict(
+            bind=bind,
+            spawn_workers=spawn_workers,
+            auth_token=auth_token,
+            workers_expected=workers_expected,
+            heartbeat_timeout=heartbeat_timeout,
+            max_chunk_retries=max_chunk_retries,
+            status_port=status_port,
+            worker_linger=0.0,
+        )
         self.timeout = timeout
         self.continue_past_quarantine = continue_past_quarantine
         self.max_buffered_chunks = max_buffered_chunks
@@ -1647,27 +1626,13 @@ class SocketBackend(_FleetFacade):
         #: server while a map runs.
         self.address: tuple[str, int] | None = None
         self.status_address: tuple[str, int] | None = None
-        # Never started: it validates the fleet knobs up front and sizes
-        # chunks (worker_hint).
-        super().__init__(self._new_server())
-
-    def _new_server(self) -> WorkServer:
-        """A server for one map: a fresh campaign id, and spawned
-        workers that exit with the map."""
-        return WorkServer(
-            f"{self.bind_host}:{self.bind_port}",
-            spawn_workers=self.spawn_workers,
-            auth_token=self.auth_token,
-            workers_expected=self.workers_expected,
-            heartbeat_timeout=self.heartbeat_timeout,
-            max_chunk_retries=self.max_chunk_retries,
-            status_port=self.status_port,
-            worker_linger=0.0,
-        )
+        # Never started: it validates the server options up front and
+        # sizes chunks (worker_hint).
+        super().__init__(WorkServer(**self._server_options))
 
     @contextmanager
     def _map(self, worker: Callable, shards: Sequence, chunksize: int):
-        server = self._new_server()
+        server = WorkServer(**self._server_options)
         try:
             if len(shards):  # an empty map needs no fleet
                 server.start()
@@ -1751,31 +1716,25 @@ def resolve_backend(
     (``auth_token``, ``workers_expected``, ``heartbeat_timeout``,
     ``max_chunk_retries``, ``continue_past_quarantine``,
     ``status_port``, ``max_buffered_chunks``) to a socket spec's
-    :class:`SocketBackend`; supplying them with a non-socket spec or a
-    pre-built instance is an error, because they would be silently
-    dropped.
+    :class:`SocketBackend`; supplying them with anything else (another
+    spec, ``None`` or a pre-built instance) is an error, because they
+    would be silently dropped.
     """
+    spec = (
+        None
+        if backend is None or isinstance(backend, ExecutionBackend)
+        else str(backend).strip().lower()
+    )
+    if socket_options and not (spec or "").startswith("socket"):
+        raise ValueError(
+            f"socket options ({', '.join(socket_options)}) require a socket "
+            f"backend spec, not {backend!r}"
+        )
     if isinstance(backend, ExecutionBackend):
-        if socket_options:
-            raise ValueError(
-                "socket options cannot be applied to a pre-built backend "
-                "instance; construct the SocketBackend with them instead"
-            )
         return backend
-    if backend is None:
-        if socket_options:
-            raise ValueError(
-                "socket options (auth_token, workers_expected, ...) require "
-                "a socket backend spec"
-            )
+    if spec is None:
         worker_count = resolve_jobs(jobs)
         return SerialBackend() if worker_count == 1 else ProcessPoolBackend(worker_count)
-    spec = str(backend).strip().lower()
-    if spec in ("serial", "process") and socket_options:
-        raise ValueError(
-            "socket options (auth_token, workers_expected, ...) require "
-            f"a socket backend spec, not {spec!r}"
-        )
     if spec == "serial":
         return SerialBackend()
     if spec == "process":

@@ -31,9 +31,6 @@ class Fig8Result:
     num_rounds: int
     curves: dict[tuple[int, float, str], tuple[float, ...]]
 
-    def final_missed(self, error_count: int, probability: float, profiler: str) -> float:
-        return self.curves[(error_count, probability, profiler)][-1]
-
 
 def from_sweep(sweep: SweepResult, profilers: tuple[str, ...] = FIG8_PROFILERS) -> Fig8Result:
     """Reduce a sweep to the Fig 8 mean-missed curves."""

@@ -33,11 +33,15 @@ Durability and healing
 Every job owns three files under ``STATE_DIR/jobs/``:
 
 * ``ID.json`` — the job record (spec, state, timestamps), rewritten
-  atomically on every transition;
+  on every transition;
 * ``ID.store.jsonl`` — the job's own resume store (a
   :class:`~repro.experiments.store.ShardStore` in the job kind's
   sweep, Fig 10 or fleet format), streamed while the job runs;
 * ``ID.result.json`` — the result payload, written once on completion.
+
+The record and the result go through
+:func:`~repro.experiments.store.write_atomically` (fsync, then rename),
+so a job the API answered with 201 survives an OS crash or power loss.
 
 On daemon start :meth:`JobScheduler.recover` re-reads the directory:
 terminal jobs come back queryable, and ``queued``/``running`` records —
@@ -71,7 +75,12 @@ from repro.experiments.monitor import (
     grid_shape,
 )
 from repro.experiments.runner import run_sweep
-from repro.experiments.store import config_from_dict, config_to_dict, sweep_to_json
+from repro.experiments.store import (
+    config_from_dict,
+    config_to_dict,
+    sweep_to_json,
+    write_atomically,
+)
 from repro.memory.patterns import PATTERN_NAMES
 from repro.profiling import PROFILER_REGISTRY
 
@@ -293,11 +302,10 @@ class JobScheduler:
         return self.jobs_dir / f"{job_id}.result.json"
 
     def _persist(self, job: Job) -> None:
-        """Atomically rewrite the job record (rename, never truncate)."""
-        path = self._record_path(job.id)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(job.record(), indent=2) + "\n")
-        os.replace(tmp, path)
+        """Durably rewrite the job record (fsync, rename, never truncate)."""
+        write_atomically(
+            self._record_path(job.id), [json.dumps(job.record(), indent=2) + "\n"]
+        )
 
     # -- lifecycle ------------------------------------------------------
 
@@ -462,10 +470,9 @@ class JobScheduler:
             else:
                 self._finish(job, "failed", error=f"{type(error).__name__}: {error}")
         else:
-            path = self._result_path(job.id)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(payload, indent=2) + "\n")
-            os.replace(tmp, path)
+            write_atomically(
+                self._result_path(job.id), [json.dumps(payload, indent=2) + "\n"]
+            )
             self._finish(job, "done")
 
     def _finish(self, job: Job, state: str, error: str | None = None) -> None:

@@ -29,10 +29,10 @@ HTTP API (all JSON)
 =======================  =============================================
 
 When the daemon holds an auth token (``--auth-token`` or
-``REPRO_AUTH_TOKEN``), the same secret scopes both planes: worker
-sessions authenticate their ``repro-wire-v1`` HMAC frames with it, and
-the mutating HTTP endpoints (``POST``) require it in an
-``X-Auth-Token`` header.  Reads stay open, like the status port.
+``REPRO_AUTH_TOKEN``; an empty one refuses to start), the same secret
+scopes both planes: worker sessions authenticate their ``repro-wire-v1``
+HMAC frames with it, and the mutating HTTP endpoints (``POST``) require
+it in an ``X-Auth-Token`` header.  Reads stay open, like the status port.
 
 See ``docs/service.md`` for the runbook (curl walkthrough, fairness
 and restart-recovery drills).
@@ -41,9 +41,7 @@ and restart-recovery drills).
 from __future__ import annotations
 
 import argparse
-import hmac
 import json
-import os
 import signal
 import sys
 import threading
@@ -51,7 +49,12 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.experiments.backends import AUTH_TOKEN_ENV, WorkServer
+from repro.experiments.backends import (
+    AUTH_TOKEN_ENV,
+    WorkServer,
+    _tokens_match,
+    resolve_auth_token,
+)
 from repro.experiments.scheduler import JobScheduler, JobSpecError
 
 __all__ = [
@@ -196,10 +199,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _authorized(self) -> bool:
         token = self.service.auth_token
-        if token is None:
-            return True
-        presented = self.headers.get(AUTH_HEADER, "")
-        return hmac.compare_digest(presented.encode(), token.encode())
+        return token is None or _tokens_match(self.headers.get(AUTH_HEADER), token)
 
     def _read_json(self):
         declared = self.headers.get("Content-Length") or "0"
@@ -366,7 +366,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--auth-token",
         default=None,
         help="shared fleet secret; also required as the X-Auth-Token header "
-        f"on mutating API calls (defaults to ${AUTH_TOKEN_ENV} when set)",
+        f"on mutating API calls (defaults to ${AUTH_TOKEN_ENV} when set; "
+        "an empty secret is refused)",
     )
     parser.add_argument(
         "--workers-expected",
@@ -403,15 +404,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def serve_main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro serve``."""
     args = build_serve_parser().parse_args(argv)
-    token = args.auth_token
-    if token is None:
-        token = os.environ.get(AUTH_TOKEN_ENV) or None
-    elif not token:
-        print(
-            "repro serve: the auth token is empty; unset it or provide a "
-            "real secret",
-            file=sys.stderr,
-        )
+    try:
+        token = resolve_auth_token(args.auth_token)
+    except ValueError as error:
+        print(f"repro serve: {error}", file=sys.stderr)
         return 2
     service = CampaignService(
         state_dir=args.state_dir,
@@ -490,7 +486,7 @@ def build_jobs_parser() -> argparse.ArgumentParser:
         "--auth-token",
         default=None,
         help="X-Auth-Token for mutating calls "
-        f"(defaults to ${AUTH_TOKEN_ENV} when set)",
+        f"(defaults to ${AUTH_TOKEN_ENV} when set; an empty secret is refused)",
     )
     parser.add_argument(
         "--timeout",
@@ -509,6 +505,13 @@ def _http_json(
     token: str | None = None,
     timeout: float = 10.0,
 ) -> tuple[int, dict]:
+    """One API call: ``(status, parsed JSON reply)``.
+
+    An error status whose body is not JSON (a proxy's HTML page) comes
+    back as ``{"error": body}``; a success reply that is not JSON, or is
+    nested past the recursion limit, is a bad reply and raises
+    ``ValueError``.
+    """
     body = None if payload is None else json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body, method=method)
     request.add_header("Content-Type", "application/json")
@@ -516,13 +519,21 @@ def _http_json(
         request.add_header(AUTH_HEADER, token)
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read().decode("utf-8"))
+            return response.status, _parse_reply(response.read(), url)
     except urllib.error.HTTPError as error:
-        detail = error.read().decode("utf-8", errors="replace")
+        detail = error.read()
         try:
-            return error.code, json.loads(detail)
-        except json.JSONDecodeError:
-            return error.code, {"error": detail.strip() or str(error)}
+            return error.code, _parse_reply(detail, url)
+        except ValueError:
+            text = detail.decode("utf-8", errors="replace").strip()
+            return error.code, {"error": text or str(error)}
+
+
+def _parse_reply(raw: bytes, url: str):
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        raise ValueError(f"bad reply from {url}: {error}") from None
 
 
 def jobs_main(argv: list[str] | None = None) -> int:
@@ -531,9 +542,11 @@ def jobs_main(argv: list[str] | None = None) -> int:
     base = args.url.rstrip("/")
     if "://" not in base:
         base = f"http://{base}"
-    token = args.auth_token
-    if token is None:
-        token = os.environ.get(AUTH_TOKEN_ENV) or None
+    try:
+        token = resolve_auth_token(args.auth_token)
+    except ValueError as error:
+        print(f"repro jobs: {error}", file=sys.stderr)
+        return 2
     try:
         if args.action == "list":
             code, payload = _http_json("GET", f"{base}/jobs", timeout=args.timeout)
@@ -552,7 +565,7 @@ def jobs_main(argv: list[str] | None = None) -> int:
                     raw = handle.read()
             try:
                 spec = json.loads(raw)
-            except json.JSONDecodeError as error:
+            except (json.JSONDecodeError, RecursionError) as error:
                 print(f"repro jobs: spec is not valid JSON: {error}", file=sys.stderr)
                 return 2
             code, payload = _http_json(
@@ -577,6 +590,9 @@ def jobs_main(argv: list[str] | None = None) -> int:
                 )
     except (OSError, urllib.error.URLError) as error:
         print(f"repro jobs: cannot reach {base}: {error}", file=sys.stderr)
+        return 1
+    except ValueError as error:
+        print(f"repro jobs: {error}", file=sys.stderr)
         return 1
     print(json.dumps(payload, indent=2))
     return 0 if 200 <= code < 300 else 1

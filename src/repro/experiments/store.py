@@ -19,9 +19,10 @@ equivalent for the Python reproduction, in two layers:
   bit-identically.  Downstream consumers can read the records line by
   line without loading a full result — that is what the
   ``python -m repro store`` toolbox (:mod:`repro.experiments.storetools`)
-  does to summarize, compact, and merge stores.  (The drivers still
-  assemble the complete in-memory result they return — the store bounds
-  *loss*, not driver memory.)  A record is one line; a crash mid-append
+  does to summarize, compact, and merge stores; its rewrites, like the
+  daemon's job records, go through :func:`write_atomically`.  (The
+  drivers still assemble the complete in-memory result they return — the
+  store bounds *loss*, not driver memory.)  A record is one line; a crash mid-append
   leaves at most one damaged final line, which loading tolerates and
   appending repairs or trims.
 
@@ -86,7 +87,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator, NamedTuple
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
 from repro.experiments.reporting import log_round_ticks
@@ -103,6 +104,7 @@ __all__ = [
     "STORE_FORMATS",
     "StoreContents",
     "ShardStore",
+    "write_atomically",
 ]
 
 #: Sweep format tag (sweep documents and sweep stores).
@@ -695,3 +697,25 @@ class ShardStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def write_atomically(destination: str | os.PathLike, chunks: Iterable[str]) -> int:
+    """Durably replace ``destination`` with ``chunks``; return how many.
+
+    The chunks go to a temporary sibling that is flushed and fsynced
+    before it is renamed over the destination, so after a crash the
+    destination holds the old contents or the new, never a torn mix or
+    an empty file — the rewrite counterpart of :meth:`ShardStore.append`,
+    which fsyncs every record.
+    """
+    destination = Path(destination)
+    temporary = destination.with_name(destination.name + ".tmp")
+    count = 0
+    with open(temporary, "w", encoding="utf-8") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+            count += 1
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temporary, destination)
+    return count

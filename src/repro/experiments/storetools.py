@@ -27,14 +27,16 @@ the operator's toolbox for those files, exposed as
   against grid coverage.  Never
   materializes a :class:`~repro.experiments.runner.SweepResult`, so it
   is safe on stores far larger than memory.
-* ``compact`` — rewrite the store keeping only the *winning* record per
-  key (the last append, exactly what loading would keep) and dropping
-  any torn tail.  Atomic (write-then-rename) and idempotent: compacting
+* ``merge`` — fold stores from the same campaign config into one
+  canonical file, last-input-wins across duplicate keys, mirroring the
+  paper artifact's "aggregate the raw output files afterwards" (§A.7)
+  without loading any of them whole.  Only the *winning* record per key
+  survives (the last append, exactly what loading would keep), along
+  with the quarantine markers no completed record resolved; torn tails
+  are dropped.
+* ``compact`` — :func:`merge` of one store onto itself (or into
+  ``--output``).  Atomic (write-then-rename) and idempotent: compacting
   a compacted store is a byte-identical no-op.
-* ``merge`` — fold several stores from the same campaign config into
-  one canonical file, last-input-wins across duplicate keys, mirroring
-  the paper artifact's "aggregate the raw output files afterwards"
-  (§A.7) without loading any of them whole.
 
 Every operation streams records line by line through
 :meth:`~repro.experiments.store.ShardStore.iter_records`: peak memory
@@ -56,13 +58,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.experiments.monitor import estimate_eta, format_eta, format_grid, grid_shape
-from repro.experiments.store import HEADER, STORE_FORMATS, ShardStore
+from repro.experiments.store import (
+    HEADER,
+    STORE_FORMATS,
+    ShardStore,
+    write_atomically,
+)
 
 __all__ = [
     "StoreSummary",
     "summarize",
     "render_summary",
-    "compact",
     "merge",
     "build_store_parser",
     "store_main",
@@ -238,92 +244,6 @@ def render_summary(summary: StoreSummary) -> str:
     return "\n".join(lines)
 
 
-def _retire_resolved_markers(winners: dict) -> int:
-    """Drop (and count) the quarantine markers a completed record resolved.
-
-    The targeted re-run happened; markers still awaiting theirs survive.
-    """
-    resolved = [key for key in winners if key[0] == "quarantine" and key[1:] in winners]
-    for key in resolved:
-        del winners[key]
-    return len(resolved)
-
-
-def _write_atomically(destination: Path, suffix: str, records) -> int:
-    """Write (and count) JSON lines: fsync a temporary file, rename it over."""
-    temporary = destination.with_name(destination.name + suffix)
-    count = 0
-    with open(temporary, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
-            count += 1
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, destination)
-    return count
-
-
-@dataclass
-class CompactStats:
-    """What :func:`compact` kept and dropped."""
-
-    path: str
-    output: str
-    kept: int
-    superseded: int
-    torn_tail: bool
-
-
-def compact(path: str | os.PathLike, output: str | os.PathLike | None = None) -> CompactStats:
-    """Rewrite ``path`` keeping one winning record per key.
-
-    Pass 1 streams the store to find each key's last occurrence (the
-    record loading would keep); pass 2 streams again, writing winners in
-    their original order to a temporary file that is fsynced and
-    atomically renamed over the destination.  Torn tail lines never
-    reach the output.  Compacting twice is byte-identical (idempotent):
-    records are re-emitted as canonical ``json.dumps`` lines.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no shard store at {path}")
-    destination = Path(output) if output is not None else path
-    winners: dict[tuple, int] = {}
-    dropped = 0
-    torn = False
-    for number, key, record in ShardStore(path).iter_records(include_torn=True):
-        if record is None:
-            torn = True
-            continue
-        if key == HEADER:
-            # The header is identity, not data: keep the first.
-            if key in winners:
-                dropped += 1
-                continue
-            winners[key] = number
-            continue
-        if key in winners:
-            dropped += 1
-        winners[key] = number
-    dropped += _retire_resolved_markers(winners)
-    kept = _write_atomically(
-        destination,
-        ".compact-tmp",
-        (
-            record
-            for number, key, record in ShardStore(path).iter_records()
-            if winners.get(key) == number
-        ),
-    )
-    return CompactStats(
-        path=str(path),
-        output=str(destination),
-        kept=kept,
-        superseded=dropped,
-        torn_tail=torn,
-    )
-
-
 @dataclass
 class MergeStats:
     """What :func:`merge` combined."""
@@ -338,18 +258,19 @@ class MergeStats:
 def merge(
     paths: list[str | os.PathLike], output: str | os.PathLike
 ) -> MergeStats:
-    """Fold several stores of one campaign into a canonical ``output``.
+    """Fold stores of one campaign into a canonical ``output``.
 
     Inputs must share a format and (when recorded) an identical config —
     stores from different experiments refuse to mix, exactly as a
     ``--resume`` against the wrong store would.  Records dedupe
     last-input-wins (within an input, last line wins), matching the
     in-file semantics, and the output is written atomically, so
-    ``output`` may safely be one of the inputs.
+    ``output`` may safely be one of the inputs: ``merge([PATH], PATH)``
+    is ``repro store PATH compact``.  Records are re-emitted as
+    canonical ``json.dumps`` lines, so merging the output again is
+    byte-identical.
     """
     paths = [Path(p) for p in paths]
-    if len(paths) < 2:
-        raise ValueError("merge needs at least two stores")
     for path in paths:
         if not path.exists():
             raise FileNotFoundError(f"no shard store at {path}")
@@ -386,17 +307,21 @@ def merge(
     if merged_format is None:
         raise ValueError("none of the inputs carries a store header")
     # A marker resolved in *any* input (the targeted re-run on another
-    # machine) does not survive the merge.
-    dropped += _retire_resolved_markers(winners)
+    # machine) does not survive the merge; markers still awaiting theirs do.
+    resolved = [key for key in winners if key[0] == "quarantine" and key[1:] in winners]
+    for key in resolved:
+        del winners[key]
+    dropped += len(resolved)
 
-    def merged_records():
-        yield {"format": merged_format, "kind": "header", "config": merged_config}
+    def merged_lines():
+        header = {"format": merged_format, "kind": "header", "config": merged_config}
+        yield json.dumps(header) + "\n"
         for file_index, path in enumerate(paths):
             for number, key, record in ShardStore(path).iter_records():
                 if key != HEADER and winners.get(key) == (file_index, number):
-                    yield record
+                    yield json.dumps(record) + "\n"
 
-    kept = _write_atomically(output, ".merge-tmp", merged_records()) - 1  # the header
+    kept = write_atomically(output, merged_lines()) - 1  # the header
     return MergeStats(
         inputs=[str(p) for p in paths],
         output=str(output),
@@ -449,11 +374,13 @@ def store_main(argv: list[str] | None = None) -> int:
         elif args.action == "compact":
             if args.more:
                 raise ValueError("compact takes exactly one store")
-            stats = compact(args.path, output=args.output)
-            trimmed = ", torn tail trimmed" if stats.torn_tail else ""
+            stats = merge([args.path], args.output or args.path)
+            trimmed = ", torn tail trimmed" if stats.torn_tails else ""
+            # Compact's count has always included the header record.
             print(
-                f"compacted {stats.path} -> {stats.output}: kept {stats.kept} "
-                f"record(s), dropped {stats.superseded} superseded{trimmed}"
+                f"compacted {stats.inputs[0]} -> {stats.output}: kept "
+                f"{stats.kept + 1} record(s), dropped {stats.superseded} "
+                f"superseded{trimmed}"
             )
         else:  # merge
             if not args.more:

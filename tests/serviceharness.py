@@ -4,10 +4,12 @@ Four test modules used to each carry their own copy of the same three
 rituals: wait for a freshly bound listener, build a child-process
 environment in which ``repro`` is importable, and spawn/reap real
 ``python -m repro worker`` processes.  This module is the single home
-for those helpers, plus the one genuinely new piece the campaign
-daemon needs — :class:`ServiceDaemon`, a managed ``python -m repro
-serve`` subprocess with readiness-line parsing, a JSON request helper,
-a SIGKILL switch for crash drills, and log capture for post-mortems.
+for those helpers and for :func:`map_in_order`, the shard-ordered view
+of a backend's one mapping method, plus the one genuinely new piece
+the campaign daemon needs — :class:`ServiceDaemon`, a managed
+``python -m repro serve`` subprocess with readiness-line parsing, a
+JSON request helper, a SIGKILL switch for crash drills, and log
+capture for post-mortems.
 
 Importable both under pytest (the tests directory is on ``sys.path``)
 and from ``tests/chaos.py`` running standalone as a script.
@@ -44,7 +46,7 @@ def wait_for_address(backend, deadline: float = 30.0):
 
     Works for anything exposing an ``address`` attribute that flips
     from ``None`` to ``(host, port)`` once bound: ``SocketBackend``
-    inside ``map()``, a started ``WorkServer``, a ``StatusServer``.
+    while a map runs, a started ``WorkServer``, a ``StatusServer``.
     """
     end = time.monotonic() + deadline
     while backend.address is None:
@@ -52,6 +54,14 @@ def wait_for_address(backend, deadline: float = 30.0):
             raise AssertionError("backend never bound its listener")
         time.sleep(0.005)
     return backend.address
+
+
+def map_in_order(backend, worker, shards, chunksize: int = 1) -> list:
+    """``worker`` over ``shards`` through ``backend.imap_unordered``, in shard order."""
+    pairs = sorted(
+        backend.imap_unordered(worker, shards, chunksize), key=lambda pair: pair[0]
+    )
+    return [result for _, result in pairs]
 
 
 def wait_until(
@@ -138,8 +148,8 @@ def terminate_procs(procs, timeout: float = 10.0) -> None:
 class BackgroundCampaign:
     """A campaign callable on a daemon thread, with a checked join.
 
-    The socket suites all run ``backend.map(...)`` (or a whole sweep)
-    on a side thread so the test thread can play fleet operator; this
+    The socket suites all run ``map_in_order(backend, ...)`` (or a whole
+    sweep) on a side thread so the test thread can play fleet operator; this
     wraps the thread + outcome-dict + join-and-assert ritual.  Raises
     whatever the campaign raised when :meth:`finish` is called.
     """

@@ -1,11 +1,12 @@
 """Tests of the pluggable execution backends.
 
-Covers the backend contract (results in shard order, bit-identical
-across serial / process-pool / socket execution), the worker loop,
-remote-error propagation, the backend spec strings the CLI forwards,
-the campaign-hardening failure paths (auth rejection, heartbeat-timeout
-requeue, poison-chunk retry budgets, the workers-expected start
-barrier), and the multi-map work server behind both socket facades.
+Covers the backend contract (every shard's result paired with its
+index, bit-identical across serial / process-pool / socket execution),
+the worker loop, remote-error propagation, the backend spec strings the
+CLI forwards, the campaign-hardening failure paths (auth rejection,
+heartbeat-timeout requeue, poison-chunk retry budgets, the
+workers-expected start barrier), and the multi-map work server behind
+both socket facades.
 """
 
 import random
@@ -35,7 +36,7 @@ from repro.experiments.backends import (
 from repro.experiments.wire import make_session
 from repro.experiments.config import CaseStudyConfig, SweepConfig
 from repro.experiments.runner import run_sweep
-from serviceharness import BackgroundCampaign, wait_until
+from serviceharness import BackgroundCampaign, map_in_order, wait_until
 from serviceharness import wait_for_address as _wait_for_address
 
 CONFIG = SweepConfig(
@@ -115,7 +116,7 @@ class TestResolveBackend:
         assert isinstance(resolve_backend("process", jobs=2), ProcessPoolBackend)
         sock = resolve_backend("socket", jobs=2)
         assert isinstance(sock, SocketBackend)
-        assert sock.spawn_workers == 2
+        assert sock._fleet.spawn_workers == 2
 
     def test_explicitly_parallel_specs_default_to_cpu_count(self):
         """--backend process/socket without --jobs must not run serial."""
@@ -123,17 +124,27 @@ class TestResolveBackend:
 
         cpus = os.cpu_count() or 1
         assert resolve_backend("process").jobs == cpus
-        assert resolve_backend("socket").spawn_workers == max(1, cpus)
-        assert resolve_backend("socket://127.0.0.1:7071").spawn_workers == cpus
+        assert resolve_backend("socket")._fleet.spawn_workers == max(1, cpus)
+        assert resolve_backend("socket://127.0.0.1:7071")._fleet.spawn_workers == cpus
 
     def test_socket_url_binds_host(self):
-        backend = resolve_backend("socket://0.0.0.0:7071", jobs=0)
-        assert (backend.bind_host, backend.bind_port) == ("0.0.0.0", 7071)
-        assert backend.spawn_workers == 0  # remote-only server
+        server = resolve_backend("socket://0.0.0.0:7071", jobs=0)._fleet
+        assert (server.bind_host, server.bind_port) == ("0.0.0.0", 7071)
+        assert server.spawn_workers == 0  # remote-only server
 
     def test_instance_passthrough(self):
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
+
+    @pytest.mark.parametrize(
+        "backend",
+        [SerialBackend(), None, "serial", " Process "],
+        ids=["instance", "none", "serial", "process"],
+    )
+    def test_socket_options_need_a_socket_spec(self, backend):
+        """Options that would be silently dropped are refused, one way."""
+        with pytest.raises(ValueError, match=r"socket options \(auth_token\) require"):
+            resolve_backend(backend, jobs=2, auth_token="s3cret")
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -160,24 +171,13 @@ class TestResolveBackend:
 
 
 class TestBackendContract:
-    """Each backend maps a plain function over items in order."""
-
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            SerialBackend(),
-            ProcessPoolBackend(jobs=2),
-            SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT),
-        ],
-        ids=["serial", "process", "socket"],
-    )
-    def test_map_preserves_order(self, backend):
-        values = list(range(7))
-        assert backend.map(_identity, values, chunksize=2) == [v * 2 for v in values]
+    """Each backend maps a plain function over items, pairing every
+    result with its shard index."""
 
     def test_empty_shards(self):
-        assert SerialBackend().map(_identity, []) == []
-        assert SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT).map(_identity, []) == []
+        assert list(SerialBackend().imap_unordered(_identity, [])) == []
+        socket_backend = SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT)
+        assert list(socket_backend.imap_unordered(_identity, [])) == []
 
     @pytest.mark.parametrize(
         "backend",
@@ -197,7 +197,7 @@ class TestBackendContract:
     def test_socket_error_propagates(self):
         backend = SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT)
         with pytest.raises(RuntimeError, match="cannot process"):
-            backend.map(_boom, [1, 2])
+            map_in_order(backend, _boom, [1, 2])
 
     def test_worker_death_mid_chunk_requeues_to_survivor(self, tmp_path, monkeypatch):
         """The module docstring's promise: a worker that dies mid-chunk
@@ -210,7 +210,7 @@ class TestBackendContract:
         marker = str(tmp_path / "killed-once")
         items = [("plain", 1), ("kill-once", marker), ("plain", 2)]
         backend = SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT)
-        results = backend.map(_die_once_then_succeed, items, chunksize=1)
+        results = map_in_order(backend, _die_once_then_succeed, items, chunksize=1)
         assert results == [("ok", 1), ("survived", marker), ("ok", 2)]
         assert os.path.exists(marker)  # the first attempt really died
         killed = [ticket for ticket, _, chunk in sent if chunk[0][0] == "kill-once"]
@@ -245,7 +245,7 @@ class TestAuthToken:
 
         threading.Thread(target=bad_worker, daemon=True).start()
         threading.Thread(target=good_worker, daemon=True).start()
-        assert backend.map(_identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
+        assert map_in_order(backend, _identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
         assert "auth token" in rejection.get("reason", "auth token")
 
     def test_missing_token_rejected(self):
@@ -263,7 +263,7 @@ class TestAuthToken:
             run_worker(f"{host}:{port}", auth_token="s3cret")
 
         threading.Thread(target=tokenless_then_good, daemon=True).start()
-        assert backend.map(_identity, [5], chunksize=1) == [10]
+        assert map_in_order(backend, _identity, [5], chunksize=1) == [10]
         assert outcome == {"rejected": True}
 
     def test_spawned_workers_inherit_token_via_env(self, monkeypatch):
@@ -273,7 +273,14 @@ class TestAuthToken:
         backend = SocketBackend(
             spawn_workers=1, auth_token="fleet-secret", timeout=SOCKET_TIMEOUT
         )
-        assert backend.map(_identity, [1, 2], chunksize=1) == [2, 4]
+        assert map_in_order(backend, _identity, [1, 2], chunksize=1) == [2, 4]
+
+    def test_tokenless_servers_workers_ignore_an_ambient_secret(self, monkeypatch):
+        """A blank REPRO_AUTH_TOKEN must not reach the workers a tokenless
+        server spawns: they would refuse it and never join."""
+        monkeypatch.setenv(AUTH_TOKEN_ENV, "")
+        backend = SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT)
+        assert map_in_order(backend, _identity, [1, 2]) == [2, 4]
 
     def test_tokenless_server_accepts_tokened_worker(self):
         backend = SocketBackend(spawn_workers=0, timeout=SOCKET_TIMEOUT)
@@ -283,7 +290,7 @@ class TestAuthToken:
             run_worker(f"{host}:{port}", auth_token="anything")
 
         threading.Thread(target=worker, daemon=True).start()
-        assert backend.map(_identity, [7], chunksize=1) == [14]
+        assert map_in_order(backend, _identity, [7], chunksize=1) == [14]
 
 
 class TestHeartbeats:
@@ -321,7 +328,7 @@ class TestHeartbeats:
                         return
 
         threading.Thread(target=silent_worker, daemon=True).start()
-        results = backend.map(_sleepy, list(range(4)), chunksize=1)
+        results = map_in_order(backend, _sleepy, list(range(4)), chunksize=1)
         assert results == [v * 2 for v in range(4)]
         assert hung.is_set()  # the silent worker really owned a chunk
 
@@ -333,7 +340,7 @@ class TestHeartbeats:
         )
         # 0.2s per item, chunksize 4 -> ~0.8s per chunk, twice the
         # deadline; heartbeats at deadline/4 keep the connection warm.
-        assert backend.map(_sleepy, list(range(4)), chunksize=4) == [
+        assert map_in_order(backend, _sleepy, list(range(4)), chunksize=4) == [
             v * 2 for v in range(4)
         ]
 
@@ -355,21 +362,21 @@ class TestRetryBudget:
             spawn_workers=3, max_chunk_retries=1, timeout=SOCKET_TIMEOUT
         )
         with pytest.raises(RuntimeError, match="retry budget|poison"):
-            backend.map(_exit_on_poison, ["ok", "poison", "fine"], chunksize=1)
+            map_in_order(backend, _exit_on_poison, ["ok", "poison", "fine"], chunksize=1)
 
     def test_zero_budget_aborts_on_first_loss(self):
         backend = SocketBackend(
             spawn_workers=2, max_chunk_retries=0, timeout=SOCKET_TIMEOUT
         )
         with pytest.raises(RuntimeError, match="retry budget|poison"):
-            backend.map(_exit_on_poison, ["ok", "poison"], chunksize=1)
+            map_in_order(backend, _exit_on_poison, ["ok", "poison"], chunksize=1)
 
     def test_budget_still_allows_single_recovery(self, tmp_path):
         """The PR 3 die-once scenario stays within the default budget."""
         marker = str(tmp_path / "killed-once")
         items = [("plain", 1), ("kill-once", marker), ("plain", 2)]
         backend = SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT)
-        results = backend.map(_die_once_then_succeed, items, chunksize=1)
+        results = map_in_order(backend, _die_once_then_succeed, items, chunksize=1)
         assert results == [("ok", 1), ("survived", marker), ("ok", 2)]
 
 
@@ -392,7 +399,7 @@ class TestStartBarrier:
             run_worker(f"{host}:{port}")
 
         threading.Thread(target=late_fleet, daemon=True).start()
-        assert backend.map(_identity, list(range(6)), chunksize=1) == [
+        assert map_in_order(backend, _identity, list(range(6)), chunksize=1) == [
             v * 2 for v in range(6)
         ]
 
@@ -401,7 +408,7 @@ class TestStartBarrier:
             spawn_workers=1, workers_expected=3, timeout=3.0
         )
         with pytest.raises(TimeoutError, match="1 of 3 expected"):
-            backend.map(_identity, [1, 2], chunksize=1)
+            map_in_order(backend, _identity, [1, 2], chunksize=1)
 
 
 class TestSweepBitIdentity:
@@ -473,7 +480,7 @@ class TestExternalWorker:
 
         worker = threading.Thread(target=join_when_listening, daemon=True)
         worker.start()
-        results = backend.map(_identity, list(range(5)), chunksize=2)
+        results = map_in_order(backend, _identity, list(range(5)), chunksize=2)
         worker.join(timeout=SOCKET_TIMEOUT)
         assert results == [v * 2 for v in range(5)]
         assert executed["chunks"] == (3, True)  # 3 chunks, clean session
@@ -494,7 +501,7 @@ class TestExternalWorker:
             probes.append(probe)  # connect, send nothing, hold open
 
         threading.Thread(target=probe_when_listening, daemon=True).start()
-        assert backend.map(_identity, list(range(4)), chunksize=1) == [
+        assert map_in_order(backend, _identity, list(range(4)), chunksize=1) == [
             v * 2 for v in range(4)
         ]
         for probe in probes:
@@ -520,12 +527,9 @@ class TestExternalWorker:
             daemon=True,
         )
         worker.start()
-        first = SocketBackend(
-            bind=f"127.0.0.1:{port}", spawn_workers=0, timeout=SOCKET_TIMEOUT
-        ).map(_identity, [1, 2], chunksize=1)
-        second = SocketBackend(
-            bind=f"127.0.0.1:{port}", spawn_workers=0, timeout=SOCKET_TIMEOUT
-        ).map(_identity, [3, 4], chunksize=1)
+        options = {"bind": f"127.0.0.1:{port}", "spawn_workers": 0, "timeout": SOCKET_TIMEOUT}
+        first = map_in_order(SocketBackend(**options), _identity, [1, 2])
+        second = map_in_order(SocketBackend(**options), _identity, [3, 4])
         assert first == [2, 4]
         assert second == [6, 8]
         worker.join(timeout=SOCKET_TIMEOUT)
@@ -688,7 +692,7 @@ class TestElasticFleet:
             late["session"] = run_worker(f"{host}:{port}")
 
         threading.Thread(target=late_joiner, daemon=True).start()
-        results = backend.map(_sleepy, list(range(8)), chunksize=1)
+        results = map_in_order(backend, _sleepy, list(range(8)), chunksize=1)
         assert results == [v * 2 for v in range(8)]
         # The late joiner really took work off the first worker's plate.
         assert late["session"][0] >= 1
@@ -716,7 +720,7 @@ class TestElasticFleet:
         threading.Thread(target=fleet, daemon=True).start()
         # max_chunk_retries=0: any chunk lost to an unclean leave would
         # abort the whole map, so success proves the goodbye was clean.
-        results = backend.map(_identity, list(range(6)), chunksize=1)
+        results = map_in_order(backend, _identity, list(range(6)), chunksize=1)
         assert results == [v * 2 for v in range(6)]
         assert sessions["capped"] == (2, True)
 
@@ -724,7 +728,7 @@ class TestElasticFleet:
         backend = SocketBackend(
             spawn_workers=2, max_buffered_chunks=1, timeout=SOCKET_TIMEOUT
         )
-        assert backend.map(_identity, list(range(8)), chunksize=1) == [
+        assert map_in_order(backend, _identity, list(range(8)), chunksize=1) == [
             v * 2 for v in range(8)
         ]
 
@@ -943,8 +947,8 @@ class TestWorkServer:
         try:
             server.start()
             poisoned = BackgroundCampaign(
-                lambda: SharedFleetBackend(server).map(
-                    _exit_on_poison, ["ok", "poison", "fine"], chunksize=1
+                lambda: map_in_order(
+                    SharedFleetBackend(server), _exit_on_poison, ["ok", "poison", "fine"]
                 ),
                 name="poisoned map",
             ).start()
@@ -984,9 +988,9 @@ class TestSocketFacade:
         backend = SocketBackend(
             bind=f"127.0.0.1:{port}", spawn_workers=0, timeout=SOCKET_TIMEOUT
         )
-        assert backend.map(_identity, [1, 2], chunksize=1) == [2, 4]
+        assert map_in_order(backend, _identity, [1, 2], chunksize=1) == [2, 4]
         assert backend.address is None  # no listener between maps
-        assert backend.map(_identity, [3], chunksize=1) == [6]
+        assert map_in_order(backend, _identity, [3], chunksize=1) == [6]
         # welcome = (heartbeat interval, campaign id, MAC mode)
         assert len({campaign for _, campaign, _ in welcomes}) == 2
         worker.join(timeout=SOCKET_TIMEOUT)
@@ -1003,6 +1007,6 @@ class TestSocketFacade:
 
         monkeypatch.setattr(WorkServer, "_spawn_local_workers", recording)
         backend = SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT)
-        assert backend.map(_identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
+        assert map_in_order(backend, _identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
         # close() reaps them; a worker still lingering would be killed.
         assert [proc.returncode for proc in spawned] == [0, 0]

@@ -21,7 +21,12 @@ from repro.experiments.backends import SocketBackend
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import run_sweep
 from repro.experiments.wire import make_session
-from serviceharness import BackgroundCampaign, wait_for_address, wait_until
+from serviceharness import (
+    BackgroundCampaign,
+    map_in_order,
+    wait_for_address,
+    wait_until,
+)
 
 SOCKET_TIMEOUT = 180.0
 
@@ -62,7 +67,7 @@ def _run_map_through_proxy(
         timeout=SOCKET_TIMEOUT,
     )
     runner = BackgroundCampaign(
-        lambda: backend.map(worker, items, chunksize=chunksize),
+        lambda: map_in_order(backend, worker, items, chunksize=chunksize),
         name="campaign under injected faults",
     ).start()
     with ChaosProxy(wait_for_address(backend), plan) as proxy:

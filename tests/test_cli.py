@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import shutil
+import sys
+from dataclasses import replace
+
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+import repro.cli as cli
+from repro.cli import COMMANDS, SCALES, _execution_backend, build_parser, main
+from repro.experiments import service
+from repro.experiments.backends import AUTH_TOKEN_ENV
+from repro.experiments.runner import run_sweep
 
 
 class TestParser:
@@ -124,9 +132,10 @@ class TestBackendAndResumeFlags:
         assert args.scale == "paper"
 
     def test_unknown_backend_rejected(self, capsys):
-        with pytest.raises(ValueError, match="unknown backend"):
-            main(["fig6", "--scale", "unit", "--backend", "carrier-pigeon"])
-        capsys.readouterr()
+        assert main(["fig6", "--scale", "unit", "--backend", "carrier-pigeon"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "repro fig6: unknown backend 'carrier-pigeon'"
+        )
 
     def test_fig6_socket_backend_matches_serial(self, capsys):
         """End-to-end: 2 spawned worker processes, bit-identical exhibit."""
@@ -202,19 +211,17 @@ class TestHardeningFlags:
 
     def test_auth_token_falls_back_to_environment_for_socket(self, monkeypatch):
         """The env var arms a socket backend without any explicit flag."""
-        from repro.cli import _execution_backend
         from repro.experiments.backends import SocketBackend
 
         monkeypatch.setenv("REPRO_AUTH_TOKEN", "from-env")
         args = build_parser().parse_args(["fig6", "--backend", "socket", "--jobs", "2"])
         backend = _execution_backend(args)
         assert isinstance(backend, SocketBackend)
-        assert backend.auth_token == "from-env"
+        assert backend._fleet.auth_token == "from-env"
 
     def test_spec_classification_matches_resolver_normalization(self, monkeypatch):
         """A capitalized socket spec must still be recognized as socket,
         or the ambient env token would silently not be applied."""
-        from repro.cli import _execution_backend
         from repro.experiments.backends import SocketBackend
 
         monkeypatch.setenv("REPRO_AUTH_TOKEN", "from-env")
@@ -223,7 +230,7 @@ class TestHardeningFlags:
         )
         backend = _execution_backend(args)
         assert isinstance(backend, SocketBackend)
-        assert backend.auth_token == "from-env"
+        assert backend._fleet.auth_token == "from-env"
 
     def test_ambient_env_token_does_not_break_serial_runs(self, monkeypatch, capsys):
         """Exporting REPRO_AUTH_TOKEN for a campaign must leave ordinary
@@ -301,3 +308,152 @@ class TestStoreDispatch:
         with pytest.raises(SystemExit, match="store"):
             main(["--scale", "unit", "store"])
         capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def unit_sweep_store(tmp_path_factory):
+    """The store ``repro fig6 --scale unit --resume PATH`` writes."""
+    path = tmp_path_factory.mktemp("cli") / "fig6.shards.jsonl"
+    run_sweep(replace(SCALES["unit"], seed=2021), resume=str(path))
+    return path
+
+
+#: Exhibit inputs refused with a ValueError: argv (``STORE`` is a copy of
+#: the unit fig6 store, ``CORRUPT`` one with a corrupt middle line), and
+#: the start and a part of the one stderr line.
+REFUSALS = {
+    "corrupt-resume-store": (
+        ["fig6", "--resume", "CORRUPT"], "repro fig6: ", "corrupt shard record on line 3"
+    ),
+    "unknown-backend": (["fig6", "--backend", "bogus"], "repro fig6: unknown backend", ""),
+    "resume-onto-another-seed": (
+        ["fig6", "--seed", "7", "--resume", "STORE"], "repro fig6: ", "different sweep config"
+    ),
+    "fig10-resume-onto-sweep-store": (
+        ["fig10", "--resume", "STORE"], "repro fig10: ", "is a sweep store"
+    ),
+    "all-onto-corrupt-store": (
+        ["all", "--resume", "CORRUPT"], "repro all: ", "corrupt shard record on line 3"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_exhibit_refusal_is_one_line(case, unit_sweep_store, tmp_path, capsys):
+    """A refused input exits 1 with one ``repro <command>:`` line."""
+    argv, prefix, detail = REFUSALS[case]
+    corrupt = unit_sweep_store.read_text().splitlines(keepends=True)
+    corrupt[2] = "{not json\n"
+    (tmp_path / "corrupt.jsonl").write_text("".join(corrupt))
+    stores = {
+        "STORE": shutil.copy(unit_sweep_store, tmp_path / "copy.jsonl"),
+        "CORRUPT": tmp_path / "corrupt.jsonl",
+    }
+    argv = [str(stores.get(arg, arg)) for arg in argv]
+    assert main([*argv, "--scale", "unit"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and detail in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+# ----------------------------------------------------------------------
+# The fleet secret: one resolver behind every entry point
+# ----------------------------------------------------------------------
+
+#: An input every entry point must refuse.
+REFUSED = "refused"
+
+#: Input -> (--auth-token value or None, REPRO_AUTH_TOKEN or None, the
+#: secret the entry point must use, or REFUSED).
+SECRET_INPUTS = {
+    "flag-set": ("flag-secret", "env-secret", "flag-secret"),
+    "environment-set": (None, "env-secret", "env-secret"),
+    "empty-flag": ("", "env-secret", REFUSED),
+    "empty-environment": (None, "", REFUSED),
+    "neither": (None, None, None),
+}
+
+
+def _exhibit_secret(flags, tmp_path, monkeypatch):
+    argv = ["fig6", "--backend", "socket", "--jobs", "2", *flags]
+    try:
+        backend = _execution_backend(build_parser().parse_args(argv))
+    except SystemExit as refusal:  # the interpreter prints it: one line, status 1
+        print(refusal.code, file=sys.stderr)
+        return 1, None
+    return 0, None if isinstance(backend, str) else backend._fleet.auth_token
+
+
+def _worker_secret(flags, tmp_path, monkeypatch):
+    seen = {}
+
+    def run_worker(address, linger, auth_token, max_chunks):
+        seen["secret"] = auth_token
+        return 1, True
+
+    monkeypatch.setattr(cli, "run_worker", run_worker)
+    return main(["worker", "--connect", "127.0.0.1:9", *flags]), seen.get("secret")
+
+
+class _Started(Exception):
+    pass
+
+
+def _serve_secret(flags, tmp_path, monkeypatch):
+    seen = {}
+
+    class Daemon:
+        def __init__(self, **options):
+            seen["secret"] = options["auth_token"]
+
+        def start(self):
+            raise _Started
+
+    monkeypatch.setattr(service, "CampaignService", Daemon)
+    argv = ["--port", "0", "--workers", "0", "--state-dir", str(tmp_path), *flags]
+    try:
+        return service.serve_main(argv), None
+    except _Started:
+        return 0, seen["secret"]
+
+
+def _jobs_secret(flags, tmp_path, monkeypatch):
+    seen = {}
+
+    def http_json(method, url, payload=None, token=None, timeout=10.0):
+        seen["secret"] = token
+        return 201, {"id": "job"}
+
+    monkeypatch.setattr(service, "_http_json", http_json)
+    argv = ["http://127.0.0.1:9", "submit", '{"kind": "sweep"}', *flags]
+    return service.jobs_main(argv), seen.get("secret")
+
+
+#: Entry point -> (driver, refusal exit status, start of the refusal line).
+SECRET_ENTRY_POINTS = {
+    "exhibit": (_exhibit_secret, 1, "the fleet auth token is empty"),
+    "worker": (_worker_secret, 1, "repro worker: the fleet auth token is empty"),
+    "serve": (_serve_secret, 2, "repro serve: the fleet auth token is empty"),
+    "jobs": (_jobs_secret, 2, "repro jobs: the fleet auth token is empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SECRET_INPUTS))
+@pytest.mark.parametrize("entry", sorted(SECRET_ENTRY_POINTS))
+def test_every_entry_point_reads_the_secret_one_way(
+    entry, case, tmp_path, monkeypatch, capsys
+):
+    """Flag, else REPRO_AUTH_TOKEN, else none; an empty one is refused."""
+    flag, environment, expected = SECRET_INPUTS[case]
+    monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
+    if environment is not None:
+        monkeypatch.setenv(AUTH_TOKEN_ENV, environment)
+    driver, refusal_status, refusal_line = SECRET_ENTRY_POINTS[entry]
+    flags = [] if flag is None else ["--auth-token", flag]
+    code, secret = driver(flags, tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    if expected == REFUSED:
+        assert code == refusal_status
+        assert err.startswith(refusal_line) and err.count("\n") == 1, err
+    else:
+        assert (code, secret) == (0, expected)

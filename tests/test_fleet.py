@@ -263,10 +263,6 @@ class _QuarantiningBackend(ExecutionBackend):
     def __init__(self, skip_index: int) -> None:
         self.skip_index = skip_index
 
-    def imap(self, worker, shards, chunksize=1):
-        for index, result in self.imap_unordered(worker, shards, chunksize):
-            yield result
-
     def imap_unordered(self, worker, shards, chunksize=1):
         self.quarantined_shards = ()
         for index, shard in enumerate(shards):

@@ -41,8 +41,8 @@ from repro.experiments.monitor import (
 )
 from repro.experiments.runner import run_sweep, shard_grid
 from repro.experiments.store import ShardStore
-from repro.experiments.storetools import compact, summarize
-from serviceharness import wait_for_address
+from repro.experiments.storetools import merge, summarize
+from serviceharness import map_in_order, wait_for_address
 
 CONFIG = SweepConfig(
     num_codes=2,
@@ -401,7 +401,7 @@ class TestLiveStatus:
         backend = SocketBackend(
             spawn_workers=1, status_port=0, timeout=SOCKET_TIMEOUT
         )
-        assert backend.map(_sleepy_item, [1], chunksize=1) == [2]
+        assert map_in_order(backend, _sleepy_item, [1], chunksize=1) == [2]
         assert backend.status_address is None
 
 
@@ -447,27 +447,15 @@ class TestContinuePastQuarantine:
         )
         list(backend.imap_unordered(_exit_on_poison_item, ["poison", "a"], chunksize=1))
         assert backend.quarantined_shards == (0,)
-        assert backend.map(_exit_on_poison_item, ["b", "c"], chunksize=1) == ["b", "c"]
+        assert map_in_order(backend, _exit_on_poison_item, ["b", "c"]) == ["b", "c"]
         assert backend.quarantined_shards == ()
-
-    def test_ordered_map_refuses_to_misalign_past_a_quarantine(self):
-        """map()/imap() pair results with shards positionally; a skipped
-        chunk must raise, never silently shift later results."""
-        backend = SocketBackend(
-            spawn_workers=2,
-            max_chunk_retries=0,
-            continue_past_quarantine=True,
-            timeout=SOCKET_TIMEOUT,
-        )
-        with pytest.raises(RuntimeError, match="imap_unordered"):
-            backend.map(_exit_on_poison_item, ["poison", "a", "b"], chunksize=1)
 
     def test_default_mode_still_aborts(self):
         backend = SocketBackend(
             spawn_workers=3, max_chunk_retries=1, timeout=SOCKET_TIMEOUT
         )
         with pytest.raises(RuntimeError, match="retry budget|poison"):
-            backend.map(_exit_on_poison_item, ["ok", "poison"], chunksize=1)
+            map_in_order(backend, _exit_on_poison_item, ["ok", "poison"], chunksize=1)
 
 
 class _QuarantiningBackend(ExecutionBackend):
@@ -483,10 +471,6 @@ class _QuarantiningBackend(ExecutionBackend):
 
     def __init__(self, skip_index: int) -> None:
         self.skip_index = skip_index
-
-    def imap(self, worker, shards, chunksize=1):
-        for index, result in self.imap_unordered(worker, shards, chunksize):
-            yield result
 
     def imap_unordered(self, worker, shards, chunksize=1):
         self.quarantined_shards = ()
@@ -532,7 +516,7 @@ class TestRunSweepQuarantine:
         assert summarize(store_path).quarantined == []
         raw = store_path.read_text()
         assert '"quarantine"' in raw
-        compact(store_path)
+        merge([store_path], store_path)
         assert '"quarantine"' not in store_path.read_text()
         assert summarize(store_path).cells_done == len(reference.cells)
 
@@ -545,15 +529,13 @@ class TestRunSweepQuarantine:
     def test_quarantine_marker_survives_unresolved_compact(self, tmp_path):
         store_path = tmp_path / "sweep.jsonl"
         run_sweep(CONFIG, backend=_QuarantiningBackend(0), resume=str(store_path))
-        compact(store_path)
+        merge([store_path], store_path)
         assert '"quarantine"' in store_path.read_text()
         assert len(summarize(store_path).quarantined) == 1
 
     def test_merge_resolves_marker_against_other_machines_cells(self, tmp_path):
         """The cross-machine recovery recipe: machine A quarantined a
         cell, machine B computed it; the merged store has no marker."""
-        from repro.experiments.storetools import merge
-
         left = tmp_path / "left.jsonl"
         right = tmp_path / "right.jsonl"
         run_sweep(CONFIG, backend=_QuarantiningBackend(0), resume=str(left))
@@ -644,7 +626,7 @@ class TestCliFlags:
         )
         backend = _execution_backend(args)
         assert isinstance(backend, SocketBackend)
-        assert backend.status_port == 7072
+        assert backend._fleet.status_port == 7072
         assert backend.continue_past_quarantine is True
 
     def test_incomplete_grid_exits_3(self, monkeypatch, capsys):

@@ -18,16 +18,26 @@ HTTP/JSON API — the same surface curl sees.  Coverage:
   state dir, and watch the job heal and complete bit-identically —
   with the worker fleet riding through the restart via a retargeted
   :class:`chaos.ChaosProxy` front.
+
+Two in-process suites complete it: every job record and result is
+fsynced before it replaces its file, and the ``repro jobs`` client ends
+a bad spec or a bad reply in one line.
 """
 
+import io
 import json
+import os
 import socket
 import time
+import urllib.request
+
+import pytest
 
 from chaos import ChaosProxy
 from repro.cli import main
+from repro.experiments.backends import WorkServer
 from repro.experiments.runner import run_sweep
-from repro.experiments.scheduler import job_config, parse_job_spec
+from repro.experiments.scheduler import JobScheduler, job_config, parse_job_spec
 from repro.experiments.service import MAX_BODY_BYTES, REQUEST_TIMEOUT
 from repro.experiments.store import sweep_to_json
 from serviceharness import (
@@ -346,3 +356,76 @@ class TestDaemonRestart:
         finally:
             terminate_procs(workers)
             daemon_a.sigkill()
+
+
+class TestDurableJobFiles:
+    """A job the API answered with 201 survives an OS crash."""
+
+    def test_records_and_results_are_fsynced_before_they_replace(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def recording_replace(source, target):
+            calls.append(("replace", os.stat(source).st_ino, os.path.basename(target)))
+            replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        jobs = JobScheduler(WorkServer(), tmp_path / "state")  # the fleet never starts
+        monkeypatch.setattr(jobs, "_execute", lambda job: {"job": job.id})
+        cancelled = jobs.submit({"kind": "sweep"})
+        jobs.cancel(cancelled.id)
+        done = jobs.submit({"kind": "sweep"})
+        jobs.start()
+        try:
+            wait_until(lambda: done.state == "done")
+        finally:
+            jobs.close()
+        replaced = [call[2] for call in calls if call[0] == "replace"]
+        assert replaced == [
+            f"{cancelled.id}.json",  # submitted
+            f"{cancelled.id}.json",  # cancelled
+            f"{done.id}.json",  # submitted
+            f"{done.id}.json",  # running
+            f"{done.id}.result.json",
+            f"{done.id}.json",  # done
+        ]
+        for index, call in enumerate(calls):
+            if call[0] == "replace":
+                assert calls[index - 1] == ("fsync", call[1]), calls
+
+
+class _Reply(io.BytesIO):
+    """What ``urlopen`` returns for a 200 carrying ``body``."""
+
+    status = 200
+
+
+class TestJobsClient:
+    """``repro jobs`` ends a bad spec or reply in one line, never a traceback."""
+
+    def test_spec_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        spec = tmp_path / "deep.json"
+        spec.write_text("[" * 50_000)
+        assert main(["jobs", "http://127.0.0.1:9", "submit", f"@{spec}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro jobs: spec is not valid JSON"), err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "body", [b"[" * 50_000, b"<html>"], ids=["deep", "not-json"]
+    )
+    def test_bad_reply(self, body, monkeypatch, capsys):
+        monkeypatch.setattr(
+            urllib.request, "urlopen", lambda request, timeout: _Reply(body)
+        )
+        assert main(["jobs", "http://127.0.0.1:9", "list"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro jobs: bad reply from http://127.0.0.1:9/jobs"), err
+        assert err.count("\n") == 1

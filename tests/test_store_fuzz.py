@@ -7,10 +7,11 @@ marker included) and damages one record the way
 :func:`randcases.store_damage` draws it — truncated, garbled, a field
 stripped, a field (or a nested one) retyped, replaced by a non-object, or
 nested (whole or one field) past the recursion limit.
-Loading, ``summarize``, ``compact`` and ``merge`` must then either accept
-the store or raise ``ValueError`` (``FileNotFoundError`` for a missing
-one); ``repro store PATH summary`` exits 1 with a one-line ``repro
-store:`` message exactly when ``summarize`` refuses; and each driver
+Loading, ``summarize`` and ``merge`` (of the store alone, which is
+``compact``, and with a clean one) must then either accept the store or
+raise ``ValueError`` (``FileNotFoundError`` for a missing one);
+``repro store PATH summary`` exits 1 with a one-line ``repro store:``
+message exactly when ``summarize`` refuses; and each driver
 resumed onto the damaged store either completes or refuses with the
 store's ``ValueError`` (one naming the store), which it must do whenever
 ``summarize`` refuses.
@@ -26,7 +27,7 @@ from repro.experiments import fig10, fleet
 from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import FIG10_STORE, FLEET_STORE, SWEEP_STORE, ShardStore
-from repro.experiments.storetools import compact, merge, store_main, summarize
+from repro.experiments.storetools import merge, store_main, summarize
 
 SWEEP = SweepConfig(
     num_codes=1,
@@ -95,7 +96,7 @@ def test_damaged_store_refuses_cleanly(kind, how, seed, clean_stores, tmp_path, 
     _refused(lambda: ShardStore(path).load())
     _refused(lambda: ShardStore(path, store_format).load())
     summary_refused = _refused(lambda: summarize(path))
-    _refused(lambda: compact(path, output=tmp_path / "compacted.jsonl"))
+    _refused(lambda: merge([path], tmp_path / "compacted.jsonl"))
     _refused(lambda: merge([path, clean], tmp_path / "merged.jsonl"))
     _refused(lambda: merge([clean, path], tmp_path / "merged.jsonl"))
 
@@ -116,9 +117,10 @@ def test_damaged_store_refuses_cleanly(kind, how, seed, clean_stores, tmp_path, 
 
 
 def test_missing_store_is_file_not_found(tmp_path):
-    for call in (summarize, compact):
-        with pytest.raises(FileNotFoundError):
-            call(tmp_path / "absent.jsonl")
+    with pytest.raises(FileNotFoundError):
+        summarize(tmp_path / "absent.jsonl")
+    with pytest.raises(FileNotFoundError):
+        merge([tmp_path / "absent.jsonl"], tmp_path / "compacted.jsonl")
     assert store_main([str(tmp_path / "absent.jsonl"), "summary"]) == 1
 
 

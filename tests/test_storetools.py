@@ -1,9 +1,9 @@
 """Tests of the ``repro store`` toolbox: summary, compact, merge.
 
 The toolbox must agree exactly with what the stores themselves would
-load — compaction keeps the winning (last-appended) record per key,
-torn tails never survive a rewrite, and merging refuses to mix
-campaigns — while streaming record by record.
+load — compaction (a merge of one store) keeps the winning
+(last-appended) record per key, torn tails never survive a rewrite, and
+merging refuses to mix campaigns — while streaming record by record.
 """
 
 import json
@@ -11,17 +11,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import fig10
-from repro.experiments.config import CaseStudyConfig, SweepConfig
+from repro.experiments import fig10, fleet
+from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
 from repro.experiments.runner import run_sweep
-from repro.experiments.store import SWEEP_STORE, ShardStore
-from repro.experiments.storetools import (
-    compact,
-    merge,
-    render_summary,
-    store_main,
-    summarize,
-)
+from repro.experiments.store import FIG10_STORE, FLEET_STORE, SWEEP_STORE, ShardStore
+from repro.experiments.storetools import merge, render_summary, store_main, summarize
 
 CONFIG = SweepConfig(
     num_codes=2,
@@ -40,6 +34,11 @@ CASE_CONFIG = CaseStudyConfig(
     rbers=(1e-4,),
     max_at_risk=3,
     profilers=("Naive", "HARP-U"),
+)
+
+
+FLEET_CONFIG = FleetConfig(
+    num_chips=6, k=16, num_codes=2, num_rounds=8, rows=8, words_per_row=2, chips_per_shard=2
 )
 
 
@@ -212,14 +211,16 @@ class TestGridCoverage:
 
 
 class TestCompact:
+    """``repro store PATH compact`` is ``merge([PATH], PATH)``."""
+
     def test_drops_superseded_and_torn_tail(self, sweep_store):
         before = ShardStore(sweep_store).load()
         _duplicate_last_cell(sweep_store)
         with open(sweep_store, "a") as handle:
             handle.write('{"kind": "cell", "error_coun')
-        stats = compact(sweep_store)
+        stats = merge([sweep_store], sweep_store)
         assert stats.superseded == 1
-        assert stats.torn_tail is True
+        assert stats.torn_tails == 1
         after = ShardStore(sweep_store).load()
         assert after.results.keys() == before.results.keys()
         for key in before.results:
@@ -229,23 +230,23 @@ class TestCompact:
 
     def test_idempotent_byte_identical(self, sweep_store):
         _duplicate_last_cell(sweep_store)
-        compact(sweep_store)
+        merge([sweep_store], sweep_store)
         first = sweep_store.read_bytes()
-        stats = compact(sweep_store)
+        stats = merge([sweep_store], sweep_store)
         assert stats.superseded == 0
         assert sweep_store.read_bytes() == first
 
     def test_compact_to_separate_output(self, sweep_store, tmp_path):
         output = tmp_path / "out.jsonl"
         original = sweep_store.read_bytes()
-        compact(sweep_store, output=output)
+        assert store_main([str(sweep_store), "compact", "-o", str(output)]) == 0
         assert output.exists()
         assert sweep_store.read_bytes() == original  # source untouched
 
     def test_compacted_store_still_resumes(self, sweep_store):
         """A compacted store is a valid --resume target."""
         _duplicate_last_cell(sweep_store)
-        compact(sweep_store)
+        merge([sweep_store], sweep_store)
         reference = run_sweep(CONFIG)
         resumed = run_sweep(CONFIG, resume=str(sweep_store))
         for key in reference.cells:
@@ -254,10 +255,65 @@ class TestCompact:
     def test_fig10_store_compacts(self, fig10_store):
         lines = fig10_store.read_text().splitlines()
         fig10_store.write_text("\n".join(lines + [lines[-1]]) + "\n")
-        stats = compact(fig10_store)
+        stats = merge([fig10_store], fig10_store)
         assert stats.superseded == 1
         reference = fig10.run(CASE_CONFIG)
         assert fig10.run(CASE_CONFIG, resume=str(fig10_store)) == reference
+
+
+#: Store kind -> (format, run writing a store to ``resume``).
+DRIVERS = {
+    "sweep": (SWEEP_STORE, lambda resume: run_sweep(CONFIG, resume=resume)),
+    "fig10": (FIG10_STORE, lambda resume: fig10.run(CASE_CONFIG, resume=resume)),
+    "fleet": (FLEET_STORE, lambda resume: fleet.run(FLEET_CONFIG, resume=resume)),
+}
+
+
+@pytest.fixture(params=sorted(DRIVERS))
+def damaged_store(request, tmp_path):
+    """A store of each kind carrying every kind of debris compact clears.
+
+    Its first record is replaced by a quarantine marker nothing resolves,
+    the second gets a marker that a re-appended copy resolves, the last
+    record is appended again, and a torn half line ends the file.
+    Returns the path and the lines compaction must keep, in order.
+    """
+    store_format, run = DRIVERS[request.param]
+    path = tmp_path / f"{request.param}.jsonl"
+    run(str(path))
+    header, *records = path.read_text().splitlines(keepends=True)
+    keys = [key[1:] for _, key, _ in ShardStore(path).iter_records()][1:]
+    assert len(records) >= 3, "the store needs three records to damage"
+    markers_path = tmp_path / "markers.jsonl"
+    with ShardStore(markers_path, store_format) as markers:
+        markers.append_quarantine(keys[0])
+        markers.append_quarantine(keys[1])
+    unresolved, resolved = markers_path.read_text().splitlines(keepends=True)[1:]
+    torn = records[-1][: len(records[-1]) // 2]
+    path.write_text(
+        "".join([header, *records[1:], unresolved, resolved, records[1], records[-1], torn])
+    )
+    return path, [header, *records[2:-1], unresolved, records[1], records[-1]]
+
+
+class TestCompactIsAOneStoreMerge:
+    """Each store kind: duplicates, quarantine markers and a torn tail."""
+
+    def test_keeps_the_winners_and_is_idempotent(self, damaged_store, tmp_path, capsys):
+        path, expected = damaged_store
+        output = tmp_path / "compacted.jsonl"
+        assert store_main([str(path), "compact", "-o", str(output)]) == 0
+        assert capsys.readouterr().out == (
+            f"compacted {path} -> {output}: kept {len(expected)} record(s), "
+            "dropped 3 superseded, torn tail trimmed\n"
+        )
+        assert output.read_text() == "".join(expected)
+        assert store_main([str(output), "compact"]) == 0
+        assert capsys.readouterr().out == (
+            f"compacted {output} -> {output}: kept {len(expected)} record(s), "
+            "dropped 0 superseded\n"
+        )
+        assert output.read_text() == "".join(expected)
 
 
 class TestMerge:
@@ -314,9 +370,12 @@ class TestMerge:
         with pytest.raises(ValueError, match="different config"):
             merge([sweep_store, other], tmp_path / "out.jsonl")
 
-    def test_needs_two_inputs(self, sweep_store, tmp_path):
-        with pytest.raises(ValueError, match="at least two"):
-            merge([sweep_store], tmp_path / "out.jsonl")
+    def test_merge_action_needs_two_inputs(self, sweep_store, tmp_path, capsys):
+        """merge() takes one store (that is compact); the action does not."""
+        output = tmp_path / "out.jsonl"
+        assert store_main([str(sweep_store), "merge", "-o", str(output)]) == 1
+        assert "at least two stores" in capsys.readouterr().err
+        assert not output.exists()
 
 
 class TestStoreCli:
