@@ -32,7 +32,7 @@ from repro.experiments.runner import (
     run_sweep,
     shard_grid,
 )
-from repro.experiments.runner import _artifacts_for, _words_for  # engine caches
+from repro.experiments.runner import _block_artifacts, _words_for  # engine caches
 from repro.memory.error_model import WordErrorProfile, check_profile_positions
 from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.base import Profiler, ReadMode
@@ -196,9 +196,10 @@ def _pr1_run_sweep(config) -> SweepResult:
     cells = {}
     for shard in shard_grid(config):
         words = _words_for(config, shard.error_count)
+        block = _block_artifacts(config, shard.error_count)
         profiler_cls = _PR1_PROFILERS[shard.profiler]
         metrics = []
-        for ctx in words:
+        for ctx, artifacts in zip(words, block):
             profile = WordErrorProfile(
                 ctx.positions, tuple(shard.probability for _ in ctx.positions)
             )
@@ -208,9 +209,7 @@ def _pr1_run_sweep(config) -> SweepResult:
                 profile,
                 config.num_rounds,
                 ctx.word_seed,
-                artifacts=_artifacts_for(
-                    config, ctx.code, ctx.word_seed, len(ctx.positions)
-                ),
+                artifacts=artifacts,
             )
             metrics.append(metrics_for_run(run, ctx.ground_truth, config.num_rounds))
         cells[shard.key] = SweepCell(

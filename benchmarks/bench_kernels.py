@@ -1,35 +1,35 @@
 """Bench: fast kernel layers against their references.
 
-Times ``repro.ecc.gf2`` elimination and solving under both kernel tiers
-(forced by moving the facade's size thresholds), the vectorized
+Times ``repro.ecc.gf2.matmul``'s popcount product against its int64
+path (forced by moving the facade's work threshold), the vectorized
 random-pattern schedules (``random_rounds``) against one numpy Generator
 per pattern block, and a shared-cache worker-pool sweep against the
 serial engine — recorded to ``results/kernel_scaling.txt`` through the
 ``kernel_scaling`` fixture.
 
-Every timed pair also asserts bit-identity, the eliminate/solve pairs
-assert the >=2x kernel speedup the packed tier exists for, and the
-pattern pair the >=3x the vectorized stream exists for.
+Every timed pair also asserts bit-identity, the product pair the >=2x
+the popcount kernel exists for, and the pattern pair the >=3x the
+vectorized stream exists for.
 """
 
 import math
 import time
 
 import numpy as np
-import pytest
 
 from repro.analysis.memo import clear_analysis_caches
 from repro.ecc import gf2
-from repro.experiments.config import SweepConfig
+from repro.ecc.hamming import random_sec_code
+from repro.experiments.config import BENCH, SweepConfig
 from repro.experiments.runner import clear_engine_caches, run_sweep
 from repro.memory.patterns import random_rounds
 from repro.utils.rng import derive_rng, derive_seed
 
-#: Elimination shapes are tall: the unpacked reference pays a Python-level
-#: row scan per column, the packed kernel a broadcast XOR — tall systems
-#: are where dense GF(2) elimination actually hurts.
-ELIMINATE_SHAPE = (2048, 1024)
-SOLVE_SHAPE = (4096, 512)
+#: The bench sweep's per-code encode in ``cell_artifacts``: one code's
+#: words (8 x 128 rounds of k=64) times the (71,64) parity submatrix.
+PRODUCT_ROWS = BENCH.words_per_code * BENCH.num_rounds
+#: Products per timed sample: one product takes tens of microseconds.
+PRODUCT_REPEATS = 200
 
 #: A fleet shard's random-pattern words: 10 words x 64 rounds of k=32,
 #: 320 pattern blocks, with the fleet's 64-bit word seeds.
@@ -48,55 +48,38 @@ SWEEP_GRID = SweepConfig(
 )
 
 
-def _tier_timed(tier: str, fn, reps: int = 3):
-    """Best-of-``reps`` CPU seconds of ``fn()`` under a forced tier.
-
-    ``gf2`` picks a tier by operand size alone, so the tier is forced by
-    moving both size thresholds to 0 (packed) or past any operand
-    (unpacked).
-    """
-    threshold = 0 if tier == "packed" else math.inf
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(gf2, "_AUTO_PACKED_SIZE", threshold)
-        monkeypatch.setattr(gf2, "_AUTO_PACKED_WORK", threshold)
-        best = float("inf")
-        result = None
-        for _ in range(reps):
-            started = time.process_time()
+def _cpu_timed(fn, repeats: int, reps: int = 5):
+    """Best-of-``reps`` CPU seconds of ``repeats`` calls of ``fn``."""
+    best = float("inf")
+    result = None
+    for _ in range(reps):
+        started = time.process_time()
+        for _ in range(repeats):
             result = fn()
-            best = min(best, time.process_time() - started)
-        return best, result
+        best = min(best, time.process_time() - started)
+    return best, result
 
 
-def test_eliminate_packed_speedup(kernel_scaling):
-    rows, cols = ELIMINATE_SHAPE
-    matrix = np.random.default_rng(2021).integers(0, 2, (rows, cols), dtype=np.uint8)
-    unpacked_s, (ref, ref_pivots) = _tier_timed(
-        "unpacked", lambda: gf2.row_reduce(matrix), reps=5
-    )
-    packed_s, (out, out_pivots) = _tier_timed(
-        "packed", lambda: gf2.row_reduce(matrix), reps=5
-    )
-    assert np.array_equal(ref, out) and ref_pivots == out_pivots
-    kernel_scaling["eliminate-unpacked-cpu"] = unpacked_s
-    kernel_scaling["eliminate-packed-cpu"] = packed_s
-    speedup = unpacked_s / packed_s
-    assert speedup >= 2.0, f"packed eliminate {speedup:.2f}x < 2x over unpacked"
+def test_matmul_popcount_speedup(kernel_scaling, monkeypatch):
+    """``gf2.matmul`` picks its kernel by work alone, so each kernel is
+    forced by moving the threshold past any operand (int64) or to 0
+    (popcount)."""
+    rng = np.random.default_rng(2021)
+    code = random_sec_code(BENCH.k, rng)
+    schedules = rng.integers(0, 2, (PRODUCT_ROWS, code.k), dtype=np.uint8)
 
+    def product():
+        return gf2.matmul(schedules, code.parity_submatrix.T)
 
-def test_solve_packed_speedup(kernel_scaling):
-    rows, cols = SOLVE_SHAPE
-    rng = np.random.default_rng(2022)
-    matrix = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
-    witness = rng.integers(0, 2, cols, dtype=np.uint8)
-    rhs = (matrix.astype(np.int64) @ witness.astype(np.int64) % 2).astype(np.uint8)
-    unpacked_s, ref = _tier_timed("unpacked", lambda: gf2.solve(matrix, rhs), reps=5)
-    packed_s, out = _tier_timed("packed", lambda: gf2.solve(matrix, rhs), reps=5)
-    assert ref is not None and np.array_equal(ref, out)
-    kernel_scaling["solve-unpacked-cpu"] = unpacked_s
-    kernel_scaling["solve-packed-cpu"] = packed_s
-    speedup = unpacked_s / packed_s
-    assert speedup >= 2.0, f"packed solve {speedup:.2f}x < 2x over unpacked"
+    monkeypatch.setattr(gf2, "_AUTO_PACKED_WORK", math.inf)
+    int64_s, ref = _cpu_timed(product, PRODUCT_REPEATS)
+    monkeypatch.setattr(gf2, "_AUTO_PACKED_WORK", 0)
+    popcount_s, out = _cpu_timed(product, PRODUCT_REPEATS)
+    assert np.array_equal(ref, out)
+    kernel_scaling["matmul-int64-cpu"] = int64_s
+    kernel_scaling["matmul-popcount-cpu"] = popcount_s
+    speedup = int64_s / popcount_s
+    assert speedup >= 2.0, f"popcount product {speedup:.2f}x < 2x over int64"
 
 
 def _per_block_rounds(seeds, num_rounds: int, k: int) -> np.ndarray:
@@ -112,22 +95,10 @@ def _per_block_rounds(seeds, num_rounds: int, k: int) -> np.ndarray:
     return out
 
 
-def _cpu_timed(fn, reps: int = 5):
-    """Best-of-``reps`` CPU seconds of ``PATTERN_REPEATS`` calls of ``fn``."""
-    best = float("inf")
-    result = None
-    for _ in range(reps):
-        started = time.process_time()
-        for _ in range(PATTERN_REPEATS):
-            result = fn()
-        best = min(best, time.process_time() - started)
-    return best, result
-
-
 def test_pattern_stream_speedup(kernel_scaling):
     args = (PATTERN_SEEDS, PATTERN_ROUNDS, PATTERN_K)
-    per_block_s, ref = _cpu_timed(lambda: _per_block_rounds(*args))
-    vectorized_s, out = _cpu_timed(lambda: random_rounds(*args))
+    per_block_s, ref = _cpu_timed(lambda: _per_block_rounds(*args), PATTERN_REPEATS)
+    vectorized_s, out = _cpu_timed(lambda: random_rounds(*args), PATTERN_REPEATS)
     assert np.array_equal(ref, out)
     kernel_scaling["pattern-per-block-cpu"] = per_block_s
     kernel_scaling["pattern-vectorized-cpu"] = vectorized_s

@@ -162,8 +162,7 @@ def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
     """Session-wide record of kernel-layer timings, persisted at teardown.
 
     ``bench_kernels.py`` inserts ``label -> seconds`` entries
-    (``eliminate-unpacked-cpu``/``eliminate-packed-cpu``,
-    ``solve-unpacked-cpu``/``solve-packed-cpu``,
+    (``matmul-int64-cpu``/``matmul-popcount-cpu``,
     ``pattern-per-block-cpu``/``pattern-vectorized-cpu``,
     ``sweep-serial`` and ``sweep-shared-pool``); the derived speedups
     are appended so ``results/kernel_scaling.txt`` is self-describing.
@@ -175,8 +174,7 @@ def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
     lines = [f"{label}: {seconds:.3f} s" for label, seconds in sorted(record.items())]
     speedups: dict[str, float] = {}
     for title, num, den in (
-        ("packed eliminate speedup vs unpacked (CPU)", "eliminate-unpacked-cpu", "eliminate-packed-cpu"),
-        ("packed solve speedup vs unpacked (CPU)", "solve-unpacked-cpu", "solve-packed-cpu"),
+        ("popcount product speedup vs int64 (CPU)", "matmul-int64-cpu", "matmul-popcount-cpu"),
         ("vectorized pattern stream speedup vs per-block Generator (CPU)", "pattern-per-block-cpu", "pattern-vectorized-cpu"),
         ("shared-cache pool speedup vs serial sweep (wall-clock)", "sweep-serial", "sweep-shared-pool"),
     ):

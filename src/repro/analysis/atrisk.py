@@ -44,13 +44,12 @@ random SEC codes).
 Basis representation
 ====================
 
-The basis rows are Python integers (bit ``i`` = data bit ``i``) on
-every GF(2) tier.  A CPython integer is already a
-word-packed bit vector, so for the paper's ``k = 64`` each row is a
-single machine word with zero numpy overhead: the fastest
-representation for the Monte-Carlo hot loop.  (A ``uint64``-word basis
-in the packed kernel tier gave bit-identical solutions at 0.04x the
-speed, so it was removed.)
+The basis rows are Python integers (bit ``i`` = data bit ``i``).  A
+CPython integer is already a word-packed bit vector, so for the paper's
+``k = 64`` each row is a single machine word with zero numpy overhead:
+the fastest representation for the Monte-Carlo hot loop.  (A
+``uint64``-word basis gave bit-identical solutions at 0.04x the speed,
+so it was removed.)
 """
 
 from __future__ import annotations
@@ -67,6 +66,7 @@ from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile
 
 __all__ = [
+    "MAX_AT_RISK_FOR_ENUMERATION",
     "ChargeSystem",
     "is_charge_realizable",
     "solve_charge_assignment",
@@ -78,8 +78,9 @@ __all__ = [
 ]
 
 #: Enumerating subsets is exponential in the at-risk count; the paper never
-#: exceeds 8 and we guard against accidental blow-ups.
-_MAX_AT_RISK_FOR_ENUMERATION = 16
+#: exceeds 8 and we guard against accidental blow-ups.  Every enumerator
+#: and the configs that feed them refuse more.
+MAX_AT_RISK_FOR_ENUMERATION = 16
 
 
 def _solve_charge_ints(
@@ -372,10 +373,10 @@ def compute_ground_truth(
             logical 0 for anti cells.
     """
     positions = at_risk.positions if isinstance(at_risk, WordErrorProfile) else tuple(at_risk)
-    if len(positions) > _MAX_AT_RISK_FOR_ENUMERATION:
+    if len(positions) > MAX_AT_RISK_FOR_ENUMERATION:
         raise ValueError(
             f"{len(positions)} at-risk bits exceeds the enumeration bound "
-            f"{_MAX_AT_RISK_FOR_ENUMERATION}"
+            f"{MAX_AT_RISK_FOR_ENUMERATION}"
         )
     outcomes: list[PatternOutcome] = []
     for size in range(1, len(positions) + 1):

@@ -18,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
+from repro.analysis.atrisk import MAX_AT_RISK_FOR_ENUMERATION
 from repro.ecc.linear_code import SystematicCode
 from repro.ecc.syndrome import analyze_error_pattern
 from repro.memory.cells import CellOrientation, all_true_cells
@@ -61,6 +62,11 @@ def _pattern_probabilities(
     probabilities = [q for _, q in charged]
     results: list[tuple[frozenset[int], float]] = []
     count = len(positions)
+    if count > MAX_AT_RISK_FOR_ENUMERATION:
+        raise ValueError(
+            f"{count} charged at-risk bits exceeds the enumeration bound "
+            f"{MAX_AT_RISK_FOR_ENUMERATION}"
+        )
     for size in range(0, count + 1):
         for index_subset in combinations(range(count), size):
             probability = 1.0

@@ -2,33 +2,33 @@
 
 The memo layer (:mod:`repro.analysis.memo`) and the engine caches
 (:mod:`repro.experiments.runner`) are process-local: every pool worker
-re-derives the sweep's codes, sampled words, ground truths, pattern
-schedules, failure draws, and aliasing tables for itself.  Under a
-``fork`` start method the workers inherit the parent's warm caches
-copy-on-write, but a ``spawn`` worker starts cold and a pool whose
-workers outlive many chunks still pays one warm-up per worker.
+re-derives the sweep's codes, sampled words, ground truths and aliasing
+tables for itself.  Under a ``fork`` start method the workers inherit
+the parent's warm caches copy-on-write, but a ``spawn`` worker starts
+cold and a pool whose workers outlive many chunks still pays one
+warm-up per worker.
 
 This module promotes those caches to a **shared tier**:
 
-1. :func:`sweep_entries` precomputes every per-code artifact of a sweep
-   once in the parent — word contexts (with their exponential
-   ground-truth enumerations), pattern schedules and their encodings,
-   Bernoulli failure draws, and the full aliasing-pair tables of every
+1. :func:`sweep_entries` precomputes the costly per-code artifacts of a
+   sweep once in the parent — word contexts (with their exponential
+   ground-truth enumerations) and the full aliasing-pair tables of every
    code — and :func:`publish_entries` serializes them into one
    :class:`multiprocessing.shared_memory.SharedMemory` block (the fleet
    publishes :func:`repro.experiments.fleet.fleet_entries` the same way).
 2. Pool workers attach with :func:`attach_worker` (wired up as the
    :class:`~repro.experiments.backends.ProcessPoolBackend` initializer by
    the campaign loop under ``shared_cache=True``).  Numpy payloads are
-   mapped as **read-only zero-copy views** over the shared block — no unpickling,
-   no per-worker copy of the big draw matrices; object payloads (ground
-   truths, pair tables) unpickle lazily on first use, at most once per
-   worker.
+   mapped as **read-only zero-copy views** over the shared block; object
+   payloads (word contexts, pair tables) unpickle lazily on first use,
+   at most once per worker.
 3. Cache lookups consult the overlay on a local miss:
    :meth:`repro.analysis.memo.Memo.get` checks :func:`overlay_lookup`
-   before computing, and the runner's ``lru_cache``-ed artifact builders
-   do the same inside their bodies, so a worker's first touch of any
-   precomputed key costs a dict hit instead of a re-derivation.
+   before computing, and the runner's ``_words_for`` does the same, so
+   a worker's first touch of any precomputed key costs a dict hit
+   instead of a re-derivation.  Workers build their blocks' pattern
+   schedules, encodings and failure draws themselves, in one vectorized
+   pass per block.
 
 On Linux the default ``fork`` start makes step 2 a no-op: the parent
 installs the *original* objects in its own overlay before the pool is
@@ -268,11 +268,6 @@ def sweep_entries(config) -> dict[Hashable, tuple[str, Any]]:
     * ``("swords", config, error_count)`` — the word contexts, including
       each word's enumerated :class:`~repro.analysis.atrisk.GroundTruth`
       (consumed by ``runner._words_for``);
-    * ``("sched", pattern, seed, k, rounds)`` /
-      ``("enc", code_key, pattern, seed, rounds)`` /
-      ``("draws", word_seed, rounds, count)`` — the per-word simulation
-      arrays (zero-copy views in attached workers), which both kernels
-      read through ``runner._artifacts_for``;
     * ``("pairs", code_key, target)`` for every codeword position of
       every sweep code — the BEEP aliasing tables, keyed as
       :mod:`repro.analysis.memo` keys them.
@@ -289,9 +284,6 @@ def sweep_entries(config) -> dict[Hashable, tuple[str, Any]]:
         entries[("swords", config, error_count)] = ("pickle", words)
         for ctx in words:
             codes[_code_key(ctx.code)] = ctx.code
-            entries.update(
-                runner._artifact_entries(config, ctx.code, ctx.word_seed, len(ctx.positions))
-            )
     for code_key, code in codes.items():
         for target in range(code.n):
             entries[("pairs", code_key, target)] = (

@@ -39,8 +39,8 @@ Execution knobs (every choice is bit-identical to a serial run):
   ``all`` run shares ``PATH`` across the sweep exhibits (they run one
   config) and routes fig10's shards to ``PATH.fig10`` too.
 * ``--shared-cache`` precomputes the sweep's cache artifacts (word
-  contexts, schedules, failure draws, aliasing tables) once in the
-  parent and publishes them in a shared-memory block that local pool
+  contexts with ground truths, aliasing tables) once in the parent
+  and publishes them in a shared-memory block that local pool
   workers map zero-copy instead of re-deriving (fig6/7/8/9 and
   headline; socket workers keep their own warm-up).
 * ``--timings`` appends the engine's per-cell wall-clock table for the

@@ -224,11 +224,10 @@ class SystematicCode:
     def syndrome_ints_batch(self, codewords: np.ndarray) -> np.ndarray:
         """Syndrome integers of a ``(batch, n)`` array in one GF(2) product.
 
-        The multi-RHS product goes through the :mod:`repro.ecc.gf2`
-        facade, so a large enough batch rides the packed ``gf2w.matmul``
-        popcount kernel; each bit-row then packs into one integer with
-        syndrome row 0 as its least significant bit, the key
-        :meth:`correction_for_syndrome` looks up.
+        The multi-RHS product is :func:`repro.ecc.gf2.matmul`, which
+        takes its popcount kernel on a large enough batch; each bit-row
+        then packs into one integer with syndrome row 0 as its least
+        significant bit, the key :meth:`correction_for_syndrome` looks up.
         """
         arr = np.asarray(codewords, dtype=np.uint8)
         if arr.ndim != 2 or arr.shape[1] != self.n:

@@ -23,9 +23,9 @@ unit vectors under the systematic layout):
 Detected-but-uncorrectable outcomes are *disequalities* (the syndrome
 matches no column) and are not used.  The constraints decompose per bit
 plane: one shared coefficient matrix over the ``k`` unknowns with a
-different right-hand side per plane, solved by Gaussian elimination.
-Recovery is exact and certified: the solver reports success only when the
-system pins every column uniquely (full rank).
+different right-hand side per plane, all solved by one Gaussian
+elimination.  Recovery is exact and certified: the solver reports
+success only when the system pins every column uniquely (full rank).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ecc import gf2w
+from repro.ecc import gf2
 from repro.ecc.linear_code import SystematicCode
 from repro.ecc.syndrome import analyze_error_pattern
 
@@ -154,21 +154,22 @@ class EccReverseEngineer:
     def solve(self) -> SystematicCode | None:
         """Solve for the code; ``None`` until the system pins it uniquely.
 
-        The constraint planes share one coefficient matrix, so one packed
-        elimination (:func:`repro.ecc.gf2w.solve_many`) solves all ``p``
-        right-hand sides and yields ``rank`` from its pivots, replacing a
-        rank check plus ``p`` separate :func:`repro.ecc.gf2.solve` calls
-        with bit-identical planes.
+        The constraint planes share one coefficient matrix, so one
+        elimination of ``[A | planes]`` solves all ``p`` right-hand sides.
+        The code is pinned iff the pivots are exactly the ``k`` unknowns:
+        fewer means underdetermined, and a pivot in a plane column means
+        that plane is inconsistent (a noisy injector).  Plane ``t``'s
+        solution is then column ``k + t`` of the reduced rows.
         """
         if not self._rows:
             return None
-        matrix = np.stack(self._rows)
         rhs_planes = (
             (np.asarray(self._rhs, dtype=np.int64)[:, None] >> np.arange(self.p)) & 1
         ).astype(np.uint8)
-        parity, pivots = gf2w.solve_many(matrix, rhs_planes, with_pivots=True)
-        if len(pivots) < self.k or parity is None:
-            return None  # underdetermined, or inconsistent (noisy injector)
+        reduced, pivots = gf2.row_reduce(np.concatenate([np.stack(self._rows), rhs_planes], axis=1))
+        if pivots != list(range(self.k)):
+            return None
+        parity = np.ascontiguousarray(reduced[: self.k, self.k :].T)
         try:
             return SystematicCode(parity, correction_capability=1, name="reverse-engineered")
         except ValueError:

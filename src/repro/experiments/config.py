@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.analysis.atrisk import MAX_AT_RISK_FOR_ENUMERATION
+
 __all__ = [
     "SweepConfig",
     "CaseStudyConfig",
@@ -55,11 +57,18 @@ class SweepConfig:
     seed: int = 2021
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be positive")
         if self.num_codes < 1 or self.words_per_code < 1 or self.num_rounds < 1:
             raise ValueError("scale parameters must be positive")
         for count in self.error_counts:
             if count < 1:
                 raise ValueError("error counts must be positive")
+            if count > MAX_AT_RISK_FOR_ENUMERATION:
+                raise ValueError(
+                    f"error count {count} exceeds the enumeration bound "
+                    f"{MAX_AT_RISK_FOR_ENUMERATION}"
+                )
         for probability in self.probabilities:
             if not 0.0 < probability <= 1.0:
                 raise ValueError("per-bit probabilities must be in (0, 1]")
@@ -84,11 +93,20 @@ class CaseStudyConfig:
     seed: int = 2021
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be positive")
+        if self.num_codes < 1 or self.words_per_stratum < 1 or self.num_rounds < 1:
+            raise ValueError("scale parameters must be positive")
         for rber in self.rbers:
             if not 0.0 < rber < 1.0:
                 raise ValueError("RBER must be in (0, 1)")
         if self.max_at_risk < 2:
             raise ValueError("max_at_risk must be >= 2")
+        if self.max_at_risk > MAX_AT_RISK_FOR_ENUMERATION:
+            raise ValueError(
+                f"max_at_risk {self.max_at_risk} exceeds the enumeration bound "
+                f"{MAX_AT_RISK_FOR_ENUMERATION}"
+            )
 
 
 @dataclass(frozen=True)
@@ -141,6 +159,8 @@ class FleetConfig:
     seed: int = 2021
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be positive")
         if self.num_chips < 1 or self.num_codes < 1 or self.num_rounds < 1:
             raise ValueError("scale parameters must be positive")
         if not 0.0 < self.probability <= 1.0:

@@ -45,11 +45,13 @@ Redundant work is eliminated by two layers of process-local caches:
   adaptive profilers' crafted-pattern solves and aliasing-pair tables
   are shared across every word of a cell that uses the same code.
 * **Engine layer** (this module): word sampling is hoisted out of the
-  probability loop (``_words_for``), and the per-word simulation inputs
-  that repeat across cells — the standard pattern schedule, its encoding,
-  and the Bernoulli failure draws — are cached per word (``_artifacts_for``)
-  and handed to :func:`~repro.profiling.runner.simulate_cell`, which
-  picks the kernel.
+  probability loop (``_words_for``), and the simulation inputs that
+  repeat across cells — each word's standard pattern schedule, its
+  encoding, and its Bernoulli failure draws — are built for a whole
+  error-count block at once by
+  :func:`~repro.profiling.runner.cell_artifacts` and cached one block
+  per process (``_block_artifacts``); each shard hands its slice to
+  :func:`~repro.profiling.runner.simulate_cell`, which picks the kernel.
 
 Each worker process owns independent caches (no locks, no shared state);
 a ``fork`` start inherits the parent's warm caches, a ``spawn`` start
@@ -76,16 +78,16 @@ import numpy as np
 
 from repro.analysis import shared_memo
 from repro.analysis.atrisk import GroundTruth, max_simultaneous_post_errors
-from repro.analysis.memo import _code_key, cached_ground_truth
+from repro.analysis.memo import cached_ground_truth
 from repro.experiments.backends import ExecutionBackend
 from repro.ecc.hamming import random_sec_code
 from repro.ecc.linear_code import SystematicCode
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
-from repro.memory.patterns import make_pattern, pattern_is_seeded
+from repro.memory.patterns import make_pattern
 from repro.profiling.runner import (
     WordArtifacts,
     WordRunResult,
-    _failure_draws,
+    cell_artifacts,
     clear_charge_mask_cache,
     simulate_cell,
 )
@@ -413,69 +415,25 @@ def _words_for(config, error_count: int) -> tuple[_WordContext, ...]:
     return _sample_words(config, error_count)
 
 
-def _readonly(array):
-    array.setflags(write=False)
-    return array
+@lru_cache(maxsize=1)
+def _block_artifacts(config, error_count: int) -> tuple[WordArtifacts, ...]:
+    """The simulation inputs of one error count's words, in word order.
 
-
-@lru_cache(maxsize=4096)
-def _schedule_for(pattern: str, seed: int, k: int, num_rounds: int) -> Any:
-    """Materialized standard pattern schedule, shared across a word's cells."""
-    shared = shared_memo.overlay_lookup(("sched", pattern, seed, k, num_rounds))
-    if shared is not shared_memo.MISS:
-        return shared
-    return _readonly(make_pattern(pattern, seed).rounds(num_rounds, k))
-
-
-@lru_cache(maxsize=4096)
-def _encoded_schedule_for(
-    code: SystematicCode, pattern: str, seed: int, num_rounds: int
-) -> Any:
-    """Encoding of the standard schedule under ``code``."""
-    shared = shared_memo.overlay_lookup(("enc", _code_key(code), pattern, seed, num_rounds))
-    if shared is not shared_memo.MISS:
-        return shared
-    return _readonly(code.encode(_schedule_for(pattern, seed, code.k, num_rounds)))
-
-
-@lru_cache(maxsize=4096)
-def _draws_for(word_seed: int, num_rounds: int, count: int) -> Any:
-    """The word's Bernoulli failure draws (identical across cells).
-
-    Shared-cache workers map these — the largest per-word arrays — as
-    read-only zero-copy views over the parent's published block.
+    Every cell of an error-count block reads all of the block's words,
+    and the grid is error-count-major, so one cached block serves a
+    worker's whole run of cells; :func:`cell_artifacts` builds it in one
+    vectorized pass.
     """
-    shared = shared_memo.overlay_lookup(("draws", word_seed, num_rounds, count))
-    if shared is not shared_memo.MISS:
-        return shared
-    return _readonly(_failure_draws(word_seed, num_rounds, count))
-
-
-def _artifacts_for(config, code: SystematicCode, word_seed: int, count: int) -> WordArtifacts:
-    """A sweep word's cached inputs for ``simulate_cell``, reused across its cells.
-
-    ``config`` supplies ``pattern`` and ``num_rounds``.  Static patterns
-    (charged/zero/checkered) produce the same schedule for every seed, so
-    their cache key collapses to one entry per (pattern, k, rounds).
-    """
-    schedule_seed = word_seed if pattern_is_seeded(config.pattern) else 0
-    return WordArtifacts(
-        schedule=_schedule_for(config.pattern, schedule_seed, code.k, config.num_rounds),
-        codewords=_encoded_schedule_for(code, config.pattern, schedule_seed, config.num_rounds),
-        draws=_draws_for(word_seed, config.num_rounds, count),
+    words = _words_for(config, error_count)
+    return tuple(
+        cell_artifacts(
+            [ctx.code for ctx in words],
+            [make_pattern(config.pattern, ctx.word_seed) for ctx in words],
+            [len(ctx.positions) for ctx in words],
+            [ctx.word_seed for ctx in words],
+            config.num_rounds,
+        )
     )
-
-
-def _artifact_entries(config, code: SystematicCode, word_seed: int, count: int) -> dict:
-    """The ``--shared-cache`` overlay entries that serve :func:`_artifacts_for`."""
-    pattern, rounds = config.pattern, config.num_rounds
-    schedule_seed = word_seed if pattern_is_seeded(pattern) else 0
-    artifacts = _artifacts_for(config, code, word_seed, count)
-    return {
-        ("sched", pattern, schedule_seed, code.k, rounds): ("array", artifacts.schedule),
-        ("enc", _code_key(code), pattern, schedule_seed, rounds): ("array", artifacts.codewords),
-        ("draws", word_seed, rounds, count): ("array", artifacts.draws),
-    }
 
 
 def clear_engine_caches() -> None:
@@ -486,9 +444,7 @@ def clear_engine_caches() -> None:
     """
     _code_for.cache_clear()
     _words_for.cache_clear()
-    _schedule_for.cache_clear()
-    _encoded_schedule_for.cache_clear()
-    _draws_for.cache_clear()
+    _block_artifacts.cache_clear()
     clear_charge_mask_cache()
 
 
@@ -544,11 +500,12 @@ def run_shard(shard: SweepShard) -> tuple[SweepCell, float]:
     Words simulate and reduce in :data:`_METRICS_BATCH`-sized groups so a
     worker's peak memory holds one group's traces, not the whole cell's.
     Each group goes through :func:`~repro.profiling.runner.simulate_cell`
-    with its words' cached inputs (:func:`_artifacts_for`).
+    with its slice of the block's cached inputs (:func:`_block_artifacts`).
     """
     started = time.perf_counter()
     config = shard.config
     words = _words_for(config, shard.error_count)
+    artifacts = _block_artifacts(config, shard.error_count)
     metrics: list[WordMetrics] = []
     for start in range(0, len(words), _METRICS_BATCH):
         group = words[start : start + _METRICS_BATCH]
@@ -562,9 +519,7 @@ def run_shard(shard: SweepShard) -> tuple[SweepCell, float]:
             [ctx.word_seed for ctx in group],
             config.num_rounds,
             config.pattern,
-            word_artifacts=lambda index: _artifacts_for(
-                config, group[index].code, group[index].word_seed, len(group[index].positions)
-            ),
+            artifacts=artifacts[start : start + _METRICS_BATCH],
         )[shard.profiler]
         metrics.extend(
             metrics_for_words(runs, [ctx.ground_truth for ctx in group], config.num_rounds)
@@ -627,14 +582,14 @@ def run_sweep(
             many seconds between lines).  Purely observational: results
             are byte-identical with it on or off.
         shared_cache: precompute the sweep's per-code artifacts (word
-            contexts with ground truths, schedules, failure draws,
-            aliasing tables) once in this process and publish them
-            through :mod:`repro.analysis.shared_memo` before the map
-            starts.  Process-pool workers attach the shared block (fork
-            children inherit the warm overlay outright) instead of
-            re-deriving each other's solves; the block is destroyed when
-            the map drains.  Bit-identical on or off; serial runs simply
-            start warm, and socket workers (possibly on other machines)
+            contexts with ground truths, aliasing tables) once in this
+            process and publish them through
+            :mod:`repro.analysis.shared_memo` before the map starts.
+            Process-pool workers attach the shared block (fork children
+            inherit the warm overlay outright) instead of re-deriving
+            each other's solves; the block is destroyed when the map
+            drains.  Bit-identical on or off; serial runs simply start
+            warm, and socket workers (possibly on other machines)
             ignore it.
 
     A backend running in continue-past-quarantine mode may set shards
@@ -656,8 +611,10 @@ def run_sweep(
         # keeping a block's word sampling and ground-truth enumeration on
         # one worker; on a resume the holes left by persisted cells can
         # shift boundaries so a chunk straddles two blocks — a bounded,
-        # accepted cost, since long-lived workers memoize each block they
-        # touch via the process-local ``_words_for`` cache anyway.
+        # accepted cost, since long-lived workers memoize each block's
+        # words via the process-local ``_words_for`` cache anyway; only
+        # the simulation inputs (``_block_artifacts``, one block) are
+        # rebuilt, in one vectorized pass, when a worker returns to a block.
         chunksize=lambda workers: _sweep_chunksize(config, workers),
         jobs=jobs,
         backend=backend,

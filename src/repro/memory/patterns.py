@@ -42,9 +42,7 @@ __all__ = [
     "FixedPattern",
     "random_rounds",
     "make_pattern",
-    "pattern_is_seeded",
     "PATTERN_NAMES",
-    "SEEDED_PATTERNS",
 ]
 
 
@@ -149,18 +147,6 @@ def random_rounds(seeds: Sequence[int], num_rounds: int, k: int) -> np.ndarray:
 
 
 PATTERN_NAMES = ("random", "charged", "checkered", "zero")
-
-#: Patterns whose schedule depends on the profiler seed.  Static patterns
-#: produce identical schedules for every seed, which lets per-word caches
-#: collapse to one entry per (pattern, k, rounds).
-SEEDED_PATTERNS = frozenset({"random"})
-
-
-def pattern_is_seeded(name: str) -> bool:
-    """Whether ``name``'s schedule varies with the seed."""
-    if name not in PATTERN_NAMES:
-        raise ValueError(f"unknown data pattern {name!r}; expected one of {PATTERN_NAMES}")
-    return name in SEEDED_PATTERNS
 
 
 def make_pattern(name: str, seed: int = 0) -> DataPattern:

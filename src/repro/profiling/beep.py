@@ -12,8 +12,8 @@ before the first post-correction error is confirmed").
 
 The crafted-pattern search is the incremental GF(2) solver of
 :class:`repro.analysis.atrisk.ChargeSystem` (the paper uses Z3 for the
-same purpose — see DESIGN.md §3), whose basis rows are Python integers
-on every GF(2) tier.  All per-round heavy lifting lives in
+same purpose — see DESIGN.md §3), whose basis rows are Python
+integers.  All per-round heavy lifting lives in
 code-level caches (:mod:`repro.analysis.memo`) shared by every word that
 uses the same parity-check matrix:
 

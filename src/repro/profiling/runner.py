@@ -22,12 +22,13 @@ cell's profilers, picks each one's kernel from the profiler class alone
 (``batched`` and not ``adaptive``: :func:`simulate_words_batched`;
 otherwise :func:`simulate_word`) and hands all profilers of a word one
 complete :class:`WordArtifacts` (standard schedule, its encoding,
-failure draws) derived once per word — the only way inputs reach either
-kernel.  A caller that reuses words across calls (the sweep) supplies
-them per word; otherwise ``_cell_artifacts`` builds them for the call:
-every random-pattern schedule in one vectorized
-:func:`~repro.memory.patterns.random_rounds` pass, and one encode per
-code.  Adaptive profilers serve bootstrap/fallback rounds from it via
+failure draws) — the only way inputs reach either kernel.  One
+function builds them, :func:`cell_artifacts`: every random-pattern
+schedule in one vectorized :func:`~repro.memory.patterns.random_rounds`
+pass, and one encode per code.  ``simulate_cell`` calls it for the
+words it is given, unless the caller (the sweep, which reuses each word
+across cells) passes the artifacts it built the same way.  Adaptive
+profilers serve bootstrap/fallback rounds from them via
 ``Profiler.attach_standard_schedule``.  Within a run,
 repeated failure patterns memoize their decode consequences; crafted
 patterns memoize their charge masks as integer bitmasks in a
@@ -42,7 +43,7 @@ and ``tests/test_adaptive_caches.py`` pin that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,13 +51,14 @@ from repro.analysis.memo import code_caches
 from repro.ecc.linear_code import SystematicCode
 from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile, check_profile_positions
-from repro.memory.patterns import RandomPattern, make_pattern, random_rounds
+from repro.memory.patterns import DataPattern, RandomPattern, make_pattern, random_rounds
 from repro.profiling.base import Profiler, ReadMode
 from repro.utils.rng import derive_rng
 
 __all__ = [
     "WordArtifacts",
     "WordRunResult",
+    "cell_artifacts",
     "simulate_cell",
     "simulate_word",
     "simulate_words_batched",
@@ -119,8 +121,8 @@ def post_correction_data_errors_batch(
     Builds one indicator matrix over all patterns and resolves every
     syndrome through a single multi-RHS GF(2) product
     (:meth:`~repro.ecc.linear_code.SystematicCode.syndrome_ints_batch`,
-    which rides the packed ``gf2w`` kernel at scale) instead of
-    per-pattern column XORs.  Bit-identical to mapping the scalar helper.
+    which takes the popcount product at scale) instead of per-pattern
+    column XORs.  Bit-identical to mapping the scalar helper.
     """
     if not patterns:
         return []
@@ -426,7 +428,7 @@ def simulate_words_batched(
     run as compressed mismatch events
     (:meth:`~repro.profiling.base.Profiler.observe_many`), so cumulative
     sets materialize only at trace change points.  Bit-identical to
-    calling :func:`simulate_word` per word, on both GF(2) tiers —
+    calling :func:`simulate_word` per word, under both GF(2) products —
     property-tested in ``tests/test_batched_kernel.py`` and pinned at
     >=3x in ``benchmarks/bench_batched_words.py``.
 
@@ -473,10 +475,10 @@ def simulate_words_batched(
         return [WordRunResult([], [], []) for _ in range(count)]
 
     if artifacts is None:
-        artifacts = _cell_artifacts(
+        artifacts = cell_artifacts(
             [profiler.code for profiler in profilers],
             [profiler._pattern for profiler in profilers],
-            profiles,
+            [profile.count for profile in profiles],
             word_seeds,
             num_rounds,
         )
@@ -682,17 +684,24 @@ def simulate_words_batched(
     return results
 
 
-def _cell_artifacts(codes, patterns, profiles, word_seeds, num_rounds) -> list[WordArtifacts]:
-    """One-shot inputs: every schedule drawn up front, one encode per code.
+def cell_artifacts(
+    codes: Sequence[SystematicCode],
+    patterns: Sequence[DataPattern],
+    counts: Sequence[int],
+    word_seeds: Sequence[int],
+    num_rounds: int,
+) -> list[WordArtifacts]:
+    """Build every word's :class:`WordArtifacts`, the only way kernel inputs are made.
 
-    Word ``i``'s schedule is ``patterns[i]`` (a
-    :class:`~repro.memory.patterns.DataPattern`) materialized over
-    ``num_rounds`` rounds.  The random-pattern words of each ``k`` draw
-    in one :func:`~repro.memory.patterns.random_rounds` call, which only
-    pays off over many words at once; each code then encodes all its
-    words' schedules in one product.  Nothing is kept past the call; the
-    arrays are read-only because every profiler of a word reads the same
-    ones.
+    Word ``i``'s schedule is ``patterns[i]`` materialized over
+    ``num_rounds`` rounds, and its failure draws are ``(num_rounds,
+    counts[i])`` variates from ``word_seeds[i]``.  The random-pattern
+    words of each ``k`` draw in one
+    :func:`~repro.memory.patterns.random_rounds` call, which only pays
+    off over many words at once; each code then encodes all its words'
+    schedules in one product.  Every array is read-only, because every
+    profiler of a word — and every sweep cell that reuses it — reads the
+    same ones.
     """
     schedules: list[np.ndarray] = [None] * len(codes)  # type: ignore[list-item]
     random_words: dict[int, list[int]] = {}
@@ -714,7 +723,8 @@ def _cell_artifacts(codes, patterns, profiles, word_seeds, num_rounds) -> list[W
         encoded.setflags(write=False)
         for offset, index in enumerate(indices):
             rows = slice(offset * num_rounds, (offset + 1) * num_rounds)
-            draws = _failure_draws(word_seeds[index], num_rounds, profiles[index].count)
+            draws = _failure_draws(word_seeds[index], num_rounds, counts[index])
+            draws.setflags(write=False)
             artifacts[index] = WordArtifacts(stacked[rows], encoded[rows], draws)
     return artifacts
 
@@ -726,21 +736,21 @@ def simulate_cell(
     word_seeds: Sequence[int],
     num_rounds: int,
     pattern: str = "random",
-    word_artifacts: Callable[[int], WordArtifacts] | None = None,
+    artifacts: Sequence[WordArtifacts] | None = None,
 ) -> dict[str, list[WordRunResult]]:
     """Run every named profiler over the same words: the one entry point.
 
-    The only code that builds profilers, picks a kernel and materializes
-    schedules.  Word ``i`` is ``(codes[i], profiles[i], word_seeds[i])``;
-    its seed drives the failure draws and every profiler's ``pattern``, so
-    all profilers of a word share one schedule, encoding and draw matrix
-    (paper §7.1.2).  The profiler class alone picks the kernel:
-    non-adaptive ``batched`` classes take :func:`simulate_words_batched`,
-    the rest :func:`simulate_word`; both are bit-identical.  Callers
-    reusing words across calls pass ``word_artifacts(i)``, read once per
-    word; otherwise the inputs are built for this call alone, so a caller
-    gains most by passing all its words in one call.  Returns
-    ``{name: [run of each word]}``.
+    The only code that builds profilers and picks a kernel.  Word ``i``
+    is ``(codes[i], profiles[i], word_seeds[i])``; its seed drives the
+    failure draws and every profiler's ``pattern``, so all profilers of
+    a word share one schedule, encoding and draw matrix (paper §7.1.2).
+    The profiler class alone picks the kernel: non-adaptive ``batched``
+    classes take :func:`simulate_words_batched`, the rest
+    :func:`simulate_word`; both are bit-identical.  A caller reusing
+    words across calls (the sweep) passes their ``artifacts``, one per
+    word, built by :func:`cell_artifacts`; otherwise they are built for
+    this call alone, so a caller gains most by passing all its words in
+    one call.  Returns ``{name: [run of each word]}``.
     """
     from repro.profiling import PROFILER_REGISTRY  # the package imports this module
 
@@ -752,11 +762,16 @@ def simulate_cell(
     classes = {name: PROFILER_REGISTRY[name] for name in profiler_names}
     if not count or not classes:
         return {name: [] for name in classes}
-    if word_artifacts is not None:
-        artifacts = [word_artifacts(index) for index in range(count)]
-    else:
-        patterns = [make_pattern(pattern, seed) for seed in word_seeds]
-        artifacts = _cell_artifacts(codes, patterns, profiles, word_seeds, num_rounds)
+    if artifacts is None:
+        artifacts = cell_artifacts(
+            codes,
+            [make_pattern(pattern, seed) for seed in word_seeds],
+            [profile.count for profile in profiles],
+            word_seeds,
+            num_rounds,
+        )
+    elif len(artifacts) != count:
+        raise ValueError(f"cell length mismatch: {len(artifacts)} artifacts for {count} words")
 
     results: dict[str, list[WordRunResult]] = {}
     for name, cls in classes.items():

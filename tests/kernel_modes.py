@@ -1,4 +1,4 @@
-"""Pin the simulation kernel and the GF(2) tier from a test.
+"""Pin the simulation kernel and the GF(2) product kernel from a test.
 
 Dispatch reads only what the code can observe, so these helpers patch
 exactly that, for one test (pytest's ``monkeypatch`` undoes it):
@@ -7,11 +7,12 @@ exactly that, for one test (pytest's ``monkeypatch`` undoes it):
   cell-batched kernel when it declares ``batched`` (and not
   ``adaptive``); :func:`force_scalar_kernel` clears the flag on every
   registry class, so every profiler runs through ``simulate_word``;
-* the GF(2) tier: ``gf2`` takes the packed kernels once an operand
-  reaches ``_AUTO_PACKED_SIZE`` entries (elimination) or
-  ``_AUTO_PACKED_WORK`` multiply-accumulates (products);
-  :func:`force_gf2_tier` moves both thresholds to 0 (``packed``
-  everywhere) or past any operand (``unpacked`` everywhere).
+* the GF(2) product: ``gf2.matmul`` takes its popcount kernel once a
+  product reaches ``_AUTO_PACKED_WORK`` multiply-accumulates;
+  :func:`force_gf2_tier` moves that threshold to 0 (``packed``: the
+  popcount product everywhere) or past any operand (``unpacked``: the
+  int64 product everywhere).  Elimination has one kernel, so no mode
+  touches it.
 
 :func:`kernel_mode` names the combinations the suites pin results
 under; :data:`MODES` lists them.  Hypothesis tests, which cannot take
@@ -29,7 +30,7 @@ from repro.profiling import PROFILER_REGISTRY
 __all__ = ["MODES", "force_gf2_tier", "force_scalar_kernel", "kernel_mode"]
 
 #: ``auto`` (the code's own dispatch), every profiler on
-#: ``simulate_word``, and the packed GF(2) tier forced everywhere.
+#: ``simulate_word``, and the popcount GF(2) product forced everywhere.
 MODES = ("auto", "scalar", "packed")
 
 
@@ -40,9 +41,9 @@ def force_scalar_kernel(monkeypatch) -> None:
 
 
 def force_gf2_tier(monkeypatch, tier: str) -> None:
-    """Make ``gf2`` pick ``tier`` (``packed`` / ``unpacked``) for every operand."""
+    """Make ``gf2.matmul`` take the ``packed`` (popcount) or ``unpacked``
+    (int64) product for every operand."""
     threshold = {"packed": 0, "unpacked": math.inf}[tier]
-    monkeypatch.setattr(gf2, "_AUTO_PACKED_SIZE", threshold)
     monkeypatch.setattr(gf2, "_AUTO_PACKED_WORK", threshold)
 
 

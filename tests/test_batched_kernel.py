@@ -2,8 +2,8 @@
 
 The batched kernel (`simulate_words_batched`) must be indistinguishable
 from running the scalar reference (`simulate_word`) once per word: same
-identified/observed traces, same per-round failure patterns, on both
-GF(2) tiers, under any cell orientation, including degenerate words with
+identified/observed traces, same per-round failure patterns, under both
+GF(2) products, under any cell orientation, including degenerate words with
 no at-risk bits.  These tests pin that equivalence property-style over
 randomized rectangular cells, plus the dispatch rules (the `batched`
 profiler flag, adaptive and custom-schedule rejection) and the

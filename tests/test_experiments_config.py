@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.experiments.config import BENCH, FULL, UNIT, CaseStudyConfig, SweepConfig, scaled
+from repro.analysis.atrisk import MAX_AT_RISK_FOR_ENUMERATION
+from repro.experiments.config import (
+    BENCH,
+    FULL,
+    UNIT,
+    CaseStudyConfig,
+    FleetConfig,
+    SweepConfig,
+    scaled,
+)
 from repro.experiments.reporting import log_round_ticks, percent, profiler_order
 
 
@@ -26,6 +35,11 @@ class TestSweepConfig:
             SweepConfig(error_counts=(0,))
         with pytest.raises(ValueError):
             SweepConfig(probabilities=(0.0,))
+        with pytest.raises(ValueError, match="k must be positive"):
+            SweepConfig(k=0)
+        with pytest.raises(ValueError, match="enumeration bound"):
+            SweepConfig(error_counts=(2, MAX_AT_RISK_FOR_ENUMERATION + 1))
+        SweepConfig(error_counts=(MAX_AT_RISK_FOR_ENUMERATION,))
 
     def test_scaled(self):
         config = scaled(FULL, 0.1)
@@ -49,6 +63,20 @@ class TestCaseStudyConfig:
             CaseStudyConfig(rbers=(0.0,))
         with pytest.raises(ValueError):
             CaseStudyConfig(max_at_risk=1)
+        for scale in ("num_codes", "words_per_stratum", "num_rounds"):
+            with pytest.raises(ValueError, match="scale parameters must be positive"):
+                CaseStudyConfig(**{scale: 0})
+        with pytest.raises(ValueError, match="k must be positive"):
+            CaseStudyConfig(k=0)
+        with pytest.raises(ValueError, match="enumeration bound"):
+            CaseStudyConfig(max_at_risk=30)
+        CaseStudyConfig(max_at_risk=MAX_AT_RISK_FOR_ENUMERATION)
+
+
+class TestFleetConfig:
+    def test_validation(self):
+        with pytest.raises(ValueError, match="k must be positive"):
+            FleetConfig(k=0)
 
 
 class TestReporting:

@@ -10,7 +10,7 @@ Three contracts pin the fleet workload:
 2. **Determinism** — serial, process-pool, and socket backends produce
    bit-identical fleets, as does a fresh interpreter.
 3. **Sub-cell sharding** — a heavy chip's cell slices merge to exactly
-   the whole-cell result on both GF(2) tiers and both simulation
+   the whole-cell result under both GF(2) products and both simulation
    kernels, and a poisoned slice quarantines just its own chip and
    heals on a targeted resume.
 """

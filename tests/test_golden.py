@@ -18,8 +18,8 @@ first.
 
 Each digest must hold in three modes (``kernel_modes.MODES``): the
 code's own dispatch, every registry profiler on the scalar
-``simulate_word``, and the packed GF(2) tier forced for every operand.  Regenerate
-``golden/digests.json`` only on purpose::
+``simulate_word``, and the popcount GF(2) product forced for every
+product.  Regenerate ``golden/digests.json`` only on purpose::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 

@@ -8,6 +8,7 @@ of the library's decode semantics.
 import numpy as np
 import pytest
 
+from repro.analysis.atrisk import MAX_AT_RISK_FOR_ENUMERATION
 from repro.analysis.probabilities import (
     WordBerAnalyzer,
     charged_at_risk_bits,
@@ -73,6 +74,15 @@ class TestPerBitProbabilities:
         data = np.ones(code.k, dtype=np.uint8)
         for probability in per_bit_post_error_probabilities(code, profile, data).values():
             assert 0.0 <= probability <= 1.0
+
+    def test_enumeration_is_bounded(self, code):
+        """More charged at-risk bits than the bound are refused up front
+        instead of enumerating every failure subset."""
+        count = MAX_AT_RISK_FOR_ENUMERATION + 1
+        profile = WordErrorProfile(tuple(range(count)), (0.5,) * count)
+        data = np.ones(code.k, dtype=np.uint8)  # charges every data bit
+        with pytest.raises(ValueError, match="enumeration bound"):
+            per_bit_post_error_probabilities(code, profile, data)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_monte_carlo(self, code, seed):

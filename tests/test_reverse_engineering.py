@@ -1,5 +1,7 @@
 """Tests for the BEER-lite on-die ECC reverse-engineering module."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -115,27 +117,58 @@ def _per_plane_solve(engineer):
         return None
 
 
+def _columns(code):
+    """Each data column of ``code`` as a p-bit mask (bit t = plane t)."""
+    return (code.parity_submatrix.T.astype(np.int64) << np.arange(code.p)).sum(axis=1)
+
+
+def _noisy_random_system(seed):
+    """A random code's random constraints; the third-to-last one is noisy."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.choice([8, 16, 32, 64]))
+    code = random_sec_code(k, rng)
+    columns = _columns(code)
+    constraints = []
+    steps = k + 12
+    for step in range(steps):
+        terms = [int(t) for t in np.flatnonzero(rng.random(k) < 0.5)]
+        rhs = 0
+        for term in terms:
+            rhs ^= int(columns[term])
+        if step == steps - 3:
+            rhs ^= 1  # one noisy constraint: the system turns inconsistent
+        constraints.append((terms, rhs))
+    return code, constraints
+
+
+def _contradicted_system():
+    """A code pinned one column at a time, then a constraint contradicting
+    its top plane.  With that plane cleared the columns would still form
+    a valid SEC code, so only the consistency check can refuse it."""
+    columns = (0b10111, 0b11011, 0b11101, 0b11110)
+    code = SystematicCode(np.array([[(c >> t) & 1 for c in columns] for t in range(5)]))
+    constraints = [([term], column) for term, column in enumerate(columns)]
+    constraints.append(([0, 1], columns[0] ^ columns[1] ^ 0b10000))
+    return code, constraints
+
+
 class TestSolvePath:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_per_plane_reference_loop(self, seed):
+    @pytest.mark.parametrize(
+        "system",
+        [*(partial(_noisy_random_system, seed) for seed in range(6)), _contradicted_system],
+        ids=[*map(str, range(6)), "contradicted"],
+    )
+    def test_matches_per_plane_reference_loop(self, system):
         """One multi-plane elimination equals the per-plane loop at every
-        stage: underdetermined, pinned, and made inconsistent by noise."""
-        rng = np.random.default_rng(seed)
-        k = int(rng.choice([8, 16, 32, 64]))
-        code = random_sec_code(k, rng)
+        stage: underdetermined, pinned, and made inconsistent by a noisy
+        or contradictory constraint."""
+        code, constraints = system()
         engineer = EccReverseEngineer(code.k, code.p)
-        columns = (code.parity_submatrix.T.astype(np.int64) << np.arange(code.p)).sum(axis=1)
-        outcomes = set()
-        steps = k + 12
-        for step in range(steps):
-            terms = [int(t) for t in np.flatnonzero(rng.random(k) < 0.5)]
-            rhs = 0
-            for term in terms:
-                rhs ^= int(columns[term])
-            if step == steps - 3:
-                rhs ^= 1  # one noisy constraint: the system turns inconsistent
+        outcomes = []
+        for step, (terms, rhs) in enumerate(constraints):
             engineer._add_constraint(terms, rhs)
             solved = engineer.solve()
-            assert solved == _per_plane_solve(engineer), (seed, step)
-            outcomes.add(None if solved is None else solved == code)
-        assert outcomes == {None, True}
+            assert solved == _per_plane_solve(engineer), step
+            outcomes.append(None if solved is None else solved == code)
+        assert set(outcomes) == {None, True}
+        assert outcomes[-1] is None

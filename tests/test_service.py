@@ -146,6 +146,16 @@ class TestValidationAndAuth:
                 ({"kind": "sweep", "config": {"profilers": ["Nope"]}}, "unknown profiler"),
                 ({"kind": "sweep", "config": {"error_counts": [2.5]}}, "'error_counts'"),
                 ({"kind": "fleet", "config": {"pattern": "plaid"}}, "unknown data pattern"),
+                # Values of the right type that no experiment can run:
+                # empty samples, a blow-up past the enumeration bound,
+                # or a zero-width code.
+                ({"kind": "fig10", "config": {"num_codes": 0}}, "must be positive"),
+                ({"kind": "fig10", "config": {"words_per_stratum": 0}}, "must be positive"),
+                ({"kind": "fig10", "config": {"num_rounds": 0}}, "must be positive"),
+                ({"kind": "fig10", "config": {"max_at_risk": 30}}, "enumeration bound"),
+                ({"kind": "sweep", "config": {"error_counts": [17]}}, "enumeration bound"),
+                ({"kind": "sweep", "config": {"k": 0}}, "k must be positive"),
+                ({"kind": "fleet", "config": {"k": 0}}, "k must be positive"),
                 # Unhashable field values and bodies nested past the
                 # recursion limit, which used to escape as a 500.
                 ({"kind": ["sweep"]}, "kind must be one of"),

@@ -186,20 +186,14 @@ class TestSweepBitIdentity:
     def test_sweep_entries_match_engine_computations(self):
         entries = shared_memo.sweep_entries(self.CONFIG)
         kinds = {key[0] for key in entries}
-        assert kinds == {"swords", "sched", "enc", "draws", "pairs"}
-        # The published per-word arrays are exactly what the engine
-        # builds cold, for both kernels to read.
-        from repro.experiments.runner import _artifact_entries, _words_for
+        assert kinds == {"swords", "pairs"}
+        # The published word contexts are exactly what the engine samples
+        # cold; workers build each block's simulation arrays themselves.
+        from repro.experiments.runner import _words_for
 
-        words = [
-            ctx
-            for error_count in self.CONFIG.error_counts
-            for ctx in _words_for(self.CONFIG, error_count)
-        ]
         clear_engine_caches()
+        clear_analysis_caches()
         shared_memo.clear_shared_overlay()
-        for ctx in words:
-            rebuilt = _artifact_entries(self.CONFIG, ctx.code, ctx.word_seed, len(ctx.positions))
-            for key, (kind, value) in rebuilt.items():
-                assert kind == entries[key][0] == "array"
-                np.testing.assert_array_equal(entries[key][1], value)
+        for error_count in self.CONFIG.error_counts:
+            published = entries[("swords", self.CONFIG, error_count)]
+            assert published == ("pickle", _words_for(self.CONFIG, error_count))

@@ -4,10 +4,9 @@ One call mixing every registry profiler over a randomized cell must
 return, per profiler and word, exactly the traces of a fresh profiler run
 alone through the scalar reference (``simulate_word`` without
 precomputed artifacts) — under both simulation kernels.  The remaining
-tests pin the call contract: cross-call inputs are read once per word,
-and not at all when no profiler runs, and a one-shot call — a Fig 10,
-ext-heterogeneous or fleet shard — leaves the engine's per-word caches
-empty.
+tests pin the call contract: supplied artifacts give the same runs as
+freshly built ones, and a one-shot call — a Fig 10, ext-heterogeneous or
+fleet shard — leaves the engine's caches empty.
 """
 
 import pytest
@@ -81,24 +80,18 @@ def test_rejects_misaligned_words():
 
 
 @pytest.mark.parametrize("kernel", ["auto", "scalar"])
-def test_cross_call_inputs_are_read_once_and_only_when_needed(kernel, monkeypatch):
+def test_supplied_artifacts_match_fresh_ones(kernel, monkeypatch):
     kernel_mode(monkeypatch, kernel)
     codes, profiles, seeds = random_cell(5, num_words=6)
     fresh = simulate_cell(NAMES, codes, profiles, seeds, ROUNDS)
-    requested: list[int] = []
-
-    def word_artifacts(index):
-        requested.append(index)
-        schedule = make_pattern("random", seeds[index]).rounds(ROUNDS, codes[index].k)
-        draws = derive_rng(seeds[index], "failure-draws").random((ROUNDS, profiles[index].count))
-        return WordArtifacts(schedule, codes[index].encode(schedule), draws)
-
-    runs = simulate_cell(NAMES, codes, profiles, seeds, ROUNDS, word_artifacts=word_artifacts)
-    assert runs == fresh
-    assert requested == list(range(len(codes)))
-    requested.clear()
-    assert simulate_cell((), codes, profiles, seeds, ROUNDS, word_artifacts=word_artifacts) == {}
-    assert requested == []
+    artifacts = []
+    for code, profile, seed in zip(codes, profiles, seeds):
+        schedule = make_pattern("random", seed).rounds(ROUNDS, code.k)
+        draws = derive_rng(seed, "failure-draws").random((ROUNDS, profile.count))
+        artifacts.append(WordArtifacts(schedule, code.encode(schedule), draws))
+    assert simulate_cell(NAMES, codes, profiles, seeds, ROUNDS, artifacts=artifacts) == fresh
+    with pytest.raises(ValueError, match="length mismatch"):
+        simulate_cell(NAMES, codes, profiles, seeds, ROUNDS, artifacts=artifacts[1:])
 
 
 
@@ -114,10 +107,5 @@ def test_one_shot_drivers_leave_engine_caches_empty():
     )
     for shard in fleet.shard_fleet(population):
         fleet.run_fleet_shard(shard)
-    for cache in (
-        runner._words_for,
-        runner._schedule_for,
-        runner._encoded_schedule_for,
-        runner._draws_for,
-    ):
+    for cache in (runner._words_for, runner._block_artifacts):
         assert cache.cache_info().currsize == 0, cache.__name__

@@ -38,8 +38,9 @@ from repro.experiments.runner import (
     shard_grid,
 )
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
+from repro.memory.patterns import make_pattern
 from repro.profiling import PROFILER_REGISTRY
-from repro.profiling.runner import WordArtifacts, simulate_word
+from repro.profiling.runner import WordArtifacts, cell_artifacts, simulate_cell, simulate_word
 
 CONFIG = SweepConfig(
     num_codes=2,
@@ -283,11 +284,12 @@ class TestWordArtifacts:
 
     @pytest.mark.parametrize("profiler_name", sorted(PROFILER_REGISTRY))
     def test_artifacts_are_bit_identical(self, profiler_name):
-        from repro.experiments.runner import _artifacts_for, _words_for
+        from repro.experiments.runner import _block_artifacts, _words_for
 
         words = _words_for(CONFIG, 3)
+        block = _block_artifacts(CONFIG, 3)
         profiler_cls = PROFILER_REGISTRY[profiler_name]
-        for ctx in words[:2]:
+        for ctx, artifacts in zip(words[:2], block):
             profile = WordErrorProfile(ctx.positions, tuple(0.5 for _ in ctx.positions))
             plain = simulate_word(
                 profiler_cls(ctx.code, seed=ctx.word_seed), profile, 16, ctx.word_seed
@@ -297,11 +299,59 @@ class TestWordArtifacts:
                 profile,
                 16,
                 ctx.word_seed,
-                artifacts=_artifacts_for(CONFIG, ctx.code, ctx.word_seed, len(ctx.positions)),
+                artifacts=artifacts,
             )
             assert plain.identified_per_round == cached.identified_per_round
             assert plain.observed_per_round == cached.observed_per_round
             assert plain.failures_per_round == cached.failures_per_round
+
+    def test_block_artifacts_are_read_only_and_feed_both_kernels(self):
+        from repro.experiments.runner import _block_artifacts, _words_for
+
+        words = _words_for(CONFIG, 2)
+        block = _block_artifacts(CONFIG, 2)
+        assert len(block) == len(words)
+        for artifacts in block:
+            for array in (artifacts.schedule, artifacts.codewords, artifacts.draws):
+                assert not array.flags.writeable
+        cell = (
+            ("Naive", "BEEP"),  # the batched kernel and the scalar adaptive loop
+            [ctx.code for ctx in words],
+            [WordErrorProfile(ctx.positions, tuple(0.5 for _ in ctx.positions)) for ctx in words],
+            [ctx.word_seed for ctx in words],
+            CONFIG.num_rounds,
+        )
+        assert simulate_cell(*cell, artifacts=block) == simulate_cell(*cell)
+
+    def test_block_slices_match_their_own_builds(self):
+        """``run_shard`` hands each group a slice of the block; a slice must
+        be what building that group alone gives."""
+        from repro.experiments.runner import _block_artifacts, _words_for
+
+        words = _words_for(CONFIG, 3)
+        block = _block_artifacts(CONFIG, 3)
+        for group in (slice(0, 1), slice(1, 3), slice(2, None)):
+            rebuilt = cell_artifacts(
+                [ctx.code for ctx in words[group]],
+                [make_pattern(CONFIG.pattern, ctx.word_seed) for ctx in words[group]],
+                [len(ctx.positions) for ctx in words[group]],
+                [ctx.word_seed for ctx in words[group]],
+                CONFIG.num_rounds,
+            )
+            assert len(rebuilt) == len(block[group])
+            for fresh, cached in zip(rebuilt, block[group]):
+                np.testing.assert_array_equal(fresh.schedule, cached.schedule)
+                np.testing.assert_array_equal(fresh.codewords, cached.codewords)
+                np.testing.assert_array_equal(fresh.draws, cached.draws)
+
+    def test_one_block_is_cached_per_process(self):
+        from repro.experiments.runner import _block_artifacts
+
+        first = _block_artifacts(CONFIG, 2)
+        assert _block_artifacts(CONFIG, 2) is first
+        _block_artifacts(CONFIG, 3)
+        assert _block_artifacts.cache_info().currsize == 1
+        assert _block_artifacts(CONFIG, 2) is not first
 
     def test_mismatched_draw_shape_rejected(self):
         code = random_sec_code(16, np.random.default_rng(3))
