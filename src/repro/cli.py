@@ -65,10 +65,10 @@ Socket-fleet hardening (``--backend socket[://HOST:PORT]`` only; see
 * ``--heartbeat-timeout SECONDS`` requeues a chunk whose worker has
   been silent this long (workers heartbeat at a quarter of it;
   ``0`` disables the deadline and waits forever).
-* ``--status-port PORT`` serves a live one-line JSON status snapshot
-  of the running map (fleet, heartbeat ages, queue depth, chunk
-  progress, retries, quarantines); ``python -m repro status HOST:PORT``
-  renders it.
+* ``--status-port PORT`` serves a live JSON status snapshot of the
+  running map at ``GET /status`` (fleet, heartbeat ages, queue depth,
+  chunk progress, retries, quarantines); ``python -m repro status
+  HOST:PORT`` renders it, and so does ``curl``.
 * ``--continue-past-quarantine`` sets a chunk that exhausts its retry
   budget aside instead of aborting the campaign: the rest of the grid
   completes, an end-of-map auto-retry pass re-runs each quarantined
@@ -100,8 +100,9 @@ files ``--resume`` leaves behind, streaming record by record;
 ETA, grid dimensions) and any quarantined shards awaiting a re-run.
 
 The ``status`` subcommand (:mod:`repro.experiments.monitor`) reads one
-live snapshot from a campaign server started with ``--status-port``:
-``python -m repro status HOST:PORT`` (``--json`` for the raw snapshot).
+live snapshot from a campaign's ``--status-port`` or a ``repro serve``
+daemon's HTTP port: ``python -m repro status HOST:PORT`` (``--json``
+for the raw snapshot).
 
 A refused input (a corrupt or mismatched ``--resume`` store, an unknown
 ``--backend``, a malformed ``--connect`` address) ends in one
@@ -460,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhibit to regenerate ('all' runs every one; 'worker' joins "
         "a socket-backend server instead of rendering an exhibit; 'store' "
         "is the shard-store toolbox — see python -m repro store --help; "
-        "'status' reads a live --status-port snapshot — see "
+        "'status' reads a live --status-port or daemon snapshot — see "
         "python -m repro status --help; 'serve' runs the campaign daemon "
         "and 'jobs' is its HTTP client — see python -m repro serve --help "
         "and docs/service.md)",
@@ -567,10 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="PORT",
-        help="socket backend only: serve a live one-line JSON status "
-        "snapshot of the running map (fleet, heartbeat ages, queue depth, "
-        "chunk progress, retries, quarantines) on this TCP port; read it "
-        "with python -m repro status HOST:PORT",
+        help="socket backend only: serve a live JSON status snapshot of "
+        "the running map (fleet, heartbeat ages, queue depth, chunk "
+        "progress, retries, quarantines) at GET /status on this TCP port; "
+        "read it with python -m repro status HOST:PORT or curl",
     )
     parser.add_argument(
         "--continue-past-quarantine",

@@ -49,11 +49,6 @@ class OperationReport:
     #: software-visible corruption).
     escapes: dict[int, set[int]] = field(default_factory=dict)
 
-    @property
-    def escape_ber(self) -> float:
-        """Escaped bit errors per read (unnormalized BER proxy)."""
-        return self.escaped_bit_errors / self.reads if self.reads else 0.0
-
 
 class MemorySystem:
     """A memory controller driving one chip with on-die ECC.

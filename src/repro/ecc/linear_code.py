@@ -117,11 +117,6 @@ class SystematicCode:
         """Codeword positions holding systematically-encoded data bits."""
         return range(self.k)
 
-    @property
-    def parity_positions(self) -> range:
-        """Codeword positions holding parity-check bits."""
-        return range(self.k, self.n)
-
     def column(self, position: int) -> np.ndarray:
         """Column of ``H`` for a codeword position."""
         return self.parity_check_matrix[:, position]

@@ -175,10 +175,6 @@ class EccReverseEngineer:
         except ValueError:
             return None
 
-    @property
-    def num_constraints(self) -> int:
-        return len(self._rows)
-
 
 def simulate_injection(code: SystematicCode) -> Injector:
     """White-box injector backed by the exact decode semantics.

@@ -84,11 +84,11 @@ server carries operational safeguards on top of the base protocol (see
   (:attr:`ExecutionBackend.quarantined_shards`), which the drivers
   report (and record in a ``--resume`` store) for a targeted re-run.
 * **Status port** — ``status_port=PORT`` (CLI ``--status-port``)
-  serves a live one-line JSON snapshot of the server — fleet size,
-  per-worker heartbeat age and in-flight chunk, queue depth,
-  completed/total chunks, retry and quarantine counts — through
-  :class:`~repro.experiments.monitor.StatusServer`; read it with
-  ``python -m repro status HOST:PORT`` (see ``docs/operations.md``).
+  serves a live JSON snapshot of the server — fleet size, per-worker
+  heartbeat age and in-flight chunk, queue depth, completed/total
+  chunks, retry and quarantine counts — over HTTP, not frames, at
+  ``GET /status`` (:class:`~repro.experiments.service.StatusHandler`);
+  read it with ``python -m repro status HOST:PORT`` or ``curl``.
 
 Wire format (``repro-wire-v1``)
 ===============================
@@ -131,11 +131,6 @@ duplicated or replayed frames are dropped by their stale sequence
 numbers; only structural stream damage (bad magic, absurd lengths)
 drops the connection — and then the in-flight chunk requeues and the
 worker's linger loop reconnects.
-
-The **status port** is a different protocol entirely — line-delimited
-JSON, one ``repro-status-v2`` snapshot per connection, schema in
-:mod:`repro.experiments.monitor` — so operators can poll it with
-``curl``/``nc`` without speaking the work protocol.
 
 Security note: the only code reference a frame can carry is a
 module-level *name* (resolved by import, never pickle construction),
@@ -917,12 +912,12 @@ class WorkServer:
         self._listener = listener
         self.address = listener.getsockname()[:2]
         if self.status_port is not None:
-            from repro.experiments.monitor import StatusServer
+            from repro.experiments.service import StatusHandler, serve_http
 
-            self._status_server = StatusServer(
-                (self.bind_host, self.status_port), self.snapshot
-            ).start()
-            self.status_address = self._status_server.address
+            self._status_server = serve_http(
+                (self.bind_host, self.status_port), StatusHandler, snapshot=self.snapshot
+            )
+            self.status_address = self._status_server.server_address[:2]
         self._acceptor = threading.Thread(
             target=self._accept_loop, name="repro-workserver-accept", daemon=True
         )
@@ -988,7 +983,8 @@ class WorkServer:
         if self._listener is not None:
             self._listener.close()
         if self._status_server is not None:
-            self._status_server.close()
+            self._status_server.shutdown()
+            self._status_server.server_close()
             self._status_server = None
         if self._acceptor is not None:
             self._acceptor.join(timeout=5)
@@ -1134,7 +1130,7 @@ class WorkServer:
     # -- status ---------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Assemble the repro-status-v2 snapshot (status port / HTTP)."""
+        """Assemble the repro-status-v2 snapshot served at ``GET /status``."""
         with self._condition:
             now = time.monotonic()
             maps = list(self._maps.values())
@@ -1574,11 +1570,11 @@ class SocketBackend(_FleetFacade):
             targeted re-run; the ones that succeeded alone land on
             :attr:`healed_shards` (their results are yielded normally).
             Bit-identical for every shard that does execute.
-        status_port: serve a live ``repro-status-v2`` JSON snapshot of
-            the running map on this TCP port (bound on the same host as
-            the work port; ``0`` picks an ephemeral port, resolved as
-            :attr:`status_address` while a map runs); ``None`` disables
-            the status server entirely.
+        status_port: serve a live ``repro-status-v2`` snapshot of the
+            running map at ``GET /status`` on this TCP port (bound on
+            the same host as the work port; ``0`` picks an ephemeral
+            port, resolved as :attr:`status_address` while a map runs);
+            ``None`` disables the status server entirely.
         max_buffered_chunks: backpressure bound — pause dispatching new
             chunks while this many completed chunks sit unconsumed by a
             slow consumer (a stalled store disk, a saturated pipe).

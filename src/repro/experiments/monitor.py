@@ -8,11 +8,12 @@ campaign is being watched.
 
 Three instruments, one per operational question:
 
-* "Is the fleet alive?" — :class:`StatusServer` serves the live
-  snapshot a :class:`~repro.experiments.backends.WorkServer` assembles
-  when constructed with ``status_port=`` (CLI ``--status-port``, or
-  ``repro serve --status-port``); :func:`read_status` / ``python -m
-  repro status HOST:PORT`` fetch and :func:`render_status` renders it.
+* "Is the fleet alive?" — a :class:`~repro.experiments.backends.WorkServer`
+  constructed with ``status_port=`` (CLI ``--status-port``) serves its
+  live snapshot at ``GET /status``, and the ``repro serve`` daemon
+  serves the same snapshot with its job counts on its HTTP port;
+  :func:`read_status` / ``python -m repro status HOST:PORT`` fetch
+  either, and :func:`render_status` renders it.
 * "How far along is the grid?" — :class:`ProgressReporter` prints
   periodic stderr progress/ETA lines from inside every driver's
   campaign loop (:func:`~repro.experiments.campaign.run_campaign`, CLI
@@ -23,13 +24,12 @@ Three instruments, one per operational question:
   the shard keys a ``--continue-past-quarantine`` run set aside, with
   the targeted re-run recipe.
 
-Status wire format (``repro-status-v2``)
-========================================
+Status snapshot (``repro-status-v2``)
+=====================================
 
-The status port speaks line-delimited JSON, not the frame protocol of
-the work port: one connection, one snapshot line, close.  Any client
-works (``python -m repro status``, ``curl``, ``nc``).  The snapshot is
-a single JSON object:
+A ``--status-port`` and the daemon's HTTP port both answer ``GET
+/status`` with this JSON object (:class:`~repro.experiments.service.StatusHandler`);
+any HTTP client reads it (``python -m repro status``, ``curl``):
 
 .. code-block:: json
 
@@ -87,6 +87,9 @@ field                     meaning
 ``maps``                  ``{"active", "opened"}`` concurrent-map
                           counters (a ``--backend socket`` server hosts
                           one map)
+``jobs``                  the daemon's job count per state (``queued``,
+                          ``running``, ``done``, ``failed``,
+                          ``cancelled``); absent on a ``--status-port``
 ========================  ==============================================
 
 Optional fields are additive: clients must tolerate their absence
@@ -100,9 +103,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import socket
 import sys
-import threading
 import time
 from collections import deque
 from collections.abc import Mapping
@@ -112,7 +113,6 @@ __all__ = [
     "STATUS_FORMAT",
     "HISTORY_SAMPLES",
     "ThroughputHistory",
-    "StatusServer",
     "read_status",
     "render_status",
     "build_status_parser",
@@ -125,7 +125,7 @@ __all__ = [
     "quarantine_report",
 ]
 
-#: Format tag of the one-line JSON status snapshot.
+#: Format tag of the JSON status snapshot.
 STATUS_FORMAT = "repro-status-v2"
 
 #: Ring-buffer depth of the throughput history (one sample per second
@@ -382,117 +382,24 @@ def quarantine_report(keys: Iterable, unit: str = "shard") -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Status protocol: one line-delimited JSON snapshot per connection
-# ----------------------------------------------------------------------
-
-
-class StatusServer:
-    """Serve one JSON status line per TCP connection (curl/nc friendly).
-
-    ``snapshot`` is called per connection and must return a JSON-safe
-    dict (the :data:`STATUS_FORMAT` schema in the module docstring);
-    :class:`~repro.experiments.backends.WorkServer` passes its
-    ``snapshot`` method, which assembles the snapshot under its lock.  The server accepts
-    on a daemon thread, binds eagerly in ``__init__`` (so a taken port
-    fails fast, before any campaign work starts), and resolves port
-    ``0`` to an ephemeral port exposed as :attr:`address`.
-    """
-
-    def __init__(self, bind: tuple[str, int], snapshot: Callable[[], dict]) -> None:
-        host, port = bind
-        self._snapshot = snapshot
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._listener.bind((host, port))
-            self._listener.listen()
-        except OSError:
-            self._listener.close()
-            raise
-        #: Resolved ``(host, port)`` of the live status listener.
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._done = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, name="repro-status", daemon=True
-        )
-
-    def start(self) -> "StatusServer":
-        self._thread.start()
-        return self
-
-    def _serve(self) -> None:
-        self._listener.settimeout(0.1)
-        while not self._done.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with conn:
-                try:
-                    # Slow-consumer shedding: a stalled client (full
-                    # receive buffer, half-open connection) must not
-                    # wedge the status thread — drop it and serve the
-                    # next poll instead.
-                    conn.settimeout(5.0)
-                    payload = json.dumps(self._snapshot())
-                    conn.sendall(payload.encode("utf-8") + b"\n")
-                except OSError:
-                    pass  # client went away or stalled; next poll will work
-
-    def close(self) -> None:
-        self._done.set()
-        self._listener.close()
-        if self._thread.ident is not None:
-            self._thread.join(timeout=5)
-
-
 def read_status(address: str | tuple[str, int], timeout: float = 5.0) -> dict:
-    """Fetch one status snapshot from a ``--status-port`` server.
+    """``GET /status`` from a ``--status-port`` or a daemon's HTTP port.
 
-    ``address`` is ``HOST:PORT`` (or a ``(host, port)`` tuple).  Raises
-    ``OSError`` when nothing listens there and ``ValueError`` when the
-    peer speaks something other than :data:`STATUS_FORMAT` — pointing
-    this at the *work* port is the classic mistake, and must not hang.
+    ``address`` is ``HOST:PORT`` or a ``(host, port)`` tuple.  Raises
+    ``OSError`` when nothing answers and ``ValueError`` on anything but
+    a :data:`STATUS_FORMAT` snapshot.  The *work* port, the classic
+    mistake, drops the request at once, so that fails fast too.
     """
-    if isinstance(address, str):
-        from repro.experiments.backends import parse_address
+    from repro.experiments.backends import parse_address
+    from repro.experiments.service import _http_json
 
-        host, port = parse_address(address)
-    else:
-        host, port = address
-    chunks: list[bytes] = []
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        while True:
-            try:
-                data = sock.recv(1 << 16)
-            except socket.timeout:
-                break
-            if not data:
-                break
-            chunks.append(data)
-            if data.endswith(b"\n"):
-                break
-    raw = b"".join(chunks).strip()
-    if not raw:
+    host, port = parse_address(address) if isinstance(address, str) else address
+    url = f"http://{host}:{port}/status"
+    code, snapshot = _http_json("GET", url, timeout=timeout)
+    found = snapshot.get("format") if isinstance(snapshot, dict) else None
+    if code != 200 or found != STATUS_FORMAT:
         raise ValueError(
-            f"no status line from {host}:{port} (is that really a --status-port, "
-            "not the work port?)"
-        )
-    try:
-        snapshot = json.loads(raw.decode("utf-8", errors="replace"))
-    except (ValueError, RecursionError):
-        raise ValueError(
-            f"{host}:{port} did not answer with a JSON status line (is that "
-            "really a --status-port, not the work port?)"
-        ) from None
-    if not isinstance(snapshot, dict) or snapshot.get("format") != STATUS_FORMAT:
-        raise ValueError(
-            f"{host}:{port} answered with an unknown status format "
-            f"{snapshot.get('format') if isinstance(snapshot, dict) else snapshot!r} "
+            f"{url} answered {code} with an unknown status format {found!r} "
             f"(expected {STATUS_FORMAT})"
         )
     return snapshot
@@ -537,6 +444,9 @@ def render_status(snapshot: dict) -> str:
     if chunks.get("deferred"):
         chunk_line += f" · {chunks['deferred']} deferred for auto-retry"
     lines.append(chunk_line)
+    if snapshot.get("jobs"):
+        counts = " · ".join(f"{count} {state}" for state, count in snapshot["jobs"].items())
+        lines.append(f"jobs     {counts}")
     maps = snapshot.get("maps") or {}
     if maps.get("opened"):
         lines.append(
@@ -574,10 +484,13 @@ def render_status(snapshot: dict) -> str:
 def build_status_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro status",
-        description="Read one live status snapshot from a campaign server "
-        "started with --status-port, and render it for operators.",
+        description="Read one live status snapshot (GET /status) from a "
+        "campaign's --status-port or a repro serve daemon, and render it for "
+        "operators.",
     )
-    parser.add_argument("address", help="HOST:PORT of the server's --status-port")
+    parser.add_argument(
+        "address", help="HOST:PORT of a --status-port or of a daemon's HTTP port"
+    )
     parser.add_argument(
         "--timeout",
         type=float,

@@ -161,10 +161,6 @@ class SweepResult:
     def cell(self, error_count: int, probability: float, profiler: str) -> SweepCell:
         return self.cells[(error_count, probability, profiler)]
 
-    def total_cell_seconds(self) -> float:
-        """Sum of per-cell timings (CPU-side cost, excludes pool overhead)."""
-        return sum(self.timings.values())
-
 
 def metrics_for_run(
     run: WordRunResult,

@@ -68,7 +68,7 @@ from repro.experiments.backends import (
     SharedFleetBackend,
     WorkServer,
 )
-from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
+from repro.experiments.config import FleetConfig, SweepConfig
 from repro.experiments.monitor import (
     estimate_eta,
     format_grid,
@@ -91,6 +91,8 @@ __all__ = [
     "JobScheduler",
     "parse_job_spec",
     "job_config",
+    "job_bit_rounds",
+    "MAX_JOB_BIT_ROUNDS",
 ]
 
 #: Every state a job record may carry, in lifecycle order.
@@ -102,6 +104,12 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: equivalent command line means — the root of the service's
 #: bit-identity guarantee.
 _KIND_SCALES: dict[str, dict] = {}
+
+#: The daemon's work budget: the most simulated bit-rounds one job may
+#: ask for (:func:`job_bit_rounds`).  Every CLI scale preset fits; the
+#: largest, the paper fleet, needs 163,840,000 word-rounds at k = 32,
+#: about 5.2e9.  Library and CLI calls are not bounded.
+MAX_JOB_BIT_ROUNDS = 10**10
 
 #: Sweep-backed exhibit renderers a sweep job may request.
 _SWEEP_EXHIBITS = {"fig6": fig6, "fig7": fig7, "fig8": fig8, "fig9": fig9}
@@ -138,7 +146,8 @@ def parse_job_spec(spec) -> dict:
     :class:`~repro.experiments.config.CaseStudyConfig` /
     :class:`~repro.experiments.config.FleetConfig`; unknown fields,
     mistyped or invalid values and unknown profiler or pattern names are
-    rejected (:func:`job_config`).
+    rejected (:func:`job_config`), and so is a job past the work budget
+    (:data:`MAX_JOB_BIT_ROUNDS`).
     Raises :class:`JobSpecError` on any problem — the service maps it
     to a 400 with the reason, never a traceback.
     """
@@ -171,8 +180,37 @@ def parse_job_spec(spec) -> dict:
     normalized = {"kind": kind, "scale": scale, "config": dict(overrides)}
     if exhibit is not None:
         normalized["exhibit"] = exhibit
-    job_config(normalized)  # constructs the dataclass: full validation
+    # Constructing the dataclass is the full validation.
+    bit_rounds = job_bit_rounds(job_config(normalized))
+    if bit_rounds > MAX_JOB_BIT_ROUNDS:
+        raise JobSpecError(
+            f"job needs {bit_rounds:,} simulated bit-rounds (words x rounds x k), "
+            f"past the daemon's work budget of {MAX_JOB_BIT_ROUNDS:,}; "
+            "run it through the CLI or the library instead"
+        )
     return normalized
+
+
+def job_bit_rounds(config) -> int:
+    """Simulated bit-rounds a job config asks for: words x rounds x k.
+
+    A sweep simulates every word of every cell once per profiler, the
+    case study every word of every stratum; a fleet's profiled words
+    are bounded by all the words of all its chips.
+    """
+    if isinstance(config, FleetConfig):
+        words = config.num_chips * config.rows * config.words_per_row
+    elif isinstance(config, SweepConfig):
+        words = (
+            config.num_codes * config.words_per_code * len(config.error_counts)
+            * len(config.probabilities) * len(config.profilers)
+        )
+    else:  # CaseStudyConfig
+        words = (
+            config.num_codes * config.words_per_stratum * (config.max_at_risk - 1)
+            * len(config.probabilities) * len(config.profilers)
+        )
+    return words * config.num_rounds * config.k
 
 
 def job_config(spec: dict):

@@ -6,7 +6,10 @@ the persistent alternative: a daemon that owns one shared worker fleet
 campaign jobs over an HTTP/JSON API, and multiplexes the running jobs
 over that fleet with round-robin chunk fairness.  The job state
 machine, durability, and crash healing live in
-:mod:`repro.experiments.scheduler`; this module is only the wire.
+:mod:`repro.experiments.scheduler`; this module is only the wire, and
+the package's one HTTP surface: :class:`StatusHandler` also serves a
+CLI campaign's ``--status-port``, and :func:`_http_json` is the one
+client, behind both ``repro jobs`` and ``repro status``.
 
 HTTP API (all JSON)
 ===================
@@ -15,7 +18,8 @@ HTTP API (all JSON)
 ``POST /jobs``           submit a job spec (see
                          :func:`~repro.experiments.scheduler.parse_job_spec`);
                          201 with the job record, 400 with a reason on
-                         a bad spec — never a traceback
+                         a bad spec or one past the work budget —
+                         never a traceback
 ``GET /jobs``            every known job, oldest first
 ``GET /jobs/ID``         one job, with live ``coverage`` and
                          ``eta_seconds`` while it runs
@@ -25,8 +29,13 @@ HTTP API (all JSON)
                          job state until it is ``done``
 ``GET /status``          the fleet's ``repro-status-v2`` snapshot
                          (throughput-history ring buffer included)
-                         plus per-state job counts
+                         plus per-state job counts; ``python -m repro
+                         status HOST:PORT`` renders it
 =======================  =============================================
+
+A ``--status-port`` answers ``GET /status`` alone.  Every reply is
+JSON, errors included; another method gets a 405, and a reply that
+leaves a request body unread closes the connection.
 
 When the daemon holds an auth token (``--auth-token`` or
 ``REPRO_AUTH_TOKEN``; an empty one refuses to start), the same secret
@@ -41,6 +50,7 @@ and restart-recovery drills).
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import signal
 import sys
@@ -51,6 +61,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.experiments.backends import (
     AUTH_TOKEN_ENV,
+    DEFAULT_HEARTBEAT_TIMEOUT,
     WorkServer,
     _tokens_match,
     resolve_auth_token,
@@ -59,6 +70,8 @@ from repro.experiments.scheduler import JobScheduler, JobSpecError
 
 __all__ = [
     "CampaignService",
+    "StatusHandler",
+    "serve_http",
     "build_serve_parser",
     "serve_main",
     "build_jobs_parser",
@@ -75,13 +88,101 @@ AUTH_HEADER = "X-Auth-Token"
 MAX_BODY_BYTES = 1 << 20
 
 #: Seconds a connection may stall mid-request (or idle between requests)
-#: before the daemon closes it, so a client that under-delivers its
+#: before the server closes it, so a client that under-delivers its
 #: ``Content-Length`` cannot park a handler thread.
 REQUEST_TIMEOUT = 5.0
 
 
 class _BodyTooLarge(JobSpecError):
     """The declared body exceeds :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
+
+class StatusHandler(BaseHTTPRequestHandler):
+    """Answer ``GET /status`` (and ``/``) with ``server.snapshot()``.
+
+    The server object carries ``snapshot``: a ``WorkServer``'s, or
+    :meth:`CampaignService.status`.  Subclasses add routes by extending
+    :meth:`_get` and :attr:`methods`.
+    """
+
+    protocol_version = "HTTP/1.1"
+    #: Service identity in responses; fixed so tests can pin the API.
+    server_version = "repro-serve/1"
+    #: Socket timeout of every request (see :data:`REQUEST_TIMEOUT`).
+    timeout = REQUEST_TIMEOUT
+    #: Methods with routes; any other gets a 405 naming these.
+    methods: tuple[str, ...] = ("GET",)
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        pass  # a polled status port must not flood the campaign's stderr
+
+    def parse_request(self) -> bool:
+        self.body_read = False
+        if not super().parse_request():
+            return False
+        if self.command in self.methods:
+            return True
+        self.send_error(405, f"method {self.command} is not allowed here")
+        return False
+
+    def send_error(self, code: int, message: str | None = None, explain=None) -> None:
+        # The stdlib's own refusals would be HTML pages.
+        self.close_connection = True
+        self._reply(code, {"error": message or self.responses.get(code, ("error",))[0]})
+
+    def _reply(self, code: int, payload: dict) -> None:
+        body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        if code == 405:
+            self.send_header("Allow", ", ".join(self.methods))
+        if self.close_connection or not self.body_read and (
+            self.headers.get("Content-Length", "0") != "0"
+            or "Transfer-Encoding" in self.headers
+        ):
+            # An unread body would be parsed as the next request.
+            self.send_header("Connection", "close")
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self._answer(self._get)
+
+    def _get(self, path: str) -> tuple[int, dict]:
+        if path in ("", "/status"):
+            return 200, self.server.snapshot()
+        return 404, {"error": f"unknown endpoint {self.path!r}"}
+
+    def _answer(self, route) -> None:
+        try:
+            code, payload = route(self.path.rstrip("/"))
+        except TimeoutError:
+            # A body that stalls past REQUEST_TIMEOUT: no reply can be
+            # framed, so let the server drop the connection.
+            raise
+        except Exception as error:  # noqa: BLE001 - HTTP boundary
+            code, payload = 500, {"error": f"{type(error).__name__}: {error}"}
+        self._reply(code, payload)
+
+
+def serve_http(
+    bind: tuple[str, int], handler: type[StatusHandler], **state
+) -> ThreadingHTTPServer:
+    """Serve ``handler`` at ``bind`` from a daemon thread.
+
+    ``state`` lands on the server object for the handlers to read.  A
+    taken port fails here, before any campaign work starts; port ``0``
+    resolves in ``server_address``.  Stop with ``shutdown()`` and
+    ``server_close()``.
+    """
+    server = ThreadingHTTPServer(bind, handler)
+    vars(server).update(state)
+    threading.Thread(
+        target=server.serve_forever, name=f"repro-{handler.__name__}", daemon=True
+    ).start()
+    return server
 
 
 class CampaignService:
@@ -97,12 +198,9 @@ class CampaignService:
         auth_token: str | None = None,
         workers_expected: int = 0,
         heartbeat_timeout: float | None = None,
-        status_port: int | None = None,
         max_concurrent: int = 4,
         worker_linger: float = 5.0,
     ) -> None:
-        from repro.experiments.backends import DEFAULT_HEARTBEAT_TIMEOUT
-
         self.host = host
         self.auth_token = auth_token
         self.fleet = WorkServer(
@@ -115,51 +213,34 @@ class CampaignService:
                 if heartbeat_timeout is None
                 else heartbeat_timeout
             ),
-            status_port=status_port,
             worker_linger=worker_linger,
         )
         self.scheduler = JobScheduler(self.fleet, state_dir, max_concurrent)
         self._http_port = http_port
         self._httpd: ThreadingHTTPServer | None = None
-        self._http_thread: threading.Thread | None = None
+        #: Resolved ``(host, port)`` of the live HTTP API.
+        self.http_address: tuple[str, int] | None = None
         #: Jobs crash recovery re-enqueued on this start (logged once).
         self.healed_jobs: list[str] = []
 
     # -- lifecycle ------------------------------------------------------
 
-    @property
-    def http_address(self) -> tuple[str, int] | None:
-        if self._httpd is None:
-            return None
-        return self._httpd.server_address[:2]
-
     def start(self) -> "CampaignService":
         self.fleet.start()
         self.healed_jobs = [job.id for job in self.scheduler.recover()]
         self.scheduler.start()
-        service = self
-
-        class Handler(_ServiceHandler):
-            pass
-
-        Handler.service = service
-        self._httpd = ThreadingHTTPServer((self.host, self._http_port), Handler)
-        self._httpd.daemon_threads = True
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-serve-http",
-            daemon=True,
+        self._httpd = serve_http(
+            (self.host, self._http_port), _ServiceHandler,
+            snapshot=self.status, service=self,
         )
-        self._http_thread.start()
+        self.http_address = self._httpd.server_address[:2]
         return self
 
     def close(self) -> None:
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
-            self._httpd = None
-        if self._http_thread is not None and self._http_thread.ident is not None:
-            self._http_thread.join(timeout=5)
+            self._httpd = self.http_address = None
         self.scheduler.close()
         self.fleet.close()
 
@@ -172,53 +253,34 @@ class CampaignService:
         return snapshot
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the owning :class:`CampaignService`."""
+class _ServiceHandler(StatusHandler):
+    """The status route plus the job API of the server's ``service``."""
 
-    service: CampaignService  # injected per daemon by start()
-    protocol_version = "HTTP/1.1"
-    #: Service identity in responses; fixed so tests can pin the API.
-    server_version = "repro-serve/1"
-    #: Socket timeout of every request (see :data:`REQUEST_TIMEOUT`).
-    timeout = REQUEST_TIMEOUT
-
-    # -- plumbing -------------------------------------------------------
+    methods = ("GET", "POST")
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         # One concise access line on stderr; the default BaseHTTPServer
         # format includes client address which is noise on loopback.
         print(f"repro serve: {format % args}", file=sys.stderr)
 
-    def _reply(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _authorized(self) -> bool:
-        token = self.service.auth_token
-        return token is None or _tokens_match(self.headers.get(AUTH_HEADER), token)
-
     def _read_json(self):
+        if "Transfer-Encoding" in self.headers:
+            raise JobSpecError("chunked request bodies are not supported; send Content-Length")
         declared = self.headers.get("Content-Length") or "0"
         try:
             length = int(declared)
         except ValueError:
             length = -1
-        # A rejected body is never read, so the connection cannot be reused.
         if length < 0:
-            self.close_connection = True
             raise JobSpecError(
                 f"Content-Length must be a non-negative integer, got {declared!r}"
             )
         if length > MAX_BODY_BYTES:
-            self.close_connection = True
             raise _BodyTooLarge(
                 f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
             )
         raw = self.rfile.read(length) if length else b""
+        self.body_read = True
         if not raw:
             raise JobSpecError("request body must be a JSON object")
         try:
@@ -228,91 +290,56 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # -- routes ---------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        try:
-            path = self.path.rstrip("/")
-            if path in ("", "/status"):
-                self._reply(200, self.service.status())
-                return
-            if path == "/jobs":
-                self._reply(
-                    200,
-                    {"jobs": [job.describe() for job in self.service.scheduler.list()]},
-                )
-                return
-            parts = path.strip("/").split("/")
-            if len(parts) == 2 and parts[0] == "jobs":
-                job = self.service.scheduler.get(parts[1])
-                if job is None:
-                    self._reply(404, {"error": f"no such job {parts[1]!r}"})
-                    return
-                self._reply(200, job.describe())
-                return
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-                job = self.service.scheduler.get(parts[1])
-                if job is None:
-                    self._reply(404, {"error": f"no such job {parts[1]!r}"})
-                    return
-                if job.state != "done":
-                    detail = {"error": f"job {job.id} is {job.state}, not done",
-                              "state": job.state}
-                    if job.error:
-                        detail["reason"] = job.error
-                    self._reply(409, detail)
-                    return
-                result = self.service.scheduler.result(job.id)
-                if result is None:  # pragma: no cover - done implies persisted
-                    self._reply(500, {"error": "result file missing"})
-                    return
-                self._reply(200, result)
-                return
-            self._reply(404, {"error": f"unknown endpoint {self.path!r}"})
-        except Exception as error:  # noqa: BLE001 - HTTP boundary
-            self._reply(500, {"error": f"{type(error).__name__}: {error}"})
+    def _get(self, path: str) -> tuple[int, dict]:
+        scheduler = self.server.service.scheduler
+        if path == "/jobs":
+            return 200, {"jobs": [job.describe() for job in scheduler.list()]}
+        parts = path.strip("/").split("/")
+        if len(parts) not in (2, 3) or parts[0] != "jobs" or parts[2:] not in ([], ["result"]):
+            return super()._get(path)
+        job = scheduler.get(parts[1])
+        if job is None:
+            return 404, {"error": f"no such job {parts[1]!r}"}
+        if len(parts) == 2:
+            return 200, job.describe()
+        if job.state != "done":
+            detail = {"error": f"job {job.id} is {job.state}, not done", "state": job.state}
+            if job.error:
+                detail["reason"] = job.error
+            return 409, detail
+        result = scheduler.result(job.id)
+        if result is None:  # pragma: no cover - done implies persisted
+            return 500, {"error": "result file missing"}
+        return 200, result
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        try:
-            if not self._authorized():
-                self._reply(
-                    401,
-                    {"error": f"missing or wrong {AUTH_HEADER} header "
-                              "(this daemon runs with an auth token)"},
-                )
-                return
-            path = self.path.rstrip("/")
-            if path == "/jobs":
-                try:
-                    spec = self._read_json()
-                    job = self.service.scheduler.submit(spec)
-                except JobSpecError as error:
-                    code = 413 if isinstance(error, _BodyTooLarge) else 400
-                    self._reply(code, {"error": str(error)})
-                    return
-                self._reply(201, job.describe())
-                return
-            parts = path.strip("/").split("/")
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-                job = self.service.scheduler.get(parts[1])
-                if job is None:
-                    self._reply(404, {"error": f"no such job {parts[1]!r}"})
-                    return
-                if job.state in ("done", "failed", "cancelled"):
-                    self._reply(
-                        409,
-                        {"error": f"job {job.id} is already {job.state}",
-                         "state": job.state},
-                    )
-                    return
-                self.service.scheduler.cancel(job.id)
-                self._reply(200, job.describe())
-                return
-            self._reply(404, {"error": f"unknown endpoint {self.path!r}"})
-        except TimeoutError:
-            # A body that stalls past REQUEST_TIMEOUT: no reply can be
-            # framed, so let the server drop the connection.
-            raise
-        except Exception as error:  # noqa: BLE001 - HTTP boundary
-            self._reply(500, {"error": f"{type(error).__name__}: {error}"})
+        self._answer(self._post)
+
+    def _post(self, path: str) -> tuple[int, dict]:
+        service = self.server.service
+        if service.auth_token is not None and not _tokens_match(
+            self.headers.get(AUTH_HEADER), service.auth_token
+        ):
+            return 401, {
+                "error": f"missing or wrong {AUTH_HEADER} header "
+                "(this daemon runs with an auth token)"
+            }
+        if path == "/jobs":
+            try:
+                job = service.scheduler.submit(self._read_json())
+            except JobSpecError as error:
+                return (413 if isinstance(error, _BodyTooLarge) else 400), {"error": str(error)}
+            return 201, job.describe()
+        parts = path.strip("/").split("/")
+        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
+            job = service.scheduler.get(parts[1])
+            if job is None:
+                return 404, {"error": f"no such job {parts[1]!r}"}
+            if job.state in ("done", "failed", "cancelled"):
+                return 409, {"error": f"job {job.id} is already {job.state}", "state": job.state}
+            service.scheduler.cancel(job.id)
+            return 200, job.describe()
+        return 404, {"error": f"unknown endpoint {self.path!r}"}
 
 
 # ----------------------------------------------------------------------
@@ -384,14 +411,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="silence deadline before a worker's chunk is requeued",
     )
     parser.add_argument(
-        "--status-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="additionally serve the classic one-line status snapshot "
-        "(python -m repro status HOST:PORT)",
-    )
-    parser.add_argument(
         "--max-concurrent",
         type=int,
         default=4,
@@ -418,7 +437,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         auth_token=token,
         workers_expected=args.workers_expected,
         heartbeat_timeout=args.heartbeat_timeout,
-        status_port=args.status_port,
         max_concurrent=args.max_concurrent,
     )
     try:
@@ -445,13 +463,11 @@ def serve_main(argv: list[str] | None = None) -> int:
     work_host, work_port = service.fleet.address
     # The readiness line is machine-parsed (tests, tmux drills): keep
     # the `http://HOST:PORT` and `work HOST:PORT` shapes stable.
-    line = (
+    print(
         f"repro serve: listening on http://{host}:{port} · "
-        f"work {work_host}:{work_port} · state {args.state_dir}"
+        f"work {work_host}:{work_port} · state {args.state_dir}",
+        flush=True,
     )
-    if service.fleet.status_address is not None:
-        line += f" · status {service.fleet.status_address[0]}:{service.fleet.status_address[1]}"
-    print(line, flush=True)
     try:
         while not stop.is_set():
             stop.wait(0.2)
@@ -471,9 +487,9 @@ def build_jobs_parser() -> argparse.ArgumentParser:
     parser.add_argument("url", help="daemon base URL, e.g. http://127.0.0.1:7180")
     parser.add_argument(
         "action",
-        choices=["list", "submit", "show", "cancel", "result", "status"],
-        help="list jobs · submit a spec · show/cancel/fetch one job · "
-        "fleet status",
+        choices=["list", "submit", "show", "cancel", "result"],
+        help="list jobs · submit a spec · show/cancel/fetch one job "
+        "(python -m repro status HOST:PORT renders the fleet status)",
     )
     parser.add_argument(
         "target",
@@ -509,8 +525,8 @@ def _http_json(
 
     An error status whose body is not JSON (a proxy's HTML page) comes
     back as ``{"error": body}``; a success reply that is not JSON, or is
-    nested past the recursion limit, is a bad reply and raises
-    ``ValueError``.
+    nested past the recursion limit, and a peer that does not speak
+    HTTP are bad replies and raise ``ValueError``.
     """
     body = None if payload is None else json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body, method=method)
@@ -527,6 +543,8 @@ def _http_json(
         except ValueError:
             text = detail.decode("utf-8", errors="replace").strip()
             return error.code, {"error": text or str(error)}
+    except http.client.HTTPException as error:
+        raise ValueError(f"bad reply from {url}: {error!r}") from None
 
 
 def _parse_reply(raw: bytes, url: str):
@@ -534,6 +552,16 @@ def _parse_reply(raw: bytes, url: str):
         return json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as error:
         raise ValueError(f"bad reply from {url}: {error}") from None
+
+
+#: ``repro jobs`` action -> HTTP method and path (``{}`` is the target).
+_JOB_ACTIONS = {
+    "list": ("GET", "/jobs"),
+    "submit": ("POST", "/jobs"),
+    "show": ("GET", "/jobs/{}"),
+    "cancel": ("POST", "/jobs/{}/cancel"),
+    "result": ("GET", "/jobs/{}/result"),
+}
 
 
 def jobs_main(argv: list[str] | None = None) -> int:
@@ -547,16 +575,14 @@ def jobs_main(argv: list[str] | None = None) -> int:
     except ValueError as error:
         print(f"repro jobs: {error}", file=sys.stderr)
         return 2
+    if args.target is None and args.action != "list":
+        needs = "a spec (JSON, @file, or -)" if args.action == "submit" else "a job id"
+        print(f"repro jobs: {args.action} needs {needs}", file=sys.stderr)
+        return 2
+    method, path = _JOB_ACTIONS[args.action]
     try:
-        if args.action == "list":
-            code, payload = _http_json("GET", f"{base}/jobs", timeout=args.timeout)
-        elif args.action == "status":
-            code, payload = _http_json("GET", f"{base}/status", timeout=args.timeout)
-        elif args.action == "submit":
-            if args.target is None:
-                print("repro jobs: submit needs a spec (JSON, @file, or -)",
-                      file=sys.stderr)
-                return 2
+        spec = None
+        if args.action == "submit":
             raw = args.target
             if raw == "-":
                 raw = sys.stdin.read()
@@ -568,27 +594,11 @@ def jobs_main(argv: list[str] | None = None) -> int:
             except (json.JSONDecodeError, RecursionError) as error:
                 print(f"repro jobs: spec is not valid JSON: {error}", file=sys.stderr)
                 return 2
-            code, payload = _http_json(
-                "POST", f"{base}/jobs", spec, token, args.timeout
-            )
-        else:
-            if args.target is None:
-                print(f"repro jobs: {args.action} needs a job id", file=sys.stderr)
-                return 2
-            if args.action == "show":
-                code, payload = _http_json(
-                    "GET", f"{base}/jobs/{args.target}", timeout=args.timeout
-                )
-            elif args.action == "cancel":
-                code, payload = _http_json(
-                    "POST", f"{base}/jobs/{args.target}/cancel", None, token,
-                    args.timeout,
-                )
-            else:  # result
-                code, payload = _http_json(
-                    "GET", f"{base}/jobs/{args.target}/result", timeout=args.timeout
-                )
-    except (OSError, urllib.error.URLError) as error:
+        code, payload = _http_json(
+            method, base + path.format(args.target), spec,
+            token if method == "POST" else None, args.timeout,
+        )
+    except OSError as error:
         print(f"repro jobs: cannot reach {base}: {error}", file=sys.stderr)
         return 1
     except ValueError as error:

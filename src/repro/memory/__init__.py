@@ -1,6 +1,6 @@
 """Simulated main-memory substrate: cells, arrays, error models, chips."""
 
-from repro.memory.address import AddressMap, LogicalAddress, PhysicalAddress
+from repro.memory.address import AddressMap, LogicalAddress
 from repro.memory.array import MemoryArray
 from repro.memory.cells import CellOrientation, all_true_cells, alternating_cells
 from repro.memory.chip import OnDieEccChip, ReadOutcome
@@ -32,7 +32,6 @@ from repro.memory.patterns import (
 __all__ = [
     "AddressMap",
     "LogicalAddress",
-    "PhysicalAddress",
     "MemoryArray",
     "CellOrientation",
     "all_true_cells",

@@ -1,16 +1,15 @@
-"""Logical vs. physical bit addressing (paper §3.2).
+"""Logical bit addressing (paper §3.2).
 
 The memory controller sees the *logical* address space: dataword bits only,
-``k`` per ECC word.  Inside the chip, codewords occupy the *physical*
-address space of ``n = k + p`` bits per word; the parity bits are invisible
-outside the chip.
+``k`` per ECC word.  Inside the chip, codewords occupy ``n = k + p`` bits
+per word; the parity bits are invisible outside the chip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["AddressMap", "LogicalAddress", "PhysicalAddress"]
+__all__ = ["AddressMap", "LogicalAddress"]
 
 
 @dataclass(frozen=True)
@@ -21,16 +20,8 @@ class LogicalAddress:
     bit_offset: int  # 0 <= bit_offset < k
 
 
-@dataclass(frozen=True)
-class PhysicalAddress:
-    """A storage bit inside the chip (data or parity)."""
-
-    word_index: int
-    bit_offset: int  # 0 <= bit_offset < n
-
-
 class AddressMap:
-    """Translates between logical and physical bit addresses.
+    """Flattens logical bit addresses over a chip's ECC words.
 
     Args:
         k: data bits per ECC word.
@@ -51,45 +42,13 @@ class AddressMap:
     def logical_bits(self) -> int:
         return self.k * self.num_words
 
-    @property
-    def physical_bits(self) -> int:
-        return self.n * self.num_words
-
     def logical_to_flat(self, address: LogicalAddress) -> int:
         """Flat logical bit index over the whole chip."""
         self._check_logical(address)
         return address.word_index * self.k + address.bit_offset
-
-    def flat_to_logical(self, flat_index: int) -> LogicalAddress:
-        """Inverse of :meth:`logical_to_flat`."""
-        if not 0 <= flat_index < self.logical_bits:
-            raise IndexError(f"flat logical index {flat_index} out of range")
-        return LogicalAddress(flat_index // self.k, flat_index % self.k)
-
-    def logical_to_physical(self, address: LogicalAddress) -> PhysicalAddress:
-        """Data bits map one-to-one thanks to systematic encoding."""
-        self._check_logical(address)
-        return PhysicalAddress(address.word_index, address.bit_offset)
-
-    def physical_to_logical(self, address: PhysicalAddress) -> LogicalAddress | None:
-        """Inverse mapping; parity bits have no logical address (None)."""
-        self._check_physical(address)
-        if address.bit_offset >= self.k:
-            return None
-        return LogicalAddress(address.word_index, address.bit_offset)
-
-    def is_parity(self, address: PhysicalAddress) -> bool:
-        self._check_physical(address)
-        return address.bit_offset >= self.k
 
     def _check_logical(self, address: LogicalAddress) -> None:
         if not 0 <= address.word_index < self.num_words:
             raise IndexError(f"word index {address.word_index} out of range")
         if not 0 <= address.bit_offset < self.k:
             raise IndexError(f"logical bit offset {address.bit_offset} out of range [0, {self.k})")
-
-    def _check_physical(self, address: PhysicalAddress) -> None:
-        if not 0 <= address.word_index < self.num_words:
-            raise IndexError(f"word index {address.word_index} out of range")
-        if not 0 <= address.bit_offset < self.n:
-            raise IndexError(f"physical bit offset {address.bit_offset} out of range [0, {self.n})")

@@ -48,12 +48,6 @@ class CellOrientation:
             raise ValueError(f"stored bits length {bits.shape[-1]} != n={self.n}")
         return np.where(self._mask.astype(bool), bits, 1 - bits).astype(np.uint8)
 
-    def is_charged(self, position: int, stored_bit: int) -> bool:
-        """Charge state of a single cell."""
-        if self._mask[position]:
-            return bool(stored_bit)
-        return not stored_bit
-
 
 def all_true_cells(n: int) -> CellOrientation:
     """The paper's default: every cell is a true cell."""

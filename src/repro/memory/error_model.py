@@ -59,21 +59,6 @@ class WordErrorProfile:
     def count(self) -> int:
         return len(self.positions)
 
-    def probability_of(self, position: int) -> float:
-        """Failure probability of a position (0.0 if not at risk)."""
-        try:
-            index = self.positions.index(position)
-        except ValueError:
-            return 0.0
-        return self.probabilities[index]
-
-    def restricted_to(self, keep: set[int]) -> "WordErrorProfile":
-        """Profile containing only the positions present in ``keep``."""
-        pairs = [(p, q) for p, q in zip(self.positions, self.probabilities) if p in keep]
-        return WordErrorProfile(
-            positions=tuple(p for p, _ in pairs),
-            probabilities=tuple(q for _, q in pairs),
-        )
 
 
 def check_profile_positions(profile: WordErrorProfile, n: int) -> None:

@@ -19,7 +19,6 @@ __all__ = [
     "positions_to_mask",
     "pack_positions",
     "invert_bits",
-    "as_bit_array",
 ]
 
 
@@ -84,11 +83,3 @@ def invert_bits(bits: np.ndarray) -> np.ndarray:
     arr = np.asarray(bits, dtype=np.uint8)
     return (1 - arr).astype(np.uint8)
 
-
-def as_bit_array(values: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Coerce an iterable of 0/1 values into a validated uint8 bit array."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-    arr = arr.astype(np.uint8)
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bit arrays may contain only 0 and 1")
-    return arr

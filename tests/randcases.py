@@ -5,7 +5,8 @@ The batched-kernel and charge-system suites both grew ad-hoc
 from a ``numpy`` generator, unpack it, assert a property.  This module
 is their shared home, and the fuzz suites': :func:`store_damage` damages
 one record of a JSONL shard store, :func:`frame_damage` one
-``repro-wire-v1`` frame.  Every generator takes an explicit integer seed
+``repro-wire-v1`` frame, and :func:`http_request` draws one request to
+the HTTP API.  Every generator takes an explicit integer seed
 (or an already-seeded ``Generator``) and returns a small frozen case
 object whose ``label`` names the generating parameters — so a failing
 parametrized test identifies its exact case from the pytest id alone,
@@ -34,11 +35,13 @@ __all__ = [
     "ChargeCase",
     "FRAME_DAMAGE",
     "FrameDamage",
+    "HttpRequest",
     "STORE_DAMAGE",
     "StoreDamage",
     "charge_case",
     "charge_cases",
     "frame_damage",
+    "http_request",
     "random_cell",
     "sealed_frame",
     "store_damage",
@@ -302,3 +305,116 @@ def frame_damage(seed, frame: bytes, key: bytes, how: str) -> FrameDamage:
     else:
         raise ValueError(f"unknown frame damage {how!r}; expected one of {FRAME_DAMAGE}")
     return FrameDamage(label=f"{how}-seed{source}", data=data, rng=rng)
+
+
+#: Methods :func:`http_request` draws, past the routed GET and POST:
+#: the other standard ones, and tokens no server routes.
+_HTTP_METHODS = ("HEAD", "PUT", "DELETE", "OPTIONS", "PATCH", "TRACE", "get", "FROB")
+
+#: Paths :func:`http_request` draws, besides random ones: every route,
+#: near misses, and forms a router might mishandle.
+_HTTP_PATHS = (
+    "/", "/status", "/status/", "//status", "/status?x=1", "/jobs", "/jobs/",
+    "/jobs/job-00000000", "/jobs/job-00000000/result", "/jobs/job-00000000/cancel",
+    "/jobs/job-00000000/result/x", "/jobs//cancel", "/metrics", "/%00", "*", "jobs",
+)
+
+#: Bodies :func:`http_request` draws, besides random bytes: specs the
+#: daemon runs, specs past its work budget, and JSON that is no spec.
+_HTTP_BODIES = (
+    b"",
+    b'{"kind": "sweep"}',
+    b'{"kind": "fleet", "config": {"num_chips": 1000000000000}}',
+    b'{"kind": "fig10", "config": {"k": 1000000000}}',
+    b'{"kind": "sweep", "config": {"num_rounds": 100000000000000000000}}',
+    b"[1, 2, 3]",
+    b"null",
+    b"[" * _DEEP,
+    b'{"kind": ',
+)
+
+
+@dataclass(frozen=True)
+class HttpRequest:
+    """One request to a repro HTTP server, ready to send."""
+
+    label: str
+    method: str
+    data: bytes
+    rng: np.random.Generator = field(repr=False, compare=False)
+
+    def __str__(self) -> str:  # pytest id for parametrized streams
+        return self.label
+
+
+def _token(rng: np.random.Generator, alphabet: bytes, low: int, high: int) -> str:
+    size = int(rng.integers(low, high))
+    return bytes(alphabet[int(i)] for i in rng.integers(len(alphabet), size=size)).decode()
+
+
+_PATH_CHARS = b"abcdefghijklmnopqrstuvwxyz0123456789-._~%/?=&"
+_VALUE_CHARS = b"abcdefghijklmnopqrstuvwxyz0123456789 -_.,;:=/*()"
+
+
+def http_request(seed, token: str | None = None) -> HttpRequest:
+    """A random request to the daemon or a ``--status-port``.
+
+    Draws the method (GET or POST four times in five, else one of
+    :data:`_HTTP_METHODS`), the path (``/jobs`` for half the POSTs, else
+    one of :data:`_HTTP_PATHS` or a random one), the HTTP/1.0 or /1.1
+    version, a random subset of headers (the right, a wrong or an empty
+    auth token when ``token`` is set; ``Connection``, ``Expect`` and
+    junk ones), and a body: none (for most GETs), a job spec (runnable,
+    or past the work budget), JSON that is no spec, or random bytes.  A
+    body is framed by a ``Content-Length`` that matches it, or as chunks.
+    """
+    rng, source = _as_rng(seed)
+    if rng.random() < 0.8:
+        method = ("GET", "POST")[int(rng.integers(2))]
+    else:
+        method = _HTTP_METHODS[int(rng.integers(len(_HTTP_METHODS)))]
+    if method == "POST" and rng.random() < 0.5:
+        path = "/jobs"
+    elif rng.random() < 0.75:
+        path = _HTTP_PATHS[int(rng.integers(len(_HTTP_PATHS)))]
+    else:
+        path = "/" + _token(rng, _PATH_CHARS, 0, 40)
+    version = "HTTP/1.1" if rng.random() < 0.8 else "HTTP/1.0"
+    headers = []
+    if rng.random() < 0.9:
+        headers.append("Host: repro")
+    if token is not None and rng.random() < 0.8:
+        headers.append(f"X-Auth-Token: {(token, token, 'wrong', '')[int(rng.integers(4))]}")
+    for name, values in (
+        ("Content-Type", ("application/json", "text/plain", "")),
+        ("Connection", ("keep-alive", "close")),
+        ("Accept", ("*/*", "application/json")),
+        ("Expect", ("100-continue",)),
+    ):
+        if rng.random() < 0.3:
+            headers.append(f"{name}: {values[int(rng.integers(len(values)))]}")
+    for index in range(int(rng.integers(3))):
+        headers.append(f"X-Fuzz-{index}: {_token(rng, _VALUE_CHARS, 0, 60)}")
+    if method == "GET" and rng.random() < 0.7:
+        body = b""
+    elif rng.random() < 0.3:
+        body = bytes(int(b) for b in rng.integers(0, 256, size=int(rng.integers(1, 200))))
+    else:
+        body = _HTTP_BODIES[int(rng.integers(len(_HTTP_BODIES)))]
+    framing = "none"
+    if body and rng.random() < 0.2:
+        framing = "chunked"
+        headers.append("Transfer-Encoding: chunked")
+        cut = int(rng.integers(1, len(body) + 1))
+        body = b"".join(
+            b"%x\r\n%s\r\n" % (len(part), part) for part in (body[:cut], body[cut:]) if part
+        ) + b"0\r\n\r\n"
+    elif body or rng.random() < 0.5:
+        framing = "length"
+        headers.append(f"Content-Length: {len(body)}")
+    order = rng.permutation(len(headers))
+    head = "".join(f"{headers[int(i)]}\r\n" for i in order)
+    data = f"{method} {path} {version}\r\n{head}\r\n".encode("latin-1") + body
+    return HttpRequest(
+        label=f"{method}-{framing}-seed{source}", method=method, data=data, rng=rng
+    )

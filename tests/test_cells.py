@@ -27,12 +27,6 @@ class TestChargeSemantics:
         stored = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
         assert orientation.charged_mask(stored).shape == (2, 3)
 
-    def test_is_charged_single(self):
-        orientation = alternating_cells(2)
-        assert orientation.is_charged(0, 1)
-        assert orientation.is_charged(1, 0)
-        assert not orientation.is_charged(1, 1)
-
 
 class TestValidation:
     def test_length_mismatch(self):

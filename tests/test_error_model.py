@@ -33,18 +33,6 @@ class TestWordErrorProfile:
         with pytest.raises(ValueError):
             WordErrorProfile((1,), (0.5, 0.5))
 
-    def test_probability_of(self):
-        profile = WordErrorProfile((3, 9), (0.25, 0.75))
-        assert profile.probability_of(3) == 0.25
-        assert profile.probability_of(9) == 0.75
-        assert profile.probability_of(4) == 0.0
-
-    def test_restricted_to(self):
-        profile = WordErrorProfile((1, 2, 3), (0.1, 0.2, 0.3))
-        restricted = profile.restricted_to({2, 3})
-        assert restricted.positions == (2, 3)
-        assert restricted.probabilities == (0.2, 0.3)
-
 
 class TestSampling:
     def test_sample_word_profile_count(self, code):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.memory.address import AddressMap, LogicalAddress, PhysicalAddress
+from repro.memory.address import AddressMap, LogicalAddress
 from repro.memory.array import MemoryArray
 
 
@@ -50,31 +50,10 @@ class TestAddressMap:
 
     def test_sizes(self, address_map):
         assert address_map.logical_bits == 640
-        assert address_map.physical_bits == 710
-
-    def test_flat_roundtrip(self, address_map):
-        for flat in (0, 63, 64, 639):
-            address = address_map.flat_to_logical(flat)
-            assert address_map.logical_to_flat(address) == flat
-
-    def test_logical_physical_identity_for_data(self, address_map):
-        logical = LogicalAddress(3, 17)
-        physical = address_map.logical_to_physical(logical)
-        assert physical == PhysicalAddress(3, 17)
-        assert address_map.physical_to_logical(physical) == logical
-
-    def test_parity_bits_have_no_logical_address(self, address_map):
-        parity = PhysicalAddress(0, 70)
-        assert address_map.is_parity(parity)
-        assert address_map.physical_to_logical(parity) is None
 
     def test_bounds(self, address_map):
         with pytest.raises(IndexError):
             address_map.logical_to_flat(LogicalAddress(0, 64))
-        with pytest.raises(IndexError):
-            address_map.flat_to_logical(640)
-        with pytest.raises(IndexError):
-            address_map.physical_to_logical(PhysicalAddress(0, 71))
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):

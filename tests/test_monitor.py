@@ -1,17 +1,21 @@
 """Tests of the campaign control plane (``repro.experiments.monitor``).
 
 Covers the coverage/ETA math shared by ``--progress`` and ``store
-summary``, the ``repro-status-v2`` snapshot protocol (server, client,
-renderer, CLI), live status served from a running socket map, and the
+summary``, the ``repro-status-v2`` snapshot over HTTP (server, client,
+renderer, CLI, against a status port, a daemon and a work port), live
+status served from a running socket map, and the
 continue-past-quarantine mode end-to-end: the poison chunk is set
 aside, the rest of the grid completes bit-identically, and the
 quarantined shard keys are reported by the drivers, the stores, and the
 store toolbox.
 """
 
+import http.client
 import io
 import json
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -22,6 +26,7 @@ from repro.experiments import fig10
 from repro.experiments.backends import (
     ExecutionBackend,
     SocketBackend,
+    WorkServer,
     run_worker,
 )
 from repro.experiments.config import CaseStudyConfig, SweepConfig
@@ -29,7 +34,6 @@ from repro.experiments.monitor import (
     STATUS_FORMAT,
     ThroughputHistory,
     ProgressReporter,
-    StatusServer,
     estimate_eta,
     format_eta,
     format_grid,
@@ -40,9 +44,10 @@ from repro.experiments.monitor import (
     status_main,
 )
 from repro.experiments.runner import run_sweep, shard_grid
+from repro.experiments.service import CampaignService, StatusHandler, serve_http
 from repro.experiments.store import ShardStore
 from repro.experiments.storetools import merge, summarize
-from serviceharness import map_in_order, wait_for_address
+from serviceharness import map_in_order, repro_env, wait_for_address, wait_until
 
 CONFIG = SweepConfig(
     num_codes=2,
@@ -192,8 +197,13 @@ class TestProgressReporter:
 # ----------------------------------------------------------------------
 
 
-def _serve_snapshot(snapshot: dict) -> StatusServer:
-    return StatusServer(("127.0.0.1", 0), lambda: snapshot).start()
+def _serve_snapshot(snapshot: dict):
+    """A ``--status-port`` server answering ``snapshot``, with the
+    ``address`` and ``close()`` these tests use."""
+    server = serve_http(("127.0.0.1", 0), StatusHandler, snapshot=lambda: snapshot)
+    server.address = server.server_address
+    server.close = lambda: (server.shutdown(), server.server_close())
+    return server
 
 
 class TestStatusProtocol:
@@ -219,22 +229,64 @@ class TestStatusProtocol:
         finally:
             server.close()
 
-    def test_snapshot_is_one_json_line_for_any_client(self):
-        """The promise to curl/nc: one line, valid JSON, then EOF."""
+    def test_snapshot_is_json_for_any_http_client(self):
+        """The promise to curl: a plain GET gets a 200 JSON snapshot."""
         server = _serve_snapshot(self.SNAPSHOT)
         try:
-            with socket.create_connection(server.address, timeout=5) as sock:
-                raw = b""
-                while not raw.endswith(b"\n"):
-                    data = sock.recv(1 << 16)
-                    if not data:
-                        break
-                    raw += data
-                assert sock.recv(1024) == b""  # server closes after the line
+            connection = http.client.HTTPConnection(*server.address, timeout=5)
+            connection.request("GET", "/status")
+            response = connection.getresponse()
+            body = response.read()
+            connection.close()
         finally:
             server.close()
-        assert raw.count(b"\n") == 1
-        assert json.loads(raw) == self.SNAPSHOT
+        assert response.status == 200
+        assert response.getheader("Content-Type") == "application/json"
+        assert json.loads(body) == self.SNAPSHOT
+
+    def test_status_cli_on_the_work_port_fails_fast(self, capsys):
+        """The classic mistake: the work port drops the GET at once, so
+        ``repro status`` ends in one line well inside its timeout."""
+        server = WorkServer(spawn_workers=0).start()
+        try:
+            host, port = server.address
+            started = time.monotonic()
+            assert status_main([f"{host}:{port}", "--timeout", "30"]) == 1
+            elapsed = time.monotonic() - started
+        finally:
+            server.close()
+        assert elapsed < 10, elapsed
+        err = capsys.readouterr().err
+        assert err.startswith("repro status: ") and err.count("\n") == 1, err
+
+    def test_status_cli_renders_a_daemons_job_counts(self, tmp_path, capsys):
+        """``repro status`` reads the daemon's HTTP port like a status port."""
+        service = CampaignService(str(tmp_path / "state"), workers=0).start()
+        try:
+            job = service.scheduler.submit({"kind": "sweep"})
+            service.scheduler.cancel(job.id)
+            wait_until(lambda: job.state == "cancelled")
+            host, port = service.http_address
+            assert status_main([f"{host}:{port}"]) == 0
+        finally:
+            service.close()
+        out = capsys.readouterr().out
+        assert out.startswith(f"status   {STATUS_FORMAT}"), out
+        assert "jobs     0 queued · 0 running · 0 done · 0 failed · 1 cancelled" in out
+
+    def test_campaign_imports_load_no_http_machinery(self):
+        """The HTTP server and client load only when a status port, the
+        daemon or a client runs, so a campaign's setup does not pay for them."""
+        probe = (
+            "import sys, repro.cli, repro.experiments.runner, "
+            "repro.experiments.fig10, repro.experiments.fleet; "
+            "print(sorted({'http.server', 'urllib.request'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=repro_env(), capture_output=True,
+            text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]", result
 
     def test_wrong_format_rejected(self):
         server = _serve_snapshot({"format": "not-a-status"})

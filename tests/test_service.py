@@ -6,9 +6,10 @@ HTTP/JSON API — the same surface curl sees.  Coverage:
 
 * the job lifecycle for all three kinds (sweep, fig10, fleet) through
   to persisted results;
-* spec validation: bad submissions get a 400 with a reason, never a
-  traceback; hostile ``Content-Length`` headers get a 4xx or a closed
-  connection; auth scoping on mutating calls;
+* spec validation: bad submissions, and jobs past the work budget,
+  get a 400 with a reason, never a traceback; hostile
+  ``Content-Length`` headers get a 4xx or a closed connection; auth
+  scoping on mutating calls;
 * cancellation of queued vs running jobs;
 * bit-identity: a service-submitted sweep equals the serial run and
   the CLI's own stdout rendition;
@@ -28,6 +29,7 @@ import io
 import json
 import os
 import socket
+import threading
 import time
 import urllib.request
 
@@ -37,7 +39,14 @@ from chaos import ChaosProxy
 from repro.cli import main
 from repro.experiments.backends import WorkServer
 from repro.experiments.runner import run_sweep
-from repro.experiments.scheduler import JobScheduler, job_config, parse_job_spec
+from repro.experiments.scheduler import (
+    MAX_JOB_BIT_ROUNDS,
+    JobScheduler,
+    JobSpecError,
+    job_bit_rounds,
+    job_config,
+    parse_job_spec,
+)
 from repro.experiments.service import MAX_BODY_BYTES, REQUEST_TIMEOUT
 from repro.experiments.store import sweep_to_json
 from serviceharness import (
@@ -156,6 +165,8 @@ class TestValidationAndAuth:
                 ({"kind": "sweep", "config": {"error_counts": [17]}}, "enumeration bound"),
                 ({"kind": "sweep", "config": {"k": 0}}, "k must be positive"),
                 ({"kind": "fleet", "config": {"k": 0}}, "k must be positive"),
+                # Past the daemon's work budget.
+                ({"kind": "sweep", "config": {"num_rounds": 10**20}}, "work budget"),
                 # Unhashable field values and bodies nested past the
                 # recursion limit, which used to escape as a 500.
                 ({"kind": ["sweep"]}, "kind must be one of"),
@@ -232,6 +243,35 @@ class TestValidationAndAuth:
             finally:
                 daemon.auth_token = saved
             daemon.post("/jobs", {"kind": "sweep"}, expect=201)
+
+
+class TestWorkBudget:
+    """A job past the daemon's work budget is refused; every preset fits."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "sweep", "config": {"num_rounds": 10**20}},
+            {"kind": "fleet", "config": {"num_chips": 10**12}},
+            {"kind": "fig10", "config": {"k": 10**9}},
+        ],
+        ids=["sweep-rounds", "fleet-chips", "fig10-k"],
+    )
+    def test_refusal_names_the_estimate_and_the_bound(self, spec):
+        with pytest.raises(JobSpecError, match="work budget") as refusal:
+            parse_job_spec(spec)
+        assert f"{job_bit_rounds(job_config(spec)):,}" in str(refusal.value)
+        assert f"{MAX_JOB_BIT_ROUNDS:,}" in str(refusal.value)
+
+    def test_every_cli_preset_fits(self):
+        from repro.cli import CASE_SCALES, FLEET_SCALES, SCALES
+
+        for kind, scales in (("sweep", SCALES), ("fig10", CASE_SCALES), ("fleet", FLEET_SCALES)):
+            for scale in scales:
+                parse_job_spec({"kind": kind, "scale": scale})
+        # The largest preset: every word of the paper fleet's 20,000
+        # chips for 64 rounds is 163,840,000 word-rounds, at k = 32.
+        assert job_bit_rounds(FLEET_SCALES["paper"]) == 163_840_000 * 32
 
 
 class TestCancel:
@@ -438,4 +478,25 @@ class TestJobsClient:
         assert main(["jobs", "http://127.0.0.1:9", "list"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("repro jobs: bad reply from http://127.0.0.1:9/jobs"), err
+        assert err.count("\n") == 1
+
+    def test_peer_that_does_not_speak_http(self, capsys):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"RPW1 not http\n")
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        try:
+            host, port = listener.getsockname()
+            assert main(["jobs", f"http://{host}:{port}", "list"]) == 1
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        err = capsys.readouterr().err
+        assert err.startswith("repro jobs: bad reply from"), err
         assert err.count("\n") == 1

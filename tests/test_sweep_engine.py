@@ -154,7 +154,6 @@ class TestTimings:
         sweep = run_sweep(CONFIG)
         assert sweep.timings.keys() == sweep.cells.keys()
         assert all(seconds >= 0.0 for seconds in sweep.timings.values())
-        assert sweep.total_cell_seconds() == pytest.approx(sum(sweep.timings.values()))
 
     def test_timing_table_renders(self):
         sweep = run_sweep(CONFIG)

@@ -62,7 +62,6 @@ class TestOperation:
         system.run_active_profiling(num_rounds=64)
         report = system.operate(reads_per_word=50)
         assert report.escaped_reads == 0
-        assert report.escape_ber == 0.0
 
     def test_unprofiled_system_escapes(self):
         """Without active profiling, multi-bit patterns hit the SEC."""

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.bits import (
-    as_bit_array,
     bits_to_int,
     int_to_bits,
     invert_bits,
@@ -79,10 +78,3 @@ class TestInvertAndValidate:
     def test_invert_is_involution(self):
         bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         assert invert_bits(invert_bits(bits)).tolist() == bits.tolist()
-
-    def test_as_bit_array_accepts_list(self):
-        assert as_bit_array([0, 1, 1]).dtype == np.uint8
-
-    def test_as_bit_array_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            as_bit_array([0, 2])
