@@ -77,7 +77,7 @@ class _Pr1BeepProfiler(Profiler):
             if partner is not None and partner > a:
                 self._hypotheses.append((target, (a, partner)))
 
-    def observe(self, round_index, written, mismatches):
+    def observe(self, round_index, mismatches):
         for position in mismatches:
             if position not in self._observed:
                 self._observed.add(position)
@@ -108,11 +108,23 @@ class _Pr1BeepProfiler(Profiler):
 
 
 class _Pr1HybridProfiler(PROFILER_REGISTRY["HARP-A+BEEP"]):
-    """The PR 1 hybrid: its crafted phase runs the pinned BEEP above."""
+    """The PR 1 hybrid: its crafted phase runs the pinned BEEP above.
+
+    The pinned BEEP crafts arrays through ``pattern_for_round``, so the
+    hybrid delegates that method to it after the switch, as PR 1 did.
+    """
 
     def __init__(self, code, seed, pattern="random", switch_round=16):
         super().__init__(code, seed, pattern, switch_round)
         self._beep = _Pr1BeepProfiler(code, seed, pattern)
+
+    def pattern_for_round(self, round_index):
+        if self._in_active_phase(round_index):
+            return self._harp.pattern_for_round(round_index)
+        if not self._seeded_beep:
+            self._seeded_beep = True
+            self._beep.observe(round_index, self._harp.identified)
+        return self._beep.pattern_for_round(round_index)
 
 
 _PR1_PROFILERS = dict(
@@ -167,7 +179,7 @@ def _pr1_simulate_word(profiler, profile, num_rounds, word_seed, artifacts) -> W
             else:
                 mismatches = post_correction_data_errors(code, failed)
             mismatch_cache[key] = mismatches
-        profiler.observe(round_index, written, mismatches)
+        profiler.observe(round_index, mismatches)
         observed_count = profiler.observation_count
         predicted = profiler.identified_predicted
         if observed_count != previous_observed_count or predicted != previous_predicted:

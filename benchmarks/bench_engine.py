@@ -90,7 +90,7 @@ class _SeedHarpAProfiler(PROFILER_REGISTRY["HARP-A"]):
     the baseline must too.
     """
 
-    def observe(self, round_index, written, mismatches):
+    def observe(self, round_index, mismatches):
         before = len(self._observed)
         self._observed.update(mismatches)
         if len(self._observed) != before:
@@ -149,7 +149,6 @@ def _seed_simulate_word(profiler, profile, num_rounds, word_seed) -> WordRunResu
             else:
                 failed_mask = np.zeros(0, dtype=bool)
         else:
-            written = written_rounds[round_index]
             failed_mask = failed_matrix[round_index]
         failed = tuple(int(p) for p in positions[failed_mask]) if failed_mask.any() else ()
         failure_trace.append(failed)
@@ -158,7 +157,7 @@ def _seed_simulate_word(profiler, profile, num_rounds, word_seed) -> WordRunResu
             mismatches = frozenset(p for p in failed if p < code.k)
         else:
             mismatches = post_correction_data_errors(code, failed)
-        profiler.observe(round_index, written, mismatches)
+        profiler.observe(round_index, mismatches)
         identified_trace.append(profiler.identified)
         observed_trace.append(profiler.identified_observed)
 
@@ -370,7 +369,7 @@ def test_simulate_words_batched_speedup(sweep_scaling):
         probe = PROFILER_REGISTRY["Naive"](code, seed=seed)
         schedule = np.stack([probe.pattern_for_round(r) for r in range(128)])
         draws = derive_rng(seed, "failure-draws").random((128, profile.count))
-        artifacts.append(WordArtifacts(schedule, code.encode(schedule), draws))
+        artifacts.append(WordArtifacts(code.encode(schedule), draws))
 
     def scalar_pass():
         return [

@@ -3,13 +3,15 @@
 Times ``repro.ecc.gf2.matmul``'s popcount product against its int64
 path (forced by moving the facade's work threshold), the vectorized
 random-pattern schedules (``random_rounds``) against one numpy Generator
-per pattern block, and a shared-cache worker-pool sweep against the
-serial engine — recorded to ``results/kernel_scaling.txt`` through the
-``kernel_scaling`` fixture.
+per pattern block, a crafted round's integer charge mask against the
+encode path it replaced, and a shared-cache worker-pool sweep against
+the serial engine — recorded to ``results/kernel_scaling.txt`` through
+the ``kernel_scaling`` fixture.
 
 Every timed pair also asserts bit-identity, the product pair the >=2x
-the popcount kernel exists for, and the pattern pair the >=3x the
-vectorized stream exists for.
+the popcount kernel exists for, the pattern pair the >=3x the
+vectorized stream exists for, and the charge-mask pair the >=3x the
+integer path exists for.
 """
 
 import math
@@ -23,6 +25,8 @@ from repro.ecc.hamming import random_sec_code
 from repro.experiments.config import BENCH, SweepConfig
 from repro.experiments.runner import clear_engine_caches, run_sweep
 from repro.memory.patterns import random_rounds
+from repro.profiling.runner import _charge_mask, _charge_selectors
+from repro.utils.bits import int_to_bits
 from repro.utils.rng import derive_rng, derive_seed
 
 #: The bench sweep's per-code encode in ``cell_artifacts``: one code's
@@ -38,6 +42,11 @@ PATTERN_ROUNDS = 64
 PATTERN_K = 32
 #: Batches per timed sample: one batch takes milliseconds.
 PATTERN_REPEATS = 20
+
+#: Crafted datawords per batch, and batches per timed sample: one charge
+#: mask takes microseconds.
+CHARGE_MASKS = 2000
+CHARGE_MASK_REPEATS = 10
 
 SWEEP_GRID = SweepConfig(
     num_codes=3,
@@ -104,6 +113,44 @@ def test_pattern_stream_speedup(kernel_scaling):
     kernel_scaling["pattern-vectorized-cpu"] = vectorized_s
     speedup = per_block_s / vectorized_s
     assert speedup >= 3.0, f"vectorized pattern stream {speedup:.2f}x < 3x over per-block"
+
+
+def test_integer_charge_mask_speedup(kernel_scaling):
+    """A crafted round's at-risk charge mask from its dataword bitmask.
+
+    The reference is the path ``simulate_word`` took before: unpack the
+    bitmask, encode it, gather the at-risk columns and pack them into an
+    int.  The bench word's at-risk set includes parity positions, whose
+    charge is a parity over the data bits rather than one data bit.
+    """
+    rng = np.random.default_rng(2021)
+    code = random_sec_code(BENCH.k, rng)
+    positions = sorted(rng.choice(code.k, 3, replace=False).tolist() + [code.k + 1, code.n - 1])
+    columns = np.asarray(positions, dtype=np.intp)
+    datawords = [int.from_bytes(rng.bytes(code.k // 8), "little") for _ in range(CHARGE_MASKS)]
+    selectors = _charge_selectors(code, positions)
+
+    def encode_path():
+        return [
+            int.from_bytes(
+                np.packbits(
+                    code.encode(int_to_bits(dataword, code.k))[columns].astype(bool),
+                    bitorder="little",
+                ).tobytes(),
+                "little",
+            )
+            for dataword in datawords
+        ]
+
+    encode_s, ref = _cpu_timed(encode_path, CHARGE_MASK_REPEATS)
+    integer_s, out = _cpu_timed(
+        lambda: [_charge_mask(selectors, 0, a) for a in datawords], CHARGE_MASK_REPEATS
+    )
+    assert ref == out
+    kernel_scaling["charge-mask-encode-cpu"] = encode_s
+    kernel_scaling["charge-mask-integer-cpu"] = integer_s
+    speedup = encode_s / integer_s
+    assert speedup >= 3.0, f"integer charge mask {speedup:.2f}x < 3x over the encode path"
 
 
 def test_sweep_shared_cache_pool(kernel_scaling):

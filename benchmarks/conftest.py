@@ -164,6 +164,7 @@ def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
     ``bench_kernels.py`` inserts ``label -> seconds`` entries
     (``matmul-int64-cpu``/``matmul-popcount-cpu``,
     ``pattern-per-block-cpu``/``pattern-vectorized-cpu``,
+    ``charge-mask-encode-cpu``/``charge-mask-integer-cpu``,
     ``sweep-serial`` and ``sweep-shared-pool``); the derived speedups
     are appended so ``results/kernel_scaling.txt`` is self-describing.
     """
@@ -176,6 +177,7 @@ def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
     for title, num, den in (
         ("popcount product speedup vs int64 (CPU)", "matmul-int64-cpu", "matmul-popcount-cpu"),
         ("vectorized pattern stream speedup vs per-block Generator (CPU)", "pattern-per-block-cpu", "pattern-vectorized-cpu"),
+        ("integer charge mask speedup vs encode path (CPU)", "charge-mask-encode-cpu", "charge-mask-integer-cpu"),
         ("shared-cache pool speedup vs serial sweep (wall-clock)", "sweep-serial", "sweep-shared-pool"),
     ):
         if num in record and den in record:

@@ -8,13 +8,11 @@ from repro.analysis.atrisk import (
     max_simultaneous_post_errors,
     predict_indirect_from_direct,
     solve_charge_assignment,
-    unpack_dataword,
 )
 from repro.analysis.memo import (
     CacheStats,
     beep_expansion_cache,
     cached_aliasing_pairs,
-    cached_crafted_assignment,
     cached_ground_truth,
     cached_predict_indirect,
     clear_analysis_caches,
@@ -41,12 +39,10 @@ __all__ = [
     "compute_ground_truth",
     "is_charge_realizable",
     "solve_charge_assignment",
-    "unpack_dataword",
     "max_simultaneous_post_errors",
     "predict_indirect_from_direct",
     "CacheStats",
     "cached_aliasing_pairs",
-    "cached_crafted_assignment",
     "cached_ground_truth",
     "cached_predict_indirect",
     "clear_analysis_caches",

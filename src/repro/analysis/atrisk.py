@@ -64,13 +64,13 @@ from repro.ecc.linear_code import SystematicCode
 from repro.ecc.syndrome import PatternOutcome, analyze_error_pattern
 from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile
+from repro.utils.bits import int_to_bits
 
 __all__ = [
     "MAX_AT_RISK_FOR_ENUMERATION",
     "ChargeSystem",
     "is_charge_realizable",
     "solve_charge_assignment",
-    "unpack_dataword",
     "GroundTruth",
     "compute_ground_truth",
     "max_simultaneous_post_errors",
@@ -248,19 +248,7 @@ class ChargeSystem:
         solution = self.solution_int()
         if solution is None:
             return None
-        return unpack_dataword(self.code.k, solution)
-
-
-def unpack_dataword(k: int, bitmask: int) -> np.ndarray:
-    """Unpack an integer data bitmask into a length-``k`` uint8 array.
-
-    Vectorized (bytes -> ``np.unpackbits``) because it runs once per
-    crafted profiling round.
-    """
-    buffer = bitmask.to_bytes((k + 7) // 8, "little")
-    return np.unpackbits(
-        np.frombuffer(buffer, dtype=np.uint8), count=k, bitorder="little"
-    )
+        return int_to_bits(solution, self.code.k)
 
 
 def is_charge_realizable(
@@ -298,7 +286,7 @@ def solve_charge_assignment(
     solution = _solve_charge_ints(code, charged_ones, forced_zeros)
     if solution is None:
         return None
-    return unpack_dataword(code.k, solution)
+    return int_to_bits(solution, code.k)
 
 
 @dataclass(frozen=True)
@@ -322,11 +310,6 @@ class GroundTruth:
         return frozenset(p for p in self.at_risk if p < self.code.k)
 
     @cached_property
-    def parity_at_risk(self) -> frozenset[int]:
-        """At-risk positions hidden in the parity bits."""
-        return frozenset(p for p in self.at_risk if p >= self.code.k)
-
-    @cached_property
     def indirect_at_risk(self) -> frozenset[int]:
         """Data positions reachable by a miscorrection of some realizable
         pattern (paper: bits at risk of indirect error)."""
@@ -341,19 +324,6 @@ class GroundTruth:
         result: set[int] = set()
         for outcome in self.realizable_outcomes:
             result.update(outcome.data_errors)
-        return frozenset(result)
-
-    @cached_property
-    def observable_direct_at_risk(self) -> frozenset[int]:
-        """Direct-risk bits that can ever appear as post-correction errors.
-
-        A lone at-risk bit is always corrected by SEC, so it is invisible to
-        any profiler that observes only post-correction data (Naive/BEEP);
-        HARP's bypass path still sees it.
-        """
-        result: set[int] = set()
-        for outcome in self.realizable_outcomes:
-            result.update(outcome.direct_errors)
         return frozenset(result)
 
 

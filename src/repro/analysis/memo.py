@@ -17,8 +17,8 @@ table per observed target — both pure in the code, yet re-derived by
 every word of a sweep cell that shares that code.  The caches here
 collapse those too: crafted-pattern epochs holding one eliminated
 anchor-set base plus its lazily-resolved pair assignments
-(:data:`crafted_pattern_cache`, which stores **read-only** arrays —
-callers that hand patterns out must copy), and per-target aliasing pairs
+(:data:`crafted_pattern_cache`, which stores them as dataword bitmasks,
+immutable and so shared freely), and per-target aliasing pairs
 (:data:`beep_expansion_cache`).
 
 This module provides bounded LRU caches for these functions, keyed on the
@@ -50,15 +50,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, TypeVar
 
-import numpy as np
-
 from repro.analysis import shared_memo
 from repro.analysis.atrisk import (
     ChargeSystem,
     GroundTruth,
     compute_ground_truth,
     predict_indirect_from_direct,
-    unpack_dataword,
 )
 from repro.ecc.code_analysis import aliasing_pairs_for_target
 from repro.ecc.linear_code import SystematicCode
@@ -78,7 +75,6 @@ __all__ = [
     "mismatch_consequence_cache",
     "cached_ground_truth",
     "cached_predict_indirect",
-    "cached_crafted_assignment",
     "cached_aliasing_pairs",
     "clear_analysis_caches",
 ]
@@ -241,10 +237,10 @@ def _orientation_key(orientation: CellOrientation | None) -> bytes | None:
 ground_truth_cache = Memo(max_entries=8192)
 indirect_prediction_cache = Memo(max_entries=8192)
 #: Crafted-pattern epochs, one per (code, anchor set); each holds its
-#: lazily-resolved pair -> read-only assignment dict (see CraftedEpoch).
-#: Epochs are small (a dict of shared k-byte arrays), but a paper-scale
-#: sweep touches tens of thousands of distinct anchor sets — the bound
-#: must exceed that working set or the LRU thrashes mid-sweep.
+#: lazily-resolved pair -> assignment bitmask dict (see CraftedEpoch).
+#: Epochs are small (a dict of ints), but a paper-scale sweep touches
+#: tens of thousands of distinct anchor sets — the bound must exceed
+#: that working set or the LRU thrashes mid-sweep.
 crafted_pattern_cache = Memo(max_entries=131072)
 #: Per-(code, target) aliasing-pair tables for BEEP hypothesis expansion.
 beep_expansion_cache = Memo(max_entries=8192)
@@ -308,7 +304,9 @@ class CraftedEpoch:
     shares the already-resolved pairs.  All-data systems (anchors and
     pair within the data bits) short-circuit: data bits are free
     variables, so the canonical solution is just the OR of the pinned
-    bits.  Values are read-only arrays (or None for infeasible pairs).
+    bits.  Values are dataword bitmasks (bit ``i`` = data bit ``i``), the
+    solver's own :meth:`~repro.analysis.atrisk.ChargeSystem.solution_int`,
+    or None for infeasible pairs.
     """
 
     __slots__ = ("code", "anchors", "_anchor_mask", "_base", "patterns")
@@ -326,24 +324,22 @@ class CraftedEpoch:
                 self._anchor_mask = None
                 break
         self._base: ChargeSystem | None = None
-        self.patterns: dict[tuple[int, int], np.ndarray | None] = {}
+        self.patterns: dict[tuple[int, int], int | None] = {}
 
-    def assignment(self, pair: tuple[int, int]) -> np.ndarray | None:
-        """The shared crafted assignment for ``pair``, resolving on miss."""
+    def assignment(self, pair: tuple[int, int]) -> int | None:
+        """The crafted assignment bitmask for ``pair``, resolving on miss."""
         patterns = self.patterns
         if pair in patterns:
             return patterns[pair]
         code = self.code
         a, b = pair
         if self._anchor_mask is not None and 0 <= a < code.k and 0 <= b < code.k:
-            solved = unpack_dataword(code.k, self._anchor_mask | (1 << a) | (1 << b))
+            solved = self._anchor_mask | (1 << a) | (1 << b)
         else:
             base = self._base
             if base is None:
                 base = self._base = ChargeSystem(code, self.anchors)
-            solved = base.with_charged(pair).solution()
-        if solved is not None:
-            solved.setflags(write=False)
+            solved = base.with_charged(pair).solution_int()
         patterns[pair] = solved
         return solved
 
@@ -373,20 +369,6 @@ class CodeAnalysisCaches:
         """
         key = ("epoch", self._key, anchors)
         return crafted_pattern_cache.get(key, lambda: CraftedEpoch(self.code, anchors))
-
-    def crafted_assignment(
-        self, anchors: tuple[int, ...], pair: tuple[int, int]
-    ) -> np.ndarray | None:
-        """Memoized crafted-pattern solve for one (anchor set, pair).
-
-        Bit-identical to
-        ``solve_charge_assignment(code, set(anchors) | set(pair))`` (the
-        canonical-solution property of :class:`ChargeSystem`), but the
-        anchor-set elimination is shared across pairs, rounds, and every
-        word of the sweep that shares the code.  The returned array is
-        **read-only** and shared — callers that expose it must copy.
-        """
-        return self.crafted_epoch(anchors).assignment(pair)
 
     def decode_consequences(
         self,
@@ -452,13 +434,6 @@ def code_caches(code: SystematicCode) -> CodeAnalysisCaches:
         handle = CodeAnalysisCaches(code)
         _code_caches_registry[key] = handle
     return handle
-
-
-def cached_crafted_assignment(
-    code: SystematicCode, anchors: tuple[int, ...], pair: tuple[int, int]
-) -> np.ndarray | None:
-    """Functional spelling of :meth:`CodeAnalysisCaches.crafted_assignment`."""
-    return code_caches(code).crafted_assignment(anchors, pair)
 
 
 def cached_aliasing_pairs(

@@ -96,7 +96,7 @@ class MemorySystem:
                 mismatches = frozenset(
                     int(i) for i in np.flatnonzero(outcome.data != written)
                 )
-                profiler.observe(round_index, written, mismatches)
+                profiler.observe(round_index, mismatches)
             identified = profiler.identified
             self.profile.mark_many(word_index, identified)
             identified_total += len(identified)

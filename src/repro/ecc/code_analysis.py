@@ -18,11 +18,11 @@ import numpy as np
 from repro.ecc import gf2
 from repro.ecc.linear_code import SystematicCode
 from repro.ecc.syndrome import analyze_error_pattern
+from repro.utils.bits import int_to_bits
 
 __all__ = [
     "aliasing_pairs_for_target",
     "minimum_distance",
-    "weight_distribution",
     "MiscorrectionProfile",
     "miscorrection_profile",
     "syndrome_coverage",
@@ -62,7 +62,7 @@ def minimum_distance(code: SystematicCode, max_weight: int | None = None) -> int
         best = code.n + 1
         generator = code.generator_matrix_t
         for message in range(1, 1 << code.k):
-            bits = np.array([(message >> i) & 1 for i in range(code.k)], dtype=np.uint8)
+            bits = int_to_bits(message, code.k)
             weight = int(gf2.matmul(bits.reshape(1, -1), generator).sum())
             best = min(best, weight)
         return best
@@ -76,19 +76,6 @@ def minimum_distance(code: SystematicCode, max_weight: int | None = None) -> int
             if not syndrome.any():
                 return weight
     raise ValueError(f"minimum distance exceeds search bound {limit}")
-
-
-def weight_distribution(code: SystematicCode) -> dict[int, int]:
-    """Codeword weight enumerator (exhaustive; requires k <= 16)."""
-    if code.k > 16:
-        raise ValueError("weight distribution is exhaustive; requires k <= 16")
-    distribution: dict[int, int] = {}
-    generator = code.generator_matrix_t
-    for message in range(1 << code.k):
-        bits = np.array([(message >> i) & 1 for i in range(code.k)], dtype=np.uint8)
-        weight = int(gf2.matmul(bits.reshape(1, -1), generator).sum())
-        distribution[weight] = distribution.get(weight, 0) + 1
-    return distribution
 
 
 @dataclass(frozen=True)

@@ -118,12 +118,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _pack_rows(matrix: np.ndarray) -> list[int]:
     """Pack each row into a Python integer (bit i = column i).
 
-    Vectorized via ``np.packbits``: one little-endian byte pass over the
-    whole matrix, then a bytes-to-int conversion per row.
+    Rows of up to 64 columns convert in one ``tolist`` of their
+    :func:`_pack_words` word; wider rows take one little-endian
+    ``np.packbits`` pass over the whole matrix, then a bytes-to-int
+    conversion per row.
     """
     arr = np.ascontiguousarray(matrix, dtype=np.uint8)
     if arr.shape[1] == 0:
         return [0] * arr.shape[0]
+    if arr.shape[1] <= 64:
+        return _pack_words(arr)[:, 0].tolist()
     packed_bytes = np.packbits(arr, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed_bytes]
 

@@ -94,7 +94,8 @@ field                     meaning
 
 Optional fields are additive: clients must tolerate their absence
 (``repro status`` renders a snapshot without churn/healed lines rather
-than failing).  :func:`read_status` accepts only ``repro-status-v2``.
+than failing).  :func:`read_status` accepts only ``repro-status-v2``,
+and only with every field it renders holding the type above.
 
 See ``docs/operations.md`` for the monitoring runbook.
 """
@@ -103,6 +104,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from collections import deque
@@ -131,6 +133,34 @@ STATUS_FORMAT = "repro-status-v2"
 #: Ring-buffer depth of the throughput history (one sample per second
 #: at most, so this is roughly the last minute of the campaign).
 HISTORY_SAMPLES = 60
+
+_INT = (int, "an integer")
+_NUMBER = ((int, float), "a number")
+#: The JSON type of every snapshot field :func:`render_status` reads: a
+#: ``(types, name)`` leaf (booleans never count as numbers, and a number
+#: must be finite and fit a float), a nested object's fields, or
+#: ``[schema]`` for an array of them.  Absent fields pass (the schema is
+#: additive); only a worker's ``pid`` and ``chunk`` may be null.
+_STATUS_SCHEMA = {
+    "elapsed": _NUMBER,
+    "wire": (str, "a string"),
+    "campaign": (dict, "an object"),
+    "fleet": {"size": _INT, "joined_total": _INT, "left_total": _INT, "expected": _INT},
+    "workers": [
+        {
+            "pid": ((int, type(None)), "an integer or null"),
+            "heartbeat_age": _NUMBER,
+            "chunk": ((int, type(None)), "an integer or null"),
+        }
+    ],
+    "chunks": {"total": _INT, "done": _INT, "pending": _INT, "deferred": _INT, "in_flight": _INT},
+    "jobs": {state: _INT for state in ("queued", "running", "done", "failed", "cancelled")},
+    "maps": {"active": _INT, "opened": _INT},
+    "history": [{"t": _NUMBER, "done": _INT}],
+    "retries": _INT,
+    "quarantined": [_INT],
+    "healed": _INT,
+}
 
 
 class ThroughputHistory:
@@ -387,8 +417,10 @@ def read_status(address: str | tuple[str, int], timeout: float = 5.0) -> dict:
 
     ``address`` is ``HOST:PORT`` or a ``(host, port)`` tuple.  Raises
     ``OSError`` when nothing answers and ``ValueError`` on anything but
-    a :data:`STATUS_FORMAT` snapshot.  The *work* port, the classic
-    mistake, drops the request at once, so that fails fast too.
+    a :data:`STATUS_FORMAT` snapshot whose fields :func:`render_status`
+    reads all hold their schema types (the error names the first field
+    that does not).  The *work* port, the classic mistake, drops the
+    request at once, so that fails fast too.
     """
     from repro.experiments.backends import parse_address
     from repro.experiments.service import _http_json
@@ -402,7 +434,38 @@ def read_status(address: str | tuple[str, int], timeout: float = 5.0) -> dict:
             f"{url} answered {code} with an unknown status format {found!r} "
             f"(expected {STATUS_FORMAT})"
         )
+    try:
+        _check_schema(snapshot, _STATUS_SCHEMA, "")
+    except ValueError as error:
+        raise ValueError(f"{url} answered a malformed status snapshot: {error}") from None
     return snapshot
+
+
+def _check_schema(value, schema, path: str) -> None:
+    """Raise ``ValueError`` naming the first field of ``value`` off ``schema``."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"field {path!r} is not an object")
+        for key, field in schema.items():
+            if key in value:
+                _check_schema(value[key], field, f"{path}.{key}" if path else key)
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ValueError(f"field {path!r} is not an array")
+        for index, item in enumerate(value):
+            _check_schema(item, schema[0], f"{path}[{index}]")
+    elif isinstance(value, bool) or not isinstance(value, schema[0]):
+        raise ValueError(f"field {path!r} is not {schema[1]}")
+    elif isinstance(value, (int, float)) and not _fits_float(value):
+        raise ValueError(f"field {path!r} is not a finite number")
+
+
+def _fits_float(number: int | float) -> bool:
+    """Whether ``number`` is finite and within the float range."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def render_status(snapshot: dict) -> str:
@@ -512,11 +575,11 @@ def status_main(argv: list[str] | None = None) -> int:
     args = build_status_parser().parse_args(argv)
     try:
         snapshot = read_status(args.address, timeout=args.timeout)
-    except (OSError, ValueError) as error:
+        # Well-typed fields can still overflow in the rendition's
+        # arithmetic (a history spanning -1e308..1e308 seconds).
+        text = json.dumps(snapshot) if args.json else render_status(snapshot)
+    except (OSError, ValueError, ArithmeticError) as error:
         print(f"repro status: {error}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(snapshot))
-    else:
-        print(render_status(snapshot))
+    print(text)
     return 0

@@ -46,8 +46,8 @@ Redundant work is eliminated by two layers of process-local caches:
   are shared across every word of a cell that uses the same code.
 * **Engine layer** (this module): word sampling is hoisted out of the
   probability loop (``_words_for``), and the simulation inputs that
-  repeat across cells — each word's standard pattern schedule, its
-  encoding, and its Bernoulli failure draws — are built for a whole
+  repeat across cells — each word's encoded standard pattern schedule
+  and its Bernoulli failure draws — are built for a whole
   error-count block at once by
   :func:`~repro.profiling.runner.cell_artifacts` and cached one block
   per process (``_block_artifacts``); each shard hands its slice to
@@ -88,7 +88,6 @@ from repro.profiling.runner import (
     WordArtifacts,
     WordRunResult,
     cell_artifacts,
-    clear_charge_mask_cache,
     simulate_cell,
 )
 from repro.utils.rng import derive_rng, derive_seed
@@ -441,7 +440,6 @@ def clear_engine_caches() -> None:
     _code_for.cache_clear()
     _words_for.cache_clear()
     _block_artifacts.cache_clear()
-    clear_charge_mask_cache()
 
 
 # ----------------------------------------------------------------------

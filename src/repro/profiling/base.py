@@ -3,8 +3,15 @@
 A profiler runs rounds of write-then-read testing against one ECC word.
 Each round it chooses a dataword to program; the harness writes it through
 on-die ECC, samples pre-correction errors, and hands the profiler back the
-positions where the data it reads differs from what it wrote.  Two read
-paths exist (paper §5.2):
+positions where the data it reads differs from what it wrote.
+
+A profiler chooses its dataword through one primitive,
+:meth:`Profiler.crafted_for_round`: a dataword bitmask (bit ``i`` = data
+bit ``i``) it crafted itself, or ``None`` for the row of its standard
+pattern schedule.  The simulation kernels keep a crafted round in the
+integer domain from the charge solver to the failure check;
+:meth:`Profiler.pattern_for_round` derives the array for callers that
+write arrays to a chip.  Two read paths exist (paper §5.2):
 
 * the **normal** path returns post-correction data — mismatches are
   post-correction errors (direct or indirect);
@@ -23,6 +30,7 @@ import numpy as np
 
 from repro.ecc.linear_code import SystematicCode
 from repro.memory.patterns import DataPattern, make_pattern
+from repro.utils.bits import int_to_bits
 
 __all__ = ["Profiler", "ReadMode"]
 
@@ -54,14 +62,15 @@ class Profiler(ABC):
     adaptive: bool = False
     #: Whether :meth:`observe_many` faithfully replays this profiler's
     #: :meth:`observe` semantics from distinct mismatch events alone.
-    #: Declaring ``batched = True`` vouches for three properties the
+    #: Declaring ``batched = True`` vouches for two properties the
     #: cell-batched kernel relies on: (1) the profiler's state after
     #: round ``r`` depends only on the *union* of the mismatch sets seen
     #: up to ``r`` (so repeated sets collapse to their first occurrence),
-    #: (2) :meth:`read_mode_for` is round-independent, and (3) ``observe``
-    #: ignores the ``written`` dataword.  Subclasses that break any of
-    #: these must leave it ``False`` (the kernel then refuses them) or
-    #: override :meth:`observe_many` accordingly, as the oracle does.
+    #: and (2) :meth:`read_mode_for` is round-independent.  Subclasses
+    #: that break either must leave it ``False`` (the kernel then refuses
+    #: them) or override :meth:`observe_many` accordingly, as the oracle
+    #: does.  The kernel writes only the standard schedule, so it also
+    #: refuses a profiler that crafts its own datawords.
     batched: bool = False
 
     def __init__(self, code: SystematicCode, seed: int, pattern: str = "random") -> None:
@@ -69,41 +78,38 @@ class Profiler(ABC):
         self.seed = int(seed)
         self._pattern: DataPattern = make_pattern(pattern, seed)
         self._observed: set[int] = set()
-        self._standard_schedule: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Per-round interface driven by the harness
     # ------------------------------------------------------------------
 
-    def attach_standard_schedule(self, schedule: np.ndarray) -> None:
-        """Serve base-schedule rounds from a precomputed schedule.
-
-        ``schedule`` must be row-for-row identical to this profiler's
-        ``self._pattern`` materialization (the sweep engine derives it
-        from the same (pattern, seed, k) inputs), so attaching never
-        changes behaviour — it only spares adaptive profilers the
-        per-round RNG re-derivation on bootstrap and fallback rounds.
-        """
-        self._standard_schedule = schedule
-
     def read_mode_for(self, round_index: int) -> str:
         """Which read path this profiler uses in the given round."""
         return ReadMode.NORMAL
 
+    def crafted_for_round(self, round_index: int) -> int | None:
+        """This round's crafted dataword as a bitmask, or ``None``.
+
+        ``None`` means the row of the standard pattern schedule.  The one
+        pattern primitive: adaptive profilers override this (never
+        :meth:`pattern_for_round`), and the harness calls it exactly once
+        per round, in round order.
+        """
+        return None
+
     def pattern_for_round(self, round_index: int) -> np.ndarray:
-        """The dataword to program this round."""
-        schedule = self._standard_schedule
-        if schedule is not None and round_index < len(schedule):
-            return schedule[round_index]
-        return self._pattern.data_for_round(round_index, self.code.k)
+        """The dataword to program this round, as a length-``k`` array.
+
+        Derived from :meth:`crafted_for_round` (so it advances the same
+        state) for callers that write arrays to a chip.
+        """
+        crafted = self.crafted_for_round(round_index)
+        if crafted is None:
+            return self._pattern.data_for_round(round_index, self.code.k)
+        return int_to_bits(crafted, self.code.k)
 
     @abstractmethod
-    def observe(
-        self,
-        round_index: int,
-        written: np.ndarray,
-        mismatches: frozenset[int],
-    ) -> None:
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
         """Record the mismatching data positions of this round's read-back."""
 
     def observe_many(
@@ -125,6 +131,8 @@ class Profiler(ABC):
         """
         changes: list[tuple[int, frozenset[int], frozenset[int]]] = []
         observed = self._observed
+        # Accumulate semantics leave the prediction channel alone.
+        predicted = self.identified_predicted
         for round_index, mismatches in events:
             before = len(observed)
             observed.update(mismatches)
@@ -133,7 +141,6 @@ class Profiler(ABC):
                 # ``identified_observed`` is exactly frozenset(_observed)
                 # and ``identified`` only adds the prediction channel.
                 snapshot = frozenset(observed)
-                predicted = self.identified_predicted
                 identified = snapshot | predicted if predicted else snapshot
                 changes.append((round_index, identified, snapshot))
         return changes

@@ -19,13 +19,16 @@ uses the same parity-check matrix:
 
 * the anchor-set system is eliminated once per (code, anchors) and each
   hypothesis pair is solved as a two-constraint incremental update
-  (:func:`~repro.analysis.memo.cached_crafted_assignment`);
+  (:meth:`~repro.analysis.memo.CraftedEpoch.assignment`);
 * the O(n²) aliasing-pair expansion per observed target is computed once
   per (code, target) (:func:`~repro.analysis.memo.cached_aliasing_pairs`).
 
-The memo layer returns shared read-only arrays; this class is the single
-place that hands out defensive copies.  Cache state never changes results
-— hot and cold traces are bit-identical (``tests/test_adaptive_caches.py``).
+A crafted round stays an integer from the solver to the harness: the
+memo stores each assignment as the solver's dataword bitmask, and
+:meth:`BeepProfiler.crafted_for_round` hands that int out unchanged (ints
+are immutable, so nothing needs copying).  Cache state never changes
+results — hot and cold traces are bit-identical
+(``tests/test_adaptive_caches.py``).
 
 Reproduced qualitative behaviour (paper §7.2, §7.3): because crafted
 patterns charge only hypothesis cells, at-risk bits outside the current
@@ -36,8 +39,6 @@ exposure over long horizons.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.analysis.memo import code_caches
 from repro.ecc.linear_code import SystematicCode
@@ -86,12 +87,7 @@ class BeepProfiler(Profiler):
         for pair in self._caches.aliasing_pairs(target):
             self._hypotheses.append((target, pair))
 
-    def observe(
-        self,
-        round_index: int,
-        written: np.ndarray,
-        mismatches: frozenset[int],
-    ) -> None:
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
         if not mismatches:
             return
         for position in mismatches:
@@ -106,10 +102,10 @@ class BeepProfiler(Profiler):
     # Pattern crafting
     # ------------------------------------------------------------------
 
-    def pattern_for_round(self, round_index: int) -> np.ndarray:
+    def crafted_for_round(self, round_index: int) -> int | None:
         if not self._hypotheses:
             # Bootstrapping: no anchor yet, fall back to random patterns.
-            return super().pattern_for_round(round_index)
+            return None
         hypotheses = self._hypotheses
         epoch = self._epoch
         resolved = epoch.patterns
@@ -120,8 +116,6 @@ class BeepProfiler(Profiler):
             pair = hypotheses[slot][1]
             assignment = resolved[pair] if pair in resolved else epoch.assignment(pair)
             if assignment is not None:
-                # The memo owns the shared read-only array; copy on the
-                # way out so callers may mutate their pattern freely.
-                return assignment.copy()
+                return assignment
         # Every queued hypothesis is charge-infeasible; fall back to random.
-        return super().pattern_for_round(round_index)
+        return None

@@ -17,8 +17,6 @@ words per sweep cell that share a code re-derive none of that state.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ecc.linear_code import SystematicCode
 from repro.profiling.base import Profiler, ReadMode
 from repro.profiling.beep import BeepProfiler
@@ -48,38 +46,28 @@ class HarpABeepProfiler(Profiler):
         self._beep = BeepProfiler(code, seed, pattern)
         self._seeded_beep = False
 
-    def attach_standard_schedule(self, schedule: np.ndarray) -> None:
-        # Both phases draw their base-schedule rounds from the same
-        # (pattern, seed) stream, so the precomputed rows serve each.
-        super().attach_standard_schedule(schedule)
-        self._harp.attach_standard_schedule(schedule)
-        self._beep.attach_standard_schedule(schedule)
-
     def _in_active_phase(self, round_index: int) -> bool:
         return round_index < self.switch_round
 
     def read_mode_for(self, round_index: int) -> str:
         return ReadMode.BYPASS if self._in_active_phase(round_index) else ReadMode.NORMAL
 
-    def pattern_for_round(self, round_index: int) -> np.ndarray:
+    def crafted_for_round(self, round_index: int) -> int | None:
+        # Both phases draw their standard rounds from this profiler's
+        # (pattern, seed) stream, so ``None`` means the same row for each.
         if self._in_active_phase(round_index):
-            return self._harp.pattern_for_round(round_index)
+            return self._harp.crafted_for_round(round_index)
         if not self._seeded_beep:
             # Seed BEEP's anchor pool with everything HARP-A identified.
             self._seeded_beep = True
-            self._beep.observe(round_index, np.zeros(self.code.k, dtype=np.uint8), self._harp.identified)
-        return self._beep.pattern_for_round(round_index)
+            self._beep.observe(round_index, self._harp.identified)
+        return self._beep.crafted_for_round(round_index)
 
-    def observe(
-        self,
-        round_index: int,
-        written: np.ndarray,
-        mismatches: frozenset[int],
-    ) -> None:
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
         if self._in_active_phase(round_index):
-            self._harp.observe(round_index, written, mismatches)
+            self._harp.observe(round_index, mismatches)
         else:
-            self._beep.observe(round_index, written, mismatches)
+            self._beep.observe(round_index, mismatches)
 
     @property
     def observation_count(self) -> int:

@@ -15,8 +15,6 @@ picks those up at runtime.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.memo import cached_predict_indirect
 from repro.ecc.linear_code import SystematicCode
 from repro.profiling.base import Profiler, ReadMode
@@ -36,12 +34,7 @@ class HarpUProfiler(Profiler):
     def read_mode_for(self, round_index: int) -> str:
         return ReadMode.BYPASS
 
-    def observe(
-        self,
-        round_index: int,
-        written: np.ndarray,
-        mismatches: frozenset[int],
-    ) -> None:
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
         self._observed.update(mismatches)
 
 
@@ -55,12 +48,7 @@ class HarpAProfiler(HarpUProfiler):
         super().__init__(code, seed, pattern)
         self._predicted: frozenset[int] = frozenset()
 
-    def observe(
-        self,
-        round_index: int,
-        written: np.ndarray,
-        mismatches: frozenset[int],
-    ) -> None:
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
         before = len(self._observed)
         self._observed.update(mismatches)
         if len(self._observed) != before:

@@ -11,8 +11,6 @@ combinations.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.profiling.base import Profiler
 
 __all__ = ["NaiveProfiler"]
@@ -27,10 +25,5 @@ class NaiveProfiler(Profiler):
     #: ``observe`` exactly, so whole cells batch through the kernel.
     batched = True
 
-    def observe(
-        self,
-        round_index: int,
-        written: np.ndarray,
-        mismatches: frozenset[int],
-    ) -> None:
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
         self._observed.update(mismatches)

@@ -10,8 +10,6 @@ sanity-check that metrics treat an all-knowing profiler as perfect.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.atrisk import GroundTruth
 from repro.ecc.linear_code import SystematicCode
 from repro.profiling.base import Profiler
@@ -39,12 +37,7 @@ class OracleProfiler(Profiler):
         self._truth = ground_truth
         self._revealed = False
 
-    def observe(
-        self,
-        round_index: int,
-        written: np.ndarray,
-        mismatches: frozenset[int],
-    ) -> None:
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
         if not self._revealed:
             self._revealed = True
             self._observed.update(self._truth.post_correction_at_risk)

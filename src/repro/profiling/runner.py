@@ -21,23 +21,28 @@ Every driver enters through :func:`simulate_cell`, which builds a
 cell's profilers, picks each one's kernel from the profiler class alone
 (``batched`` and not ``adaptive``: :func:`simulate_words_batched`;
 otherwise :func:`simulate_word`) and hands all profilers of a word one
-complete :class:`WordArtifacts` (standard schedule, its encoding,
-failure draws) — the only way inputs reach either kernel.  One
-function builds them, :func:`cell_artifacts`: every random-pattern
-schedule in one vectorized :func:`~repro.memory.patterns.random_rounds`
-pass, and one encode per code.  ``simulate_cell`` calls it for the
-words it is given, unless the caller (the sweep, which reuses each word
-across cells) passes the artifacts it built the same way.  Adaptive
-profilers serve bootstrap/fallback rounds from them via
-``Profiler.attach_standard_schedule``.  Within a run,
-repeated failure patterns memoize their decode consequences; crafted
-patterns memoize their charge masks as integer bitmasks in a
-process-wide per-word scope, so the adaptive per-round failure check is
-a single int AND; and the cumulative trace sets are rebuilt only on
-rounds where the profiler's state actually moved (tracked through
-``Profiler.observation_count``).  All of it is
-bit-identical to the straight-line loop — ``tests/test_sweep_engine.py``
-and ``tests/test_adaptive_caches.py`` pin that.
+complete :class:`WordArtifacts` (the encoded standard schedule and the
+failure draws) — the only way inputs reach either kernel.  One function
+builds them, :func:`cell_artifacts`: every random-pattern schedule in
+one vectorized :func:`~repro.memory.patterns.random_rounds` pass, and
+one encode per code.  ``simulate_cell`` calls it for the words it is
+given, unless the caller (the sweep, which reuses each word across
+cells) passes the artifacts it built the same way.
+
+:func:`simulate_word` runs one loop for every profiler.  Standard rounds
+take their failure bitmasks from the artifacts' codewords in one
+vectorized pass.  A crafted round
+(:meth:`~repro.profiling.base.Profiler.crafted_for_round`) stays a
+Python int from the charge solver to the failure check: an at-risk
+position's charge is the parity of its selector (the data bit, or its
+row of ``P``) ANDed with the dataword, so no crafted round is encoded or
+unpacked.  Within a run, charge masks, failure tuples and decode
+consequences are memoized by bitmask, and the cumulative trace sets are
+rebuilt only on rounds where the profiler's state actually moved
+(tracked through ``Profiler.observation_count``).  All of it is
+bit-identical to the straight-line array loop —
+``tests/test_sweep_engine.py`` and ``tests/test_adaptive_caches.py`` pin
+that.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.memo import code_caches
+from repro.ecc import gf2
 from repro.ecc.linear_code import SystematicCode
 from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile, check_profile_positions
@@ -64,40 +70,14 @@ __all__ = [
     "simulate_words_batched",
     "post_correction_data_errors",
     "post_correction_data_errors_batch",
-    "clear_charge_mask_cache",
 ]
 
 
-#: Interned (word positions, failure bitmask) -> failed-positions tuple.
-#: Value-only cache (no invalidation hazard); the cap bounds pathological
-#: sweeps, normal grids hold a few thousand entries.
-_PATTERN_TUPLES: dict[tuple, tuple[int, ...]] = {}
-_PATTERN_TUPLES_MAX = 1 << 20
-
-#: Cross-run charge-mask cache for adaptive (crafted) patterns: the mask
-#: is pure in (code, at-risk positions, orientation, written dataword),
-#: and the sweep engine re-simulates each word once per (probability,
-#: profiler) cell with largely overlapping crafted patterns.  Two-level:
-#: scope (code, positions, orientation) -> {pattern bytes -> int mask},
-#: so the per-(word, run) inner dict is fetched once per simulation and
-#: the hot path never re-hashes the code.  Masks are integer bitmasks
-#: (bit i = at-risk position i), making the per-round failure check a
-#: single int AND; process-local like every other engine cache.
-_charge_mask_cache: dict = {}
-_CHARGE_MASK_MAX_SCOPES = 8192
-
-
-def _pack_bits(mask: np.ndarray) -> int:
-    """Pack a boolean vector into an integer bitmask (bit i = element i)."""
-    return int.from_bytes(
-        np.packbits(mask, bitorder="little").tobytes(), "little"
-    )
-
-
-def clear_charge_mask_cache() -> None:
-    """Empty the cross-run charge-mask cache (tests and benchmarks)."""
-    _charge_mask_cache.clear()
-
+#: Interned word positions -> {failure bitmask: failed-positions tuple}.
+#: Value-only cache (no invalidation hazard); the cap on position sets
+#: bounds pathological sweeps, a bench grid holds a few hundred.
+_PATTERN_TUPLES: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+_PATTERN_TUPLES_MAX = 1 << 16
 
 def post_correction_data_errors(code: SystematicCode, failed: tuple[int, ...]) -> frozenset[int]:
     """Exact post-correction data-error positions for a failure pattern."""
@@ -176,34 +156,35 @@ def _failure_draws(word_seed: int, num_rounds: int, count: int) -> np.ndarray:
     return derive_rng(word_seed, "failure-draws").random((num_rounds, count))
 
 
-def _failure_tuples(
-    failed_matrix: np.ndarray, positions: np.ndarray, num_rounds: int
-) -> list[tuple[int, ...]]:
-    """Per-round failed-position tuples from a boolean (rounds, at-risk) mask.
+def _charge_selectors(code: SystematicCode, positions: Sequence[int]) -> list[int]:
+    """Each codeword position's selector over the data bits.
 
-    One ``nonzero`` pass plus splitting on the cumulative row counts
-    replaces the per-element dict loop: ``nonzero`` is row-major, so each
-    row's columns come out ascending (matching the sorted profile
-    positions) and the running counts are exactly the row boundaries.
-    The split slices a single ``tolist`` materialization — cheaper than
-    ``np.split``'s per-piece view construction on dense masks.
+    A position's charge under a dataword is the parity of its selector
+    ANDed with it: the data bit itself, or the position's row of ``P``.
     """
-    failed_by_round: list[tuple[int, ...]] = [()] * num_rounds
-    counts = np.count_nonzero(failed_matrix, axis=1)
-    rows = np.flatnonzero(counts)
-    if rows.size:
-        mapped = positions[np.nonzero(failed_matrix)[1]].tolist()
-        bounds = np.cumsum(counts[rows]).tolist()
-        start = 0
-        for row, stop in zip(rows.tolist(), bounds):
-            failed_by_round[row] = tuple(mapped[start:stop])
-            start = stop
-    return failed_by_round
+    k = code.k
+    parity_rows = code.parity_row_ints
+    return [1 << p if p < k else parity_rows[p - k] for p in positions]
+
+
+def _charge_mask(selectors: Sequence[int], anti_mask: int, dataword: int) -> int:
+    """Which positions a dataword charges, as a bitmask (bit ``j`` = ``selectors[j]``).
+
+    ``anti_mask`` flags the anti cells, which hold charge when storing 0.
+    """
+    mask = anti_mask
+    for bit, selector in enumerate(selectors):
+        mask ^= ((selector & dataword).bit_count() & 1) << bit
+    return mask
 
 
 def _follows_standard_schedule(profiler: Profiler) -> bool:
     """Whether ``profiler`` writes its standard pattern schedule verbatim."""
-    return type(profiler).pattern_for_round is Profiler.pattern_for_round
+    cls = type(profiler)
+    return (
+        cls.crafted_for_round is Profiler.crafted_for_round
+        and cls.pattern_for_round is Profiler.pattern_for_round
+    )
 
 
 @dataclass(frozen=True)
@@ -212,24 +193,21 @@ class WordArtifacts:
 
     All profilers of a word — within a :func:`simulate_cell` call, and
     across the sweep's (probability, profiler) cells — see the same
-    standard pattern schedule and encoding (pure in pattern, word seed and
+    encoded standard pattern schedule (pure in pattern, word seed and
     code) and failure draws (pure in the word seed).  One complete
     instance per word is the only way inputs reach the kernels; the
     contents must match the run's (pattern, code, profile, ``num_rounds``,
     ``word_seed``) exactly and are trusted.
 
     Attributes:
-        schedule: ``(num_rounds, k)`` datawords of the *standard* pattern
-            schedule.  Adaptive profilers serve their bootstrap/fallback
-            rounds from it; a non-adaptive profiler that overrides
-            ``pattern_for_round`` ignores it on the scalar path, and the
-            batched kernel refuses one.
-        codewords: ``(num_rounds, n)`` encoding of ``schedule``.
+        codewords: ``(num_rounds, n)`` encoding of the *standard* pattern
+            schedule (a systematic codeword's first ``k`` bits are the
+            dataword itself).  Standard rounds read their charges from
+            it; crafted rounds never do.
         draws: ``(num_rounds, profile.count)`` uniform failure variates,
             as produced by the ``word_seed``-derived stream.
     """
 
-    schedule: np.ndarray
     codewords: np.ndarray
     draws: np.ndarray
 
@@ -244,136 +222,92 @@ def simulate_word(
 ) -> WordRunResult:
     """Run a profiler against one ECC word for ``num_rounds`` rounds.
 
-    Non-adaptive profilers (pattern schedule independent of observations)
-    take a vectorized fast path: all patterns are encoded in one batch and
-    all failure draws resolved in one array operation.  Adaptive profilers
-    (BEEP and hybrids) interleave pattern crafting with observations and
-    run sequentially.  Both paths produce bit-identical traces for
-    non-adaptive profilers because the draws are pattern-independent.
+    One loop serves every profiler.  A failure pattern is a bitmask over
+    the at-risk positions (bit ``j`` = ``profile.positions[j]``): a
+    standard round's comes from the encoded schedule, resolved for all
+    rounds in one vectorized pass; a crafted round's charge mask is
+    computed from the dataword bitmask in Python ints (see the module
+    docstring) and ANDed with the round's packed draws.  The draws are
+    pattern-independent, so every profiler of a word sees the same ones.
 
     Args:
         orientation: cell orientation; ``None`` (the paper's model) means
             all true cells, where a stored 1 is the charged/vulnerable
             state.  With anti cells a stored 0 is vulnerable instead.
         artifacts: the word's precomputed inputs (see
-            :class:`WordArtifacts`); ``None`` derives everything from the
-            profiler and ``word_seed`` — the reference the tests compare
-            against.  The result is bit-identical either way.
+            :class:`WordArtifacts`); ``None`` builds them through
+            :func:`cell_artifacts` from the profiler's pattern and
+            ``word_seed``.  The result is bit-identical either way.
+
+    Raises:
+        ValueError: for a profiler that overrides ``pattern_for_round``
+            (this loop writes ``crafted_for_round``'s datawords, so it
+            would ignore that profiler's patterns), or for artifacts
+            whose draws do not match the profile.
     """
     code = profiler.code
     check_profile_positions(profile, code.n)
+    if type(profiler).pattern_for_round is not Profiler.pattern_for_round:
+        raise ValueError(
+            f"profiler {profiler.name!r} overrides pattern_for_round; simulate_word "
+            "writes crafted_for_round's datawords, so craft them there"
+        )
     if artifacts is None:
-        draws = _failure_draws(word_seed, num_rounds, profile.count)
+        artifacts = cell_artifacts(
+            [code], [profiler._pattern], [profile.count], [word_seed], num_rounds
+        )[0]
     elif artifacts.draws.shape != (num_rounds, profile.count):
         raise ValueError(
             f"precomputed draws shape {artifacts.draws.shape} != "
             f"({num_rounds}, {profile.count})"
         )
+    positions = profile.positions
+    columns = np.asarray(positions, dtype=np.intp)
+    below = artifacts.draws < np.asarray(profile.probabilities, dtype=float)
+    if orientation is None:
+        charged = artifacts.codewords[:, columns]
+        anti_mask = 0
     else:
-        draws = artifacts.draws
-    probabilities = np.asarray(profile.probabilities, dtype=float)
-    positions = np.asarray(profile.positions, dtype=np.intp)
+        charged = orientation.charged_mask(artifacts.codewords)[:, columns]
+        anti_mask = gf2._pack_rows(orientation.true_cell_mask[None, columns] == 0)[0]
+    standard_failures = gf2._pack_rows(charged.astype(bool) & below)
+    below_masks = gf2._pack_rows(below)
+    selectors = _charge_selectors(code, positions)
 
-    def charge_of(codeword_bits: np.ndarray) -> np.ndarray:
-        """Charged mask restricted to the at-risk positions."""
-        if orientation is None:
-            return codeword_bits[..., positions].astype(bool)
-        return orientation.charged_mask(codeword_bits)[..., positions].astype(bool)
-
+    # Crafted datawords and failure patterns repeat across rounds (always
+    # at p=1.0, often below); their charge masks, failure tuples and
+    # decode consequences are pure in them, so per-run dicts keyed by
+    # bitmask serve the repeats.  The consequence dict fronts the shared
+    # analysis-layer memo (CodeAnalysisCaches.decode_consequences), so
+    # repeated cells on the same code reuse each other's decodes.
+    analysis_caches = code_caches(code)
+    charge_masks: dict[int, int] = {}
+    consequences: dict[tuple[str, int], tuple[tuple[int, ...], frozenset[int]]] = {}
     identified_trace: list[frozenset[int]] = []
     observed_trace: list[frozenset[int]] = []
     failure_trace: list[tuple[int, ...]] = []
-
-    if profiler.adaptive:
-        written_rounds = None
-        if artifacts is not None:
-            # Adaptive profilers fall back to the base schedule on
-            # bootstrap rounds; serving those rows from the precomputed
-            # artifact skips the per-round RNG re-derivation.
-            profiler.attach_standard_schedule(artifacts.schedule)
-    else:
-        # The precomputed schedule is only valid for profilers that follow
-        # the base schedule verbatim; a subclass overriding
-        # pattern_for_round falls back to materializing its own rounds.
-        if artifacts is not None and _follows_standard_schedule(profiler):
-            written_rounds = artifacts.schedule
-            codewords = artifacts.codewords
-        else:
-            written_rounds = np.stack(
-                [profiler.pattern_for_round(r) for r in range(num_rounds)]
-            )
-            codewords = code.encode(written_rounds) if profile.count else None
-        if profile.count:
-            failed_matrix = charge_of(codewords) & (draws < probabilities)
-            failed_by_round = _failure_tuples(failed_matrix, positions, num_rounds)
-        else:
-            failed_by_round = [()] * num_rounds
-
-    # Failure patterns repeat across rounds (always at p=1.0, often below),
-    # and decode consequences are pure in (code, mode, pattern).  A
-    # per-run dict fronts the shared analysis-layer memo
-    # (CodeAnalysisCaches.decode_consequences), so repeated cells on the
-    # same code — and shared-memory workers — reuse each other's decodes
-    # while the per-round hot path stays a plain dict hit.
-    analysis_caches = code_caches(code)
-    mismatch_cache: dict[tuple[str, tuple[int, ...]], frozenset[int]] = {}
     previous_observed_count = -1
     previous_predicted: frozenset[int] | None = None
     current_identified: frozenset[int] = frozenset()
     current_observed: frozenset[int] = frozenset()
 
-    if written_rounds is None and profile.count:
-        # The adaptive loop runs round by round; packing the Bernoulli
-        # draws and charge masks into per-round integer bitmasks turns
-        # the failure check into one int AND instead of numpy ops.
-        below_rows = np.packbits(draws < probabilities, axis=1, bitorder="little")
-        below_ints = [int.from_bytes(row.tobytes(), "little") for row in below_rows]
-        position_values = profile.positions
-        # Adaptive profilers revisit the same crafted pattern many times;
-        # the encode + charge-mask pipeline is pure in the written
-        # dataword, and the process-wide scope dict also collapses
-        # repeats across the cells that re-simulate this word.
-        charge_mask_scope = (
-            code,
-            profile.positions,
-            None if orientation is None else orientation.true_cell_mask.tobytes(),
-        )
-        charged_cache = _charge_mask_cache.get(charge_mask_scope)
-        if charged_cache is None:
-            if len(_charge_mask_cache) >= _CHARGE_MASK_MAX_SCOPES:
-                _charge_mask_cache.clear()
-            charged_cache = _charge_mask_cache[charge_mask_scope] = {}
-
+    crafted_for_round = profiler.crafted_for_round
+    read_mode_for = profiler.read_mode_for
+    observe = profiler.observe
     for round_index in range(num_rounds):
-        if written_rounds is None:
-            written = profiler.pattern_for_round(round_index)
-            if profile.count:
-                pattern_key = written.tobytes()
-                charged = charged_cache.get(pattern_key)
-                if charged is None:
-                    charged = _pack_bits(charge_of(code.encode(written)))
-                    charged_cache[pattern_key] = charged
-                failed_bits = charged & below_ints[round_index]
-                if failed_bits:
-                    failed_list = []
-                    while failed_bits:
-                        low_bit = failed_bits & -failed_bits
-                        failed_list.append(position_values[low_bit.bit_length() - 1])
-                        failed_bits ^= low_bit
-                    failed = tuple(failed_list)
-                else:
-                    failed = ()
-            else:
-                failed = ()
+        crafted = crafted_for_round(round_index)
+        if crafted is None:
+            failed_bits = standard_failures[round_index]
         else:
-            written = written_rounds[round_index]
-            failed = failed_by_round[round_index]
-        failure_trace.append(failed)
-
-        mode = profiler.read_mode_for(round_index)
-        key = (mode, failed)
-        mismatches = mismatch_cache.get(key)
-        if mismatches is None:
+            charged_bits = charge_masks.get(crafted)
+            if charged_bits is None:
+                charged_bits = charge_masks[crafted] = _charge_mask(selectors, anti_mask, crafted)
+            failed_bits = charged_bits & below_masks[round_index]
+        mode = read_mode_for(round_index)
+        key = (mode, failed_bits)
+        consequence = consequences.get(key)
+        if consequence is None:
+            failed = tuple(p for bit, p in enumerate(positions) if failed_bits >> bit & 1)
             if mode == ReadMode.BYPASS:
                 # Raw data bits: mismatches are exactly the failed data
                 # positions.
@@ -384,8 +318,10 @@ def simulate_word(
                 mismatches = analysis_caches.decode_consequences(
                     mode, failed, lambda: post_correction_data_errors(code, failed)
                 )
-            mismatch_cache[key] = mismatches
-        profiler.observe(round_index, written, mismatches)
+            consequence = consequences[key] = (failed, mismatches)
+        failed, mismatches = consequence
+        failure_trace.append(failed)
+        observe(round_index, mismatches)
         # Rebuild the cumulative frozensets only when the profiler's state
         # moved: the observation channel is add-only (``observation_count``
         # is its change fingerprint) and the prediction channel is compared
@@ -445,8 +381,8 @@ def simulate_words_batched(
 
     Raises:
         ValueError: for an adaptive or non-``batched`` profiler, one that
-            overrides ``pattern_for_round`` (the kernel only writes the
-            standard schedule), or length mismatches.
+            crafts its own datawords (the kernel only writes the standard
+            schedule), or length mismatches.
     """
     count = len(profilers)
     if len(profiles) != count or len(word_seeds) != count:
@@ -464,8 +400,8 @@ def simulate_words_batched(
             )
         if not _follows_standard_schedule(profiler):
             raise ValueError(
-                f"batched profiler {profiler.name!r} overrides pattern_for_round; "
-                "the batched kernel only writes the standard schedule"
+                f"batched profiler {profiler.name!r} overrides pattern_for_round or "
+                "crafted_for_round; the batched kernel only writes the standard schedule"
             )
     if not count:
         return []
@@ -485,10 +421,11 @@ def simulate_words_batched(
 
     # ------------------------------------------------------------------
     # Batched failure resolution: one 3-D mask comparison per uniform
-    # at-risk-count group, then one nonzero/split pass turning the whole
-    # group's failures into per-round tuples.
+    # at-risk-count group, then each word's failure tuple per round and
+    # its distinct non-empty patterns with their first rounds.
     # ------------------------------------------------------------------
     failed_by_word: list[list[tuple[int, ...]]] = [[()] * num_rounds for _ in range(count)]
+    # Ascending by first round: the event order ``observe_many`` needs.
     first_rounds_per_word: list[dict[tuple[int, ...], int]] = [{} for _ in range(count)]
     groups: dict[int, list[int]] = {}
     for index, profile in enumerate(profiles):
@@ -504,7 +441,7 @@ def simulate_words_batched(
         # (words, rounds, at-risk) block is a fraction of the codewords.
         charged = np.stack(
             [
-                charged_bits(artifacts[i].codewords)[:, positions]
+                charged_bits(artifacts[i].codewords).take(positions, axis=1)
                 for i, positions in zip(indices, positions2)
             ]
         ).astype(bool)
@@ -516,61 +453,58 @@ def simulate_words_batched(
             # Pack each round's failure pattern into an int64 bitmask and
             # the word's group-local index into the bits above it: one
             # ``np.unique`` over the whole group finds every distinct
-            # (word, pattern) pair and its first flat index — which is
-            # word-major and round-ascending, exactly the event order the
-            # ``observe_many`` contract needs.  Tuples are then built per
-            # *distinct* pattern, not per nonzero round.
+            # (word, pattern) pair, its first flat index (word-major,
+            # round-ascending) and the pair of every round.  Tuples are
+            # built per distinct pair, and numpy fans them out.
             weights = np.int64(1) << np.arange(at_risk, dtype=np.int64)
-            masks2 = failed.astype(np.int64) @ weights
-            keys = masks2.ravel() | (
+            keys = (failed.astype(np.int64) @ weights).ravel() | (
                 np.arange(group_size, dtype=np.int64).repeat(num_rounds) << at_risk
             )
-            uniq_keys, first_idx = np.unique(keys, return_index=True)
-            order = np.argsort(first_idx)
-            low_bits = (np.int64(1) << at_risk) - 1
-            masks_sorted = (uniq_keys[order] & low_bits).tolist()
-            positions_lists = positions2.tolist()
-            mask_maps: list[dict[int, tuple[int, ...]] | None] = [None] * group_size
-            # The distinct pairs arrive word-major: hoist the per-word
-            # lookups out of the (much longer) per-pattern stream.
+            uniq_keys, inverse = np.unique(keys, return_inverse=True)
+            # ``return_index`` would take a stable sort; this is cheaper.
+            first_idx = np.full(len(uniq_keys), keys.size)
+            np.minimum.at(first_idx, inverse, np.arange(keys.size))
+            masks = uniq_keys & ((np.int64(1) << at_risk) - 1)
+            word_locals = uniq_keys >> at_risk
+            tuples: list[tuple[int, ...]] = []
             prev_local = -1
-            positions_key: tuple[int, ...] = ()
-            positions_row: list[int] = []
-            first_rounds: dict = {}
-            mapping = {}
-            intern_get = _PATTERN_TUPLES.get
-            for idx, mask in zip(first_idx[order].tolist(), masks_sorted):
-                if not mask:
-                    continue
-                local = idx // num_rounds
+            known: dict[int, tuple[int, ...]] = {}
+            positions: tuple[int, ...] = ()
+            for local, mask in zip(word_locals.tolist(), masks.tolist()):
                 if local != prev_local:
+                    # Patterns recur heavily across sweep cells (every
+                    # probability level and profiler revisits the same
+                    # word): intern them per at-risk position set so
+                    # repeats share one object and skip the rebuild.
                     prev_local = local
-                    word_index = indices[local]
-                    positions_key = profiles[word_index].positions
-                    positions_row = positions_lists[local]
-                    first_rounds = first_rounds_per_word[word_index]
-                    mapping = mask_maps[local] = {0: ()}
-                # Patterns recur heavily across sweep cells (every
-                # probability level and profiler revisits the same word):
-                # intern (positions, mask) -> tuple so repeats share one
-                # object and skip the rebuild.
-                intern_key = (positions_key, mask)
-                failed_tuple = intern_get(intern_key)
+                    positions = profiles[indices[local]].positions
+                    known = _PATTERN_TUPLES.get(positions)
+                    if known is None:
+                        if len(_PATTERN_TUPLES) >= _PATTERN_TUPLES_MAX:
+                            _PATTERN_TUPLES.clear()
+                        known = _PATTERN_TUPLES[positions] = {0: ()}
+                failed_tuple = known.get(mask)
                 if failed_tuple is None:
-                    failed_tuple = tuple(
-                        [pos for bit, pos in enumerate(positions_row) if (mask >> bit) & 1]
+                    failed_tuple = known[mask] = tuple(
+                        [pos for bit, pos in enumerate(positions) if mask >> bit & 1]
                     )
-                    if len(_PATTERN_TUPLES) >= _PATTERN_TUPLES_MAX:
-                        _PATTERN_TUPLES.clear()
-                    _PATTERN_TUPLES[intern_key] = failed_tuple
-                mapping[mask] = failed_tuple
-                first_rounds[failed_tuple] = (idx % num_rounds, failed_tuple)
-            all_masks = masks2.tolist()
-            for local, word_index in enumerate(indices):
-                mapping = mask_maps[local]
-                if mapping is None:
-                    continue  # no failures: the all-empty default stands
-                failed_by_word[word_index] = [mapping[v] for v in all_masks[local]]
+                tuples.append(failed_tuple)
+            tuple_array = np.fromiter(tuples, dtype=object, count=len(tuples))
+            traces = tuple_array[inverse.reshape(group_size, num_rounds)].tolist()
+            for word_index, trace in zip(indices, traces):
+                failed_by_word[word_index] = trace
+            order = np.argsort(first_idx)
+            order = order[masks[order] != 0]
+            ordered_tuples = tuple_array[order].tolist()
+            ordered_rounds = (first_idx[order] % num_rounds).tolist()
+            stops = np.cumsum(np.bincount(word_locals[order], minlength=group_size)).tolist()
+            start = 0
+            for word_index, stop in zip(indices, stops):
+                if stop != start:
+                    first_rounds_per_word[word_index] = dict(
+                        zip(ordered_tuples[start:stop], ordered_rounds[start:stop])
+                    )
+                    start = stop
             continue
         flat = failed.reshape(len(indices) * num_rounds, at_risk)
         counts = np.count_nonzero(flat, axis=1)
@@ -585,55 +519,45 @@ def simulate_words_batched(
         bounds = np.cumsum(row_counts).tolist()
         # nonzero is row-major: rows ascend word-major then round-major,
         # so each word's first occurrence of a pattern is recorded at its
-        # earliest round and event insertion order is ascending by round.
+        # earliest round and insertion order is ascending by round.
         # Slicing one tolist materialization beats np.split's per-piece
-        # view construction; interning repeated tuples through the
-        # first-rounds dict keeps dense (p=1.0) traces to one object.
+        # view construction; a repeated tuple is replaced by the object
+        # stored at its first round, so dense (p=1.0) traces hold one.
         start = 0
         for row, word, stop in zip(rows.tolist(), words_of_rows.tolist(), bounds):
             failed_tuple = tuple(mapped[start:stop])
             start = stop
             word_index = indices[word]
-            first_rounds = first_rounds_per_word[word_index]
-            interned = first_rounds.get(failed_tuple)
-            if interned is None:
-                first_rounds[failed_tuple] = (row % num_rounds, failed_tuple)
-            else:
-                failed_tuple = interned[1]
-            failed_by_word[word_index][row % num_rounds] = failed_tuple
+            round_index = row % num_rounds
+            first = first_rounds_per_word[word_index].setdefault(failed_tuple, round_index)
+            trace = failed_by_word[word_index]
+            trace[round_index] = failed_tuple if first == round_index else trace[first]
 
     # ------------------------------------------------------------------
     # Batched decode consequences: the distinct (code, mode, pattern)
     # triples of the whole batch resolve through the shared memo; misses
     # group per (code, mode) into one multi-RHS syndrome product.
     # ------------------------------------------------------------------
-    resolved: dict[tuple[int, str, tuple[int, ...]], frozenset[int]] = {}
     probe_groups: dict[tuple[int, str], tuple] = {}
-    handles: list = [None] * count
-    modes: list[str] = [""] * count
+    group_keys: list[tuple[int, str]] = [(0, "")] * count
     for index, profiler in enumerate(profilers):
         first_rounds = first_rounds_per_word[index]
-        handle = handles[index] = code_caches(profiler.code)
-        # ``batched`` profilers declare a round-independent read mode.
-        mode = modes[index] = profiler.read_mode_for(0)
         if not first_rounds:
             continue
-        cache_key = (id(handle), mode)
+        handle = code_caches(profiler.code)
+        # ``batched`` profilers declare a round-independent read mode.
+        cache_key = group_keys[index] = (id(handle), profiler.read_mode_for(0))
         group = probe_groups.get(cache_key)
         if group is None:
             group = probe_groups[cache_key] = (handle, profiler.code, {})
-        patterns = group[2]
-        for failed_tuple in first_rounds:
-            patterns[failed_tuple] = None
-    for (handle_id, mode), (handle, code, pattern_set) in probe_groups.items():
+        group[2].update(first_rounds)  # the dict's keys dedupe the patterns
+    resolved: dict[tuple[int, str], dict[tuple[int, ...], frozenset[int]]] = {}
+    for cache_key, (handle, code, pattern_set) in probe_groups.items():
+        mode = cache_key[1]
         patterns = list(pattern_set)
         cached = handle.peek_decode_consequences_many(mode, patterns)
-        misses: list[tuple[int, ...]] = []
-        for failed_tuple, mismatches in zip(patterns, cached):
-            if mismatches is None:
-                misses.append(failed_tuple)
-            else:
-                resolved[(handle_id, mode, failed_tuple)] = mismatches
+        consequence_of = resolved[cache_key] = dict(zip(patterns, cached))
+        misses = [failed_tuple for failed_tuple, found in zip(patterns, cached) if found is None]
         if not misses:
             continue
         if mode == ReadMode.BYPASS:
@@ -643,19 +567,19 @@ def simulate_words_batched(
             consequences = post_correction_data_errors_batch(code, misses)
         for failed_tuple, mismatches in zip(misses, consequences):
             handle.insert_decode_consequences(mode, failed_tuple, mismatches)
-            resolved[(handle_id, mode, failed_tuple)] = mismatches
+            consequence_of[failed_tuple] = mismatches
 
     # ------------------------------------------------------------------
     # Compressed observation replay + segment-filled trace assembly.
     # ------------------------------------------------------------------
     results: list[WordRunResult] = []
     for index, profiler in enumerate(profilers):
-        handle_id = id(handles[index])
-        mode = modes[index]
-        events = [
-            (round_index, resolved[(handle_id, mode, failed_tuple)])
-            for failed_tuple, (round_index, _) in first_rounds_per_word[index].items()
-        ]
+        first_rounds = first_rounds_per_word[index]
+        if first_rounds:
+            consequence_of = resolved[group_keys[index]]
+            events = list(zip(first_rounds.values(), map(consequence_of.__getitem__, first_rounds)))
+        else:
+            events = []
         changes = profiler.observe_many(events)
         identified_trace: list[frozenset[int]] = []
         observed_trace: list[frozenset[int]] = []
@@ -693,7 +617,7 @@ def cell_artifacts(
 ) -> list[WordArtifacts]:
     """Build every word's :class:`WordArtifacts`, the only way kernel inputs are made.
 
-    Word ``i``'s schedule is ``patterns[i]`` materialized over
+    Word ``i``'s codewords encode ``patterns[i]`` materialized over
     ``num_rounds`` rounds, and its failure draws are ``(num_rounds,
     counts[i])`` variates from ``word_seeds[i]``.  The random-pattern
     words of each ``k`` draw in one
@@ -717,15 +641,13 @@ def cell_artifacts(
     artifacts: list[WordArtifacts] = [None] * len(codes)  # type: ignore[list-item]
     for code in {id(code): code for code in codes}.values():
         indices = [index for index, other in enumerate(codes) if other is code]
-        stacked = np.concatenate([schedules[i] for i in indices])
-        encoded = code.encode(stacked)
-        stacked.setflags(write=False)
+        encoded = code.encode(np.concatenate([schedules[i] for i in indices]))
         encoded.setflags(write=False)
         for offset, index in enumerate(indices):
             rows = slice(offset * num_rounds, (offset + 1) * num_rounds)
             draws = _failure_draws(word_seeds[index], num_rounds, counts[index])
             draws.setflags(write=False)
-            artifacts[index] = WordArtifacts(stacked[rows], encoded[rows], draws)
+            artifacts[index] = WordArtifacts(encoded[rows], draws)
     return artifacts
 
 

@@ -4,9 +4,6 @@ from repro.utils.bits import (
     bits_to_int,
     int_to_bits,
     invert_bits,
-    pack_positions,
-    popcount,
-    positions_to_mask,
 )
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.stats import (
@@ -22,9 +19,6 @@ __all__ = [
     "bits_to_int",
     "int_to_bits",
     "invert_bits",
-    "pack_positions",
-    "popcount",
-    "positions_to_mask",
     "derive_rng",
     "derive_seed",
     "Histogram",

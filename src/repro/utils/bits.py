@@ -8,16 +8,11 @@ indexing convention used by :mod:`repro.ecc`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 __all__ = [
     "int_to_bits",
     "bits_to_int",
-    "popcount",
-    "positions_to_mask",
-    "pack_positions",
     "invert_bits",
 ]
 
@@ -25,16 +20,19 @@ __all__ = [
 def int_to_bits(value: int, width: int) -> np.ndarray:
     """Convert a non-negative integer to a little-endian bit array.
 
+    Vectorized (bytes -> ``np.unpackbits``): it turns every crafted
+    dataword a profiler writes as an array back into bits.
+
     >>> int_to_bits(0b1011, 4).tolist()
     [1, 1, 0, 1]
     """
     if value < 0:
         raise ValueError(f"value must be non-negative, got {value}")
-    if width < 0:
-        raise ValueError(f"width must be non-negative, got {width}")
+    # A negative width fails this shift with "negative shift count".
     if value >> width:
         raise ValueError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
+    buffer = value.to_bytes((width + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(buffer, dtype=np.uint8), count=width, bitorder="little")
 
 
 def bits_to_int(bits: np.ndarray) -> int:
@@ -48,34 +46,6 @@ def bits_to_int(bits: np.ndarray) -> int:
         if bit:
             result |= 1 << index
     return result
-
-
-def popcount(bits: np.ndarray) -> int:
-    """Number of set bits in a bit array."""
-    return int(np.count_nonzero(np.asarray(bits)))
-
-
-def positions_to_mask(positions: Iterable[int], width: int) -> np.ndarray:
-    """Build a bit array of ``width`` with ones at the given positions.
-
-    >>> positions_to_mask([0, 3], 5).tolist()
-    [1, 0, 0, 1, 0]
-    """
-    mask = np.zeros(width, dtype=np.uint8)
-    for position in positions:
-        if not 0 <= position < width:
-            raise IndexError(f"position {position} out of range [0, {width})")
-        mask[position] = 1
-    return mask
-
-
-def pack_positions(bits: np.ndarray) -> tuple[int, ...]:
-    """Return the sorted positions of set bits as a tuple.
-
-    >>> pack_positions(np.array([1, 0, 0, 1, 0], dtype=np.uint8))
-    (0, 3)
-    """
-    return tuple(int(i) for i in np.flatnonzero(np.asarray(bits)))
 
 
 def invert_bits(bits: np.ndarray) -> np.ndarray:

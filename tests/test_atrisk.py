@@ -65,14 +65,12 @@ class TestGroundTruth:
     def test_direct_set_is_data_intersection(self, code):
         truth = compute_ground_truth(code, (1, 2, code.k + 3))
         assert truth.direct_at_risk == {1, 2}
-        assert truth.parity_at_risk == {code.k + 3}
 
     def test_single_at_risk_bit_has_no_post_errors(self, code):
         """SEC always corrects a lone error: nothing is at post-risk."""
         truth = compute_ground_truth(code, (9,))
         assert truth.post_correction_at_risk == frozenset()
         assert truth.indirect_at_risk == frozenset()
-        assert truth.observable_direct_at_risk == frozenset()
 
     def test_pair_exposes_both_bits(self, code):
         """Two at-risk data bits co-failing defeat SEC: both are at risk."""
@@ -81,9 +79,10 @@ class TestGroundTruth:
 
     def test_post_is_union_of_direct_observable_and_indirect(self, code):
         truth = compute_ground_truth(code, (3, 12, 40, code.k + 2))
-        assert truth.post_correction_at_risk == (
-            truth.observable_direct_at_risk | truth.indirect_at_risk
+        observable_direct = frozenset().union(
+            *(outcome.direct_errors for outcome in truth.realizable_outcomes)
         )
+        assert truth.post_correction_at_risk == observable_direct | truth.indirect_at_risk
 
     def test_amplification_bounded_by_table2(self, code):
         """|post at-risk| <= 2^n - 1 (paper Table 2)."""

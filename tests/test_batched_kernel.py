@@ -130,6 +130,36 @@ class TestBitIdentity:
                 ),
             )
 
+    @pytest.mark.parametrize("pattern", ["charged", "random"])
+    def test_matches_scalar_past_int64_pattern_keys(self, pattern):
+        """Words with too many at-risk bits for an int64 (word, pattern)
+        key take the per-round nonzero path; the charged pattern at
+        p=1.0 repeats one failure pattern every round.  (HARP-A is left
+        out: its prediction enumerates subsets of ~60 observed bits.)"""
+        code = canonical_sec_code(64)
+        rng = np.random.default_rng(37)
+        positions = [
+            tuple(sorted(rng.choice(code.n, size=62, replace=False).tolist()))
+            for _ in range(3)
+        ]
+        profiles = [
+            WordErrorProfile(positions[0], (1.0,) * 62),
+            WordErrorProfile(positions[1], tuple(rng.uniform(0.02, 0.2, size=62).tolist())),
+            WordErrorProfile(positions[2], (0.5,) * 62),
+        ]
+        seeds = [int(s) for s in rng.integers(0, 2**31, size=len(profiles))]
+        for cls in (NaiveProfiler, HarpUProfiler):
+            clear_analysis_caches()
+            scalar = [
+                simulate_word(cls(code, seed=seed, pattern=pattern), profile, 12, seed)
+                for profile, seed in zip(profiles, seeds)
+            ]
+            clear_analysis_caches()
+            profilers = [cls(code, seed=seed, pattern=pattern) for seed in seeds]
+            _assert_runs_equal(
+                scalar, simulate_words_batched(profilers, profiles, 12, seeds)
+            )
+
     def test_oracle_with_ground_truth_matches_scalar(self):
         code = canonical_sec_code(16)
         orientation = alternating_cells(code.n)
@@ -194,7 +224,7 @@ class TestDispatchRules:
             adaptive = False
             batched = False
 
-            def observe(self, round_index, written, mismatches):
+            def observe(self, round_index, mismatches):
                 self._observed.update(mismatches)
 
         code = canonical_sec_code(16)
@@ -317,7 +347,7 @@ class TestObserveManyContract:
         for cls in BATCHED_CLASSES:
             replayed = cls(code, seed=9)
             for round_index, mismatches in events:
-                replayed.observe(round_index, None, mismatches)
+                replayed.observe(round_index, mismatches)
             batched = cls(code, seed=9)
             changes = batched.observe_many(list(events))
             assert batched.identified == replayed.identified

@@ -17,7 +17,6 @@ from repro.analysis.atrisk import (
     _solve_charge_ints,
     is_charge_realizable,
     solve_charge_assignment,
-    unpack_dataword,
 )
 from repro.ecc.hamming import random_sec_code
 
@@ -114,14 +113,3 @@ class TestChargeSystemSemantics:
             assert ChargeSystem(code, tuple(charged)).feasible == is_charge_realizable(
                 code, charged
             )
-
-
-class TestUnpackDataword:
-    def test_matches_per_bit_unpack(self):
-        rng = np.random.default_rng(13)
-        for k in (1, 7, 8, 9, 64, 100):
-            bitmask = int(rng.integers(0, 1 << min(k, 62)))
-            expected = np.array([(bitmask >> i) & 1 for i in range(k)], dtype=np.uint8)
-            unpacked = unpack_dataword(k, bitmask)
-            assert unpacked.dtype == np.uint8
-            assert np.array_equal(unpacked, expected)

@@ -8,7 +8,6 @@ from repro.ecc.code_analysis import (
     minimum_distance,
     miscorrection_profile,
     syndrome_coverage,
-    weight_distribution,
 )
 from repro.ecc.hamming import paper_example_code, random_sec_code
 from repro.ecc.linear_code import SystematicCode
@@ -33,22 +32,6 @@ class TestMinimumDistance:
         code = random_sec_code(64, np.random.default_rng(1))
         with pytest.raises(ValueError):
             minimum_distance(code, max_weight=2)  # d >= 3 for any SEC code
-
-
-class TestWeightDistribution:
-    def test_hamming_7_4_enumerator(self):
-        # Classic (7,4) Hamming: 1 + 7z^3 + 7z^4 + z^7.
-        distribution = weight_distribution(paper_example_code())
-        assert distribution == {0: 1, 3: 7, 4: 7, 7: 1}
-
-    def test_total_is_2_to_k(self):
-        code = paper_example_code()
-        assert sum(weight_distribution(code).values()) == 2**code.k
-
-    def test_large_k_rejected(self):
-        code = random_sec_code(64, np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            weight_distribution(code)
 
 
 class TestMiscorrectionProfile:

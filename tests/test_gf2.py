@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kernel_modes import force_gf2_tier
 
 from repro.ecc import gf2
+from repro.utils.bits import bits_to_int
 
 
 def random_matrix(rows, cols, seed):
@@ -213,6 +214,12 @@ class TestPopcountProduct:
             words.view(np.uint8), axis=1, bitorder="little", count=matrix.shape[1]
         )
         assert np.array_equal(unpacked, matrix)
+
+    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+    def test_pack_rows_cover_every_column(self, width):
+        """Row ints, on both sides of the one-word fast path."""
+        matrix = np.random.default_rng(width).integers(0, 2, (9, width)).astype(bool)
+        assert gf2._pack_rows(matrix) == [bits_to_int(row) for row in matrix]
 
     def test_pack_matches_int_packing(self):
         matrix = np.random.default_rng(9).integers(0, 2, size=(6, 130), dtype=np.uint8)

@@ -310,6 +310,51 @@ class TestStatusProtocol:
         err = capsys.readouterr().err
         assert err.startswith("repro status: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fleet", []),
+            ("elapsed", "soon"),
+            ("workers", [1]),
+            ("jobs", ["x"]),
+            ("campaign", [1]),
+            ("chunks", 3),
+            ("history", {"t": 1.0, "done": 1}),
+            ("quarantined", 3),
+            ("history", [{"t": 0, "done": 0}, {"t": float("inf"), "done": 1}]),
+            ("history", [{"t": 0, "done": 0}, {"t": float("nan"), "done": 1}]),
+            ("elapsed", 10**400),
+        ],
+    )
+    def test_ill_typed_snapshot_fails_in_one_line(self, field, value, capsys):
+        """Every field ``render_status`` reads is type-checked first, so a
+        snapshot of the right format but the wrong shape gets one
+        ``repro status:`` line naming the field, not a traceback."""
+        server = _serve_snapshot({**self.SNAPSHOT, field: value})
+        try:
+            with pytest.raises(ValueError, match=f"field '{field}"):
+                read_status(server.address)
+            host, port = server.address
+            assert status_main([f"{host}:{port}"]) == 1
+        finally:
+            server.close()
+        err = capsys.readouterr().err
+        assert err.startswith("repro status: ") and err.count("\n") == 1, err
+        assert field in err
+
+    def test_unrenderable_snapshot_fails_in_one_line(self, capsys):
+        """Finite fields whose rendition overflows (a history span past
+        the float range) also end in one ``repro status:`` line."""
+        history = [{"t": -1e308, "done": 0}, {"t": 1e308, "done": 1}]
+        server = _serve_snapshot({**self.SNAPSHOT, "history": history})
+        try:
+            host, port = server.address
+            assert status_main([f"{host}:{port}"]) == 1
+        finally:
+            server.close()
+        err = capsys.readouterr().err
+        assert err.startswith("repro status: ") and err.count("\n") == 1, err
+
     def test_nothing_listening_raises_oserror(self):
         with pytest.raises(OSError):
             read_status("127.0.0.1:9", timeout=1.0)

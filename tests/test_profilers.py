@@ -10,6 +10,7 @@ from repro.profiling.beep import BeepProfiler
 from repro.profiling.combined import HarpABeepProfiler
 from repro.profiling.harp import HarpAProfiler, HarpUProfiler
 from repro.profiling.naive import NaiveProfiler
+from repro.utils.bits import int_to_bits
 
 
 @pytest.fixture(scope="module")
@@ -37,15 +38,14 @@ class TestReadModes:
 class TestObservationAccumulation:
     def test_identified_accumulates_monotonically(self, code):
         profiler = NaiveProfiler(code, 0)
-        written = np.ones(code.k, dtype=np.uint8)
-        profiler.observe(0, written, frozenset({3}))
-        profiler.observe(1, written, frozenset({9}))
-        profiler.observe(2, written, frozenset())
+        profiler.observe(0, frozenset({3}))
+        profiler.observe(1, frozenset({9}))
+        profiler.observe(2, frozenset())
         assert profiler.identified == {3, 9}
 
     def test_harp_u_predicts_nothing(self, code):
         profiler = HarpUProfiler(code, 0)
-        profiler.observe(0, np.ones(code.k, dtype=np.uint8), frozenset({3, 9}))
+        profiler.observe(0, frozenset({3, 9}))
         assert profiler.identified_predicted == frozenset()
         assert profiler.identified == {3, 9}
 
@@ -53,17 +53,16 @@ class TestObservationAccumulation:
         from repro.analysis.atrisk import predict_indirect_from_direct
 
         profiler = HarpAProfiler(code, 0)
-        profiler.observe(0, np.ones(code.k, dtype=np.uint8), frozenset({3, 9}))
+        profiler.observe(0, frozenset({3, 9}))
         expected = predict_indirect_from_direct(code, {3, 9})
         assert profiler.identified_predicted == expected
         assert profiler.identified == frozenset({3, 9}) | expected
 
     def test_harp_a_prediction_refreshes_on_new_direct_bits(self, code):
         profiler = HarpAProfiler(code, 0)
-        written = np.ones(code.k, dtype=np.uint8)
-        profiler.observe(0, written, frozenset({3}))
+        profiler.observe(0, frozenset({3}))
         first = profiler.identified_predicted
-        profiler.observe(1, written, frozenset({9, 20}))
+        profiler.observe(1, frozenset({9, 20}))
         second = profiler.identified_predicted
         assert first == frozenset()  # one bit predicts nothing
         assert second != frozenset() or len(second) == 0  # refreshed (may be empty)
@@ -80,7 +79,7 @@ class TestBeepCrafting:
 
     def test_crafted_pattern_charges_hypothesis_cells(self, code):
         profiler = BeepProfiler(code, seed=5)
-        profiler.observe(0, np.ones(code.k, dtype=np.uint8), frozenset({12}))
+        profiler.observe(0, frozenset({12}))
         pattern = profiler.pattern_for_round(1)
         codeword = code.encode(pattern)
         # The anchor cell must be charged by every crafted pattern.
@@ -88,25 +87,40 @@ class TestBeepCrafting:
 
     def test_crafted_patterns_cycle_hypotheses(self, code):
         profiler = BeepProfiler(code, seed=5)
-        profiler.observe(0, np.ones(code.k, dtype=np.uint8), frozenset({12}))
+        profiler.observe(0, frozenset({12}))
         patterns = {profiler.pattern_for_round(r).tobytes() for r in range(1, 9)}
         assert len(patterns) > 1  # explores different hypotheses
 
+    def test_pattern_for_round_unpacks_crafted_for_round(self, code):
+        """Two identically fed instances: the array is the bitmask's bits."""
+        arrays, ints = BeepProfiler(code, seed=5), BeepProfiler(code, seed=5)
+        standard = NaiveProfiler(code, seed=5)
+        for round_index in range(24):
+            if round_index == 4:
+                arrays.observe(3, frozenset({12, 40}))
+                ints.observe(3, frozenset({12, 40}))
+            crafted = ints.crafted_for_round(round_index)
+            assert (crafted is None) == (round_index < 4)
+            expected = (
+                standard.pattern_for_round(round_index)
+                if crafted is None
+                else int_to_bits(crafted, code.k)
+            )
+            assert np.array_equal(arrays.pattern_for_round(round_index), expected)
+
     def test_hypotheses_deduplicated_per_target(self, code):
         profiler = BeepProfiler(code, seed=5)
-        written = np.ones(code.k, dtype=np.uint8)
-        profiler.observe(0, written, frozenset({12}))
+        profiler.observe(0, frozenset({12}))
         count = len(profiler._hypotheses)
-        profiler.observe(1, written, frozenset({12}))
+        profiler.observe(1, frozenset({12}))
         assert len(profiler._hypotheses) == count
 
 
 class TestCombined:
     def test_seeds_beep_with_harp_findings(self, code):
         profiler = HarpABeepProfiler(code, 0, switch_round=2)
-        written = np.ones(code.k, dtype=np.uint8)
-        profiler.observe(0, written, frozenset({4}))
-        profiler.observe(1, written, frozenset({13}))
+        profiler.observe(0, frozenset({4}))
+        profiler.observe(1, frozenset({13}))
         profiler.pattern_for_round(2)  # triggers the hand-off
         assert {4, 13} <= profiler._beep.identified_observed
 
@@ -116,10 +130,9 @@ class TestCombined:
 
     def test_identified_merges_phases(self, code):
         profiler = HarpABeepProfiler(code, 0, switch_round=1)
-        written = np.ones(code.k, dtype=np.uint8)
-        profiler.observe(0, written, frozenset({4}))
+        profiler.observe(0, frozenset({4}))
         profiler.pattern_for_round(1)
-        profiler.observe(1, written, frozenset({30}))
+        profiler.observe(1, frozenset({30}))
         assert {4, 30} <= profiler.identified
 
 

@@ -88,7 +88,7 @@ def test_supplied_artifacts_match_fresh_ones(kernel, monkeypatch):
     for code, profile, seed in zip(codes, profiles, seeds):
         schedule = make_pattern("random", seed).rounds(ROUNDS, code.k)
         draws = derive_rng(seed, "failure-draws").random((ROUNDS, profile.count))
-        artifacts.append(WordArtifacts(schedule, code.encode(schedule), draws))
+        artifacts.append(WordArtifacts(code.encode(schedule), draws))
     assert simulate_cell(NAMES, codes, profiles, seeds, ROUNDS, artifacts=artifacts) == fresh
     with pytest.raises(ValueError, match="length mismatch"):
         simulate_cell(NAMES, codes, profiles, seeds, ROUNDS, artifacts=artifacts[1:])

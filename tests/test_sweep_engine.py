@@ -17,6 +17,7 @@ simulation engines and the vectorized batch probability matrix.
 import numpy as np
 import pytest
 from batch_engine import BatchInjectionEngine
+from kernel_modes import force_gf2_tier
 
 from repro.analysis.atrisk import compute_ground_truth, predict_indirect_from_direct
 from repro.analysis.memo import (
@@ -37,10 +38,12 @@ from repro.experiments.runner import (
     run_sweep,
     shard_grid,
 )
+from repro.memory.cells import alternating_cells, random_cells
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
 from repro.memory.patterns import make_pattern
 from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.runner import WordArtifacts, cell_artifacts, simulate_cell, simulate_word
+from repro.utils.bits import bits_to_int, int_to_bits
 
 CONFIG = SweepConfig(
     num_codes=2,
@@ -229,12 +232,13 @@ class TestAnalysisMemo:
         assert memo.stats.hits == 0 and memo.stats.misses == 0
 
 
-def _reference_simulate(profiler, profile, num_rounds, word_seed):
+def _reference_simulate(profiler, profile, num_rounds, word_seed, orientation=None):
     """Straight-line reference of the per-word loop (no fast paths).
 
-    Pins the observable trace semantics: failures from the word-seed
-    stream, pattern from the profiler round by round, and the cumulative
-    sets re-read after every observe call.
+    Pins the observable trace semantics in the array domain: failures
+    from the word-seed stream, the pattern from the profiler round by
+    round (``pattern_for_round``), encoded and charged per round, and
+    the cumulative sets re-read after every observe call.
     """
     from repro.profiling.base import ReadMode
     from repro.profiling.runner import post_correction_data_errors
@@ -246,36 +250,132 @@ def _reference_simulate(profiler, profile, num_rounds, word_seed):
     positions = np.asarray(profile.positions, dtype=np.intp)
     identified, observed, failures = [], [], []
     for round_index in range(num_rounds):
-        written = profiler.pattern_for_round(round_index)
-        codeword = code.encode(written)
-        failed_mask = codeword[positions].astype(bool) & (draws[round_index] < probabilities)
+        codeword = code.encode(profiler.pattern_for_round(round_index))
+        charged = codeword if orientation is None else orientation.charged_mask(codeword)
+        failed_mask = charged[positions].astype(bool) & (draws[round_index] < probabilities)
         failed = tuple(int(p) for p in positions[failed_mask])
         failures.append(failed)
         if profiler.read_mode_for(round_index) == ReadMode.BYPASS:
             mismatches = frozenset(p for p in failed if p < code.k)
         else:
             mismatches = post_correction_data_errors(code, failed)
-        profiler.observe(round_index, written, mismatches)
+        profiler.observe(round_index, mismatches)
         identified.append(profiler.identified)
         observed.append(profiler.identified_observed)
     return identified, observed, failures
 
 
-class TestTraceSemantics:
-    """simulate_word's fast paths must match the straight-line reference."""
+def _trace_cases():
+    """Seeded words for the trace sweep: ``(label, code, profile, orientation, rounds)``.
 
+    Random SEC codes at four widths; per code, an at-risk set mixing data
+    and parity positions at p = 1.0, an all-parity set, and a random set.
+    Orientations and round counts cycle, so every kind of set meets all
+    three orientations and both sides of the hybrid's switch round (16).
+    """
+    cases = []
+    for k in (8, 16, 32, 64):
+        rng = np.random.default_rng(4000 + k)
+        code = random_sec_code(k, rng)
+        data = rng.permutation(code.k).tolist()
+        parity = rng.permutation(np.arange(code.k, code.n)).tolist()
+        at_risk = {
+            "mixed": (sorted(data[:2] + parity[:2]), [1.0] * 4),
+            "all-parity": (sorted(parity[:3]), [1.0, 0.75, 1.0]),
+            "random": (
+                sorted(rng.choice(code.n, size=5, replace=False).tolist()),
+                rng.choice([0.25, 0.5, 1.0], size=5).tolist(),
+            ),
+        }
+        for index, (kind, (positions, probabilities)) in enumerate(at_risk.items()):
+            orientation = (None, alternating_cells(code.n), random_cells(code.n, rng))[
+                (index + k) % 3
+            ]
+            rounds = (12, 40)[(index + k // 8) % 2]
+            profile = WordErrorProfile(tuple(positions), tuple(float(p) for p in probabilities))
+            cases.append((f"k{k}-{kind}", code, profile, orientation, rounds))
+    return cases
+
+
+TRACE_CASES = _trace_cases()
+
+
+class TestTraceSemantics:
+    """simulate_word's integer path must match the array-domain reference."""
+
+    @pytest.mark.parametrize("tier", ["packed", "unpacked"])
     @pytest.mark.parametrize("profiler_name", sorted(PROFILER_REGISTRY))
-    def test_matches_reference_loop(self, profiler_name):
-        code = random_sec_code(32, np.random.default_rng(21))
-        profile = sample_word_profile(code, 4, 0.5, np.random.default_rng(22))
+    def test_matches_reference_loop(self, profiler_name, tier, monkeypatch):
+        force_gf2_tier(monkeypatch, tier)
         profiler_cls = PROFILER_REGISTRY[profiler_name]
-        fast = simulate_word(profiler_cls(code, seed=77), profile, 48, 77)
-        identified, observed, failures = _reference_simulate(
-            profiler_cls(code, seed=77), profile, 48, 77
+        crafted_rounds = 0
+        for label, code, profile, orientation, rounds in TRACE_CASES:
+            profiler = profiler_cls(code, seed=77)
+            crafted = profiler.crafted_for_round
+
+            def counting(round_index, crafted=crafted):
+                nonlocal crafted_rounds
+                dataword = crafted(round_index)
+                crafted_rounds += dataword is not None
+                return dataword
+
+            profiler.crafted_for_round = counting
+            fast = simulate_word(profiler, profile, rounds, 77, orientation=orientation)
+            identified, observed, failures = _reference_simulate(
+                profiler_cls(code, seed=77), profile, rounds, 77, orientation
+            )
+            assert fast.failures_per_round == failures, label
+            assert fast.identified_per_round == identified, label
+            assert fast.observed_per_round == observed, label
+        # The sweep must reach the crafted (integer-domain) rounds.
+        assert bool(crafted_rounds) == profiler_cls.adaptive
+
+    def test_cases_cover_parity_positions_and_both_switch_sides(self):
+        assert any(
+            all(p >= code.k for p in profile.positions) for _, code, profile, _, _ in TRACE_CASES
         )
-        assert fast.failures_per_round == failures
-        assert fast.identified_per_round == identified
-        assert fast.observed_per_round == observed
+        assert {rounds > 16 for *_, rounds in TRACE_CASES} == {True, False}
+        assert any(1.0 in profile.probabilities for _, _, profile, _, _ in TRACE_CASES)
+        def alternating(orientation):
+            reference = alternating_cells(orientation.n).true_cell_mask
+            return np.array_equal(orientation.true_cell_mask, reference)
+
+        kinds = {None if o is None else alternating(o) for *_, o, _ in TRACE_CASES}
+        assert kinds == {None, True, False}
+
+    def test_refuses_an_adaptive_profiler_that_overrides_pattern_for_round(self):
+        class ArrayOnlyProfiler(PROFILER_REGISTRY["BEEP"]):
+            def pattern_for_round(self, round_index):
+                return np.ones(self.code.k, dtype=np.uint8)
+
+        code = random_sec_code(16, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="pattern_for_round"):
+            simulate_word(ArrayOnlyProfiler(code, seed=1), WordErrorProfile((2,), (1.0,)), 4, 1)
+
+
+class TestIntegerChargeMask:
+    """A crafted round's charge mask, computed without an encode."""
+
+    @pytest.mark.parametrize("k", [8, 16, 32, 64])
+    def test_matches_packed_encode_path(self, k):
+        from repro.profiling.runner import _charge_mask, _charge_selectors
+
+        rng = np.random.default_rng(500 + k)
+        code = random_sec_code(k, rng)
+        for orientation in (None, alternating_cells(code.n), random_cells(code.n, rng)):
+            # Always one parity position: the last.
+            positions = rng.choice(code.n - 1, size=5, replace=False).tolist() + [code.n - 1]
+            selectors = _charge_selectors(code, positions)
+            anti_mask = 0
+            if orientation is not None:
+                true_cells = orientation.true_cell_mask
+                anti_mask = sum(1 << j for j, p in enumerate(positions) if not true_cells[p])
+            for _ in range(50):
+                assignment = int.from_bytes(rng.bytes(8), "little") & ((1 << k) - 1)
+                codeword = code.encode(int_to_bits(assignment, k))
+                charged = codeword if orientation is None else orientation.charged_mask(codeword)
+                expected = bits_to_int(charged[positions])
+                assert _charge_mask(selectors, anti_mask, assignment) == expected
 
 
 class TestWordArtifacts:
@@ -311,7 +411,7 @@ class TestWordArtifacts:
         block = _block_artifacts(CONFIG, 2)
         assert len(block) == len(words)
         for artifacts in block:
-            for array in (artifacts.schedule, artifacts.codewords, artifacts.draws):
+            for array in (artifacts.codewords, artifacts.draws):
                 assert not array.flags.writeable
         cell = (
             ("Naive", "BEEP"),  # the batched kernel and the scalar adaptive loop
@@ -339,7 +439,6 @@ class TestWordArtifacts:
             )
             assert len(rebuilt) == len(block[group])
             for fresh, cached in zip(rebuilt, block[group]):
-                np.testing.assert_array_equal(fresh.schedule, cached.schedule)
                 np.testing.assert_array_equal(fresh.codewords, cached.codewords)
                 np.testing.assert_array_equal(fresh.draws, cached.draws)
 
@@ -356,7 +455,7 @@ class TestWordArtifacts:
         code = random_sec_code(16, np.random.default_rng(3))
         profile = WordErrorProfile((2, 5), (0.5, 0.5))
         schedule = np.zeros((4, code.k), dtype=np.uint8)
-        bad = WordArtifacts(schedule, code.encode(schedule), draws=np.zeros((4, 1)))
+        bad = WordArtifacts(code.encode(schedule), draws=np.zeros((4, 1)))
         with pytest.raises(ValueError):
             simulate_word(
                 PROFILER_REGISTRY["Naive"](code, seed=1), profile, 4, 1, artifacts=bad

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.bits import (
-    bits_to_int,
-    int_to_bits,
-    invert_bits,
-    pack_positions,
-    popcount,
-    positions_to_mask,
-)
+from repro.utils.bits import bits_to_int, int_to_bits, invert_bits
 
 
 class TestIntToBits:
@@ -37,6 +30,19 @@ class TestIntToBits:
     def test_max_value_fits(self):
         assert int_to_bits(15, 4).tolist() == [1, 1, 1, 1]
 
+    def test_rejects_negative_width(self):
+        with pytest.raises(ValueError):
+            int_to_bits(0, -1)
+
+    def test_matches_per_bit_unpack(self):
+        rng = np.random.default_rng(13)
+        for k in (1, 7, 8, 9, 64, 100):
+            bitmask = int(rng.integers(0, 1 << min(k, 62)))
+            expected = np.array([(bitmask >> i) & 1 for i in range(k)], dtype=np.uint8)
+            unpacked = int_to_bits(bitmask, k)
+            assert unpacked.dtype == np.uint8
+            assert np.array_equal(unpacked, expected)
+
 
 class TestBitsToInt:
     def test_empty(self):
@@ -48,27 +54,6 @@ class TestBitsToInt:
     @given(st.integers(min_value=0, max_value=2**20 - 1))
     def test_roundtrip(self, value):
         assert bits_to_int(int_to_bits(value, 20)) == value
-
-
-class TestPopcountAndMasks:
-    def test_popcount(self):
-        assert popcount(np.array([1, 0, 1, 1], dtype=np.uint8)) == 3
-
-    def test_positions_to_mask(self):
-        assert positions_to_mask([1, 3], 4).tolist() == [0, 1, 0, 1]
-
-    def test_positions_to_mask_out_of_range(self):
-        with pytest.raises(IndexError):
-            positions_to_mask([4], 4)
-
-    def test_pack_positions_roundtrip(self):
-        mask = positions_to_mask([0, 2, 5], 6)
-        assert pack_positions(mask) == (0, 2, 5)
-
-    @given(st.sets(st.integers(min_value=0, max_value=31), max_size=10))
-    def test_mask_pack_inverse(self, positions):
-        mask = positions_to_mask(positions, 32)
-        assert set(pack_positions(mask)) == positions
 
 
 class TestInvertAndValidate:
