@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import cpu_seconds
 
 from repro.analysis.atrisk import _solve_charge_ints
 from repro.analysis.memo import clear_analysis_caches
@@ -242,13 +243,14 @@ def _timed(label: str, record: dict, fn, *args, **kwargs):
     """Run ``fn`` cold, recording wall-clock and CPU seconds.
 
     CPU time rides along because shared hosts make wall-clock noisy; the
-    speedup ratio is asserted on the CPU measurement.
+    speedup ratio is asserted on the CPU measurement.  It counts the
+    pool workers of a parallel run (:func:`conftest.cpu_seconds`).
     """
     _cold_caches()
     wall_started = time.perf_counter()
-    cpu_started = time.process_time()
+    cpu_started = cpu_seconds()
     result = fn(*args, **kwargs)
-    record[f"{label}-cpu"] = time.process_time() - cpu_started
+    record[f"{label}-cpu"] = cpu_seconds() - cpu_started
     record[label] = time.perf_counter() - wall_started
     return result
 

@@ -63,52 +63,51 @@ def _cells(config: SweepConfig, blocks):
                 yield PROFILER_REGISTRY[name], words, block, probability
 
 
-def _scalar_grid(config: SweepConfig, blocks):
-    runs = []
-    for cls, words, block, probability in _cells(config, blocks):
-        for ctx, artifacts in zip(words, block):
-            profile = WordErrorProfile(
-                ctx.positions, tuple(probability for _ in ctx.positions)
-            )
-            runs.append(
-                simulate_word(
-                    cls(ctx.code, seed=ctx.word_seed),
-                    profile,
-                    config.num_rounds,
-                    ctx.word_seed,
-                    artifacts=artifacts,
-                )
-            )
-    return runs
+def _grid_inputs(config: SweepConfig, blocks):
+    """Every cell's fresh profilers, its profiles, seeds and artifacts.
 
-
-def _batched_grid(config: SweepConfig, blocks):
-    runs = []
+    Built before the clock starts, the same way for both grids, so the
+    timed region holds kernel work alone.  A run consumes its profilers,
+    so each timed run gets new ones.
+    """
+    cells = []
     for cls, words, block, probability in _cells(config, blocks):
         profiles = [
             WordErrorProfile(ctx.positions, tuple(probability for _ in ctx.positions))
             for ctx in words
         ]
         profilers = [cls(ctx.code, seed=ctx.word_seed) for ctx in words]
+        cells.append((profilers, profiles, [ctx.word_seed for ctx in words], block))
+    return cells
+
+
+def _scalar_grid(config: SweepConfig, cells):
+    return [
+        simulate_word(profiler, profile, config.num_rounds, seed, artifacts=artifacts)
+        for profilers, profiles, seeds, block in cells
+        for profiler, profile, seed, artifacts in zip(profilers, profiles, seeds, block)
+    ]
+
+
+def _batched_grid(config: SweepConfig, cells):
+    runs = []
+    for profilers, profiles, seeds, block in cells:
         runs.extend(
             simulate_words_batched(
-                profilers,
-                profiles,
-                config.num_rounds,
-                [ctx.word_seed for ctx in words],
-                artifacts=block,
+                profilers, profiles, config.num_rounds, seeds, artifacts=block
             )
         )
     return runs
 
 
-def _best_of(run, reps: int = REPS):
+def _best_of(grid, config: SweepConfig, blocks, reps: int = REPS):
     best, result = None, None
     for _ in range(reps):
         clear_analysis_caches()
-        run()  # warm the decode memos outside the timed region
+        grid(config, _grid_inputs(config, blocks))  # warm the decode memos, untimed
+        cells = _grid_inputs(config, blocks)
         start = time.process_time()
-        result = run()
+        result = grid(config, cells)
         elapsed = time.process_time() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, result
@@ -123,8 +122,8 @@ def _load_floor() -> float:
 def test_batched_kernel_speedup_floor():
     engine.clear_engine_caches()
     blocks = _blocks(GRID)
-    scalar_seconds, scalar_runs = _best_of(lambda: _scalar_grid(GRID, blocks))
-    batched_seconds, batched_runs = _best_of(lambda: _batched_grid(GRID, blocks))
+    scalar_seconds, scalar_runs = _best_of(_scalar_grid, GRID, blocks)
+    batched_seconds, batched_runs = _best_of(_batched_grid, GRID, blocks)
 
     # Bit identity over the whole grid, word for word.
     assert len(scalar_runs) == len(batched_runs)

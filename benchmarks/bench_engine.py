@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import cpu_seconds
 
 from repro.analysis.atrisk import compute_ground_truth, predict_indirect_from_direct
 from repro.analysis.memo import clear_analysis_caches
@@ -221,13 +222,14 @@ def _timed(label: str, sweep_scaling: dict, fn, *args, **kwargs):
 
     CPU time is recorded alongside wall-clock because serial runs on a
     shared/containerized host see wall-clock noise from neighbours; the
-    speedup ratio is asserted on the stable CPU measurement.
+    speedup ratio is asserted on the stable CPU measurement.  It counts
+    the pool workers of a parallel run (:func:`conftest.cpu_seconds`).
     """
     _cold_caches()
     wall_started = time.perf_counter()
-    cpu_started = time.process_time()
+    cpu_started = cpu_seconds()
     result = fn(*args, **kwargs)
-    sweep_scaling[f"{label}-cpu"] = time.process_time() - cpu_started
+    sweep_scaling[f"{label}-cpu"] = cpu_seconds() - cpu_started
     sweep_scaling[label] = time.perf_counter() - wall_started
     return result
 
@@ -253,8 +255,7 @@ def test_run_sweep_engine_serial(benchmark, sweep_scaling):
 def test_run_sweep_engine_parallel(benchmark, sweep_scaling):
     """Worker-pool run; on a single-CPU host this only tracks pool overhead.
 
-    The pool does the work in child processes, so only the wall-clock
-    entry is meaningful here.
+    The pool does the work in child processes; its CPU entry adds theirs.
     """
     result = benchmark.pedantic(
         lambda: _timed("engine-parallel", sweep_scaling, run_sweep, SWEEP_GRID, jobs=0),

@@ -4,14 +4,17 @@ Times ``repro.ecc.gf2.matmul``'s popcount product against its int64
 path (forced by moving the facade's work threshold), the vectorized
 random-pattern schedules (``random_rounds``) against one numpy Generator
 per pattern block, a crafted round's integer charge mask against the
-encode path it replaced, and a shared-cache worker-pool sweep against
-the serial engine — recorded to ``results/kernel_scaling.txt`` through
-the ``kernel_scaling`` fixture.
+encode path it replaced, the batched stream seeding of
+``repro.utils.rng`` against one ``derive_rng``/``derive_seed`` call per
+stream, and a shared-cache worker-pool sweep against the serial engine —
+recorded to ``results/kernel_scaling.txt`` through the
+``kernel_scaling`` fixture.
 
 Every timed pair also asserts bit-identity, the product pair the >=2x
 the popcount kernel exists for, the pattern pair the >=3x the
-vectorized stream exists for, and the charge-mask pair the >=3x the
-integer path exists for.
+vectorized stream exists for, the charge-mask pair the >=3x the
+integer path exists for, and both seeding pairs the >=2x the batched
+path exists for.
 """
 
 import math
@@ -24,10 +27,11 @@ from repro.ecc import gf2
 from repro.ecc.hamming import random_sec_code
 from repro.experiments.config import BENCH, SweepConfig
 from repro.experiments.runner import clear_engine_caches, run_sweep
+from repro.memory.faults import FAULT_MODES, FIELD_DDR4
 from repro.memory.patterns import random_rounds
 from repro.profiling.runner import _charge_mask, _charge_selectors
 from repro.utils.bits import int_to_bits
-from repro.utils.rng import derive_rng, derive_seed
+from repro.utils.rng import derive_rng, derive_seed, derive_seeds, seeded_generators
 
 #: The bench sweep's per-code encode in ``cell_artifacts``: one code's
 #: words (8 x 128 rounds of k=64) times the (71,64) parity submatrix.
@@ -47,6 +51,15 @@ PATTERN_REPEATS = 20
 #: mask takes microseconds.
 CHARGE_MASKS = 2000
 CHARGE_MASK_REPEATS = 10
+
+#: The full fleet preset's chips, each with a rate-scale stream and one
+#: count stream per fault mode: 20,000 streams of one draw each.
+FLEET_CHIPS = 4000
+#: Streams under each chip's ``(seed, "fleet-chip", chip)`` prefix.
+CHIP_STREAMS = (("scale",),) + tuple(("count", mode) for mode in FAULT_MODES)
+#: Block seeds of a full fleet's random patterns: 2,500 words x 32 blocks.
+BLOCK_WORDS = tuple(derive_seed(2021, "fleet-draws", word, 0) for word in range(2500))
+BLOCKS = 32
 
 SWEEP_GRID = SweepConfig(
     num_codes=3,
@@ -151,6 +164,64 @@ def test_integer_charge_mask_speedup(kernel_scaling):
     kernel_scaling["charge-mask-integer-cpu"] = integer_s
     speedup = encode_s / integer_s
     assert speedup >= 3.0, f"integer charge mask {speedup:.2f}x < 3x over the encode path"
+
+
+def _first_draw(rng, suffix) -> float:
+    """A chip stream's one draw: its normal deviate, or its mode's count."""
+    if suffix == ("scale",):
+        return float(rng.standard_normal())
+    return float(rng.poisson(FIELD_DDR4.rate_of(suffix[1])))
+
+
+def test_stream_seeding_speedup(kernel_scaling):
+    """The two halves of ``repro.utils.rng``'s batched path.
+
+    Streams: every fleet chip's scale and count streams seeded in one
+    batch into one reused Generator, against one ``derive_rng`` per
+    stream.  Block seeds: each word's random-pattern key prefix hashed
+    once, against one ``derive_seed`` per block.
+    """
+    chips = range(FLEET_CHIPS)
+
+    def per_stream():
+        return [
+            _first_draw(derive_rng(2021, "fleet-chip", chip, *suffix), suffix)
+            for chip in chips
+            for suffix in CHIP_STREAMS
+        ]
+
+    def batched():
+        seeds = derive_seeds([(2021, "fleet-chip", chip) for chip in chips], CHIP_STREAMS)
+        streams = zip(seeded_generators(seeds), CHIP_STREAMS * FLEET_CHIPS)
+        return [_first_draw(rng, suffix) for rng, suffix in streams]
+
+    per_stream_s, ref = _cpu_timed(per_stream, 1)
+    batched_s, out = _cpu_timed(batched, 1)
+    assert ref == out
+    kernel_scaling["stream-seeding-per-stream-cpu"] = per_stream_s
+    kernel_scaling["stream-seeding-batched-cpu"] = batched_s
+
+    def per_block():
+        return [
+            derive_seed(seed, "random-pattern", block)
+            for seed in BLOCK_WORDS
+            for block in range(BLOCKS)
+        ]
+
+    def prefixed():
+        blocks = [(block,) for block in range(BLOCKS)]
+        return derive_seeds([(seed, "random-pattern") for seed in BLOCK_WORDS], blocks)
+
+    per_block_s, ref = _cpu_timed(per_block, 1)
+    prefixed_s, out = _cpu_timed(prefixed, 1)
+    assert ref == out
+    kernel_scaling["block-seeds-per-block-cpu"] = per_block_s
+    kernel_scaling["block-seeds-prefix-cpu"] = prefixed_s
+    for name, speedup in (
+        ("batched stream seeding", per_stream_s / batched_s),
+        ("prefix-hashed block seeds", per_block_s / prefixed_s),
+    ):
+        assert speedup >= 2.0, f"{name} {speedup:.2f}x < 2x over one call per stream"
 
 
 def test_sweep_shared_cache_pool(kernel_scaling):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import resource
 
 import pytest
 
@@ -31,6 +32,18 @@ BENCH_CASE_STUDY = CaseStudyConfig(
     num_rounds=128,
     max_at_risk=5,
 )
+
+
+def cpu_seconds() -> float:
+    """CPU seconds of this process and of its reaped children.
+
+    ``time.process_time`` leaves out a worker pool's processes.  A pool
+    reaps its workers when it shuts down, so the difference of two
+    readings around a call that runs one counts the workers' CPU too.
+    """
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
 
 
 @pytest.fixture(scope="session")
@@ -165,6 +178,8 @@ def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
     (``matmul-int64-cpu``/``matmul-popcount-cpu``,
     ``pattern-per-block-cpu``/``pattern-vectorized-cpu``,
     ``charge-mask-encode-cpu``/``charge-mask-integer-cpu``,
+    ``stream-seeding-per-stream-cpu``/``stream-seeding-batched-cpu``,
+    ``block-seeds-per-block-cpu``/``block-seeds-prefix-cpu``,
     ``sweep-serial`` and ``sweep-shared-pool``); the derived speedups
     are appended so ``results/kernel_scaling.txt`` is self-describing.
     """
@@ -178,6 +193,8 @@ def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
         ("popcount product speedup vs int64 (CPU)", "matmul-int64-cpu", "matmul-popcount-cpu"),
         ("vectorized pattern stream speedup vs per-block Generator (CPU)", "pattern-per-block-cpu", "pattern-vectorized-cpu"),
         ("integer charge mask speedup vs encode path (CPU)", "charge-mask-encode-cpu", "charge-mask-integer-cpu"),
+        ("batched stream seeding speedup vs derive_rng per stream (CPU)", "stream-seeding-per-stream-cpu", "stream-seeding-batched-cpu"),
+        ("prefix-hashed block seeds speedup vs derive_seed per block (CPU)", "block-seeds-per-block-cpu", "block-seeds-prefix-cpu"),
         ("shared-cache pool speedup vs serial sweep (wall-clock)", "sweep-serial", "sweep-shared-pool"),
     ):
         if num in record and den in record:

@@ -13,7 +13,10 @@ Pipeline per chip:
 1. **Sample** the chip's fault topology — chip-indexed seeding
    (``derive_seed(seed, "fleet-chip", chip_index, ...)``), so the
    population decomposes into independent chips and any subset can be
-   recomputed bit-identically.
+   recomputed bit-identically.  The sampler takes a sequence of chips
+   and seeds all their streams in batch; :func:`chip_faults` calls it
+   once per block of ``chips_per_shard`` chips and memoizes the block,
+   so each process samples each chip it reads once.
 2. **Lower** the topology onto per-word
    :class:`~repro.memory.error_model.WordErrorProfile` objects.  Words
    with a single at-risk bit are SEC-correctable and tallied
@@ -81,7 +84,7 @@ from repro.memory.faults import (
 )
 from repro.profiling.runner import simulate_cell
 from repro.repair.policy import plan_row_sparing
-from repro.utils.rng import derive_rng, derive_seed
+from repro.utils.rng import derive_rng, derive_seeds
 
 __all__ = [
     "FleetShard",
@@ -127,21 +130,40 @@ def chip_code(config: FleetConfig, chip_index: int):
     return _fleet_code(config.seed, config.k, chip_index % config.num_codes)
 
 
-@lru_cache(maxsize=8192)
-def _chip_faults_cached(config: FleetConfig, chip_index: int) -> ChipFaults:
-    return sample_chip_faults(
-        config.seed,
-        chip_index,
-        mix_model_of(config),
-        geometry_of(config),
-        chip_code(config, chip_index).n,
-        config.max_at_risk_per_word,
-    )
+@lru_cache(maxsize=2)
+def _fault_blocks(config: FleetConfig) -> dict[int, tuple[ChipFaults, ...]]:
+    """One fleet's sampled chip blocks, each filled when first read."""
+    return {}
 
 
 def chip_faults(config: FleetConfig, chip_index: int) -> ChipFaults:
-    """Chip ``chip_index``'s fault topology (chip-indexed, memoized)."""
-    return _chip_faults_cached(config, chip_index)
+    """Chip ``chip_index``'s fault topology (chip-indexed, memoized by block).
+
+    Block ``b`` holds chips ``[b·c, (b + 1)·c)`` for ``c =
+    chips_per_shard``, sampled in one
+    :func:`~repro.memory.faults.sample_chip_faults` call the first time
+    one of them is read and kept for the fleet's run.  :func:`run`
+    reads every chip twice (to shard the fleet and to finalize it) and a
+    worker reads its shards' chips, so each process samples each chip it
+    reads once.  The memo holds the two most recent fleets.
+    """
+    if not 0 <= chip_index < config.num_chips:
+        raise IndexError(f"chip {chip_index} is outside a fleet of {config.num_chips} chips")
+    block, offset = divmod(chip_index, config.chips_per_shard)
+    blocks = _fault_blocks(config)
+    if block not in blocks:  # threads reading one block at once store equal tuples
+        start = block * config.chips_per_shard
+        blocks[block] = tuple(
+            sample_chip_faults(
+                config.seed,
+                range(start, min(start + config.chips_per_shard, config.num_chips)),
+                mix_model_of(config),
+                geometry_of(config),
+                chip_code(config, start).n,  # every fleet code has the same k, so one n
+                config.max_at_risk_per_word,
+            )
+        )
+    return blocks[block][offset]
 
 
 def profiled_words(faults: ChipFaults) -> list[tuple[int, tuple[int, ...]]]:
@@ -157,7 +179,7 @@ def profiled_words(faults: ChipFaults) -> list[tuple[int, tuple[int, ...]]]:
 def clear_fleet_caches() -> None:
     """Empty the fleet-layer caches (tests and benchmarks only)."""
     _fleet_code.cache_clear()
-    _chip_faults_cached.cache_clear()
+    _fault_blocks.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +272,7 @@ def run_fleet_shard(shard: FleetShard) -> dict:
     config = shard.config
     chips = []
     owned: list[tuple[list, int, tuple[int, ...]]] = []
-    codes, profiles, seeds = [], [], []
+    codes, profiles, draw_keys = [], [], []
     for chip in range(shard.start, shard.stop):
         code = chip_code(config, chip)
         words: list = []
@@ -263,7 +285,8 @@ def run_fleet_shard(shard: FleetShard) -> dict:
             profiles.append(
                 WordErrorProfile(positions, tuple(config.probability for _ in positions))
             )
-            seeds.append(derive_seed(config.seed, "fleet-draws", chip, word))
+            draw_keys.append((chip, word))
+    seeds = derive_seeds([(config.seed, "fleet-draws")], draw_keys)
     runs = simulate_cell(
         [config.profiler], codes, profiles, seeds, config.num_rounds, config.pattern
     )[config.profiler]

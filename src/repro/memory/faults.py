@@ -17,21 +17,24 @@ This module is the population model behind
 * :class:`FaultMixModel` — per-mode Poisson fault rates, the lognormal
   per-chip rate variability, and the per-mode at-risk densities.
   :data:`FIELD_DDR4` carries calibrated defaults.
-* :func:`sample_chip_faults` — draw one chip's fault topology.  Every
-  random draw derives from ``derive_seed(seed, "fleet-chip",
-  chip_index, ...)``: sampling is **chip-indexed**, never draw-order
-  dependent, so chip ``i``'s topology is identical no matter how many
-  other chips the population holds or in what order they are sampled.
+* :func:`sample_chip_faults` — draw the fault topologies of a sequence
+  of chips in one call, every stream seeded in batch.  Every random
+  draw derives from ``derive_seed(seed, "fleet-chip", chip_index,
+  ...)``: sampling is **chip-indexed**, never draw-order dependent, so
+  chip ``i``'s topology is identical no matter how many other chips
+  the population holds, which other chips share its call, or in what
+  order they are sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp
+from typing import Sequence
 
 import numpy as np
 
-from repro.utils.rng import derive_rng
+from repro.utils.rng import derive_seeds, seeded_generators
 
 __all__ = [
     "FAULT_MODES",
@@ -188,56 +191,94 @@ def _place_bank(rng, geometry: ChipGeometry, n: int, density: float, marks: dict
         marks.setdefault(int(word), set()).add(int(bit))
 
 
-def sample_chip_faults(
-    seed: int,
-    chip_index: int,
-    model: FaultMixModel,
-    geometry: ChipGeometry,
-    n: int,
-    max_per_word: int | None = None,
-) -> ChipFaults:
-    """Draw chip ``chip_index``'s fault topology from the population model.
+def _place(
+    rng, mode: str, model: FaultMixModel, geometry: ChipGeometry, n: int, marks: dict
+) -> None:
+    """Mark one ``mode`` fault's at-risk bits, drawing from its own stream."""
+    if mode == "single":
+        _place_single(rng, geometry, n, marks)
+    elif mode == "row":
+        _place_row(rng, geometry, n, model.row_density, marks)
+    elif mode == "column":
+        _place_column(rng, geometry, n, model.column_density, marks)
+    else:
+        _place_bank(rng, geometry, n, model.bank_density, marks)
 
-    Chip-indexed seeding: every stream derives from ``(seed,
-    "fleet-chip", chip_index, ...)`` — the per-chip rate scale, each
-    mode's fault count, and each individual fault's placement all get
-    their own derived stream, so no draw ever shifts another chip's (or
-    another fault's) topology.  Inserting or removing chips from the
-    population leaves every other chip's faults bit-identical.
 
-    ``max_per_word`` truncates a word's at-risk set to its lowest
-    positions (model truncation: the profiler/ground-truth machinery is
-    exponential in a word's at-risk count, and field words essentially
-    never exceed a handful of at-risk cells).
-    """
-    sigma = model.variability_sigma
-    scale_rng = derive_rng(seed, "fleet-chip", chip_index, "scale")
-    rate_scale = float(exp(sigma * scale_rng.standard_normal() - sigma * sigma / 2.0))
-    marks: dict[int, set[int]] = {}
-    mode_counts = []
-    for mode in FAULT_MODES:
-        count_rng = derive_rng(seed, "fleet-chip", chip_index, "count", mode)
-        count = int(count_rng.poisson(model.rate_of(mode) * rate_scale))
-        mode_counts.append(count)
-        for fault_index in range(count):
-            rng = derive_rng(seed, "fleet-chip", chip_index, mode, fault_index)
-            if mode == "single":
-                _place_single(rng, geometry, n, marks)
-            elif mode == "row":
-                _place_row(rng, geometry, n, model.row_density, marks)
-            elif mode == "column":
-                _place_column(rng, geometry, n, model.column_density, marks)
-            else:
-                _place_bank(rng, geometry, n, model.bank_density, marks)
+def _lowered(marks: dict[int, set[int]], max_per_word: int | None) -> tuple:
     lowered = []
     for word in sorted(marks):
         positions = tuple(sorted(marks[word]))
         if max_per_word is not None and len(positions) > max_per_word:
             positions = positions[:max_per_word]
         lowered.append((word, positions))
-    return ChipFaults(
-        chip_index=chip_index,
-        rate_scale=rate_scale,
-        mode_counts=tuple(mode_counts),
-        word_positions=tuple(lowered),
+    return tuple(lowered)
+
+
+#: Each chip's first-pass streams, as key suffixes under
+#: ``(seed, "fleet-chip", chip_index)``: its rate scale, then each mode's
+#: fault count.
+_CHIP_STREAMS = (("scale",),) + tuple(("count", mode) for mode in FAULT_MODES)
+
+
+def sample_chip_faults(
+    seed: int,
+    chip_indices: Sequence[int],
+    model: FaultMixModel,
+    geometry: ChipGeometry,
+    n: int,
+    max_per_word: int | None = None,
+) -> list[ChipFaults]:
+    """Draw the fault topology of every chip in ``chip_indices``, in that order.
+
+    Chip-indexed seeding: every stream is ``derive_rng(seed,
+    "fleet-chip", chip_index, ...)`` — the per-chip rate scale
+    (``"scale"``), each mode's fault count (``"count", mode``), and each
+    individual fault's placement (``mode, fault_index``) all get their
+    own derived stream, so no draw ever shifts another chip's (or
+    another fault's) topology.  Inserting or removing chips from the
+    population, or sampling them in another grouping or order, leaves
+    every chip's faults bit-identical.
+
+    The streams are built in batch
+    (:func:`~repro.utils.rng.derive_seeds`,
+    :func:`~repro.utils.rng.seeded_generators`), in two passes, because
+    the counts decide which placement streams exist: first every chip's
+    scale and count streams, then the placement streams those counts
+    call for.  A caller gains most by passing many chips at once.
+
+    ``max_per_word`` truncates a word's at-risk set to its lowest
+    positions (model truncation: the profiler/ground-truth machinery is
+    exponential in a word's at-risk count, and field words essentially
+    never exceed a handful of at-risk cells).
+    """
+    chips = [int(chip) for chip in chip_indices]
+    sigma = model.variability_sigma
+    rates = [model.rate_of(mode) for mode in FAULT_MODES]
+    streams = seeded_generators(
+        derive_seeds([(seed, "fleet-chip", chip) for chip in chips], _CHIP_STREAMS)
     )
+    scales, counts = [], []
+    for _ in chips:
+        rate_scale = float(exp(sigma * next(streams).standard_normal() - sigma * sigma / 2.0))
+        scales.append(rate_scale)
+        counts.append(tuple(int(next(streams).poisson(rate * rate_scale)) for rate in rates))
+    faults = [
+        (index, mode, fault_index)
+        for index, chip_counts in enumerate(counts)
+        for mode, count in zip(FAULT_MODES, chip_counts)
+        for fault_index in range(count)
+    ]
+    paths = [(seed, "fleet-chip", chips[index], mode, fault) for index, mode, fault in faults]
+    marks: list[dict[int, set[int]]] = [{} for _ in chips]
+    for (index, mode, _), rng in zip(faults, seeded_generators(derive_seeds(paths))):
+        _place(rng, mode, model, geometry, n, marks[index])
+    return [
+        ChipFaults(
+            chip_index=chip,
+            rate_scale=rate_scale,
+            mode_counts=chip_counts,
+            word_positions=_lowered(chip_marks, max_per_word),
+        )
+        for chip, rate_scale, chip_counts, chip_marks in zip(chips, scales, counts, marks)
+    ]

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.utils.bits import invert_bits
-from repro.utils.rng import derive_rng, derive_seed, random_bits
+from repro.utils.rng import derive_rng, derive_seeds, random_bits
 
 __all__ = [
     "DataPattern",
@@ -131,14 +131,16 @@ def random_rounds(seeds: Sequence[int], num_rounds: int, k: int) -> np.ndarray:
 
     Row ``i`` equals ``RandomPattern(seeds[i])``'s per-round draws: base
     ``b`` comes from block seed ``derive_seed(seed, "random-pattern", b)``
-    and fills round ``2b``, its inverse round ``2b + 1``.  All the bases
-    are drawn in one :func:`~repro.utils.rng.random_bits` pass, so a
-    caller gains most by passing every seed it needs in one call.
+    and fills round ``2b``, its inverse round ``2b + 1``.  Each seed's
+    key prefix is hashed once for all its blocks
+    (:func:`~repro.utils.rng.derive_seeds`), and all the bases are drawn
+    in one :func:`~repro.utils.rng.random_bits` pass, so a caller gains
+    most by passing every seed it needs in one call.
     """
     blocks = (num_rounds + 1) // 2
-    block_seeds = [
-        derive_seed(seed, "random-pattern", block) for seed in seeds for block in range(blocks)
-    ]
+    block_seeds = derive_seeds(
+        [(seed, "random-pattern") for seed in seeds], [(block,) for block in range(blocks)]
+    )
     bases = random_bits(block_seeds, k).reshape(len(seeds), blocks, k)
     out = np.empty((len(seeds), num_rounds, k), dtype=np.uint8)
     out[:, 0::2] = bases

@@ -59,7 +59,7 @@ from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile, check_profile_positions
 from repro.memory.patterns import DataPattern, RandomPattern, make_pattern, random_rounds
 from repro.profiling.base import Profiler, ReadMode
-from repro.utils.rng import derive_rng
+from repro.utils.rng import derive_seeds, seeded_generators
 
 __all__ = [
     "WordArtifacts",
@@ -149,11 +149,6 @@ class WordRunResult:
 
     def final_identified(self) -> frozenset[int]:
         return self.identified_per_round[-1] if self.identified_per_round else frozenset()
-
-
-def _failure_draws(word_seed: int, num_rounds: int, count: int) -> np.ndarray:
-    """Pre-drawn uniform variates, shape (num_rounds, at-risk count)."""
-    return derive_rng(word_seed, "failure-draws").random((num_rounds, count))
 
 
 def _charge_selectors(code: SystematicCode, positions: Sequence[int]) -> list[int]:
@@ -619,13 +614,14 @@ def cell_artifacts(
 
     Word ``i``'s codewords encode ``patterns[i]`` materialized over
     ``num_rounds`` rounds, and its failure draws are ``(num_rounds,
-    counts[i])`` variates from ``word_seeds[i]``.  The random-pattern
-    words of each ``k`` draw in one
-    :func:`~repro.memory.patterns.random_rounds` call, which only pays
-    off over many words at once; each code then encodes all its words'
-    schedules in one product.  Every array is read-only, because every
-    profiler of a word — and every sweep cell that reuses it — reads the
-    same ones.
+    counts[i])`` uniform variates from ``derive_rng(word_seeds[i],
+    "failure-draws")``.  The random-pattern words of each ``k`` draw in
+    one :func:`~repro.memory.patterns.random_rounds` call, which only
+    pays off over many words at once; every word's failure-draw stream
+    is seeded in one batch (:func:`~repro.utils.rng.seeded_generators`);
+    each code then encodes all its words' schedules in one product.
+    Every array is read-only, because every profiler of a word — and
+    every sweep cell that reuses it — reads the same ones.
     """
     schedules: list[np.ndarray] = [None] * len(codes)  # type: ignore[list-item]
     random_words: dict[int, list[int]] = {}
@@ -638,6 +634,13 @@ def cell_artifacts(
         drawn = random_rounds([patterns[i].seed for i in indices], num_rounds, k)
         for index, schedule in zip(indices, drawn):
             schedules[index] = schedule
+    draws = [
+        rng.random((num_rounds, count))
+        for rng, count in zip(
+            seeded_generators(derive_seeds([(seed, "failure-draws") for seed in word_seeds])),
+            counts,
+        )
+    ]
     artifacts: list[WordArtifacts] = [None] * len(codes)  # type: ignore[list-item]
     for code in {id(code): code for code in codes}.values():
         indices = [index for index, other in enumerate(codes) if other is code]
@@ -645,9 +648,8 @@ def cell_artifacts(
         encoded.setflags(write=False)
         for offset, index in enumerate(indices):
             rows = slice(offset * num_rounds, (offset + 1) * num_rounds)
-            draws = _failure_draws(word_seeds[index], num_rounds, counts[index])
-            draws.setflags(write=False)
-            artifacts[index] = WordArtifacts(encoded[rows], draws)
+            draws[index].setflags(write=False)
+            artifacts[index] = WordArtifacts(encoded[rows], draws[index])
     return artifacts
 
 

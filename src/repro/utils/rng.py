@@ -10,6 +10,17 @@ processes, which re-derive identical streams from the same key paths.
 Keys are hashed with a type tag (``i:``/``f:``/``s:``) so that, e.g.,
 ``derive_seed(1, 3)`` and ``derive_seed(1, "3")`` are distinct streams.
 
+Callers that need many streams take the batched path, which gives the
+same seeds and draws as :func:`derive_seed` and :func:`derive_rng`:
+
+* :func:`derive_seeds` hashes each key-path prefix once and copies the
+  SHA-256 state for every suffix (one key encoder serves both paths);
+* :func:`seeded_generators` computes the PCG64 state of many seeds in one
+  pass and sets each in turn into one reused Generator.  A caller must
+  drain each stream before it advances to the next one.
+  ``tests/test_utils_rng.py`` property-tests it against
+  ``np.random.default_rng``.
+
 One stream is also reproduced without building a Generator:
 :func:`random_bits` computes ``default_rng(seed).integers(0, 2, k,
 uint8)`` for many seeds in one pass of array arithmetic (numpy's
@@ -23,13 +34,12 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["derive_seed", "derive_rng", "random_bits"]
+__all__ = ["derive_seed", "derive_seeds", "derive_rng", "seeded_generators", "random_bits"]
 
-_MASK_64 = (1 << 64) - 1
 _MASK_32 = 0xFFFFFFFF
 
 # numpy.random.SeedSequence's hash constants (pool size 4).
@@ -46,6 +56,30 @@ _PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
 _MASK_128 = (1 << 128) - 1
 
 
+def _encode_keys(keys: Sequence[int | float | str]) -> bytes:
+    """The hashed spelling of a key path: each key behind its type tag."""
+    parts = []
+    for key in keys:
+        if isinstance(key, str):
+            parts.append(b"/s:" + key.encode())
+        elif isinstance(key, (bool, np.bool_)):
+            raise TypeError("seed keys must be int, float, or str, got bool")
+        elif isinstance(key, (int, np.integer)):
+            parts.append(b"/i:%d" % int(key))
+        elif isinstance(key, (float, np.floating)):
+            parts.append(b"/f:" + repr(float(key)).encode())
+        else:
+            raise TypeError(
+                f"seed keys must be int, float, or str, got {type(key).__name__}"
+            )
+    return b"".join(parts)
+
+
+def _path_hasher(seed: int, keys: Sequence[int | float | str]):
+    """SHA-256 over a parent seed and its key path, not yet finalized."""
+    return hashlib.sha256(b"%d" % int(seed) + _encode_keys(keys))
+
+
 def derive_seed(seed: int, *keys: int | float | str) -> int:
     """Derive a 64-bit child seed from a parent seed and a key path.
 
@@ -60,25 +94,38 @@ def derive_seed(seed: int, *keys: int | float | str) -> int:
     >>> derive_seed(1, 3) != derive_seed(1, "3")
     True
     """
-    hasher = hashlib.sha256()
-    hasher.update(str(int(seed)).encode())
-    for key in keys:
-        if isinstance(key, str):
-            hasher.update(b"/s:")
-            hasher.update(key.encode())
-        elif isinstance(key, (bool, np.bool_)):
-            raise TypeError("seed keys must be int, float, or str, got bool")
-        elif isinstance(key, (int, np.integer)):
-            hasher.update(b"/i:")
-            hasher.update(str(int(key)).encode())
-        elif isinstance(key, (float, np.floating)):
-            hasher.update(b"/f:")
-            hasher.update(repr(float(key)).encode())
-        else:
-            raise TypeError(
-                f"seed keys must be int, float, or str, got {type(key).__name__}"
-            )
-    return int.from_bytes(hasher.digest()[:8], "little") & _MASK_64
+    return int.from_bytes(_path_hasher(seed, keys).digest()[:8], "little")
+
+
+def derive_seeds(
+    paths: Iterable[Sequence[int | float | str]],
+    suffixes: Sequence[Sequence[int | float | str]] = ((),),
+) -> list[int]:
+    """``derive_seed(*path, *suffix)`` for every path and suffix, path-major.
+
+    Each path is a parent seed and its leading keys, ``(seed, *keys)``.
+    Its SHA-256 state is computed once and copied for each suffix, and
+    each suffix is encoded once for all paths.  A key path hashes as the
+    concatenation of its keys' spellings, so where it is split does not
+    matter:
+
+    >>> derive_seeds([(1, "fig6")], [(3,), (4,)]) == [
+    ...     derive_seed(1, "fig6", 3), derive_seed(1, "fig6", 4)
+    ... ]
+    True
+    """
+    tails = [_encode_keys(suffix) for suffix in suffixes]
+    seeds: list[int] = []
+    append = seeds.append
+    for seed, *keys in paths:
+        prefix = _path_hasher(seed, keys)
+        for tail in tails:
+            hasher = prefix
+            if tail:  # digest() leaves a hasher open, so an empty tail needs no copy
+                hasher = prefix.copy()
+                hasher.update(tail)
+            append(int.from_bytes(hasher.digest()[:8], "little"))
+    return seeds
 
 
 def derive_rng(seed: int, *keys: int | float | str) -> np.random.Generator:
@@ -195,6 +242,52 @@ def _affine_128(
         limbs.append(column & low)
         carry = column >> shift
     return limbs
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64's ``(state, inc)`` right after ``PCG64(seed)`` seeds it, per seed.
+
+    PCG64 takes ``generate_state(4, uint64)`` words ``w0..w3`` of the
+    seed's ``SeedSequence`` as ``initstate = w0 << 64 | w1`` and
+    ``initseq = w2 << 64 | w3``, sets ``inc = initseq << 1 | 1`` and
+    steps its LCG twice around adding ``initstate``:
+    ``state = (initstate + inc)·M + inc  (mod 2**128)``.
+    """
+    halves = _generate_state(seeds).astype(np.uint64)
+    words = (halves[0::2] | (halves[1::2] << np.uint64(32))).tolist()
+    states = []
+    for w0, w1, w2, w3 in zip(*words):
+        inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK_128
+        initstate = (w0 << 64) | w1
+        states.append((((initstate + inc) * _PCG_MULT + inc) & _MASK_128, inc))
+    return states
+
+
+def seeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for each seed in turn, from one Generator.
+
+    Every seed's PCG64 state is computed in one pass
+    (:func:`_pcg64_states`), and each is set in turn into one reused
+    Generator, which is yielded once per seed.  Setting a state costs a
+    small fraction of building a Generator.  Each stream draws exactly
+    what a fresh ``default_rng(seed)`` draws: the reset clears PCG64's
+    buffered 32-bit half-word, and a ``Generator`` keeps no other state.
+
+    The contract: the caller drains one stream before it asks for the
+    next, and keeps no reference to it, because advancing the iterator
+    reseeds the same object.  Seeds are non-negative ints below 2**64.
+    """
+    seeds = np.fromiter((int(seed) for seed in seeds), dtype=np.uint64)
+    if not seeds.size:
+        return
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    stream = {"state": 0, "inc": 0}
+    snapshot = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    # Each (state, inc) unpacks into the snapshot the setter reads.
+    for stream["state"], stream["inc"] in _pcg64_states(seeds):
+        bit_generator.state = snapshot
+        yield generator
 
 
 def random_bits(seeds: Sequence[int], k: int) -> np.ndarray:

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -97,8 +99,7 @@ class TestFaultSampling:
         model = FaultMixModel(variability_sigma=0.0)
         num_chips = 4000
         totals = dict.fromkeys(FAULT_MODES, 0)
-        for chip in range(num_chips):
-            faults = sample_chip_faults(7, chip, model, self.GEOMETRY, n=21)
+        for faults in sample_chip_faults(7, range(num_chips), model, self.GEOMETRY, n=21):
             for mode in FAULT_MODES:
                 totals[mode] += faults.count_of(mode)
         statistic = 0.0
@@ -123,8 +124,8 @@ class TestFaultSampling:
             variability_sigma=sigma,
         )
         scales = sorted(
-            sample_chip_faults(7, chip, model, self.GEOMETRY, n=21).rate_scale
-            for chip in range(4000)
+            faults.rate_scale
+            for faults in sample_chip_faults(7, range(4000), model, self.GEOMETRY, n=21)
         )
         median = scales[len(scales) // 2]
         p90 = scales[int(len(scales) * 0.9)]
@@ -146,9 +147,24 @@ class TestFaultSampling:
         # And at the sampler level, with the population size nowhere in
         # the derivation path at all:
         model = FaultMixModel()
-        first = sample_chip_faults(11, 3, model, self.GEOMETRY, n=21)
-        again = sample_chip_faults(11, 3, model, self.GEOMETRY, n=21)
+        first = sample_chip_faults(11, [3], model, self.GEOMETRY, n=21)
+        again = sample_chip_faults(11, [3], model, self.GEOMETRY, n=21)
         assert first == again
+
+    def test_shuffled_subset_matches_one_chip_at_a_time(self):
+        """Which chips share a call, and in what order, changes no chip."""
+        model = FaultMixModel(single_rate=1.0, row_rate=0.5, column_rate=0.5, bank_rate=0.5)
+        subset = random.Random(5).sample(range(400), 60)
+        together = sample_chip_faults(13, subset, model, self.GEOMETRY, n=21, max_per_word=4)
+        assert [faults.chip_index for faults in together] == subset
+        for mode in FAULT_MODES:
+            assert any(faults.count_of(mode) for faults in together), mode
+        alone = [
+            sample_chip_faults(13, [chip], model, self.GEOMETRY, n=21, max_per_word=4)[0]
+            for chip in subset
+        ]
+        assert together == alone
+        assert sample_chip_faults(13, [], model, self.GEOMETRY, n=21) == []
 
     def test_row_and_column_faults_never_empty(self):
         """A row/column fault keeps ≥ 1 at-risk bit even at density 0."""
@@ -162,8 +178,7 @@ class TestFaultSampling:
             column_density=0.0,
         )
         hit = 0
-        for chip in range(20):
-            faults = sample_chip_faults(3, chip, model, self.GEOMETRY, n=21)
+        for faults in sample_chip_faults(3, range(20), model, self.GEOMETRY, n=21):
             count = faults.count_of("row") + faults.count_of("column")
             hit += count
             assert faults.total_at_risk >= min(count, 1)
@@ -180,12 +195,39 @@ class TestFaultSampling:
             variability_sigma=0.0,
             bank_density=1.0,
         )
-        faults = sample_chip_faults(5, 0, model, self.GEOMETRY, n=21, max_per_word=4)
+        (faults,) = sample_chip_faults(5, [0], model, self.GEOMETRY, n=21, max_per_word=4)
         assert faults.count_of("bank") > 0
         assert faults.word_positions  # density 1.0 marks every bit
         for _, positions in faults.word_positions:
             assert len(positions) <= 4
             assert positions == tuple(range(4))  # lowest positions kept
+
+
+class TestSamplingOnce:
+    def test_serial_run_samples_each_chip_once(self, monkeypatch):
+        """``run`` shards and finalizes every chip, and the shards read
+        their chips again; the block memo must serve all of it from one
+        sampling of each chip."""
+        config = replace(SMALL, num_chips=29)
+        sampled = Counter()
+        original = fleet.sample_chip_faults
+
+        def counting(seed, chip_indices, *args, **kwargs):
+            chips = list(chip_indices)
+            sampled.update(chips)
+            return original(seed, chips, *args, **kwargs)
+
+        monkeypatch.setattr(fleet, "sample_chip_faults", counting)
+        result = fleet.run(config)
+        assert any(shard.num_slices > 1 for shard in fleet.shard_fleet(config))
+        assert len(result.chips) == config.num_chips
+        assert sampled == Counter(range(config.num_chips))
+
+    def test_chip_outside_the_fleet_is_refused(self):
+        with pytest.raises(IndexError):
+            fleet.chip_faults(SMALL, SMALL.num_chips)
+        with pytest.raises(IndexError):
+            fleet.chip_faults(SMALL, -1)
 
 
 class TestBackendIdentity:
