@@ -8,6 +8,14 @@ sweep, the Fig 10 case study, the fleet and the heterogeneous-probability
 extension.  Floats go through ``repr`` inside ``json.dumps``, so a digest
 pins them to the last bit.
 
+The ``exhibit-*`` digests pin the rendered text of every exhibit, one
+per section of ``python -m repro all --scale unit --seed 2021``.  The
+canonical form of a section is its UTF-8 text exactly as printed, from
+its ``== title ==`` line through the blank line that closes it; that is
+also the whole stdout of ``python -m repro EXHIBIT --scale unit --seed
+2021`` run alone, so a ledger that times one exhibit per process can
+hash its stdout and compare it with these digests at any scale.
+
 The ``store-*`` digests pin the on-disk records of each driver's
 ``--resume`` store from the same runs: every line is parsed, its
 ``seconds`` (wall-clock) field dropped, and the record re-dumped with
@@ -28,8 +36,10 @@ and put the diff of the file in the change that moves a result.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 from dataclasses import replace
@@ -38,6 +48,7 @@ from pathlib import Path
 import pytest
 from kernel_modes import MODES, kernel_mode
 
+from repro import cli
 from repro.cli import CASE_SCALES, FLEET_SCALES, SCALES
 from repro.experiments import ext_heterogeneous, fig10, fleet
 from repro.experiments.runner import clear_engine_caches, run_sweep
@@ -116,9 +127,28 @@ STORE_RUNS = {
 }
 
 
-def _digest(document) -> str:
-    text = json.dumps(document, separators=(",", ":"))
+def _exhibit_sections() -> dict[str, str]:
+    """Each exhibit's section of ``repro all --scale unit --seed 2021``, keyed ``exhibit-NAME``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["all", "--scale", "unit", "--seed", str(SEED)]) == 0
+    text = out.getvalue()
+    starts: list[int] = []
+    for description, _ in cli.COMMANDS.values():
+        starts.append(text.index(f"== {description} ==\n", starts[-1] if starts else 0))
+    assert starts[0] == 0
+    return {
+        f"exhibit-{name}": text[start:stop]
+        for name, start, stop in zip(cli.COMMANDS, starts, starts[1:] + [len(text)])
+    }
+
+
+def _digest_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _digest(document) -> str:
+    return _digest_text(json.dumps(document, separators=(",", ":")))
 
 
 @pytest.fixture(scope="module")
@@ -129,13 +159,17 @@ def pinned(tmp_path_factory):
             (name, _digest(run(tmp_path_factory.mktemp(name))))
             for name, run in STORE_RUNS.items()
         )
+        digests.update(
+            (name, _digest_text(section)) for name, section in _exhibit_sections().items()
+        )
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     return json.loads(GOLDEN.read_text())
 
 
 def test_every_driver_is_pinned(pinned):
-    assert sorted(pinned) == sorted({**RUNS, **STORE_RUNS})
+    exhibits = [f"exhibit-{name}" for name in cli.COMMANDS]
+    assert sorted(pinned) == sorted([*RUNS, *STORE_RUNS, *exhibits])
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -156,3 +190,12 @@ def test_store_records_match_golden_digest(name, mode, pinned, monkeypatch, tmp_
     clear_engine_caches()
     fleet.clear_fleet_caches()
     assert _digest(STORE_RUNS[name](tmp_path)) == pinned[name]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_exhibit_text_matches_golden_digests(mode, pinned, monkeypatch):
+    kernel_mode(monkeypatch, mode)
+    clear_engine_caches()
+    fleet.clear_fleet_caches()
+    digests = {name: _digest_text(section) for name, section in _exhibit_sections().items()}
+    assert digests == {name: pinned[name] for name in digests}
