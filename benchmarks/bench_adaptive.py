@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import cpu_seconds
+from conftest import change_points, cpu_seconds
 
 from repro.analysis.atrisk import _solve_charge_ints
 from repro.analysis.memo import clear_analysis_caches
@@ -84,6 +84,11 @@ class _Pr1BeepProfiler(Profiler):
                 self._observed.add(position)
                 self._expand_target(position)
 
+    @property
+    def observation_count(self):
+        """The pinned loop's change fingerprint: it grows with the observed set."""
+        return len(self._observed)
+
     def _solve(self, charged):
         solution = _solve_charge_ints(self.code, charged, frozenset())
         if solution is None:
@@ -113,11 +118,22 @@ class _Pr1HybridProfiler(PROFILER_REGISTRY["HARP-A+BEEP"]):
 
     The pinned BEEP crafts arrays through ``pattern_for_round``, so the
     hybrid delegates that method to it after the switch, as PR 1 did.
+    It keeps its own phase test, observation routing and change
+    fingerprint: of the live hybrid it uses only the attributes.
     """
+
+    adaptive = True
 
     def __init__(self, code, seed, pattern="random", switch_round=16):
         super().__init__(code, seed, pattern, switch_round)
         self._beep = _Pr1BeepProfiler(code, seed, pattern)
+        self._seeded_beep = False
+
+    def _in_active_phase(self, round_index):
+        return round_index < self.switch_round
+
+    def read_mode_for(self, round_index):
+        return ReadMode.BYPASS if self._in_active_phase(round_index) else ReadMode.NORMAL
 
     def pattern_for_round(self, round_index):
         if self._in_active_phase(round_index):
@@ -126,6 +142,17 @@ class _Pr1HybridProfiler(PROFILER_REGISTRY["HARP-A+BEEP"]):
             self._seeded_beep = True
             self._beep.observe(round_index, self._harp.identified)
         return self._beep.pattern_for_round(round_index)
+
+    def observe(self, round_index, mismatches):
+        if self._in_active_phase(round_index):
+            self._harp.observe(round_index, mismatches)
+        else:
+            self._beep.observe(round_index, mismatches)
+
+    @property
+    def observation_count(self):
+        # Both sub-pools are add-only, so the sum grows whenever either does.
+        return len(self._harp._observed) + self._beep.observation_count
 
 
 _PR1_PROFILERS = dict(
@@ -191,11 +218,7 @@ def _pr1_simulate_word(profiler, profile, num_rounds, word_seed, artifacts) -> W
         identified_trace.append(current_identified)
         observed_trace.append(current_observed)
 
-    return WordRunResult(
-        identified_per_round=identified_trace,
-        observed_per_round=observed_trace,
-        failures_per_round=failure_trace,
-    )
+    return WordRunResult(change_points(identified_trace, observed_trace), failure_trace)
 
 
 def _pr1_run_sweep(config) -> SweepResult:

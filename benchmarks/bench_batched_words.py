@@ -100,17 +100,26 @@ def _batched_grid(config: SweepConfig, cells):
     return runs
 
 
-def _best_of(grid, config: SweepConfig, blocks, reps: int = REPS):
-    best, result = None, None
-    for _ in range(reps):
-        clear_analysis_caches()
-        grid(config, _grid_inputs(config, blocks))  # warm the decode memos, untimed
-        cells = _grid_inputs(config, blocks)
-        start = time.process_time()
-        result = grid(config, cells)
-        elapsed = time.process_time() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+def _best_of(config: SweepConfig, blocks, reps: int = REPS):
+    """Best-of-``reps`` CPU seconds and runs of the scalar and batched grids.
+
+    The two sides alternate rep by rep, and each rep flips which side
+    goes first, so a noisy stretch on a shared host slows both sides
+    instead of one.
+    """
+    grids = (_scalar_grid, _batched_grid)
+    best: list = [None, None]
+    runs: list = [None, None]
+    for rep in range(reps):
+        for side in (0, 1) if rep % 2 == 0 else (1, 0):
+            clear_analysis_caches()
+            grids[side](config, _grid_inputs(config, blocks))  # warm the decode memos, untimed
+            cells = _grid_inputs(config, blocks)
+            start = time.process_time()
+            runs[side] = grids[side](config, cells)
+            elapsed = time.process_time() - start
+            best[side] = elapsed if best[side] is None else min(best[side], elapsed)
+    return best, runs
 
 
 def _load_floor() -> float:
@@ -122,8 +131,7 @@ def _load_floor() -> float:
 def test_batched_kernel_speedup_floor():
     engine.clear_engine_caches()
     blocks = _blocks(GRID)
-    scalar_seconds, scalar_runs = _best_of(_scalar_grid, GRID, blocks)
-    batched_seconds, batched_runs = _best_of(_batched_grid, GRID, blocks)
+    (scalar_seconds, batched_seconds), (scalar_runs, batched_runs) = _best_of(GRID, blocks)
 
     # Bit identity over the whole grid, word for word.
     assert len(scalar_runs) == len(batched_runs)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import cpu_seconds
+from conftest import change_points, cpu_seconds
 
 from repro.analysis.atrisk import compute_ground_truth, predict_indirect_from_direct
 from repro.analysis.memo import clear_analysis_caches
@@ -103,8 +103,12 @@ class _SeedHarpABeepProfiler(PROFILER_REGISTRY["HARP-A+BEEP"]):
 
     def __init__(self, code, seed, pattern="random", switch_round=16):
         super().__init__(code, seed, pattern, switch_round)
-        self._harp = _SeedHarpAProfiler(code, seed, pattern)
+        self._harp = self._phase = _SeedHarpAProfiler(code, seed, pattern)
 
+
+#: The seed revision's adaptive profilers: it crafted their patterns per
+#: round, and precomputed every other profiler's schedule.
+_SEED_ADAPTIVE = frozenset({"BEEP", "HARP-A+BEEP"})
 
 #: Profiler registry as the seed revision behaved (no memoized prediction).
 _SEED_PROFILERS = dict(
@@ -127,7 +131,7 @@ def _seed_simulate_word(profiler, profile, num_rounds, word_seed) -> WordRunResu
     positions = np.asarray(profile.positions, dtype=np.intp)
 
     identified_trace, observed_trace, failure_trace = [], [], []
-    if profiler.adaptive:
+    if profiler.name in _SEED_ADAPTIVE:
         written_rounds = None
     else:
         written_rounds = np.stack(
@@ -162,11 +166,7 @@ def _seed_simulate_word(profiler, profile, num_rounds, word_seed) -> WordRunResu
         identified_trace.append(profiler.identified)
         observed_trace.append(profiler.identified_observed)
 
-    return WordRunResult(
-        identified_per_round=identified_trace,
-        observed_per_round=observed_trace,
-        failures_per_round=failure_trace,
-    )
+    return WordRunResult(change_points(identified_trace, observed_trace), failure_trace)
 
 
 def _legacy_run_sweep(config) -> SweepResult:

@@ -46,6 +46,22 @@ def cpu_seconds() -> float:
     return own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
 
 
+def change_points(identified, observed) -> list:
+    """Per-round identified and observed traces as a run's change points.
+
+    The pinned early engines build one set of each per round;
+    :class:`~repro.profiling.runner.WordRunResult` stores a run as the
+    rounds where either set changes.
+    """
+    changes = []
+    last = (frozenset(), frozenset())
+    for round_index, sets in enumerate(zip(identified, observed)):
+        if sets != last:
+            changes.append((round_index, *sets))
+            last = sets
+    return changes
+
+
 @pytest.fixture(scope="session")
 def bench_sweep():
     """The BENCH-scale profiler sweep shared by the Fig 6-9 benches."""

@@ -176,19 +176,6 @@ class ChargeSystem:
         self.constrain(charged_ones, 1)
         self.constrain(forced_zeros, 0)
 
-    @property
-    def feasible(self) -> bool:
-        """Whether the constraints admit any dataword."""
-        return not self._infeasible
-
-    @property
-    def _pivots(self) -> list[tuple[int, int, int]]:
-        """The eliminated basis as (pivot bit, row, rhs) integer triples.
-
-        Exposed for tests and debugging.
-        """
-        return self._basis
-
     def constrain(self, positions, target: int) -> None:
         """Pin the charge of codeword ``positions`` to ``target`` (0 or 1)."""
         code = self.code

@@ -1,7 +1,7 @@
 """Structural analysis of linear block codes.
 
 These routines characterize a code the way the paper's §2.5.2 discussion
-does: minimum distance, syndrome space coverage, and the *miscorrection
+does: syndrome space coverage and the *miscorrection
 profile* — for every uncorrectable pattern weight, how many patterns alias
 onto a correctable syndrome and where the resulting indirect errors land
 (cf. Pae et al., "Minimal Aliasing Single-Error-Correction Codes", which the
@@ -13,16 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from repro.ecc import gf2
 from repro.ecc.linear_code import SystematicCode
 from repro.ecc.syndrome import analyze_error_pattern
-from repro.utils.bits import int_to_bits
 
 __all__ = [
     "aliasing_pairs_for_target",
-    "minimum_distance",
     "MiscorrectionProfile",
     "miscorrection_profile",
     "syndrome_coverage",
@@ -49,33 +44,6 @@ def aliasing_pairs_for_target(code: SystematicCode, target: int) -> tuple[tuple[
         if partner is not None and partner > a:
             pairs.append((a, partner))
     return tuple(pairs)
-
-
-def minimum_distance(code: SystematicCode, max_weight: int | None = None) -> int:
-    """Minimum distance via nullspace search over codeword weights.
-
-    Exhaustive over message space for small ``k`` (<= 16); for larger codes
-    pass ``max_weight`` to bound the search over low-weight column
-    combinations instead.
-    """
-    if code.k <= 16:
-        best = code.n + 1
-        generator = code.generator_matrix_t
-        for message in range(1, 1 << code.k):
-            bits = int_to_bits(message, code.k)
-            weight = int(gf2.matmul(bits.reshape(1, -1), generator).sum())
-            best = min(best, weight)
-        return best
-    limit = max_weight if max_weight is not None else 4
-    h = code.parity_check_matrix
-    for weight in range(1, limit + 1):
-        for pattern in combinations(range(code.n), weight):
-            syndrome = np.zeros(code.p, dtype=np.uint8)
-            for position in pattern:
-                syndrome ^= h[:, position]
-            if not syndrome.any():
-                return weight
-    raise ValueError(f"minimum distance exceeds search bound {limit}")
 
 
 @dataclass(frozen=True)

@@ -223,10 +223,13 @@ def metrics_for_words(
 ) -> list[WordMetrics]:
     """Batched :func:`metrics_for_run` over every word of a cell.
 
-    Identification is monotonic, so each trace collapses into segments
-    of identical identified sets; the per-round set intersections that
-    the reference loop evaluates 4x per round become numpy set-ops over
-    the *whole cell*: every metric member's first-seen segment lands in
+    Each run arrives as its change points (:attr:`WordRunResult.changes`),
+    so its segments of identical identified sets come straight from the
+    kernels: a segment starts at round 0 and at every change point whose
+    identified set differs by value from the segment before it.  The
+    per-round set intersections that the reference loop evaluates 4x per
+    round become numpy set-ops over the *whole cell*: every metric
+    member's first-seen segment lands in
     one global ``bincount``/``cumsum`` (counting, per segment, how many
     of the word's at-risk positions are identified so far), and the
     per-segment counts expand back to per-round series with one
@@ -250,22 +253,24 @@ def metrics_for_words(
     capability_parts: list[int] = []
     base = 0
     for run, truth in words:
-        trace = run.identified_per_round
-        starts = [0] if len(trace) else []
-        if starts:
-            previous_set = trace[0]
-            for round_index in range(1, len(trace)):
-                identified = trace[round_index]
-                if identified is not previous_set and identified != previous_set:
-                    starts.append(round_index)
-                    previous_set = identified
-        segment_sets = [trace[index] for index in starts]
+        rounds = run.num_rounds
+        starts: list[int] = []
+        segment_sets: list[frozenset[int]] = []
+        if rounds:
+            starts.append(0)
+            segment_sets.append(frozenset())
+            for round_index, identified, _ in run.changes:
+                if identified != segment_sets[-1]:
+                    if round_index == starts[-1]:
+                        segment_sets[-1] = identified  # a change in round 0
+                    else:
+                        starts.append(round_index)
+                        segment_sets.append(identified)
+            seg_end_parts.extend(starts[1:])
+            seg_end_parts.append(rounds)
         seg_starts_per_word.append(starts)
         segs_per_word.append(len(starts))
-        trace_lengths.append(len(trace))
-        if starts:
-            seg_end_parts.extend(starts[1:])
-            seg_end_parts.append(len(trace))
+        trace_lengths.append(rounds)
         post = truth.post_correction_at_risk
         first_seen: dict[int, int] = {}
         previous: frozenset[int] = frozenset()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CellOrientation", "all_true_cells", "alternating_cells", "random_cells"]
+__all__ = ["CellOrientation", "all_true_cells", "alternating_cells"]
 
 
 class CellOrientation:
@@ -57,8 +57,3 @@ def all_true_cells(n: int) -> CellOrientation:
 def alternating_cells(n: int) -> CellOrientation:
     """Alternating true/anti cells (a common real-DRAM layout)."""
     return CellOrientation((np.arange(n) % 2 == 0).astype(np.uint8))
-
-
-def random_cells(n: int, rng: np.random.Generator) -> CellOrientation:
-    """Uniform random orientation, for property tests."""
-    return CellOrientation(rng.integers(0, 2, size=n, dtype=np.uint8))

@@ -156,9 +156,6 @@ class ChipFaults:
     def total_at_risk(self) -> int:
         return sum(len(positions) for _, positions in self.word_positions)
 
-    def count_of(self, mode: str) -> int:
-        return self.mode_counts[FAULT_MODES.index(mode)]
-
 
 def _place_single(rng, geometry: ChipGeometry, n: int, marks: dict) -> None:
     word = int(rng.integers(geometry.num_words))

@@ -32,8 +32,9 @@ registry name   paper section         approach
 Experiment configs name profilers by their :data:`PROFILER_REGISTRY`
 key.  The per-word simulation loop lives in
 :mod:`repro.profiling.runner` (`simulate_cell`, the drivers' one entry
-point, over `simulate_word` and `simulate_words_batched`).  The traces
-become per-word metrics in
+point, over `simulate_word` and `simulate_words_batched`), which store
+each run as the change points of its identified set.  The runs become
+per-word metrics in
 :func:`repro.experiments.runner.metrics_for_words`, and each exhibit
 module (:mod:`repro.experiments.fig6` to :mod:`repro.experiments.fig9`)
 reduces those to its figure.

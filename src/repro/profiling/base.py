@@ -20,11 +20,15 @@ write arrays to a chip.  Two read paths exist (paper §5.2):
 
 Profilers accumulate an *identified* set of at-risk data positions, split
 into an observation channel and (for HARP-A) a prediction channel.
+:meth:`Profiler.observe` returns whether that state may have moved, so
+the kernels store a run as its change points
+(:class:`~repro.profiling.runner.WordRunResult`) and never poll the sets
+on rounds where nothing happened.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +46,7 @@ class ReadMode:
     BYPASS = "bypass"
 
 
-class Profiler(ABC):
+class Profiler:
     """Base class for round-based error profilers.
 
     Args:
@@ -57,9 +61,6 @@ class Profiler(ABC):
 
     #: Human-readable profiler name used in reports.
     name: str = "abstract"
-    #: Whether pattern choice depends on past observations.  Non-adaptive
-    #: profilers can be simulated on the vectorized fast path.
-    adaptive: bool = False
     #: Whether :meth:`observe_many` faithfully replays this profiler's
     #: :meth:`observe` semantics from distinct mismatch events alone.
     #: Declaring ``batched = True`` vouches for two properties the
@@ -70,7 +71,8 @@ class Profiler(ABC):
     #: that break either must leave it ``False`` (the kernel then refuses
     #: them) or override :meth:`observe_many` accordingly, as the oracle
     #: does.  The kernel writes only the standard schedule, so it also
-    #: refuses a profiler that crafts its own datawords.
+    #: refuses a profiler that crafts its own datawords — an *adaptive*
+    #: profiler, one that overrides :meth:`crafted_for_round`.
     batched: bool = False
 
     def __init__(self, code: SystematicCode, seed: int, pattern: str = "random") -> None:
@@ -92,8 +94,9 @@ class Profiler(ABC):
 
         ``None`` means the row of the standard pattern schedule.  The one
         pattern primitive: adaptive profilers override this (never
-        :meth:`pattern_for_round`), and the harness calls it exactly once
-        per round, in round order.
+        :meth:`pattern_for_round`), and overriding it is what makes a
+        profiler adaptive.  The harness calls it exactly once per round,
+        in round order, before that round's :meth:`observe`.
         """
         return None
 
@@ -108,58 +111,59 @@ class Profiler(ABC):
             return self._pattern.data_for_round(round_index, self.code.k)
         return int_to_bits(crafted, self.code.k)
 
-    @abstractmethod
-    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
-        """Record the mismatching data positions of this round's read-back."""
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> bool:
+        """Record the mismatching data positions of this round's read-back.
+
+        Returns ``True`` whenever :attr:`identified` or
+        :attr:`identified_observed` may have changed since the previous
+        call — including changes this round's :meth:`crafted_for_round`
+        made — and ``False`` only when neither did.  The kernels record a
+        change point exactly when it returns ``True``: a spurious ``True``
+        costs one redundant change point, a missed change corrupts the
+        trace.  The default is plain accumulate semantics: mismatches
+        union into the observed set.
+        """
+        observed = self._observed
+        before = len(observed)
+        observed.update(mismatches)
+        return len(observed) != before
 
     def observe_many(
-        self, events: list[tuple[int, frozenset[int]]]
+        self, events: Iterable[tuple[int, frozenset[int]]]
     ) -> list[tuple[int, frozenset[int], frozenset[int]]]:
         """Consume a whole run's distinct mismatch events in one call.
 
-        ``events`` holds one ``(first_round, mismatches)`` pair per
+        ``events`` yields one ``(first_round, mismatches)`` pair per
         distinct mismatch set of the run, ascending by round — the
         batched kernel's compressed replay of calling :meth:`observe`
-        every round.  Returns the change points of the identification
-        state as ``(round, identified, identified_observed)`` triples:
-        the cumulative sets are materialized to frozensets only at those
-        boundaries, never per round.  The default implementation covers
-        plain accumulate semantics (``observe`` unions mismatches into
-        the observed set); subclasses with extra per-observation state
-        override it (see :class:`~repro.profiling.harp.HarpAProfiler`)
-        and vouch for the replay with the :attr:`batched` flag.
+        every round.  Returns the run's change points, the
+        :attr:`~repro.profiling.runner.WordRunResult.changes` of its
+        result: ``(round, identified, identified_observed)`` triples,
+        the cumulative sets materialized only at those rounds.  The
+        default implementation replays the default :meth:`observe`;
+        subclasses with extra per-observation state override it (see
+        :class:`~repro.profiling.harp.HarpAProfiler`) and vouch for the
+        replay with the :attr:`batched` flag.
         """
         changes: list[tuple[int, frozenset[int], frozenset[int]]] = []
         observed = self._observed
         # Accumulate semantics leave the prediction channel alone.
         predicted = self.identified_predicted
         for round_index, mismatches in events:
-            before = len(observed)
+            if mismatches <= observed:
+                continue
             observed.update(mismatches)
-            if len(observed) != before:
-                # One snapshot per change point: for accumulate semantics
-                # ``identified_observed`` is exactly frozenset(_observed)
-                # and ``identified`` only adds the prediction channel.
-                snapshot = frozenset(observed)
-                identified = snapshot | predicted if predicted else snapshot
-                changes.append((round_index, identified, snapshot))
+            # One snapshot per change point: for accumulate semantics
+            # ``identified_observed`` is exactly frozenset(_observed) and
+            # ``identified`` only adds the prediction channel.
+            snapshot = frozenset(observed)
+            identified = snapshot | predicted if predicted else snapshot
+            changes.append((round_index, identified, snapshot))
         return changes
 
     # ------------------------------------------------------------------
     # Identification state
     # ------------------------------------------------------------------
-
-    @property
-    def observation_count(self) -> int:
-        """Size of the observation-channel state (monotone non-decreasing).
-
-        The simulation harness uses this, together with
-        ``identified_predicted``, as a cheap change detector: it must
-        increase whenever ``identified_observed`` changes.  Subclasses
-        that store observations outside ``self._observed`` (e.g. in
-        sub-profilers) must override it accordingly.
-        """
-        return len(self._observed)
 
     @property
     def identified_observed(self) -> frozenset[int]:

@@ -51,7 +51,6 @@ class BeepProfiler(Profiler):
     """Parity-check-aware crafted-pattern profiler."""
 
     name = "BEEP"
-    adaptive = True
 
     def __init__(self, code: SystematicCode, seed: int, pattern: str = "random") -> None:
         super().__init__(code, seed, pattern)
@@ -87,16 +86,18 @@ class BeepProfiler(Profiler):
         for pair in self._caches.aliasing_pairs(target):
             self._hypotheses.append((target, pair))
 
-    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> bool:
         if not mismatches:
-            return
+            return False
         for position in mismatches:
             if position not in self._observed:
                 self._observed.add(position)
                 self._expand_target(position)
-        if len(self._observed) != len(self._anchor_key):
-            self._anchor_key = tuple(sorted(self._observed))
-            self._epoch = self._caches.crafted_epoch(self._anchor_key)
+        if len(self._observed) == len(self._anchor_key):
+            return False
+        self._anchor_key = tuple(sorted(self._observed))
+        self._epoch = self._caches.crafted_epoch(self._anchor_key)
+        return True
 
     # ------------------------------------------------------------------
     # Pattern crafting

@@ -8,6 +8,13 @@ HARP's fast direct-error coverage with BEEP's ability to exploit *known*
 at-risk bits to expose the remaining indirect errors — including those
 caused by at-risk parity bits, which HARP-A alone cannot predict.
 
+The hybrid switches phase once: it crafts and observes through its
+current phase, HARP-A until the first :meth:`crafted_for_round` call at
+or past ``switch_round`` and BEEP from there on.  That call seeds BEEP's
+anchor pool with HARP-A's findings, which moves ``identified_observed``
+with no new mismatch, so the same round's :meth:`observe` reports a
+change.
+
 Both phases run on the code-level caches of :mod:`repro.analysis.memo`:
 the active phase through HARP-A's memoized indirect prediction, the
 crafted phase through the embedded :class:`BeepProfiler`'s shared
@@ -29,7 +36,6 @@ class HarpABeepProfiler(Profiler):
     """HARP-A active phase followed by BEEP crafted-pattern exploration."""
 
     name = "HARP-A+BEEP"
-    adaptive = True
 
     def __init__(
         self,
@@ -44,36 +50,26 @@ class HarpABeepProfiler(Profiler):
         self.switch_round = switch_round
         self._harp = HarpAProfiler(code, seed, pattern)
         self._beep = BeepProfiler(code, seed, pattern)
-        self._seeded_beep = False
-
-    def _in_active_phase(self, round_index: int) -> bool:
-        return round_index < self.switch_round
+        #: The phase that crafts and observes: HARP-A, then BEEP.
+        self._phase: Profiler = self._harp
+        #: The round whose crafted call seeded BEEP (-1 before the switch).
+        self._handoff_round = -1
 
     def read_mode_for(self, round_index: int) -> str:
-        return ReadMode.BYPASS if self._in_active_phase(round_index) else ReadMode.NORMAL
+        return ReadMode.BYPASS if round_index < self.switch_round else ReadMode.NORMAL
 
     def crafted_for_round(self, round_index: int) -> int | None:
         # Both phases draw their standard rounds from this profiler's
         # (pattern, seed) stream, so ``None`` means the same row for each.
-        if self._in_active_phase(round_index):
-            return self._harp.crafted_for_round(round_index)
-        if not self._seeded_beep:
+        if self._phase is self._harp and round_index >= self.switch_round:
             # Seed BEEP's anchor pool with everything HARP-A identified.
-            self._seeded_beep = True
+            self._phase = self._beep
+            self._handoff_round = round_index
             self._beep.observe(round_index, self._harp.identified)
-        return self._beep.crafted_for_round(round_index)
+        return self._phase.crafted_for_round(round_index)
 
-    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
-        if self._in_active_phase(round_index):
-            self._harp.observe(round_index, mismatches)
-        else:
-            self._beep.observe(round_index, mismatches)
-
-    @property
-    def observation_count(self) -> int:
-        # Both sub-pools are add-only, so the sum grows whenever either
-        # does — a valid change fingerprint even when the union overlaps.
-        return self._harp.observation_count + self._beep.observation_count
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> bool:
+        return self._phase.observe(round_index, mismatches) or round_index == self._handoff_round
 
     @property
     def identified_observed(self) -> frozenset[int]:

@@ -15,6 +15,8 @@ picks those up at runtime.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.analysis.memo import cached_predict_indirect
 from repro.ecc.linear_code import SystematicCode
 from repro.profiling.base import Profiler, ReadMode
@@ -26,7 +28,6 @@ class HarpUProfiler(Profiler):
     """HARP-Unaware: bypass reads, standard patterns, no H knowledge."""
 
     name = "HARP-U"
-    adaptive = False
     #: Bypass reads accumulate raw mismatches — the base ``observe_many``
     #: replay is exact, and ``read_mode_for`` is round-independent.
     batched = True
@@ -34,32 +35,28 @@ class HarpUProfiler(Profiler):
     def read_mode_for(self, round_index: int) -> str:
         return ReadMode.BYPASS
 
-    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
-        self._observed.update(mismatches)
-
 
 class HarpAProfiler(HarpUProfiler):
     """HARP-Aware: HARP-U plus miscorrection precomputation from H."""
 
     name = "HARP-A"
-    adaptive = False
 
     def __init__(self, code: SystematicCode, seed: int, pattern: str = "random") -> None:
         super().__init__(code, seed, pattern)
         self._predicted: frozenset[int] = frozenset()
 
-    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
-        before = len(self._observed)
-        self._observed.update(mismatches)
-        if len(self._observed) != before:
-            # The direct-risk set grew: refresh the precomputed indirect set.
-            # The memoized lookup collapses the repeats the sweep produces
-            # (the same (code, observed set) recurs across probability
-            # levels and words).
-            self._predicted = cached_predict_indirect(self.code, self._observed)
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> bool:
+        if not super().observe(round_index, mismatches):
+            return False
+        # The direct-risk set grew: refresh the precomputed indirect set.
+        # The memoized lookup collapses the repeats the sweep produces
+        # (the same (code, observed set) recurs across probability
+        # levels and words).
+        self._predicted = cached_predict_indirect(self.code, self._observed)
+        return True
 
     def observe_many(
-        self, events: list[tuple[int, frozenset[int]]]
+        self, events: Iterable[tuple[int, frozenset[int]]]
     ) -> list[tuple[int, frozenset[int], frozenset[int]]]:
         """Batched replay: refresh the prediction at each growth event.
 
@@ -72,12 +69,12 @@ class HarpAProfiler(HarpUProfiler):
         changes: list[tuple[int, frozenset[int], frozenset[int]]] = []
         observed = self._observed
         for round_index, mismatches in events:
-            before = len(observed)
+            if mismatches <= observed:
+                continue
             observed.update(mismatches)
-            if len(observed) != before:
-                snapshot = frozenset(observed)
-                self._predicted = cached_predict_indirect(self.code, observed)
-                changes.append((round_index, snapshot | self._predicted, snapshot))
+            snapshot = frozenset(observed)
+            self._predicted = cached_predict_indirect(self.code, observed)
+            changes.append((round_index, snapshot | self._predicted, snapshot))
         return changes
 
     @property

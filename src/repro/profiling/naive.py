@@ -20,10 +20,6 @@ class NaiveProfiler(Profiler):
     """Round-based pattern testing through the corrected read path."""
 
     name = "Naive"
-    adaptive = False
     #: Pure accumulate semantics: the base ``observe_many`` replays
     #: ``observe`` exactly, so whole cells batch through the kernel.
     batched = True
-
-    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
-        self._observed.update(mismatches)

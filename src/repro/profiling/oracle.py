@@ -10,6 +10,8 @@ sanity-check that metrics treat an all-knowing profiler as perfect.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.analysis.atrisk import GroundTruth
 from repro.ecc.linear_code import SystematicCode
 from repro.profiling.base import Profiler
@@ -21,7 +23,6 @@ class OracleProfiler(Profiler):
     """Identifies the complete ground-truth at-risk set immediately."""
 
     name = "Oracle"
-    adaptive = False
     batched = True
 
     def __init__(
@@ -37,14 +38,16 @@ class OracleProfiler(Profiler):
         self._truth = ground_truth
         self._revealed = False
 
-    def observe(self, round_index: int, mismatches: frozenset[int]) -> None:
-        if not self._revealed:
-            self._revealed = True
-            self._observed.update(self._truth.post_correction_at_risk)
-            self._observed.update(self._truth.direct_at_risk)
+    def observe(self, round_index: int, mismatches: frozenset[int]) -> bool:
+        if self._revealed:
+            return False
+        self._revealed = True
+        self._observed.update(self._truth.post_correction_at_risk)
+        self._observed.update(self._truth.direct_at_risk)
+        return True
 
     def observe_many(
-        self, events: list[tuple[int, frozenset[int]]]
+        self, events: Iterable[tuple[int, frozenset[int]]]
     ) -> list[tuple[int, frozenset[int], frozenset[int]]]:
         """The oracle reveals on its first observation — always round 0.
 
@@ -53,9 +56,6 @@ class OracleProfiler(Profiler):
         regardless of ``events`` — which may be empty for a word with
         no at-risk bits.
         """
-        if self._revealed:
+        if not self.observe(0, frozenset()):
             return []
-        self._revealed = True
-        self._observed.update(self._truth.post_correction_at_risk)
-        self._observed.update(self._truth.direct_at_risk)
         return [(0, self.identified, self.identified_observed)]

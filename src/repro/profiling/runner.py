@@ -1,8 +1,11 @@
 """Per-word profiling simulation (the paper's Monte-Carlo inner loop).
 
 For one ECC word — a code, an at-risk profile, and an error seed — this
-module simulates ``R`` rounds of a profiler and records the cumulative
-identified set after every round.
+module simulates ``R`` rounds of a profiler and records every round's
+failure pattern and the change points of its cumulative identified set
+(:class:`WordRunResult`): a round yields one exactly when the profiler's
+:meth:`~repro.profiling.base.Profiler.observe` says its state may have
+moved.
 
 Fairness (paper §7.1.2: "each profiler is evaluated with the exact same set
 of ECC words, pre-correction error patterns, and data patterns"): the
@@ -19,8 +22,9 @@ matrix decode in the hot loop.
 
 Every driver enters through :func:`simulate_cell`, which builds a
 cell's profilers, picks each one's kernel from the profiler class alone
-(``batched`` and not ``adaptive``: :func:`simulate_words_batched`;
-otherwise :func:`simulate_word`) and hands all profilers of a word one
+(``batched`` and writing its standard schedule:
+:func:`simulate_words_batched`; otherwise :func:`simulate_word`) and
+hands all profilers of a word one
 complete :class:`WordArtifacts` (the encoded standard schedule and the
 failure draws) — the only way inputs reach either kernel.  One function
 builds them, :func:`cell_artifacts`: every random-pattern schedule in
@@ -37,9 +41,10 @@ Python int from the charge solver to the failure check: an at-risk
 position's charge is the parity of its selector (the data bit, or its
 row of ``P``) ANDed with the dataword, so no crafted round is encoded or
 unpacked.  Within a run, charge masks, failure tuples and decode
-consequences are memoized by bitmask, and the cumulative trace sets are
-rebuilt only on rounds where the profiler's state actually moved
-(tracked through ``Profiler.observation_count``).  All of it is
+consequences are memoized by bitmask, and the cumulative sets are read
+only on rounds whose ``observe`` reports a change.  The batched kernel
+takes a run's change points straight from
+:meth:`~repro.profiling.base.Profiler.observe_many`.  All of it is
 bit-identical to the straight-line array loop —
 ``tests/test_sweep_engine.py`` and ``tests/test_adaptive_caches.py`` pin
 that.
@@ -126,29 +131,52 @@ def post_correction_data_errors_batch(
 
 @dataclass
 class WordRunResult:
-    """Per-round identification trace of one (profiler, word) simulation.
+    """Identification trace of one (profiler, word) simulation, as change points.
 
     Attributes:
-        identified_per_round: cumulative identified set (observation and
-            prediction channels merged) after each round — what the repair
-            mechanism would know.
-        observed_per_round: cumulative observation-channel set after each
-            round (used for the paper's direct-coverage metric, which
-            footnote 5 defines identically for HARP-U and HARP-A).
+        changes: ``(round, identified, observed)`` triples in ascending
+            round order.  From round ``round`` on, the cumulative
+            identified set (observation and prediction channels merged —
+            what the repair mechanism would know) is ``identified`` and
+            the observation channel alone is ``observed``, until the next
+            triple; both are empty before the first.  A triple may repeat
+            its predecessor's sets, so readers compare by value.
         failures_per_round: the pre-correction failure pattern of each
-            round (simulation ground truth, for analysis).
+            round (simulation ground truth, for analysis); its length is
+            the run's round count.
     """
 
-    identified_per_round: list[frozenset[int]]
-    observed_per_round: list[frozenset[int]]
+    changes: list[tuple[int, frozenset[int], frozenset[int]]]
     failures_per_round: list[tuple[int, ...]]
 
     @property
     def num_rounds(self) -> int:
-        return len(self.identified_per_round)
+        return len(self.failures_per_round)
 
     def final_identified(self) -> frozenset[int]:
-        return self.identified_per_round[-1] if self.identified_per_round else frozenset()
+        return self.changes[-1][1] if self.changes else frozenset()
+
+    @property
+    def identified_per_round(self) -> list[frozenset[int]]:
+        """The identified set after each round, expanded from :attr:`changes`."""
+        return self._per_round(1)
+
+    @property
+    def observed_per_round(self) -> list[frozenset[int]]:
+        """The observation channel after each round, expanded from :attr:`changes`.
+
+        No exhibit reads it; tests compare it across kernels.
+        """
+        return self._per_round(2)
+
+    def _per_round(self, channel: int) -> list[frozenset[int]]:
+        trace: list[frozenset[int]] = []
+        current: frozenset[int] = frozenset()
+        for change in self.changes:
+            trace.extend([current] * (change[0] - len(trace)))
+            current = change[channel]
+        trace.extend([current] * (self.num_rounds - len(trace)))
+        return trace
 
 
 def _charge_selectors(code: SystematicCode, positions: Sequence[int]) -> list[int]:
@@ -173,9 +201,12 @@ def _charge_mask(selectors: Sequence[int], anti_mask: int, dataword: int) -> int
     return mask
 
 
-def _follows_standard_schedule(profiler: Profiler) -> bool:
-    """Whether ``profiler`` writes its standard pattern schedule verbatim."""
-    cls = type(profiler)
+def _follows_standard_schedule(cls: type[Profiler]) -> bool:
+    """Whether profilers of ``cls`` write their standard pattern schedule verbatim.
+
+    A class that overrides ``crafted_for_round`` is adaptive: its
+    patterns depend on what it observed.
+    """
     return (
         cls.crafted_for_round is Profiler.crafted_for_round
         and cls.pattern_for_round is Profiler.pattern_for_round
@@ -278,13 +309,8 @@ def simulate_word(
     analysis_caches = code_caches(code)
     charge_masks: dict[int, int] = {}
     consequences: dict[tuple[str, int], tuple[tuple[int, ...], frozenset[int]]] = {}
-    identified_trace: list[frozenset[int]] = []
-    observed_trace: list[frozenset[int]] = []
+    changes: list[tuple[int, frozenset[int], frozenset[int]]] = []
     failure_trace: list[tuple[int, ...]] = []
-    previous_observed_count = -1
-    previous_predicted: frozenset[int] | None = None
-    current_identified: frozenset[int] = frozenset()
-    current_observed: frozenset[int] = frozenset()
 
     crafted_for_round = profiler.crafted_for_round
     read_mode_for = profiler.read_mode_for
@@ -316,26 +342,9 @@ def simulate_word(
             consequence = consequences[key] = (failed, mismatches)
         failed, mismatches = consequence
         failure_trace.append(failed)
-        observe(round_index, mismatches)
-        # Rebuild the cumulative frozensets only when the profiler's state
-        # moved: the observation channel is add-only (``observation_count``
-        # is its change fingerprint) and the prediction channel is compared
-        # by value.
-        observed_count = profiler.observation_count
-        predicted = profiler.identified_predicted
-        if observed_count != previous_observed_count or predicted != previous_predicted:
-            current_identified = profiler.identified
-            current_observed = profiler.identified_observed
-            previous_observed_count = observed_count
-            previous_predicted = predicted
-        identified_trace.append(current_identified)
-        observed_trace.append(current_observed)
-
-    return WordRunResult(
-        identified_per_round=identified_trace,
-        observed_per_round=observed_trace,
-        failures_per_round=failure_trace,
-    )
+        if observe(round_index, mismatches):
+            changes.append((round_index, profiler.identified, profiler.identified_observed))
+    return WordRunResult(changes, failure_trace)
 
 
 def simulate_words_batched(
@@ -357,8 +366,8 @@ def simulate_words_batched(
     product per (code, read mode) — shared with every other run through
     the promoted decode-consequence memo — and each profiler consumes its
     run as compressed mismatch events
-    (:meth:`~repro.profiling.base.Profiler.observe_many`), so cumulative
-    sets materialize only at trace change points.  Bit-identical to
+    (:meth:`~repro.profiling.base.Profiler.observe_many`), whose change
+    points become the run's :attr:`WordRunResult.changes`.  Bit-identical to
     calling :func:`simulate_word` per word, under both GF(2) products —
     property-tested in ``tests/test_batched_kernel.py`` and pinned at
     >=3x in ``benchmarks/bench_batched_words.py``.
@@ -375,9 +384,9 @@ def simulate_words_batched(
             builds them for this call from each profiler's own pattern.
 
     Raises:
-        ValueError: for an adaptive or non-``batched`` profiler, one that
-            crafts its own datawords (the kernel only writes the standard
-            schedule), or length mismatches.
+        ValueError: for a non-``batched`` profiler, one that crafts its
+            own datawords (the kernel only writes the standard schedule),
+            or length mismatches.
     """
     count = len(profilers)
     if len(profiles) != count or len(word_seeds) != count:
@@ -388,12 +397,12 @@ def simulate_words_batched(
     if artifacts is not None and len(artifacts) != count:
         raise ValueError(f"batch length mismatch: {len(artifacts)} artifacts for {count} words")
     for profiler in profilers:
-        if profiler.adaptive or not profiler.batched:
+        if not profiler.batched:
             raise ValueError(
                 f"profiler {profiler.name!r} does not support the batched "
-                "kernel (adaptive or batched=False); use simulate_word"
+                "kernel (batched=False, as for every adaptive profiler); use simulate_word"
             )
-        if not _follows_standard_schedule(profiler):
+        if not _follows_standard_schedule(type(profiler)):
             raise ValueError(
                 f"batched profiler {profiler.name!r} overrides pattern_for_round or "
                 "crafted_for_round; the batched kernel only writes the standard schedule"
@@ -403,7 +412,7 @@ def simulate_words_batched(
     for profiler, profile in zip(profilers, profiles):
         check_profile_positions(profile, profiler.code.n)
     if not num_rounds:
-        return [WordRunResult([], [], []) for _ in range(count)]
+        return [WordRunResult([], []) for _ in range(count)]
 
     if artifacts is None:
         artifacts = cell_artifacts(
@@ -419,9 +428,11 @@ def simulate_words_batched(
     # at-risk-count group, then each word's failure tuple per round and
     # its distinct non-empty patterns with their first rounds.
     # ------------------------------------------------------------------
-    failed_by_word: list[list[tuple[int, ...]]] = [[()] * num_rounds for _ in range(count)]
-    # Ascending by first round: the event order ``observe_many`` needs.
-    first_rounds_per_word: list[dict[tuple[int, ...], int]] = [{} for _ in range(count)]
+    # A word left at None never fails: its trace is all empty tuples.
+    failed_by_word: list[list[tuple[int, ...]] | None] = [None] * count
+    # Each word's distinct non-empty patterns and their first rounds,
+    # ascending by round: the event order ``observe_many`` needs.
+    first_events: list[tuple[Sequence[tuple[int, ...]], Sequence[int]]] = [((), ())] * count
     groups: dict[int, list[int]] = {}
     for index, profile in enumerate(profiles):
         if profile.count:
@@ -496,8 +507,9 @@ def simulate_words_batched(
             start = 0
             for word_index, stop in zip(indices, stops):
                 if stop != start:
-                    first_rounds_per_word[word_index] = dict(
-                        zip(ordered_tuples[start:stop], ordered_rounds[start:stop])
+                    first_events[word_index] = (
+                        ordered_tuples[start:stop],
+                        ordered_rounds[start:stop],
                     )
                     start = stop
             continue
@@ -518,15 +530,21 @@ def simulate_words_batched(
         # Slicing one tolist materialization beats np.split's per-piece
         # view construction; a repeated tuple is replaced by the object
         # stored at its first round, so dense (p=1.0) traces hold one.
+        first_rounds: dict[int, dict[tuple[int, ...], int]] = {}
         start = 0
         for row, word, stop in zip(rows.tolist(), words_of_rows.tolist(), bounds):
             failed_tuple = tuple(mapped[start:stop])
             start = stop
             word_index = indices[word]
             round_index = row % num_rounds
-            first = first_rounds_per_word[word_index].setdefault(failed_tuple, round_index)
+            if word_index not in first_rounds:
+                first_rounds[word_index] = {}
+                failed_by_word[word_index] = [()] * num_rounds
+            first = first_rounds[word_index].setdefault(failed_tuple, round_index)
             trace = failed_by_word[word_index]
             trace[round_index] = failed_tuple if first == round_index else trace[first]
+        for word_index, firsts in first_rounds.items():
+            first_events[word_index] = (list(firsts), list(firsts.values()))
 
     # ------------------------------------------------------------------
     # Batched decode consequences: the distinct (code, mode, pattern)
@@ -536,20 +554,20 @@ def simulate_words_batched(
     probe_groups: dict[tuple[int, str], tuple] = {}
     group_keys: list[tuple[int, str]] = [(0, "")] * count
     for index, profiler in enumerate(profilers):
-        first_rounds = first_rounds_per_word[index]
-        if not first_rounds:
+        tuples = first_events[index][0]
+        if not tuples:
             continue
         handle = code_caches(profiler.code)
         # ``batched`` profilers declare a round-independent read mode.
         cache_key = group_keys[index] = (id(handle), profiler.read_mode_for(0))
         group = probe_groups.get(cache_key)
         if group is None:
-            group = probe_groups[cache_key] = (handle, profiler.code, {})
-        group[2].update(first_rounds)  # the dict's keys dedupe the patterns
+            group = probe_groups[cache_key] = (handle, profiler.code, [])
+        group[2].extend(tuples)  # deduplicated per group below
     resolved: dict[tuple[int, str], dict[tuple[int, ...], frozenset[int]]] = {}
-    for cache_key, (handle, code, pattern_set) in probe_groups.items():
+    for cache_key, (handle, code, group_tuples) in probe_groups.items():
         mode = cache_key[1]
-        patterns = list(pattern_set)
+        patterns = list(dict.fromkeys(group_tuples))
         cached = handle.peek_decode_consequences_many(mode, patterns)
         consequence_of = resolved[cache_key] = dict(zip(patterns, cached))
         misses = [failed_tuple for failed_tuple, found in zip(patterns, cached) if found is None]
@@ -565,40 +583,15 @@ def simulate_words_batched(
             consequence_of[failed_tuple] = mismatches
 
     # ------------------------------------------------------------------
-    # Compressed observation replay + segment-filled trace assembly.
+    # Compressed observation replay: its change points are the run.
     # ------------------------------------------------------------------
     results: list[WordRunResult] = []
     for index, profiler in enumerate(profilers):
-        first_rounds = first_rounds_per_word[index]
-        if first_rounds:
-            consequence_of = resolved[group_keys[index]]
-            events = list(zip(first_rounds.values(), map(consequence_of.__getitem__, first_rounds)))
-        else:
-            events = []
-        changes = profiler.observe_many(events)
-        identified_trace: list[frozenset[int]] = []
-        observed_trace: list[frozenset[int]] = []
-        current_identified: frozenset[int] = frozenset()
-        current_observed: frozenset[int] = frozenset()
-        for round_index, identified, observed in changes:
-            gap = round_index - len(identified_trace)
-            if gap:
-                identified_trace.extend([current_identified] * gap)
-                observed_trace.extend([current_observed] * gap)
-            current_identified = identified
-            current_observed = observed
-            identified_trace.append(identified)
-            observed_trace.append(observed)
-        gap = num_rounds - len(identified_trace)
-        if gap:
-            identified_trace.extend([current_identified] * gap)
-            observed_trace.extend([current_observed] * gap)
+        tuples, rounds = first_events[index]
+        events = zip(rounds, map(resolved[group_keys[index]].__getitem__, tuples)) if tuples else ()
+        failures = failed_by_word[index]
         results.append(
-            WordRunResult(
-                identified_per_round=identified_trace,
-                observed_per_round=observed_trace,
-                failures_per_round=failed_by_word[index],
-            )
+            WordRunResult(profiler.observe_many(events), failures or [()] * num_rounds)
         )
     return results
 
@@ -668,9 +661,9 @@ def simulate_cell(
     is ``(codes[i], profiles[i], word_seeds[i])``; its seed drives the
     failure draws and every profiler's ``pattern``, so all profilers of
     a word share one schedule, encoding and draw matrix (paper §7.1.2).
-    The profiler class alone picks the kernel: non-adaptive ``batched``
-    classes take :func:`simulate_words_batched`, the rest
-    :func:`simulate_word`; both are bit-identical.  A caller reusing
+    The profiler class alone picks the kernel: ``batched`` classes that
+    write their standard schedule take :func:`simulate_words_batched`,
+    the rest :func:`simulate_word`; both are bit-identical.  A caller reusing
     words across calls (the sweep) passes their ``artifacts``, one per
     word, built by :func:`cell_artifacts`; otherwise they are built for
     this call alone, so a caller gains most by passing all its words in
@@ -699,7 +692,7 @@ def simulate_cell(
 
     results: dict[str, list[WordRunResult]] = {}
     for name, cls in classes.items():
-        if cls.batched and not cls.adaptive:
+        if cls.batched and _follows_standard_schedule(cls):
             results[name] = simulate_words_batched(
                 [cls(code, seed=seed, pattern=pattern) for code, seed in zip(codes, word_seeds)],
                 profiles,

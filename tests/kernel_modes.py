@@ -4,9 +4,9 @@ Dispatch reads only what the code can observe, so these helpers patch
 exactly that, for one test (pytest's ``monkeypatch`` undoes it):
 
 * the kernel: ``simulate_cell`` sends a profiler class to the
-  cell-batched kernel when it declares ``batched`` (and not
-  ``adaptive``); :func:`force_scalar_kernel` clears the flag on every
-  registry class, so every profiler runs through ``simulate_word``;
+  cell-batched kernel when it declares ``batched`` (and does not craft
+  its own datawords); :func:`force_scalar_kernel` clears the flag on
+  every registry class, so every profiler runs through ``simulate_word``;
 * the GF(2) product: ``gf2.matmul`` takes its popcount kernel once a
   product reaches ``_AUTO_PACKED_WORK`` multiply-accumulates;
   :func:`force_gf2_tier` moves that threshold to 0 (``packed``: the

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.ecc.hamming import canonical_sec_code, random_sec_code
 from repro.experiments.wire import _PREAMBLE, MAGIC, MAX_FRAME
+from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "frame_damage",
     "http_request",
     "random_cell",
+    "random_cells",
     "sealed_frame",
     "store_damage",
 ]
@@ -104,6 +106,11 @@ def random_cell(seed, num_words: int, max_count: int = 6) -> CellCase:
         seeds=tuple(seeds),
         rng=rng,
     )
+
+
+def random_cells(n: int, rng: np.random.Generator) -> CellOrientation:
+    """Uniform random cell orientation over ``n`` codeword positions."""
+    return CellOrientation(rng.integers(0, 2, size=n, dtype=np.uint8))
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_modes import force_gf2_tier, force_scalar_kernel
-from randcases import random_cell
+from randcases import random_cell, random_cells
 
 from repro.analysis.atrisk import compute_ground_truth
 from repro.analysis.memo import Memo, clear_analysis_caches, code_caches
 from repro.ecc.hamming import canonical_sec_code
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import clear_engine_caches, run_sweep
-from repro.memory.cells import all_true_cells, alternating_cells, random_cells
+from repro.memory.cells import all_true_cells, alternating_cells
 from repro.memory.error_model import WordErrorProfile
 from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.base import Profiler, ReadMode
@@ -221,7 +221,6 @@ class TestDispatchRules:
     def test_profiler_without_batched_contract_is_rejected(self):
         class LegacyProfiler(Profiler):
             name = "legacy"
-            adaptive = False
             batched = False
 
             def observe(self, round_index, mismatches):
@@ -241,7 +240,7 @@ class TestDispatchRules:
             def pattern_for_round(self, round_index):
                 return np.ones(self.code.k, dtype=np.uint8)
 
-        assert CustomScheduleProfiler.batched and not CustomScheduleProfiler.adaptive
+        assert CustomScheduleProfiler.batched
         code = canonical_sec_code(16)
         with pytest.raises(ValueError, match="pattern_for_round"):
             simulate_words_batched(
@@ -374,4 +373,5 @@ class TestObserveManyContract:
     def test_registry_profilers_declare_consistent_flags(self):
         for name, cls in PROFILER_REGISTRY.items():
             if cls.batched:
-                assert not cls.adaptive, name
+                # A batched class writes its standard schedule: it is not adaptive.
+                assert cls.crafted_for_round is Profiler.crafted_for_round, name

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_code_analysis import minimum_distance
 
 from repro.ecc import gf2
 from repro.ecc.bch import _raw_parity_check_matrix, bch_dec_code, bch_field_degree_for
-from repro.ecc.code_analysis import minimum_distance
 from repro.ecc.gf2m import field
 
 

@@ -23,12 +23,13 @@ def truth():
 
 def _run(trace) -> WordRunResult:
     """A word whose profiler had identified ``trace[r]`` after round r+1."""
-    sets = [frozenset(identified) for identified in trace]
-    return WordRunResult(
-        identified_per_round=sets,
-        observed_per_round=sets,
-        failures_per_round=[()] * len(sets),
-    )
+    changes = []
+    previous = frozenset()
+    for round_index, identified in enumerate(map(frozenset, trace)):
+        if identified != previous:
+            changes.append((round_index, identified, identified))
+            previous = identified
+    return WordRunResult(changes=changes, failures_per_round=[()] * len(trace))
 
 
 def _metrics(truth, *traces):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from randcases import random_cells
 
-from repro.memory.cells import CellOrientation, all_true_cells, alternating_cells, random_cells
+from repro.memory.cells import CellOrientation, all_true_cells, alternating_cells
 
 
 class TestChargeSemantics:

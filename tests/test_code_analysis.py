@@ -1,16 +1,43 @@
 """Unit tests for structural code analysis."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from repro.ecc import gf2
 from repro.ecc.bch import bch_dec_code
-from repro.ecc.code_analysis import (
-    minimum_distance,
-    miscorrection_profile,
-    syndrome_coverage,
-)
+from repro.ecc.code_analysis import miscorrection_profile, syndrome_coverage
 from repro.ecc.hamming import paper_example_code, random_sec_code
 from repro.ecc.linear_code import SystematicCode
+from repro.utils.bits import int_to_bits
+
+
+def minimum_distance(code: SystematicCode, max_weight: int | None = None) -> int:
+    """Minimum distance via nullspace search over codeword weights (a test oracle).
+
+    Exhaustive over message space for small ``k`` (<= 16); for larger codes
+    pass ``max_weight`` to bound the search over low-weight column
+    combinations instead.
+    """
+    if code.k <= 16:
+        best = code.n + 1
+        generator = code.generator_matrix_t
+        for message in range(1, 1 << code.k):
+            bits = int_to_bits(message, code.k)
+            weight = int(gf2.matmul(bits.reshape(1, -1), generator).sum())
+            best = min(best, weight)
+        return best
+    limit = max_weight if max_weight is not None else 4
+    h = code.parity_check_matrix
+    for weight in range(1, limit + 1):
+        for pattern in combinations(range(code.n), weight):
+            syndrome = np.zeros(code.p, dtype=np.uint8)
+            for position in pattern:
+                syndrome ^= h[:, position]
+            if not syndrome.any():
+                return weight
+    raise ValueError(f"minimum distance exceeds search bound {limit}")
 
 
 class TestMinimumDistance:

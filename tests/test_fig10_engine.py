@@ -128,8 +128,21 @@ def _reference_case_shard(shard):
             after[name].append(
                 [analyzer.residual_ber_after_secondary(trace[tick - 1]) for tick in ticks]
             )
-            to_zero[name].append(fig10._first_zero_round(analyzer, trace))
+            to_zero[name].append(_reference_first_zero_round(analyzer, trace))
     return before, after, to_zero
+
+
+def _reference_first_zero_round(analyzer, trace):
+    """The per-round search ``fig10._first_zero_round`` replaced, verbatim."""
+    previous = None
+    residual = None
+    for round_index, identified in enumerate(trace):
+        if previous is None or identified != previous:
+            residual = analyzer.residual_ber_after_secondary(identified)
+            previous = identified
+        if residual == 0.0:
+            return round_index + 1
+    return None
 
 
 class TestSharedWordSimulation:

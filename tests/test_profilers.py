@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.analysis.atrisk import compute_ground_truth
 from repro.ecc.hamming import random_sec_code
+from repro.memory.error_model import WordErrorProfile
 from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.base import ReadMode
 from repro.profiling.beep import BeepProfiler
 from repro.profiling.combined import HarpABeepProfiler
 from repro.profiling.harp import HarpAProfiler, HarpUProfiler
 from repro.profiling.naive import NaiveProfiler
+from repro.profiling.oracle import OracleProfiler
 from repro.utils.bits import int_to_bits
 
 
@@ -142,3 +145,63 @@ class TestRegistry:
             profiler = cls(code, seed=1)
             assert profiler.name == name
             assert profiler.pattern_for_round(0).shape == (code.k,)
+
+
+class TestObserveSignalsChanges:
+    """``observe`` returns ``True`` on every round its identification state moved.
+
+    The kernels record a change point only when it does, so a missed
+    ``True`` drops a change from the trace.  Each case drives one
+    profiler through the harness's call order (``crafted_for_round``,
+    then ``observe``) with a seeded mismatch sequence that repeats
+    positions, leaves rounds empty, and crosses the hybrid's switch
+    round with no new mismatch on the hand-off round itself.
+    """
+
+    ROUNDS = 28
+    SWITCH = 16  # HarpABeepProfiler's default switch_round
+
+    @pytest.fixture(scope="class")
+    def small_code(self):
+        return random_sec_code(16, np.random.default_rng(83))
+
+    def _profiler(self, name, code, rng):
+        if name == "Oracle":
+            positions = tuple(sorted(rng.choice(code.n, size=4, replace=False).tolist()))
+            truth = compute_ground_truth(code, WordErrorProfile(positions, (1.0,) * 4), None)
+            return OracleProfiler(code, seed=5, ground_truth=truth)
+        return PROFILER_REGISTRY[name](code, seed=5)
+
+    def _mismatches(self, rng, pool, round_index):
+        if round_index == self.SWITCH or rng.random() < 0.4:
+            return frozenset()
+        size = int(rng.integers(1, 4))
+        return frozenset(rng.choice(pool, size=size, replace=False).tolist())
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("name", [*sorted(PROFILER_REGISTRY), "Oracle"])
+    def test_every_change_is_signalled(self, small_code, name, seed):
+        rng = np.random.default_rng(seed)
+        profiler = self._profiler(name, small_code, rng)
+        pool = rng.choice(small_code.k, size=6, replace=False)
+        state = (profiler.identified, profiler.identified_observed)
+        for round_index in range(self.ROUNDS):
+            profiler.crafted_for_round(round_index)
+            changed = profiler.observe(round_index, self._mismatches(rng, pool, round_index))
+            after = (profiler.identified, profiler.identified_observed)
+            assert changed or after == state, (name, seed, round_index)
+            state = after
+
+    def test_hand_off_round_signals_the_seeded_anchors(self, small_code):
+        """Seeding BEEP moves ``identified_observed`` without a mismatch."""
+        profiler = HarpABeepProfiler(small_code, 5, switch_round=self.SWITCH)
+        for round_index in range(self.SWITCH):
+            profiler.crafted_for_round(round_index)
+            profiler.observe(round_index, frozenset({0, 1, 2}) if round_index == 3 else frozenset())
+        predicted = profiler.identified_predicted
+        assert predicted - {0, 1, 2}, "the case needs HARP-A predictions to hand off"
+        before = profiler.identified_observed
+        profiler.crafted_for_round(self.SWITCH)
+        assert profiler.observe(self.SWITCH, frozenset())
+        assert profiler.identified_observed == before | predicted
+        assert not profiler.observe(self.SWITCH + 1, frozenset())

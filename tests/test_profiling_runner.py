@@ -9,7 +9,7 @@ from repro.memory.error_model import WordErrorProfile, sample_word_profile
 from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.harp import HarpUProfiler
 from repro.profiling.naive import NaiveProfiler
-from repro.profiling.runner import post_correction_data_errors, simulate_word
+from repro.profiling.runner import WordRunResult, post_correction_data_errors, simulate_word
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +33,46 @@ class TestPostCorrectionDataErrors:
             fast = post_correction_data_errors(code, pattern)
             slow = analyze_error_pattern(code, frozenset(pattern)).data_errors
             assert fast == slow
+
+
+class TestWordRunResultViews:
+    """A run is its change points; the per-round views expand them."""
+
+    A, B, C = frozenset({1}), frozenset({1, 5}), frozenset({1, 5, 9})
+
+    @pytest.mark.parametrize(
+        "changes, rounds, identified, observed",
+        [
+            ([], 0, [], []),
+            ([], 3, [frozenset()] * 3, [frozenset()] * 3),
+            ([(0, B, A)], 3, [B] * 3, [A] * 3),
+            (
+                # The last triple repeats its predecessor: a spurious change.
+                [(1, A, A), (2, B, A), (4, B, B), (5, C, B), (6, C, B)],
+                8,
+                [frozenset(), A, B, B, B, C, C, C],
+                [frozenset(), A, A, A, B, B, B, B],
+            ),
+        ],
+        ids=["zero-rounds", "no-change", "round-0", "many"],
+    )
+    def test_views_expand_change_points(self, changes, rounds, identified, observed):
+        run = WordRunResult(changes=changes, failures_per_round=[()] * rounds)
+        assert run.num_rounds == rounds
+        assert run.identified_per_round == identified
+        assert run.observed_per_round == observed
+        assert run.final_identified() == (identified[-1] if changes else frozenset())
+
+    @pytest.mark.parametrize("name", sorted(PROFILER_REGISTRY))
+    def test_simulated_views_have_one_entry_per_round(self, code, name):
+        profile = sample_word_profile(code, 4, 1.0, np.random.default_rng(4))
+        for rounds in (0, 1, 20):
+            run = simulate_word(PROFILER_REGISTRY[name](code, seed=3), profile, rounds, 3)
+            assert run.num_rounds == rounds
+            assert len(run.identified_per_round) == len(run.observed_per_round) == rounds
+            rounds_of_changes = [change[0] for change in run.changes]
+            assert rounds_of_changes == sorted(set(rounds_of_changes))
+            assert all(0 <= r < rounds for r in rounds_of_changes)
 
 
 class TestSimulateWord:

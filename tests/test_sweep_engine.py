@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from batch_engine import BatchInjectionEngine
 from kernel_modes import force_gf2_tier
+from randcases import random_cells
 
 from repro.analysis.atrisk import compute_ground_truth, predict_indirect_from_direct
 from repro.analysis.memo import (
@@ -38,10 +39,11 @@ from repro.experiments.runner import (
     run_sweep,
     shard_grid,
 )
-from repro.memory.cells import alternating_cells, random_cells
+from repro.memory.cells import alternating_cells
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
 from repro.memory.patterns import make_pattern
 from repro.profiling import PROFILER_REGISTRY
+from repro.profiling.base import Profiler
 from repro.profiling.runner import WordArtifacts, cell_artifacts, simulate_cell, simulate_word
 from repro.utils.bits import bits_to_int, int_to_bits
 
@@ -327,8 +329,10 @@ class TestTraceSemantics:
             assert fast.failures_per_round == failures, label
             assert fast.identified_per_round == identified, label
             assert fast.observed_per_round == observed, label
-        # The sweep must reach the crafted (integer-domain) rounds.
-        assert bool(crafted_rounds) == profiler_cls.adaptive
+        # The sweep must reach the crafted (integer-domain) rounds of
+        # every adaptive profiler: one that overrides crafted_for_round.
+        adaptive = profiler_cls.crafted_for_round is not Profiler.crafted_for_round
+        assert bool(crafted_rounds) == adaptive
 
     def test_cases_cover_parity_positions_and_both_switch_sides(self):
         assert any(
@@ -620,14 +624,8 @@ class TestVectorizedMetricsReduction:
         code = random_sec_code(16, rng)
         profile = sample_word_profile(code, 2, 1.0, rng)
         truth = cached_ground_truth(code, profile.positions)
-        empty = WordRunResult(
-            identified_per_round=[], observed_per_round=[], failures_per_round=[]
-        )
-        silent = WordRunResult(
-            identified_per_round=[frozenset()] * 8,
-            observed_per_round=[frozenset()] * 8,
-            failures_per_round=[()] * 8,
-        )
+        empty = WordRunResult(changes=[], failures_per_round=[])
+        silent = WordRunResult(changes=[], failures_per_round=[()] * 8)
         real = simulate_word(PROFILER_REGISTRY["Naive"](code, seed=1), profile, 8, word_seed=1)
         batched = metrics_for_words([empty, real, silent], [truth] * 3, 8)
         assert batched[0].direct_identified == ()
