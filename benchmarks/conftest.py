@@ -82,20 +82,46 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
-def write_scaling_json(
+def persist_scaling(
     results_dir: pathlib.Path,
     name: str,
     record: dict[str, float],
-    speedups: dict[str, float],
+    speedup_pairs: tuple[tuple[str, str, str], ...],
+    notes: tuple[str, ...] = (),
 ) -> None:
-    """Persist a scaling record as JSON beside its ``.txt`` rendition.
+    """Write ``results/NAME.txt`` and its JSON twin from a session's record.
 
-    The text files are for humans; the JSON twins give the repo a
-    machine-readable perf trajectory (same timings, same derived
-    speedups) that regression tooling can diff across commits.
+    The text file lists every label (``-estimate`` labels are derived
+    and left to ``notes``), then each ``(title, numerator, denominator)``
+    speedup the record holds, then ``notes``; the JSON twin gives the
+    repo a machine-readable perf trajectory (same timings, same derived
+    speedups) that regression tooling can diff across commits.  A
+    session that measured only some labels (a ``-k`` selection, such as
+    CI's engine smoke) leaves both files as committed: they are
+    rewritten only when ``record`` holds every label the committed JSON
+    holds.
     """
-    path = results_dir / f"{name}.json"
-    path.write_text(
+    if not record:
+        return
+    json_path = results_dir / f"{name}.json"
+    if json_path.exists():
+        missing = set(json.loads(json_path.read_text())["timings_s"]) - set(record)
+        if missing:
+            print(f"\n[{name} left as committed: this session did not measure {sorted(missing)}]")
+            return
+    lines = [
+        f"{label}: {seconds:.3f} s"
+        for label, seconds in sorted(record.items())
+        if not label.endswith("-estimate")
+    ]
+    speedups: dict[str, float] = {}
+    for title, num, den in speedup_pairs:
+        if num in record and den in record:
+            speedups[title] = record[num] / record[den]
+            lines.append(f"{title}: {speedups[title]:.2f}x")
+    path = results_dir / f"{name}.txt"
+    path.write_text("\n".join([*lines, *notes]) + "\n")
+    json_path.write_text(
         json.dumps(
             {
                 "bench": name,
@@ -106,6 +132,7 @@ def write_scaling_json(
         )
         + "\n"
     )
+    print(f"\n[{name.replace('_', ' ')} saved to {path}]")
 
 
 @pytest.fixture(scope="session")
@@ -120,23 +147,12 @@ def adaptive_scaling(results_dir: pathlib.Path) -> dict[str, float]:
     """
     record: dict[str, float] = {}
     yield record
-    if not record:
-        return
-    lines = [f"{label}: {seconds:.3f} s" for label, seconds in sorted(record.items())]
-    speedups: dict[str, float] = {}
-    for title, num, den in (
+    persist_scaling(results_dir, "adaptive_scaling", record, (
         ("adaptive speedup vs PR1 engine (serial wall-clock)", "pr1-adaptive-serial", "adaptive-serial"),
         ("adaptive speedup vs PR1 engine (serial CPU)", "pr1-adaptive-serial-cpu", "adaptive-serial-cpu"),
         ("parallel speedup vs adaptive-serial (wall-clock)", "adaptive-serial", "adaptive-parallel"),
         ("fig10 parallel speedup vs serial (wall-clock)", "fig10-serial", "fig10-parallel"),
-    ):
-        if num in record and den in record:
-            speedups[title] = record[num] / record[den]
-            lines.append(f"{title}: {speedups[title]:.2f}x")
-    path = results_dir / "adaptive_scaling.txt"
-    path.write_text("\n".join(lines) + "\n")
-    write_scaling_json(results_dir, "adaptive_scaling", record, speedups)
-    print(f"\n[adaptive scaling saved to {path}]")
+    ))
 
 
 @pytest.fixture(scope="session")
@@ -149,41 +165,27 @@ def sweep_scaling(results_dir: pathlib.Path) -> dict[str, float]:
     """
     record: dict[str, float] = {}
     yield record
-    if not record:
-        return
-    lines = [
-        f"{label}: {seconds:.3f} s"
-        for label, seconds in sorted(record.items())
-        if not label.endswith("-estimate")  # derived, rendered below
-    ]
-    speedups: dict[str, float] = {}
-    for title, num, den in (
-        ("engine speedup vs legacy (serial wall-clock)", "legacy-serial", "engine-serial"),
-        ("engine speedup vs legacy (serial CPU)", "legacy-serial-cpu", "engine-serial-cpu"),
-        ("parallel speedup vs engine-serial (wall-clock)", "engine-serial", "engine-parallel"),
-        ("batched metrics reduction speedup vs per-word loop (CPU)", "metrics-loop-cpu", "metrics-batched-cpu"),
-        ("batched word kernel speedup vs scalar (CPU)", "words-scalar-cpu", "words-batched-cpu"),
-    ):
-        if num in record and den in record:
-            speedups[title] = record[num] / record[den]
-            lines.append(f"{title}: {speedups[title]:.2f}x")
+    notes = ()
     if "paper-grid-estimate" in record:
         from repro.experiments.config import PAPER
 
         paper_cells = (
             len(PAPER.error_counts) * len(PAPER.probabilities) * len(PAPER.profilers)
         )
-        lines.append(
+        notes = (
             f"PAPER preset: full {paper_cells}-cell grid estimate "
             f"{record['paper-grid-estimate'] / 60:.1f} min serial "
             "(measured every error-count cell at one probability, "
             f"x{len(PAPER.probabilities)} probabilities; divide by the "
-            "worker count for the socket/process backends)"
+            "worker count for the socket/process backends)",
         )
-    path = results_dir / "sweep_scaling.txt"
-    path.write_text("\n".join(lines) + "\n")
-    write_scaling_json(results_dir, "sweep_scaling", record, speedups)
-    print(f"\n[sweep scaling saved to {path}]")
+    persist_scaling(results_dir, "sweep_scaling", record, (
+        ("engine speedup vs legacy (serial wall-clock)", "legacy-serial", "engine-serial"),
+        ("engine speedup vs legacy (serial CPU)", "legacy-serial-cpu", "engine-serial-cpu"),
+        ("parallel speedup vs engine-serial (wall-clock)", "engine-serial", "engine-parallel"),
+        ("batched metrics reduction speedup vs per-word loop (CPU)", "metrics-loop-cpu", "metrics-batched-cpu"),
+        ("batched word kernel speedup vs scalar (CPU)", "words-scalar-cpu", "words-batched-cpu"),
+    ), notes)
 
 
 @pytest.fixture(scope="session")
@@ -201,25 +203,14 @@ def kernel_scaling(results_dir: pathlib.Path) -> dict[str, float]:
     """
     record: dict[str, float] = {}
     yield record
-    if not record:
-        return
-    lines = [f"{label}: {seconds:.3f} s" for label, seconds in sorted(record.items())]
-    speedups: dict[str, float] = {}
-    for title, num, den in (
+    persist_scaling(results_dir, "kernel_scaling", record, (
         ("popcount product speedup vs int64 (CPU)", "matmul-int64-cpu", "matmul-popcount-cpu"),
         ("vectorized pattern stream speedup vs per-block Generator (CPU)", "pattern-per-block-cpu", "pattern-vectorized-cpu"),
         ("integer charge mask speedup vs encode path (CPU)", "charge-mask-encode-cpu", "charge-mask-integer-cpu"),
         ("batched stream seeding speedup vs derive_rng per stream (CPU)", "stream-seeding-per-stream-cpu", "stream-seeding-batched-cpu"),
         ("prefix-hashed block seeds speedup vs derive_seed per block (CPU)", "block-seeds-per-block-cpu", "block-seeds-prefix-cpu"),
         ("shared-cache pool speedup vs serial sweep (wall-clock)", "sweep-serial", "sweep-shared-pool"),
-    ):
-        if num in record and den in record:
-            speedups[title] = record[num] / record[den]
-            lines.append(f"{title}: {speedups[title]:.2f}x")
-    path = results_dir / "kernel_scaling.txt"
-    path.write_text("\n".join(lines) + "\n")
-    write_scaling_json(results_dir, "kernel_scaling", record, speedups)
-    print(f"\n[kernel scaling saved to {path}]")
+    ))
 
 
 def save_exhibit(results_dir: pathlib.Path, name: str, text: str) -> None:

@@ -17,6 +17,16 @@ Usage::
 Each exhibit subcommand prints the exhibit's text rendition (the same
 output the benchmark harness saves under ``benchmarks/results/``).
 
+Most simulated exhibits are views of one campaign, as the paper draws
+every §7.2-7.3 figure from one simulated population (§7.1.2): fig6,
+fig7, fig8, fig9 and headline render the preset sweep, fig10 and
+headline the case study, and fleet the fleet simulation
+(:data:`CAMPAIGNS`).  An invocation resolves one execution backend, runs
+each campaign its exhibits read exactly once, and only then prints, so
+``all`` prints the concatenation of the single-exhibit runs.
+ext-patterns and ext-codelength run grids of their own on that backend;
+the closed-form exhibits need no backend at all.
+
 Execution knobs (every choice is bit-identical to a serial run):
 
 * ``--jobs N`` fans the Monte-Carlo work out over ``N`` worker processes
@@ -31,13 +41,13 @@ Execution knobs (every choice is bit-identical to a serial run):
   ``python -m repro worker --connect HOST:PORT``; ``--jobs 0`` spawns
   no local workers and waits entirely for remote ones).
 * ``--resume PATH`` streams each completed work unit to a JSONL shard
-  store at ``PATH`` and, on restart, skips everything already persisted
-  there — an interrupted paper-scale run continues where it stopped.
-  Applies to the sweep exhibits (fig6/7/8/9), to fig10 (which persists
-  its case-study shards), and to headline (sweep cells at ``PATH``, its
-  case-study shards at ``PATH.fig10``); other exhibits ignore it.  An
-  ``all`` run shares ``PATH`` across the sweep exhibits (they run one
-  config) and routes fig10's shards to ``PATH.fig10`` too.
+  store and, on restart, skips everything already persisted there — an
+  interrupted paper-scale run continues where it stopped.  One rule
+  names the stores: an invocation that runs one campaign (fig6/7/8/9,
+  fig10 or fleet) stores it at ``PATH``; one that runs several
+  (headline, ``all``) keeps ``PATH`` for the sweep cells and gives the
+  case-study shards ``PATH.fig10`` and the fleet shards ``PATH.fleet``.
+  Exhibits that run no campaign ignore it.
 * ``--shared-cache`` precomputes the sweep's cache artifacts (word
   contexts with ground truths, aliasing tables) once in the parent
   and publishes them in a shared-memory block that local pool
@@ -83,14 +93,14 @@ Socket-fleet hardening (``--backend socket[://HOST:PORT]`` only; see
 
 The ``worker`` subcommand turns the process into a socket-backend
 worker: it connects to a running ``--backend socket://...`` server and
-executes shard chunks.  Multi-sweep exhibits (ext-patterns, headline,
-``all``) run one socket map per sweep, so after a server drains the
-worker keeps retrying the address for ``--linger`` seconds (default 10,
-with jittered exponential backoff between attempts) and joins the next
-sweep before exiting.  ``--max-chunks N`` makes the worker elastic: it
-executes at most N chunks, then sends a clean ``leave`` goodbye and
-exits (no retry-budget charge server-side); SIGTERM drains the same
-way.
+executes shard chunks.  An invocation runs one socket map per campaign
+and per extra grid (headline two, ext-patterns three, ``all`` eight),
+so after a server drains the worker keeps retrying the address for
+``--linger`` seconds (default 10, with jittered exponential backoff
+between attempts) and joins the next map before exiting.
+``--max-chunks N`` makes the worker elastic: it executes at most N
+chunks, then sends a clean ``leave`` goodbye and exits (no retry-budget
+charge server-side); SIGTERM drains the same way.
 
 The ``store`` subcommand is the shard-store toolbox
 (:mod:`repro.experiments.storetools`): ``python -m repro store PATH
@@ -107,7 +117,8 @@ for the raw snapshot).
 A refused input (a corrupt or mismatched ``--resume`` store, an unknown
 ``--backend``, a malformed ``--connect`` address) ends in one
 ``repro <command>: <reason>`` line on stderr and exit status 1, never a
-traceback.
+traceback; exhibits are refused before their first section, so stdout
+stays empty.
 """
 
 from __future__ import annotations
@@ -199,22 +210,42 @@ FLEET_SCALES: dict[str, FleetConfig] = {
     "paper": FleetConfig(num_chips=20000),
 }
 
+#: The campaigns exhibits render from: name -> (scale presets, driver).
+#: A driver takes a config plus the ``jobs``/``backend``/``resume``/
+#: ``progress``/``shared_cache`` keywords and looks its function up when
+#: called.  The CLI runs each campaign its exhibits read once per
+#: invocation; ``repro serve`` runs one per job, whose ``kind`` is a
+#: name here (:mod:`repro.experiments.scheduler`).
+CAMPAIGNS: dict[str, tuple[dict, Callable]] = {
+    "sweep": (SCALES, lambda config, **options: run_sweep(config, **options)),
+    # The case study publishes no shared cache.
+    "fig10": (
+        CASE_SCALES,
+        lambda config, shared_cache=False, **options: fig10.run(config, **options),
+    ),
+    "fleet": (FLEET_SCALES, lambda config, **options: fleet.run(config, **options)),
+}
 
-def _sweep_config(args: argparse.Namespace) -> SweepConfig:
-    return replace(SCALES[args.scale], seed=args.seed)
 
-
-def _fleet_config(args: argparse.Namespace) -> FleetConfig:
+def _campaign_config(name: str, args: argparse.Namespace):
+    """Campaign ``name``'s ``--scale`` preset at ``--seed`` (fleet: and its size flags)."""
     overrides: dict = {"seed": args.seed}
-    if args.chips is not None:
-        overrides["num_chips"] = args.chips
-    if args.slice_words is not None:
-        overrides["slice_words"] = args.slice_words
-    return replace(FLEET_SCALES[args.scale], **overrides)
+    if name == "fleet":
+        sizes = {"num_chips": args.chips, "slice_words": args.slice_words}
+        overrides.update((field, value) for field, value in sizes.items() if value is not None)
+    return replace(CAMPAIGNS[name][0][args.scale], **overrides)
 
 
-def _case_config(args: argparse.Namespace) -> CaseStudyConfig:
-    return replace(CASE_SCALES[args.scale], seed=args.seed)
+def _resume_path(name: str, campaigns: list[str], path: str | None) -> str | None:
+    """The one resume rule: a lone campaign stores at ``PATH``.
+
+    An invocation that runs several keeps ``PATH`` for the sweep and
+    gives the others, whose records are different families, the
+    suffixed siblings ``PATH.fig10`` and ``PATH.fleet``.
+    """
+    if path is None or len(campaigns) == 1 or name == "sweep":
+        return path
+    return f"{path}.{name}"
 
 
 def _execution_backend(args: argparse.Namespace):
@@ -223,8 +254,8 @@ def _execution_backend(args: argparse.Namespace):
     The campaign-hardening flags that are set become socket options, and
     a spec with options resolves to a configured
     :class:`~repro.experiments.backends.SocketBackend` here; otherwise
-    the raw spec (or ``None``) passes through and the engine resolves it
-    as before.  :func:`~repro.experiments.backends.resolve_backend`
+    the raw spec (or ``None``) passes through for
+    :func:`~repro.experiments.backends.resolve_backend`.  :func:`~repro.experiments.backends.resolve_backend`
     refuses the options for any other backend — silently ignoring
     ``--auth-token`` would run an open fleet — and that refusal exits
     naming the flags.  The ambient ``REPRO_AUTH_TOKEN`` variable only
@@ -272,26 +303,24 @@ def _run_fig2(args: argparse.Namespace) -> str:
     return fig2.render(fig2.run())
 
 
-def _run_table2(args: argparse.Namespace) -> str:
-    return table2.render(table2.run(seed=args.seed))
-
-
 def _run_fig4(args: argparse.Namespace) -> str:
     scale = {"unit": (3, 6), "bench": (6, 12), "full": (12, 25)}[args.scale]
     config = fig4.Fig4Config(num_codes=scale[0], words_per_code=scale[1], seed=args.seed)
     return fig4.render(fig4.run(config))
 
 
-def _sweep_exhibit(module) -> Callable[[argparse.Namespace], str]:
-    def runner(args: argparse.Namespace) -> str:
-        sweep = run_sweep(
-            _sweep_config(args),
-            jobs=args.jobs,
-            backend=_execution_backend(args),
-            resume=args.resume,
-            progress=args.progress,
-            shared_cache=args.shared_cache,
-        )
+def _seeded(module) -> Callable:
+    """A closed-form exhibit: its module's result at ``--seed``, rendered."""
+    return lambda args: module.render(module.run(seed=args.seed))
+
+
+def _own_grids(module) -> Callable:
+    """An exhibit whose module runs grids of its own on the invocation's backend."""
+    return lambda args, backend: module.render(module.run(jobs=args.jobs, backend=backend))
+
+
+def _sweep_view(module) -> Callable:
+    def view(sweep) -> str:
         if sweep.quarantined:
             # The exhibit reductions index the full grid; an incomplete
             # one cannot render faithfully.  Name what is missing and
@@ -301,142 +330,75 @@ def _sweep_exhibit(module) -> Callable[[argparse.Namespace], str]:
                 + "\n(exhibit rendition skipped: the grid is incomplete until "
                 "the quarantined cells are recomputed)"
             )
-        text = module.render(module.from_sweep(sweep))
-        if args.timings:
-            text += "\n\n" + timing_table(sweep)
+        return module.render(module.from_sweep(sweep))
+
+    return view
+
+
+def _partial_view(module, unit: str, caveat: str) -> Callable:
+    def view(result) -> str:
+        text = module.render(result)
+        if result.quarantined:
+            # The rendition covers what did complete; show it, but exit
+            # incomplete so scripts don't publish it as the full exhibit.
+            raise IncompleteGridError(
+                f"{text}\n\n{quarantine_report(result.quarantined, unit=unit)}\n({caveat})"
+            )
         return text
 
-    return runner
+    return view
 
 
-def _run_fig10(args: argparse.Namespace) -> str:
-    result = fig10.run(
-        _case_config(args),
-        jobs=args.jobs,
-        backend=_execution_backend(args),
-        resume=args.resume,
-        progress=args.progress,
-    )
-    text = fig10.render(result)
-    if result.quarantined:
-        # The BER panels render from the words that did complete; show
-        # them, but exit incomplete so scripts don't publish them as the
-        # full-grid exhibit.
-        raise IncompleteGridError(
-            text
-            + "\n\n"
-            + quarantine_report(result.quarantined, unit="case shard")
-            + "\n(the panels above average only the completed words)"
-        )
-    return text
-
-
-def _run_fleet(args: argparse.Namespace) -> str:
-    result = fleet.run(
-        _fleet_config(args),
-        jobs=args.jobs,
-        backend=_execution_backend(args),
-        resume=args.resume,
-        progress=args.progress,
-        shared_cache=args.shared_cache,
-    )
-    text = fleet.render(result)
-    if result.quarantined:
-        # Fleet-level rates render from the chips that did complete;
-        # show them, but exit incomplete so scripts don't publish a
-        # partial population study as the full one.
-        raise IncompleteGridError(
-            text
-            + "\n\n"
-            + quarantine_report(result.quarantined, unit="fleet shard")
-            + "\n(the report above excludes the incomplete chips)"
-        )
-    return text
-
-
-def _run_headline(args: argparse.Namespace) -> str:
-    backend = _execution_backend(args)
-    sweep = run_sweep(
-        _sweep_config(args),
-        jobs=args.jobs,
-        backend=backend,
-        resume=args.resume,
-        progress=args.progress,
-        shared_cache=args.shared_cache,
-    )
-    # The sweep cells and the case-study shards are different record
-    # kinds; give the case study its own sibling store.
-    case_resume = f"{args.resume}.fig10" if args.resume else None
-    case = fig10.run(
-        _case_config(args),
-        jobs=args.jobs,
-        backend=backend,
-        resume=case_resume,
-        progress=args.progress,
-    )
+def _headline_view(sweep, case) -> str:
     if sweep.quarantined or case.quarantined:
         quarantined = list(sweep.quarantined) + list(case.quarantined)
         raise IncompleteGridError(
             quarantine_report(quarantined, unit="shard")
             + "\n(headline speedups skipped: they compare full grids)"
         )
-    text = headline.render(
+    return headline.render(
         active=headline.active_speedups(sweep),
         case_study=headline.case_study_speedups(case),
     )
-    if args.timings:
-        text += "\n\n" + timing_table(sweep)
-    return text
 
 
-def _run_ext_patterns(args: argparse.Namespace) -> str:
-    return ext_patterns.render(ext_patterns.run(jobs=args.jobs, backend=_execution_backend(args)))
-
-
-def _run_ext_dec(args: argparse.Namespace) -> str:
-    return ext_dec.render(ext_dec.run(seed=args.seed))
-
-
-def _run_ext_code_length(args: argparse.Namespace) -> str:
-    return ext_code_length.render(
-        ext_code_length.run(jobs=args.jobs, backend=_execution_backend(args))
-    )
-
-
-def _run_ext_heterogeneous(args: argparse.Namespace) -> str:
-    return ext_heterogeneous.render(ext_heterogeneous.run(seed=args.seed))
-
-
-def _run_ext_interleaving(args: argparse.Namespace) -> str:
-    return ext_interleaving.render(ext_interleaving.run(seed=args.seed))
-
-
-def _run_ext_scrubbing(args: argparse.Namespace) -> str:
-    return ext_scrubbing.render(ext_scrubbing.run(seed=args.seed))
-
-
-def _run_ext_rank(args: argparse.Namespace) -> str:
-    return ext_rank.render(ext_rank.run(seed=args.seed))
-
-
-COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
+COMMANDS: dict[str, tuple[str, Callable[..., str]]] = {
     "fig2": ("Fig 2: wasted storage vs repair granularity", _run_fig2),
-    "table2": ("Table 2: at-risk bit amplification", _run_table2),
+    "table2": ("Table 2: at-risk bit amplification", _seeded(table2)),
     "fig4": ("Fig 4: post-correction error probabilities", _run_fig4),
-    "fig6": ("Fig 6: direct-error coverage", _sweep_exhibit(fig6)),
-    "fig7": ("Fig 7: bootstrapping rounds", _sweep_exhibit(fig7)),
-    "fig8": ("Fig 8: missed indirect-risk bits", _sweep_exhibit(fig8)),
-    "fig9": ("Fig 9: secondary-ECC capability", _sweep_exhibit(fig9)),
-    "fig10": ("Fig 10: data-retention case study", _run_fig10),
-    "fleet": ("Fleet-scale field simulation and repair economics", _run_fleet),
-    "headline": ("Headline speedup numbers", _run_headline),
-    "ext-patterns": ("Ablation: data patterns", _run_ext_patterns),
-    "ext-dec": ("Extension: DEC BCH on-die ECC", _run_ext_dec),
-    "ext-codelength": ("Extension: (136,128) geometry", _run_ext_code_length),
-    "ext-heterogeneous": ("Extension: normal per-bit probabilities", _run_ext_heterogeneous),
-    "ext-interleaving": ("Extension: secondary-ECC word layouts", _run_ext_interleaving),
-    "ext-scrubbing": ("Extension: scrubbing identification latency", _run_ext_scrubbing),
-    "ext-rank": ("Extension: rank-layout escape rates", _run_ext_rank),
+    "fig6": ("Fig 6: direct-error coverage", _sweep_view(fig6)),
+    "fig7": ("Fig 7: bootstrapping rounds", _sweep_view(fig7)),
+    "fig8": ("Fig 8: missed indirect-risk bits", _sweep_view(fig8)),
+    "fig9": ("Fig 9: secondary-ECC capability", _sweep_view(fig9)),
+    "fig10": (
+        "Fig 10: data-retention case study",
+        _partial_view(fig10, "case shard", "the panels above average only the completed words"),
+    ),
+    "fleet": (
+        "Fleet-scale field simulation and repair economics",
+        _partial_view(fleet, "fleet shard", "the report above excludes the incomplete chips"),
+    ),
+    "headline": ("Headline speedup numbers", _headline_view),
+    "ext-patterns": ("Ablation: data patterns", _own_grids(ext_patterns)),
+    "ext-dec": ("Extension: DEC BCH on-die ECC", _seeded(ext_dec)),
+    "ext-codelength": ("Extension: (136,128) geometry", _own_grids(ext_code_length)),
+    "ext-heterogeneous": ("Extension: normal per-bit probabilities", _seeded(ext_heterogeneous)),
+    "ext-interleaving": ("Extension: secondary-ECC word layouts", _seeded(ext_interleaving)),
+    "ext-scrubbing": ("Extension: scrubbing identification latency", _seeded(ext_scrubbing)),
+    "ext-rank": ("Extension: rank-layout escape rates", _seeded(ext_rank)),
+}
+
+#: What each exhibit's callable takes, in order: ``args``, the
+#: invocation's ``backend`` (the exhibits that run grids of their own),
+#: or a campaign's result by name (the views).  An exhibit not listed is
+#: closed-form and takes ``args`` alone.
+INPUTS: dict[str, tuple[str, ...]] = {
+    **dict.fromkeys(("fig6", "fig7", "fig8", "fig9"), ("sweep",)),
+    "fig10": ("fig10",),
+    "fleet": ("fleet",),
+    "headline": ("sweep", "fig10"),
+    "ext-patterns": ("args", "backend"),
+    "ext-codelength": ("args", "backend"),
 }
 
 
@@ -533,8 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="stream completed work units to a JSONL shard store and "
         "skip everything already persisted there (fig6/7/8/9, fig10, "
-        "fleet, and headline — whose case-study shards land at "
-        "PATH.fig10; ignored elsewhere)",
+        "fleet, headline and all; a run of several campaigns keeps PATH "
+        "for the sweep and stores the case study at PATH.fig10 and the "
+        "fleet at PATH.fleet; ignored elsewhere)",
     )
     parser.add_argument(
         "--auth-token",
@@ -611,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         metavar="SECONDS",
         help="after a server drains, keep retrying the address this long "
-        "so the worker joins an exhibit's next sweep (worker subcommand "
+        "so the worker joins the invocation's next map (worker subcommand "
         "only; 0 exits after one session)",
     )
     parser.add_argument(
@@ -693,34 +656,43 @@ def _run_command(args: argparse.Namespace) -> int:
             )
             return 1
         return 0
+    names = list(COMMANDS) if args.command == "all" else [args.command]
+    inputs = {name: INPUTS.get(name, ("args",)) for name in names}
+    read = {source for sources in inputs.values() for source in sources}
+    values: dict = {"args": args}
+    if read != {"args"}:
+        # One backend for the whole invocation, and every refusal (a bad
+        # spec or flag, a corrupt or mismatched store) before anything
+        # prints.
+        values["backend"] = resolve_backend(_execution_backend(args), args.jobs)
+    campaigns = [name for name in CAMPAIGNS if name in read]
+    for name in campaigns:
+        _, run = CAMPAIGNS[name]
+        values[name] = run(
+            _campaign_config(name, args),
+            jobs=args.jobs,
+            backend=values["backend"],
+            resume=_resume_path(name, campaigns, args.resume),
+            progress=args.progress,
+            shared_cache=args.shared_cache,
+        )
     incomplete = False
-    for name in COMMANDS if args.command == "all" else [args.command]:
+    for name in names:
         description, runner = COMMANDS[name]
         print(f"== {description} ==")
         try:
-            print(runner(_args_for(name, args)))
+            text = runner(*(values[source] for source in inputs[name]))
         except IncompleteGridError as error:
             # Report and keep going: later exhibits of `all` may be
             # whole, but the run must still exit incomplete.
             print(error)
             incomplete = True
+        else:
+            if args.timings and "sweep" in inputs[name]:
+                text += "\n\n" + timing_table(values["sweep"])
+            print(text)
         print()
     return EXIT_INCOMPLETE_GRID if incomplete else 0
-
-
-def _args_for(name: str, args: argparse.Namespace) -> argparse.Namespace:
-    """Per-exhibit argument view for an ``all`` run sharing one ``--resume``.
-
-    The sweep exhibits all run the same config, so sharing one sweep
-    store is exactly right — but fig10's and fleet's stores are
-    different record families, and handing them the sweep path would
-    refuse to load.  Give each the suffixed sibling its own runs use
-    (``PATH.fig10`` matches what headline already writes, so the two
-    share the case-study shards, which also run the same config).
-    """
-    if args.command != "all" or name not in ("fig10", "fleet") or not args.resume:
-        return args
-    return argparse.Namespace(**{**vars(args), "resume": f"{args.resume}.{name}"})
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -614,11 +614,11 @@ def run_worker(
     ``REPRO_AUTH_TOKEN`` environment variable, which is also how a
     server passes the secret to the workers it spawns itself).
 
-    ``linger`` keeps the worker alive across *servers*: multi-sweep
-    exhibits (ext-patterns, headline, ``all``) run one socket map per
-    sweep, each draining its workers with ``shutdown``, so after a
-    session ends the worker keeps retrying the address for ``linger``
-    seconds and joins the next map that binds it.  ``0`` exits after the
+    ``linger`` keeps the worker alive across *servers*: a CLI invocation
+    runs one socket map per campaign and per extra grid (headline two,
+    ext-patterns three, ``all`` eight), each draining its workers with
+    ``shutdown``, so after a session ends the worker keeps retrying the
+    address for ``linger`` seconds and joins the next map that binds it.  ``0`` exits after the
     first session (or immediately if no server is listening).  Failed
     reconnect attempts back off exponentially with jitter (capped at
     ``_BACKOFF_CAP`` seconds) so a dead server is not hammered.

@@ -17,7 +17,7 @@ library exposes the same experiments with a configurable scale.  Presets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.analysis.atrisk import MAX_AT_RISK_FOR_ENUMERATION
 
@@ -29,7 +29,6 @@ __all__ = [
     "BENCH",
     "FULL",
     "PAPER",
-    "scaled",
 ]
 
 #: Profilers evaluated in the paper's coverage figures (Figs 6-9).
@@ -197,14 +196,3 @@ FULL = SweepConfig(num_codes=30, words_per_code=40, num_rounds=128)
 #: drops below one percentage point.  Meant for the distributed
 #: backends with a ``--resume`` shard store, not a single process.
 PAPER = SweepConfig(num_codes=50, words_per_code=50, num_rounds=128)
-
-
-def scaled(config: SweepConfig, factor: float) -> SweepConfig:
-    """Scale the Monte-Carlo sample counts of a config by ``factor``."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    return replace(
-        config,
-        num_codes=max(1, round(config.num_codes * factor)),
-        words_per_code=max(1, round(config.words_per_code * factor)),
-    )

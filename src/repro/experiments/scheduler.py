@@ -2,11 +2,13 @@
 
 The service layer (:mod:`repro.experiments.service`) is deliberately
 thin — HTTP in, JSON out — and everything stateful lives here: job
-specs are validated against the library configs, accepted jobs run
-through the ordinary drivers (:func:`~repro.experiments.runner.run_sweep`,
-:func:`~repro.experiments.fig10.run`, :func:`~repro.experiments.fleet.run`)
-over one shared :class:`~repro.experiments.backends.WorkServer` fleet,
-and every job's lifecycle survives a daemon crash.
+specs are validated against the library configs, accepted jobs run the
+CLI's campaigns (:data:`repro.cli.CAMPAIGNS`: the preset sweep, the
+Fig 10 case study and the fleet, with the CLI's own presets and
+drivers) over one shared :class:`~repro.experiments.backends.WorkServer`
+fleet, and every job's lifecycle survives a daemon crash.  A job's
+``rendition`` is the CLI view of its result (:data:`repro.cli.COMMANDS`),
+so it is the text the equivalent command prints.
 
 Job state machine
 =================
@@ -62,7 +64,7 @@ import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from repro.experiments import fig10, fig6, fig7, fig8, fig9, fleet
+from repro.cli import CAMPAIGNS, COMMANDS, INPUTS
 from repro.experiments.backends import (
     MapCancelled,
     SharedFleetBackend,
@@ -74,7 +76,6 @@ from repro.experiments.monitor import (
     format_grid,
     grid_shape,
 )
-from repro.experiments.runner import run_sweep
 from repro.experiments.store import (
     config_from_dict,
     config_to_dict,
@@ -98,33 +99,11 @@ __all__ = [
 #: Every state a job record may carry, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
-#: Job kinds and the scale-preset family each validates against.  The
-#: presets are the CLI's own (``repro fig6 --scale`` etc.), so a spec
-#: ``{"kind": "sweep", "scale": "unit"}`` means exactly what the
-#: equivalent command line means — the root of the service's
-#: bit-identity guarantee.
-_KIND_SCALES: dict[str, dict] = {}
-
 #: The daemon's work budget: the most simulated bit-rounds one job may
 #: ask for (:func:`job_bit_rounds`).  Every CLI scale preset fits; the
 #: largest, the paper fleet, needs 163,840,000 word-rounds at k = 32,
 #: about 5.2e9.  Library and CLI calls are not bounded.
 MAX_JOB_BIT_ROUNDS = 10**10
-
-#: Sweep-backed exhibit renderers a sweep job may request.
-_SWEEP_EXHIBITS = {"fig6": fig6, "fig7": fig7, "fig8": fig8, "fig9": fig9}
-
-
-def _kind_scales() -> dict[str, dict]:
-    # Imported lazily: cli imports the experiment modules eagerly, and
-    # importing it at module scope would cycle (cli -> service -> here).
-    if not _KIND_SCALES:
-        from repro.cli import CASE_SCALES, FLEET_SCALES, SCALES
-
-        _KIND_SCALES.update(
-            {"sweep": SCALES, "fig10": CASE_SCALES, "fleet": FLEET_SCALES}
-        )
-    return _KIND_SCALES
 
 
 class JobSpecError(ValueError):
@@ -156,16 +135,16 @@ def parse_job_spec(spec) -> dict:
     unknown = set(spec) - {"kind", "scale", "config", "exhibit"}
     if unknown:
         raise JobSpecError(f"unknown job spec field(s): {sorted(unknown)}")
+    # A kind is a CLI campaign and a scale one of its presets, so a spec
+    # means exactly what the equivalent command line means — the root
+    # of the service's bit-identity guarantee.
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _kind_scales():
-        raise JobSpecError(
-            f"kind must be one of {sorted(_kind_scales())}, got {kind!r}"
-        )
+    if not isinstance(kind, str) or kind not in CAMPAIGNS:
+        raise JobSpecError(f"kind must be one of {sorted(CAMPAIGNS)}, got {kind!r}")
+    presets = CAMPAIGNS[kind][0]
     scale = spec.get("scale", "unit")
-    if not isinstance(scale, str) or scale not in _kind_scales()[kind]:
-        raise JobSpecError(
-            f"scale must be one of {sorted(_kind_scales()[kind])}, got {scale!r}"
-        )
+    if not isinstance(scale, str) or scale not in presets:
+        raise JobSpecError(f"scale must be one of {sorted(presets)}, got {scale!r}")
     overrides = spec.get("config", {})
     if not isinstance(overrides, dict):
         raise JobSpecError("config must be a JSON object of field overrides")
@@ -173,10 +152,9 @@ def parse_job_spec(spec) -> dict:
     if exhibit is not None:
         if kind != "sweep":
             raise JobSpecError(f"exhibit only applies to sweep jobs, not {kind!r}")
-        if not isinstance(exhibit, str) or exhibit not in _SWEEP_EXHIBITS:
-            raise JobSpecError(
-                f"exhibit must be one of {sorted(_SWEEP_EXHIBITS)}, got {exhibit!r}"
-            )
+        views = sorted(name for name, reads in INPUTS.items() if reads == ("sweep",))
+        if not isinstance(exhibit, str) or exhibit not in views:
+            raise JobSpecError(f"exhibit must be one of {views}, got {exhibit!r}")
     normalized = {"kind": kind, "scale": scale, "config": dict(overrides)}
     if exhibit is not None:
         normalized["exhibit"] = exhibit
@@ -222,7 +200,7 @@ def job_config(spec: dict):
     store header; every profiler and the data pattern must also be a
     known name.
     """
-    preset = _kind_scales()[spec["kind"]][spec.get("scale", "unit")]
+    preset = CAMPAIGNS[spec["kind"]][0][spec.get("scale", "unit")]
     config_class = type(preset)
     try:
         config = config_from_dict(
@@ -524,34 +502,29 @@ class JobScheduler:
             self._lock.notify_all()
 
     def _execute(self, job: Job) -> dict:
-        """Run one job through its ordinary driver; return the payload.
+        """Run one job's campaign through the CLI's driver; return the payload.
 
         The driver streams to the job's own resume store, so this is
         exactly the CLI path with ``--resume`` — including after crash
         recovery, where the store's surviving cells are skipped and the
-        merged result is bit-identical to an uninterrupted run.
+        merged result is bit-identical to an uninterrupted run.  The
+        rendition is the CLI view named by the spec's ``exhibit``, or by
+        its kind (fig10, fleet); a sweep job without an exhibit has none.
         """
         spec = job.spec
-        config = job_config(spec)
-        store_path = str(self._store_path(job.id))
+        _, run = CAMPAIGNS[spec["kind"]]
+        result = run(job_config(spec), backend=job.backend, resume=str(self._store_path(job.id)))
         payload: dict = {
             "job": job.id,
             "kind": spec["kind"],
             "spec": spec,
             "healed": job.healed,
         }
+        view = spec.get("exhibit", spec["kind"])
+        if "exhibit" in spec:
+            payload["exhibit"] = view
+        if view in COMMANDS:
+            payload["rendition"] = COMMANDS[view][1](result)
         if spec["kind"] == "sweep":
-            sweep = run_sweep(config, backend=job.backend, resume=store_path)
-            exhibit = spec.get("exhibit")
-            if exhibit is not None:
-                module = _SWEEP_EXHIBITS[exhibit]
-                payload["exhibit"] = exhibit
-                payload["rendition"] = module.render(module.from_sweep(sweep))
-            payload["sweep"] = json.loads(sweep_to_json(sweep))
-        elif spec["kind"] == "fig10":
-            result = fig10.run(config, backend=job.backend, resume=store_path)
-            payload["rendition"] = fig10.render(result)
-        else:
-            result = fleet.run(config, backend=job.backend, resume=store_path)
-            payload["rendition"] = fleet.render(result)
+            payload["sweep"] = json.loads(sweep_to_json(result))
         return payload

@@ -23,7 +23,6 @@ from repro.memory.patterns import (
     ChargedPattern,
     CheckeredPattern,
     DataPattern,
-    FixedPattern,
     RandomPattern,
     ZeroPattern,
     make_pattern,
@@ -52,7 +51,6 @@ __all__ = [
     "ChargedPattern",
     "CheckeredPattern",
     "RandomPattern",
-    "FixedPattern",
     "ZeroPattern",
     "make_pattern",
     "PATTERN_NAMES",

@@ -39,7 +39,6 @@ __all__ = [
     "ZeroPattern",
     "CheckeredPattern",
     "RandomPattern",
-    "FixedPattern",
     "random_rounds",
     "make_pattern",
     "PATTERN_NAMES",
@@ -110,20 +109,6 @@ class RandomPattern(DataPattern):
     def rounds(self, num_rounds: int, k: int) -> np.ndarray:
         """All rounds at once: :func:`random_rounds` for this one seed."""
         return random_rounds([self.seed], num_rounds, k)[0]
-
-
-class FixedPattern(DataPattern):
-    """A caller-supplied constant dataword (used by tests and BEEP)."""
-
-    name = "fixed"
-
-    def __init__(self, data: np.ndarray) -> None:
-        self._data = np.asarray(data, dtype=np.uint8).copy()
-
-    def data_for_round(self, round_index: int, k: int) -> np.ndarray:
-        if self._data.shape[0] != k:
-            raise ValueError(f"fixed pattern length {self._data.shape[0]} != k={k}")
-        return self._data.copy()
 
 
 def random_rounds(seeds: Sequence[int], num_rounds: int, k: int) -> np.ndarray:

@@ -1,16 +1,20 @@
 """Tests for the command-line interface."""
 
+import collections
+import hashlib
+import json
 import shutil
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import repro.cli as cli
 from repro.cli import COMMANDS, SCALES, _execution_backend, build_parser, main
-from repro.experiments import service
+from repro.experiments import ext_code_length, ext_patterns, fig10, fleet, service
 from repro.experiments.backends import AUTH_TOKEN_ENV
-from repro.experiments.runner import run_sweep
+from repro.experiments.runner import SweepResult, run_sweep
 
 
 class TestParser:
@@ -253,11 +257,12 @@ class TestHardeningFlags:
     def test_hardening_without_socket_backend_rejected(self, capsys):
         with pytest.raises(SystemExit, match="socket"):
             main(["fig6", "--scale", "unit", "--auth-token", "x"])
+        assert capsys.readouterr().out == ""
         with pytest.raises(SystemExit, match="socket"):
             main(
                 ["fig6", "--scale", "unit", "--backend", "process", "--workers-expected", "2"]
             )
-        capsys.readouterr()
+        assert capsys.readouterr().out == ""  # refused before the first section
 
     def test_worker_flags_parse(self):
         args = build_parser().parse_args(
@@ -340,7 +345,9 @@ REFUSALS = {
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_exhibit_refusal_is_one_line(case, unit_sweep_store, tmp_path, capsys):
-    """A refused input exits 1 with one ``repro <command>:`` line."""
+    """A refused input exits 1 with one ``repro <command>:`` line and
+    prints nothing on stdout: the backend and the campaigns are resolved
+    before the first section."""
     argv, prefix, detail = REFUSALS[case]
     corrupt = unit_sweep_store.read_text().splitlines(keepends=True)
     corrupt[2] = "{not json\n"
@@ -351,9 +358,93 @@ def test_exhibit_refusal_is_one_line(case, unit_sweep_store, tmp_path, capsys):
     }
     argv = [str(stores.get(arg, arg)) for arg in argv]
     assert main([*argv, "--scale", "unit"]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(prefix) and detail in err, err
     assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+# ----------------------------------------------------------------------
+# One campaign, many views
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pinned_exhibits():
+    """``exhibit-NAME`` -> SHA-256 of that exhibit's unit-scale text at seed 2021."""
+    return json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _sections(text: str) -> dict[str, str]:
+    """Each exhibit's section of an ``all`` run, from its title through its blank line."""
+    starts: list[int] = []
+    for description, _ in COMMANDS.values():
+        starts.append(text.index(f"== {description} ==\n", starts[-1] if starts else 0))
+    return {
+        name: text[start:stop]
+        for name, start, stop in zip(COMMANDS, starts, starts[1:] + [len(text)])
+    }
+
+
+def test_all_runs_each_campaign_once(monkeypatch, capsys):
+    """One `all` runs the preset sweep, the case study and the fleet once
+    each, however many exhibits view them; ext-patterns and ext-codelength
+    still run their own five sweeps."""
+    calls = collections.Counter()
+    for owner, name, label in (
+        (cli, "run_sweep", "sweep"),
+        (fig10, "run", "fig10"),
+        (fleet, "run", "fleet"),
+        (ext_patterns, "run_sweep", "ext"),
+        (ext_code_length, "run_sweep", "ext"),
+    ):
+        def counted(*args, _run=getattr(owner, name), _label=label, **kwargs):
+            calls[_label] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert main(["all", "--scale", "unit"]) == 0
+    capsys.readouterr()
+    assert calls == {"sweep": 1, "fig10": 1, "fleet": 1, "ext": 5}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_exhibit_alone_prints_its_pinned_section(name, pinned_exhibits, capsys):
+    """An exhibit run alone prints exactly its pinned section of `all`, so
+    `all` prints the concatenation of the single-exhibit runs."""
+    assert main([name, "--scale", "unit", "--seed", "2021"]) == 0
+    assert _digest(capsys.readouterr().out) == pinned_exhibits[f"exhibit-{name}"]
+
+
+def test_all_reports_a_quarantined_sweep_under_each_view(
+    monkeypatch, capsys, pinned_exhibits
+):
+    """A sweep that set a cell aside fails each of its five views with the
+    quarantine report and exits 3; the case study and the fleet still
+    render whole."""
+
+    def quarantining_run_sweep(config, **kwargs):
+        full = run_sweep(config)
+        key = next(iter(full.cells))
+        cells = {k: v for k, v in full.cells.items() if k != key}
+        return SweepResult(
+            config=config, cells=cells, timings=full.timings, quarantined=(key,)
+        )
+
+    monkeypatch.setattr(cli, "run_sweep", quarantining_run_sweep)
+    assert main(["all", "--scale", "unit", "--seed", "2021"]) == cli.EXIT_INCOMPLETE_GRID
+    sections = _sections(capsys.readouterr().out)
+    for name in ("fig6", "fig7", "fig8", "fig9"):
+        assert "QUARANTINED 1 sweep cell(s)" in sections[name]
+        assert "rendition skipped" in sections[name]
+    assert "QUARANTINED 1 shard(s)" in sections["headline"]
+    assert "headline speedups skipped" in sections["headline"]
+    for name in ("fig10", "fleet"):
+        assert _digest(sections[name]) == pinned_exhibits[f"exhibit-{name}"]
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from repro.experiments.config import (
     CaseStudyConfig,
     FleetConfig,
     SweepConfig,
-    scaled,
 )
 from repro.experiments.reporting import log_round_ticks, percent, profiler_order
 
@@ -40,16 +39,6 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="enumeration bound"):
             SweepConfig(error_counts=(2, MAX_AT_RISK_FOR_ENUMERATION + 1))
         SweepConfig(error_counts=(MAX_AT_RISK_FOR_ENUMERATION,))
-
-    def test_scaled(self):
-        config = scaled(FULL, 0.1)
-        assert config.num_codes == 3
-        assert config.words_per_code == 4
-        assert config.num_rounds == FULL.num_rounds  # rounds untouched
-
-    def test_scaled_validation(self):
-        with pytest.raises(ValueError):
-            scaled(UNIT, 0)
 
 
 class TestCaseStudyConfig:

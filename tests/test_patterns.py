@@ -7,7 +7,6 @@ from repro.memory.patterns import (
     ChargedPattern,
     CheckeredPattern,
     DataPattern,
-    FixedPattern,
     RandomPattern,
     ZeroPattern,
     make_pattern,
@@ -67,18 +66,7 @@ class TestRandomPattern:
         assert union.all()
 
 
-class TestFixedAndFactory:
-    def test_fixed_returns_copy(self):
-        source = np.array([1, 0, 1], dtype=np.uint8)
-        pattern = FixedPattern(source)
-        out = pattern.data_for_round(0, 3)
-        out[0] = 0
-        assert pattern.data_for_round(1, 3).tolist() == [1, 0, 1]
-
-    def test_fixed_length_mismatch(self):
-        with pytest.raises(ValueError):
-            FixedPattern(np.array([1], dtype=np.uint8)).data_for_round(0, 3)
-
+class TestFactory:
     def test_factory_names(self):
         for name in ("random", "charged", "checkered", "zero"):
             assert make_pattern(name, seed=1).data_for_round(0, 4).shape == (4,)
