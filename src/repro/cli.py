@@ -25,7 +25,10 @@ headline the case study, and fleet the fleet simulation
 each campaign its exhibits read exactly once, and only then prints, so
 ``all`` prints the concatenation of the single-exhibit runs.
 ext-patterns and ext-codelength run grids of their own on that backend;
-the closed-form exhibits need no backend at all.
+the closed-form exhibits need no backend at all.  The invocation closes
+its backend after the last section, so a socket backend keeps one work
+server, and one set of spawned workers, for all of its maps (eight for
+``all``) and reaps the workers before the command returns.
 
 Execution knobs (every choice is bit-identical to a serial run):
 
@@ -53,8 +56,9 @@ Execution knobs (every choice is bit-identical to a serial run):
   and publishes them in a shared-memory block that local pool
   workers map zero-copy instead of re-deriving (fig6/7/8/9 and
   headline; socket workers keep their own warm-up).
-* ``--timings`` appends the engine's per-cell wall-clock table for the
-  exhibits that expose a sweep result (fig6/7/8/9 and headline).
+* ``--timings`` appends the engine's per-cell wall-clock table of the
+  sweep once, under the first exhibit that renders it (fig6/7/8/9 and
+  headline all render the one sweep).
 * ``--progress`` prints a periodic grid-coverage/ETA line to stderr as
   cells complete (fig6/7/8/9, fig10, headline; every backend) — stdout
   stays exactly the exhibit rendition.
@@ -69,16 +73,18 @@ Socket-fleet hardening (``--backend socket[://HOST:PORT]`` only; see
   well, and hands the secret to self-spawned workers through it).  An
   empty secret, from the flag or the variable, is refused here and by
   ``worker``, ``serve`` and ``jobs`` alike.
-* ``--workers-expected N`` holds all task dispatch until ``N`` workers
-  have joined, so a paper-scale campaign cannot start against a
-  half-booted fleet.
+* ``--workers-expected N`` holds the invocation's first task until
+  ``N`` workers have joined, so a paper-scale campaign cannot start
+  against a half-booted fleet; the later maps of the invocation
+  dispatch to whoever is connected.
 * ``--heartbeat-timeout SECONDS`` requeues a chunk whose worker has
   been silent this long (workers heartbeat at a quarter of it;
   ``0`` disables the deadline and waits forever).
 * ``--status-port PORT`` serves a live JSON status snapshot of the
-  running map at ``GET /status`` (fleet, heartbeat ages, queue depth,
-  chunk progress, retries, quarantines); ``python -m repro status
-  HOST:PORT`` renders it, and so does ``curl``.
+  invocation's work server at ``GET /status`` (fleet, heartbeat ages,
+  queue depth, chunk progress, retries, quarantines) from its first map
+  until it exits; ``python -m repro status HOST:PORT`` renders it, and
+  so does ``curl``.
 * ``--continue-past-quarantine`` sets a chunk that exhausts its retry
   budget aside instead of aborting the campaign: the rest of the grid
   completes, an end-of-map auto-retry pass re-runs each quarantined
@@ -93,11 +99,11 @@ Socket-fleet hardening (``--backend socket[://HOST:PORT]`` only; see
 
 The ``worker`` subcommand turns the process into a socket-backend
 worker: it connects to a running ``--backend socket://...`` server and
-executes shard chunks.  An invocation runs one socket map per campaign
-and per extra grid (headline two, ext-patterns three, ``all`` eight),
-so after a server drains the worker keeps retrying the address for
-``--linger`` seconds (default 10, with jittered exponential backoff
-between attempts) and joins the next map before exiting.
+executes shard chunks.  One session serves every map of the
+invocation; when that server closes, the worker keeps retrying the
+address for ``--linger`` seconds (default 10, with jittered exponential
+backoff between attempts) and joins the next invocation's server on
+the same address before exiting.
 ``--max-chunks N`` makes the worker elastic: it executes at most N
 chunks, then sends a clean ``leave`` goodbye and exits (no retry-budget
 charge server-side); SIGTERM drains the same way.
@@ -463,8 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--timings",
         action="store_true",
-        help="append the sweep engine's per-cell wall-clock table "
-        "(fig6/7/8/9 and headline; ignored elsewhere)",
+        help="append the sweep engine's per-cell wall-clock table once, "
+        "under the first exhibit that renders the sweep (fig6/7/8/9 and "
+        "headline; ignored elsewhere)",
     )
     parser.add_argument(
         "--progress",
@@ -513,9 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="socket backend only: hold every task until N workers have "
-        "joined, so a campaign cannot start against a half-booted fleet "
-        "(default: dispatch to the first worker)",
+        help="socket backend only: hold the invocation's first task until "
+        "N workers have joined, so a campaign cannot start against a "
+        "half-booted fleet (default: dispatch to the first worker)",
     )
     parser.add_argument(
         "--heartbeat-timeout",
@@ -532,9 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help="socket backend only: serve a live JSON status snapshot of "
-        "the running map (fleet, heartbeat ages, queue depth, chunk "
-        "progress, retries, quarantines) at GET /status on this TCP port; "
-        "read it with python -m repro status HOST:PORT or curl",
+        "the invocation's work server (fleet, heartbeat ages, queue depth, "
+        "chunk progress, retries, quarantines) at GET /status on this TCP "
+        "port, from the first map until the command exits; read it with "
+        "python -m repro status HOST:PORT or curl",
     )
     parser.add_argument(
         "--continue-past-quarantine",
@@ -573,9 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         metavar="SECONDS",
-        help="after a server drains, keep retrying the address this long "
-        "so the worker joins the invocation's next map (worker subcommand "
-        "only; 0 exits after one session)",
+        help="after a server closes, keep retrying the address this long "
+        "so the worker joins the next invocation's server on it (worker "
+        "subcommand only; 0 exits after one session)",
     )
     parser.add_argument(
         # Set by WorkServer on the workers it spawns itself: an idle
@@ -663,36 +671,43 @@ def _run_command(args: argparse.Namespace) -> int:
     if read != {"args"}:
         # One backend for the whole invocation, and every refusal (a bad
         # spec or flag, a corrupt or mismatched store) before anything
-        # prints.
+        # prints.  It is closed after the last section, not after the
+        # campaigns: ext-patterns and ext-codelength map as they print.
         values["backend"] = resolve_backend(_execution_backend(args), args.jobs)
-    campaigns = [name for name in CAMPAIGNS if name in read]
-    for name in campaigns:
-        _, run = CAMPAIGNS[name]
-        values[name] = run(
-            _campaign_config(name, args),
-            jobs=args.jobs,
-            backend=values["backend"],
-            resume=_resume_path(name, campaigns, args.resume),
-            progress=args.progress,
-            shared_cache=args.shared_cache,
-        )
-    incomplete = False
-    for name in names:
-        description, runner = COMMANDS[name]
-        print(f"== {description} ==")
-        try:
-            text = runner(*(values[source] for source in inputs[name]))
-        except IncompleteGridError as error:
-            # Report and keep going: later exhibits of `all` may be
-            # whole, but the run must still exit incomplete.
-            print(error)
-            incomplete = True
-        else:
-            if args.timings and "sweep" in inputs[name]:
-                text += "\n\n" + timing_table(values["sweep"])
-            print(text)
-        print()
-    return EXIT_INCOMPLETE_GRID if incomplete else 0
+    # The sweep's timing table goes under the first view that renders it.
+    timed = next((name for name in names if "sweep" in inputs[name]), None)
+    try:
+        campaigns = [name for name in CAMPAIGNS if name in read]
+        for name in campaigns:
+            _, run = CAMPAIGNS[name]
+            values[name] = run(
+                _campaign_config(name, args),
+                jobs=args.jobs,
+                backend=values["backend"],
+                resume=_resume_path(name, campaigns, args.resume),
+                progress=args.progress,
+                shared_cache=args.shared_cache,
+            )
+        incomplete = False
+        for name in names:
+            description, runner = COMMANDS[name]
+            print(f"== {description} ==")
+            try:
+                text = runner(*(values[source] for source in inputs[name]))
+            except IncompleteGridError as error:
+                # Report and keep going: later exhibits of `all` may be
+                # whole, but the run must still exit incomplete.
+                print(error)
+                incomplete = True
+            else:
+                if args.timings and name == timed:
+                    text += "\n\n" + timing_table(values["sweep"])
+                print(text)
+            print()
+        return EXIT_INCOMPLETE_GRID if incomplete else 0
+    finally:
+        if "backend" in values:
+            values["backend"].close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

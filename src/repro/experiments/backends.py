@@ -27,15 +27,16 @@ Backends
   Workers pull chunks of shards, execute them with their own warm
   process-local caches, and stream results back; a worker that
   disconnects mid-chunk has its chunk requeued for the survivors.
-* :class:`SharedFleetBackend` — one campaign's view of the ``repro
-  serve`` daemon's shared fleet.
+* :class:`SharedFleetBackend` — one campaign's view of a running
+  :class:`WorkServer`, such as the ``repro serve`` daemon's.
 
-Both socket backends are thin facades over the one work-port server,
-:class:`WorkServer`: ``SocketBackend`` starts a private server per map
-(fresh campaign id, spawned workers that exit with the map), while the
-daemon keeps one server for its lifetime and hands each job a
-``SharedFleetBackend``.  The protocol, hardening, and per-map policy
-below therefore hold for both.
+Every socket map is a :meth:`WorkServer.submit` through the one facade,
+:class:`SharedFleetBackend`.  A ``SocketBackend`` is that facade over a
+server of its own: it starts the server at its first non-empty map and
+keeps it (listener, status port, campaign id, spawned workers) until
+:meth:`~ExecutionBackend.close`, so an invocation's maps share one
+fleet as the daemon's jobs share its server.  The protocol, hardening,
+and per-map policy below therefore hold for both.
 
 Every backend maps through one method,
 :meth:`ExecutionBackend.imap_unordered`, which yields ``(shard_index,
@@ -70,9 +71,10 @@ server carries operational safeguards on top of the base protocol (see
   crash loop.  (With ``--resume``, every cell completed before the
   abort is already durable.)
 * **Start barrier** — ``workers_expected=N`` (CLI
-  ``--workers-expected N``) holds all task dispatch until ``N`` workers
-  have joined, so a paper-scale campaign cannot silently start grinding
-  on a single straggler while the rest of the fleet is still booting.
+  ``--workers-expected N``) holds the server's first task until ``N``
+  workers have joined, so a paper-scale campaign cannot silently start
+  grinding on a single straggler while the rest of the fleet is still
+  booting.
 * **Continue past quarantine** — ``continue_past_quarantine=True``
   (CLI ``--continue-past-quarantine``) changes what budget exhaustion
   means for that map: instead of failing it, the poison chunk is set
@@ -171,7 +173,6 @@ import traceback
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 from repro.experiments.monitor import STATUS_FORMAT, ThroughputHistory
@@ -252,6 +253,10 @@ class ExecutionBackend(ABC):
     method; it pairs each result with its shard index, so the campaign
     loop (:func:`~repro.experiments.campaign.run_campaign`) files results
     the same way on every backend, whatever order they complete in.
+
+    A backend may hold resources across maps (a socket backend's server
+    and workers), so whoever turns a spec into an instance closes it:
+    :meth:`close`, or a ``with`` block.
     """
 
     #: Short name used by CLI ``--backend`` and reprs.
@@ -283,6 +288,15 @@ class ExecutionBackend(ABC):
     def worker_hint(self) -> int:
         """Expected concurrent workers (callers size chunks from this)."""
         return 1
+
+    def close(self) -> None:
+        """Release what the backend holds across maps (here: nothing)."""
+
+    def __enter__(self) -> "ExecutionBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -575,8 +589,8 @@ def _reconnect_backoff(
     each failed attempt doubles the delay up to ``cap``, and every delay
     is jittered by ±50% so the fleet's retries spread out instead of
     arriving as synchronized thundering herds.  The caller restarts the
-    generator after any successful session (the next map of the same
-    exhibit usually binds within moments).  The default jitter source is
+    generator after any successful session (the next server on the same
+    address usually binds within moments).  The default jitter source is
     private, so a lingering worker thread never moves the global ``random``.
     """
     if rng is None:
@@ -595,9 +609,10 @@ def run_worker(
 ) -> tuple[int, bool]:
     """Socket-backend worker loop: ``python -m repro worker --connect ...``.
 
-    Connects to a :class:`WorkServer` (a ``--backend socket`` map or the
-    ``repro serve`` daemon), then pulls ``task`` frames (a chunk of shards
-    plus the module-level worker function, shipped by reference),
+    Connects to a :class:`WorkServer` (a ``--backend socket``
+    invocation's or the ``repro serve`` daemon's), then pulls ``task``
+    frames (a chunk of shards plus the module-level worker function,
+    shipped by reference),
     executes them, and streams ``result`` frames
     back until the server sends ``shutdown``.  Exceptions inside a task
     are reported as ``error`` frames with the formatted traceback and do
@@ -614,11 +629,12 @@ def run_worker(
     ``REPRO_AUTH_TOKEN`` environment variable, which is also how a
     server passes the secret to the workers it spawns itself).
 
-    ``linger`` keeps the worker alive across *servers*: a CLI invocation
-    runs one socket map per campaign and per extra grid (headline two,
-    ext-patterns three, ``all`` eight), each draining its workers with
-    ``shutdown``, so after a session ends the worker keeps retrying the
-    address for ``linger`` seconds and joins the next map that binds it.  ``0`` exits after the
+    ``linger`` keeps the worker alive across *servers*: one session
+    serves every map of a CLI invocation, whose server drains its
+    workers with ``shutdown`` when the invocation ends, so after a
+    session ends the worker keeps retrying the address for ``linger``
+    seconds and joins the next server that binds it (the campaign's next
+    invocation, or a restarted daemon).  ``0`` exits after the
     first session (or immediately if no server is listening).  Failed
     reconnect attempts back off exponentially with jitter (capped at
     ``_BACKOFF_CAP`` seconds) so a dead server is not hammered.
@@ -661,7 +677,7 @@ def run_worker(
             if chunks or clean:
                 # A session that served chunks or drained cleanly
                 # refreshes the window and resets the backoff: the next
-                # map of the same exhibit usually starts within moments.
+                # server on the address usually binds within moments.
                 # A server that was never reachable does not — the
                 # linger clock keeps running and the delays keep growing.
                 deadline = time.monotonic() + max(0.0, linger)
@@ -784,13 +800,10 @@ class WorkServer:
     once, keeps worker sessions alive across maps, and hands out chunks
     **round-robin across all open maps**: with two campaigns sharing two
     workers, each advances at half speed instead of the second starving
-    behind the first.  Two shapes use it:
-
-    * :class:`SocketBackend` starts a private server per map (fresh
-      campaign id, spawned workers at ``--linger 0`` that exit with the
-      map) and closes it when the map drains.
-    * The ``repro serve`` daemon keeps one server for its lifetime and
-      wraps it in a :class:`SharedFleetBackend` per job.
+    behind the first.  Maps arrive through :class:`SharedFleetBackend`
+    facades, and a server lives as long as its owner: a
+    :class:`SocketBackend` (one CLI invocation or library driver call,
+    its spawned workers at ``--linger 0``) or the ``repro serve`` daemon.
 
     The campaign id in the ``welcome`` frame scopes the server lifetime,
     so a frame replayed from another server (or a previous incarnation
@@ -899,8 +912,11 @@ class WorkServer:
         """Bind the work port, start accepting, spawn the local fleet.
 
         On failure the caller must still :meth:`close` the server, which
-        releases whatever was already bound or spawned.
+        releases whatever was already bound or spawned.  A closed server
+        never starts again.
         """
+        if self._closed.is_set():
+            raise RuntimeError("work server is closed")
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -909,6 +925,8 @@ class WorkServer:
         except OSError:
             listener.close()
             raise
+        # Here, not in the acceptor: a close() can beat its first run.
+        listener.settimeout(0.1)
         self._listener = listener
         self.address = listener.getsockname()[:2]
         if self.status_port is not None:
@@ -937,10 +955,10 @@ class WorkServer:
         :mod:`repro` importable.)
 
         ``worker_linger`` is the workers' ``--linger``: the daemon's
-        fleet outlives individual maps, so a worker that loses its
+        fleet outlives its restarts, so a worker that loses its
         connection retries the port for a few seconds instead of
-        shrinking the fleet for good; a per-map server passes ``0`` so
-        its workers exit with the map.
+        shrinking the fleet for good; a :class:`SocketBackend`'s server
+        passes ``0`` so its workers exit when it closes.
         """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(entry for entry in sys.path if entry)
@@ -1015,11 +1033,11 @@ class WorkServer:
     ) -> "MapHandle":
         """Open a map over the fleet; iterate the handle's results.
 
-        The keywords are the per-map policy :class:`SocketBackend`
-        documents; the daemon's maps keep the defaults, so a spent retry
-        budget fails that map only.  ``timeout`` bounds the whole map
-        (``None`` waits forever); ``info`` is echoed into snapshots as
-        ``campaign``.
+        The keywords are the per-map policy a :class:`SharedFleetBackend`
+        holds (:class:`SocketBackend` documents each); the daemon's maps
+        keep the defaults, so a spent retry budget fails that map only.
+        ``timeout`` bounds the whole map (``None`` waits forever);
+        ``info`` is echoed into snapshots as ``campaign``.
         """
         if self._closed.is_set():
             raise RuntimeError("work server is closed")
@@ -1171,11 +1189,9 @@ class WorkServer:
     # -- worker sessions ------------------------------------------------
 
     def _accept_loop(self) -> None:
-        listener = self._listener
-        listener.settimeout(0.1)
         while not self._closed.is_set():
             try:
-                conn, _ = listener.accept()
+                conn, _ = self._listener.accept()
             except socket.timeout:
                 continue
             except OSError:
@@ -1488,71 +1504,126 @@ class MapHandle:
             server._close_map(self.map_id)
 
 
-class _FleetFacade(ExecutionBackend):
-    """An :class:`ExecutionBackend` over :class:`WorkServer` maps.
+class SharedFleetBackend(ExecutionBackend):
+    """An :class:`ExecutionBackend` over a :class:`WorkServer`: the one map path.
 
-    The consumer side both socket backends share: subclasses supply
-    :meth:`_map`, a context manager that submits one map and yields its
-    :class:`MapHandle`.
+    Each map is one :meth:`WorkServer.submit`, so the ordinary drivers
+    run unchanged while their chunks interleave with every other map on
+    the server.  The daemon gives each job one over its running server.
+    The keywords are the per-map policy (see :class:`SocketBackend`),
+    defaulting to the daemon's.  :meth:`cancel` (any thread) aborts the
+    in-flight map and every later one with :class:`MapCancelled`;
+    :attr:`shards_done` / :attr:`shards_total` are the live coverage
+    counters the service's job endpoint reports.
     """
 
-    def __init__(self, fleet: WorkServer) -> None:
-        self._fleet = fleet
+    name = "shared-fleet"
+
+    def __init__(
+        self,
+        server: WorkServer,
+        *,
+        timeout: float | None = None,
+        continue_past_quarantine: bool = False,
+        max_buffered_chunks: int | None = None,
+    ) -> None:
+        if max_buffered_chunks is not None and max_buffered_chunks < 1:
+            raise ValueError("max_buffered_chunks must be >= 1 (or None)")
+        self._fleet = server
+        self.timeout = timeout
+        self.continue_past_quarantine = continue_past_quarantine
+        self.max_buffered_chunks = max_buffered_chunks
         #: Shards submitted by this facade (resumed cells never were).
         self.shards_total = 0
         #: Shards whose results have been yielded back to the driver.
         self.shards_done = 0
+        self._handle: MapHandle | None = None
+        self._cancelled = threading.Event()
+
+    @property
+    def address(self) -> tuple[str, int] | None:
+        """The server's live work listener (``None`` unless started)."""
+        return self._fleet.address
+
+    @property
+    def status_address(self) -> tuple[str, int] | None:
+        """The server's live status server (``None`` unless started with one)."""
+        return self._fleet.status_address
 
     def worker_hint(self) -> int:
         return self._fleet.worker_hint()
+
+    def cancel(self) -> None:
+        self._cancelled.set()
+        handle = self._handle
+        if handle is not None:
+            handle.cancel()
 
     def imap_unordered(
         self, worker: Callable, shards: Sequence, chunksize: int = 1
     ) -> Iterator[tuple[int, object]]:
         self.quarantined_shards = ()
         self.healed_shards = ()
-        with self._map(worker, shards, chunksize) as handle:
-            self.shards_total += len(shards)
-            results = handle.results()
-            try:
-                for pair in results:
-                    self.shards_done += 1
-                    yield pair
-            finally:
-                results.close()
-                self.quarantined_shards = tuple(sorted(handle.quarantined))
-                self.healed_shards = tuple(sorted(handle.healed))
+        if self._cancelled.is_set():
+            raise MapCancelled("campaign cancelled before dispatch")
+        if len(shards) and self._fleet.address is None:
+            self._fleet.start()  # an empty map needs no fleet
+        self._handle = handle = self._fleet.submit(
+            worker,
+            shards,
+            chunksize,
+            continue_past_quarantine=self.continue_past_quarantine,
+            max_buffered_chunks=self.max_buffered_chunks,
+            timeout=self.timeout,
+            # Only a SocketBackend describes its campaign (see there).
+            info=getattr(self, "campaign_info", None),
+        )
+        if self._cancelled.is_set():
+            # cancel() raced the submit: make sure the map dies too.
+            handle.cancel()
+        self.shards_total += len(shards)
+        results = handle.results()
+        try:
+            for pair in results:
+                self.shards_done += 1
+                yield pair
+        finally:
+            results.close()
+            self._handle = None
+            self.quarantined_shards = tuple(sorted(handle.quarantined))
+            self.healed_shards = tuple(sorted(handle.healed))
 
 
-class SocketBackend(_FleetFacade):
-    """Ship shards to worker processes over TCP, one server per map.
+class SocketBackend(SharedFleetBackend):
+    """Ship shards to worker processes over TCP, through a server of its own.
 
-    Each map call starts a private :class:`WorkServer` — a fresh
-    campaign id, so a lingering worker's frames from the previous map
-    are rejected per-frame, and freshly spawned workers that exit with
-    the map — submits the one map, and closes the server when the map
-    drains or its consumer stops early.
+    The backend builds a :class:`WorkServer` from its options, starts it
+    at its first non-empty map (an all-resumed campaign never binds or
+    spawns), and keeps it until :meth:`close`, which reaps the spawned
+    workers: every map shares one listener, status port, campaign id and
+    set of workers, each of which imports and warms its caches once.
 
     Args:
         bind: ``HOST:PORT`` to listen on.  Port ``0`` picks an ephemeral
-            port (the resolved address is available as ``self.address``
-            while a map is running).  Bind a routable host to accept
+            port (the resolved address is :attr:`address` from the first
+            map until :meth:`close`).  Bind a routable host to accept
             workers from other machines.
-        spawn_workers: local worker processes to launch per map call
-            (each runs ``python -m repro worker --connect``); ``0``
-            relies entirely on externally-started workers.
-        timeout: overall seconds to wait for results before failing
-            (``None`` waits forever — the distributed default, matching
-            the artifact's "come back when the machines are done").
+        spawn_workers: local worker processes the server launches when
+            it starts (each runs ``python -m repro worker --connect``);
+            ``0`` relies entirely on externally-started workers.
+        timeout: seconds each map may take before failing (``None``
+            waits forever — the distributed default, matching the
+            artifact's "come back when the machines are done").
         auth_token: shared secret a worker must present in its ``hello``
             frame; ``None`` accepts every worker.  Spawned local workers
             inherit the secret through the ``REPRO_AUTH_TOKEN``
             environment variable (never the command line, which ``ps``
             would show); remote workers pass ``--auth-token`` or set the
             same variable.
-        workers_expected: hold every task until this many workers have
-            joined (the start barrier for paper-scale fleets); ``0``
-            dispatches to the first worker that shows up.
+        workers_expected: hold the server's first task until this many
+            workers have joined (the start barrier for paper-scale
+            fleets; later maps dispatch at once); ``0`` dispatches to
+            the first worker that shows up.
         heartbeat_timeout: seconds of silence from a worker that owns a
             chunk before it is presumed dead and its chunk requeued.
             Workers are told to heartbeat at a quarter of this, so a
@@ -1571,10 +1642,10 @@ class SocketBackend(_FleetFacade):
             :attr:`healed_shards` (their results are yielded normally).
             Bit-identical for every shard that does execute.
         status_port: serve a live ``repro-status-v2`` snapshot of the
-            running map at ``GET /status`` on this TCP port (bound on
-            the same host as the work port; ``0`` picks an ephemeral
-            port, resolved as :attr:`status_address` while a map runs);
-            ``None`` disables the status server entirely.
+            server at ``GET /status`` on this TCP port (bound on the same
+            host as the work port; ``0`` picks an ephemeral port,
+            resolved as :attr:`status_address` from the first map until
+            :meth:`close`); ``None`` disables the status server entirely.
         max_buffered_chunks: backpressure bound — pause dispatching new
             chunks while this many completed chunks sit unconsumed by a
             slow consumer (a stalled store disk, a saturated pipe).
@@ -1585,107 +1656,33 @@ class SocketBackend(_FleetFacade):
 
     name = "socket"
 
+    #: Workload fields the campaign loop fills in, echoed into status
+    #: snapshots while a map is open.  Only a backend that owns its
+    #: server describes it: a daemon's snapshot counts jobs instead.
+    campaign_info: dict | None = None
+
     def __init__(
         self,
         bind: str = "127.0.0.1:0",
         spawn_workers: int = 1,
+        *,
         timeout: float | None = None,
-        auth_token: str | None = None,
-        workers_expected: int = 0,
-        heartbeat_timeout: float | None = DEFAULT_HEARTBEAT_TIMEOUT,
-        max_chunk_retries: int = DEFAULT_CHUNK_RETRIES,
         continue_past_quarantine: bool = False,
-        status_port: int | None = None,
         max_buffered_chunks: int | None = None,
+        **server_options,
     ) -> None:
-        if max_buffered_chunks is not None and max_buffered_chunks < 1:
-            raise ValueError("max_buffered_chunks must be >= 1 (or None)")
-        #: Keywords of each map's private server: a fresh campaign id,
-        #: and spawned workers that exit with the map.
-        self._server_options = dict(
-            bind=bind,
-            spawn_workers=spawn_workers,
-            auth_token=auth_token,
-            workers_expected=workers_expected,
-            heartbeat_timeout=heartbeat_timeout,
-            max_chunk_retries=max_chunk_retries,
-            status_port=status_port,
-            worker_linger=0.0,
+        # server_options: WorkServer's auth_token, workers_expected,
+        # heartbeat_timeout, max_chunk_retries and status_port.
+        super().__init__(
+            WorkServer(bind, spawn_workers=spawn_workers, worker_linger=0.0, **server_options),
+            timeout=timeout,
+            continue_past_quarantine=continue_past_quarantine,
+            max_buffered_chunks=max_buffered_chunks,
         )
-        self.timeout = timeout
-        self.continue_past_quarantine = continue_past_quarantine
-        self.max_buffered_chunks = max_buffered_chunks
-        #: Optional driver-supplied workload fields (e.g. the fleet
-        #: runner's chip/shard counts) echoed into status snapshots.
-        self.campaign_info: dict | None = None
-        #: Resolved ``(host, port)`` of the live listener / status
-        #: server while a map runs.
-        self.address: tuple[str, int] | None = None
-        self.status_address: tuple[str, int] | None = None
-        # Never started: it validates the server options up front and
-        # sizes chunks (worker_hint).
-        super().__init__(WorkServer(**self._server_options))
 
-    @contextmanager
-    def _map(self, worker: Callable, shards: Sequence, chunksize: int):
-        server = WorkServer(**self._server_options)
-        try:
-            if len(shards):  # an empty map needs no fleet
-                server.start()
-                self.address, self.status_address = server.address, server.status_address
-            yield server.submit(
-                worker,
-                shards,
-                chunksize,
-                continue_past_quarantine=self.continue_past_quarantine,
-                max_buffered_chunks=self.max_buffered_chunks,
-                timeout=self.timeout,
-                info=self.campaign_info,
-            )
-        finally:
-            server.close()
-            self.address = self.status_address = None
-
-
-class SharedFleetBackend(_FleetFacade):
-    """Per-campaign :class:`ExecutionBackend` facade over a shared fleet.
-
-    Each service job gets its own facade over the daemon's one
-    :class:`WorkServer`, so the ordinary drivers (``run_sweep``,
-    ``fig10.run``, ``fleet.run``) run unchanged — resume stores,
-    progress, and bit-identity all come for free — while their chunks
-    interleave with every other job's on the shared fleet.
-
-    :meth:`cancel` (any thread) aborts the facade's in-flight map with
-    :class:`MapCancelled`; :attr:`shards_done` / :attr:`shards_total`
-    are the live coverage counters the service's job endpoint reports.
-    """
-
-    name = "shared-fleet"
-
-    def __init__(self, server: WorkServer) -> None:
-        super().__init__(server)
-        self._handle: MapHandle | None = None
-        self._cancelled = threading.Event()
-
-    def cancel(self) -> None:
-        self._cancelled.set()
-        handle = self._handle
-        if handle is not None:
-            handle.cancel()
-
-    @contextmanager
-    def _map(self, worker: Callable, shards: Sequence, chunksize: int):
-        if self._cancelled.is_set():
-            raise MapCancelled("campaign cancelled before dispatch")
-        self._handle = handle = self._fleet.submit(worker, shards, chunksize)
-        if self._cancelled.is_set():
-            # cancel() raced the submit: make sure the map dies too.
-            handle.cancel()
-        try:
-            yield handle
-        finally:
-            self._handle = None
+    def close(self) -> None:
+        """Shut the server down: end every worker session, reap the spawned."""
+        self._fleet.close()
 
 
 def resolve_backend(
@@ -1714,7 +1711,8 @@ def resolve_backend(
     ``status_port``, ``max_buffered_chunks``) to a socket spec's
     :class:`SocketBackend`; supplying them with anything else (another
     spec, ``None`` or a pre-built instance) is an error, because they
-    would be silently dropped.
+    would be silently dropped.  A backend built here is the caller's to
+    close.
     """
     spec = (
         None

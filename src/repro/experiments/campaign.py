@@ -72,51 +72,55 @@ def run_campaign(
         )
     shards = grid(config)
     # Resolve (and validate) the backend before any store side effects:
-    # a bad spec must not leave a header-only store file behind.
+    # a bad spec must not leave a header-only store file behind.  A
+    # backend resolved here from a spec is closed here (a socket spec's
+    # server and workers end with the campaign); an instance stays its
+    # caller's.
     executor = resolve_backend(backend, jobs)
-    if hasattr(executor, "campaign_info"):
-        executor.campaign_info = {
-            "workload": store_format.name,
-            "shards": len(shards),
-            **(describe(shards) if describe is not None else {}),
-        }
+    owned = None if executor is backend else executor
     store: ShardStore | None = None
-    persisted = StoreContents(None, {}, {})
-    if resume is not None:
-        store = ShardStore(resume, store_format)
-        persisted = store.load()
-        if persisted.results and persisted.config is None:
-            raise ValueError(
-                f"{resume} holds {store_format.unit} but does not record the "
-                f"{store_format.label} config that produced them; refusing to "
-                f"reuse {store_format.unit} that cannot be verified (use a "
-                "fresh --resume path)"
-            )
-        if persisted.config is not None and persisted.config != config:
-            raise ValueError(
-                f"{resume} was written by a different {store_format.label} "
-                "config; refusing to mix results (use a fresh --resume path)"
-            )
-    results, seconds = persisted.results, persisted.seconds
-    pending = [shard for shard in shards if shard.key not in results]
-    reporter = None
-    if progress is not False and progress is not None:
-        # A number is the cadence in seconds: 0.0 reports every shard.
-        interval = 10.0 if progress is True else float(progress)
-        reporter = ProgressReporter(len(shards), unit=store_format.unit, interval=interval)
     shared_block = None
-    if shared_entries is not None:
-        # Publish BEFORE the pool exists: ProcessPoolBackend creates its
-        # executor inside the map call, so fork children inherit the
-        # warm overlay and spawn children attach via the initializer.
-        shared_block = shared_memo.publish_entries(shared_entries(config))
-        if isinstance(executor, ProcessPoolBackend) and executor.jobs > 1:
-            executor = ProcessPoolBackend(
-                executor.jobs,
-                initializer=shared_memo.attach_worker,
-                initargs=(shared_block.name,),
-            )
     try:
+        if hasattr(executor, "campaign_info"):
+            executor.campaign_info = {
+                "workload": store_format.name,
+                "shards": len(shards),
+                **(describe(shards) if describe is not None else {}),
+            }
+        persisted = StoreContents(None, {}, {})
+        if resume is not None:
+            store = ShardStore(resume, store_format)
+            persisted = store.load()
+            if persisted.results and persisted.config is None:
+                raise ValueError(
+                    f"{resume} holds {store_format.unit} but does not record the "
+                    f"{store_format.label} config that produced them; refusing to "
+                    f"reuse {store_format.unit} that cannot be verified (use a "
+                    "fresh --resume path)"
+                )
+            if persisted.config is not None and persisted.config != config:
+                raise ValueError(
+                    f"{resume} was written by a different {store_format.label} "
+                    "config; refusing to mix results (use a fresh --resume path)"
+                )
+        results, seconds = persisted.results, persisted.seconds
+        pending = [shard for shard in shards if shard.key not in results]
+        reporter = None
+        if progress is not False and progress is not None:
+            # A number is the cadence in seconds: 0.0 reports every shard.
+            interval = 10.0 if progress is True else float(progress)
+            reporter = ProgressReporter(len(shards), unit=store_format.unit, interval=interval)
+        if shared_entries is not None:
+            # Publish BEFORE the pool exists: ProcessPoolBackend creates its
+            # executor inside the map call, so fork children inherit the
+            # warm overlay and spawn children attach via the initializer.
+            shared_block = shared_memo.publish_entries(shared_entries(config))
+            if isinstance(executor, ProcessPoolBackend) and executor.jobs > 1:
+                executor = ProcessPoolBackend(
+                    executor.jobs,
+                    initializer=shared_memo.attach_worker,
+                    initargs=(shared_block.name,),
+                )
         if store is not None:
             store.open(config)
         if reporter is not None:
@@ -151,4 +155,6 @@ def run_campaign(
             # exits; attached workers keep their mapping, new attaches
             # must fail — the block's lifetime is exactly this map.
             shared_block.destroy()
+        if owned is not None:
+            owned.close()
     return Campaign(shards, results, seconds, quarantined)

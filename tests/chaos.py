@@ -33,7 +33,7 @@ late-join support, so chaos tests cover process death, not just wire
 noise.
 
 The proxy speaks plain frames, so it fronts any ``repro-wire-v1``
-listener — a :class:`SocketBackend` map's server *or* the campaign
+listener — a :class:`SocketBackend`'s server *or* the campaign
 daemon's persistent one.  For daemon crash drills,
 :meth:`ChaosProxy.retarget` repoints new connections at a restarted
 daemon's fresh ephemeral work port while the proxy's own front address
@@ -408,26 +408,24 @@ def _self_test() -> int:
         profilers=("Naive", "HARP-U"),
     )
     serial = run_sweep(config)
-    backend = SocketBackend(
-        spawn_workers=0, heartbeat_timeout=2.0, timeout=300.0
-    )
     plan = FaultPlan(corrupt=0.05, seed=1234)
     result = {}
+    with SocketBackend(spawn_workers=0, heartbeat_timeout=2.0, timeout=300.0) as backend:
 
-    def campaign() -> None:
-        result["sweep"] = run_sweep(config, backend=backend)
+        def campaign() -> None:
+            result["sweep"] = run_sweep(config, backend=backend)
 
-    runner = threading.Thread(target=campaign, daemon=True)
-    runner.start()
-    while backend.address is None:
-        time.sleep(0.01)
-    with ChaosProxy(backend.address, plan) as proxy:
-        host, port = proxy.address
-        with WorkerFleet(f"{host}:{port}") as fleet:
-            fleet.spawn(2)
-            fleet.kill_one_after(1.0)
-            fleet.join_late(1.5)
-            runner.join(timeout=300)
+        runner = threading.Thread(target=campaign, daemon=True)
+        runner.start()
+        while backend.address is None:
+            time.sleep(0.01)
+        with ChaosProxy(backend.address, plan) as proxy:
+            host, port = proxy.address
+            with WorkerFleet(f"{host}:{port}") as fleet:
+                fleet.spawn(2)
+                fleet.kill_one_after(1.0)
+                fleet.join_late(1.5)
+                runner.join(timeout=300)
     if runner.is_alive():
         print("chaos self-test: campaign did not finish", file=sys.stderr)
         return 1

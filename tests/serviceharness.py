@@ -45,8 +45,8 @@ def wait_for_address(backend, deadline: float = 30.0):
     """Spin until the backend's listener is live; return (host, port).
 
     Works for anything exposing an ``address`` attribute that flips
-    from ``None`` to ``(host, port)`` once bound: ``SocketBackend``
-    while a map runs, a started ``WorkServer``, a ``StatusServer``.
+    from ``None`` to ``(host, port)`` once bound: a ``SocketBackend``
+    from its first map until it closes, a started ``WorkServer``.
     """
     end = time.monotonic() + deadline
     while backend.address is None:
@@ -126,6 +126,22 @@ def spawn_worker(
         stdout=sink,
         stderr=sink,
     )
+
+
+def record_spawns(monkeypatch) -> list:
+    """Patch ``WorkServer`` for one test to record every worker it spawns."""
+    from repro.experiments.backends import WorkServer
+
+    spawned: list = []
+    spawn = WorkServer._spawn_local_workers
+
+    def recording(server, port):
+        procs = spawn(server, port)
+        spawned.extend(procs)
+        return procs
+
+    monkeypatch.setattr(WorkServer, "_spawn_local_workers", recording)
+    return spawned
 
 
 def terminate_procs(procs, timeout: float = 10.0) -> None:

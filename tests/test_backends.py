@@ -6,7 +6,7 @@ the worker loop, remote-error propagation, the backend spec strings the
 CLI forwards, the campaign-hardening failure paths (auth rejection,
 heartbeat-timeout requeue, poison-chunk retry budgets, the
 workers-expected start barrier), and the multi-map work server behind
-both socket facades.
+facade every socket map goes through.
 """
 
 import random
@@ -36,7 +36,7 @@ from repro.experiments.backends import (
 from repro.experiments.wire import make_session
 from repro.experiments.config import CaseStudyConfig, SweepConfig
 from repro.experiments.runner import run_sweep
-from serviceharness import BackgroundCampaign, map_in_order, wait_until
+from serviceharness import BackgroundCampaign, map_in_order, record_spawns, wait_until
 from serviceharness import wait_for_address as _wait_for_address
 
 CONFIG = SweepConfig(
@@ -176,8 +176,10 @@ class TestBackendContract:
 
     def test_empty_shards(self):
         assert list(SerialBackend().imap_unordered(_identity, [])) == []
-        socket_backend = SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT)
-        assert list(socket_backend.imap_unordered(_identity, [])) == []
+        with SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT) as socket_backend:
+            assert list(socket_backend.imap_unordered(_identity, [])) == []
+            # An invocation whose maps are all resumed never binds or spawns.
+            assert socket_backend.address is None
 
     @pytest.mark.parametrize(
         "backend",
@@ -191,13 +193,14 @@ class TestBackendContract:
     def test_imap_unordered_covers_every_shard_with_right_indices(self, backend):
         """Completion order is free; the (index, result) pairing is not."""
         values = list(range(7))
-        pairs = list(backend.imap_unordered(_identity, values, chunksize=2))
+        with backend:
+            pairs = list(backend.imap_unordered(_identity, values, chunksize=2))
         assert sorted(pairs) == [(i, v * 2) for i, v in enumerate(values)]
 
     def test_socket_error_propagates(self):
-        backend = SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT)
-        with pytest.raises(RuntimeError, match="cannot process"):
-            map_in_order(backend, _boom, [1, 2])
+        with SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT) as backend:
+            with pytest.raises(RuntimeError, match="cannot process"):
+                map_in_order(backend, _boom, [1, 2])
 
     def test_worker_death_mid_chunk_requeues_to_survivor(self, tmp_path, monkeypatch):
         """The module docstring's promise: a worker that dies mid-chunk
@@ -209,8 +212,8 @@ class TestBackendContract:
         sent = _record_frames(monkeypatch, "task")
         marker = str(tmp_path / "killed-once")
         items = [("plain", 1), ("kill-once", marker), ("plain", 2)]
-        backend = SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT)
-        results = map_in_order(backend, _die_once_then_succeed, items, chunksize=1)
+        with SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT) as backend:
+            results = map_in_order(backend, _die_once_then_succeed, items, chunksize=1)
         assert results == [("ok", 1), ("survived", marker), ("ok", 2)]
         assert os.path.exists(marker)  # the first attempt really died
         killed = [ticket for ticket, _, chunk in sent if chunk[0][0] == "kill-once"]
@@ -227,70 +230,70 @@ class TestAuthToken:
     """The join handshake's shared secret."""
 
     def test_wrong_token_rejected_and_right_token_serves(self):
-        backend = SocketBackend(
-            spawn_workers=0, auth_token="s3cret", timeout=SOCKET_TIMEOUT
-        )
         rejection = {}
+        with SocketBackend(
+            spawn_workers=0, auth_token="s3cret", timeout=SOCKET_TIMEOUT
+        ) as backend:
 
-        def bad_worker():
-            host, port = _wait_for_address(backend)
-            try:
-                run_worker(f"{host}:{port}", auth_token="wrong")
-            except WorkerRejectedError as error:
-                rejection["reason"] = str(error)
+            def bad_worker():
+                host, port = _wait_for_address(backend)
+                try:
+                    run_worker(f"{host}:{port}", auth_token="wrong")
+                except WorkerRejectedError as error:
+                    rejection["reason"] = str(error)
 
-        def good_worker():
-            host, port = _wait_for_address(backend)
-            run_worker(f"{host}:{port}", auth_token="s3cret")
+            def good_worker():
+                host, port = _wait_for_address(backend)
+                run_worker(f"{host}:{port}", auth_token="s3cret")
 
-        threading.Thread(target=bad_worker, daemon=True).start()
-        threading.Thread(target=good_worker, daemon=True).start()
-        assert map_in_order(backend, _identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
+            threading.Thread(target=bad_worker, daemon=True).start()
+            threading.Thread(target=good_worker, daemon=True).start()
+            assert map_in_order(backend, _identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
         assert "auth token" in rejection.get("reason", "auth token")
 
     def test_missing_token_rejected(self):
-        backend = SocketBackend(
-            spawn_workers=0, auth_token="s3cret", timeout=SOCKET_TIMEOUT
-        )
         outcome = {}
+        with SocketBackend(
+            spawn_workers=0, auth_token="s3cret", timeout=SOCKET_TIMEOUT
+        ) as backend:
 
-        def tokenless_then_good():
-            host, port = _wait_for_address(backend)
-            try:
-                run_worker(f"{host}:{port}")  # no token at all
-            except WorkerRejectedError:
-                outcome["rejected"] = True
-            run_worker(f"{host}:{port}", auth_token="s3cret")
+            def tokenless_then_good():
+                host, port = _wait_for_address(backend)
+                try:
+                    run_worker(f"{host}:{port}")  # no token at all
+                except WorkerRejectedError:
+                    outcome["rejected"] = True
+                run_worker(f"{host}:{port}", auth_token="s3cret")
 
-        threading.Thread(target=tokenless_then_good, daemon=True).start()
-        assert map_in_order(backend, _identity, [5], chunksize=1) == [10]
+            threading.Thread(target=tokenless_then_good, daemon=True).start()
+            assert map_in_order(backend, _identity, [5], chunksize=1) == [10]
         assert outcome == {"rejected": True}
 
     def test_spawned_workers_inherit_token_via_env(self, monkeypatch):
         """Self-spawned workers receive the secret through the environment,
         never the command line."""
         monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
-        backend = SocketBackend(
+        with SocketBackend(
             spawn_workers=1, auth_token="fleet-secret", timeout=SOCKET_TIMEOUT
-        )
-        assert map_in_order(backend, _identity, [1, 2], chunksize=1) == [2, 4]
+        ) as backend:
+            assert map_in_order(backend, _identity, [1, 2], chunksize=1) == [2, 4]
 
     def test_tokenless_servers_workers_ignore_an_ambient_secret(self, monkeypatch):
         """A blank REPRO_AUTH_TOKEN must not reach the workers a tokenless
         server spawns: they would refuse it and never join."""
         monkeypatch.setenv(AUTH_TOKEN_ENV, "")
-        backend = SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT)
-        assert map_in_order(backend, _identity, [1, 2]) == [2, 4]
+        with SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT) as backend:
+            assert map_in_order(backend, _identity, [1, 2]) == [2, 4]
 
     def test_tokenless_server_accepts_tokened_worker(self):
-        backend = SocketBackend(spawn_workers=0, timeout=SOCKET_TIMEOUT)
+        with SocketBackend(spawn_workers=0, timeout=SOCKET_TIMEOUT) as backend:
 
-        def worker():
-            host, port = _wait_for_address(backend)
-            run_worker(f"{host}:{port}", auth_token="anything")
+            def worker():
+                host, port = _wait_for_address(backend)
+                run_worker(f"{host}:{port}", auth_token="anything")
 
-        threading.Thread(target=worker, daemon=True).start()
-        assert map_in_order(backend, _identity, [7], chunksize=1) == [14]
+            threading.Thread(target=worker, daemon=True).start()
+            assert map_in_order(backend, _identity, [7], chunksize=1) == [14]
 
 
 class TestHeartbeats:
@@ -299,50 +302,49 @@ class TestHeartbeats:
     def test_silent_worker_times_out_and_chunk_requeues(self):
         """A worker that takes a task and goes silent (hard kill, network
         partition) must have its chunk requeued for the survivors."""
-        backend = SocketBackend(
+        hung = threading.Event()
+        with SocketBackend(
             spawn_workers=1,
             workers_expected=2,
             heartbeat_timeout=1.0,
             timeout=SOCKET_TIMEOUT,
-        )
-        hung = threading.Event()
+        ) as backend:
 
-        def silent_worker():
-            host, port = _wait_for_address(backend)
-            session = make_session()
-            with socket.create_connection((host, port)) as sock:
-                session.send(sock, ("hello", 0, None))
-                while True:
-                    message = session.recv(sock)
-                    if message is None:
-                        return
-                    if message[0] == "welcome":
-                        session.campaign = str(message[2])
-                        session.secure(str(message[3]))
-                        continue
-                    if message[0] == "task":
-                        hung.set()
-                        # Take the chunk, never reply, never heartbeat:
-                        # exactly what a hard-killed worker looks like.
-                        time.sleep(SOCKET_TIMEOUT)
-                        return
+            def silent_worker():
+                host, port = _wait_for_address(backend)
+                session = make_session()
+                with socket.create_connection((host, port)) as sock:
+                    session.send(sock, ("hello", 0, None))
+                    while True:
+                        message = session.recv(sock)
+                        if message is None:
+                            return
+                        if message[0] == "welcome":
+                            session.campaign = str(message[2])
+                            session.secure(str(message[3]))
+                            continue
+                        if message[0] == "task":
+                            hung.set()
+                            # Take the chunk, never reply, never heartbeat:
+                            # exactly what a hard-killed worker looks like.
+                            time.sleep(SOCKET_TIMEOUT)
+                            return
 
-        threading.Thread(target=silent_worker, daemon=True).start()
-        results = map_in_order(backend, _sleepy, list(range(4)), chunksize=1)
+            threading.Thread(target=silent_worker, daemon=True).start()
+            results = map_in_order(backend, _sleepy, list(range(4)), chunksize=1)
         assert results == [v * 2 for v in range(4)]
         assert hung.is_set()  # the silent worker really owned a chunk
 
     def test_heartbeats_keep_slow_chunks_alive(self):
         """A chunk slower than the deadline must NOT be requeued while its
         worker heartbeats: the deadline detects death, not slowness."""
-        backend = SocketBackend(
-            spawn_workers=1, heartbeat_timeout=0.4, timeout=SOCKET_TIMEOUT
-        )
         # 0.2s per item, chunksize 4 -> ~0.8s per chunk, twice the
         # deadline; heartbeats at deadline/4 keep the connection warm.
-        assert map_in_order(backend, _sleepy, list(range(4)), chunksize=4) == [
-            v * 2 for v in range(4)
-        ]
+        with SocketBackend(
+            spawn_workers=1, heartbeat_timeout=0.4, timeout=SOCKET_TIMEOUT
+        ) as backend:
+            results = map_in_order(backend, _sleepy, list(range(4)), chunksize=4)
+        assert results == [v * 2 for v in range(4)]
 
 
 def _exit_on_poison(item):
@@ -358,25 +360,25 @@ class TestRetryBudget:
     """Poison chunks are quarantined instead of crash-looping the fleet."""
 
     def test_poison_chunk_exhausts_budget_and_aborts(self):
-        backend = SocketBackend(
+        with SocketBackend(
             spawn_workers=3, max_chunk_retries=1, timeout=SOCKET_TIMEOUT
-        )
-        with pytest.raises(RuntimeError, match="retry budget|poison"):
-            map_in_order(backend, _exit_on_poison, ["ok", "poison", "fine"], chunksize=1)
+        ) as backend:
+            with pytest.raises(RuntimeError, match="retry budget|poison"):
+                map_in_order(backend, _exit_on_poison, ["ok", "poison", "fine"], chunksize=1)
 
     def test_zero_budget_aborts_on_first_loss(self):
-        backend = SocketBackend(
+        with SocketBackend(
             spawn_workers=2, max_chunk_retries=0, timeout=SOCKET_TIMEOUT
-        )
-        with pytest.raises(RuntimeError, match="retry budget|poison"):
-            map_in_order(backend, _exit_on_poison, ["ok", "poison"], chunksize=1)
+        ) as backend:
+            with pytest.raises(RuntimeError, match="retry budget|poison"):
+                map_in_order(backend, _exit_on_poison, ["ok", "poison"], chunksize=1)
 
     def test_budget_still_allows_single_recovery(self, tmp_path):
         """The PR 3 die-once scenario stays within the default budget."""
         marker = str(tmp_path / "killed-once")
         items = [("plain", 1), ("kill-once", marker), ("plain", 2)]
-        backend = SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT)
-        results = map_in_order(backend, _die_once_then_succeed, items, chunksize=1)
+        with SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT) as backend:
+            results = map_in_order(backend, _die_once_then_succeed, items, chunksize=1)
         assert results == [("ok", 1), ("survived", marker), ("ok", 2)]
 
 
@@ -384,31 +386,28 @@ class TestStartBarrier:
     """--workers-expected holds dispatch until the fleet is up."""
 
     def test_map_waits_for_expected_fleet(self):
-        backend = SocketBackend(
+        with SocketBackend(
             spawn_workers=0, workers_expected=2, timeout=SOCKET_TIMEOUT
-        )
+        ) as backend:
 
-        def late_fleet():
-            host, port = _wait_for_address(backend)
-            threading.Thread(
-                target=run_worker, args=(f"{host}:{port}",), daemon=True
-            ).start()
-            # Second worker joins noticeably later; the barrier must have
-            # held everything rather than dispatched to worker one alone.
-            time.sleep(0.5)
-            run_worker(f"{host}:{port}")
+            def late_fleet():
+                host, port = _wait_for_address(backend)
+                threading.Thread(
+                    target=run_worker, args=(f"{host}:{port}",), daemon=True
+                ).start()
+                # Second worker joins noticeably later; the barrier must have
+                # held everything rather than dispatched to worker one alone.
+                time.sleep(0.5)
+                run_worker(f"{host}:{port}")
 
-        threading.Thread(target=late_fleet, daemon=True).start()
-        assert map_in_order(backend, _identity, list(range(6)), chunksize=1) == [
-            v * 2 for v in range(6)
-        ]
+            threading.Thread(target=late_fleet, daemon=True).start()
+            results = map_in_order(backend, _identity, list(range(6)), chunksize=1)
+        assert results == [v * 2 for v in range(6)]
 
     def test_unmet_barrier_times_out_with_fleet_count(self):
-        backend = SocketBackend(
-            spawn_workers=1, workers_expected=3, timeout=3.0
-        )
-        with pytest.raises(TimeoutError, match="1 of 3 expected"):
-            map_in_order(backend, _identity, [1, 2], chunksize=1)
+        with SocketBackend(spawn_workers=1, workers_expected=3, timeout=3.0) as backend:
+            with pytest.raises(TimeoutError, match="1 of 3 expected"):
+                map_in_order(backend, _identity, [1, 2], chunksize=1)
 
 
 class TestSweepBitIdentity:
@@ -427,8 +426,8 @@ class TestSweepBitIdentity:
 
     def test_socket_end_to_end_matches_serial(self, serial):
         """Spawn 2 local workers over the socket protocol (the CI smoke)."""
-        backend = SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT)
-        result = run_sweep(CONFIG, backend=backend)
+        with SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT) as backend:
+            result = run_sweep(CONFIG, backend=backend)
         assert result.cells.keys() == serial.cells.keys()
         for key in serial.cells:
             assert result.cells[key].words == serial.cells[key].words, key
@@ -459,9 +458,8 @@ class TestFig10OverSocket:
             profilers=("Naive", "HARP-U"),
         )
         serial = fig10.run(config)
-        remote = fig10.run(
-            config, backend=SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT)
-        )
+        with SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT) as backend:
+            remote = fig10.run(config, backend=backend)
         assert remote.before == serial.before
         assert remote.after == serial.after
         assert remote.rounds_to_zero == serial.rounds_to_zero
@@ -470,20 +468,26 @@ class TestFig10OverSocket:
 class TestExternalWorker:
     """A worker process started by hand (the multi-machine path)."""
 
-    def test_run_worker_joins_listening_server(self):
-        backend = SocketBackend(spawn_workers=0, timeout=SOCKET_TIMEOUT)
+    def test_run_worker_serves_every_map_in_one_session(self):
+        """One hand-started worker (``--linger 0``: one session) joins
+        once and serves both maps of the backend; its session ends
+        cleanly when the backend closes."""
         executed = {}
+        with SocketBackend(spawn_workers=0, timeout=SOCKET_TIMEOUT) as backend:
 
-        def join_when_listening():
-            host, port = _wait_for_address(backend)
-            executed["chunks"] = run_worker(f"{host}:{port}")
+            def join_when_listening():
+                host, port = _wait_for_address(backend)
+                executed["chunks"] = run_worker(f"{host}:{port}")
 
-        worker = threading.Thread(target=join_when_listening, daemon=True)
-        worker.start()
-        results = map_in_order(backend, _identity, list(range(5)), chunksize=2)
+            worker = threading.Thread(target=join_when_listening, daemon=True)
+            worker.start()
+            first = map_in_order(backend, _identity, list(range(5)), chunksize=2)
+            second = map_in_order(backend, _identity, [5, 6], chunksize=1)
+            assert worker.is_alive()  # idle between maps, still connected
         worker.join(timeout=SOCKET_TIMEOUT)
-        assert results == [v * 2 for v in range(5)]
-        assert executed["chunks"] == (3, True)  # 3 chunks, clean session
+        assert not worker.is_alive()
+        assert first + second == [v * 2 for v in range(7)]
+        assert executed["chunks"] == (5, True)  # 3 + 2 chunks, one clean session
 
     def test_unreachable_server_reports_not_reached(self):
         executed, reached = run_worker("127.0.0.1:9", linger=0.0)
@@ -493,27 +497,28 @@ class TestExternalWorker:
     def test_silent_probe_connection_does_not_stall_the_map(self):
         """A port scan / health check that connects and says nothing must
         neither hang its handler forever nor starve the real workers."""
-        backend = SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT)
         probes = []
+        with SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT) as backend:
 
-        def probe_when_listening():
-            probe = socket.create_connection(_wait_for_address(backend))
-            probes.append(probe)  # connect, send nothing, hold open
+            def probe_when_listening():
+                probe = socket.create_connection(_wait_for_address(backend))
+                probes.append(probe)  # connect, send nothing, hold open
 
-        threading.Thread(target=probe_when_listening, daemon=True).start()
-        assert map_in_order(backend, _identity, list(range(4)), chunksize=1) == [
-            v * 2 for v in range(4)
-        ]
+            threading.Thread(target=probe_when_listening, daemon=True).start()
+            results = map_in_order(backend, _identity, list(range(4)), chunksize=1)
+        assert results == [v * 2 for v in range(4)]
         for probe in probes:
             probe.close()
 
-    def test_lingering_worker_serves_consecutive_maps(self):
-        """Multi-sweep exhibits drain workers per sweep; linger rejoins.
+    def test_lingering_worker_serves_consecutive_backends(self, monkeypatch):
+        """Consecutive invocations on one address: linger rejoins.
 
-        One fixed port, two separate maps (as ext-patterns or headline
-        would run), one external worker with a linger window: it must
-        execute chunks of both.
+        One fixed port, two backends in turn (two CLI invocations), one
+        external worker with a linger window: it must execute chunks of
+        both, and the second backend's server welcomes it under a fresh
+        campaign id, so no frame of the first session replays into it.
         """
+        welcomes = _record_frames(monkeypatch, "welcome")
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -528,12 +533,16 @@ class TestExternalWorker:
         )
         worker.start()
         options = {"bind": f"127.0.0.1:{port}", "spawn_workers": 0, "timeout": SOCKET_TIMEOUT}
-        first = map_in_order(SocketBackend(**options), _identity, [1, 2])
-        second = map_in_order(SocketBackend(**options), _identity, [3, 4])
+        with SocketBackend(**options) as backend:
+            first = map_in_order(backend, _identity, [1, 2])
+        with SocketBackend(**options) as backend:
+            second = map_in_order(backend, _identity, [3, 4])
         assert first == [2, 4]
         assert second == [6, 8]
         worker.join(timeout=SOCKET_TIMEOUT)
         assert not worker.is_alive()
+        # welcome = (heartbeat interval, campaign id, MAC mode)
+        assert len({campaign for _, campaign, _ in welcomes}) == 2
 
 
 class TestTimingSafeTokens:
@@ -683,16 +692,20 @@ class TestElasticFleet:
     """Workers join after dispatch started and leave mid-campaign."""
 
     def test_worker_joins_mid_campaign(self):
-        backend = SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT)
         late = {}
+        with SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT) as backend:
 
-        def late_joiner():
-            host, port = _wait_for_address(backend)
-            time.sleep(0.5)  # dispatch to worker one is well underway
-            late["session"] = run_worker(f"{host}:{port}")
+            def late_joiner():
+                host, port = _wait_for_address(backend)
+                time.sleep(0.5)  # dispatch to worker one is well underway
+                late["session"] = run_worker(f"{host}:{port}")
 
-        threading.Thread(target=late_joiner, daemon=True).start()
-        results = map_in_order(backend, _sleepy, list(range(8)), chunksize=1)
+            joiner = threading.Thread(target=late_joiner, daemon=True)
+            joiner.start()
+            results = map_in_order(backend, _sleepy, list(range(8)), chunksize=1)
+        # Its one session ends when the backend closes.
+        joiner.join(timeout=SOCKET_TIMEOUT)
+        assert not joiner.is_alive()
         assert results == [v * 2 for v in range(8)]
         # The late joiner really took work off the first worker's plate.
         assert late["session"][0] >= 1
@@ -701,36 +714,35 @@ class TestElasticFleet:
     def test_max_chunks_drains_cleanly_mid_campaign(self):
         """An elastic worker leaves after its chunk budget with a clean
         goodbye — no retry-budget charge, no lost chunks."""
-        backend = SocketBackend(
-            spawn_workers=0, max_chunk_retries=0, timeout=SOCKET_TIMEOUT
-        )
         sessions = {}
+        with SocketBackend(
+            spawn_workers=0, max_chunk_retries=0, timeout=SOCKET_TIMEOUT
+        ) as backend:
 
-        def fleet():
-            host, port = _wait_for_address(backend)
-            address = f"{host}:{port}"
+            def fleet():
+                host, port = _wait_for_address(backend)
+                address = f"{host}:{port}"
 
-            def capped():
-                sessions["capped"] = run_worker(address, max_chunks=2)
+                def capped():
+                    sessions["capped"] = run_worker(address, max_chunks=2)
 
-            threading.Thread(target=capped, daemon=True).start()
-            time.sleep(0.3)
-            sessions["rest"] = run_worker(address)
+                threading.Thread(target=capped, daemon=True).start()
+                time.sleep(0.3)
+                sessions["rest"] = run_worker(address)
 
-        threading.Thread(target=fleet, daemon=True).start()
-        # max_chunk_retries=0: any chunk lost to an unclean leave would
-        # abort the whole map, so success proves the goodbye was clean.
-        results = map_in_order(backend, _identity, list(range(6)), chunksize=1)
+            threading.Thread(target=fleet, daemon=True).start()
+            # max_chunk_retries=0: any chunk lost to an unclean leave would
+            # abort the whole map, so success proves the goodbye was clean.
+            results = map_in_order(backend, _identity, list(range(6)), chunksize=1)
         assert results == [v * 2 for v in range(6)]
         assert sessions["capped"] == (2, True)
 
     def test_backpressure_bounds_in_flight_dispatch(self):
-        backend = SocketBackend(
+        with SocketBackend(
             spawn_workers=2, max_buffered_chunks=1, timeout=SOCKET_TIMEOUT
-        )
-        assert map_in_order(backend, _identity, list(range(8)), chunksize=1) == [
-            v * 2 for v in range(8)
-        ]
+        ) as backend:
+            results = map_in_order(backend, _identity, list(range(8)), chunksize=1)
+        assert results == [v * 2 for v in range(8)]
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="heartbeat_timeout"):
@@ -745,17 +757,17 @@ class TestAutoRetry:
     """End-of-map auto-retry shrinks poison chunks to single shards."""
 
     def test_poison_chunk_shrinks_to_single_bad_shard(self, capsys):
-        backend = SocketBackend(
+        with SocketBackend(
             spawn_workers=6,
             max_chunk_retries=1,
             continue_past_quarantine=True,
             timeout=SOCKET_TIMEOUT,
-        )
-        got = sorted(
-            backend.imap_unordered(
-                _exit_on_poison, ["a", "poison", "b", "c"], chunksize=2
+        ) as backend:
+            got = sorted(
+                backend.imap_unordered(
+                    _exit_on_poison, ["a", "poison", "b", "c"], chunksize=2
+                )
             )
-        )
         # Chunk [a, poison] died twice, was split, and the auto-retry
         # pass healed shard 0 while isolating shard 1 as the poison.
         assert got == [(0, "a"), (2, "b"), (3, "c")]
@@ -885,6 +897,13 @@ class TestWorkServer:
         with pytest.raises(RuntimeError, match="work server is closed"):
             server.submit(_identity, [3])
 
+    def test_acceptor_that_runs_after_close_returns_quietly(self):
+        """A close() can land before the acceptor thread first runs; the
+        thread's body must then return, not raise on the closed socket."""
+        server = WorkServer().start()
+        server.close()
+        server._accept_loop()
+
     def test_snapshot_echoes_campaign_info_while_its_map_is_open(self):
         server = WorkServer()  # never started: snapshots need no fleet
         handle = server.submit(_identity, [1, 2, 3], info={"chips": 4})
@@ -970,43 +989,36 @@ class TestWorkServer:
 
 
 class TestSocketFacade:
-    """``SocketBackend`` runs each map on a private, short-lived server."""
+    """``SocketBackend`` runs every map of its life on one server."""
 
-    def test_each_map_gets_a_fresh_campaign_id(self, monkeypatch):
+    def test_maps_of_one_backend_share_its_server(self, monkeypatch):
         welcomes = _record_frames(monkeypatch, "welcome")
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        worker = threading.Thread(
-            target=run_worker,
-            args=(f"127.0.0.1:{port}",),
-            kwargs={"linger": SOCKET_TIMEOUT / 2, "max_chunks": 3},
-            daemon=True,
-        )
-        worker.start()
-        backend = SocketBackend(
-            bind=f"127.0.0.1:{port}", spawn_workers=0, timeout=SOCKET_TIMEOUT
-        )
-        assert map_in_order(backend, _identity, [1, 2], chunksize=1) == [2, 4]
-        assert backend.address is None  # no listener between maps
-        assert map_in_order(backend, _identity, [3], chunksize=1) == [6]
-        # welcome = (heartbeat interval, campaign id, MAC mode)
-        assert len({campaign for _, campaign, _ in welcomes}) == 2
-        worker.join(timeout=SOCKET_TIMEOUT)
-        assert not worker.is_alive()
+        with SocketBackend(spawn_workers=1, status_port=0, timeout=SOCKET_TIMEOUT) as backend:
+            assert map_in_order(backend, _identity, [1, 2], chunksize=1) == [2, 4]
+            address, status = backend.address, backend.status_address
+            assert map_in_order(backend, _identity, [3], chunksize=1) == [6]
+            assert (backend.address, backend.status_address) == (address, status)
+            assert backend._fleet.snapshot()["maps"] == {"active": 0, "opened": 2}
+        assert (backend.address, backend.status_address) == (None, None)
+        # One session, one welcome = (heartbeat interval, campaign id, MAC mode).
+        assert len(welcomes) == 1
 
-    def test_spawned_workers_exit_cleanly_with_their_map(self, monkeypatch):
-        spawned = []
-        spawn = WorkServer._spawn_local_workers
-
-        def recording(server, port):
-            procs = spawn(server, port)
-            spawned.extend(procs)
-            return procs
-
-        monkeypatch.setattr(WorkServer, "_spawn_local_workers", recording)
-        backend = SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT)
-        assert map_in_order(backend, _identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
+    def test_spawned_workers_exit_cleanly_when_the_backend_closes(self, monkeypatch):
+        spawned = record_spawns(monkeypatch)
+        with SocketBackend(spawn_workers=2, timeout=SOCKET_TIMEOUT) as backend:
+            assert map_in_order(backend, _identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
+            assert map_in_order(backend, _identity, [4], chunksize=1) == [8]
+            assert [proc.poll() for proc in spawned] == [None, None]  # kept across maps
         # close() reaps them; a worker still lingering would be killed.
         assert [proc.returncode for proc in spawned] == [0, 0]
+
+    def test_a_driver_given_a_spec_reaps_the_workers_it_spawned(self, monkeypatch):
+        """A library call that resolves ``backend="socket"`` itself closes
+        that backend before it returns."""
+        spawned = record_spawns(monkeypatch)
+        reference = run_sweep(CONFIG)
+        result = run_sweep(CONFIG, backend="socket", jobs=2)
+        assert len(spawned) == 2
+        assert [proc.poll() for proc in spawned] == [0, 0]
+        for key in reference.cells:
+            assert result.cells[key].words == reference.cells[key].words, key

@@ -61,25 +61,25 @@ def _run_map_through_proxy(
     join_late=None,
 ):
     """One campaign: backend behind the chaos proxy, external fleet."""
-    backend = SocketBackend(
+    with SocketBackend(
         spawn_workers=0,
         heartbeat_timeout=heartbeat,
         timeout=SOCKET_TIMEOUT,
-    )
-    runner = BackgroundCampaign(
-        lambda: map_in_order(backend, worker, items, chunksize=chunksize),
-        name="campaign under injected faults",
-    ).start()
-    with ChaosProxy(wait_for_address(backend), plan) as proxy:
-        host, port = proxy.address
-        fleet = WorkerFleet(f"{host}:{port}", linger=SOCKET_TIMEOUT / 2)
-        with fleet:
-            fleet.spawn(workers)
-            if kill_after is not None:
-                fleet.kill_one_after(kill_after)
-            if join_late is not None:
-                fleet.join_late(join_late)
-            results = runner.finish(timeout=SOCKET_TIMEOUT)
+    ) as backend:
+        runner = BackgroundCampaign(
+            lambda: map_in_order(backend, worker, items, chunksize=chunksize),
+            name="campaign under injected faults",
+        ).start()
+        with ChaosProxy(wait_for_address(backend), plan) as proxy:
+            host, port = proxy.address
+            fleet = WorkerFleet(f"{host}:{port}", linger=SOCKET_TIMEOUT / 2)
+            with fleet:
+                fleet.spawn(workers)
+                if kill_after is not None:
+                    fleet.kill_one_after(kill_after)
+                if join_late is not None:
+                    fleet.join_late(join_late)
+                results = runner.finish(timeout=SOCKET_TIMEOUT)
     return results, proxy
 
 
@@ -194,20 +194,20 @@ class TestChaosSweepBitIdentity:
 
     def test_sweep_bit_identical_under_combined_chaos(self):
         serial = run_sweep(CONFIG)
-        backend = SocketBackend(
-            spawn_workers=0, heartbeat_timeout=2.0, timeout=SOCKET_TIMEOUT
-        )
-        runner = BackgroundCampaign(
-            lambda: run_sweep(CONFIG, backend=backend), name="chaos sweep"
-        ).start()
         plan = FaultPlan(corrupt=0.05, seed=1234)
-        with ChaosProxy(wait_for_address(backend), plan) as proxy:
-            host, port = proxy.address
-            with WorkerFleet(f"{host}:{port}", linger=SOCKET_TIMEOUT / 2) as fleet:
-                fleet.spawn(2)
-                fleet.kill_one_after(1.0)
-                fleet.join_late(1.5)
-                chaos_sweep = runner.finish(timeout=SOCKET_TIMEOUT)
+        with SocketBackend(
+            spawn_workers=0, heartbeat_timeout=2.0, timeout=SOCKET_TIMEOUT
+        ) as backend:
+            runner = BackgroundCampaign(
+                lambda: run_sweep(CONFIG, backend=backend), name="chaos sweep"
+            ).start()
+            with ChaosProxy(wait_for_address(backend), plan) as proxy:
+                host, port = proxy.address
+                with WorkerFleet(f"{host}:{port}", linger=SOCKET_TIMEOUT / 2) as fleet:
+                    fleet.spawn(2)
+                    fleet.kill_one_after(1.0)
+                    fleet.join_late(1.5)
+                    chaos_sweep = runner.finish(timeout=SOCKET_TIMEOUT)
         assert proxy.violations == []
         assert chaos_sweep.cells.keys() == serial.cells.keys()
         for key in serial.cells:

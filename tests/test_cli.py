@@ -13,8 +13,9 @@ import pytest
 import repro.cli as cli
 from repro.cli import COMMANDS, SCALES, _execution_backend, build_parser, main
 from repro.experiments import ext_code_length, ext_patterns, fig10, fleet, service
-from repro.experiments.backends import AUTH_TOKEN_ENV
+from repro.experiments.backends import AUTH_TOKEN_ENV, WorkServer
 from repro.experiments.runner import SweepResult, run_sweep
+from serviceharness import record_spawns
 
 
 class TestParser:
@@ -410,6 +411,36 @@ def test_all_runs_each_campaign_once(monkeypatch, capsys):
     assert main(["all", "--scale", "unit"]) == 0
     capsys.readouterr()
     assert calls == {"sweep": 1, "fig10": 1, "fleet": 1, "ext": 5}
+
+
+def test_all_over_socket_starts_one_server(monkeypatch, capsys, pinned_exhibits):
+    """One `all --backend socket --jobs 2` starts one WorkServer for its
+    eight maps, spawns its two workers once and reaps them before main
+    returns, and prints the serial `all`: every section its pinned digest."""
+    starts, start = [], WorkServer.start
+
+    def counted_start(server):
+        starts.append(server)
+        return start(server)
+
+    monkeypatch.setattr(WorkServer, "start", counted_start)
+    spawned = record_spawns(monkeypatch)
+    assert main(["all", "--scale", "unit", "--backend", "socket", "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert (len(starts), len(spawned)) == (1, 2)
+    assert [proc.poll() for proc in spawned] == [0, 0]
+    sections = _sections(out)
+    assert "".join(sections.values()) == out
+    for name, text in sections.items():
+        assert _digest(text) == pinned_exhibits[f"exhibit-{name}"], name
+
+
+@pytest.mark.parametrize("command", ["all", "fig7", "headline"])
+def test_timings_table_prints_once(command, capsys):
+    """fig6-9 and headline render one sweep, so --timings appends its
+    table once, under the first of them."""
+    assert main([command, "--scale", "unit", "--timings"]) == 0
+    assert capsys.readouterr().out.count("Sweep timings") == 1
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))

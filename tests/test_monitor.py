@@ -466,20 +466,23 @@ def _sleepy_item(value):
 
 
 class TestLiveStatus:
-    """A running socket map serves real snapshots on --status-port."""
+    """A socket backend's server serves real snapshots on --status-port."""
 
     def test_snapshot_during_live_map(self):
-        backend = SocketBackend(spawn_workers=0, status_port=0, timeout=SOCKET_TIMEOUT)
+        with SocketBackend(spawn_workers=0, status_port=0, timeout=SOCKET_TIMEOUT) as backend:
 
-        def worker():
-            host, port = wait_for_address(backend)
-            run_worker(f"{host}:{port}")
+            def worker():
+                host, port = wait_for_address(backend)
+                run_worker(f"{host}:{port}")
 
-        threading.Thread(target=worker, daemon=True).start()
-        iterator = backend.imap_unordered(_sleepy_item, list(range(4)), chunksize=1)
-        first = next(iterator)  # map is live, at least one chunk done
-        snapshot = read_status(backend.status_address)
-        rest = list(iterator)
+            threading.Thread(target=worker, daemon=True).start()
+            iterator = backend.imap_unordered(_sleepy_item, list(range(4)), chunksize=1)
+            first = next(iterator)  # map is live, at least one chunk done
+            snapshot = read_status(backend.status_address)
+            rest = list(iterator)
+            # The status listener outlives the map: it lives with the backend.
+            assert read_status(backend.status_address)["chunks"]["done"] == 4
+        assert backend.status_address is None
         assert snapshot["format"] == STATUS_FORMAT
         assert snapshot["chunks"]["total"] == 4
         assert snapshot["chunks"]["done"] >= 1
@@ -491,15 +494,21 @@ class TestLiveStatus:
         assert snapshot["retries"] == 0
         assert snapshot["quarantined"] == []
         assert sorted([first] + rest) == [(i, i * 2) for i in range(4)]
-        # The status listener dies with the map.
-        assert backend.status_address is None
 
-    def test_status_port_closed_between_maps(self):
-        backend = SocketBackend(
-            spawn_workers=1, status_port=0, timeout=SOCKET_TIMEOUT
-        )
-        assert map_in_order(backend, _sleepy_item, [1], chunksize=1) == [2]
+    def test_status_port_lives_until_the_backend_closes(self):
+        """One port serves both maps and still answers after them, with
+        both maps' chunks counted; closing the backend closes it."""
+        with SocketBackend(spawn_workers=1, status_port=0, timeout=SOCKET_TIMEOUT) as backend:
+            assert map_in_order(backend, _sleepy_item, [1], chunksize=1) == [2]
+            status = backend.status_address
+            assert map_in_order(backend, _sleepy_item, [2, 3], chunksize=1) == [4, 6]
+            assert backend.status_address == status
+            snapshot = read_status(status)
         assert backend.status_address is None
+        assert (snapshot["chunks"]["total"], snapshot["chunks"]["done"]) == (3, 3)
+        assert snapshot["maps"] == {"active": 0, "opened": 2}
+        with pytest.raises(OSError):
+            read_status(status)
 
 
 # ----------------------------------------------------------------------
@@ -521,38 +530,38 @@ class TestContinuePastQuarantine:
         """The acceptance scenario at the backend level: 3 workers, one
         poison chunk, budget 1 — the map must finish everything else and
         name the quarantined shard index."""
-        backend = SocketBackend(
+        with SocketBackend(
             spawn_workers=3,
             max_chunk_retries=1,
             continue_past_quarantine=True,
             timeout=SOCKET_TIMEOUT,
-        )
-        pairs = list(
-            backend.imap_unordered(
-                _exit_on_poison_item, ["ok", "poison", "fine"], chunksize=1
+        ) as backend:
+            pairs = list(
+                backend.imap_unordered(
+                    _exit_on_poison_item, ["ok", "poison", "fine"], chunksize=1
+                )
             )
-        )
         assert sorted(pairs) == [(0, "ok"), (2, "fine")]
         assert backend.quarantined_shards == (1,)
 
     def test_next_map_resets_quarantine(self):
-        backend = SocketBackend(
+        with SocketBackend(
             spawn_workers=2,
             max_chunk_retries=0,
             continue_past_quarantine=True,
             timeout=SOCKET_TIMEOUT,
-        )
-        list(backend.imap_unordered(_exit_on_poison_item, ["poison", "a"], chunksize=1))
-        assert backend.quarantined_shards == (0,)
-        assert map_in_order(backend, _exit_on_poison_item, ["b", "c"]) == ["b", "c"]
-        assert backend.quarantined_shards == ()
+        ) as backend:
+            list(backend.imap_unordered(_exit_on_poison_item, ["poison", "a"], chunksize=1))
+            assert backend.quarantined_shards == (0,)
+            assert map_in_order(backend, _exit_on_poison_item, ["b", "c"]) == ["b", "c"]
+            assert backend.quarantined_shards == ()
 
     def test_default_mode_still_aborts(self):
-        backend = SocketBackend(
+        with SocketBackend(
             spawn_workers=3, max_chunk_retries=1, timeout=SOCKET_TIMEOUT
-        )
-        with pytest.raises(RuntimeError, match="retry budget|poison"):
-            map_in_order(backend, _exit_on_poison_item, ["ok", "poison"], chunksize=1)
+        ) as backend:
+            with pytest.raises(RuntimeError, match="retry budget|poison"):
+                map_in_order(backend, _exit_on_poison_item, ["ok", "poison"], chunksize=1)
 
 
 class _QuarantiningBackend(ExecutionBackend):
