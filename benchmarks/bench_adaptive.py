@@ -174,7 +174,7 @@ def _pr1_simulate_word(profiler, profile, num_rounds, word_seed, artifacts) -> W
     probabilities = np.asarray(profile.probabilities, dtype=float)
     positions = np.asarray(profile.positions, dtype=np.intp)
 
-    identified_trace, observed_trace, failure_trace = [], [], []
+    identified_trace, observed_trace = [], []
     mismatch_cache = {}
     charged_cache = {}
     previous_observed_count = -1
@@ -196,7 +196,6 @@ def _pr1_simulate_word(profiler, profile, num_rounds, word_seed, artifacts) -> W
             )
         else:
             failed = ()
-        failure_trace.append(failed)
 
         mode = profiler.read_mode_for(round_index)
         key = (mode, failed)
@@ -218,7 +217,7 @@ def _pr1_simulate_word(profiler, profile, num_rounds, word_seed, artifacts) -> W
         identified_trace.append(current_identified)
         observed_trace.append(current_observed)
 
-    return WordRunResult(change_points(identified_trace, observed_trace), failure_trace)
+    return WordRunResult(change_points(identified_trace, observed_trace), num_rounds)
 
 
 def _pr1_run_sweep(config) -> SweepResult:

@@ -3,8 +3,9 @@
 Times the non-adaptive Fig 6 grid (default ``SweepConfig`` scale, the
 three profilers the batched kernel dispatches) through
 :func:`simulate_words_batched` against the per-word
-:func:`simulate_word` reference, asserts bit identity of every trace,
-and pins the speedup floor recorded in
+:func:`simulate_word` reference, asserts bit identity of every trace and
+that an untimed pass of each kernel fed every profiler what the word's
+failure patterns imply, and pins the speedup floor recorded in
 ``benchmarks/results/BENCH_batched.json``.
 
 Modes:
@@ -21,6 +22,9 @@ import json
 import os
 import pathlib
 import time
+
+from conftest import host
+from kernel_modes import check_feed, record_feed
 
 from repro.analysis.memo import clear_analysis_caches
 from repro.experiments import runner as engine
@@ -122,6 +126,28 @@ def _best_of(config: SweepConfig, blocks, reps: int = REPS):
     return best, runs
 
 
+def _assert_fed_as_artifacts_imply(config: SweepConfig, blocks) -> None:
+    """One untimed pass of each kernel with logging profilers: every feed
+    must be what the word's recomputed failure patterns imply, and the
+    two kernels' patterns must agree word for word."""
+    failures = []
+    for grid in (_scalar_grid, _batched_grid):
+        clear_analysis_caches()
+        cells = _grid_inputs(config, blocks)
+        feeds = [[record_feed(profiler) for profiler in cell[0]] for cell in cells]
+        grid(config, cells)
+        failures.append(
+            [
+                check_feed(profiler, feed, profile, seed, config.num_rounds, artifacts=artifacts)
+                for (profilers, profiles, seeds, block), cell_feeds in zip(cells, feeds)
+                for profiler, feed, profile, seed, artifacts in zip(
+                    profilers, cell_feeds, profiles, seeds, block
+                )
+            ]
+        )
+    assert failures[0] == failures[1]
+
+
 def _load_floor() -> float:
     if BASELINE_PATH.exists():
         return float(json.loads(BASELINE_PATH.read_text())["floor"])
@@ -138,7 +164,7 @@ def test_batched_kernel_speedup_floor():
     for reference, candidate in zip(scalar_runs, batched_runs):
         assert reference.identified_per_round == candidate.identified_per_round
         assert reference.observed_per_round == candidate.observed_per_round
-        assert reference.failures_per_round == candidate.failures_per_round
+    _assert_fed_as_artifacts_imply(GRID, blocks)
 
     speedup = scalar_seconds / batched_seconds
     floor = _load_floor()
@@ -171,6 +197,7 @@ def test_batched_kernel_speedup_floor():
                     },
                     "reps": REPS,
                     "timing": "best-of CPU (time.process_time)",
+                    "host": host(),
                 },
                 indent=2,
             )

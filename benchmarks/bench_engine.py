@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 from conftest import change_points, cpu_seconds
+from kernel_modes import check_feed, record_feed
 
 from repro.analysis.atrisk import compute_ground_truth, predict_indirect_from_direct
 from repro.analysis.memo import clear_analysis_caches
@@ -130,7 +131,7 @@ def _seed_simulate_word(profiler, profile, num_rounds, word_seed) -> WordRunResu
     probabilities = np.asarray(profile.probabilities, dtype=float)
     positions = np.asarray(profile.positions, dtype=np.intp)
 
-    identified_trace, observed_trace, failure_trace = [], [], []
+    identified_trace, observed_trace = [], []
     if profiler.name in _SEED_ADAPTIVE:
         written_rounds = None
     else:
@@ -156,7 +157,6 @@ def _seed_simulate_word(profiler, profile, num_rounds, word_seed) -> WordRunResu
         else:
             failed_mask = failed_matrix[round_index]
         failed = tuple(int(p) for p in positions[failed_mask]) if failed_mask.any() else ()
-        failure_trace.append(failed)
 
         if profiler.read_mode_for(round_index) == ReadMode.BYPASS:
             mismatches = frozenset(p for p in failed if p < code.k)
@@ -166,7 +166,7 @@ def _seed_simulate_word(profiler, profile, num_rounds, word_seed) -> WordRunResu
         identified_trace.append(profiler.identified)
         observed_trace.append(profiler.identified_observed)
 
-    return WordRunResult(change_points(identified_trace, observed_trace), failure_trace)
+    return WordRunResult(change_points(identified_trace, observed_trace), num_rounds)
 
 
 def _legacy_run_sweep(config) -> SweepResult:
@@ -372,25 +372,27 @@ def test_simulate_words_batched_speedup(sweep_scaling):
         draws = derive_rng(seed, "failure-draws").random((128, profile.count))
         artifacts.append(WordArtifacts(code.encode(schedule), draws))
 
-    def scalar_pass():
+    names = ("Naive", "HARP-U", "HARP-A")
+
+    def fresh(name, fed=None):
+        profilers = [PROFILER_REGISTRY[name](code, seed=seed) for _, seed in words]
+        if fed is not None:
+            fed.extend((profiler, record_feed(profiler)) for profiler in profilers)
+        return profilers
+
+    def scalar_pass(fed=None):
         return [
-            simulate_word(
-                PROFILER_REGISTRY[name](code, seed=seed),
-                profile,
-                128,
-                word_seed=seed,
-                artifacts=artifact,
-            )
-            for name in ("Naive", "HARP-U", "HARP-A")
-            for (profile, seed), artifact in zip(words, artifacts)
+            simulate_word(profiler, profile, 128, word_seed=seed, artifacts=artifact)
+            for name in names
+            for profiler, (profile, seed), artifact in zip(fresh(name, fed), words, artifacts)
         ]
 
-    def batched_pass():
+    def batched_pass(fed=None):
         runs = []
-        for name in ("Naive", "HARP-U", "HARP-A"):
+        for name in names:
             runs.extend(
                 simulate_words_batched(
-                    [PROFILER_REGISTRY[name](code, seed=seed) for _, seed in words],
+                    fresh(name, fed),
                     [profile for profile, _ in words],
                     128,
                     [seed for _, seed in words],
@@ -400,12 +402,19 @@ def test_simulate_words_batched_speedup(sweep_scaling):
         return runs
 
     clear_analysis_caches()
-    reference = scalar_pass()
-    candidate = batched_pass()
-    for ref, got in zip(reference, candidate):
+    scalar_fed, batched_fed = [], []
+    reference = scalar_pass(scalar_fed)
+    candidate = batched_pass(batched_fed)
+    assert len(reference) == len(candidate) == len(scalar_fed) == len(batched_fed)
+    for ref, got, (profile, seed), artifact, (s_profiler, s_feed), (b_profiler, b_feed) in zip(
+        reference, candidate, words * len(names), artifacts * len(names), scalar_fed, batched_fed
+    ):
         assert ref.identified_per_round == got.identified_per_round
         assert ref.observed_per_round == got.observed_per_round
-        assert ref.failures_per_round == got.failures_per_round
+        # Both kernels fed their profilers what the word's failure patterns imply.
+        assert check_feed(s_profiler, s_feed, profile, seed, 128, artifacts=artifact) == (
+            check_feed(b_profiler, b_feed, profile, seed, 128, artifacts=artifact)
+        )
 
     best_scalar = best_batched = None
     for _ in range(3):

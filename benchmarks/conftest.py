@@ -9,13 +9,20 @@ measures its own reduction and saves its rendered exhibit under
 the pre-engine legacy loop and a parallel run; the wall-clocks land in
 ``benchmarks/results/sweep_scaling.txt`` via :func:`sweep_scaling` so the
 speedup is tracked across the bench trajectory.
+
+The kernel benches check what each kernel fed its profilers with the test
+suites' oracle (``tests/kernel_modes.py``: ``record_feed`` and
+``check_feed``), so the tests directory goes on ``sys.path``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
 import resource
+import sys
 
 import pytest
 
@@ -23,6 +30,7 @@ from repro.experiments.config import BENCH, CaseStudyConfig
 from repro.experiments.runner import run_sweep
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "tests"))
 
 #: Case-study scale used by the Fig 10 bench: full RBER/probability grid,
 #: reduced Monte-Carlo samples.
@@ -82,6 +90,20 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
+def host() -> dict[str, object]:
+    """The measuring host: CPUs this process may run on and the CPU model."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            models = [line.split(":", 1)[1].strip() for line in info if "model name" in line]
+    except OSError:
+        models = []
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "nproc": len(affinity(0)) if affinity else os.cpu_count(),
+        "cpu": models[0] if models else platform.processor() or platform.machine(),
+    }
+
+
 def persist_scaling(
     results_dir: pathlib.Path,
     name: str,
@@ -93,9 +115,10 @@ def persist_scaling(
 
     The text file lists every label (``-estimate`` labels are derived
     and left to ``notes``), then each ``(title, numerator, denominator)``
-    speedup the record holds, then ``notes``; the JSON twin gives the
-    repo a machine-readable perf trajectory (same timings, same derived
-    speedups) that regression tooling can diff across commits.  A
+    speedup the record holds, then ``notes``, then the host (:func:`host`);
+    the JSON twin gives the repo a machine-readable perf trajectory (same
+    timings, same derived speedups, same host) that regression tooling
+    can diff across commits.  A
     session that measured only some labels (a ``-k`` selection, such as
     CI's engine smoke) leaves both files as committed: they are
     rewritten only when ``record`` holds every label the committed JSON
@@ -119,14 +142,18 @@ def persist_scaling(
         if num in record and den in record:
             speedups[title] = record[num] / record[den]
             lines.append(f"{title}: {speedups[title]:.2f}x")
+    machine = host()
     path = results_dir / f"{name}.txt"
-    path.write_text("\n".join([*lines, *notes]) + "\n")
+    path.write_text(
+        "\n".join([*lines, *notes, f"host: nproc {machine['nproc']}, {machine['cpu']}"]) + "\n"
+    )
     json_path.write_text(
         json.dumps(
             {
                 "bench": name,
                 "timings_s": {label: round(value, 3) for label, value in sorted(record.items())},
                 "speedups": {label: round(value, 2) for label, value in speedups.items()},
+                "host": machine,
             },
             indent=2,
         )

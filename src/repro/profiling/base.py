@@ -134,9 +134,10 @@ class Profiler:
         """Consume a whole run's distinct mismatch events in one call.
 
         ``events`` yields one ``(first_round, mismatches)`` pair per
-        distinct mismatch set of the run, ascending by round — the
-        batched kernel's compressed replay of calling :meth:`observe`
-        every round.  Returns the run's change points, the
+        distinct non-empty failure pattern of the run (two patterns may
+        share a mismatch set), ascending by round — the batched kernel's
+        compressed replay of calling :meth:`observe` every round.
+        Returns the run's change points, the
         :attr:`~repro.profiling.runner.WordRunResult.changes` of its
         result: ``(round, identified, identified_observed)`` triples,
         the cumulative sets materialized only at those rounds.  The

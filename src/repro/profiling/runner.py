@@ -1,11 +1,13 @@
 """Per-word profiling simulation (the paper's Monte-Carlo inner loop).
 
 For one ECC word — a code, an at-risk profile, and an error seed — this
-module simulates ``R`` rounds of a profiler and records every round's
-failure pattern and the change points of its cumulative identified set
+module simulates ``R`` rounds of a profiler and records the change points
+of its cumulative identified set and the round count
 (:class:`WordRunResult`): a round yields one exactly when the profiler's
 :meth:`~repro.profiling.base.Profiler.observe` says its state may have
-moved.
+moved.  No per-round failure log is kept: a round's failure pattern is a
+pure function of the word's artifacts and the dataword written, so a test
+recomputes it from those.
 
 Fairness (paper §7.1.2: "each profiler is evaluated with the exact same set
 of ECC words, pre-correction error patterns, and data patterns"): the
@@ -40,11 +42,14 @@ vectorized pass.  A crafted round
 Python int from the charge solver to the failure check: an at-risk
 position's charge is the parity of its selector (the data bit, or its
 row of ``P``) ANDed with the dataword, so no crafted round is encoded or
-unpacked.  Within a run, charge masks, failure tuples and decode
-consequences are memoized by bitmask, and the cumulative sets are read
-only on rounds whose ``observe`` reports a change.  The batched kernel
-takes a run's change points straight from
-:meth:`~repro.profiling.base.Profiler.observe_many`.  All of it is
+unpacked.  Within a run, charge masks and mismatch sets are memoized by
+bitmask, and the cumulative sets are read only on rounds whose
+``observe`` reports a change.  The batched kernel finds each word's
+distinct failure patterns and their first rounds in one pass and takes
+the run's change points straight from
+:meth:`~repro.profiling.base.Profiler.observe_many`; the failed-positions
+tuple of each pattern is interned on the word's :class:`WordArtifacts`,
+so it lives exactly as long as the word's inputs.  All of it is
 bit-identical to the straight-line array loop —
 ``tests/test_sweep_engine.py`` and ``tests/test_adaptive_caches.py`` pin
 that.
@@ -52,7 +57,7 @@ that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -77,12 +82,6 @@ __all__ = [
     "post_correction_data_errors_batch",
 ]
 
-
-#: Interned word positions -> {failure bitmask: failed-positions tuple}.
-#: Value-only cache (no invalidation hazard); the cap on position sets
-#: bounds pathological sweeps, a bench grid holds a few hundred.
-_PATTERN_TUPLES: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-_PATTERN_TUPLES_MAX = 1 << 16
 
 def post_correction_data_errors(code: SystematicCode, failed: tuple[int, ...]) -> frozenset[int]:
     """Exact post-correction data-error positions for a failure pattern."""
@@ -141,17 +140,11 @@ class WordRunResult:
             the observation channel alone is ``observed``, until the next
             triple; both are empty before the first.  A triple may repeat
             its predecessor's sets, so readers compare by value.
-        failures_per_round: the pre-correction failure pattern of each
-            round (simulation ground truth, for analysis); its length is
-            the run's round count.
+        num_rounds: how many rounds the run simulated.
     """
 
     changes: list[tuple[int, frozenset[int], frozenset[int]]]
-    failures_per_round: list[tuple[int, ...]]
-
-    @property
-    def num_rounds(self) -> int:
-        return len(self.failures_per_round)
+    num_rounds: int
 
     def final_identified(self) -> frozenset[int]:
         return self.changes[-1][1] if self.changes else frozenset()
@@ -232,10 +225,18 @@ class WordArtifacts:
             it; crafted rounds never do.
         draws: ``(num_rounds, profile.count)`` uniform failure variates,
             as produced by the ``word_seed``-derived stream.
+        failed_positions: the batched kernel's memo of failure bitmask
+            (bit ``j`` = the word's ``j``-th at-risk position) to
+            failed-positions tuple.  Every cell that reuses the word
+            meets the same patterns, so they are built once; the memo
+            is pure in the word's positions and left out of equality.
     """
 
     codewords: np.ndarray
     draws: np.ndarray
+    failed_positions: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def simulate_word(
@@ -301,16 +302,15 @@ def simulate_word(
     selectors = _charge_selectors(code, positions)
 
     # Crafted datawords and failure patterns repeat across rounds (always
-    # at p=1.0, often below); their charge masks, failure tuples and
-    # decode consequences are pure in them, so per-run dicts keyed by
-    # bitmask serve the repeats.  The consequence dict fronts the shared
-    # analysis-layer memo (CodeAnalysisCaches.decode_consequences), so
-    # repeated cells on the same code reuse each other's decodes.
+    # at p=1.0, often below); their charge masks and mismatch sets are
+    # pure in them, so per-run dicts keyed by bitmask serve the repeats.
+    # The mismatch dict fronts the shared analysis-layer memo
+    # (CodeAnalysisCaches.decode_consequences), so repeated cells on the
+    # same code reuse each other's decodes.
     analysis_caches = code_caches(code)
     charge_masks: dict[int, int] = {}
-    consequences: dict[tuple[str, int], tuple[tuple[int, ...], frozenset[int]]] = {}
+    consequences: dict[tuple[str, int], frozenset[int]] = {}
     changes: list[tuple[int, frozenset[int], frozenset[int]]] = []
-    failure_trace: list[tuple[int, ...]] = []
 
     crafted_for_round = profiler.crafted_for_round
     read_mode_for = profiler.read_mode_for
@@ -326,8 +326,8 @@ def simulate_word(
             failed_bits = charged_bits & below_masks[round_index]
         mode = read_mode_for(round_index)
         key = (mode, failed_bits)
-        consequence = consequences.get(key)
-        if consequence is None:
+        mismatches = consequences.get(key)
+        if mismatches is None:
             failed = tuple(p for bit, p in enumerate(positions) if failed_bits >> bit & 1)
             if mode == ReadMode.BYPASS:
                 # Raw data bits: mismatches are exactly the failed data
@@ -339,12 +339,10 @@ def simulate_word(
                 mismatches = analysis_caches.decode_consequences(
                     mode, failed, lambda: post_correction_data_errors(code, failed)
                 )
-            consequence = consequences[key] = (failed, mismatches)
-        failed, mismatches = consequence
-        failure_trace.append(failed)
+            consequences[key] = mismatches
         if observe(round_index, mismatches):
             changes.append((round_index, profiler.identified, profiler.identified_observed))
-    return WordRunResult(changes, failure_trace)
+    return WordRunResult(changes, num_rounds)
 
 
 def simulate_words_batched(
@@ -412,7 +410,7 @@ def simulate_words_batched(
     for profiler, profile in zip(profilers, profiles):
         check_profile_positions(profile, profiler.code.n)
     if not num_rounds:
-        return [WordRunResult([], []) for _ in range(count)]
+        return [WordRunResult([], 0) for _ in range(count)]
 
     if artifacts is None:
         artifacts = cell_artifacts(
@@ -425,13 +423,12 @@ def simulate_words_batched(
 
     # ------------------------------------------------------------------
     # Batched failure resolution: one 3-D mask comparison per uniform
-    # at-risk-count group, then each word's failure tuple per round and
-    # its distinct non-empty patterns with their first rounds.
+    # at-risk-count group, then each word's distinct non-empty patterns
+    # with their first rounds.
     # ------------------------------------------------------------------
-    # A word left at None never fails: its trace is all empty tuples.
-    failed_by_word: list[list[tuple[int, ...]] | None] = [None] * count
     # Each word's distinct non-empty patterns and their first rounds,
-    # ascending by round: the event order ``observe_many`` needs.
+    # ascending by round: the event order ``observe_many`` needs.  A word
+    # left empty never fails.
     first_events: list[tuple[Sequence[tuple[int, ...]], Sequence[int]]] = [((), ())] * count
     groups: dict[int, list[int]] = {}
     for index, profile in enumerate(profiles):
@@ -459,9 +456,8 @@ def simulate_words_batched(
             # Pack each round's failure pattern into an int64 bitmask and
             # the word's group-local index into the bits above it: one
             # ``np.unique`` over the whole group finds every distinct
-            # (word, pattern) pair, its first flat index (word-major,
-            # round-ascending) and the pair of every round.  Tuples are
-            # built per distinct pair, and numpy fans them out.
+            # (word, pattern) pair and its first flat index (word-major,
+            # round-ascending).
             weights = np.int64(1) << np.arange(at_risk, dtype=np.int64)
             keys = (failed.astype(np.int64) @ weights).ravel() | (
                 np.arange(group_size, dtype=np.int64).repeat(num_rounds) << at_risk
@@ -470,48 +466,32 @@ def simulate_words_batched(
             # ``return_index`` would take a stable sort; this is cheaper.
             first_idx = np.full(len(uniq_keys), keys.size)
             np.minimum.at(first_idx, inverse, np.arange(keys.size))
-            masks = uniq_keys & ((np.int64(1) << at_risk) - 1)
-            word_locals = uniq_keys >> at_risk
-            tuples: list[tuple[int, ...]] = []
-            prev_local = -1
-            known: dict[int, tuple[int, ...]] = {}
-            positions: tuple[int, ...] = ()
-            for local, mask in zip(word_locals.tolist(), masks.tolist()):
-                if local != prev_local:
-                    # Patterns recur heavily across sweep cells (every
-                    # probability level and profiler revisits the same
-                    # word): intern them per at-risk position set so
-                    # repeats share one object and skip the rebuild.
-                    prev_local = local
-                    positions = profiles[indices[local]].positions
-                    known = _PATTERN_TUPLES.get(positions)
-                    if known is None:
-                        if len(_PATTERN_TUPLES) >= _PATTERN_TUPLES_MAX:
-                            _PATTERN_TUPLES.clear()
-                        known = _PATTERN_TUPLES[positions] = {0: ()}
-                failed_tuple = known.get(mask)
-                if failed_tuple is None:
-                    failed_tuple = known[mask] = tuple(
-                        [pos for bit, pos in enumerate(positions) if mask >> bit & 1]
-                    )
-                tuples.append(failed_tuple)
-            tuple_array = np.fromiter(tuples, dtype=object, count=len(tuples))
-            traces = tuple_array[inverse.reshape(group_size, num_rounds)].tolist()
-            for word_index, trace in zip(indices, traces):
-                failed_by_word[word_index] = trace
             order = np.argsort(first_idx)
-            order = order[masks[order] != 0]
-            ordered_tuples = tuple_array[order].tolist()
-            ordered_rounds = (first_idx[order] % num_rounds).tolist()
-            stops = np.cumsum(np.bincount(word_locals[order], minlength=group_size)).tolist()
+            masks = uniq_keys[order] & ((np.int64(1) << at_risk) - 1)
+            nonzero = masks != 0
+            order, masks = order[nonzero], masks[nonzero]
+            word_locals = uniq_keys[order] >> at_risk
+            rounds = (first_idx[order] % num_rounds).tolist()
+            stops = np.cumsum(np.bincount(word_locals, minlength=group_size)).tolist()
+            masks = masks.tolist()
             start = 0
-            for word_index, stop in zip(indices, stops):
-                if stop != start:
-                    first_events[word_index] = (
-                        ordered_tuples[start:stop],
-                        ordered_rounds[start:stop],
-                    )
-                    start = stop
+            for index, stop in zip(indices, stops):
+                if stop == start:
+                    continue
+                # Every cell that reuses the word meets the same patterns:
+                # the word's artifacts intern their tuples.
+                known = artifacts[index].failed_positions
+                positions = profiles[index].positions
+                tuples = []
+                for mask in masks[start:stop]:
+                    failed_tuple = known.get(mask)
+                    if failed_tuple is None:
+                        failed_tuple = known[mask] = tuple(
+                            [pos for bit, pos in enumerate(positions) if mask >> bit & 1]
+                        )
+                    tuples.append(failed_tuple)
+                first_events[index] = (tuples, rounds[start:stop])
+                start = stop
             continue
         flat = failed.reshape(len(indices) * num_rounds, at_risk)
         counts = np.count_nonzero(flat, axis=1)
@@ -527,22 +507,12 @@ def simulate_words_batched(
         # nonzero is row-major: rows ascend word-major then round-major,
         # so each word's first occurrence of a pattern is recorded at its
         # earliest round and insertion order is ascending by round.
-        # Slicing one tolist materialization beats np.split's per-piece
-        # view construction; a repeated tuple is replaced by the object
-        # stored at its first round, so dense (p=1.0) traces hold one.
         first_rounds: dict[int, dict[tuple[int, ...], int]] = {}
         start = 0
         for row, word, stop in zip(rows.tolist(), words_of_rows.tolist(), bounds):
-            failed_tuple = tuple(mapped[start:stop])
+            firsts = first_rounds.setdefault(indices[word], {})
+            firsts.setdefault(tuple(mapped[start:stop]), row % num_rounds)
             start = stop
-            word_index = indices[word]
-            round_index = row % num_rounds
-            if word_index not in first_rounds:
-                first_rounds[word_index] = {}
-                failed_by_word[word_index] = [()] * num_rounds
-            first = first_rounds[word_index].setdefault(failed_tuple, round_index)
-            trace = failed_by_word[word_index]
-            trace[round_index] = failed_tuple if first == round_index else trace[first]
         for word_index, firsts in first_rounds.items():
             first_events[word_index] = (list(firsts), list(firsts.values()))
 
@@ -589,10 +559,7 @@ def simulate_words_batched(
     for index, profiler in enumerate(profilers):
         tuples, rounds = first_events[index]
         events = zip(rounds, map(resolved[group_keys[index]].__getitem__, tuples)) if tuples else ()
-        failures = failed_by_word[index]
-        results.append(
-            WordRunResult(profiler.observe_many(events), failures or [()] * num_rounds)
-        )
+        results.append(WordRunResult(profiler.observe_many(events), num_rounds))
     return results
 
 

@@ -4,10 +4,14 @@ Covers the acceptance guarantee: the code-level caches (crafted-pattern
 epochs, aliasing-pair tables) must never change a trace — hot and cold
 runs are bit-identical for BEEP and the hybrid — and the memoized
 artifacts must actually be shared across words that use the same code.
+The batched kernel's per-word memo of failed positions, kept on each
+``WordArtifacts``, must be just as transparent.
 """
 
 import numpy as np
 import pytest
+from kernel_modes import MODES, check_feed, kernel_mode, record_feed
+from randcases import random_cell
 
 from repro.analysis.atrisk import solve_charge_assignment
 from repro.analysis.memo import (
@@ -27,9 +31,10 @@ from repro.ecc.hamming import (
     random_sec_code,
 )
 from repro.experiments.runner import clear_engine_caches
-from repro.memory.error_model import sample_word_profile
+from repro.memory.error_model import WordErrorProfile, sample_word_profile
+from repro.memory.patterns import make_pattern
 from repro.profiling import PROFILER_REGISTRY
-from repro.profiling.runner import simulate_word
+from repro.profiling.runner import cell_artifacts, simulate_cell, simulate_word
 from repro.utils.bits import int_to_bits
 
 ADAPTIVE = ("BEEP", "HARP-A+BEEP")
@@ -45,8 +50,11 @@ def fresh_caches():
 
 
 def _trace(profiler_name, code, profile, rounds=64, seed=17):
+    """The run, what the kernel fed its profiler, and the failures that implies."""
     profiler = PROFILER_REGISTRY[profiler_name](code, seed=seed)
-    return simulate_word(profiler, profile, rounds, seed)
+    feed = record_feed(profiler)
+    run = simulate_word(profiler, profile, rounds, seed)
+    return run, feed, check_feed(profiler, feed, profile, seed, rounds)
 
 
 class TestHotColdBitIdentity:
@@ -54,24 +62,65 @@ class TestHotColdBitIdentity:
     def test_trace_identical_with_warm_caches(self, profiler_name):
         code = random_sec_code(32, np.random.default_rng(3))
         profile = sample_word_profile(code, 5, 0.75, np.random.default_rng(4))
-        cold = _trace(profiler_name, code, profile)
+        cold, cold_feed, cold_failures = _trace(profiler_name, code, profile)
         assert crafted_pattern_cache.stats.misses > 0
-        hot = _trace(profiler_name, code, profile)
+        hot, hot_feed, hot_failures = _trace(profiler_name, code, profile)
         assert cold.identified_per_round == hot.identified_per_round
         assert cold.observed_per_round == hot.observed_per_round
-        assert cold.failures_per_round == hot.failures_per_round
+        assert cold_feed == hot_feed
+        assert cold_failures == hot_failures
 
     @pytest.mark.parametrize("profiler_name", ADAPTIVE)
     def test_trace_survives_cache_flush_between_runs(self, profiler_name):
         """Clearing every cache between runs must not change results."""
         code = random_sec_code(32, np.random.default_rng(5))
         profile = sample_word_profile(code, 4, 0.5, np.random.default_rng(6))
-        first = _trace(profiler_name, code, profile)
+        first, first_feed, first_failures = _trace(profiler_name, code, profile)
         clear_engine_caches()
         clear_analysis_caches()
-        second = _trace(profiler_name, code, profile)
+        second, second_feed, second_failures = _trace(profiler_name, code, profile)
         assert first.identified_per_round == second.identified_per_round
-        assert first.failures_per_round == second.failures_per_round
+        assert first_feed == second_feed
+        assert first_failures == second_failures
+
+
+class TestFailedPositionsMemo:
+    """Artifacts whose memo is already filled give the runs of cold ones."""
+
+    ROUNDS = 48
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_filled_memo_changes_no_run(self, mode, monkeypatch):
+        kernel_mode(monkeypatch, mode)
+        codes, profiles, seeds = random_cell(41, num_words=10)
+
+        def artifacts():
+            return cell_artifacts(
+                codes,
+                [make_pattern("random", seed) for seed in seeds],
+                [profile.count for profile in profiles],
+                seeds,
+                self.ROUNDS,
+            )
+
+        # The sweep's reuse of one block: every probability level reads
+        # the same artifacts, and the last level repeats the first.
+        reused = artifacts()
+        sizes = []
+        for probability in (0.5, 1.0, 0.5):
+            cell = (
+                tuple(PROFILER_REGISTRY),
+                codes,
+                [WordErrorProfile(p.positions, (probability,) * p.count) for p in profiles],
+                seeds,
+                self.ROUNDS,
+            )
+            cold = simulate_cell(*cell, artifacts=artifacts())
+            assert simulate_cell(*cell, artifacts=reused) == cold, probability
+            sizes.append(sum(len(word.failed_positions) for word in reused))
+        # Only the batched kernel fills the memo; a repeated level hits it.
+        assert bool(sizes[0]) == (mode != "scalar")
+        assert sizes[2] == sizes[1]
 
 
 class TestCraftedPatternMemo:

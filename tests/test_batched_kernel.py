@@ -2,7 +2,9 @@
 
 The batched kernel (`simulate_words_batched`) must be indistinguishable
 from running the scalar reference (`simulate_word`) once per word: same
-identified/observed traces, same per-round failure patterns, under both
+identified/observed traces, and each profiler fed what the word's
+failure patterns imply (every round's mismatches on the scalar path, the
+first round of each distinct pattern on the batched one), under both
 GF(2) products, under any cell orientation, including degenerate words with
 no at-risk bits.  These tests pin that equivalence property-style over
 randomized rectangular cells, plus the dispatch rules (the `batched`
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_modes import force_gf2_tier, force_scalar_kernel
+from kernel_modes import check_feed, force_gf2_tier, force_scalar_kernel, record_feed
 from randcases import random_cell, random_cells
 
 from repro.analysis.atrisk import compute_ground_truth
@@ -42,12 +44,35 @@ def _fresh_caches():
     clear_analysis_caches()
 
 
-def _assert_runs_equal(scalar, batched):
+def _assert_kernels_agree(make, profiles, seeds, num_rounds, orientation=None):
+    """Run every word through both kernels with fresh ``make(word_index)``
+    profilers: the traces must match, and both feeds must be what the
+    same recomputed failure patterns imply."""
+    clear_analysis_caches()
+    scalar, scalar_fed = [], []
+    for index, (profile, seed) in enumerate(zip(profiles, seeds)):
+        profiler = make(index)
+        scalar_fed.append((profiler, record_feed(profiler)))
+        scalar.append(
+            simulate_word(profiler, profile, num_rounds, word_seed=seed, orientation=orientation)
+        )
+    clear_analysis_caches()
+    profilers = [make(index) for index in range(len(profiles))]
+    batched_fed = [(profiler, record_feed(profiler)) for profiler in profilers]
+    batched = simulate_words_batched(
+        profilers, profiles, num_rounds, seeds, orientation=orientation
+    )
     assert len(scalar) == len(batched)
-    for reference, candidate in zip(scalar, batched):
+    for reference, candidate, profile, seed, (s_profiler, s_feed), (b_profiler, b_feed) in zip(
+        scalar, batched, profiles, seeds, scalar_fed, batched_fed
+    ):
         assert reference.identified_per_round == candidate.identified_per_round
         assert reference.observed_per_round == candidate.observed_per_round
-        assert reference.failures_per_round == candidate.failures_per_round
+        assert reference.num_rounds == candidate.num_rounds == num_rounds
+        assert b_feed.events is not None or not num_rounds
+        assert check_feed(
+            s_profiler, s_feed, profile, seed, num_rounds, orientation
+        ) == check_feed(b_profiler, b_feed, profile, seed, num_rounds, orientation)
 
 
 class TestBitIdentity:
@@ -63,17 +88,9 @@ class TestBitIdentity:
     ):
         rng = np.random.default_rng(master_seed)
         codes, profiles, seeds = random_cell(rng, num_words)
-        clear_analysis_caches()
-        scalar = [
-            simulate_word(
-                cls(code, seed=seed), profile, num_rounds, word_seed=seed
-            )
-            for code, profile, seed in zip(codes, profiles, seeds)
-        ]
-        clear_analysis_caches()
-        profilers = [cls(code, seed=seed) for code, seed in zip(codes, seeds)]
-        batched = simulate_words_batched(profilers, profiles, num_rounds, seeds)
-        _assert_runs_equal(scalar, batched)
+        _assert_kernels_agree(
+            lambda i: cls(codes[i], seed=seeds[i]), profiles, seeds, num_rounds
+        )
 
     @pytest.mark.parametrize("tier", ["packed", "unpacked"])
     def test_matches_scalar_on_both_gf2_tiers(self, tier, monkeypatch):
@@ -81,16 +98,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(11)
         codes, profiles, seeds = random_cell(rng, 10)
         for cls in BATCHED_CLASSES:
-            clear_analysis_caches()
-            scalar = [
-                simulate_word(cls(code, seed=seed), profile, 32, word_seed=seed)
-                for code, profile, seed in zip(codes, profiles, seeds)
-            ]
-            clear_analysis_caches()
-            profilers = [cls(code, seed=seed) for code, seed in zip(codes, seeds)]
-            _assert_runs_equal(
-                scalar, simulate_words_batched(profilers, profiles, 32, seeds)
-            )
+            _assert_kernels_agree(lambda i: cls(codes[i], seed=seeds[i]), profiles, seeds, 32)
 
     @pytest.mark.parametrize(
         "make_orientation",
@@ -110,24 +118,8 @@ class TestBitIdentity:
             for profile in profiles
         ]
         for cls in BATCHED_CLASSES:
-            clear_analysis_caches()
-            scalar = [
-                simulate_word(
-                    cls(code, seed=seed),
-                    profile,
-                    24,
-                    word_seed=seed,
-                    orientation=orientation,
-                )
-                for profile, seed in zip(profiles, seeds)
-            ]
-            clear_analysis_caches()
-            profilers = [cls(code, seed=seed) for seed in seeds]
-            _assert_runs_equal(
-                scalar,
-                simulate_words_batched(
-                    profilers, profiles, 24, seeds, orientation=orientation
-                ),
+            _assert_kernels_agree(
+                lambda i: cls(code, seed=seeds[i]), profiles, seeds, 24, orientation
             )
 
     @pytest.mark.parametrize("pattern", ["charged", "random"])
@@ -149,15 +141,8 @@ class TestBitIdentity:
         ]
         seeds = [int(s) for s in rng.integers(0, 2**31, size=len(profiles))]
         for cls in (NaiveProfiler, HarpUProfiler):
-            clear_analysis_caches()
-            scalar = [
-                simulate_word(cls(code, seed=seed, pattern=pattern), profile, 12, seed)
-                for profile, seed in zip(profiles, seeds)
-            ]
-            clear_analysis_caches()
-            profilers = [cls(code, seed=seed, pattern=pattern) for seed in seeds]
-            _assert_runs_equal(
-                scalar, simulate_words_batched(profilers, profiles, 12, seeds)
+            _assert_kernels_agree(
+                lambda i: cls(code, seed=seeds[i], pattern=pattern), profiles, seeds, 12
             )
 
     def test_oracle_with_ground_truth_matches_scalar(self):
@@ -173,27 +158,12 @@ class TestBitIdentity:
         truths = [
             compute_ground_truth(code, profile, orientation) for profile in profiles
         ]
-        clear_analysis_caches()
-        scalar = [
-            simulate_word(
-                OracleProfiler(code, seed=seed, ground_truth=truth),
-                profile,
-                16,
-                word_seed=seed,
-                orientation=orientation,
-            )
-            for profile, seed, truth in zip(profiles, seeds, truths)
-        ]
-        clear_analysis_caches()
-        profilers = [
-            OracleProfiler(code, seed=seed, ground_truth=truth)
-            for seed, truth in zip(seeds, truths)
-        ]
-        _assert_runs_equal(
-            scalar,
-            simulate_words_batched(
-                profilers, profiles, 16, seeds, orientation=orientation
-            ),
+        _assert_kernels_agree(
+            lambda i: OracleProfiler(code, seed=seeds[i], ground_truth=truths[i]),
+            profiles,
+            seeds,
+            16,
+            orientation,
         )
 
     def test_zero_rounds_and_empty_batch(self):
@@ -203,7 +173,7 @@ class TestBitIdentity:
             [NaiveProfiler(code, seed=1)], [profile], 0, [1]
         )
         assert runs[0].identified_per_round == []
-        assert runs[0].failures_per_round == []
+        assert runs[0].num_rounds == 0
         assert simulate_words_batched([], [], 8, []) == []
 
 

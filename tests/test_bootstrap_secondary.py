@@ -29,7 +29,7 @@ def _run(trace) -> WordRunResult:
         if identified != previous:
             changes.append((round_index, identified, identified))
             previous = identified
-    return WordRunResult(changes=changes, failures_per_round=[()] * len(trace))
+    return WordRunResult(changes=changes, num_rounds=len(trace))
 
 
 def _metrics(truth, *traces):

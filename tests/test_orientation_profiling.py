@@ -9,6 +9,7 @@ direct-risk set; ground truth bounds everything) is orientation-invariant.
 
 import numpy as np
 import pytest
+from kernel_modes import check_feed, record_feed
 
 from repro.analysis.atrisk import compute_ground_truth
 from repro.ecc.hamming import random_sec_code
@@ -56,21 +57,20 @@ class TestGroundTruthWithOrientation:
 class TestProfilingWithOrientation:
     def test_anti_cells_fail_under_zero_pattern(self, code):
         """With anti cells and p=1, the zero pattern charges every cell."""
-        profile = WordErrorProfile((3, 9), (1.0, 1.0))
-        profiler = NaiveProfiler(code, 1, pattern="zero")
-        result = simulate_word(
-            profiler, profile, 4, word_seed=1, orientation=all_anti(code.n)
-        )
-        for failed in result.failures_per_round:
-            assert failed == (3, 9)
+        assert self._failures(code, "zero") == [(3, 9)] * 4
 
     def test_anti_cells_never_fail_under_ones_pattern(self, code):
+        assert self._failures(code, "charged") == [()] * 4
+
+    @staticmethod
+    def _failures(code, pattern):
+        """Each round's failures of a p=1 word of anti cells, as the kernel fed them."""
         profile = WordErrorProfile((3, 9), (1.0, 1.0))
-        profiler = NaiveProfiler(code, 1, pattern="charged")
-        result = simulate_word(
-            profiler, profile, 4, word_seed=1, orientation=all_anti(code.n)
-        )
-        assert all(failed == () for failed in result.failures_per_round)
+        profiler = NaiveProfiler(code, 1, pattern=pattern)
+        feed = record_feed(profiler)
+        orientation = all_anti(code.n)
+        simulate_word(profiler, profile, 4, word_seed=1, orientation=orientation)
+        return check_feed(profiler, feed, profile, 1, 4, orientation=orientation)
 
     def test_harp_covers_direct_bits_under_any_orientation(self, code):
         """The random-with-inversion schedule charges every cell within two

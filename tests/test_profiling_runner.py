@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from kernel_modes import check_feed, record_feed
 
 from repro.analysis.atrisk import compute_ground_truth
 from repro.ecc.hamming import random_sec_code
@@ -57,7 +58,7 @@ class TestWordRunResultViews:
         ids=["zero-rounds", "no-change", "round-0", "many"],
     )
     def test_views_expand_change_points(self, changes, rounds, identified, observed):
-        run = WordRunResult(changes=changes, failures_per_round=[()] * rounds)
+        run = WordRunResult(changes=changes, num_rounds=rounds)
         assert run.num_rounds == rounds
         assert run.identified_per_round == identified
         assert run.observed_per_round == observed
@@ -75,20 +76,35 @@ class TestWordRunResultViews:
             assert all(0 <= r < rounds for r in rounds_of_changes)
 
 
+def _fed_run(profiler, profile, rounds, word_seed, **kwargs):
+    """``simulate_word``'s run, its feed, and the failure patterns it implies."""
+    feed = record_feed(profiler)
+    run = simulate_word(profiler, profile, rounds, word_seed=word_seed, **kwargs)
+    return run, feed, check_feed(profiler, feed, profile, word_seed, rounds, **kwargs)
+
+
 class TestSimulateWord:
     def test_deterministic(self, code):
         profile = sample_word_profile(code, 4, 0.5, np.random.default_rng(1))
-        a = simulate_word(NaiveProfiler(code, 7), profile, 32, word_seed=99)
-        b = simulate_word(NaiveProfiler(code, 7), profile, 32, word_seed=99)
+        a, a_feed, a_failures = _fed_run(NaiveProfiler(code, 7), profile, 32, 99)
+        b, b_feed, b_failures = _fed_run(NaiveProfiler(code, 7), profile, 32, 99)
         assert a.identified_per_round == b.identified_per_round
-        assert a.failures_per_round == b.failures_per_round
+        assert a_feed == b_feed
+        assert a_failures == b_failures
 
     def test_shared_draws_across_profilers(self, code):
-        """Profilers with the same patterns see identical failures."""
+        """Profilers with the same patterns see identical failures (§7.1.2).
+
+        The two read through different paths (ECC on, ECC bypassed), so
+        their mismatches differ; each must be the consequence of the
+        same failure pattern, round by round.
+        """
         profile = sample_word_profile(code, 4, 0.5, np.random.default_rng(2))
-        naive = simulate_word(NaiveProfiler(code, 7), profile, 32, word_seed=99)
-        harp = simulate_word(HarpUProfiler(code, 7), profile, 32, word_seed=99)
-        assert naive.failures_per_round == harp.failures_per_round
+        naive, naive_feed, naive_failures = _fed_run(NaiveProfiler(code, 7), profile, 32, 99)
+        harp, harp_feed, harp_failures = _fed_run(HarpUProfiler(code, 7), profile, 32, 99)
+        assert naive_feed.datawords == harp_feed.datawords
+        assert naive_failures == harp_failures
+        assert any(naive_failures)
 
     def test_identification_is_monotone(self, code):
         profile = sample_word_profile(code, 4, 0.5, np.random.default_rng(3))
@@ -100,14 +116,13 @@ class TestSimulateWord:
     def test_probability_one_all_charged_fail(self, code):
         """At p=1 every charged at-risk cell fails every round."""
         profile = WordErrorProfile((3, 9), (1.0, 1.0))
-        result = simulate_word(NaiveProfiler(code, 7, pattern="charged"), profile, 4, word_seed=1)
-        for failed in result.failures_per_round:
-            assert failed == (3, 9)
+        _, _, failures = _fed_run(NaiveProfiler(code, 7, pattern="charged"), profile, 4, 1)
+        assert failures == [(3, 9)] * 4
 
     def test_zero_probability_never_fails(self, code):
         profile = WordErrorProfile((3, 9), (0.0, 0.0))
-        result = simulate_word(NaiveProfiler(code, 7), profile, 16, word_seed=1)
-        assert all(failed == () for failed in result.failures_per_round)
+        result, _, failures = _fed_run(NaiveProfiler(code, 7), profile, 16, 1)
+        assert failures == [()] * 16
         assert result.final_identified() == frozenset()
 
     def test_empty_profile(self, code):

@@ -3,14 +3,15 @@
 One call mixing every registry profiler over a randomized cell must
 return, per profiler and word, exactly the traces of a fresh profiler run
 alone through the scalar reference (``simulate_word`` without
-precomputed artifacts) — under both simulation kernels.  The remaining
+precomputed artifacts), and feed each profiler what the same recomputed
+failure patterns imply — under both simulation kernels.  The remaining
 tests pin the call contract: supplied artifacts give the same runs as
 freshly built ones, and a one-shot call — a Fig 10, ext-heterogeneous or
 fleet shard — leaves the engine's caches empty.
 """
 
 import pytest
-from kernel_modes import kernel_mode
+from kernel_modes import check_feed, kernel_mode, record_feed, record_registry
 from randcases import random_cell
 
 from repro.analysis.memo import clear_analysis_caches
@@ -41,17 +42,30 @@ def test_matches_fresh_scalar_runs(seed, kernel, monkeypatch):
     kernel_mode(monkeypatch, kernel)
     case = random_cell(seed, num_words=9)
     codes, profiles, seeds = case
+    # Built before the registry starts recording, so ``built`` holds
+    # exactly the profilers simulate_cell makes.
+    references = {
+        name: [
+            PROFILER_REGISTRY[name](code, seed=word_seed)
+            for code, word_seed in zip(codes, seeds)
+        ]
+        for name in NAMES
+    }
+    built = record_registry(monkeypatch)
     runs = simulate_cell(NAMES, codes, profiles, seeds, ROUNDS)
     assert list(runs) == list(NAMES)
     for name in NAMES:
-        assert len(runs[name]) == len(codes)
-        for code, profile, word_seed, run in zip(codes, profiles, seeds, runs[name]):
-            reference = simulate_word(
-                PROFILER_REGISTRY[name](code, seed=word_seed), profile, ROUNDS, word_seed
-            )
+        assert len(runs[name]) == len(built[name]) == len(codes)
+        for profile, word_seed, run, reference_profiler, (profiler, feed) in zip(
+            profiles, seeds, runs[name], references[name], built[name]
+        ):
+            reference_feed = record_feed(reference_profiler)
+            reference = simulate_word(reference_profiler, profile, ROUNDS, word_seed)
             assert run.identified_per_round == reference.identified_per_round, (name, case)
             assert run.observed_per_round == reference.observed_per_round, (name, case)
-            assert run.failures_per_round == reference.failures_per_round, (name, case)
+            assert check_feed(profiler, feed, profile, word_seed, ROUNDS) == check_feed(
+                reference_profiler, reference_feed, profile, word_seed, ROUNDS
+            ), (name, case)
 
 
 @pytest.mark.parametrize("pattern", ["random", "charged", "checkered"])

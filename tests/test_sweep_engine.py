@@ -17,7 +17,7 @@ simulation engines and the vectorized batch probability matrix.
 import numpy as np
 import pytest
 from batch_engine import BatchInjectionEngine
-from kernel_modes import force_gf2_tier
+from kernel_modes import check_feed, force_gf2_tier, record_feed
 from randcases import random_cells
 
 from repro.analysis.atrisk import compute_ground_truth, predict_indirect_from_direct
@@ -240,7 +240,9 @@ def _reference_simulate(profiler, profile, num_rounds, word_seed, orientation=No
     Pins the observable trace semantics in the array domain: failures
     from the word-seed stream, the pattern from the profiler round by
     round (``pattern_for_round``), encoded and charged per round, and
-    the cumulative sets re-read after every observe call.
+    the cumulative sets re-read after every observe call.  Returns the
+    per-round identified and observed sets, failure patterns, and
+    ``(round, mismatches)`` observations.
     """
     from repro.profiling.base import ReadMode
     from repro.profiling.runner import post_correction_data_errors
@@ -250,7 +252,7 @@ def _reference_simulate(profiler, profile, num_rounds, word_seed, orientation=No
     draws = derive_rng(word_seed, "failure-draws").random((num_rounds, profile.count))
     probabilities = np.asarray(profile.probabilities, dtype=float)
     positions = np.asarray(profile.positions, dtype=np.intp)
-    identified, observed, failures = [], [], []
+    identified, observed, failures, observations = [], [], [], []
     for round_index in range(num_rounds):
         codeword = code.encode(profiler.pattern_for_round(round_index))
         charged = codeword if orientation is None else orientation.charged_mask(codeword)
@@ -261,10 +263,11 @@ def _reference_simulate(profiler, profile, num_rounds, word_seed, orientation=No
             mismatches = frozenset(p for p in failed if p < code.k)
         else:
             mismatches = post_correction_data_errors(code, failed)
+        observations.append((round_index, mismatches))
         profiler.observe(round_index, mismatches)
         identified.append(profiler.identified)
         observed.append(profiler.identified_observed)
-    return identified, observed, failures
+    return identified, observed, failures, observations
 
 
 def _trace_cases():
@@ -308,25 +311,22 @@ class TestTraceSemantics:
     @pytest.mark.parametrize("tier", ["packed", "unpacked"])
     @pytest.mark.parametrize("profiler_name", sorted(PROFILER_REGISTRY))
     def test_matches_reference_loop(self, profiler_name, tier, monkeypatch):
+        """Same traces, same observations, and the datawords the fast loop
+        wrote, charged through the word's artifacts, fail exactly where
+        the reference's encoded patterns do."""
         force_gf2_tier(monkeypatch, tier)
         profiler_cls = PROFILER_REGISTRY[profiler_name]
         crafted_rounds = 0
         for label, code, profile, orientation, rounds in TRACE_CASES:
             profiler = profiler_cls(code, seed=77)
-            crafted = profiler.crafted_for_round
-
-            def counting(round_index, crafted=crafted):
-                nonlocal crafted_rounds
-                dataword = crafted(round_index)
-                crafted_rounds += dataword is not None
-                return dataword
-
-            profiler.crafted_for_round = counting
+            feed = record_feed(profiler)
             fast = simulate_word(profiler, profile, rounds, 77, orientation=orientation)
-            identified, observed, failures = _reference_simulate(
+            crafted_rounds += sum(dataword is not None for dataword in feed.datawords)
+            identified, observed, failures, observations = _reference_simulate(
                 profiler_cls(code, seed=77), profile, rounds, 77, orientation
             )
-            assert fast.failures_per_round == failures, label
+            assert feed.observed == observations, label
+            assert check_feed(profiler, feed, profile, 77, rounds, orientation) == failures, label
             assert fast.identified_per_round == identified, label
             assert fast.observed_per_round == observed, label
         # The sweep must reach the crafted (integer-domain) rounds of
@@ -394,19 +394,23 @@ class TestWordArtifacts:
         profiler_cls = PROFILER_REGISTRY[profiler_name]
         for ctx, artifacts in zip(words[:2], block):
             profile = WordErrorProfile(ctx.positions, tuple(0.5 for _ in ctx.positions))
-            plain = simulate_word(
-                profiler_cls(ctx.code, seed=ctx.word_seed), profile, 16, ctx.word_seed
-            )
+            plain_profiler = profiler_cls(ctx.code, seed=ctx.word_seed)
+            plain_feed = record_feed(plain_profiler)
+            plain = simulate_word(plain_profiler, profile, 16, ctx.word_seed)
+            cached_profiler = profiler_cls(ctx.code, seed=ctx.word_seed)
+            cached_feed = record_feed(cached_profiler)
             cached = simulate_word(
-                profiler_cls(ctx.code, seed=ctx.word_seed),
-                profile,
-                16,
-                ctx.word_seed,
-                artifacts=artifacts,
+                cached_profiler, profile, 16, ctx.word_seed, artifacts=artifacts
             )
             assert plain.identified_per_round == cached.identified_per_round
             assert plain.observed_per_round == cached.observed_per_round
-            assert plain.failures_per_round == cached.failures_per_round
+            assert plain_feed == cached_feed
+            # Both runs were fed what the block's artifacts imply.
+            assert check_feed(
+                plain_profiler, plain_feed, profile, ctx.word_seed, 16, artifacts=artifacts
+            ) == check_feed(
+                cached_profiler, cached_feed, profile, ctx.word_seed, 16, artifacts=artifacts
+            )
 
     def test_block_artifacts_are_read_only_and_feed_both_kernels(self):
         from repro.experiments.runner import _block_artifacts, _words_for
@@ -624,8 +628,8 @@ class TestVectorizedMetricsReduction:
         code = random_sec_code(16, rng)
         profile = sample_word_profile(code, 2, 1.0, rng)
         truth = cached_ground_truth(code, profile.positions)
-        empty = WordRunResult(changes=[], failures_per_round=[])
-        silent = WordRunResult(changes=[], failures_per_round=[()] * 8)
+        empty = WordRunResult(changes=[], num_rounds=0)
+        silent = WordRunResult(changes=[], num_rounds=8)
         real = simulate_word(PROFILER_REGISTRY["Naive"](code, seed=1), profile, 8, word_seed=1)
         batched = metrics_for_words([empty, real, silent], [truth] * 3, 8)
         assert batched[0].direct_identified == ()
