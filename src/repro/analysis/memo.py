@@ -175,9 +175,9 @@ class Memo:
         Returns one entry per key — the cached value or ``None`` — with
         the same statistics accounting as per-key :meth:`peek` (local
         hits, overlay resolutions as shared hits, absences untouched).
-        The batched simulation kernel probes every distinct pattern of a
-        cell through this path, so the per-call overhead of ``peek``
-        matters at the ~10^3-keys-per-cell scale.
+        The batched simulation kernel probes each word's distinct
+        patterns of a cell through this path, so the per-call overhead
+        of ``peek`` matters at the ~10^3-keys-per-cell scale.
         """
         store = self._store
         move_to_end = store.move_to_end

@@ -47,9 +47,7 @@ bitmask, and the cumulative sets are read only on rounds whose
 ``observe`` reports a change.  The batched kernel finds each word's
 distinct failure patterns and their first rounds in one pass and takes
 the run's change points straight from
-:meth:`~repro.profiling.base.Profiler.observe_many`; the failed-positions
-tuple of each pattern is interned on the word's :class:`WordArtifacts`,
-so it lives exactly as long as the word's inputs.  All of it is
+:meth:`~repro.profiling.base.Profiler.observe_many`.  All of it is
 bit-identical to the straight-line array loop —
 ``tests/test_sweep_engine.py`` and ``tests/test_adaptive_caches.py`` pin
 that.
@@ -57,7 +55,7 @@ that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -225,18 +223,10 @@ class WordArtifacts:
             it; crafted rounds never do.
         draws: ``(num_rounds, profile.count)`` uniform failure variates,
             as produced by the ``word_seed``-derived stream.
-        failed_positions: the batched kernel's memo of failure bitmask
-            (bit ``j`` = the word's ``j``-th at-risk position) to
-            failed-positions tuple.  Every cell that reuses the word
-            meets the same patterns, so they are built once; the memo
-            is pure in the word's positions and left out of equality.
     """
 
     codewords: np.ndarray
     draws: np.ndarray
-    failed_positions: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
 
 def simulate_word(
@@ -453,45 +443,34 @@ def simulate_words_batched(
         failed = charged & (draws3 < probabilities2[:, None, :])
         group_size = len(indices)
         if at_risk + max(group_size - 1, 1).bit_length() <= 62:
-            # Pack each round's failure pattern into an int64 bitmask and
+            # Pack each failing round's pattern into an int64 bitmask and
             # the word's group-local index into the bits above it: one
-            # ``np.unique`` over the whole group finds every distinct
+            # ``np.unique`` over the group finds every distinct non-empty
             # (word, pattern) pair and its first flat index (word-major,
-            # round-ascending).
+            # round-ascending), which names the pair's word and round.
             weights = np.int64(1) << np.arange(at_risk, dtype=np.int64)
-            keys = (failed.astype(np.int64) @ weights).ravel() | (
-                np.arange(group_size, dtype=np.int64).repeat(num_rounds) << at_risk
-            )
+            masks = (failed.astype(np.int64) @ weights).ravel()
+            failing = np.flatnonzero(masks)
+            keys = masks[failing] | ((failing // num_rounds) << at_risk)
             uniq_keys, inverse = np.unique(keys, return_inverse=True)
             # ``return_index`` would take a stable sort; this is cheaper.
-            first_idx = np.full(len(uniq_keys), keys.size)
-            np.minimum.at(first_idx, inverse, np.arange(keys.size))
-            order = np.argsort(first_idx)
-            masks = uniq_keys[order] & ((np.int64(1) << at_risk) - 1)
-            nonzero = masks != 0
-            order, masks = order[nonzero], masks[nonzero]
-            word_locals = uniq_keys[order] >> at_risk
-            rounds = (first_idx[order] % num_rounds).tolist()
+            first_idx = np.full(len(uniq_keys), masks.size)
+            np.minimum.at(first_idx, inverse, failing)
+            first_idx.sort()
+            word_locals = first_idx // num_rounds
+            # Each pair's failed positions in one gather, then one slice
+            # of the flat list per pattern.
+            pattern_bits = failed.reshape(-1, at_risk)[first_idx]
+            mapped = positions2[word_locals][pattern_bits].tolist()
+            bounds = np.cumsum(np.count_nonzero(pattern_bits, axis=1)).tolist()
+            tuples = [tuple(mapped[start:stop]) for start, stop in zip([0, *bounds], bounds)]
+            rounds = (first_idx % num_rounds).tolist()
             stops = np.cumsum(np.bincount(word_locals, minlength=group_size)).tolist()
-            masks = masks.tolist()
             start = 0
             for index, stop in zip(indices, stops):
-                if stop == start:
-                    continue
-                # Every cell that reuses the word meets the same patterns:
-                # the word's artifacts intern their tuples.
-                known = artifacts[index].failed_positions
-                positions = profiles[index].positions
-                tuples = []
-                for mask in masks[start:stop]:
-                    failed_tuple = known.get(mask)
-                    if failed_tuple is None:
-                        failed_tuple = known[mask] = tuple(
-                            [pos for bit, pos in enumerate(positions) if mask >> bit & 1]
-                        )
-                    tuples.append(failed_tuple)
-                first_events[index] = (tuples, rounds[start:stop])
-                start = stop
+                if stop != start:
+                    first_events[index] = (tuples[start:stop], rounds[start:stop])
+                    start = stop
             continue
         flat = failed.reshape(len(indices) * num_rounds, at_risk)
         counts = np.count_nonzero(flat, axis=1)
@@ -517,48 +496,50 @@ def simulate_words_batched(
             first_events[word_index] = (list(firsts), list(firsts.values()))
 
     # ------------------------------------------------------------------
-    # Batched decode consequences: the distinct (code, mode, pattern)
-    # triples of the whole batch resolve through the shared memo; misses
-    # group per (code, mode) into one multi-RHS syndrome product.
+    # Batched decode consequences: each (code, mode) group's patterns
+    # resolve through the shared memo in one probe; its distinct misses
+    # decode in one multi-RHS syndrome product.
     # ------------------------------------------------------------------
     probe_groups: dict[tuple[int, str], tuple] = {}
-    group_keys: list[tuple[int, str]] = [(0, "")] * count
     for index, profiler in enumerate(profilers):
         tuples = first_events[index][0]
         if not tuples:
             continue
         handle = code_caches(profiler.code)
         # ``batched`` profilers declare a round-independent read mode.
-        cache_key = group_keys[index] = (id(handle), profiler.read_mode_for(0))
+        cache_key = (id(handle), profiler.read_mode_for(0))
         group = probe_groups.get(cache_key)
         if group is None:
-            group = probe_groups[cache_key] = (handle, profiler.code, [])
-        group[2].extend(tuples)  # deduplicated per group below
-    resolved: dict[tuple[int, str], dict[tuple[int, ...], frozenset[int]]] = {}
-    for cache_key, (handle, code, group_tuples) in probe_groups.items():
-        mode = cache_key[1]
-        patterns = list(dict.fromkeys(group_tuples))
-        cached = handle.peek_decode_consequences_many(mode, patterns)
-        consequence_of = resolved[cache_key] = dict(zip(patterns, cached))
-        misses = [failed_tuple for failed_tuple, found in zip(patterns, cached) if found is None]
-        if not misses:
-            continue
-        if mode == ReadMode.BYPASS:
-            k = code.k
-            consequences = [frozenset(p for p in f if p < k) for f in misses]
-        else:
-            consequences = post_correction_data_errors_batch(code, misses)
-        for failed_tuple, mismatches in zip(misses, consequences):
-            handle.insert_decode_consequences(mode, failed_tuple, mismatches)
-            consequence_of[failed_tuple] = mismatches
+            group = probe_groups[cache_key] = (handle, profiler.code, [], [])
+        group[2].extend(tuples)
+        group[3].append(index)
+    # Each word's mismatch sets, aligned with its first events.
+    consequences_of: list[Sequence[frozenset[int]]] = [()] * count
+    for (_, mode), (handle, code, group_tuples, members) in probe_groups.items():
+        found = handle.peek_decode_consequences_many(mode, group_tuples)
+        misses = list(dict.fromkeys(f for f, hit in zip(group_tuples, found) if hit is None))
+        if misses:
+            if mode == ReadMode.BYPASS:
+                k = code.k
+                consequences = [frozenset(p for p in f if p < k) for f in misses]
+            else:
+                consequences = post_correction_data_errors_batch(code, misses)
+            resolved = dict(zip(misses, consequences))
+            for failed_tuple, mismatches in resolved.items():
+                handle.insert_decode_consequences(mode, failed_tuple, mismatches)
+            found = [resolved[f] if hit is None else hit for f, hit in zip(group_tuples, found)]
+        start = 0
+        for index in members:
+            stop = start + len(first_events[index][0])
+            consequences_of[index] = found[start:stop]
+            start = stop
 
     # ------------------------------------------------------------------
     # Compressed observation replay: its change points are the run.
     # ------------------------------------------------------------------
     results: list[WordRunResult] = []
     for index, profiler in enumerate(profilers):
-        tuples, rounds = first_events[index]
-        events = zip(rounds, map(resolved[group_keys[index]].__getitem__, tuples)) if tuples else ()
+        events = zip(first_events[index][1], consequences_of[index])
         results.append(WordRunResult(profiler.observe_many(events), num_rounds))
     return results
 

@@ -4,14 +4,11 @@ Covers the acceptance guarantee: the code-level caches (crafted-pattern
 epochs, aliasing-pair tables) must never change a trace — hot and cold
 runs are bit-identical for BEEP and the hybrid — and the memoized
 artifacts must actually be shared across words that use the same code.
-The batched kernel's per-word memo of failed positions, kept on each
-``WordArtifacts``, must be just as transparent.
 """
 
 import numpy as np
 import pytest
-from kernel_modes import MODES, check_feed, kernel_mode, record_feed
-from randcases import random_cell
+from kernel_modes import check_feed, record_feed
 
 from repro.analysis.atrisk import solve_charge_assignment
 from repro.analysis.memo import (
@@ -31,10 +28,9 @@ from repro.ecc.hamming import (
     random_sec_code,
 )
 from repro.experiments.runner import clear_engine_caches
-from repro.memory.error_model import WordErrorProfile, sample_word_profile
-from repro.memory.patterns import make_pattern
+from repro.memory.error_model import sample_word_profile
 from repro.profiling import PROFILER_REGISTRY
-from repro.profiling.runner import cell_artifacts, simulate_cell, simulate_word
+from repro.profiling.runner import simulate_word
 from repro.utils.bits import int_to_bits
 
 ADAPTIVE = ("BEEP", "HARP-A+BEEP")
@@ -82,45 +78,6 @@ class TestHotColdBitIdentity:
         assert first.identified_per_round == second.identified_per_round
         assert first_feed == second_feed
         assert first_failures == second_failures
-
-
-class TestFailedPositionsMemo:
-    """Artifacts whose memo is already filled give the runs of cold ones."""
-
-    ROUNDS = 48
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_filled_memo_changes_no_run(self, mode, monkeypatch):
-        kernel_mode(monkeypatch, mode)
-        codes, profiles, seeds = random_cell(41, num_words=10)
-
-        def artifacts():
-            return cell_artifacts(
-                codes,
-                [make_pattern("random", seed) for seed in seeds],
-                [profile.count for profile in profiles],
-                seeds,
-                self.ROUNDS,
-            )
-
-        # The sweep's reuse of one block: every probability level reads
-        # the same artifacts, and the last level repeats the first.
-        reused = artifacts()
-        sizes = []
-        for probability in (0.5, 1.0, 0.5):
-            cell = (
-                tuple(PROFILER_REGISTRY),
-                codes,
-                [WordErrorProfile(p.positions, (probability,) * p.count) for p in profiles],
-                seeds,
-                self.ROUNDS,
-            )
-            cold = simulate_cell(*cell, artifacts=artifacts())
-            assert simulate_cell(*cell, artifacts=reused) == cold, probability
-            sizes.append(sum(len(word.failed_positions) for word in reused))
-        # Only the batched kernel fills the memo; a repeated level hits it.
-        assert bool(sizes[0]) == (mode != "scalar")
-        assert sizes[2] == sizes[1]
 
 
 class TestCraftedPatternMemo:
