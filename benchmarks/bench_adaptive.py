@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 from conftest import change_points, cpu_seconds
 
-from repro.analysis.atrisk import _solve_charge_ints
 from repro.analysis.memo import clear_analysis_caches
 from repro.experiments import fig10
 from repro.experiments.config import CaseStudyConfig, SweepConfig
@@ -45,6 +44,51 @@ ADAPTIVE_GRID = SweepConfig(profilers=("BEEP", "HARP-A+BEEP"))
 
 #: Fig 10 scale used for the serial-vs-parallel shard-engine timing.
 FIG10_GRID = CaseStudyConfig(num_codes=3, words_per_stratum=4, num_rounds=128, max_at_risk=5)
+
+
+def _pr1_solve_charge_ints(code, charged_ones, forced_zeros):
+    """The PR 1 charge solver, pinned verbatim: substitute the forced data
+    bits, then eliminate the residual parity rows from scratch."""
+    k = code.k
+    forced_mask = 0  # data bits with a pinned value
+    forced_values = 0  # the pinned values
+    parity_rows: list[tuple[int, int]] = []  # (row mask over data bits, rhs)
+    for target, positions in ((1, charged_ones), (0, forced_zeros)):
+        for position in positions:
+            if not 0 <= position < code.n:
+                raise IndexError(f"position {position} out of range [0, {code.n})")
+            if position < k:
+                bit = 1 << position
+                forced_mask |= bit
+                if target:
+                    forced_values |= bit
+            else:
+                parity_rows.append((code.parity_row_ints[position - k], target))
+    # Substitute pinned bits into the parity rows.
+    reduced: list[tuple[int, int]] = []
+    for row, rhs in parity_rows:
+        rhs ^= (row & forced_values).bit_count() & 1
+        reduced.append((row & ~forced_mask, rhs))
+    # Gaussian elimination over the handful of residual rows.
+    pivots: list[tuple[int, int, int]] = []  # (pivot bit, row, rhs)
+    for row, rhs in reduced:
+        for pivot_bit, pivot_row, pivot_rhs in pivots:
+            if row & pivot_bit:
+                row ^= pivot_row
+                rhs ^= pivot_rhs
+        if row == 0:
+            if rhs:
+                return None
+            continue
+        pivots.append((row & -row, row, rhs))
+    solution = forced_values
+    # Back-substitute: free variables are 0, so each pivot variable equals
+    # its row's rhs once later pivots are resolved.  Process in reverse.
+    for pivot_bit, row, rhs in reversed(pivots):
+        value = rhs ^ ((row & solution & ~pivot_bit).bit_count() & 1)
+        if value:
+            solution |= pivot_bit
+    return solution
 
 
 class _Pr1BeepProfiler(Profiler):
@@ -90,7 +134,7 @@ class _Pr1BeepProfiler(Profiler):
         return len(self._observed)
 
     def _solve(self, charged):
-        solution = _solve_charge_ints(self.code, charged, frozenset())
+        solution = _pr1_solve_charge_ints(self.code, charged, frozenset())
         if solution is None:
             return None
         return np.array([(solution >> i) & 1 for i in range(self.code.k)], dtype=np.uint8)
@@ -174,13 +218,12 @@ def _pr1_simulate_word(profiler, profile, num_rounds, word_seed, artifacts) -> W
     probabilities = np.asarray(profile.probabilities, dtype=float)
     positions = np.asarray(profile.positions, dtype=np.intp)
 
-    identified_trace, observed_trace = [], []
+    identified_trace = []
     mismatch_cache = {}
     charged_cache = {}
     previous_observed_count = -1
     previous_predicted = None
     current_identified = frozenset()
-    current_observed = frozenset()
 
     for round_index in range(num_rounds):
         written = profiler.pattern_for_round(round_index)
@@ -211,13 +254,11 @@ def _pr1_simulate_word(profiler, profile, num_rounds, word_seed, artifacts) -> W
         predicted = profiler.identified_predicted
         if observed_count != previous_observed_count or predicted != previous_predicted:
             current_identified = profiler.identified
-            current_observed = profiler.identified_observed
             previous_observed_count = observed_count
             previous_predicted = predicted
         identified_trace.append(current_identified)
-        observed_trace.append(current_observed)
 
-    return WordRunResult(change_points(identified_trace, observed_trace), num_rounds)
+    return WordRunResult(change_points(identified_trace), num_rounds)
 
 
 def _pr1_run_sweep(config) -> SweepResult:

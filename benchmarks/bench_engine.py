@@ -131,7 +131,7 @@ def _seed_simulate_word(profiler, profile, num_rounds, word_seed) -> WordRunResu
     probabilities = np.asarray(profile.probabilities, dtype=float)
     positions = np.asarray(profile.positions, dtype=np.intp)
 
-    identified_trace, observed_trace = [], []
+    identified_trace = []
     if profiler.name in _SEED_ADAPTIVE:
         written_rounds = None
     else:
@@ -164,9 +164,8 @@ def _seed_simulate_word(profiler, profile, num_rounds, word_seed) -> WordRunResu
             mismatches = post_correction_data_errors(code, failed)
         profiler.observe(round_index, mismatches)
         identified_trace.append(profiler.identified)
-        observed_trace.append(profiler.identified_observed)
 
-    return WordRunResult(change_points(identified_trace, observed_trace), num_rounds)
+    return WordRunResult(change_points(identified_trace), num_rounds)
 
 
 def _legacy_run_sweep(config) -> SweepResult:
@@ -410,7 +409,6 @@ def test_simulate_words_batched_speedup(sweep_scaling):
         reference, candidate, words * len(names), artifacts * len(names), scalar_fed, batched_fed
     ):
         assert ref.identified_per_round == got.identified_per_round
-        assert ref.observed_per_round == got.observed_per_round
         # Both kernels fed their profilers what the word's failure patterns imply.
         assert check_feed(s_profiler, s_feed, profile, seed, 128, artifacts=artifact) == (
             check_feed(b_profiler, b_feed, profile, seed, 128, artifacts=artifact)

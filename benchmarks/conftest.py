@@ -54,19 +54,19 @@ def cpu_seconds() -> float:
     return own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
 
 
-def change_points(identified, observed) -> list:
-    """Per-round identified and observed traces as a run's change points.
+def change_points(identified) -> list:
+    """A per-round identified trace as a run's change points.
 
-    The pinned early engines build one set of each per round;
+    The pinned early engines build one set per round;
     :class:`~repro.profiling.runner.WordRunResult` stores a run as the
-    rounds where either set changes.
+    rounds where it changes.
     """
     changes = []
-    last = (frozenset(), frozenset())
-    for round_index, sets in enumerate(zip(identified, observed)):
-        if sets != last:
-            changes.append((round_index, *sets))
-            last = sets
+    last = frozenset()
+    for round_index, current in enumerate(identified):
+        if current != last:
+            changes.append((round_index, current))
+            last = current
     return changes
 
 

@@ -28,7 +28,9 @@ eliminated (linear-basis) state of a constraint set and extends it with
 further constraints via :meth:`ChargeSystem.with_charged` without
 re-eliminating what is already reduced.
 
-Both solve paths return the *canonical minimally-charged* dataword: the
+It is the one solver: :func:`is_charge_realizable`,
+:func:`solve_charge_assignment` and the memo's crafted epochs all build
+one.  It returns the *canonical minimally-charged* dataword: the
 unique solution whose non-pivot (free) variables are all zero, where the
 pivot columns are those of the lowest-bit GF(2) linear basis of the
 constraint rows.  That pivot-column set depends only on the constraint
@@ -36,10 +38,11 @@ constraint rows.  That pivot-column set depends only on the constraint
 
 ``ChargeSystem(code, A).with_charged(B).solution_int()``
 
-is bit-identical to ``_solve_charge_ints(code, A | B, frozenset())`` for
+is bit-identical to ``ChargeSystem(code, A | B).solution_int()`` for
 every split of the constraints, and cached eliminated states may be
 shared freely (``tests/test_charge_system.py`` pins this property over
-random SEC codes).
+random SEC codes, against :func:`repro.ecc.gf2.solve` on the explicit
+constraint matrix).
 
 Basis representation
 ====================
@@ -81,65 +84,6 @@ __all__ = [
 #: exceeds 8 and we guard against accidental blow-ups.  Every enumerator
 #: and the configs that feed them refuse more.
 MAX_AT_RISK_FOR_ENUMERATION = 16
-
-
-def _solve_charge_ints(
-    code: SystematicCode,
-    charged_ones: frozenset[int] | set[int],
-    forced_zeros: frozenset[int] | set[int],
-) -> int | None:
-    """Integer-bitmask core of the charge-constraint solver.
-
-    With all-true cells, cell ``b`` is charged iff codeword bit ``b`` is 1.
-    Data-position constraints pin data bits directly; parity-position
-    constraints are XOR rows over the data bits (rows of ``P``).  Forced
-    bits are substituted first, then the residual (at most ``p``-row)
-    system is eliminated with whole-row integer XOR.
-
-    Returns the dataword as a bitmask (free bits 0), or ``None`` if the
-    system is inconsistent.  All arithmetic stays in Python integers —
-    this runs inside the Monte-Carlo hot loop.
-    """
-    k = code.k
-    forced_mask = 0  # data bits with a pinned value
-    forced_values = 0  # the pinned values
-    parity_rows: list[tuple[int, int]] = []  # (row mask over data bits, rhs)
-    for target, positions in ((1, charged_ones), (0, forced_zeros)):
-        for position in positions:
-            if not 0 <= position < code.n:
-                raise IndexError(f"position {position} out of range [0, {code.n})")
-            if position < k:
-                bit = 1 << position
-                forced_mask |= bit
-                if target:
-                    forced_values |= bit
-            else:
-                parity_rows.append((code.parity_row_ints[position - k], target))
-    # Substitute pinned bits into the parity rows.
-    reduced: list[tuple[int, int]] = []
-    for row, rhs in parity_rows:
-        rhs ^= (row & forced_values).bit_count() & 1
-        reduced.append((row & ~forced_mask, rhs))
-    # Gaussian elimination over the handful of residual rows.
-    pivots: list[tuple[int, int, int]] = []  # (pivot bit, row, rhs)
-    for row, rhs in reduced:
-        for pivot_bit, pivot_row, pivot_rhs in pivots:
-            if row & pivot_bit:
-                row ^= pivot_row
-                rhs ^= pivot_rhs
-        if row == 0:
-            if rhs:
-                return None
-            continue
-        pivots.append((row & -row, row, rhs))
-    solution = forced_values
-    # Back-substitute: free variables are 0, so each pivot variable equals
-    # its row's rhs once later pivots are resolved.  Process in reverse.
-    for pivot_bit, row, rhs in reversed(pivots):
-        value = rhs ^ ((row & solution & ~pivot_bit).bit_count() & 1)
-        if value:
-            solution |= pivot_bit
-    return solution
 
 
 class ChargeSystem:
@@ -219,8 +163,7 @@ class ChargeSystem:
         """The canonical minimally-charged dataword as a bitmask, or None.
 
         Free (non-pivot) data bits are 0; each pivot variable equals its
-        row's rhs once later pivots are resolved, exactly as in
-        :func:`_solve_charge_ints`.
+        row's rhs once later pivots are resolved.
         """
         if self._infeasible:
             return None
@@ -248,13 +191,14 @@ def is_charge_realizable(
 
     Assumes all-true cells, matching the paper's evaluation model.
     """
-    if set(charged_ones) & set(forced_zeros):
-        return False
-    # Fast path: constraints touching only data bits are always satisfiable
-    # because systematic data bits are free variables.
-    if all(p < code.k for p in charged_ones) and all(p < code.k for p in forced_zeros):
-        return True
-    return _solve_charge_ints(code, charged_ones, forced_zeros) is not None
+    k = code.k
+    # Fast path: systematic data bits are free variables, so constraints
+    # on them alone conflict only where a bit is both charged and forced
+    # to zero.  Any other position, out-of-range ones included, takes the
+    # solver, which range-checks it.
+    if all(0 <= p < k for p in charged_ones) and all(0 <= p < k for p in forced_zeros):
+        return not set(charged_ones) & set(forced_zeros)
+    return ChargeSystem(code, charged_ones, forced_zeros).solution_int() is not None
 
 
 def solve_charge_assignment(
@@ -268,12 +212,7 @@ def solve_charge_assignment(
     the property BEEP's crafted patterns rely on (charge only what the test
     targets).
     """
-    if set(charged_ones) & set(forced_zeros):
-        return None
-    solution = _solve_charge_ints(code, charged_ones, forced_zeros)
-    if solution is None:
-        return None
-    return int_to_bits(solution, code.k)
+    return ChargeSystem(code, charged_ones, forced_zeros).solution()
 
 
 @dataclass(frozen=True)

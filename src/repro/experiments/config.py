@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.atrisk import MAX_AT_RISK_FOR_ENUMERATION
+from repro.memory.faults import FaultMixModel
 
 __all__ = [
     "SweepConfig",
@@ -33,6 +34,12 @@ __all__ = [
 
 #: Profilers evaluated in the paper's coverage figures (Figs 6-9).
 DEFAULT_PROFILERS = ("Naive", "BEEP", "HARP-U", "HARP-A", "HARP-A+BEEP")
+
+
+def _check_probabilities(probabilities: tuple[float, ...]) -> None:
+    for probability in probabilities:
+        if not 0.0 < probability <= 1.0:
+            raise ValueError("per-bit probabilities must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -68,9 +75,7 @@ class SweepConfig:
                     f"error count {count} exceeds the enumeration bound "
                     f"{MAX_AT_RISK_FOR_ENUMERATION}"
                 )
-        for probability in self.probabilities:
-            if not 0.0 < probability <= 1.0:
-                raise ValueError("per-bit probabilities must be in (0, 1]")
+        _check_probabilities(self.probabilities)
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,7 @@ class CaseStudyConfig:
         for rber in self.rbers:
             if not 0.0 < rber < 1.0:
                 raise ValueError("RBER must be in (0, 1)")
+        _check_probabilities(self.probabilities)
         if self.max_at_risk < 2:
             raise ValueError("max_at_risk must be >= 2")
         if self.max_at_risk > MAX_AT_RISK_FOR_ENUMERATION:
@@ -174,6 +180,20 @@ class FleetConfig:
             raise ValueError("slice_words must be >= 0 (0 = whole-cell shards)")
         if self.spare_rows < 0 or self.spare_bits < 0:
             raise ValueError("repair budgets must be >= 0")
+        self.mix_model()  # FaultMixModel bounds the fault-mix fields
+
+    def mix_model(self) -> FaultMixModel:
+        """The population's field-fault mix, built from this config's fields."""
+        return FaultMixModel(
+            single_rate=self.single_rate,
+            row_rate=self.row_rate,
+            column_rate=self.column_rate,
+            bank_rate=self.bank_rate,
+            variability_sigma=self.variability_sigma,
+            row_density=self.row_density,
+            column_density=self.column_density,
+            bank_density=self.bank_density,
+        )
 
 
 #: Tiny scale for tests.

@@ -54,7 +54,7 @@ from repro.experiments.config import CaseStudyConfig
 from repro.experiments.reporting import log_round_ticks, percent, profiler_order
 from repro.experiments.store import FIG10_STORE
 from repro.memory.error_model import sample_word_profile
-from repro.profiling.runner import WordRunResult, simulate_cell
+from repro.profiling.runner import simulate_cell
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.tables import format_series
 
@@ -170,37 +170,32 @@ def run_case_shard(
     for word_index, profile in enumerate(profiles):
         analyzer = WordBerAnalyzer(code, profile, charged)
         for name in config.profilers:
-            run = runs[name][word_index]
-            # After round ``tick - 1`` the set is the last change point's
-            # at or before that round, or empty before the first.
-            change_rounds = [change[0] for change in run.changes]
-            sets = [frozenset(), *(change[1] for change in run.changes)]
-            at_ticks = [sets[bisect_left(change_rounds, tick)] for tick in ticks]
+            segments = runs[name][word_index].segments()
+            # After round ``tick - 1`` the set is the last segment's that
+            # starts at or before that round.
+            starts = [start for start, _ in segments]
+            at_ticks = [segments[bisect_left(starts, tick) - 1][1] for tick in ticks]
             before[name].append([analyzer.unrepaired_ber(identified) for identified in at_ticks])
             after[name].append(
                 [analyzer.residual_ber_after_secondary(identified) for identified in at_ticks]
             )
-            to_zero[name].append(_first_zero_round(analyzer, run))
+            to_zero[name].append(_first_zero_round(analyzer, segments))
     return before, after, to_zero
 
 
-def _first_zero_round(analyzer: WordBerAnalyzer, run: WordRunResult) -> int | None:
+def _first_zero_round(
+    analyzer: WordBerAnalyzer, segments: list[tuple[int, frozenset[int]]]
+) -> int | None:
     """First 1-based round with zero post-secondary BER (monotone search).
 
-    The identified set only grows, so the residual BER is non-increasing;
-    it moves only at the run's change points, and before the first one
-    (if that falls after round 0) the set is empty.  Each distinct set is
-    evaluated once, in round order.
+    The identified set only grows, so the residual BER is non-increasing
+    and moves only where a segment of the run starts
+    (:meth:`~repro.profiling.runner.WordRunResult.segments`).  Each
+    segment's set is evaluated once, in round order.
     """
-    points = [(round_index, identified) for round_index, identified, _ in run.changes]
-    if run.num_rounds and (not points or points[0][0] > 0):
-        points.insert(0, (0, frozenset()))
-    previous: frozenset[int] | None = None
-    for round_index, identified in points:
-        if identified != previous:
-            if analyzer.residual_ber_after_secondary(identified) == 0.0:
-                return round_index + 1
-            previous = identified
+    for start, identified in segments:
+        if analyzer.residual_ber_after_secondary(identified) == 0.0:
+            return start + 1
     return None
 
 

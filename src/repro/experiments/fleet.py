@@ -79,7 +79,6 @@ from repro.memory.faults import (
     FAULT_MODES,
     ChipFaults,
     ChipGeometry,
-    FaultMixModel,
     sample_chip_faults,
 )
 from repro.profiling.runner import simulate_cell
@@ -104,19 +103,6 @@ __all__ = [
 
 def geometry_of(config: FleetConfig) -> ChipGeometry:
     return ChipGeometry(rows=config.rows, words_per_row=config.words_per_row)
-
-
-def mix_model_of(config: FleetConfig) -> FaultMixModel:
-    return FaultMixModel(
-        single_rate=config.single_rate,
-        row_rate=config.row_rate,
-        column_rate=config.column_rate,
-        bank_rate=config.bank_rate,
-        variability_sigma=config.variability_sigma,
-        row_density=config.row_density,
-        column_density=config.column_density,
-        bank_density=config.bank_density,
-    )
 
 
 @lru_cache(maxsize=256)
@@ -157,7 +143,7 @@ def chip_faults(config: FleetConfig, chip_index: int) -> ChipFaults:
             sample_chip_faults(
                 config.seed,
                 range(start, min(start + config.chips_per_shard, config.num_chips)),
-                mix_model_of(config),
+                config.mix_model(),
                 geometry_of(config),
                 chip_code(config, start).n,  # every fleet code has the same k, so one n
                 config.max_at_risk_per_word,

@@ -223,10 +223,8 @@ def metrics_for_words(
 ) -> list[WordMetrics]:
     """Batched :func:`metrics_for_run` over every word of a cell.
 
-    Each run arrives as its change points (:attr:`WordRunResult.changes`),
-    so its segments of identical identified sets come straight from the
-    kernels: a segment starts at round 0 and at every change point whose
-    identified set differs by value from the segment before it.  The
+    Each run's segments of identical identified sets come straight from
+    its change points (:meth:`WordRunResult.segments`).  The
     per-round set intersections that the reference loop evaluates 4x per
     round become numpy set-ops over the *whole cell*: every metric
     member's first-seen segment lands in
@@ -253,28 +251,18 @@ def metrics_for_words(
     capability_parts: list[int] = []
     base = 0
     for run, truth in words:
-        rounds = run.num_rounds
-        starts: list[int] = []
-        segment_sets: list[frozenset[int]] = []
-        if rounds:
-            starts.append(0)
-            segment_sets.append(frozenset())
-            for round_index, identified, _ in run.changes:
-                if identified != segment_sets[-1]:
-                    if round_index == starts[-1]:
-                        segment_sets[-1] = identified  # a change in round 0
-                    else:
-                        starts.append(round_index)
-                        segment_sets.append(identified)
-            seg_end_parts.extend(starts[1:])
-            seg_end_parts.append(rounds)
+        segments = run.segments()
+        starts = [start for start, _ in segments]
+        seg_end_parts.extend(starts[1:])
+        if segments:
+            seg_end_parts.append(run.num_rounds)
         seg_starts_per_word.append(starts)
         segs_per_word.append(len(starts))
-        trace_lengths.append(rounds)
+        trace_lengths.append(run.num_rounds)
         post = truth.post_correction_at_risk
         first_seen: dict[int, int] = {}
         previous: frozenset[int] = frozenset()
-        for segment_index, identified in enumerate(segment_sets):
+        for segment_index, (_, identified) in enumerate(segments):
             for position in identified - previous:
                 first_seen[position] = segment_index
             previous = identified

@@ -1,6 +1,5 @@
 """Simulated main-memory substrate: cells, arrays, error models, chips."""
 
-from repro.memory.address import AddressMap, LogicalAddress
 from repro.memory.array import MemoryArray
 from repro.memory.cells import CellOrientation, all_true_cells, alternating_cells
 from repro.memory.chip import OnDieEccChip, ReadOutcome
@@ -29,8 +28,6 @@ from repro.memory.patterns import (
 )
 
 __all__ = [
-    "AddressMap",
-    "LogicalAddress",
     "MemoryArray",
     "CellOrientation",
     "all_true_cells",

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ecc.linear_code import SystematicCode
-from repro.memory.address import AddressMap
 from repro.memory.array import MemoryArray
 from repro.memory.error_model import RetentionErrorModel, WordErrorProfile
 
@@ -68,7 +67,6 @@ class OnDieEccChip:
         rng: np.random.Generator | None = None,
     ) -> None:
         self.code = code
-        self.address_map = AddressMap(code.k, code.n, num_words)
         self._array = MemoryArray(num_words, code.n)
         self._error_model = error_model or RetentionErrorModel()
         self._rng = rng or np.random.default_rng(0)
@@ -94,7 +92,7 @@ class OnDieEccChip:
 
     @property
     def num_words(self) -> int:
-        return self.address_map.num_words
+        return self._array.num_words
 
     def write(self, word_index: int, data: np.ndarray) -> None:
         """Encode a dataword through on-die ECC and store the codeword."""

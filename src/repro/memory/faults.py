@@ -29,7 +29,7 @@ This module is the population model behind
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, inf
 from typing import Sequence
 
 import numpy as np
@@ -105,11 +105,12 @@ class FaultMixModel:
     bank_density: float = 0.01
 
     def __post_init__(self) -> None:
+        # Negated so that NaN fails too: a JSON job spec can carry NaN.
         for mode in FAULT_MODES:
-            if self.rate_of(mode) < 0:
-                raise ValueError("fault rates must be >= 0")
-        if self.variability_sigma < 0:
-            raise ValueError("variability_sigma must be >= 0")
+            if not 0 <= self.rate_of(mode) < inf:
+                raise ValueError("fault rates must be >= 0 and finite")
+        if not 0 <= self.variability_sigma < inf:
+            raise ValueError("variability_sigma must be >= 0 and finite")
         for density in (self.row_density, self.column_density, self.bank_density):
             if not 0.0 <= density <= 1.0:
                 raise ValueError("fault densities must be within [0, 1]")

@@ -20,7 +20,7 @@ write arrays to a chip.  Two read paths exist (paper §5.2):
 
 Profilers accumulate an *identified* set of at-risk data positions, split
 into an observation channel and (for HARP-A) a prediction channel.
-:meth:`Profiler.observe` returns whether that state may have moved, so
+:meth:`Profiler.observe` returns whether that set may have moved, so
 the kernels store a run as its change points
 (:class:`~repro.profiling.runner.WordRunResult`) and never poll the sets
 on rounds where nothing happened.
@@ -114,14 +114,13 @@ class Profiler:
     def observe(self, round_index: int, mismatches: frozenset[int]) -> bool:
         """Record the mismatching data positions of this round's read-back.
 
-        Returns ``True`` whenever :attr:`identified` or
-        :attr:`identified_observed` may have changed since the previous
-        call — including changes this round's :meth:`crafted_for_round`
-        made — and ``False`` only when neither did.  The kernels record a
-        change point exactly when it returns ``True``: a spurious ``True``
-        costs one redundant change point, a missed change corrupts the
-        trace.  The default is plain accumulate semantics: mismatches
-        union into the observed set.
+        Returns ``True`` whenever :attr:`identified` may have changed
+        since the previous call — including changes this round's
+        :meth:`crafted_for_round` made — and ``False`` only when it did
+        not.  The kernels record a change point exactly when it returns
+        ``True``: a spurious ``True`` costs one redundant change point, a
+        missed change corrupts the trace.  The default is plain
+        accumulate semantics: mismatches union into the observed set.
         """
         observed = self._observed
         before = len(observed)
@@ -130,7 +129,7 @@ class Profiler:
 
     def observe_many(
         self, events: Iterable[tuple[int, frozenset[int]]]
-    ) -> list[tuple[int, frozenset[int], frozenset[int]]]:
+    ) -> list[tuple[int, frozenset[int]]]:
         """Consume a whole run's distinct mismatch events in one call.
 
         ``events`` yields one ``(first_round, mismatches)`` pair per
@@ -139,14 +138,14 @@ class Profiler:
         compressed replay of calling :meth:`observe` every round.
         Returns the run's change points, the
         :attr:`~repro.profiling.runner.WordRunResult.changes` of its
-        result: ``(round, identified, identified_observed)`` triples,
-        the cumulative sets materialized only at those rounds.  The
+        result: ``(round, identified)`` pairs, the cumulative set
+        materialized only at those rounds.  The
         default implementation replays the default :meth:`observe`;
         subclasses with extra per-observation state override it (see
         :class:`~repro.profiling.harp.HarpAProfiler`) and vouch for the
         replay with the :attr:`batched` flag.
         """
-        changes: list[tuple[int, frozenset[int], frozenset[int]]] = []
+        changes: list[tuple[int, frozenset[int]]] = []
         observed = self._observed
         # Accumulate semantics leave the prediction channel alone.
         predicted = self.identified_predicted
@@ -155,11 +154,10 @@ class Profiler:
                 continue
             observed.update(mismatches)
             # One snapshot per change point: for accumulate semantics
-            # ``identified_observed`` is exactly frozenset(_observed) and
-            # ``identified`` only adds the prediction channel.
+            # ``identified`` only adds the prediction channel to
+            # ``_observed``.
             snapshot = frozenset(observed)
-            identified = snapshot | predicted if predicted else snapshot
-            changes.append((round_index, identified, snapshot))
+            changes.append((round_index, snapshot | predicted if predicted else snapshot))
         return changes
 
     # ------------------------------------------------------------------

@@ -11,9 +11,10 @@ caused by at-risk parity bits, which HARP-A alone cannot predict.
 The hybrid switches phase once: it crafts and observes through its
 current phase, HARP-A until the first :meth:`crafted_for_round` call at
 or past ``switch_round`` and BEEP from there on.  That call seeds BEEP's
-anchor pool with HARP-A's findings, which moves ``identified_observed``
-with no new mismatch, so the same round's :meth:`observe` reports a
-change.
+anchor pool with HARP-A's findings.  This moves ``identified_observed``
+(HARP-A's predictions become BEEP observations) but never
+``identified``, which already held them, so :meth:`observe` reports
+only what the current phase's own observation moved.
 
 Both phases run on the code-level caches of :mod:`repro.analysis.memo`:
 the active phase through HARP-A's memoized indirect prediction, the
@@ -52,8 +53,6 @@ class HarpABeepProfiler(Profiler):
         self._beep = BeepProfiler(code, seed, pattern)
         #: The phase that crafts and observes: HARP-A, then BEEP.
         self._phase: Profiler = self._harp
-        #: The round whose crafted call seeded BEEP (-1 before the switch).
-        self._handoff_round = -1
 
     def read_mode_for(self, round_index: int) -> str:
         return ReadMode.BYPASS if round_index < self.switch_round else ReadMode.NORMAL
@@ -64,12 +63,11 @@ class HarpABeepProfiler(Profiler):
         if self._phase is self._harp and round_index >= self.switch_round:
             # Seed BEEP's anchor pool with everything HARP-A identified.
             self._phase = self._beep
-            self._handoff_round = round_index
             self._beep.observe(round_index, self._harp.identified)
         return self._phase.crafted_for_round(round_index)
 
     def observe(self, round_index: int, mismatches: frozenset[int]) -> bool:
-        return self._phase.observe(round_index, mismatches) or round_index == self._handoff_round
+        return self._phase.observe(round_index, mismatches)
 
     @property
     def identified_observed(self) -> frozenset[int]:

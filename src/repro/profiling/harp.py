@@ -57,7 +57,7 @@ class HarpAProfiler(HarpUProfiler):
 
     def observe_many(
         self, events: Iterable[tuple[int, frozenset[int]]]
-    ) -> list[tuple[int, frozenset[int], frozenset[int]]]:
+    ) -> list[tuple[int, frozenset[int]]]:
         """Batched replay: refresh the prediction at each growth event.
 
         The observed set after any round is the union of the distinct
@@ -66,15 +66,14 @@ class HarpAProfiler(HarpUProfiler):
         exactly the same (observed, predicted) states, at the same
         rounds, as the per-round ``observe`` loop.
         """
-        changes: list[tuple[int, frozenset[int], frozenset[int]]] = []
+        changes: list[tuple[int, frozenset[int]]] = []
         observed = self._observed
         for round_index, mismatches in events:
             if mismatches <= observed:
                 continue
             observed.update(mismatches)
-            snapshot = frozenset(observed)
             self._predicted = cached_predict_indirect(self.code, observed)
-            changes.append((round_index, snapshot | self._predicted, snapshot))
+            changes.append((round_index, frozenset(observed) | self._predicted))
         return changes
 
     @property

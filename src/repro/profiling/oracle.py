@@ -48,7 +48,7 @@ class OracleProfiler(Profiler):
 
     def observe_many(
         self, events: Iterable[tuple[int, frozenset[int]]]
-    ) -> list[tuple[int, frozenset[int], frozenset[int]]]:
+    ) -> list[tuple[int, frozenset[int]]]:
         """The oracle reveals on its first observation — always round 0.
 
         The scalar harness calls ``observe`` every round (including
@@ -58,4 +58,4 @@ class OracleProfiler(Profiler):
         """
         if not self.observe(0, frozenset()):
             return []
-        return [(0, self.identified, self.identified_observed)]
+        return [(0, self.identified)]

@@ -77,7 +77,6 @@ __all__ = [
     "simulate_word",
     "simulate_words_batched",
     "post_correction_data_errors",
-    "post_correction_data_errors_batch",
 ]
 
 
@@ -95,78 +94,52 @@ def post_correction_data_errors(code: SystematicCode, failed: tuple[int, ...]) -
     return frozenset(p for p in post if p < code.k)
 
 
-def post_correction_data_errors_batch(
-    code: SystematicCode, patterns: Sequence[tuple[int, ...]]
-) -> list[frozenset[int]]:
-    """Batched :func:`post_correction_data_errors` over failure patterns.
-
-    Builds one indicator matrix over all patterns and resolves every
-    syndrome through a single multi-RHS GF(2) product
-    (:meth:`~repro.ecc.linear_code.SystematicCode.syndrome_ints_batch`,
-    which takes the popcount product at scale) instead of per-pattern
-    column XORs.  Bit-identical to mapping the scalar helper.
-    """
-    if not patterns:
-        return []
-    indicators = np.zeros((len(patterns), code.n), dtype=np.uint8)
-    for row, failed in enumerate(patterns):
-        indicators[row, list(failed)] = 1
-    syndrome_ints = code.syndrome_ints_batch(indicators)
-    k = code.k
-    results: list[frozenset[int]] = []
-    for failed, syndrome in zip(patterns, syndrome_ints.tolist()):
-        if not failed:
-            results.append(frozenset())
-            continue
-        correction = code.correction_for_syndrome(syndrome)
-        post = set(failed)
-        if correction:
-            post ^= set(correction)
-        results.append(frozenset(p for p in post if p < k))
-    return results
-
-
 @dataclass
 class WordRunResult:
     """Identification trace of one (profiler, word) simulation, as change points.
 
     Attributes:
-        changes: ``(round, identified, observed)`` triples in ascending
-            round order.  From round ``round`` on, the cumulative
-            identified set (observation and prediction channels merged —
-            what the repair mechanism would know) is ``identified`` and
-            the observation channel alone is ``observed``, until the next
-            triple; both are empty before the first.  A triple may repeat
-            its predecessor's sets, so readers compare by value.
+        changes: ``(round, identified)`` pairs in ascending round order.
+            From round ``round`` on, the cumulative identified set
+            (observation and prediction channels merged — what the repair
+            mechanism would know) is ``identified``, until the next pair;
+            it is empty before the first.  A pair may repeat its
+            predecessor's set, so readers go through :meth:`segments`.
         num_rounds: how many rounds the run simulated.
     """
 
-    changes: list[tuple[int, frozenset[int], frozenset[int]]]
+    changes: list[tuple[int, frozenset[int]]]
     num_rounds: int
 
     def final_identified(self) -> frozenset[int]:
         return self.changes[-1][1] if self.changes else frozenset()
 
+    def segments(self) -> list[tuple[int, frozenset[int]]]:
+        """The run's ``(first round, identified)`` segments.
+
+        Every per-round reader goes through them.  The first segment starts at round 0 (with the empty set unless a
+        change lands there), and each later one at a change point whose
+        set differs by value from its predecessor's; a segment lasts
+        until the next one starts, the last until :attr:`num_rounds`.  A
+        run of zero rounds has none.
+        """
+        if not self.num_rounds:
+            return []
+        segments: list[tuple[int, frozenset[int]]] = [(0, frozenset())]
+        for round_index, identified in self.changes:
+            if identified != segments[-1][1]:
+                if round_index:
+                    segments.append((round_index, identified))
+                else:
+                    segments[0] = (0, identified)
+        return segments
+
     @property
     def identified_per_round(self) -> list[frozenset[int]]:
-        """The identified set after each round, expanded from :attr:`changes`."""
-        return self._per_round(1)
-
-    @property
-    def observed_per_round(self) -> list[frozenset[int]]:
-        """The observation channel after each round, expanded from :attr:`changes`.
-
-        No exhibit reads it; tests compare it across kernels.
-        """
-        return self._per_round(2)
-
-    def _per_round(self, channel: int) -> list[frozenset[int]]:
+        """The identified set after each round, expanded from :meth:`segments`."""
         trace: list[frozenset[int]] = []
-        current: frozenset[int] = frozenset()
-        for change in self.changes:
-            trace.extend([current] * (change[0] - len(trace)))
-            current = change[channel]
-        trace.extend([current] * (self.num_rounds - len(trace)))
+        for start, identified in self.segments():
+            trace[start:] = [identified] * (self.num_rounds - start)
         return trace
 
 
@@ -300,7 +273,7 @@ def simulate_word(
     analysis_caches = code_caches(code)
     charge_masks: dict[int, int] = {}
     consequences: dict[tuple[str, int], frozenset[int]] = {}
-    changes: list[tuple[int, frozenset[int], frozenset[int]]] = []
+    changes: list[tuple[int, frozenset[int]]] = []
 
     crafted_for_round = profiler.crafted_for_round
     read_mode_for = profiler.read_mode_for
@@ -331,7 +304,7 @@ def simulate_word(
                 )
             consequences[key] = mismatches
         if observe(round_index, mismatches):
-            changes.append((round_index, profiler.identified, profiler.identified_observed))
+            changes.append((round_index, profiler.identified))
     return WordRunResult(changes, num_rounds)
 
 
@@ -350,10 +323,11 @@ def simulate_words_batched(
     each word's encoded schedule and draws come from its
     :class:`WordArtifacts`, failure draws resolve through a single 3-D
     charged-mask comparison over the words' at-risk columns, the distinct
-    failure patterns of the whole batch decode through one multi-RHS syndrome
-    product per (code, read mode) — shared with every other run through
-    the promoted decode-consequence memo — and each profiler consumes its
-    run as compressed mismatch events
+    failure patterns of the whole batch probe the promoted
+    decode-consequence memo once per (code, read mode) — shared with every
+    other run — and the misses decode through
+    :func:`post_correction_data_errors`, as in the scalar kernel.  Each
+    profiler consumes its run as compressed mismatch events
     (:meth:`~repro.profiling.base.Profiler.observe_many`), whose change
     points become the run's :attr:`WordRunResult.changes`.  Bit-identical to
     calling :func:`simulate_word` per word, under both GF(2) products —
@@ -498,7 +472,7 @@ def simulate_words_batched(
     # ------------------------------------------------------------------
     # Batched decode consequences: each (code, mode) group's patterns
     # resolve through the shared memo in one probe; its distinct misses
-    # decode in one multi-RHS syndrome product.
+    # decode one by one, as in the scalar kernel.
     # ------------------------------------------------------------------
     probe_groups: dict[tuple[int, str], tuple] = {}
     for index, profiler in enumerate(profilers):
@@ -523,7 +497,7 @@ def simulate_words_batched(
                 k = code.k
                 consequences = [frozenset(p for p in f if p < k) for f in misses]
             else:
-                consequences = post_correction_data_errors_batch(code, misses)
+                consequences = [post_correction_data_errors(code, f) for f in misses]
             resolved = dict(zip(misses, consequences))
             for failed_tuple, mismatches in resolved.items():
                 handle.insert_decode_consequences(mode, failed_tuple, mismatches)

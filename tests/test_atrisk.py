@@ -40,8 +40,11 @@ class TestRealizability:
             assert codeword[position] == 1
 
     def test_out_of_range(self, code):
-        with pytest.raises(IndexError):
-            is_charge_realizable(code, {code.n})
+        for positions in ({code.n}, {-1}):
+            with pytest.raises(IndexError):
+                is_charge_realizable(code, positions)
+            with pytest.raises(IndexError):
+                solve_charge_assignment(code, positions)
 
     def test_all_parity_charged_is_decidable(self, code):
         """Charging every parity cell is a full-rank linear system."""

@@ -67,7 +67,6 @@ def _assert_kernels_agree(make, profiles, seeds, num_rounds, orientation=None):
         scalar, batched, profiles, seeds, scalar_fed, batched_fed
     ):
         assert reference.identified_per_round == candidate.identified_per_round
-        assert reference.observed_per_round == candidate.observed_per_round
         assert reference.num_rounds == candidate.num_rounds == num_rounds
         assert b_feed.events is not None or not num_rounds
         assert check_feed(
@@ -323,7 +322,7 @@ class TestObserveManyContract:
             assert batched.identified_observed == replayed.identified_observed
             assert batched.identified_predicted == replayed.identified_predicted
             assert changes[-1][1] == batched.identified
-            assert [round_index for round_index, _, _ in changes] == [0, 3, 7]
+            assert [round_index for round_index, _ in changes] == [0, 3, 7]
 
     def test_duplicate_events_produce_no_changes(self):
         code = canonical_sec_code(16)

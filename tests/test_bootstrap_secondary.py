@@ -27,7 +27,7 @@ def _run(trace) -> WordRunResult:
     previous = frozenset()
     for round_index, identified in enumerate(map(frozenset, trace)):
         if identified != previous:
-            changes.append((round_index, identified, identified))
+            changes.append((round_index, identified))
             previous = identified
     return WordRunResult(changes=changes, num_rounds=len(trace))
 

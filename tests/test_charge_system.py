@@ -1,11 +1,14 @@
 """Property tests of the incremental GF(2) charge-constraint solver.
 
-The contract (``atrisk`` module docstring): both solve paths return the
-*canonical* minimally-charged dataword, so eliminating a base system once
-and extending it incrementally is bit-identical to solving the full
+The contract (``atrisk`` module docstring): :class:`ChargeSystem` returns
+the *canonical* minimally-charged dataword, so eliminating a base system
+once and extending it incrementally is bit-identical to solving the full
 system from scratch — for every split and insertion order of the
 constraints.  These tests pin that property over random SEC codes, which
-is what makes the memo layer's shared eliminated bases safe.
+is what makes the memo layer's shared eliminated bases safe.  The
+reference is :func:`repro.ecc.gf2.solve`, an independent reduced
+row-echelon elimination, over the explicit constraint matrix: a data
+position is its unit row and a parity position its row of ``P``.
 """
 
 import numpy as np
@@ -14,11 +17,12 @@ from randcases import charge_cases
 
 from repro.analysis.atrisk import (
     ChargeSystem,
-    _solve_charge_ints,
     is_charge_realizable,
     solve_charge_assignment,
 )
+from repro.ecc import gf2
 from repro.ecc.hamming import random_sec_code
+from repro.utils.bits import int_to_bits
 
 
 def _feasible(system: ChargeSystem) -> bool:
@@ -26,13 +30,37 @@ def _feasible(system: ChargeSystem) -> bool:
     return not system._infeasible
 
 
+def _reference_solution(code, ones, zeros=()) -> int | None:
+    """:func:`gf2.solve` over the explicit constraint matrix, as a bitmask."""
+    constraints = [(p, 1) for p in ones] + [(p, 0) for p in zeros]
+    rows = [
+        1 << p if p < code.k else code.parity_row_ints[p - code.k] for p, _ in constraints
+    ]
+    matrix = np.array([int_to_bits(row, code.k) for row in rows], dtype=np.uint8)
+    solution = gf2.solve(matrix, np.array([t for _, t in constraints], dtype=np.uint8))
+    if solution is None:
+        return None
+    return sum(1 << i for i in np.flatnonzero(solution).tolist())
+
+
+def _overdetermined_case(seed: int):
+    """More constraints than data bits, with random targets: mostly infeasible."""
+    rng = np.random.default_rng(seed)
+    code = random_sec_code(int(rng.integers(4, 12)), rng)
+    positions = rng.permutation(code.n)[: code.k + int(rng.integers(1, code.n - code.k + 1))]
+    targets = rng.integers(0, 2, size=len(positions))
+    ones = tuple(int(p) for p, t in zip(positions, targets) if t)
+    zeros = tuple(int(p) for p, t in zip(positions, targets) if not t)
+    return code, ones, zeros
+
+
 class TestIncrementalEquivalence:
-    """ChargeSystem(A).with_charged(B) == straight _solve_charge_ints(A | B)."""
+    """ChargeSystem(A).with_charged(B) == gf2.solve over the rows of A | B."""
 
     @pytest.mark.parametrize("case", charge_cases(range(1000, 1040)), ids=str)
     def test_incremental_matches_batch(self, case):
         code, anchors, pair = case
-        batch = _solve_charge_ints(code, anchors | set(pair), frozenset())
+        batch = _reference_solution(code, sorted(anchors | set(pair)))
         incremental = ChargeSystem(code, tuple(sorted(anchors))).with_charged(pair)
         assert incremental.solution_int() == batch
         assert _feasible(incremental) == (batch is not None)
@@ -53,9 +81,25 @@ class TestIncrementalEquivalence:
             frozenset(int(x) for x in case.rng.choice(code.n, size=2, replace=False))
             - ones
         )
-        batch = _solve_charge_ints(code, ones, zeros)
+        batch = _reference_solution(code, sorted(ones), sorted(zeros))
         system = ChargeSystem(code, tuple(ones), tuple(zeros))
         assert system.solution_int() == batch
+
+    @pytest.mark.parametrize("seed", range(5000, 5020))
+    def test_overdetermined_systems_match_batch(self, seed):
+        code, ones, zeros = _overdetermined_case(seed)
+        batch = _reference_solution(code, ones, zeros)
+        system = ChargeSystem(code, ones, zeros)
+        assert system.solution_int() == batch
+        assert is_charge_realizable(code, set(ones), set(zeros)) == (batch is not None)
+
+    def test_overdetermined_cases_include_infeasible_ones(self):
+        """The over-determined stream exercises refutation, not just solving."""
+        verdicts = [
+            _reference_solution(*_overdetermined_case(seed)) is None
+            for seed in range(5000, 5020)
+        ]
+        assert 0 < sum(verdicts) < len(verdicts)
 
     @pytest.mark.parametrize("case", charge_cases(range(4000, 4020)), ids=str)
     def test_solution_array_matches_solver(self, case):

@@ -12,6 +12,7 @@ from repro.experiments.config import (
     SweepConfig,
 )
 from repro.experiments.reporting import log_round_ticks, percent, profiler_order
+from repro.memory.faults import FIELD_DDR4
 
 
 class TestSweepConfig:
@@ -61,11 +62,35 @@ class TestCaseStudyConfig:
             CaseStudyConfig(max_at_risk=30)
         CaseStudyConfig(max_at_risk=MAX_AT_RISK_FOR_ENUMERATION)
 
+    @pytest.mark.parametrize("probability", [0.0, 1.5, -0.5])
+    def test_probabilities_outside_unit_interval_refused(self, probability):
+        """Fig 10 divides each RBER by the probability to get an at-risk rate."""
+        with pytest.raises(ValueError, match=r"per-bit probabilities must be in \(0, 1\]"):
+            CaseStudyConfig(probabilities=(0.5, probability))
+
 
 class TestFleetConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="k must be positive"):
             FleetConfig(k=0)
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("single_rate", -1.0, "fault rates must be >= 0"),
+            ("single_rate", float("nan"), "fault rates must be >= 0 and finite"),
+            ("row_rate", float("inf"), "fault rates must be >= 0 and finite"),
+            ("variability_sigma", -1.0, "variability_sigma must be >= 0"),
+            ("variability_sigma", float("nan"), "variability_sigma must be >= 0 and finite"),
+            ("row_density", 2.0, "fault densities must be within"),
+        ],
+    )
+    def test_fault_mix_bounded_by_the_mix_model(self, field, value, reason):
+        with pytest.raises(ValueError, match=reason):
+            FleetConfig(**{field: value})
+
+    def test_default_mix_is_the_field_mix(self):
+        assert FleetConfig().mix_model() == FIELD_DDR4
 
 
 class TestReporting:

@@ -1,9 +1,8 @@
-"""Unit tests for MemoryArray and AddressMap."""
+"""Unit tests for MemoryArray."""
 
 import numpy as np
 import pytest
 
-from repro.memory.address import AddressMap, LogicalAddress
 from repro.memory.array import MemoryArray
 
 
@@ -42,19 +41,3 @@ class TestMemoryArray:
     def test_total_bits(self):
         assert MemoryArray(3, 8).total_bits == 24
 
-
-class TestAddressMap:
-    @pytest.fixture
-    def address_map(self):
-        return AddressMap(k=64, n=71, num_words=10)
-
-    def test_sizes(self, address_map):
-        assert address_map.logical_bits == 640
-
-    def test_bounds(self, address_map):
-        with pytest.raises(IndexError):
-            address_map.logical_to_flat(LogicalAddress(0, 64))
-
-    def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            AddressMap(k=8, n=4, num_words=1)

@@ -148,7 +148,7 @@ class TestRegistry:
 
 
 class TestObserveSignalsChanges:
-    """``observe`` returns ``True`` on every round its identification state moved.
+    """``observe`` returns ``True`` on every round its identified set moved.
 
     The kernels record a change point only when it does, so a missed
     ``True`` drops a change from the trace.  Each case drives one
@@ -184,24 +184,30 @@ class TestObserveSignalsChanges:
         rng = np.random.default_rng(seed)
         profiler = self._profiler(name, small_code, rng)
         pool = rng.choice(small_code.k, size=6, replace=False)
-        state = (profiler.identified, profiler.identified_observed)
+        state = profiler.identified
         for round_index in range(self.ROUNDS):
             profiler.crafted_for_round(round_index)
             changed = profiler.observe(round_index, self._mismatches(rng, pool, round_index))
-            after = (profiler.identified, profiler.identified_observed)
+            after = profiler.identified
             assert changed or after == state, (name, seed, round_index)
             state = after
 
-    def test_hand_off_round_signals_the_seeded_anchors(self, small_code):
-        """Seeding BEEP moves ``identified_observed`` without a mismatch."""
+    def test_hand_off_moves_only_the_observation_channel(self, small_code):
+        """Seeding BEEP grows ``identified_observed`` but not ``identified``.
+
+        HARP-A's predictions become BEEP observations, and ``identified``
+        already held them, so the hand-off round's ``observe`` owes no
+        ``True``.
+        """
         profiler = HarpABeepProfiler(small_code, 5, switch_round=self.SWITCH)
         for round_index in range(self.SWITCH):
             profiler.crafted_for_round(round_index)
             profiler.observe(round_index, frozenset({0, 1, 2}) if round_index == 3 else frozenset())
         predicted = profiler.identified_predicted
         assert predicted - {0, 1, 2}, "the case needs HARP-A predictions to hand off"
-        before = profiler.identified_observed
+        observed, identified = profiler.identified_observed, profiler.identified
         profiler.crafted_for_round(self.SWITCH)
-        assert profiler.observe(self.SWITCH, frozenset())
-        assert profiler.identified_observed == before | predicted
+        assert profiler.identified_observed == observed | predicted != observed
+        assert profiler.identified == identified
+        assert not profiler.observe(self.SWITCH, frozenset())
         assert not profiler.observe(self.SWITCH + 1, frozenset())

@@ -37,31 +37,33 @@ class TestPostCorrectionDataErrors:
 
 
 class TestWordRunResultViews:
-    """A run is its change points; the per-round views expand them."""
+    """A run is its change points; its segments and per-round view derive from them."""
 
     A, B, C = frozenset({1}), frozenset({1, 5}), frozenset({1, 5, 9})
+    EMPTY = frozenset()
 
     @pytest.mark.parametrize(
-        "changes, rounds, identified, observed",
+        "changes, rounds, identified, segments",
         [
             ([], 0, [], []),
-            ([], 3, [frozenset()] * 3, [frozenset()] * 3),
-            ([(0, B, A)], 3, [B] * 3, [A] * 3),
+            ([], 3, [EMPTY] * 3, [(0, EMPTY)]),
+            ([(0, B)], 3, [B] * 3, [(0, B)]),
             (
-                # The last triple repeats its predecessor: a spurious change.
-                [(1, A, A), (2, B, A), (4, B, B), (5, C, B), (6, C, B)],
+                # The pairs at rounds 4 and 6 repeat their predecessors'
+                # sets: spurious changes, which start no segment.
+                [(1, A), (2, B), (4, B), (5, C), (6, C)],
                 8,
-                [frozenset(), A, B, B, B, C, C, C],
-                [frozenset(), A, A, A, B, B, B, B],
+                [EMPTY, A, B, B, B, C, C, C],
+                [(0, EMPTY), (1, A), (2, B), (5, C)],
             ),
         ],
         ids=["zero-rounds", "no-change", "round-0", "many"],
     )
-    def test_views_expand_change_points(self, changes, rounds, identified, observed):
+    def test_views_expand_change_points(self, changes, rounds, identified, segments):
         run = WordRunResult(changes=changes, num_rounds=rounds)
         assert run.num_rounds == rounds
+        assert run.segments() == segments
         assert run.identified_per_round == identified
-        assert run.observed_per_round == observed
         assert run.final_identified() == (identified[-1] if changes else frozenset())
 
     @pytest.mark.parametrize("name", sorted(PROFILER_REGISTRY))
@@ -70,10 +72,13 @@ class TestWordRunResultViews:
         for rounds in (0, 1, 20):
             run = simulate_word(PROFILER_REGISTRY[name](code, seed=3), profile, rounds, 3)
             assert run.num_rounds == rounds
-            assert len(run.identified_per_round) == len(run.observed_per_round) == rounds
+            assert len(run.identified_per_round) == rounds
             rounds_of_changes = [change[0] for change in run.changes]
             assert rounds_of_changes == sorted(set(rounds_of_changes))
             assert all(0 <= r < rounds for r in rounds_of_changes)
+            starts = [start for start, _ in run.segments()]
+            assert starts == sorted(set(starts))
+            assert starts[:1] == ([0] if rounds else [])
 
 
 def _fed_run(profiler, profile, rounds, word_seed, **kwargs):

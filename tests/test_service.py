@@ -157,7 +157,8 @@ class TestValidationAndAuth:
                 ({"kind": "fleet", "config": {"pattern": "plaid"}}, "unknown data pattern"),
                 # Values of the right type that no experiment can run:
                 # empty samples, a blow-up past the enumeration bound,
-                # or a zero-width code.
+                # a zero-width code, a per-bit probability outside
+                # (0, 1], or a fault mix no fleet can sample.
                 ({"kind": "fig10", "config": {"num_codes": 0}}, "must be positive"),
                 ({"kind": "fig10", "config": {"words_per_stratum": 0}}, "must be positive"),
                 ({"kind": "fig10", "config": {"num_rounds": 0}}, "must be positive"),
@@ -165,6 +166,16 @@ class TestValidationAndAuth:
                 ({"kind": "sweep", "config": {"error_counts": [17]}}, "enumeration bound"),
                 ({"kind": "sweep", "config": {"k": 0}}, "k must be positive"),
                 ({"kind": "fleet", "config": {"k": 0}}, "k must be positive"),
+                ({"kind": "fig10", "config": {"probabilities": [0.0]}}, "must be in (0, 1]"),
+                ({"kind": "fig10", "config": {"probabilities": [1.5]}}, "must be in (0, 1]"),
+                ({"kind": "fig10", "config": {"probabilities": [-0.5]}}, "must be in (0, 1]"),
+                ({"kind": "fleet", "config": {"single_rate": -1.0}}, "fault rates must be >= 0"),
+                (
+                    {"kind": "fleet", "config": {"variability_sigma": -1}},
+                    "variability_sigma must be >= 0",
+                ),
+                ({"kind": "fleet", "config": {"row_density": 2}}, "fault densities must be within"),
+                ({"kind": "fleet", "config": {"single_rate": float("nan")}}, "must be >= 0 and finite"),
                 # Past the daemon's work budget.
                 ({"kind": "sweep", "config": {"num_rounds": 10**20}}, "work budget"),
                 # Unhashable field values and bodies nested past the

@@ -62,7 +62,6 @@ def test_matches_fresh_scalar_runs(seed, kernel, monkeypatch):
             reference_feed = record_feed(reference_profiler)
             reference = simulate_word(reference_profiler, profile, ROUNDS, word_seed)
             assert run.identified_per_round == reference.identified_per_round, (name, case)
-            assert run.observed_per_round == reference.observed_per_round, (name, case)
             assert check_feed(profiler, feed, profile, word_seed, ROUNDS) == check_feed(
                 reference_profiler, reference_feed, profile, word_seed, ROUNDS
             ), (name, case)

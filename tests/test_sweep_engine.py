@@ -240,9 +240,9 @@ def _reference_simulate(profiler, profile, num_rounds, word_seed, orientation=No
     Pins the observable trace semantics in the array domain: failures
     from the word-seed stream, the pattern from the profiler round by
     round (``pattern_for_round``), encoded and charged per round, and
-    the cumulative sets re-read after every observe call.  Returns the
-    per-round identified and observed sets, failure patterns, and
-    ``(round, mismatches)`` observations.
+    the identified set re-read after every observe call.  Returns the
+    per-round identified sets, failure patterns, and ``(round,
+    mismatches)`` observations.
     """
     from repro.profiling.base import ReadMode
     from repro.profiling.runner import post_correction_data_errors
@@ -252,7 +252,7 @@ def _reference_simulate(profiler, profile, num_rounds, word_seed, orientation=No
     draws = derive_rng(word_seed, "failure-draws").random((num_rounds, profile.count))
     probabilities = np.asarray(profile.probabilities, dtype=float)
     positions = np.asarray(profile.positions, dtype=np.intp)
-    identified, observed, failures, observations = [], [], [], []
+    identified, failures, observations = [], [], []
     for round_index in range(num_rounds):
         codeword = code.encode(profiler.pattern_for_round(round_index))
         charged = codeword if orientation is None else orientation.charged_mask(codeword)
@@ -266,8 +266,7 @@ def _reference_simulate(profiler, profile, num_rounds, word_seed, orientation=No
         observations.append((round_index, mismatches))
         profiler.observe(round_index, mismatches)
         identified.append(profiler.identified)
-        observed.append(profiler.identified_observed)
-    return identified, observed, failures, observations
+    return identified, failures, observations
 
 
 def _trace_cases():
@@ -322,13 +321,12 @@ class TestTraceSemantics:
             feed = record_feed(profiler)
             fast = simulate_word(profiler, profile, rounds, 77, orientation=orientation)
             crafted_rounds += sum(dataword is not None for dataword in feed.datawords)
-            identified, observed, failures, observations = _reference_simulate(
+            identified, failures, observations = _reference_simulate(
                 profiler_cls(code, seed=77), profile, rounds, 77, orientation
             )
             assert feed.observed == observations, label
             assert check_feed(profiler, feed, profile, 77, rounds, orientation) == failures, label
             assert fast.identified_per_round == identified, label
-            assert fast.observed_per_round == observed, label
         # The sweep must reach the crafted (integer-domain) rounds of
         # every adaptive profiler: one that overrides crafted_for_round.
         adaptive = profiler_cls.crafted_for_round is not Profiler.crafted_for_round
@@ -403,7 +401,6 @@ class TestWordArtifacts:
                 cached_profiler, profile, 16, ctx.word_seed, artifacts=artifacts
             )
             assert plain.identified_per_round == cached.identified_per_round
-            assert plain.observed_per_round == cached.observed_per_round
             assert plain_feed == cached_feed
             # Both runs were fed what the block's artifacts imply.
             assert check_feed(
