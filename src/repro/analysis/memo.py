@@ -146,38 +146,15 @@ class Memo:
             self._store.popitem(last=False)
         return value
 
-    def peek(self, key: Hashable, default: T | None = None) -> T | None:
-        """The cached value for ``key`` without computing anything on a miss.
+    def peek_many(self, keys: list) -> list:
+        """The cached value of each key, ``None`` where absent, computing nothing.
 
         Consults the shared overlay like :meth:`get` (a resolved overlay
-        entry lands in the local store and counts as a shared hit); an
-        absent key returns ``default`` and leaves the statistics alone,
-        so batch producers can probe-then-:meth:`insert` without
-        double-counting misses.
-        """
-        value = self._store.get(key, shared_memo.MISS)
-        if value is not shared_memo.MISS:
-            self._store.move_to_end(key)
-            self.stats.hits += 1
-            return value  # type: ignore[return-value]
-        value = shared_memo.overlay_lookup(key)
-        if value is shared_memo.MISS:
-            return default
-        self.stats.shared_hits += 1
-        self._store[key] = value
-        if len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
-        return value  # type: ignore[return-value]
-
-    def peek_many(self, keys: list) -> list:
-        """:meth:`peek` over a key batch in one call.
-
-        Returns one entry per key — the cached value or ``None`` — with
-        the same statistics accounting as per-key :meth:`peek` (local
-        hits, overlay resolutions as shared hits, absences untouched).
-        The batched simulation kernel probes each word's distinct
-        patterns of a cell through this path, so the per-call overhead
-        of ``peek`` matters at the ~10^3-keys-per-cell scale.
+        entry lands in the local store and counts as a shared hit); a
+        local hit counts as a hit, and an absent key leaves the
+        statistics alone, so batch producers can probe-then-:meth:`insert`
+        without double-counting misses.  The batched simulation kernel
+        probes each cell's distinct normal-read patterns in one call.
         """
         store = self._store
         move_to_end = store.move_to_end
@@ -244,13 +221,15 @@ indirect_prediction_cache = Memo(max_entries=8192)
 crafted_pattern_cache = Memo(max_entries=131072)
 #: Per-(code, target) aliasing-pair tables for BEEP hypothesis expansion.
 beep_expansion_cache = Memo(max_entries=8192)
-#: Decode consequences of one (code, read mode, failure pattern): the
-#: mismatch set a profiler observes when that pattern fails.  Promoted
-#: out of ``simulate_word``'s per-run dict so repeated cells on the same
-#: code — every (probability, profiler) cell re-simulates the same words
-#: — share resolved patterns across runs and shared-memory workers.  A
-#: paper-scale cell sees tens of thousands of distinct patterns per
-#: code; the bound must hold a sweep's working set or the LRU thrashes.
+#: Decode consequences of one (code, failure pattern) on the normal read
+#: path: the post-correction data errors a profiler observes when that
+#: pattern fails.  Bypass reads decode nothing (their mismatches are the
+#: failed data bits), so no kernel stores them here.  Promoted out of
+#: ``simulate_word``'s per-run dict so repeated cells on the same code —
+#: every (probability, profiler) cell re-simulates the same words —
+#: share resolved patterns across runs and kernels.  A paper-scale cell
+#: sees tens of thousands of distinct patterns per code; the bound must
+#: hold a sweep's working set or the LRU thrashes.
 mismatch_consequence_cache = Memo(max_entries=131072)
 
 
@@ -371,43 +350,32 @@ class CodeAnalysisCaches:
         return crafted_pattern_cache.get(key, lambda: CraftedEpoch(self.code, anchors))
 
     def decode_consequences(
-        self,
-        mode: str,
-        failed: tuple[int, ...],
-        compute: Callable[[], frozenset[int]],
+        self, failed: tuple[int, ...], compute: Callable[[], frozenset[int]]
     ) -> frozenset[int]:
-        """Memoized mismatch set of one (read mode, failure pattern).
+        """Memoized mismatch set of one failure pattern read through on-die ECC.
 
-        The pattern's decode consequence is pure in (parity-check matrix,
-        read mode, failed positions): bypass reads observe the failed
-        data positions verbatim, normal reads observe the post-correction
-        data errors.  ``compute`` supplies the mode-appropriate resolver
-        (the caches stay import-free of the profiling layer); the scalar
-        ``simulate_word`` keeps a per-run dict in front of this shared
-        tier, so the memo is consulted once per distinct pattern per run.
+        A normal read observes the pattern's post-correction data errors,
+        pure in (parity-check matrix, failed positions).  ``compute``
+        supplies the decoder (the caches stay import-free of the
+        profiling layer); the scalar ``simulate_word`` keeps a per-run
+        dict in front of this shared tier, so the memo is consulted once
+        per distinct pattern per run.  Bypass reads never come here:
+        their mismatches are the failed data bits themselves.
         """
-        return mismatch_consequence_cache.get(("mis", self._key, mode, failed), compute)
-
-    def peek_decode_consequences(
-        self, mode: str, failed: tuple[int, ...]
-    ) -> frozenset[int] | None:
-        """The cached mismatch set for one pattern, or ``None`` if absent."""
-        return mismatch_consequence_cache.peek(("mis", self._key, mode, failed))
+        return mismatch_consequence_cache.get(("mis", self._key, failed), compute)
 
     def peek_decode_consequences_many(
-        self, mode: str, patterns: list[tuple[int, ...]]
+        self, patterns: list[tuple[int, ...]]
     ) -> list[frozenset[int] | None]:
-        """Bulk :meth:`peek_decode_consequences` over a pattern batch."""
+        """The cached mismatch set of each pattern, ``None`` where absent."""
         key = self._key
-        return mismatch_consequence_cache.peek_many(
-            [("mis", key, mode, failed) for failed in patterns]
-        )
+        return mismatch_consequence_cache.peek_many([("mis", key, failed) for failed in patterns])
 
     def insert_decode_consequences(
-        self, mode: str, failed: tuple[int, ...], mismatches: frozenset[int]
+        self, failed: tuple[int, ...], mismatches: frozenset[int]
     ) -> frozenset[int]:
         """Share a mismatch set resolved by a batched producer."""
-        return mismatch_consequence_cache.insert(("mis", self._key, mode, failed), mismatches)
+        return mismatch_consequence_cache.insert(("mis", self._key, failed), mismatches)
 
     def aliasing_pairs(self, target: int) -> tuple[tuple[int, int], ...]:
         """Memoized :func:`repro.ecc.code_analysis.aliasing_pairs_for_target`.

@@ -223,6 +223,8 @@ class SystematicCode:
         takes its popcount kernel on a large enough batch; each bit-row
         then packs into one integer with syndrome row 0 as its least
         significant bit, the key :meth:`correction_for_syndrome` looks up.
+        Only :meth:`decode_batch` calls it: the simulation kernels XOR
+        each failure pattern's columns (``column_int``) instead.
         """
         arr = np.asarray(codewords, dtype=np.uint8)
         if arr.ndim != 2 or arr.shape[1] != self.n:
@@ -234,8 +236,12 @@ class SystematicCode:
     def decode_batch(self, codewords: np.ndarray) -> np.ndarray:
         """Decode a ``(batch, n)`` array, returning ``(batch, k)`` datawords.
 
-        This is the vectorized fast path used by the Monte-Carlo harness;
-        per-word correction metadata is not materialized.
+        One syndrome product for the whole batch; per-word correction
+        metadata is not materialized.  The simulation kernels do not
+        call it (they decode each distinct failure pattern through
+        ``profiling.runner.post_correction_data_errors``); tests check
+        it against :meth:`decode`, and ``benchmarks/bench_engine.py``
+        times it.
         """
         arr = np.asarray(codewords, dtype=np.uint8)
         if arr.ndim != 2 or arr.shape[1] != self.n:

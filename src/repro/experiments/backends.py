@@ -428,9 +428,10 @@ def _worker_session(
     the server refuses the handshake: retrying cannot help, so the
     caller must not linger.
 
-    While a chunk executes, a companion thread streams ``heartbeat``
-    frames at the cadence the server's ``welcome`` frame requested, so
-    the server can tell "still computing" from "hard-killed" and
+    From the moment a ``task`` frame's header arrives until its chunk's
+    reply is sent, a companion thread streams ``heartbeat`` frames at
+    the cadence the server's ``welcome`` frame requested, so the server
+    can tell "still importing or computing" from "hard-killed" and
     requeue only the latter.
 
     Per-frame recovery: a frame this worker cannot use
@@ -489,18 +490,27 @@ def _worker_session(
                         pass
 
                 threading.Thread(target=goodbye_on_drain, daemon=True).start()
+
+            def beat_from_task_header(kind: str) -> None:
+                # A task's deadline runs from its dispatch, and decoding
+                # its body imports the worker function's module, which
+                # may take longer than the deadline: beat from here on.
+                if kind == "task":
+                    busy.set()
+
             #: Last result/error frame sent, cached for ``nack`` resends.
             last_reply: list = [None]
             left = False
             try:
                 while True:
                     try:
-                        message = session.recv(sock)
+                        message = session.recv(sock, beat_from_task_header)
                     except FrameRejected as error:
                         # One unusable frame on an aligned stream: ask
                         # the server to resend instead of dying (the old
                         # codec killed the session here, feeding every
                         # replacement worker the same poison frame).
+                        busy.clear()
                         send(("badframe", str(error)))
                         continue
                     if message is None or message[0] == "shutdown":
@@ -531,6 +541,7 @@ def _worker_session(
                     except (ValueError, TypeError):
                         # A frame of the wrong shape (protocol skew) gets
                         # the same per-frame treatment as a corrupt one.
+                        busy.clear()
                         send(
                             (
                                 "badframe",
@@ -539,7 +550,6 @@ def _worker_session(
                             )
                         )
                         continue
-                    busy.set()
                     try:
                         results = [worker(shard) for shard in chunk]
                     except Exception:

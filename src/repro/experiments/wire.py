@@ -79,7 +79,7 @@ import importlib
 import json
 import socket
 import struct
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -427,12 +427,16 @@ class WireV1Session:
             )
         )
 
-    def recv(self, sock: socket.socket) -> tuple | None:
+    def recv(
+        self, sock: socket.socket, on_kind: Callable[[str], None] | None = None
+    ) -> tuple | None:
         """One ``(kind, *payload)`` message, ``None`` on clean EOF.
 
         Duplicated/replayed frames (stale seq) are skipped silently;
         unusable single frames raise :class:`FrameRejected`; a broken
-        stream raises :class:`StreamDesync`.
+        stream raises :class:`StreamDesync`.  ``on_kind``, if given, is
+        called with an accepted frame's kind before its body decodes,
+        which may import the modules its ``fn`` and ``dc`` nodes name.
         """
         while True:
             frame = read_frame(sock, self._key)
@@ -449,6 +453,8 @@ class WireV1Session:
                     f"frame belongs to campaign {campaign!r}, this session is "
                     f"{self.campaign!r}"
                 )
+            if on_kind is not None:
+                on_kind(header["kind"])
             body = decode_node(header.get("body"), blobs)
             if not isinstance(body, tuple):
                 raise FrameRejected("frame body is not a payload tuple")

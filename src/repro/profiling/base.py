@@ -62,17 +62,19 @@ class Profiler:
     #: Human-readable profiler name used in reports.
     name: str = "abstract"
     #: Whether :meth:`observe_many` faithfully replays this profiler's
-    #: :meth:`observe` semantics from distinct mismatch events alone.
-    #: Declaring ``batched = True`` vouches for two properties the
-    #: cell-batched kernel relies on: (1) the profiler's state after
-    #: round ``r`` depends only on the *union* of the mismatch sets seen
-    #: up to ``r`` (so repeated sets collapse to their first occurrence),
-    #: and (2) :meth:`read_mode_for` is round-independent.  Subclasses
-    #: that break either must leave it ``False`` (the kernel then refuses
-    #: them) or override :meth:`observe_many` accordingly, as the oracle
-    #: does.  The kernel writes only the standard schedule, so it also
-    #: refuses a profiler that crafts its own datawords — an *adaptive*
-    #: profiler, one that overrides :meth:`crafted_for_round`.
+    #: :meth:`observe` semantics from the compressed events the
+    #: cell-batched kernel hands it (see :meth:`observe_many` for what
+    #: each read mode gets).  Declaring ``batched = True`` vouches for
+    #: two properties the kernel relies on: (1) the profiler's state
+    #: after round ``r`` depends only on the *union* of the mismatch sets
+    #: seen up to ``r`` (so a round whose set adds nothing to the union
+    #: can be dropped), and (2) :meth:`read_mode_for` is
+    #: round-independent.  Subclasses that break either must leave it
+    #: ``False`` (the kernel then refuses them) or override
+    #: :meth:`observe_many` accordingly, as the oracle does.  The kernel
+    #: writes only the standard schedule, so it also refuses a profiler
+    #: that crafts its own datawords — an *adaptive* profiler, one that
+    #: overrides :meth:`crafted_for_round`.
     batched: bool = False
 
     def __init__(self, code: SystematicCode, seed: int, pattern: str = "random") -> None:
@@ -130,12 +132,17 @@ class Profiler:
     def observe_many(
         self, events: Iterable[tuple[int, frozenset[int]]]
     ) -> list[tuple[int, frozenset[int]]]:
-        """Consume a whole run's distinct mismatch events in one call.
+        """Consume a whole run's compressed mismatch events in one call.
 
-        ``events`` yields one ``(first_round, mismatches)`` pair per
-        distinct non-empty failure pattern of the run (two patterns may
-        share a mismatch set), ascending by round — the batched kernel's
-        compressed replay of calling :meth:`observe` every round.
+        ``events`` yields ``(round, mismatches)`` pairs ascending by
+        round, each with that round's whole mismatch set — the batched
+        kernel's compressed replay of calling :meth:`observe` every
+        round.  Which rounds depend on the read mode: a normal-read
+        profiler gets the first round of each distinct non-empty failure
+        pattern of the run (two patterns may share a mismatch set, and a
+        set may add nothing new); a bypass-read profiler gets exactly the
+        rounds whose failed data bits grow the union of all earlier
+        rounds' (its every other round adds nothing to that union).
         Returns the run's change points, the
         :attr:`~repro.profiling.runner.WordRunResult.changes` of its
         result: ``(round, identified)`` pairs, the cumulative set

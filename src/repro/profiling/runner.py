@@ -44,11 +44,16 @@ position's charge is the parity of its selector (the data bit, or its
 row of ``P``) ANDed with the dataword, so no crafted round is encoded or
 unpacked.  Within a run, charge masks and mismatch sets are memoized by
 bitmask, and the cumulative sets are read only on rounds whose
-``observe`` reports a change.  The batched kernel finds each word's
-distinct failure patterns and their first rounds in one pass and takes
-the run's change points straight from
-:meth:`~repro.profiling.base.Profiler.observe_many`.  All of it is
-bit-identical to the straight-line array loop —
+``observe`` reports a change.  The batched kernel resolves a cell's
+failures in one pass per (read mode, at-risk count) group and takes the
+run's change points straight from
+:meth:`~repro.profiling.base.Profiler.observe_many`.  A bypass read
+decodes nothing: its events are the rounds where the union of the
+word's failed data bits grows, each with that round's failed data bits.
+A normal read's events are its distinct failure patterns at their first
+rounds, decoded through the shared memo, which therefore holds
+normal-read decodes only.  All of it is bit-identical to the
+straight-line array loop —
 ``tests/test_sweep_engine.py`` and ``tests/test_adaptive_caches.py`` pin
 that.
 """
@@ -267,10 +272,12 @@ def simulate_word(
     # Crafted datawords and failure patterns repeat across rounds (always
     # at p=1.0, often below); their charge masks and mismatch sets are
     # pure in them, so per-run dicts keyed by bitmask serve the repeats.
-    # The mismatch dict fronts the shared analysis-layer memo
-    # (CodeAnalysisCaches.decode_consequences), so repeated cells on the
-    # same code reuse each other's decodes.
+    # For normal reads the mismatch dict fronts the shared analysis-layer
+    # memo (CodeAnalysisCaches.decode_consequences), so repeated cells on
+    # the same code reuse each other's decodes; a bypass read decodes
+    # nothing, so it never reaches that memo.
     analysis_caches = code_caches(code)
+    k = code.k
     charge_masks: dict[int, int] = {}
     consequences: dict[tuple[str, int], frozenset[int]] = {}
     changes: list[tuple[int, frozenset[int]]] = []
@@ -295,12 +302,10 @@ def simulate_word(
             if mode == ReadMode.BYPASS:
                 # Raw data bits: mismatches are exactly the failed data
                 # positions.
-                mismatches = analysis_caches.decode_consequences(
-                    mode, failed, lambda: frozenset(p for p in failed if p < code.k)
-                )
+                mismatches = frozenset(p for p in failed if p < k)
             else:
                 mismatches = analysis_caches.decode_consequences(
-                    mode, failed, lambda: post_correction_data_errors(code, failed)
+                    failed, lambda: post_correction_data_errors(code, failed)
                 )
             consequences[key] = mismatches
         if observe(round_index, mismatches):
@@ -321,13 +326,16 @@ def simulate_words_batched(
     The cell-batched twin of :func:`simulate_word` for non-adaptive
     profilers that declare :attr:`~repro.profiling.base.Profiler.batched`:
     each word's encoded schedule and draws come from its
-    :class:`WordArtifacts`, failure draws resolve through a single 3-D
-    charged-mask comparison over the words' at-risk columns, the distinct
-    failure patterns of the whole batch probe the promoted
-    decode-consequence memo once per (code, read mode) — shared with every
-    other run — and the misses decode through
-    :func:`post_correction_data_errors`, as in the scalar kernel.  Each
-    profiler consumes its run as compressed mismatch events
+    :class:`WordArtifacts`, and failure draws resolve through a single 3-D
+    charged-mask comparison over the words' at-risk columns.  A
+    bypass-read word's events are the rounds where the union of its
+    failed data bits grows, each with that round's failed data bits: no
+    decode, and no limit on the at-risk width.  The distinct failure
+    patterns of the normal-read words probe the promoted
+    decode-consequence memo once per code — shared with every other run
+    — and the misses decode through :func:`post_correction_data_errors`,
+    as in the scalar kernel.  Each profiler consumes its run as
+    compressed mismatch events
     (:meth:`~repro.profiling.base.Profiler.observe_many`), whose change
     points become the run's :attr:`WordRunResult.changes`.  Bit-identical to
     calling :func:`simulate_word` per word, under both GF(2) products —
@@ -386,23 +394,28 @@ def simulate_words_batched(
         )
 
     # ------------------------------------------------------------------
-    # Batched failure resolution: one 3-D mask comparison per uniform
-    # at-risk-count group, then each word's distinct non-empty patterns
-    # with their first rounds.
+    # Batched failure resolution: one 3-D mask comparison per (read mode,
+    # at-risk count) group.  A bypass word's events come straight from
+    # its failures; a normal word's are its distinct non-empty patterns
+    # with their first rounds, decoded below.
     # ------------------------------------------------------------------
-    # Each word's distinct non-empty patterns and their first rounds,
-    # ascending by round: the event order ``observe_many`` needs.  A word
-    # left empty never fails.
-    first_events: list[tuple[Sequence[tuple[int, ...]], Sequence[int]]] = [((), ())] * count
-    groups: dict[int, list[int]] = {}
-    for index, profile in enumerate(profiles):
+    # Each word's event rounds, ascending (the order ``observe_many``
+    # needs), with the failure pattern of each normal event or the
+    # mismatch set of each bypass event.  A word left empty never fails.
+    event_rounds: list[Sequence[int]] = [()] * count
+    first_patterns: list[Sequence[tuple[int, ...]]] = [()] * count
+    mismatches_of: list[Sequence[frozenset[int]]] = [()] * count
+    groups: dict[tuple[bool, int], list[int]] = {}
+    for index, (profiler, profile) in enumerate(zip(profilers, profiles)):
         if profile.count:
-            groups.setdefault(profile.count, []).append(index)
+            # ``batched`` profilers declare a round-independent read mode.
+            bypass = profiler.read_mode_for(0) == ReadMode.BYPASS
+            groups.setdefault((bypass, profile.count), []).append(index)
 
     def charged_bits(codewords: np.ndarray) -> np.ndarray:
         return codewords if orientation is None else orientation.charged_mask(codewords)
 
-    for at_risk, indices in groups.items():
+    for (bypass, at_risk), indices in groups.items():
         positions2 = np.array([profiles[i].positions for i in indices], dtype=np.intp)
         # Gather each word's at-risk columns before stacking: the
         # (words, rounds, at-risk) block is a fraction of the codewords.
@@ -416,7 +429,20 @@ def simulate_words_batched(
         probabilities2 = np.array([profiles[i].probabilities for i in indices], dtype=float)
         failed = charged & (draws3 < probabilities2[:, None, :])
         group_size = len(indices)
-        if at_risk + max(group_size - 1, 1).bit_length() <= 62:
+        if bypass:
+            # A bypass read's mismatches are its failed data bits, and a
+            # ``batched`` profiler's state is the union of those: only the
+            # rounds where that union grows can move it.  The union grows
+            # exactly at each data bit's first failing round, so those
+            # rounds, each with its whole failed data set, are the events.
+            ks = np.array([profilers[i].code.k for i in indices])
+            failed &= (positions2 < ks[:, None])[:, None, :]
+            ever = failed.any(axis=1)
+            grows = np.zeros((group_size, num_rounds), dtype=bool)
+            grows[np.nonzero(ever)[0], failed.argmax(axis=1)[ever]] = True
+            word_locals, rounds = np.nonzero(grows)
+            pattern_bits = failed[word_locals, rounds]
+        elif at_risk + max(group_size - 1, 1).bit_length() <= 62:
             # Pack each failing round's pattern into an int64 bitmask and
             # the word's group-local index into the bits above it: one
             # ``np.unique`` over the group finds every distinct non-empty
@@ -432,80 +458,77 @@ def simulate_words_batched(
             np.minimum.at(first_idx, inverse, failing)
             first_idx.sort()
             word_locals = first_idx // num_rounds
-            # Each pair's failed positions in one gather, then one slice
-            # of the flat list per pattern.
+            rounds = first_idx % num_rounds
             pattern_bits = failed.reshape(-1, at_risk)[first_idx]
-            mapped = positions2[word_locals][pattern_bits].tolist()
-            bounds = np.cumsum(np.count_nonzero(pattern_bits, axis=1)).tolist()
-            tuples = [tuple(mapped[start:stop]) for start, stop in zip([0, *bounds], bounds)]
-            rounds = (first_idx % num_rounds).tolist()
-            stops = np.cumsum(np.bincount(word_locals, minlength=group_size)).tolist()
+        else:
+            flat = failed.reshape(len(indices) * num_rounds, at_risk)
+            counts = np.count_nonzero(flat, axis=1)
+            rows = np.flatnonzero(counts)
+            if not rows.size:
+                continue
+            row_counts = counts[rows]
+            words_of_rows = rows // num_rounds
+            mapped = positions2[
+                np.repeat(words_of_rows, row_counts), np.nonzero(flat)[1]
+            ].tolist()
+            bounds = np.cumsum(row_counts).tolist()
+            # nonzero is row-major: rows ascend word-major then round-major,
+            # so each word's first occurrence of a pattern is recorded at its
+            # earliest round and insertion order is ascending by round.
+            first_rounds: dict[int, dict[tuple[int, ...], int]] = {}
             start = 0
-            for index, stop in zip(indices, stops):
-                if stop != start:
-                    first_events[index] = (tuples[start:stop], rounds[start:stop])
-                    start = stop
+            for row, word, stop in zip(rows.tolist(), words_of_rows.tolist(), bounds):
+                firsts = first_rounds.setdefault(indices[word], {})
+                firsts.setdefault(tuple(mapped[start:stop]), row % num_rounds)
+                start = stop
+            for word_index, firsts in first_rounds.items():
+                first_patterns[word_index] = list(firsts)
+                event_rounds[word_index] = list(firsts.values())
             continue
-        flat = failed.reshape(len(indices) * num_rounds, at_risk)
-        counts = np.count_nonzero(flat, axis=1)
-        rows = np.flatnonzero(counts)
-        if not rows.size:
-            continue
-        row_counts = counts[rows]
-        words_of_rows = rows // num_rounds
-        mapped = positions2[
-            np.repeat(words_of_rows, row_counts), np.nonzero(flat)[1]
-        ].tolist()
-        bounds = np.cumsum(row_counts).tolist()
-        # nonzero is row-major: rows ascend word-major then round-major,
-        # so each word's first occurrence of a pattern is recorded at its
-        # earliest round and insertion order is ascending by round.
-        first_rounds: dict[int, dict[tuple[int, ...], int]] = {}
+        # Each event's failed positions in one gather, then one slice of
+        # the flat list per event and one run of events per word.
+        mapped = positions2[word_locals][pattern_bits].tolist()
+        bounds = np.cumsum(np.count_nonzero(pattern_bits, axis=1)).tolist()
+        make = frozenset if bypass else tuple
+        items = [make(mapped[start:stop]) for start, stop in zip([0, *bounds], bounds)]
+        rounds = rounds.tolist()
+        stops = np.cumsum(np.bincount(word_locals, minlength=group_size)).tolist()
+        payloads = mismatches_of if bypass else first_patterns
         start = 0
-        for row, word, stop in zip(rows.tolist(), words_of_rows.tolist(), bounds):
-            firsts = first_rounds.setdefault(indices[word], {})
-            firsts.setdefault(tuple(mapped[start:stop]), row % num_rounds)
-            start = stop
-        for word_index, firsts in first_rounds.items():
-            first_events[word_index] = (list(firsts), list(firsts.values()))
+        for index, stop in zip(indices, stops):
+            if stop != start:
+                event_rounds[index] = rounds[start:stop]
+                payloads[index] = items[start:stop]
+                start = stop
 
     # ------------------------------------------------------------------
-    # Batched decode consequences: each (code, mode) group's patterns
-    # resolve through the shared memo in one probe; its distinct misses
-    # decode one by one, as in the scalar kernel.
+    # Batched decode consequences (normal reads only): each code's
+    # patterns resolve through the shared memo in one probe; its distinct
+    # misses decode one by one, as in the scalar kernel.
     # ------------------------------------------------------------------
-    probe_groups: dict[tuple[int, str], tuple] = {}
+    probe_groups: dict[int, tuple] = {}
     for index, profiler in enumerate(profilers):
-        tuples = first_events[index][0]
+        tuples = first_patterns[index]
         if not tuples:
             continue
         handle = code_caches(profiler.code)
-        # ``batched`` profilers declare a round-independent read mode.
-        cache_key = (id(handle), profiler.read_mode_for(0))
-        group = probe_groups.get(cache_key)
+        group = probe_groups.get(id(handle))
         if group is None:
-            group = probe_groups[cache_key] = (handle, profiler.code, [], [])
+            group = probe_groups[id(handle)] = (handle, profiler.code, [], [])
         group[2].extend(tuples)
         group[3].append(index)
-    # Each word's mismatch sets, aligned with its first events.
-    consequences_of: list[Sequence[frozenset[int]]] = [()] * count
-    for (_, mode), (handle, code, group_tuples, members) in probe_groups.items():
-        found = handle.peek_decode_consequences_many(mode, group_tuples)
+    for handle, code, group_tuples, members in probe_groups.values():
+        found = handle.peek_decode_consequences_many(group_tuples)
         misses = list(dict.fromkeys(f for f, hit in zip(group_tuples, found) if hit is None))
         if misses:
-            if mode == ReadMode.BYPASS:
-                k = code.k
-                consequences = [frozenset(p for p in f if p < k) for f in misses]
-            else:
-                consequences = [post_correction_data_errors(code, f) for f in misses]
-            resolved = dict(zip(misses, consequences))
+            resolved = {f: post_correction_data_errors(code, f) for f in misses}
             for failed_tuple, mismatches in resolved.items():
-                handle.insert_decode_consequences(mode, failed_tuple, mismatches)
+                handle.insert_decode_consequences(failed_tuple, mismatches)
             found = [resolved[f] if hit is None else hit for f, hit in zip(group_tuples, found)]
         start = 0
         for index in members:
-            stop = start + len(first_events[index][0])
-            consequences_of[index] = found[start:stop]
+            stop = start + len(first_patterns[index])
+            mismatches_of[index] = found[start:stop]
             start = stop
 
     # ------------------------------------------------------------------
@@ -513,7 +536,7 @@ def simulate_words_batched(
     # ------------------------------------------------------------------
     results: list[WordRunResult] = []
     for index, profiler in enumerate(profilers):
-        events = zip(first_events[index][1], consequences_of[index])
+        events = zip(event_rounds[index], mismatches_of[index])
         results.append(WordRunResult(profiler.observe_many(events), num_rounds))
     return results
 

@@ -24,7 +24,9 @@ hands each profiler instead: :func:`record_feed` logs one profiler's
 datawords and observations (:func:`record_registry` does it for every
 profiler ``simulate_cell`` builds), and :func:`check_feed` recomputes
 each round's failure pattern from the word's inputs and asserts the log
-matches it.
+matches it: every round on the scalar kernel; on the batched one, the
+first round of each distinct pattern for normal reads, and each round
+that grows the union of failed data bits for bypass reads.
 """
 
 from __future__ import annotations
@@ -154,9 +156,12 @@ def check_feed(
     row when it crafted none, else its crafted dataword, encoded.  A
     charged at-risk position fails iff its draw is below its
     probability.  A scalar run must have observed each round's
-    consequence, round by round; a batched run's ``observe_many`` events
-    must be the first round of each distinct non-empty pattern, in round
-    order, with its consequence.
+    consequence, round by round.  A batched run's ``observe_many``
+    events must be, in round order and each with its round's whole
+    consequence: for a normal-read profiler, the first round of each
+    distinct non-empty pattern; for a bypass-read one, exactly the
+    rounds whose mismatch set is not contained in the union of all
+    earlier rounds' sets.
     """
     code = profiler.code
     if artifacts is None:
@@ -186,6 +191,14 @@ def check_feed(
         expected.append((round_index, consequences[key]))
     if feed.events is None:
         assert feed.observed == expected
+    elif profiler.read_mode_for(0) == ReadMode.BYPASS:
+        union: set[int] = set()
+        growth = []
+        for round_index, mismatches in expected:
+            if not mismatches <= union:
+                union |= mismatches
+                growth.append((round_index, mismatches))
+        assert feed.events == growth
     else:
         first_rounds: dict[tuple[int, ...], int] = {}
         for round_index, failed in enumerate(failures):

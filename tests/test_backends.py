@@ -9,8 +9,11 @@ workers-expected start barrier), and the multi-map work server behind
 facade every socket map goes through.
 """
 
+import importlib
+import os
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -344,6 +347,29 @@ class TestHeartbeats:
             spawn_workers=1, heartbeat_timeout=0.4, timeout=SOCKET_TIMEOUT
         ) as backend:
             results = map_in_order(backend, _sleepy, list(range(4)), chunksize=4)
+        assert results == [v * 2 for v in range(4)]
+
+    def test_heartbeats_cover_a_slow_worker_import(self, tmp_path, monkeypatch):
+        """Decoding a task imports its worker function's module; an import
+        slower than the deadline must not get the worker declared dead."""
+        (tmp_path / "slow_import_worker.py").write_text(
+            "import os\n"
+            "import time\n"
+            "\n"
+            f"if os.getpid() != {os.getpid()}:  # only the spawned worker waits\n"
+            "    time.sleep(1.0)\n"
+            "\n"
+            "\n"
+            "def double(value):\n"
+            "    return value * 2\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "slow_import_worker", raising=False)
+        double = importlib.import_module("slow_import_worker").double
+        with SocketBackend(
+            spawn_workers=1, heartbeat_timeout=0.4, timeout=SOCKET_TIMEOUT
+        ) as backend:
+            results = map_in_order(backend, double, list(range(4)), chunksize=4)
         assert results == [v * 2 for v in range(4)]
 
 

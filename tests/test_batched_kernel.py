@@ -2,37 +2,51 @@
 
 The batched kernel (`simulate_words_batched`) must be indistinguishable
 from running the scalar reference (`simulate_word`) once per word: same
-identified/observed traces, and each profiler fed what the word's
-failure patterns imply (every round's mismatches on the scalar path, the
-first round of each distinct pattern on the batched one), under both
+identified trace, and each profiler fed what the word's failure patterns
+imply (every round's mismatches on the scalar path; on the batched one,
+the first round of each distinct pattern for normal reads and each round
+that grows the union of failed data bits for bypass reads), under both
 GF(2) products, under any cell orientation, including degenerate words with
-no at-risk bits.  These tests pin that equivalence property-style over
-randomized rectangular cells, plus the dispatch rules (the `batched`
-profiler flag, adaptive and custom-schedule rejection) and the
-probe-then-insert memo protocol the kernel batches through.
+no at-risk bits and bypass words wider than an int64 key.  These tests pin
+that equivalence property-style over randomized rectangular cells, plus
+the dispatch rules (the `batched` profiler flag, adaptive and
+custom-schedule rejection), the probe-then-insert memo protocol the
+kernel batches normal-read decodes through, and that bypass reads never
+reach the decode memo.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_modes import check_feed, force_gf2_tier, force_scalar_kernel, record_feed
+from kernel_modes import check_feed, force_gf2_tier, force_scalar_kernel, kernel_mode, record_feed
 from randcases import random_cell, random_cells
 
 from repro.analysis.atrisk import compute_ground_truth
-from repro.analysis.memo import Memo, clear_analysis_caches, code_caches
+from repro.analysis.memo import (
+    CacheStats,
+    Memo,
+    clear_analysis_caches,
+    code_caches,
+    mismatch_consequence_cache,
+)
 from repro.ecc.hamming import canonical_sec_code
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import clear_engine_caches, run_sweep
 from repro.memory.cells import all_true_cells, alternating_cells
 from repro.memory.error_model import WordErrorProfile
 from repro.profiling import PROFILER_REGISTRY
-from repro.profiling.base import Profiler, ReadMode
+from repro.profiling.base import Profiler
 from repro.profiling.beep import BeepProfiler
 from repro.profiling.harp import HarpAProfiler, HarpUProfiler
 from repro.profiling.naive import NaiveProfiler
 from repro.profiling.oracle import OracleProfiler
-from repro.profiling.runner import simulate_word, simulate_words_batched
+from repro.profiling.runner import (
+    post_correction_data_errors,
+    simulate_cell,
+    simulate_word,
+    simulate_words_batched,
+)
 
 BATCHED_CLASSES = (NaiveProfiler, HarpUProfiler, HarpAProfiler)
 
@@ -123,10 +137,12 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("pattern", ["charged", "random"])
     def test_matches_scalar_past_int64_pattern_keys(self, pattern):
-        """Words with too many at-risk bits for an int64 (word, pattern)
-        key take the per-round nonzero path; the charged pattern at
-        p=1.0 repeats one failure pattern every round.  (HARP-A is left
-        out: its prediction enumerates subsets of ~60 observed bits.)"""
+        """Normal-read words with too many at-risk bits for an int64
+        (word, pattern) key take the per-round nonzero path; the charged
+        pattern at p=1.0 repeats one failure pattern every round.
+        HARP-U's bypass events need no key at any width.  (HARP-A is
+        left out: its prediction enumerates subsets of ~60 observed
+        bits.)"""
         code = canonical_sec_code(64)
         rng = np.random.default_rng(37)
         positions = [
@@ -143,6 +159,22 @@ class TestBitIdentity:
             _assert_kernels_agree(
                 lambda i: cls(code, seed=seeds[i], pattern=pattern), profiles, seeds, 12
             )
+
+    @pytest.mark.parametrize("pattern", ["charged", "random"])
+    def test_bypass_word_wider_than_an_int64_key(self, pattern):
+        """A bypass word has no at-risk width limit: 70 of a 64-bit
+        SEC code's 71 positions at risk, at p=1.0 and below."""
+        code = canonical_sec_code(64)
+        rng = np.random.default_rng(43)
+        positions = tuple(sorted(rng.choice(code.n, size=70, replace=False).tolist()))
+        profiles = [
+            WordErrorProfile(positions, (1.0,) * 70),
+            WordErrorProfile(positions, tuple(rng.uniform(0.02, 0.2, size=70).tolist())),
+        ]
+        seeds = [int(s) for s in rng.integers(0, 2**31, size=len(profiles))]
+        _assert_kernels_agree(
+            lambda i: HarpUProfiler(code, seed=seeds[i], pattern=pattern), profiles, seeds, 12
+        )
 
     def test_oracle_with_ground_truth_matches_scalar(self):
         code = canonical_sec_code(16)
@@ -255,10 +287,9 @@ class TestDispatchRules:
 
 
 class TestMemoBatchProtocol:
-    def test_peek_returns_default_without_counting_a_miss(self):
+    def test_peek_returns_none_without_counting_a_miss(self):
         memo = Memo(max_entries=4)
-        assert memo.peek("absent") is None
-        assert memo.peek("absent", default=7) == 7
+        assert memo.peek_many(["absent", "absent"]) == [None, None]
         assert memo.stats.misses == 0
         assert memo.stats.hits == 0
 
@@ -266,7 +297,7 @@ class TestMemoBatchProtocol:
         memo = Memo(max_entries=4)
         memo.insert("k", "v")
         assert memo.stats.misses == 1
-        assert memo.peek("k") == "v"
+        assert memo.peek_many(["k"]) == ["v"]
         assert memo.stats.hits == 1
 
     def test_peek_many_accounts_hits_and_leaves_misses_alone(self):
@@ -287,7 +318,7 @@ class TestMemoBatchProtocol:
             return "value"
 
         # Batched producer: probe, compute off-memo, insert.
-        if memo.peek("key") is None:
+        if memo.peek_many(["key"]) == [None]:
             memo.insert("key", compute())
         # A later get must hit without recomputing.
         assert memo.get("key", compute) == "value"
@@ -300,12 +331,32 @@ class TestMemoBatchProtocol:
         handle = code_caches(code)
         pattern = (1, 3)
         value = handle.decode_consequences(
-            ReadMode.BYPASS, pattern, lambda: frozenset({1, 3})
+            pattern, lambda: post_correction_data_errors(code, pattern)
         )
-        assert handle.peek_decode_consequences(ReadMode.BYPASS, pattern) == value
-        assert handle.peek_decode_consequences_many(
-            ReadMode.BYPASS, [pattern, (0, 2)]
-        ) == [value, None]
+        assert handle.peek_decode_consequences_many([pattern, (0, 2)]) == [value, None]
+
+    @pytest.mark.parametrize("kernel", ["auto", "scalar"])
+    def test_bypass_cells_leave_the_decode_memo_empty(self, kernel, monkeypatch):
+        kernel_mode(monkeypatch, kernel)
+        cell = random_cell(np.random.default_rng(5), 8)
+        runs = simulate_cell(["HARP-U", "HARP-A"], cell.codes, cell.profiles, cell.seeds, 32)
+        assert any(run.changes for run in runs["HARP-U"])
+        assert len(mismatch_consequence_cache) == 0
+        assert mismatch_consequence_cache.stats == CacheStats()
+
+    def test_normal_read_decodes_shared_between_kernels(self, monkeypatch):
+        """The batched kernel finds every decode of a scalar Naive cell
+        in the memo (the scalar one also decodes the empty pattern)."""
+        cell = random_cell(np.random.default_rng(5), 8)
+        with monkeypatch.context() as patched:
+            force_scalar_kernel(patched)
+            scalar = simulate_cell(["Naive"], cell.codes, cell.profiles, cell.seeds, 32)
+        stats = mismatch_consequence_cache.stats
+        decoded, hits = stats.misses, stats.hits
+        assert decoded == len(mismatch_consequence_cache) > 0
+        assert simulate_cell(["Naive"], cell.codes, cell.profiles, cell.seeds, 32) == scalar
+        assert stats.misses == decoded
+        assert stats.hits > hits
 
 
 class TestObserveManyContract:
