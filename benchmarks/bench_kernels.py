@@ -157,7 +157,7 @@ def test_integer_charge_mask_speedup(kernel_scaling):
 
     encode_s, ref = _cpu_timed(encode_path, CHARGE_MASK_REPEATS)
     integer_s, out = _cpu_timed(
-        lambda: [_charge_mask(selectors, 0, a) for a in datawords], CHARGE_MASK_REPEATS
+        lambda: [_charge_mask(selectors, a) for a in datawords], CHARGE_MASK_REPEATS
     )
     assert ref == out
     kernel_scaling["charge-mask-encode-cpu"] = encode_s

@@ -65,7 +65,6 @@ import numpy as np
 
 from repro.ecc.linear_code import SystematicCode
 from repro.ecc.syndrome import PatternOutcome, analyze_error_pattern
-from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile
 from repro.utils.bits import int_to_bits
 
@@ -92,7 +91,7 @@ class ChargeSystem:
     Every constraint is one GF(2) row over the ``k`` data-bit variables:
     a data-position constraint is the singleton row ``{b}``, a
     parity-position constraint is the corresponding row of ``P``; the
-    right-hand side is the target charge.  Rows are kept as a lowest-bit
+    right-hand side is 1, the charge.  Rows are kept as a lowest-bit
     linear basis (each insertion is reduced against the existing pivots),
     so adding a constraint to an already-eliminated system costs one row
     reduction instead of a full re-elimination — the incremental update
@@ -110,32 +109,31 @@ class ChargeSystem:
         self,
         code: SystematicCode,
         charged_ones: frozenset[int] | set[int] | tuple[int, ...] = (),
-        forced_zeros: frozenset[int] | set[int] | tuple[int, ...] = (),
     ) -> None:
         self.code = code
         #: (pivot bit, row, rhs) triples — rows never contain an earlier
         #: pivot's bit, so reverse-order back-substitution is valid.
         self._basis: list[tuple[int, int, int]] = []
         self._infeasible = False
-        self.constrain(charged_ones, 1)
-        self.constrain(forced_zeros, 0)
+        self.constrain(charged_ones)
 
-    def constrain(self, positions, target: int) -> None:
-        """Pin the charge of codeword ``positions`` to ``target`` (0 or 1)."""
+    def constrain(self, positions) -> None:
+        """Require the cells at codeword ``positions`` to hold charge."""
         code = self.code
         k = code.k
         for position in positions:
             if not 0 <= position < code.n:
                 raise IndexError(f"position {position} out of range [0, {code.n})")
             if position < k:
-                self._insert(1 << position, target)
+                self._insert(1 << position)
             else:
-                self._insert(code.parity_row_ints[position - k], target)
+                self._insert(code.parity_row_ints[position - k])
 
-    def _insert(self, row: int, rhs: int) -> None:
-        """Reduce one constraint row against the basis; extend or refute."""
+    def _insert(self, row: int) -> None:
+        """Reduce one charged-cell row against the basis; extend or refute."""
         if self._infeasible:
             return
+        rhs = 1
         for pivot_bit, pivot_row, pivot_rhs in self._basis:
             if row & pivot_bit:
                 row ^= pivot_row
@@ -156,7 +154,7 @@ class ChargeSystem:
         fork.code = self.code
         fork._basis = list(self._basis)
         fork._infeasible = self._infeasible
-        fork.constrain(positions, 1)
+        fork.constrain(positions)
         return fork
 
     def solution_int(self) -> int | None:
@@ -181,30 +179,18 @@ class ChargeSystem:
         return int_to_bits(solution, self.code.k)
 
 
-def is_charge_realizable(
-    code: SystematicCode,
-    charged_ones: frozenset[int] | set[int],
-    forced_zeros: frozenset[int] | set[int] = frozenset(),
-) -> bool:
-    """Does a data pattern exist charging ``charged_ones`` (and discharging
-    ``forced_zeros``)?
-
-    Assumes all-true cells, matching the paper's evaluation model.
-    """
+def is_charge_realizable(code: SystematicCode, charged_ones: frozenset[int] | set[int]) -> bool:
+    """Does some dataword charge (store 1 in) every cell of ``charged_ones``?"""
     k = code.k
-    # Fast path: systematic data bits are free variables, so constraints
-    # on them alone conflict only where a bit is both charged and forced
-    # to zero.  Any other position, out-of-range ones included, takes the
-    # solver, which range-checks it.
-    if all(0 <= p < k for p in charged_ones) and all(0 <= p < k for p in forced_zeros):
-        return not set(charged_ones) & set(forced_zeros)
-    return ChargeSystem(code, charged_ones, forced_zeros).solution_int() is not None
+    # Data bits are free variables, so any set of them can be charged at once.
+    # Any other position, out-of-range ones included, takes the range-checking solver.
+    if all(0 <= p < k for p in charged_ones):
+        return True
+    return ChargeSystem(code, charged_ones).solution_int() is not None
 
 
 def solve_charge_assignment(
-    code: SystematicCode,
-    charged_ones: frozenset[int] | set[int],
-    forced_zeros: frozenset[int] | set[int] = frozenset(),
+    code: SystematicCode, charged_ones: frozenset[int] | set[int]
 ) -> np.ndarray | None:
     """One dataword satisfying the charge constraints, or None.
 
@@ -212,7 +198,7 @@ def solve_charge_assignment(
     the property BEEP's crafted patterns rely on (charge only what the test
     targets).
     """
-    return ChargeSystem(code, charged_ones, forced_zeros).solution()
+    return ChargeSystem(code, charged_ones).solution()
 
 
 @dataclass(frozen=True)
@@ -256,17 +242,14 @@ class GroundTruth:
 def compute_ground_truth(
     code: SystematicCode,
     at_risk: tuple[int, ...] | WordErrorProfile,
-    orientation: CellOrientation | None = None,
 ) -> GroundTruth:
     """Enumerate all realizable error patterns of a word and their outcomes.
+
+    A pattern is realizable iff some dataword charges (stores 1 in) all its cells.
 
     Args:
         code: the on-die ECC code.
         at_risk: at-risk codeword positions (or a profile carrying them).
-        orientation: cell orientation; ``None`` means all true cells (the
-            paper's model).  An error pattern is realizable iff some data
-            pattern *charges* every cell in it — logical 1 for true cells,
-            logical 0 for anti cells.
     """
     positions = at_risk.positions if isinstance(at_risk, WordErrorProfile) else tuple(at_risk)
     if len(positions) > MAX_AT_RISK_FOR_ENUMERATION:
@@ -278,16 +261,8 @@ def compute_ground_truth(
     for size in range(1, len(positions) + 1):
         for subset in combinations(positions, size):
             pattern = frozenset(subset)
-            if orientation is None:
-                realizable = is_charge_realizable(code, pattern)
-            else:
-                mask = orientation.true_cell_mask
-                charged_ones = frozenset(p for p in pattern if mask[p])
-                charged_zeros = frozenset(p for p in pattern if not mask[p])
-                realizable = is_charge_realizable(code, charged_ones, charged_zeros)
-            if not realizable:
-                continue
-            outcomes.append(analyze_error_pattern(code, pattern))
+            if is_charge_realizable(code, pattern):
+                outcomes.append(analyze_error_pattern(code, pattern))
     return GroundTruth(code=code, at_risk=tuple(positions), realizable_outcomes=tuple(outcomes))
 
 
@@ -312,7 +287,6 @@ def max_simultaneous_post_errors(
 def predict_indirect_from_direct(
     code: SystematicCode,
     direct_bits: frozenset[int] | set[int],
-    max_pattern_size: int | None = None,
 ) -> frozenset[int]:
     """HARP-A's precomputation (paper §6.3.1).
 
@@ -328,9 +302,8 @@ def predict_indirect_from_direct(
     for bit in direct:
         if not 0 <= bit < code.k:
             raise IndexError(f"direct bit {bit} is not a data position")
-    limit = len(direct) if max_pattern_size is None else min(max_pattern_size, len(direct))
     predicted: set[int] = set()
-    for size in range(2, limit + 1):
+    for size in range(2, len(direct) + 1):
         for subset in combinations(direct, size):
             outcome = analyze_error_pattern(code, frozenset(subset))
             predicted.update(outcome.indirect_errors)

@@ -22,13 +22,12 @@ immutable and so shared freely), and per-target aliasing pairs
 (:data:`beep_expansion_cache`).
 
 This module provides bounded LRU caches for these functions, keyed on the
-parity-check matrix bytes plus the input positions (and cell orientation
-where applicable).  The caches are **process-local**: each worker process
-of the parallel sweep engine owns an independent cache, so no locking or
-shared state is needed — results are deterministic regardless of cache
-state, making this safe under any ``multiprocessing`` start method
-(``fork`` inherits a snapshot; ``spawn`` starts cold; both converge to
-identical outputs).
+parity-check matrix bytes plus the input positions.  The caches are
+**process-local**: each worker process of the parallel sweep engine owns
+an independent cache, so no locking or shared state is needed — results
+are deterministic regardless of cache state, making this safe under any
+``multiprocessing`` start method (``fork`` inherits a snapshot; ``spawn``
+starts cold; both converge to identical outputs).
 
 Above the process-local tier sits an optional **shared tier**
 (:mod:`repro.analysis.shared_memo`): when a sweep runs with
@@ -59,7 +58,6 @@ from repro.analysis.atrisk import (
 )
 from repro.ecc.code_analysis import aliasing_pairs_for_target
 from repro.ecc.linear_code import SystematicCode
-from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile
 
 __all__ = [
@@ -206,10 +204,6 @@ def _code_key(code: SystematicCode) -> tuple:
     return (code.t, code.parity_submatrix.shape, code.parity_bytes)
 
 
-def _orientation_key(orientation: CellOrientation | None) -> bytes | None:
-    return None if orientation is None else orientation.true_cell_mask.tobytes()
-
-
 #: Process-local caches (one set per worker process of a parallel sweep).
 ground_truth_cache = Memo(max_entries=8192)
 indirect_prediction_cache = Memo(max_entries=8192)
@@ -236,39 +230,35 @@ mismatch_consequence_cache = Memo(max_entries=131072)
 def cached_ground_truth(
     code: SystematicCode,
     at_risk: tuple[int, ...] | WordErrorProfile,
-    orientation: CellOrientation | None = None,
 ) -> GroundTruth:
     """Memoized :func:`~repro.analysis.atrisk.compute_ground_truth`.
 
-    Keyed on (parity-check matrix bytes, at-risk positions, orientation);
+    Keyed on (parity-check matrix bytes, at-risk positions);
     the word's per-bit probabilities are irrelevant to ground truth, so a
     sweep's probability levels all share one enumeration.
     """
     positions = (
         at_risk.positions if isinstance(at_risk, WordErrorProfile) else tuple(at_risk)
     )
-    key = ("gt", _code_key(code), positions, _orientation_key(orientation))
-    return ground_truth_cache.get(
-        key, lambda: compute_ground_truth(code, positions, orientation)
-    )
+    key = ("gt", _code_key(code), positions)
+    return ground_truth_cache.get(key, lambda: compute_ground_truth(code, positions))
 
 
 def cached_predict_indirect(
     code: SystematicCode,
     direct_bits: frozenset[int] | set[int],
-    max_pattern_size: int | None = None,
 ) -> frozenset[int]:
     """Memoized :func:`~repro.analysis.atrisk.predict_indirect_from_direct`.
 
-    Keyed on (parity-check matrix bytes, sorted direct bits, pattern-size
-    bound).  HARP-A refreshes its prediction after every direct-risk
-    discovery, and the same (code, observed set) pairs recur across the
-    sweep's probability levels — this cache collapses those repeats.
+    Keyed on (parity-check matrix bytes, sorted direct bits).  HARP-A
+    refreshes its prediction after every direct-risk discovery, and the
+    same (code, observed set) pairs recur across the sweep's probability
+    levels — this cache collapses those repeats.
     """
     bits = tuple(sorted(int(b) for b in direct_bits))
-    key = ("ind", _code_key(code), bits, max_pattern_size)
+    key = ("ind", _code_key(code), bits)
     return indirect_prediction_cache.get(
-        key, lambda: predict_indirect_from_direct(code, frozenset(bits), max_pattern_size)
+        key, lambda: predict_indirect_from_direct(code, frozenset(bits))
     )
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from repro.analysis.atrisk import MAX_AT_RISK_FOR_ENUMERATION
 from repro.ecc.linear_code import SystematicCode
 from repro.ecc.syndrome import analyze_error_pattern
-from repro.memory.cells import CellOrientation, all_true_cells
 from repro.memory.error_model import WordErrorProfile
 
 __all__ = [
@@ -37,7 +36,6 @@ def charged_at_risk_bits(
     code: SystematicCode,
     profile: WordErrorProfile,
     data: np.ndarray,
-    orientation: CellOrientation | None = None,
 ) -> list[tuple[int, float]]:
     """(position, probability) pairs for at-risk cells that hold charge.
 
@@ -45,12 +43,10 @@ def charged_at_risk_bits(
     bits that participate in this data pattern's error process.
     """
     codeword = code.encode(np.asarray(data, dtype=np.uint8))
-    cells = orientation or all_true_cells(code.n)
-    charged = cells.charged_mask(codeword)
     return [
         (position, probability)
         for position, probability in zip(profile.positions, profile.probabilities)
-        if charged[position]
+        if codeword[position]
     ]
 
 
@@ -82,10 +78,9 @@ def per_bit_post_error_probabilities(
     code: SystematicCode,
     profile: WordErrorProfile,
     data: np.ndarray,
-    orientation: CellOrientation | None = None,
 ) -> dict[int, float]:
     """Exact P(post-correction error) for every data position with P > 0."""
-    charged = charged_at_risk_bits(code, profile, data, orientation)
+    charged = charged_at_risk_bits(code, profile, data)
     result: dict[int, float] = {}
     for pattern, probability in _pattern_probabilities(charged):
         if not pattern:
@@ -101,14 +96,13 @@ def expected_unrepaired_ber(
     profile: WordErrorProfile,
     data: np.ndarray,
     repaired: frozenset[int] | set[int],
-    orientation: CellOrientation | None = None,
 ) -> float:
     """Expected fraction of this word's data bits in error after repair.
 
     The ideal repair mechanism masks every profiled (repaired) bit, so only
     errors at *unrepaired* positions contribute (paper Fig 10, left).
     """
-    probabilities = per_bit_post_error_probabilities(code, profile, data, orientation)
+    probabilities = per_bit_post_error_probabilities(code, profile, data)
     repaired_set = set(repaired)
     total = sum(q for position, q in probabilities.items() if position not in repaired_set)
     return total / code.k
@@ -120,7 +114,6 @@ def expected_residual_ber_after_secondary(
     data: np.ndarray,
     repaired: frozenset[int] | set[int],
     secondary_capability: int = 1,
-    orientation: CellOrientation | None = None,
 ) -> float:
     """Expected data BER after repair *and* the secondary ECC (Fig 10, right).
 
@@ -131,7 +124,7 @@ def expected_residual_ber_after_secondary(
     secondary-ECC miscorrections, a conservative lower bound the paper's
     qualitative claims do not depend on.
     """
-    charged = charged_at_risk_bits(code, profile, data, orientation)
+    charged = charged_at_risk_bits(code, profile, data)
     repaired_set = set(repaired)
     expected_errors = 0.0
     for pattern, probability in _pattern_probabilities(charged):
@@ -158,10 +151,9 @@ class WordBerAnalyzer:
         code: SystematicCode,
         profile: WordErrorProfile,
         data: np.ndarray,
-        orientation: CellOrientation | None = None,
     ) -> None:
         self.code = code
-        charged = charged_at_risk_bits(code, profile, data, orientation)
+        charged = charged_at_risk_bits(code, profile, data)
         self._outcomes: list[tuple[float, frozenset[int]]] = []
         for pattern, probability in _pattern_probabilities(charged):
             if not pattern:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.atrisk import MAX_AT_RISK_FOR_ENUMERATION
 from repro.memory.faults import FaultMixModel
+from repro.memory.patterns import PATTERN_NAMES
+from repro.profiling import PROFILER_REGISTRY
 
 __all__ = [
     "SweepConfig",
@@ -40,6 +42,18 @@ def _check_probabilities(probabilities: tuple[float, ...]) -> None:
     for probability in probabilities:
         if not 0.0 < probability <= 1.0:
             raise ValueError("per-bit probabilities must be in (0, 1]")
+
+
+def _check_names(profilers: tuple[str, ...], pattern: str) -> None:
+    unknown = [name for name in profilers if name not in PROFILER_REGISTRY]
+    if unknown:
+        raise ValueError(
+            f"unknown profiler(s) {unknown}; expected names from {sorted(PROFILER_REGISTRY)}"
+        )
+    if pattern not in PATTERN_NAMES:
+        raise ValueError(
+            f"unknown data pattern {pattern!r}; expected one of {list(PATTERN_NAMES)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,7 @@ class SweepConfig:
                     f"{MAX_AT_RISK_FOR_ENUMERATION}"
                 )
         _check_probabilities(self.probabilities)
+        _check_names(self.profilers, self.pattern)
 
 
 @dataclass(frozen=True)
@@ -112,6 +127,7 @@ class CaseStudyConfig:
                 f"max_at_risk {self.max_at_risk} exceeds the enumeration bound "
                 f"{MAX_AT_RISK_FOR_ENUMERATION}"
             )
+        _check_names(self.profilers, self.pattern)
 
 
 @dataclass(frozen=True)
@@ -180,6 +196,7 @@ class FleetConfig:
             raise ValueError("slice_words must be >= 0 (0 = whole-cell shards)")
         if self.spare_rows < 0 or self.spare_bits < 0:
             raise ValueError("repair budgets must be >= 0")
+        _check_names((self.profiler,), self.pattern)
         self.mix_model()  # FaultMixModel bounds the fault-mix fields
 
     def mix_model(self) -> FaultMixModel:

@@ -82,8 +82,6 @@ from repro.experiments.store import (
     sweep_to_json,
     write_atomically,
 )
-from repro.memory.patterns import PATTERN_NAMES
-from repro.profiling import PROFILER_REGISTRY
 
 __all__ = [
     "JOB_STATES",
@@ -196,14 +194,13 @@ def job_config(spec: dict):
 
     The overrides go through the store's JSON-to-config decoder
     (:func:`~repro.experiments.store.config_from_dict`) on top of the
-    preset's own encoding, so a job spec is type-checked exactly like a
-    store header; every profiler and the data pattern must also be a
-    known name.
+    preset's own encoding, so a job spec is checked exactly like a
+    store header, its profiler and pattern names included.
     """
     preset = CAMPAIGNS[spec["kind"]][0][spec.get("scale", "unit")]
     config_class = type(preset)
     try:
-        config = config_from_dict(
+        return config_from_dict(
             {**config_to_dict(preset, config_class), **spec.get("config", {})}, config_class
         )
     except ValueError as error:
@@ -211,17 +208,6 @@ def job_config(spec: dict):
         raise JobSpecError(
             f"invalid {spec['kind']} config: {error} (known fields: {known})"
         ) from None
-    profilers = config.profilers if hasattr(config, "profilers") else (config.profiler,)
-    unknown = [name for name in profilers if name not in PROFILER_REGISTRY]
-    if unknown:
-        raise JobSpecError(
-            f"unknown profiler(s) {unknown}; expected names from {sorted(PROFILER_REGISTRY)}"
-        )
-    if config.pattern not in PATTERN_NAMES:
-        raise JobSpecError(
-            f"unknown data pattern {config.pattern!r}; expected one of {list(PATTERN_NAMES)}"
-        )
-    return config
 
 
 @dataclass

@@ -1,7 +1,6 @@
-"""Simulated main-memory substrate: cells, arrays, error models, chips."""
+"""Simulated main-memory substrate: arrays, error models, patterns, faults, chips."""
 
 from repro.memory.array import MemoryArray
-from repro.memory.cells import CellOrientation, all_true_cells, alternating_cells
 from repro.memory.chip import OnDieEccChip, ReadOutcome
 from repro.memory.faults import (
     FAULT_MODES,
@@ -23,15 +22,11 @@ from repro.memory.patterns import (
     CheckeredPattern,
     DataPattern,
     RandomPattern,
-    ZeroPattern,
     make_pattern,
 )
 
 __all__ = [
     "MemoryArray",
-    "CellOrientation",
-    "all_true_cells",
-    "alternating_cells",
     "OnDieEccChip",
     "ReadOutcome",
     "FAULT_MODES",
@@ -48,7 +43,6 @@ __all__ = [
     "ChargedPattern",
     "CheckeredPattern",
     "RandomPattern",
-    "ZeroPattern",
     "make_pattern",
     "PATTERN_NAMES",
 ]

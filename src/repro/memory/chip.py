@@ -55,7 +55,6 @@ class OnDieEccChip:
     Args:
         code: the on-die ECC code (e.g. a (71, 64) SEC Hamming code).
         num_words: number of ECC words of capacity.
-        error_model: retention error model used at read time.
         rng: generator driving error injection.
     """
 
@@ -63,12 +62,11 @@ class OnDieEccChip:
         self,
         code: SystematicCode,
         num_words: int,
-        error_model: RetentionErrorModel | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
         self.code = code
         self._array = MemoryArray(num_words, code.n)
-        self._error_model = error_model or RetentionErrorModel()
+        self._error_model = RetentionErrorModel()
         self._rng = rng or np.random.default_rng(0)
         self._profiles: dict[int, WordErrorProfile] = {}
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ecc.linear_code import SystematicCode
-from repro.memory.cells import CellOrientation, all_true_cells
 
 __all__ = [
     "WordErrorProfile",
@@ -116,22 +115,9 @@ def normal_probability_profile(
 class RetentionErrorModel:
     """Samples pre-correction error patterns for stored codewords.
 
-    Args:
-        orientation: cell orientation (defaults to all true cells, per the
-            paper's assumption).
+    Every cell is a true cell, as the paper assumes (§7.1.2): it holds
+    charge, and so can fail, exactly when it stores 1.
     """
-
-    def __init__(self, orientation: CellOrientation | None = None) -> None:
-        self._orientation = orientation
-
-    def orientation_for(self, n: int) -> CellOrientation:
-        if self._orientation is not None:
-            if self._orientation.n != n:
-                raise ValueError(
-                    f"orientation covers {self._orientation.n} cells, codeword has {n}"
-                )
-            return self._orientation
-        return all_true_cells(n)
 
     def vulnerable_mask(self, codeword: np.ndarray, profile: WordErrorProfile) -> np.ndarray:
         """Which at-risk positions can fail for the stored codeword.
@@ -141,9 +127,8 @@ class RetentionErrorModel:
         ``(batch, n)`` codewords; the result has a matching leading axis.
         """
         arr = np.asarray(codeword, dtype=np.uint8)
-        charged = self.orientation_for(arr.shape[-1]).charged_mask(arr)
         index = np.asarray(profile.positions, dtype=np.intp)
-        return charged[..., index].astype(bool)
+        return arr[..., index].astype(bool)
 
     def sample_failures(
         self,

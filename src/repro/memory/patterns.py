@@ -36,7 +36,6 @@ from repro.utils.rng import derive_rng, derive_seeds, random_bits
 __all__ = [
     "DataPattern",
     "ChargedPattern",
-    "ZeroPattern",
     "CheckeredPattern",
     "RandomPattern",
     "random_rounds",
@@ -67,15 +66,6 @@ class ChargedPattern(DataPattern):
 
     def data_for_round(self, round_index: int, k: int) -> np.ndarray:
         return np.ones(k, dtype=np.uint8)
-
-
-class ZeroPattern(DataPattern):
-    """All zeros every round (0x00): no true cell holds charge."""
-
-    name = "zero"
-
-    def data_for_round(self, round_index: int, k: int) -> np.ndarray:
-        return np.zeros(k, dtype=np.uint8)
 
 
 class CheckeredPattern(DataPattern):
@@ -133,7 +123,7 @@ def random_rounds(seeds: Sequence[int], num_rounds: int, k: int) -> np.ndarray:
     return out
 
 
-PATTERN_NAMES = ("random", "charged", "checkered", "zero")
+PATTERN_NAMES = ("random", "charged", "checkered")
 
 
 def make_pattern(name: str, seed: int = 0) -> DataPattern:
@@ -144,6 +134,4 @@ def make_pattern(name: str, seed: int = 0) -> DataPattern:
         return ChargedPattern()
     if name == "checkered":
         return CheckeredPattern()
-    if name == "zero":
-        return ZeroPattern()
     raise ValueError(f"unknown data pattern {name!r}; expected one of {PATTERN_NAMES}")

@@ -68,7 +68,6 @@ import numpy as np
 from repro.analysis.memo import code_caches
 from repro.ecc import gf2
 from repro.ecc.linear_code import SystematicCode
-from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile, check_profile_positions
 from repro.memory.patterns import DataPattern, RandomPattern, make_pattern, random_rounds
 from repro.profiling.base import Profiler, ReadMode
@@ -159,12 +158,9 @@ def _charge_selectors(code: SystematicCode, positions: Sequence[int]) -> list[in
     return [1 << p if p < k else parity_rows[p - k] for p in positions]
 
 
-def _charge_mask(selectors: Sequence[int], anti_mask: int, dataword: int) -> int:
-    """Which positions a dataword charges, as a bitmask (bit ``j`` = ``selectors[j]``).
-
-    ``anti_mask`` flags the anti cells, which hold charge when storing 0.
-    """
-    mask = anti_mask
+def _charge_mask(selectors: Sequence[int], dataword: int) -> int:
+    """Which positions a dataword charges, as a bitmask (bit ``j`` = ``selectors[j]``)."""
+    mask = 0
     for bit, selector in enumerate(selectors):
         mask ^= ((selector & dataword).bit_count() & 1) << bit
     return mask
@@ -212,7 +208,6 @@ def simulate_word(
     profile: WordErrorProfile,
     num_rounds: int,
     word_seed: int,
-    orientation: CellOrientation | None = None,
     artifacts: WordArtifacts | None = None,
 ) -> WordRunResult:
     """Run a profiler against one ECC word for ``num_rounds`` rounds.
@@ -226,9 +221,6 @@ def simulate_word(
     pattern-independent, so every profiler of a word sees the same ones.
 
     Args:
-        orientation: cell orientation; ``None`` (the paper's model) means
-            all true cells, where a stored 1 is the charged/vulnerable
-            state.  With anti cells a stored 0 is vulnerable instead.
         artifacts: the word's precomputed inputs (see
             :class:`WordArtifacts`); ``None`` builds them through
             :func:`cell_artifacts` from the profiler's pattern and
@@ -259,13 +251,7 @@ def simulate_word(
     positions = profile.positions
     columns = np.asarray(positions, dtype=np.intp)
     below = artifacts.draws < np.asarray(profile.probabilities, dtype=float)
-    if orientation is None:
-        charged = artifacts.codewords[:, columns]
-        anti_mask = 0
-    else:
-        charged = orientation.charged_mask(artifacts.codewords)[:, columns]
-        anti_mask = gf2._pack_rows(orientation.true_cell_mask[None, columns] == 0)[0]
-    standard_failures = gf2._pack_rows(charged.astype(bool) & below)
+    standard_failures = gf2._pack_rows(artifacts.codewords[:, columns].astype(bool) & below)
     below_masks = gf2._pack_rows(below)
     selectors = _charge_selectors(code, positions)
 
@@ -292,7 +278,7 @@ def simulate_word(
         else:
             charged_bits = charge_masks.get(crafted)
             if charged_bits is None:
-                charged_bits = charge_masks[crafted] = _charge_mask(selectors, anti_mask, crafted)
+                charged_bits = charge_masks[crafted] = _charge_mask(selectors, crafted)
             failed_bits = charged_bits & below_masks[round_index]
         mode = read_mode_for(round_index)
         key = (mode, failed_bits)
@@ -318,7 +304,6 @@ def simulate_words_batched(
     profiles: Sequence[WordErrorProfile],
     num_rounds: int,
     word_seeds: Sequence[int],
-    orientation: CellOrientation | None = None,
     artifacts: Sequence[WordArtifacts] | None = None,
 ) -> list[WordRunResult]:
     """Simulate a whole cell of words through one vectorized pass.
@@ -348,8 +333,6 @@ def simulate_words_batched(
         profiles: per-word at-risk profiles.
         num_rounds: rounds to simulate (same for every word of a cell).
         word_seeds: per-word failure-draw seeds.
-        orientation: cell orientation shared by the batch (``None`` =
-            all true cells).
         artifacts: one complete :class:`WordArtifacts` per word; ``None``
             builds them for this call from each profiler's own pattern.
 
@@ -412,16 +395,13 @@ def simulate_words_batched(
             bypass = profiler.read_mode_for(0) == ReadMode.BYPASS
             groups.setdefault((bypass, profile.count), []).append(index)
 
-    def charged_bits(codewords: np.ndarray) -> np.ndarray:
-        return codewords if orientation is None else orientation.charged_mask(codewords)
-
     for (bypass, at_risk), indices in groups.items():
         positions2 = np.array([profiles[i].positions for i in indices], dtype=np.intp)
         # Gather each word's at-risk columns before stacking: the
         # (words, rounds, at-risk) block is a fraction of the codewords.
         charged = np.stack(
             [
-                charged_bits(artifacts[i].codewords).take(positions, axis=1)
+                artifacts[i].codewords.take(positions, axis=1)
                 for i, positions in zip(indices, positions2)
             ]
         ).astype(bool)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ecc.linear_code import SystematicCode
-from repro.memory.cells import CellOrientation, all_true_cells
 from repro.memory.error_model import WordErrorProfile, check_profile_positions
 
 __all__ = ["BatchObservation", "BatchInjectionEngine"]
@@ -47,18 +46,11 @@ class BatchInjectionEngine:
     Args:
         code: the on-die ECC code shared by all words.
         profiles: one at-risk profile per word.
-        orientation: cell orientation (default: all true cells).
     """
 
-    def __init__(
-        self,
-        code: SystematicCode,
-        profiles: list[WordErrorProfile],
-        orientation: CellOrientation | None = None,
-    ) -> None:
+    def __init__(self, code: SystematicCode, profiles: list[WordErrorProfile]) -> None:
         self.code = code
         self.profiles = profiles
-        self.orientation = orientation or all_true_cells(code.n)
         self.num_words = len(profiles)
         for profile in profiles:
             check_profile_positions(profile, code.n)
@@ -92,7 +84,7 @@ class BatchInjectionEngine:
         if dataword.shape != (self.code.k,):
             raise ValueError(f"expected dataword of shape ({self.code.k},)")
         codeword = self.code.encode(dataword)
-        charged = self.orientation.charged_mask(codeword).astype(bool)
+        charged = codeword.astype(bool)  # true cells: charged when storing 1
         draws = rng.random((self.num_words, self.code.n))
         raw_failures = charged[None, :] & (draws < self._probability)
         corrupted = np.bitwise_xor(

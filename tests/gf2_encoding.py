@@ -20,11 +20,9 @@ __all__ = ["encode_charge_constraints", "sat_charge_assignment", "sat_is_charge_
 
 
 def encode_charge_constraints(
-    code: SystematicCode,
-    charged_ones: frozenset[int] | set[int],
-    forced_zeros: frozenset[int] | set[int] = frozenset(),
+    code: SystematicCode, charged_ones: frozenset[int] | set[int]
 ) -> tuple[Cnf, list[int]]:
-    """Build the CNF for the charge constraints.
+    """Build the CNF requiring every cell of ``charged_ones`` to store 1.
 
     Returns ``(cnf, data_variables)`` where ``data_variables[i]`` is the SAT
     variable of data bit ``i``.
@@ -32,28 +30,22 @@ def encode_charge_constraints(
     cnf = Cnf()
     data_variables = cnf.new_variables(code.k)
     parity = code.parity_submatrix
-    for target, positions in ((1, charged_ones), (0, forced_zeros)):
-        for position in positions:
-            if not 0 <= position < code.n:
-                raise IndexError(f"position {position} out of range [0, {code.n})")
-            if position < code.k:
-                cnf.add_unit(data_variables[position] if target else -data_variables[position])
-            else:
-                row = parity[position - code.k]
-                involved = [data_variables[i] for i in np.flatnonzero(row)]
-                cnf.add_xor(involved, target)
+    for position in charged_ones:
+        if not 0 <= position < code.n:
+            raise IndexError(f"position {position} out of range [0, {code.n})")
+        if position < code.k:
+            cnf.add_unit(data_variables[position])
+        else:
+            row = parity[position - code.k]
+            cnf.add_xor([data_variables[i] for i in np.flatnonzero(row)], 1)
     return cnf, data_variables
 
 
 def sat_charge_assignment(
-    code: SystematicCode,
-    charged_ones: frozenset[int] | set[int],
-    forced_zeros: frozenset[int] | set[int] = frozenset(),
+    code: SystematicCode, charged_ones: frozenset[int] | set[int]
 ) -> np.ndarray | None:
-    """A dataword satisfying the charge constraints, via the SAT solver."""
-    if set(charged_ones) & set(forced_zeros):
-        return None
-    cnf, data_variables = encode_charge_constraints(code, charged_ones, forced_zeros)
+    """A dataword charging every cell of ``charged_ones``, via the SAT solver."""
+    cnf, data_variables = encode_charge_constraints(code, charged_ones)
     assignment = solve(cnf)
     if assignment is None:
         return None
@@ -61,9 +53,7 @@ def sat_charge_assignment(
 
 
 def sat_is_charge_realizable(
-    code: SystematicCode,
-    charged_ones: frozenset[int] | set[int],
-    forced_zeros: frozenset[int] | set[int] = frozenset(),
+    code: SystematicCode, charged_ones: frozenset[int] | set[int]
 ) -> bool:
     """Decision form of :func:`sat_charge_assignment`."""
-    return sat_charge_assignment(code, charged_ones, forced_zeros) is not None
+    return sat_charge_assignment(code, charged_ones) is not None

@@ -146,7 +146,7 @@ def record_registry(monkeypatch) -> dict[str, list]:
 
 
 def check_feed(
-    profiler, feed, profile, word_seed, num_rounds, orientation=None, artifacts=None
+    profiler, feed, profile, word_seed, num_rounds, artifacts=None
 ) -> list[tuple[int, ...]]:
     """Assert a kernel fed ``profiler`` what the word implies; return the failure patterns.
 
@@ -154,8 +154,8 @@ def check_feed(
     word's artifacts (built the way the kernels build them when none are
     given) and the dataword the profiler wrote: the standard schedule's
     row when it crafted none, else its crafted dataword, encoded.  A
-    charged at-risk position fails iff its draw is below its
-    probability.  A scalar run must have observed each round's
+    charged at-risk position (one storing 1) fails iff its draw is below
+    its probability.  A scalar run must have observed each round's
     consequence, round by round.  A batched run's ``observe_many``
     events must be, in round order and each with its round's whole
     consequence: for a normal-read profiler, the first round of each
@@ -174,10 +174,9 @@ def check_feed(
     for round_index, dataword in enumerate(datawords):
         if dataword is not None:
             written[round_index] = code.encode(int_to_bits(dataword, code.k))
-    charged = written if orientation is None else orientation.charged_mask(written)
     positions = np.asarray(profile.positions, dtype=np.intp)
     below = artifacts.draws < np.asarray(profile.probabilities, dtype=float)
-    failed = charged[:, positions].astype(bool) & below
+    failed = written[:, positions].astype(bool) & below
     failures = [tuple(positions[row].tolist()) for row in failed]
     consequences: dict = {}
     expected = []

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.ecc.hamming import canonical_sec_code, random_sec_code
 from repro.experiments.wire import _PREAMBLE, MAGIC, MAX_FRAME
-from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile
 
 __all__ = [
@@ -41,10 +40,10 @@ __all__ = [
     "StoreDamage",
     "charge_case",
     "charge_cases",
+    "conflicting_charges",
     "frame_damage",
     "http_request",
     "random_cell",
-    "random_cells",
     "sealed_frame",
     "store_damage",
 ]
@@ -108,11 +107,6 @@ def random_cell(seed, num_words: int, max_count: int = 6) -> CellCase:
     )
 
 
-def random_cells(n: int, rng: np.random.Generator) -> CellOrientation:
-    """Uniform random cell orientation over ``n`` codeword positions."""
-    return CellOrientation(rng.integers(0, 2, size=n, dtype=np.uint8))
-
-
 @dataclass(frozen=True)
 class ChargeCase:
     """A random SEC code with anchor constraints and a candidate pair.
@@ -153,6 +147,16 @@ def charge_case(seed) -> ChargeCase:
 def charge_cases(seeds) -> list[ChargeCase]:
     """One labeled :func:`charge_case` per seed, for ``parametrize``."""
     return [charge_case(seed) for seed in seeds]
+
+
+def conflicting_charges(code) -> tuple[int, ...]:
+    """Cells no dataword charges at once: the data bits an even-weight row
+    of ``P`` covers, and that row's parity cell, whose charge (their XOR)
+    is 0 when they all store 1."""
+    row_index, row = next(
+        (j, row) for j, row in enumerate(code.parity_row_ints) if row.bit_count() % 2 == 0
+    )
+    return (*(i for i in range(code.k) if row >> i & 1), code.k + row_index)
 
 
 #: The ways :func:`store_damage` damages a record.

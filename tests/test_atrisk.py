@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from randcases import conflicting_charges
 
 from repro.analysis.atrisk import (
     compute_ground_truth,
@@ -29,7 +30,7 @@ class TestRealizability:
         assert is_charge_realizable(code, set())
 
     def test_conflict_not_realizable(self, code):
-        assert not is_charge_realizable(code, {3}, {3})
+        assert not is_charge_realizable(code, set(conflicting_charges(code)))
 
     def test_solution_charges_requested_cells(self, code):
         targets = {2, code.k + 1, code.k + 4}
@@ -96,6 +97,21 @@ class TestGroundTruth:
     def test_enumeration_bound_enforced(self, code):
         with pytest.raises(ValueError):
             compute_ground_truth(code, tuple(range(17)))
+
+    def test_data_only_profile_realizes_every_pattern(self, code):
+        """Data bits are free, so every nonempty subset of them can fail together."""
+        truth = compute_ground_truth(code, (3, 9, 20))
+        assert len(truth.realizable_outcomes) == 7
+
+    def test_conflicting_profile_drops_only_the_full_pattern(self):
+        """Cells no dataword charges at once never fail together, while
+        each proper subset of them can."""
+        local = random_sec_code(8, np.random.default_rng(52))
+        positions = conflicting_charges(local)
+        truth = compute_ground_truth(local, positions)
+        patterns = {outcome.pre_correction for outcome in truth.realizable_outcomes}
+        assert len(patterns) == 2 ** len(positions) - 2
+        assert frozenset(positions) not in patterns
 
     def test_outcomes_only_realizable_patterns(self):
         """Patterns requiring contradictory parity charges are excluded."""

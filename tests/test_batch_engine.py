@@ -13,7 +13,6 @@ from batch_engine import BatchInjectionEngine
 
 from repro.analysis.probabilities import per_bit_post_error_probabilities
 from repro.ecc.hamming import random_sec_code
-from repro.memory.cells import CellOrientation
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
 
 
@@ -48,14 +47,6 @@ class TestBatchEngineBasics:
         observation = engine.run_round(np.ones(code.k, dtype=np.uint8), np.random.default_rng(0))
         assert observation.raw_failures[0, 3]
         assert not observation.post_data_errors.any()
-
-    def test_anti_cell_orientation(self, code):
-        orientation = CellOrientation(np.zeros(code.n, dtype=np.uint8))
-        engine = BatchInjectionEngine(code, [WordErrorProfile((3,), (1.0,))], orientation)
-        charged_round = engine.run_round(np.zeros(code.k, dtype=np.uint8), np.random.default_rng(0))
-        assert charged_round.raw_failures[0, 3]
-        discharged_round = engine.run_round(np.ones(code.k, dtype=np.uint8), np.random.default_rng(0))
-        assert not discharged_round.raw_failures.any()
 
     def test_data_shape_validated(self, code):
         engine = BatchInjectionEngine(code, [WordErrorProfile((), ())])

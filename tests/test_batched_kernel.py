@@ -6,8 +6,8 @@ identified trace, and each profiler fed what the word's failure patterns
 imply (every round's mismatches on the scalar path; on the batched one,
 the first round of each distinct pattern for normal reads and each round
 that grows the union of failed data bits for bypass reads), under both
-GF(2) products, under any cell orientation, including degenerate words with
-no at-risk bits and bypass words wider than an int64 key.  These tests pin
+GF(2) products, including degenerate words with no at-risk bits and
+bypass words wider than an int64 key.  These tests pin
 that equivalence property-style over randomized rectangular cells, plus
 the dispatch rules (the `batched` profiler flag, adaptive and
 custom-schedule rejection), the probe-then-insert memo protocol the
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_modes import check_feed, force_gf2_tier, force_scalar_kernel, kernel_mode, record_feed
-from randcases import random_cell, random_cells
+from randcases import random_cell
 
 from repro.analysis.atrisk import compute_ground_truth
 from repro.analysis.memo import (
@@ -33,7 +33,6 @@ from repro.analysis.memo import (
 from repro.ecc.hamming import canonical_sec_code
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import clear_engine_caches, run_sweep
-from repro.memory.cells import all_true_cells, alternating_cells
 from repro.memory.error_model import WordErrorProfile
 from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.base import Profiler
@@ -58,7 +57,7 @@ def _fresh_caches():
     clear_analysis_caches()
 
 
-def _assert_kernels_agree(make, profiles, seeds, num_rounds, orientation=None):
+def _assert_kernels_agree(make, profiles, seeds, num_rounds):
     """Run every word through both kernels with fresh ``make(word_index)``
     profilers: the traces must match, and both feeds must be what the
     same recomputed failure patterns imply."""
@@ -67,15 +66,11 @@ def _assert_kernels_agree(make, profiles, seeds, num_rounds, orientation=None):
     for index, (profile, seed) in enumerate(zip(profiles, seeds)):
         profiler = make(index)
         scalar_fed.append((profiler, record_feed(profiler)))
-        scalar.append(
-            simulate_word(profiler, profile, num_rounds, word_seed=seed, orientation=orientation)
-        )
+        scalar.append(simulate_word(profiler, profile, num_rounds, word_seed=seed))
     clear_analysis_caches()
     profilers = [make(index) for index in range(len(profiles))]
     batched_fed = [(profiler, record_feed(profiler)) for profiler in profilers]
-    batched = simulate_words_batched(
-        profilers, profiles, num_rounds, seeds, orientation=orientation
-    )
+    batched = simulate_words_batched(profilers, profiles, num_rounds, seeds)
     assert len(scalar) == len(batched)
     for reference, candidate, profile, seed, (s_profiler, s_feed), (b_profiler, b_feed) in zip(
         scalar, batched, profiles, seeds, scalar_fed, batched_fed
@@ -83,9 +78,9 @@ def _assert_kernels_agree(make, profiles, seeds, num_rounds, orientation=None):
         assert reference.identified_per_round == candidate.identified_per_round
         assert reference.num_rounds == candidate.num_rounds == num_rounds
         assert b_feed.events is not None or not num_rounds
-        assert check_feed(
-            s_profiler, s_feed, profile, seed, num_rounds, orientation
-        ) == check_feed(b_profiler, b_feed, profile, seed, num_rounds, orientation)
+        assert check_feed(s_profiler, s_feed, profile, seed, num_rounds) == check_feed(
+            b_profiler, b_feed, profile, seed, num_rounds
+        )
 
 
 class TestBitIdentity:
@@ -113,14 +108,9 @@ class TestBitIdentity:
         for cls in BATCHED_CLASSES:
             _assert_kernels_agree(lambda i: cls(codes[i], seed=seeds[i]), profiles, seeds, 32)
 
-    @pytest.mark.parametrize(
-        "make_orientation",
-        [all_true_cells, alternating_cells, lambda n: random_cells(n, np.random.default_rng(3))],
-        ids=["true-cells", "anti-cells", "random-cells"],
-    )
-    def test_matches_scalar_under_cell_orientation(self, make_orientation):
+    @pytest.mark.parametrize("pattern", ["random", "charged", "checkered"])
+    def test_matches_scalar_on_a_16_bit_code_over_24_rounds(self, pattern):
         code = canonical_sec_code(16)
-        orientation = make_orientation(code.n)
         rng = np.random.default_rng(23)
         _, profiles, seeds = random_cell(rng, 6)
         profiles = [
@@ -132,7 +122,7 @@ class TestBitIdentity:
         ]
         for cls in BATCHED_CLASSES:
             _assert_kernels_agree(
-                lambda i: cls(code, seed=seeds[i]), profiles, seeds, 24, orientation
+                lambda i: cls(code, seed=seeds[i], pattern=pattern), profiles, seeds, 24
             )
 
     @pytest.mark.parametrize("pattern", ["charged", "random"])
@@ -178,7 +168,6 @@ class TestBitIdentity:
 
     def test_oracle_with_ground_truth_matches_scalar(self):
         code = canonical_sec_code(16)
-        orientation = alternating_cells(code.n)
         rng = np.random.default_rng(31)
         profiles = [
             WordErrorProfile((1, 4, 9), (0.5, 0.9, 1.0)),
@@ -186,15 +175,12 @@ class TestBitIdentity:
             WordErrorProfile((0, code.n - 1), (0.25, 0.75)),
         ]
         seeds = [int(s) for s in rng.integers(0, 2**31, size=len(profiles))]
-        truths = [
-            compute_ground_truth(code, profile, orientation) for profile in profiles
-        ]
+        truths = [compute_ground_truth(code, profile) for profile in profiles]
         _assert_kernels_agree(
             lambda i: OracleProfiler(code, seed=seeds[i], ground_truth=truths[i]),
             profiles,
             seeds,
             16,
-            orientation,
         )
 
     def test_zero_rounds_and_empty_batch(self):
@@ -384,7 +370,7 @@ class TestObserveManyContract:
     def test_oracle_reveals_once_at_round_zero(self):
         code = canonical_sec_code(16)
         profile = WordErrorProfile((1, 6), (1.0, 1.0))
-        truth = compute_ground_truth(code, profile, None)
+        truth = compute_ground_truth(code, profile)
         profiler = OracleProfiler(code, seed=3, ground_truth=truth)
         changes = profiler.observe_many([(2, frozenset({1}))])
         assert len(changes) == 1 and changes[0][0] == 0

@@ -13,7 +13,7 @@ position is its unit row and a parity position its row of ``P``.
 
 import numpy as np
 import pytest
-from randcases import charge_cases
+from randcases import charge_cases, conflicting_charges
 
 from repro.analysis.atrisk import (
     ChargeSystem,
@@ -30,28 +30,22 @@ def _feasible(system: ChargeSystem) -> bool:
     return not system._infeasible
 
 
-def _reference_solution(code, ones, zeros=()) -> int | None:
+def _reference_solution(code, ones) -> int | None:
     """:func:`gf2.solve` over the explicit constraint matrix, as a bitmask."""
-    constraints = [(p, 1) for p in ones] + [(p, 0) for p in zeros]
-    rows = [
-        1 << p if p < code.k else code.parity_row_ints[p - code.k] for p, _ in constraints
-    ]
+    rows = [1 << p if p < code.k else code.parity_row_ints[p - code.k] for p in ones]
     matrix = np.array([int_to_bits(row, code.k) for row in rows], dtype=np.uint8)
-    solution = gf2.solve(matrix, np.array([t for _, t in constraints], dtype=np.uint8))
+    solution = gf2.solve(matrix, np.ones(len(rows), dtype=np.uint8))
     if solution is None:
         return None
     return sum(1 << i for i in np.flatnonzero(solution).tolist())
 
 
 def _overdetermined_case(seed: int):
-    """More constraints than data bits, with random targets: mostly infeasible."""
+    """More charged cells than data bits: about half infeasible."""
     rng = np.random.default_rng(seed)
     code = random_sec_code(int(rng.integers(4, 12)), rng)
     positions = rng.permutation(code.n)[: code.k + int(rng.integers(1, code.n - code.k + 1))]
-    targets = rng.integers(0, 2, size=len(positions))
-    ones = tuple(int(p) for p, t in zip(positions, targets) if t)
-    zeros = tuple(int(p) for p, t in zip(positions, targets) if not t)
-    return code, ones, zeros
+    return code, tuple(int(p) for p in positions)
 
 
 class TestIncrementalEquivalence:
@@ -74,24 +68,23 @@ class TestIncrementalEquivalence:
         assert ChargeSystem(code, tuple(positions)).solution_int() == reference
 
     @pytest.mark.parametrize("case", charge_cases(range(3000, 3020)), ids=str)
-    def test_forced_zeros_match_batch(self, case):
+    def test_chained_forks_match_batch(self, case):
+        """A fork of a fork: the pair, then two more cells drawn from the case."""
         code, anchors, pair = case
-        ones = anchors | set(pair)
-        zeros = (
-            frozenset(int(x) for x in case.rng.choice(code.n, size=2, replace=False))
-            - ones
-        )
-        batch = _reference_solution(code, sorted(ones), sorted(zeros))
-        system = ChargeSystem(code, tuple(ones), tuple(zeros))
+        extra = tuple(int(x) for x in case.rng.choice(code.n, size=2, replace=False))
+        charged = anchors | set(pair) | set(extra)
+        batch = _reference_solution(code, sorted(charged))
+        system = ChargeSystem(code, tuple(sorted(anchors))).with_charged(pair).with_charged(extra)
         assert system.solution_int() == batch
+        assert is_charge_realizable(code, charged) == (batch is not None)
 
     @pytest.mark.parametrize("seed", range(5000, 5020))
     def test_overdetermined_systems_match_batch(self, seed):
-        code, ones, zeros = _overdetermined_case(seed)
-        batch = _reference_solution(code, ones, zeros)
-        system = ChargeSystem(code, ones, zeros)
+        code, ones = _overdetermined_case(seed)
+        batch = _reference_solution(code, ones)
+        system = ChargeSystem(code, ones)
         assert system.solution_int() == batch
-        assert is_charge_realizable(code, set(ones), set(zeros)) == (batch is not None)
+        assert is_charge_realizable(code, set(ones)) == (batch is not None)
 
     def test_overdetermined_cases_include_infeasible_ones(self):
         """The over-determined stream exercises refutation, not just solving."""
@@ -130,7 +123,7 @@ class TestChargeSystemSemantics:
         assert fork is not base
 
     def test_conflicting_constraints_are_infeasible(self, code):
-        system = ChargeSystem(code, (3,), (3,))
+        system = ChargeSystem(code, conflicting_charges(code))
         assert not _feasible(system)
         assert system.solution_int() is None
         assert system.solution() is None

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ecc.hamming import random_sec_code
-from repro.memory.cells import CellOrientation
 from repro.memory.error_model import (
     RetentionErrorModel,
     WordErrorProfile,
@@ -58,6 +57,18 @@ class TestRetentionErrorModel:
         failures = model.sample_failures(codeword, profile, np.random.default_rng(0))
         assert not failures.any()
 
+    def test_vulnerable_exactly_where_stored_one(self, code):
+        """A cell holds charge, and so can fail, exactly when it stores 1;
+        a batch of codewords keeps its leading axis."""
+        model = RetentionErrorModel()
+        profile = sample_word_profile(code, 12, 0.5, np.random.default_rng(9))
+        data = np.random.default_rng(10).integers(0, 2, size=(5, code.k), dtype=np.uint8)
+        codewords = np.stack([code.encode(row) for row in data])
+        mask = model.vulnerable_mask(codewords, profile)
+        assert mask.shape == (5, profile.count)
+        assert np.array_equal(mask, codewords[:, list(profile.positions)] == 1)
+        assert np.array_equal(model.vulnerable_mask(codewords[2], profile), mask[2])
+
     def test_probability_one_fails_all_charged(self, code):
         model = RetentionErrorModel()
         profile = sample_word_profile(code, 6, 1.0, np.random.default_rng(4))
@@ -84,20 +95,6 @@ class TestRetentionErrorModel:
         flipped = np.flatnonzero(corrupted != codeword)
         expected = [p for p, failed in zip(profile.positions, failures) if failed]
         assert sorted(flipped.tolist()) == sorted(expected)
-
-    def test_anti_cells_invert_data_dependence(self, code):
-        """With anti cells, all-zero data is the vulnerable state."""
-        model = RetentionErrorModel(CellOrientation(np.zeros(code.n, dtype=np.uint8)))
-        profile = sample_word_profile(code, 4, 1.0, np.random.default_rng(7))
-        codeword = code.encode(np.zeros(code.k, dtype=np.uint8))
-        failures = model.sample_failures(codeword, profile, np.random.default_rng(0))
-        assert failures.all()
-
-    def test_orientation_length_checked(self, code):
-        model = RetentionErrorModel(CellOrientation(np.ones(5, dtype=np.uint8)))
-        profile = sample_word_profile(code, 2, 0.5, np.random.default_rng(8))
-        with pytest.raises(ValueError):
-            model.sample_failures(code.encode(np.ones(code.k, dtype=np.uint8)), profile, np.random.default_rng(0))
 
     def test_empty_profile(self, code):
         model = RetentionErrorModel()

@@ -93,6 +93,33 @@ class TestFleetConfig:
         assert FleetConfig().mix_model() == FIELD_DDR4
 
 
+class TestNames:
+    """Every config class refuses profiler and pattern names no run knows."""
+
+    @pytest.mark.parametrize(
+        "config_class, field, value",
+        [
+            (SweepConfig, "profilers", ("Naive", "Bogus")),
+            (CaseStudyConfig, "profilers", ("Bogus",)),
+            (FleetConfig, "profiler", "Nope"),
+        ],
+        ids=["sweep", "casestudy", "fleet"],
+    )
+    def test_unknown_profiler_refused(self, config_class, field, value):
+        with pytest.raises(ValueError, match="unknown profiler"):
+            config_class(**{field: value})
+
+    @pytest.mark.parametrize(
+        "config_class",
+        [SweepConfig, CaseStudyConfig, FleetConfig],
+        ids=["sweep", "casestudy", "fleet"],
+    )
+    @pytest.mark.parametrize("pattern", ["plaid", "zero"])
+    def test_unknown_pattern_refused(self, config_class, pattern):
+        with pytest.raises(ValueError, match="unknown data pattern"):
+            config_class(pattern=pattern)
+
+
 class TestReporting:
     def test_log_ticks_include_endpoints(self):
         assert log_round_ticks(128) == [1, 2, 4, 8, 16, 32, 64, 128]

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.memory.patterns import (
+    PATTERN_NAMES,
     ChargedPattern,
     CheckeredPattern,
     DataPattern,
     RandomPattern,
-    ZeroPattern,
     make_pattern,
     random_rounds,
 )
@@ -19,9 +19,6 @@ class TestStaticPatterns:
     def test_charged_is_all_ones(self):
         data = ChargedPattern().data_for_round(3, 8)
         assert data.tolist() == [1] * 8
-
-    def test_zero_is_all_zeros(self):
-        assert not ZeroPattern().data_for_round(0, 8).any()
 
     def test_checkered_alternates(self):
         base = CheckeredPattern().data_for_round(0, 6)
@@ -68,8 +65,14 @@ class TestRandomPattern:
 
 class TestFactory:
     def test_factory_names(self):
-        for name in ("random", "charged", "checkered", "zero"):
+        for name in ("random", "charged", "checkered"):
             assert make_pattern(name, seed=1).data_for_round(0, 4).shape == (4,)
+
+    def test_zero_is_not_a_pattern(self):
+        """An all-zero dataword charges no cell, so no pattern stores it."""
+        assert "zero" not in PATTERN_NAMES
+        with pytest.raises(ValueError):
+            make_pattern("zero", seed=1)
 
     def test_factory_unknown(self):
         with pytest.raises(ValueError):

@@ -168,7 +168,7 @@ class TestObserveSignalsChanges:
     def _profiler(self, name, code, rng):
         if name == "Oracle":
             positions = tuple(sorted(rng.choice(code.n, size=4, replace=False).tolist()))
-            truth = compute_ground_truth(code, WordErrorProfile(positions, (1.0,) * 4), None)
+            truth = compute_ground_truth(code, WordErrorProfile(positions, (1.0,) * 4))
             return OracleProfiler(code, seed=5, ground_truth=truth)
         return PROFILER_REGISTRY[name](code, seed=5)
 

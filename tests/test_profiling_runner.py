@@ -124,6 +124,13 @@ class TestSimulateWord:
         _, _, failures = _fed_run(NaiveProfiler(code, 7, pattern="charged"), profile, 4, 1)
         assert failures == [(3, 9)] * 4
 
+    def test_checkered_pattern_charges_alternate_cells(self, code):
+        """A cell fails only while it stores 1: the checkered pattern charges
+        odd data cells on even rounds and even ones on odd rounds."""
+        profile = WordErrorProfile((2, 9), (1.0, 1.0))
+        _, _, failures = _fed_run(NaiveProfiler(code, 7, pattern="checkered"), profile, 4, 1)
+        assert failures == [(9,), (2,), (9,), (2,)]
+
     def test_zero_probability_never_fails(self, code):
         profile = WordErrorProfile((3, 9), (0.0, 0.0))
         result, _, failures = _fed_run(NaiveProfiler(code, 7), profile, 16, 1)
@@ -164,6 +171,16 @@ class TestPaperInvariants:
         result = simulate_word(
             HarpUProfiler(code, seed, pattern="charged"), profile, 1, word_seed=seed
         )
+        assert result.final_identified() == truth.direct_at_risk
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_harp_full_direct_coverage_at_p1_random(self, code, seed):
+        """The random pattern and its inverse charge every data cell between
+        them, so at p=1 HARP covers all direct-risk bits in two rounds."""
+        rng = np.random.default_rng(seed)
+        profile = sample_word_profile(code, 5, 1.0, rng)
+        truth = compute_ground_truth(code, profile)
+        result = simulate_word(HarpUProfiler(code, seed), profile, 2, word_seed=seed)
         assert result.final_identified() == truth.direct_at_risk
 
     @pytest.mark.parametrize("seed", range(6))

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from batch_engine import BatchInjectionEngine
 from kernel_modes import check_feed, force_gf2_tier, record_feed
-from randcases import random_cells
 
 from repro.analysis.atrisk import compute_ground_truth, predict_indirect_from_direct
 from repro.analysis.memo import (
@@ -39,7 +38,6 @@ from repro.experiments.runner import (
     run_sweep,
     shard_grid,
 )
-from repro.memory.cells import alternating_cells
 from repro.memory.error_model import WordErrorProfile, sample_word_profile
 from repro.memory.patterns import make_pattern
 from repro.profiling import PROFILER_REGISTRY
@@ -234,7 +232,7 @@ class TestAnalysisMemo:
         assert memo.stats.hits == 0 and memo.stats.misses == 0
 
 
-def _reference_simulate(profiler, profile, num_rounds, word_seed, orientation=None):
+def _reference_simulate(profiler, profile, num_rounds, word_seed):
     """Straight-line reference of the per-word loop (no fast paths).
 
     Pins the observable trace semantics in the array domain: failures
@@ -255,8 +253,7 @@ def _reference_simulate(profiler, profile, num_rounds, word_seed, orientation=No
     identified, failures, observations = [], [], []
     for round_index in range(num_rounds):
         codeword = code.encode(profiler.pattern_for_round(round_index))
-        charged = codeword if orientation is None else orientation.charged_mask(codeword)
-        failed_mask = charged[positions].astype(bool) & (draws[round_index] < probabilities)
+        failed_mask = codeword[positions].astype(bool) & (draws[round_index] < probabilities)
         failed = tuple(int(p) for p in positions[failed_mask])
         failures.append(failed)
         if profiler.read_mode_for(round_index) == ReadMode.BYPASS:
@@ -270,12 +267,12 @@ def _reference_simulate(profiler, profile, num_rounds, word_seed, orientation=No
 
 
 def _trace_cases():
-    """Seeded words for the trace sweep: ``(label, code, profile, orientation, rounds)``.
+    """Seeded words for the trace sweep: ``(label, code, profile, rounds)``.
 
     Random SEC codes at four widths; per code, an at-risk set mixing data
     and parity positions at p = 1.0, an all-parity set, and a random set.
-    Orientations and round counts cycle, so every kind of set meets all
-    three orientations and both sides of the hybrid's switch round (16).
+    Round counts cycle, so every kind of set meets both sides of the
+    hybrid's switch round (16).
     """
     cases = []
     for k in (8, 16, 32, 64):
@@ -292,12 +289,9 @@ def _trace_cases():
             ),
         }
         for index, (kind, (positions, probabilities)) in enumerate(at_risk.items()):
-            orientation = (None, alternating_cells(code.n), random_cells(code.n, rng))[
-                (index + k) % 3
-            ]
             rounds = (12, 40)[(index + k // 8) % 2]
             profile = WordErrorProfile(tuple(positions), tuple(float(p) for p in probabilities))
-            cases.append((f"k{k}-{kind}", code, profile, orientation, rounds))
+            cases.append((f"k{k}-{kind}", code, profile, rounds))
     return cases
 
 
@@ -316,16 +310,16 @@ class TestTraceSemantics:
         force_gf2_tier(monkeypatch, tier)
         profiler_cls = PROFILER_REGISTRY[profiler_name]
         crafted_rounds = 0
-        for label, code, profile, orientation, rounds in TRACE_CASES:
+        for label, code, profile, rounds in TRACE_CASES:
             profiler = profiler_cls(code, seed=77)
             feed = record_feed(profiler)
-            fast = simulate_word(profiler, profile, rounds, 77, orientation=orientation)
+            fast = simulate_word(profiler, profile, rounds, 77)
             crafted_rounds += sum(dataword is not None for dataword in feed.datawords)
             identified, failures, observations = _reference_simulate(
-                profiler_cls(code, seed=77), profile, rounds, 77, orientation
+                profiler_cls(code, seed=77), profile, rounds, 77
             )
             assert feed.observed == observations, label
-            assert check_feed(profiler, feed, profile, 77, rounds, orientation) == failures, label
+            assert check_feed(profiler, feed, profile, 77, rounds) == failures, label
             assert fast.identified_per_round == identified, label
         # The sweep must reach the crafted (integer-domain) rounds of
         # every adaptive profiler: one that overrides crafted_for_round.
@@ -334,16 +328,10 @@ class TestTraceSemantics:
 
     def test_cases_cover_parity_positions_and_both_switch_sides(self):
         assert any(
-            all(p >= code.k for p in profile.positions) for _, code, profile, _, _ in TRACE_CASES
+            all(p >= code.k for p in profile.positions) for _, code, profile, _ in TRACE_CASES
         )
         assert {rounds > 16 for *_, rounds in TRACE_CASES} == {True, False}
-        assert any(1.0 in profile.probabilities for _, _, profile, _, _ in TRACE_CASES)
-        def alternating(orientation):
-            reference = alternating_cells(orientation.n).true_cell_mask
-            return np.array_equal(orientation.true_cell_mask, reference)
-
-        kinds = {None if o is None else alternating(o) for *_, o, _ in TRACE_CASES}
-        assert kinds == {None, True, False}
+        assert any(1.0 in profile.probabilities for _, _, profile, _ in TRACE_CASES)
 
     def test_refuses_an_adaptive_profiler_that_overrides_pattern_for_round(self):
         class ArrayOnlyProfiler(PROFILER_REGISTRY["BEEP"]):
@@ -364,20 +352,13 @@ class TestIntegerChargeMask:
 
         rng = np.random.default_rng(500 + k)
         code = random_sec_code(k, rng)
-        for orientation in (None, alternating_cells(code.n), random_cells(code.n, rng)):
-            # Always one parity position: the last.
-            positions = rng.choice(code.n - 1, size=5, replace=False).tolist() + [code.n - 1]
-            selectors = _charge_selectors(code, positions)
-            anti_mask = 0
-            if orientation is not None:
-                true_cells = orientation.true_cell_mask
-                anti_mask = sum(1 << j for j, p in enumerate(positions) if not true_cells[p])
-            for _ in range(50):
-                assignment = int.from_bytes(rng.bytes(8), "little") & ((1 << k) - 1)
-                codeword = code.encode(int_to_bits(assignment, k))
-                charged = codeword if orientation is None else orientation.charged_mask(codeword)
-                expected = bits_to_int(charged[positions])
-                assert _charge_mask(selectors, anti_mask, assignment) == expected
+        # Always one parity position: the last.
+        positions = rng.choice(code.n - 1, size=5, replace=False).tolist() + [code.n - 1]
+        selectors = _charge_selectors(code, positions)
+        for _ in range(50):
+            assignment = int.from_bytes(rng.bytes(8), "little") & ((1 << k) - 1)
+            codeword = code.encode(int_to_bits(assignment, k))
+            assert _charge_mask(selectors, assignment) == bits_to_int(codeword[positions])
 
 
 class TestWordArtifacts:
